@@ -8,6 +8,17 @@ every operation here is a pure function.
 
 The supported prime range is bounded by int64 overflow: row operations
 form products of two residues, so we require p**2 < 2**62.
+
+Tall matrices (rows > cols + 8, the slice matrices of the resolution) are
+eliminated through a random compression.  C = R @ A for a seeded random
+(cols + 8) x rows matrix R is accumulated in float64 BLAS over row blocks,
+each block product exact because its sum stays below 2**53; primes whose
+exact blocks would be shorter than 64 rows (p above about 1.2e7) skip the
+compression.  Since ker A lies inside ker C, checking A @ K.T = 0 exactly in
+int64 for the kernel basis K of rref(C) proves the kernels, hence the row
+spaces and the (unique) RREFs, equal; the result is identical to direct
+elimination.  A failed check retries with the next seed, and after a few
+failures A is eliminated directly.
 """
 
 from __future__ import annotations
@@ -17,6 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_PRIME = 1 << 31  # p**2 stays well inside int64
+
+# Compressed elimination of tall matrices (see rref_mod).
+_FLOAT_EXACT = 1 << 53  # float64 represents every integer below this
+_PAD = 8                # extra random combinations beyond cols
+_BLOCK_ROWS = 512       # rows of A per projection block and per certificate block
+_MIN_BLOCK_ROWS = 64    # shorter exact blocks (p above about 1.2e7): eliminate directly
+_SEEDS = 3              # projections tried before eliminating directly
 
 
 class FieldError(ValueError):
@@ -129,13 +147,51 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rref_mod(a: np.ndarray, p: int):
-    """Reduced row echelon form over F_p.
+def _exact_block_rows(p: int) -> int:
+    """Most rows of A one float64 block product may span and stay exact.
 
-    Returns (R, pivots); R is a fresh array, pivots the list of pivot
-    column indices in increasing order.
+    A block adds at most that many products (p-1)**2 to an accumulator
+    already reduced below p; the sum must stay below 2**53.
     """
-    r = np.array(a, dtype=np.int64) % p
+    return (_FLOAT_EXACT - p) // ((p - 1) ** 2)
+
+
+def _compressible(rows: int, cols: int, p: int) -> bool:
+    return cols > 0 and rows > cols + _PAD and _exact_block_rows(p) >= _MIN_BLOCK_ROWS
+
+
+def _projection_block(seed: int, start: int, rows: int, cols: int, p: int) -> np.ndarray:
+    """Columns start .. start + cols - 1 of the random projection R, as float64.
+
+    Entry (i, j) of R is a splitmix64 hash of its position j * rows + i and
+    the seed, reduced mod p: reproducible on any numpy, no generator state.
+    """
+    pos = np.arange(start * rows, (start + cols) * rows, dtype=np.uint64)
+    z = (pos + np.uint64((seed << 40) + 1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z % np.uint64(p)).astype(np.float64).reshape(cols, rows).T
+
+
+def _project(a: np.ndarray, p: int, seed: int) -> np.ndarray:
+    """C = R @ a mod p for a seeded random (cols + _PAD) x rows matrix R.
+
+    R and the float64 image of a exist one row block at a time; each block
+    product is exact by the choice of block length.
+    """
+    rows, cols = a.shape
+    block = min(_BLOCK_ROWS, _exact_block_rows(p))
+    acc = np.zeros((cols + _PAD, cols), dtype=np.float64)
+    for lo in range(0, rows, block):
+        part = (np.asarray(a[lo:lo + block], dtype=np.int64) % p).astype(np.float64)
+        acc += _projection_block(seed, lo, cols + _PAD, part.shape[0], p) @ part
+        acc %= p
+    return acc.astype(np.int64)
+
+
+def _rref_inplace(r: np.ndarray, p: int) -> list:
+    """Reduce r (int64, entries in [0, p)) to RREF in place; return pivots."""
     rows, cols = r.shape
     pivots = []
     pr = 0
@@ -149,23 +205,81 @@ def rref_mod(a: np.ndarray, p: int):
         if piv != pr:
             r[[pr, piv]] = r[[piv, pr]]
         inv = pow(int(r[pr, c]), -1, p)
-        prow = r[pr] * inv % p
-        r[pr] = 0
+        # rows pr.. vanish left of column c, so only columns c.. change
+        prow = r[pr, c:] * inv % p
+        r[pr, c:] = 0
         col = r[:, c].copy()
         nnz = int(np.count_nonzero(col))
         if 4 * nnz > rows:
-            # dense column: one fused update beats masked copies
-            r -= np.outer(col, prow)
-            r %= p
-            r[pr] = prow
-        else:
-            r[pr] = prow
-            if nnz:
-                mask = col != 0
-                r[mask] = (r[mask] - np.outer(col[mask], prow)) % p
+            # dense column: one fused update beats fancy-indexed copies
+            tail = r[:, c:]
+            tail -= np.outer(col, prow)
+            tail %= p
+        elif nnz:
+            idx = np.flatnonzero(col)
+            r[idx, c:] = (r[idx, c:] - np.outer(col[idx], prow)) % p
+        r[pr, c:] = prow
         pivots.append(c)
         pr += 1
-    return r, pivots
+    return pivots
+
+
+def _rref_direct(a: np.ndarray, p: int):
+    """RREF by per-pivot elimination of the whole matrix."""
+    r = np.array(a, dtype=np.int64) % p
+    return r, _rref_inplace(r, p)
+
+
+def _kernel_from_rref(r: np.ndarray, pivots: list, cols: int, p: int) -> np.ndarray:
+    """The canonical kernel basis of a matrix whose RREF is (r, pivots)."""
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-r[: len(pivots), free]).T % p
+    return basis
+
+
+def _annihilates(a: np.ndarray, kernel: np.ndarray, p: int) -> bool:
+    """Is a @ kernel.T zero mod p?  Exact int64 products, one row block at a time."""
+    kt = kernel.T
+    for lo in range(0, a.shape[0], _BLOCK_ROWS):
+        if np.any(mul_mod(a[lo:lo + _BLOCK_ROWS], kt, p)):
+            return False
+    return True
+
+
+def _rref_compressed(a: np.ndarray, p: int):
+    """RREF of a tall matrix through certified random compression, or None.
+
+    ker a lies inside ker (R a); once every kernel vector of R a is checked
+    to annihilate a the kernels agree, hence so do the row spaces and the
+    (unique) RREFs.
+    """
+    rows, cols = a.shape
+    for seed in range(_SEEDS):
+        small = _project(a, p, seed)
+        pivots = _rref_inplace(small, p)
+        if len(pivots) == cols or _annihilates(a, _kernel_from_rref(small, pivots, cols, p), p):
+            r = np.zeros((rows, cols), dtype=np.int64)
+            r[: len(pivots)] = small[: len(pivots)]
+            return r, pivots
+    return None
+
+
+def rref_mod(a: np.ndarray, p: int):
+    """Reduced row echelon form over F_p.
+
+    Returns (R, pivots); R is a fresh array, pivots the list of pivot
+    column indices in increasing order.  Tall matrices are first compressed
+    to cols + 8 random combinations of their rows; the result is certified
+    and identical to direct elimination.
+    """
+    a = np.asarray(a)
+    if a.ndim == 2 and _compressible(*a.shape, p):
+        out = _rref_compressed(a, p)
+        if out is not None:
+            return out
+    return _rref_direct(a, p)
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:
@@ -237,13 +351,7 @@ def kernel_mod(a: np.ndarray, p: int) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.int64)
     r, pivots = rref_mod(a, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row, pc in enumerate(pivots):
-            basis[i, pc] = (-int(r[row, fc])) % p
-    return basis
+    return _kernel_from_rref(r, pivots, cols, p)
 
 
 def solve_mod(a: np.ndarray, b: np.ndarray, p: int):

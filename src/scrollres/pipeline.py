@@ -19,6 +19,8 @@ import numpy as np
 from . import DEFAULT_PRIME, __version__
 from .ffield import check_prime, solve_mod
 from .k3_syzygy import (
+    K3_SHAPE_TABLE,
+    K3Error,
     intersection_numbers_from_resolution,
     k3_betti_shape,
     linear_syzygy_space,
@@ -45,13 +47,22 @@ from .lattice import (
     unique_polarization_classes,
     verify_primitive_embedding,
 )
-from .plane_curve import construct_nodal_nonic, verify_model_report
+from .plane_curve import (
+    DegenerateConfigurationError,
+    InsufficientRationalPointsError,
+    construct_nodal_nonic,
+    verify_model_report,
+)
 from .quartic_net import (
+    GammaError,
+    NetError,
+    ResultantDegenerateError,
     fit_gamma,
     fit_gamma_map,
     gamma_singular_point,
     image_quartic,
     macaulay_resultant_smooth,
+    plane_forms_through,
     quartic_net,
     residual_degree,
     residual_image,
@@ -61,12 +72,21 @@ from .quartic_net import (
 )
 from .resolution import (
     GENERIC_BETTI_TABLE,
+    ResolutionError,
     SliceContext,
     betti_table,
     is_balanced,
     splitting_type,
 )
-from .scroll import CoxPoly, canonical_coordinates, cox_slice, GENERIC_E, pencil_from_node, scroll_type
+from .scroll import (
+    CoxPoly,
+    GENERIC_E,
+    ScrollError,
+    canonical_coordinates,
+    cox_slice,
+    pencil_from_node,
+    scroll_type,
+)
 
 SCHEMA_VERSION = 1
 
@@ -76,6 +96,22 @@ K3_MEMBER_CHOICES = [(1, 7), (1, 3), (1, 11), (1, 13), (0, 1), (1, 0)]
 
 class PipelineError(RuntimeError):
     pass
+
+
+# Mathematical outcomes of one curve chain: a run records them and re-seeds
+# (run_pipeline) or tallies them (survey_seed).  Anything else is a bug and
+# propagates.
+CHAIN_ERRORS = (
+    ResolutionError,
+    K3Error,
+    NetError,
+    GammaError,
+    ResultantDegenerateError,
+    ScrollError,
+    DegenerateConfigurationError,
+    InsufficientRationalPointsError,
+    PipelineError,
+)
 
 
 @dataclass
@@ -129,7 +165,7 @@ def _betti_section(chain: CurveChain, checks: dict) -> dict:
 def _k3_section(chain: CurveChain, checks: dict):
     p = chain.ctx.prime
     basis = linear_syzygy_space(chain.steps, p)
-    checks["linear_syzygy_space_dim_2"] = True  # enforced inside the call
+    checks["linear_syzygy_space_dim_2"] = len(basis) == 2
     gens = chain.generator_polys[:6]
     member = None
     for lam, mu in K3_MEMBER_CHOICES:
@@ -139,17 +175,20 @@ def _k3_section(chain: CurveChain, checks: dict):
             break
     if member is None:
         raise PipelineError("no rank-4 member found in the syzygy pencil")
-    checks["generic_syzygy_rank_4"] = True
+    checks["generic_syzygy_rank_4"] = syzygy_rank(member) == 4
     scheme = syzygy_scheme(member, gens)
     surface = surface_from_syzygy(scheme)
-    verify_containment(surface, chain.ctx.values(0, 100))
-    checks["surface_contains_curve"] = True
+    values = chain.ctx.values(0, 100)
+    verify_containment(surface, values)
+    checks["surface_contains_curve"] = not any(
+        np.any(poly.evaluate(values)) for _twist, poly in surface.generators
+    )
     q5v = surface.skew.q5.vector(cox_slice(GENERIC_E, 2, 0))
     checks["q5_in_curve_ideal"] = (
         solve_mod(chain.ctx.ideal_slice(2, 0).T, q5v, p) is not None
     )
     shape = k3_betti_shape(chain.ctx, surface)
-    checks["k3_shape_matches"] = True  # k3_betti_shape raises otherwise
+    checks["k3_shape_matches"] = shape.entries == K3_SHAPE_TABLE
     numbers = intersection_numbers_from_resolution(shape)
     checks["intersection_numbers"] = (
         numbers["H2"], numbers["HN"], numbers["N2"], numbers["chi"]
@@ -173,7 +212,7 @@ def _net_section(chain: CurveChain, checks: dict):
     model, coords, ctx = chain.model, chain.coords, chain.ctx
     img = residual_image(model, coords, ctx.points(0, 60))
     net = quartic_net(img, ctx.prime)
-    checks["net_dimension_3"] = True  # quartic_net raises otherwise
+    checks["net_dimension_3"] = net.basis.shape[0] == 3
     fresh = residual_image(model, coords, ctx.points(1, 50))
     checks["net_verified_on_fresh_sample"] = verify_net_on_points(net, fresh)
     degree = residual_degree(model, coords)
@@ -194,9 +233,13 @@ def _gamma_section(chain: CurveChain, basis, gens, net, checks: dict):
         _fvec, coords3 = image_quartic(surf, net)
         samples.append(((lam, mu), tuple(int(v) for v in coords3)))
     gamma = fit_gamma(samples, p)
-    checks["gamma_is_cubic_not_conic"] = True  # fit_gamma raises otherwise
+    sample_points = np.array([c for _par, c in samples], dtype=np.int64).T
+    checks["gamma_is_cubic_not_conic"] = (
+        np.array_equal(plane_forms_through(sample_points, 3, p), gamma.cubic.reshape(1, -1))
+        and len(plane_forms_through(sample_points, 2, p)) == 0
+    )
     sing = gamma_singular_point(gamma)
-    checks["unique_singular_point"] = True
+    checks["unique_singular_point"] = sing["singular_count"] == 1
     checks["singular_point_is_node"] = sing["is_node"]
     gmap = fit_gamma_map(samples, p)
     fibers = singular_fiber_parameters(gmap, sing["point"], samples, p)
@@ -349,7 +392,7 @@ def run_pipeline(prime: int = DEFAULT_PRIME, seed: int = 1,
             timings["net_and_gamma"] = round(time.time() - t2, 3)
             attempts.append({"seed": attempt_seed, "outcome": "ok"})
             break
-        except Exception as exc:  # noqa: BLE001 - report and retry by design
+        except CHAIN_ERRORS as exc:
             attempts.append({"seed": attempt_seed, "outcome": f"{type(exc).__name__}: {exc}"})
             chain = None
     report["curveAttempts"] = attempts
@@ -381,7 +424,7 @@ def survey_seed(prime: int, seed: int) -> dict:
     """Betti-only run for one seed: splitting type of the second syzygy bundle."""
     try:
         chain = build_chain(prime, seed)
-    except Exception as exc:  # noqa: BLE001 - tallied, not fatal
+    except CHAIN_ERRORS as exc:
         return {"seed": seed, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
     n2 = splitting_type(chain.table, 2)
     return {

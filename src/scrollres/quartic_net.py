@@ -432,18 +432,12 @@ def fit_gamma(samples, p: int, holdout: int = 3) -> GammaCurve:
         raise GammaError("need at least 15 samples (12 fit + 3 holdout)")
     fit, held = samples[:-holdout], samples[-holdout:]
     pts = np.stack([np.asarray(c) for (_par, c) in fit]).T
-    cub_rows = np.stack(
-        [eval_nvar(_unit(10, i), 3, 3, pts, p) for i in range(10)]
-    )
-    kernel = kernel_mod(cub_rows.T, p)
+    kernel = plane_forms_through(pts, 3, p)
     if len(kernel) == 0:
         raise GammaError("no cubic through the sampled quartics")
     if len(kernel) > 1:
         raise GammaError("cubic through the samples is not unique")
-    con_rows = np.stack(
-        [eval_nvar(_unit(6, i), 3, 2, pts, p) for i in range(6)]
-    )
-    if len(kernel_mod(con_rows.T, p)) != 0:
+    if len(plane_forms_through(pts, 2, p)) != 0:
         raise GammaError("degree too low: a conic fits the samples")
     cubic = kernel[0]
     held_pts = np.stack([np.asarray(c) for (_par, c) in held]).T
@@ -453,6 +447,14 @@ def fit_gamma(samples, p: int, holdout: int = 3) -> GammaCurve:
     if _linear_factor_exists(gamma):
         raise GammaError("cubic has a rational linear factor: not irreducible")
     return gamma
+
+
+def plane_forms_through(points: np.ndarray, d: int, p: int) -> np.ndarray:
+    """Canonical basis of the degree-d ternary forms vanishing at the
+    columns of points (a 3 x n array)."""
+    n = len(nvar_monomials(3, d))
+    rows = np.stack([eval_nvar(_unit(n, i), 3, d, points, p) for i in range(n)])
+    return kernel_mod(rows.T, p)
 
 
 def _unit(n, i):
@@ -578,7 +580,10 @@ def gamma_singular_point(gamma: GammaCurve, tries: int = 8) -> dict:
         ).T
         original = _normalize_point(tuple((np.array(t3) @ np.array(moved_pt)) % p), p)
         mult = _quadratic_part_rank(gamma.cubic, original, p)
-        return {"point": original, "quadratic_rank": mult, "is_node": mult == 2}
+        return {
+            "point": original, "quadratic_rank": mult, "is_node": mult == 2,
+            "singular_count": len(singular),
+        }
     raise GammaError("singular point elimination degenerate after retries")
 
 

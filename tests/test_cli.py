@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
+import scrollres.pipeline as pipeline
 from scrollres.cli import main
-from scrollres.pipeline import canonical_json, run_pipeline, sample_survey
+from scrollres.pipeline import canonical_json, run_pipeline, sample_survey, survey_seed
+from scrollres.plane_curve import InsufficientRationalPointsError
 
 
 def test_audit_command(capsys):
@@ -71,3 +75,30 @@ def test_survey_function_small():
     assert summary["unbalanced"] == 2
     assert summary["matchesGenericTable"] == 2
     assert summary["ok"]
+
+
+def test_programming_errors_are_not_retried(monkeypatch):
+    # a bug must crash the run, not be re-seeded away as a bad curve
+    def broken(prime, seed):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(pipeline, "build_chain", broken)
+    with pytest.raises(TypeError):
+        run_pipeline(10007, 1)
+    with pytest.raises(TypeError):
+        survey_seed(10007, 1)
+
+
+def test_mathematical_failures_are_still_retried(monkeypatch):
+    seeds = []
+
+    def too_few_points(prime, seed):
+        seeds.append(seed)
+        raise InsufficientRationalPointsError("found 3 of 50")
+
+    monkeypatch.setattr(pipeline, "build_chain", too_few_points)
+    report = run_pipeline(10007, 1, max_curve_attempts=3)
+    assert not report["ok"] and seeds == [1, 7920, 15839]
+    assert all(a["outcome"].startswith("InsufficientRationalPointsError") for a in report["curveAttempts"])
+    tally = survey_seed(10007, 4)
+    assert not tally["ok"] and tally["error"].startswith("InsufficientRationalPointsError")

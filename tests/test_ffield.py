@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scrollres.ffield as ffield
 from scrollres.ffield import (
     FieldError,
     PrimeFieldMatrix,
@@ -14,6 +15,7 @@ from scrollres.ffield import (
     mat_solve,
     mul_mod,
     rank_mod,
+    rref_mod,
     same_subspace,
     solve_mod,
 )
@@ -150,3 +152,221 @@ def test_solve_in_span_roundtrip(rows):
     x = solve_mod(a, b, P)
     assert x is not None
     assert np.array_equal(mul_mod(a, x, P), b)
+
+
+# --- tall matrices: certified compressed elimination ------------------------
+
+
+def _hand_rref(a, p):
+    """Textbook Gauss-Jordan on Python ints: an oracle independent of ffield."""
+    m = [[int(v) % p for v in row] for row in a]
+    rows, cols = len(m), len(m[0])
+    pivots, pr = [], 0
+    for c in range(cols):
+        piv = next((i for i in range(pr, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        inv = pow(m[pr][c], -1, p)
+        m[pr] = [v * inv % p for v in m[pr]]
+        for i in range(rows):
+            if i != pr and m[i][c]:
+                f = m[i][c]
+                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[pr])]
+        pivots.append(c)
+        pr += 1
+        if pr == rows:
+            break
+    return np.array(m, dtype=np.int64), pivots
+
+
+def _tall(rng, rows, cols, kernel_dim, p, density=0.08):
+    """Sparse rows x cols matrix of rank cols - kernel_dim (with high probability)."""
+    rank = cols - kernel_dim
+    left = rng.integers(0, p, size=(rows, rank)) * (rng.random((rows, rank)) < density)
+    left[:rank] += np.eye(rank, dtype=np.int64)  # keeps the full rank
+    right = rng.integers(0, p, size=(rank, cols)) * (rng.random((rank, cols)) < 0.3)
+    right[:, :rank] += np.eye(rank, dtype=np.int64)
+    return mul_mod(left, right, p)[rng.permutation(rows)]
+
+
+def _assert_same_rref(a, p):
+    r, pivots = rref_mod(a, p)
+    r0, pivots0 = ffield._rref_direct(a, p)
+    assert r.dtype == r0.dtype and r.shape == r0.shape == a.shape
+    assert r.tobytes() == r0.tobytes()
+    assert pivots == pivots0
+    return r, pivots
+
+
+@pytest.mark.parametrize("p", [101, 10007, 100003])
+@pytest.mark.parametrize("kernel_dim", [0, 1, 2, 7])
+def test_tall_rref_matches_direct_elimination(p, kernel_dim):
+    rng = np.random.default_rng(1000 * kernel_dim + p)
+    a = _tall(rng, 400, 60, kernel_dim, p)
+    assert ffield._compressible(*a.shape, p)
+    _r, pivots = _assert_same_rref(a, p)
+    assert len(pivots) == 60 - kernel_dim
+    k = kernel_mod(a, p)
+    assert k.shape == (kernel_dim, 60)
+    assert not np.any(mul_mod(a, k.T, p))
+
+
+@pytest.mark.parametrize("p", [101, 10007, 100003])
+def test_tall_rref_matches_hand_reduction(p):
+    rng = np.random.default_rng(p)
+    a = _tall(rng, 40, 12, 3, p, density=0.3)
+    assert ffield._compressible(*a.shape, p)
+    r, pivots = rref_mod(a, p)
+    r_hand, pivots_hand = _hand_rref(a, p)
+    assert pivots == pivots_hand
+    assert np.array_equal(r, r_hand)
+
+
+@pytest.mark.parametrize("p", [101, 10007, 100003])
+def test_tall_duplicated_rows(p):
+    rng = np.random.default_rng(7 * p)
+    base = rng.integers(0, p, size=(20, 30))
+    a = np.concatenate([base, base, 3 * base % p, base[::-1]])  # 80 x 30, rank 20
+    _r, pivots = _assert_same_rref(a, p)
+    assert len(pivots) == 20
+    assert rank_mod(a, p) == 20
+
+
+@pytest.mark.parametrize("p", [101, 10007, 100003])
+def test_tall_augmented_solve(p):
+    rng = np.random.default_rng(11 * p)
+    a = _tall(rng, 300, 40, 2, p)
+    x0 = rng.integers(0, p, size=40)
+    b = mul_mod(a, x0, p)
+    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
+    _assert_same_rref(aug, p)
+    x = solve_mod(a, b, p)
+    assert x is not None and np.array_equal(mul_mod(a, x, p), b)
+    # a right-hand side outside the column span is detected
+    bad = b.copy()
+    while rank_mod(np.concatenate([a, bad.reshape(-1, 1)], axis=1), p) == rank_mod(a, p):
+        bad[rng.integers(0, 300)] += 1
+    assert solve_mod(a, bad % p, p) is None
+
+
+def test_tall_all_zero_matrix():
+    a = np.zeros((50, 10), dtype=np.int64)
+    r, pivots = rref_mod(a, P)
+    assert pivots == [] and not np.any(r) and r.shape == (50, 10)
+    assert np.array_equal(kernel_mod(a, P), np.eye(10, dtype=np.int64))
+
+
+def test_rank_deficient_projection_falls_back(monkeypatch):
+    """A projection that loses rank fails the certificate every time; the
+    result still comes from direct elimination."""
+    rng = np.random.default_rng(5)
+    a = _tall(rng, 120, 30, 2, P)
+    expected = ffield._rref_direct(a, P)
+    good = ffield._projection_block
+    calls = []
+
+    def one_row_repeated(seed, start, rows, cols, p):
+        calls.append(rows)
+        return np.tile(good(seed, start, 1, cols, p), (rows, 1))
+
+    monkeypatch.setattr(ffield, "_projection_block", one_row_repeated)
+    r, pivots = rref_mod(a, P)
+    assert len(calls) == ffield._SEEDS
+    assert pivots == expected[1] and r.tobytes() == expected[0].tobytes()
+
+
+def test_rank_deficient_projection_retries(monkeypatch):
+    """One bad projection is caught by the certificate and the next seed is used."""
+    rng = np.random.default_rng(6)
+    a = _tall(rng, 120, 30, 2, P)
+    expected = ffield._rref_direct(a, P)
+    good = ffield._projection_block
+    calls = []
+
+    def bad_first(seed, start, rows, cols, p):
+        calls.append(rows)
+        block = good(seed, start, rows, cols, p)
+        if len(calls) == 1:
+            block[1:] = 0
+        return block
+
+    def no_direct(a, p):
+        raise AssertionError("direct elimination should not be needed")
+
+    monkeypatch.setattr(ffield, "_projection_block", bad_first)
+    monkeypatch.setattr(ffield, "_rref_direct", no_direct)
+    r, pivots = rref_mod(a, P)
+    assert len(calls) == 2
+    assert pivots == expected[1] and r.tobytes() == expected[0].tobytes()
+
+
+def test_prime_near_2_31_takes_direct_path(monkeypatch):
+    q = 2147483629
+    assert is_prime(q) and q < ffield.MAX_PRIME
+    rng = np.random.default_rng(8)
+    a = _tall(rng, 60, 10, 1, q, density=0.3)
+    assert not ffield._compressible(*a.shape, q)
+
+    def no_projection(*_args):
+        raise AssertionError("float64 products are not exact at this prime")
+
+    monkeypatch.setattr(ffield, "_project", no_projection)
+    r, pivots = rref_mod(a, q)
+    r_hand, pivots_hand = _hand_rref(a, q)
+    assert pivots == pivots_hand and np.array_equal(r, r_hand)
+    assert kernel_mod(a, q).shape == (1, 10)
+
+
+def test_float64_exactness_bound():
+    for p in (101, 10007, 100003, 1_000_003):
+        assert ffield._exact_block_rows(p) >= ffield._MIN_BLOCK_ROWS
+        assert ffield._compressible(200, 20, p)
+    # near 2**26, (p - 1)**2 is about 2**52: exact blocks would be 2 rows long
+    assert not ffield._compressible(200, 20, 67108859)
+    assert not ffield._compressible(28, 20, 10007)  # not tall enough
+
+
+tall_matrices = st.integers(1, 8).flatmap(
+    lambda c: st.integers(c + 9, c + 30).flatmap(
+        lambda r: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, 2, 100]), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_matrices)
+def test_tall_rref_property(rows):
+    a = np.array(rows, dtype=np.int64)
+    r, pivots = _assert_same_rref(a, 101)
+    r_hand, pivots_hand = _hand_rref(a, 101)
+    assert pivots == pivots_hand and np.array_equal(r, r_hand)
+
+
+def _loop_kernel(a, p):
+    """The per-entry kernel construction that kernel_mod vectorises."""
+    rows, cols = a.shape
+    r, pivots = ffield._rref_direct(a, p)
+    free = [c for c in range(cols) if c not in set(pivots)]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for row, pc in enumerate(pivots):
+            basis[i, pc] = (-int(r[row, fc])) % p
+    return basis
+
+
+@pytest.mark.parametrize("shape,kernel_dim", [((8, 20), 12), ((120, 30), 4), ((30, 30), 0), ((5, 9), 6)])
+def test_kernel_matches_loop_reference(shape, kernel_dim):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    rows, cols = shape
+    rank = cols - kernel_dim
+    a = mul_mod(rng.integers(0, P, size=(rows, rank)), rng.integers(0, P, size=(rank, cols)), P)
+    k = kernel_mod(a, P)
+    expected = _loop_kernel(a, P)
+    assert k.shape == (kernel_dim, cols)
+    assert k.dtype == expected.dtype and k.tobytes() == expected.tobytes()
