@@ -422,3 +422,121 @@ def mat_kernel(m: PrimeFieldMatrix) -> list:
 def mat_solve(m: PrimeFieldMatrix, b) -> "np.ndarray | None":
     """Solve m @ x = b exactly; None signals that b is not in the column span."""
     return solve_mod(m.array, as_field_array(b, m.prime), m.prime)
+
+
+# --- univariate roots --------------------------------------------------------
+#
+# The helpers below work on lists of Python ints in [0, p), lowest degree
+# first and without trailing zeros; [] is the zero polynomial.
+
+
+def _trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _sub(a: list, b: list, p: int) -> list:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _monic(f: list, p: int) -> list:
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _divmod_poly(a: list, f: list, p: int):
+    """Quotient and remainder of a by the monic f."""
+    a = list(a)
+    n = len(f) - 1
+    quot = [0] * max(len(a) - n, 0)
+    for k in range(len(a) - 1, n - 1, -1):
+        c = a[k] % p
+        quot[k - n] = c
+        if c:
+            for i in range(n):
+                a[k - n + i] -= c * f[i]
+    return quot, _trim([c % p for c in a[:n]])
+
+
+def _mulmod_poly(a: list, b: list, f: list, p: int) -> list:
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return _divmod_poly(prod, f, p)[1]
+
+
+def _powmod_poly(base: list, e: int, f: list, p: int) -> list:
+    """base**e modulo the monic f of degree >= 1, by left-to-right
+    square-and-multiply."""
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _mulmod_poly(result, result, f, p)
+        if bit == "1":
+            result = _mulmod_poly(result, base, f, p)
+    return result
+
+
+def _gcd_poly(a: list, b: list, p: int) -> list:
+    """Monic gcd; a must be nonzero."""
+    while b:
+        a, b = b, _divmod_poly(a, _monic(b, p), p)[1]
+    return _monic(a, p)
+
+
+def _split_linear(g: list, p: int, delta: int, out: list) -> None:
+    """Append the roots of g, monic and a product of distinct linear factors
+    (x - r) with r != 0, trying the shifts delta, delta + 1, ...
+
+    A shift splits g when its roots r do not all agree on whether r + delta
+    is a nonzero square.  Some delta in 1..p-1 separates any two distinct
+    roots (the nonzero squares are not invariant under a translation), so
+    the search ends; a shift that failed for g fails for its factors too,
+    so they continue from the next one.
+    """
+    if len(g) == 2:
+        out.append(-g[0] % p)
+        return
+    half = (p - 1) // 2
+    while True:
+        h = _powmod_poly([delta, 1], half, g, p)
+        d = _gcd_poly(g, _sub(h, [1], p), p)
+        if 1 < len(d) < len(g):
+            _split_linear(d, p, delta + 1, out)
+            _split_linear(_divmod_poly(g, d, p)[0], p, delta + 1, out)
+            return
+        delta += 1
+
+
+def roots_mod(coeffs, p: int) -> list:
+    """Sorted distinct roots in F_p of sum(coeffs[k] * x**(n - k)), where
+    n = len(coeffs) - 1: the coefficients come highest degree first, as for
+    numpy.polyval, and leading zeros just lower the degree.
+
+    The zero polynomial vanishes at every x, so all of F_p is returned.
+    Otherwise the root 0 is split off, and the other roots are those of
+    g = gcd(f, x^p - x), with x^p taken modulo f by square-and-multiply.
+    g is split into its linear factors by gcd(g, (x + delta)^((p-1)/2) - 1)
+    for delta = 1, 2, ... (Cantor-Zassenhaus equal-degree splitting with
+    deterministic shifts).  The cost is polynomial in deg f and log p, and
+    no random state is used.
+    """
+    f = _trim([int(c) % p for c in reversed(list(coeffs))])
+    if not f:
+        return list(range(p))
+    roots = []
+    if f[0] == 0:
+        roots.append(0)
+        f = f[next(i for i, c in enumerate(f) if c):]
+    if len(f) > 1:
+        f = _monic(f, p)
+        g = _gcd_poly(f, _sub(_powmod_poly([0, 1], p, f, p), [0, 1], p), p)
+        if len(g) > 1:
+            _split_linear(g, p, 1, roots)
+    return sorted(roots)

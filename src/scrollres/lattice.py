@@ -671,10 +671,11 @@ def basis_change_gram(lat: GramLattice, columns, labels=None) -> GramLattice:
     return GramLattice(gram, labels or tuple(f"v{i}" for i in range(n)))
 
 
-def hprime_from_basis_change() -> GramLattice:
+def hprime_from_basis_change(entries: tuple) -> GramLattice:
     """The rank-4 lattice in the basis (H1-N1, C, C-H1, C-H2), starting from
-    the (a, b) = (16, 7) template; reproduces the displayed matrix."""
-    a, b = second_polarization_entries()
+    the template with the entries (a, b) = second_polarization_entries();
+    reproduces the displayed matrix."""
+    a, b = entries
     lat = GramLattice(_rank4_template(a, b), ("H1", "C", "N1", "H2"))
     columns = [
         (1, 0, -1, 0),   # H' = H1 - N1
@@ -685,7 +686,7 @@ def hprime_from_basis_change() -> GramLattice:
     return basis_change_gram(lat, columns, ("H'", "C", "Q1", "Q2"))
 
 
-def hprime_consistency_report() -> dict:
+def hprime_consistency_report(corrected: tuple) -> dict:
     """Reconciles the two derivations of the rank-4 entries.
 
     The four literal effectivity inequalities give (16, 6), but with b = 6
@@ -693,10 +694,10 @@ def hprime_consistency_report() -> dict:
     elliptic polarisation exists, and the basis change does not reproduce
     the displayed matrix; requiring N2.N2 = 0 instead gives (16, 7), which
     does.  The failing inequality is (C-H2).N1 >= 0: with b = 7 that pairing
-    is -1, i.e. N1 is not nef on the boundary surface.
+    is -1, i.e. N1 is not nef on the boundary surface.  corrected is the
+    result of second_polarization_entries().
     """
     literal = derive_hprime_entries()
-    corrected = second_polarization_entries()
     lat6 = GramLattice(_rank4_template(*literal), ("H1", "C", "N1", "H2"))
     lat7 = GramLattice(_rank4_template(*corrected), ("H1", "C", "N1", "H2"))
     n2 = (-1, 0, 1, 1)

@@ -9,6 +9,7 @@ section is stripped; canonical_json does that stripping.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -42,12 +43,14 @@ from .lattice import (
     lattice_h,
     lattice_h_prime,
     lattice_n,
+    second_polarization_entries,
     signature,
     stated_embedding_columns,
     unique_polarization_classes,
     verify_primitive_embedding,
 )
 from .plane_curve import (
+    GENUS,
     DegenerateConfigurationError,
     InsufficientRationalPointsError,
     construct_nodal_nonic,
@@ -76,6 +79,7 @@ from .resolution import (
     SliceContext,
     betti_table,
     is_balanced,
+    slice_point_demand,
     splitting_type,
 )
 from .scroll import (
@@ -92,6 +96,18 @@ SCHEMA_VERSION = 1
 
 GAMMA_PARAMETERS = [(1, mu) for mu in range(16)] + [(0, 1)]
 K3_MEMBER_CHOICES = [(1, 7), (1, 3), (1, 11), (1, 13), (0, 1), (1, 0)]
+
+#: batch-0 curve samples the K3 surface must contain
+K3_CHECK_POINTS = 100
+#: batch-0 curve samples whose residual images fit the quartic net
+NET_FIT_POINTS = 60
+#: batch-1 curve samples that verify the net
+NET_CHECK_POINTS = 50
+#: F_p-rational branches the nonic can have over its singular points: three
+#: over the triple point and two over each of the 16 nodes
+SINGULAR_BRANCHES = 3 + 2 * 16
+#: the nonic meets the line at infinity in at most nine points
+POINTS_AT_INFINITY = 9
 
 
 class PipelineError(RuntimeError):
@@ -131,6 +147,38 @@ class CurveChain:
             CoxPoly(p, {mono: c for (_z, mono), c in g.items()})
             for g in self.steps[0].gens
         ]
+
+
+def point_demand() -> tuple:
+    """Most points the stages of one chain request from sample batches 0 and
+    1 (SliceContext.points); the two batches are disjoint."""
+    slices = slice_point_demand()
+    return max(K3_CHECK_POINTS, NET_FIT_POINTS, slices), max(NET_CHECK_POINTS, slices)
+
+
+def guaranteed_points(prime: int) -> int:
+    """Hasse-Weil lower bound on the number of smooth affine F_p-points of a
+    nonic model (0 when the bound is negative).
+
+    Its genus-9 normalisation has at least p + 1 - 2g*sqrt(p) rational
+    points; the branches over the singular points and the points at
+    infinity, which the sampler never returns, are subtracted.
+    ceil(2g*sqrt(p)) = ceil(sqrt(4g^2 p)) is computed exactly.
+    """
+    hasse_weil = math.isqrt(4 * GENUS * GENUS * prime - 1) + 1
+    return max(0, prime + 1 - hasse_weil - SINGULAR_BRANCHES - POINTS_AT_INFINITY)
+
+
+def require_sampling_prime(prime: int) -> None:
+    """Reject, before any chain is built, a prime at which the Hasse-Weil
+    bound cannot guarantee the points the stages request."""
+    check_prime(prime)
+    have, demand = guaranteed_points(prime), sum(point_demand())
+    if have < demand:
+        raise PipelineError(
+            f"prime {prime} is too small for point sampling: the Hasse-Weil bound "
+            f"guarantees {have} smooth affine points, the stages request {demand}"
+        )
 
 
 def build_chain(prime: int, seed: int) -> CurveChain:
@@ -178,7 +226,7 @@ def _k3_section(chain: CurveChain, checks: dict):
     checks["generic_syzygy_rank_4"] = syzygy_rank(member) == 4
     scheme = syzygy_scheme(member, gens)
     surface = surface_from_syzygy(scheme)
-    values = chain.ctx.values(0, 100)
+    values = chain.ctx.values(0, K3_CHECK_POINTS)
     verify_containment(surface, values)
     checks["surface_contains_curve"] = not any(
         np.any(poly.evaluate(values)) for _twist, poly in surface.generators
@@ -210,10 +258,10 @@ def _k3_section(chain: CurveChain, checks: dict):
 
 def _net_section(chain: CurveChain, checks: dict):
     model, coords, ctx = chain.model, chain.coords, chain.ctx
-    img = residual_image(model, coords, ctx.points(0, 60))
+    img = residual_image(model, coords, ctx.points(0, NET_FIT_POINTS))
     net = quartic_net(img, ctx.prime)
     checks["net_dimension_3"] = net.basis.shape[0] == 3
-    fresh = residual_image(model, coords, ctx.points(1, 50))
+    fresh = residual_image(model, coords, ctx.points(1, NET_CHECK_POINTS))
     checks["net_verified_on_fresh_sample"] = verify_net_on_points(net, fresh)
     degree = residual_degree(model, coords)
     checks["residual_degree_10"] = degree == 10
@@ -312,10 +360,12 @@ def lattice_suite(checks: "dict | None" = None) -> dict:
     checks["h_determines_c_and_n"] = unique_c == [c] and unique_n == [n]
     roots_hp = unique_polarization_classes(hp_lat, hp, -2, 1)
     checks["hprime_determines_q1_q2"] = roots_hp == [(0, 0, 0, 1), (0, 0, 1, 0)]
-    consistency = hprime_consistency_report()
+    # one box search serves both derivations of the rank-4 entries
+    entries = second_polarization_entries()
+    consistency = hprime_consistency_report(entries)
     checks["derive_entries_literal"] = consistency["literal_inequalities"] == (16, 6)
     checks["basis_change_reproduces_hprime"] = (
-        hprime_from_basis_change().gram == hp_lat.gram
+        hprime_from_basis_change(entries).gram == hp_lat.gram
     )
     embed_ok, embed_cert = verify_primitive_embedding(
         h_lat, hp_lat, stated_embedding_columns()
@@ -355,11 +405,10 @@ def run_pipeline(prime: int = DEFAULT_PRIME, seed: int = 1,
     When the singular fiber parameters of a seed are not F_p-rational (a
     genuine possibility: the two branch parameters may be conjugate over a
     quadratic extension), the curve stages are retried on the derived seeds
-    seed + 7919*k; the attempts are recorded.
+    seed + 7919*k; the attempts are recorded.  A prime too small for point
+    sampling raises PipelineError before any chain is built.
     """
-    check_prime(prime)
-    if prime < 101:
-        raise PipelineError("prime too small for point sampling")
+    require_sampling_prime(prime)
     checks: dict = {}
     timings: dict = {}
     report: dict = {
@@ -443,7 +492,11 @@ def sample_survey(prime: int = DEFAULT_PRIME, count: int = 20, base_seed: int = 
 
     Tabulates the fraction of unbalanced second syzygy bundles (expected
     100 percent) and the fraction matching the generic splitting exactly.
+    A prime too small for point sampling raises PipelineError first; the
+    bound is the full pipeline's, although the survey's chains draw fewer
+    points.
     """
+    require_sampling_prime(prime)
     if count < 1:
         raise ValueError("count must be at least 1")
     if workers is None:

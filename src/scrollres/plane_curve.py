@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import check_prime, kernel_mod, rank_mod
+from .ffield import check_prime, kernel_mod, rank_mod, roots_mod
 
 GENUS = 9
 PENCIL_DEGREE = 6
@@ -436,8 +436,10 @@ def sample_smooth_points(
 ) -> list:
     """Distinct F_p-points on the curve away from its singular points.
 
-    Random affine lines y = m*x + c are intersected with the curve by a full
-    scan over x in F_p (exact; roughly one rational point per random line).
+    Random affine lines y = m*x + c are intersected with the curve exactly:
+    the curve restricted to the line is a polynomial of degree at most d in
+    x, whose F_p-roots roots_mod returns in ascending order (roughly one
+    rational point per random line).  The cost grows with log p, not p.
     """
     if count == 0:
         return []
@@ -449,22 +451,23 @@ def sample_smooth_points(
     banned = pm.banned_points() | set(exclude)
     found: list = []
     seen = set()
-    u = np.arange(p, dtype=np.int64)
-    xpow = _power_table(u, d, p)
-    monos = monomials(d)
-    coeffs = pm.coeffs % p
+    # by_y[j][i] is the coefficient of x^i y^j on the affine chart z = 1
+    by_y = [[0] * (d + 1) for _ in range(d + 1)]
+    for coef, (i, j, _k) in zip(pm.coeffs, monomials(d)):
+        by_y[j][i] = int(coef) % p
     lines_per_batch = max(8, count // 2)
     for _ in range(max_batches):
         for _ in range(lines_per_batch):
             m, c = rng.randrange(p), rng.randrange(p)
-            y = (m * u + c) % p
-            ypow = _power_table(y, d, p)
-            vals = np.zeros(p, dtype=np.int64)
-            for coef, (i, j, k) in zip(coeffs, monos):
-                if coef:  # z = 1 on the affine chart
-                    vals = (vals + coef * (xpow[i] * ypow[j] % p)) % p
-            for x0 in np.nonzero(vals == 0)[0]:
-                pt = (int(x0), int(y[x0]), 1)
+            # Horner in y = c + m*x; the partial sums stay of degree <= d
+            acc = list(by_y[d])
+            for j in range(d - 1, -1, -1):
+                acc = [
+                    (c * acc[i] + (m * acc[i - 1] if i else 0) + by_y[j][i]) % p
+                    for i in range(d + 1)
+                ]
+            for x0 in roots_mod(acc[::-1], p):
+                pt = (x0, (m * x0 + c) % p, 1)
                 if pt in banned or pt in seen:
                     continue
                 seen.add(pt)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import Echelon, det_mod, kernel_mod, rank_mod, solve_mod
+from .ffield import Echelon, det_mod, kernel_mod, rank_mod, roots_mod, solve_mod
 from .k3_syzygy import K3Surface
 from .plane_curve import monomials as plane_monomials
 from .plane_curve import _power_table, as_plane_model, evaluate_form
@@ -191,18 +191,11 @@ def binary_form_divide_linear(coeffs, root, p: int):
 
 
 def binary_form_roots(coeffs, p: int) -> list:
-    """All projective F_p-roots (a : b) of a binary form, without multiplicity."""
-    d = len(coeffs) - 1
-    roots = []
-    if coeffs[0] % p == 0:
-        roots.append((1, 0))
-    u = np.arange(p, dtype=np.int64)
-    vals = np.zeros(p, dtype=np.int64)
-    for c in coeffs:
-        vals = (vals * u + int(c) % p) % p
-    for a in np.nonzero(vals == 0)[0]:
-        roots.append((int(a), 1))
-    return roots
+    """All projective F_p-roots (a : b) of a binary form, without multiplicity:
+    (1 : 0) first when the leading coefficient vanishes, then the affine
+    roots (a : 1) in ascending a."""
+    roots = [(1, 0)] if int(coeffs[0]) % p == 0 else []
+    return roots + [(a, 1) for a in roots_mod(coeffs, p)]
 
 
 # --- residual model and the net ----------------------------------------------

@@ -149,6 +149,31 @@ GENERIC_BETTI_TABLE = {
 }
 
 
+#: sample points beyond h^0 behind every ideal-slice kernel
+SLICE_MARGIN = 10
+#: points added to both batches by the one enlargement after a disagreement
+SLICE_ENLARGEMENT = 10
+#: b-degrees of the H-degree-2 slices probed for ideal generators
+GENERATOR_WINDOW = (-2, -1, 0, 1, 2)
+#: b-degrees of the H-degree-3 slices where the generated ideal is checked
+#: against the ideal slice
+IDEAL_CHECK_TWISTS = (-2, -1, 0)
+
+
+def slice_point_demand() -> int:
+    """Most points an ideal-slice kernel draws from one sample batch,
+    enlargement included.
+
+    The resolution takes the ideal slices (1, b) for |b| <= 1, whose h^0 is
+    at most the genus, (2, b) for b in GENERATOR_WINDOW and (3, b) for b in
+    IDEAL_CHECK_TWISTS; the last two kinds are non-special, with
+    h^0 = 16a + 6b - 8 (SliceContext.curve_h0).
+    """
+    slices = [(2, b) for b in GENERATOR_WINDOW] + [(3, b) for b in IDEAL_CHECK_TWISTS]
+    h0 = max([GENUS] + [16 * a + 6 * b - 8 for a, b in slices])
+    return h0 + SLICE_MARGIN + SLICE_ENLARGEMENT
+
+
 class SliceContext:
     """Caches sample points, their canonical values, and ideal slices.
 
@@ -157,7 +182,7 @@ class SliceContext:
     """
 
     def __init__(self, model, coords: CanonicalCoordinates,
-                 e=GENERIC_E, margin: int = 10):
+                 e=GENERIC_E, margin: int = SLICE_MARGIN):
         self.model = as_plane_model(model)
         self.coords = coords
         self.e = tuple(e)
@@ -232,7 +257,7 @@ class SliceContext:
             return out
         npts = self.curve_h0(a, b) + self.margin
         for attempt in range(2):
-            m = npts + 10 * attempt
+            m = npts + SLICE_ENLARGEMENT * attempt
             k0 = kernel_mod(
                 monomial_value_matrix(self.values(0, m), monos, self.prime).T,
                 self.prime,
@@ -403,7 +428,7 @@ def _multiples_span(kernels: dict, e, a: int, b: int,
     return np.stack(rows)
 
 
-def ideal_generator_step(ctx: SliceContext, window=(-2, -1, 0, 1, 2)) -> ResolutionStep:
+def ideal_generator_step(ctx: SliceContext, window=GENERATOR_WINDOW) -> ResolutionStep:
     """Minimal generators of the curve ideal; all live in H-degree 2.
 
     H-degree 1 slices are verified empty, and the windows beyond the last
@@ -495,7 +520,7 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
     return ResolutionStep(prev.index + 1, twists, gens, kernels, cod_twists=prev_twists)
 
 
-def minimal_generators(ctx: SliceContext, window=(-2, -1, 0, 1, 2)) -> list:
+def minimal_generators(ctx: SliceContext, window=GENERATOR_WINDOW) -> list:
     """Spec-facing view of the generator step: list of (twist, count, basis)."""
     step = ideal_generator_step(ctx, window)
     out = []
@@ -541,7 +566,7 @@ def betti_table(ctx: SliceContext, collect_steps: bool = False):
     """
     step1 = ideal_generator_step(ctx)
     step2 = next_syzygies(ctx, step1, 3, window=(-3, -2, -1, 0, 1),
-                          verify_against_ideal=(-2, -1, 0))
+                          verify_against_ideal=IDEAL_CHECK_TWISTS)
     step3 = next_syzygies(ctx, step2, 4, window=(-3, -2, -1, 0, 1))
     # probe H-degree 5: the last module sits two H-degrees up, so nothing new here
     step4_probe = next_syzygies(ctx, step3, 5, window=(-3, -2, -1, 0))

@@ -245,18 +245,18 @@ def pencil_from_node(model, max_tries: int = 64):
 def _line_residual_degree_six(pm, line) -> bool:
     p = pm.prime
     q = pm.q
-    # second point on the line: solve line(x, y, 1) = 0 away from q
+    # second point on the line: solve line(x, y, 1) = 0 at the free
+    # coordinate t = 0, or t = 1 when that point is q
     a, b, c = (int(v) for v in line)
-    other = None
-    for x in range(p):
+
+    def on_line(t: int) -> tuple:
         if b:
-            y = (-(a * x + c)) * pow(b, -1, p) % p
-            pt = (x, y, 1)
-        else:
-            pt = ((-c) * pow(a, -1, p) % p, x, 1)
-        if pt != q:
-            other = pt
-            break
+            return (t, (-(a * t + c)) * pow(b, -1, p) % p, 1)
+        return ((-c) * pow(a, -1, p) % p, t, 1)
+
+    other = on_line(0)
+    if other == q:
+        other = on_line(1)
     restricted = _restrict_to_line(pm.coeffs, pm.degree, q, other, p)
     # coefficients are indexed by t-degree and (s:t) = (1:0) is q, so q must
     # be a root of multiplicity exactly q_mult

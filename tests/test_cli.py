@@ -4,8 +4,16 @@ import pytest
 
 import scrollres.pipeline as pipeline
 from scrollres.cli import main
-from scrollres.pipeline import canonical_json, run_pipeline, sample_survey, survey_seed
+from scrollres.ffield import is_prime
+from scrollres.pipeline import (
+    PipelineError,
+    canonical_json,
+    run_pipeline,
+    sample_survey,
+    survey_seed,
+)
 from scrollres.plane_curve import InsufficientRationalPointsError
+from scrollres.resolution import SliceContext
 
 
 def test_audit_command(capsys):
@@ -61,12 +69,75 @@ def test_pipeline_report_determinism_with_retry():
     assert a["curveAttempts"][1]["outcome"] == "ok"
 
 
-def test_small_prime_failure_mode():
-    # tiny primes cannot support the sampling; the failure is reported, not a crash
-    report = run_pipeline(101, 1)
-    assert not report["ok"]
-    assert report["curveAttempts"]
-    assert all(a["outcome"] != "ok" for a in report["curveAttempts"])
+def _no_chain(prime, seed):
+    pytest.fail(f"build_chain({prime}, {seed}) ran for a prime rejected up front")
+
+
+def test_small_prime_failure_mode(monkeypatch, capsys):
+    # at p = 101 the Hasse-Weil bound cannot guarantee the sampled points:
+    # the prime is rejected with a clear error before any chain is built
+    monkeypatch.setattr(pipeline, "build_chain", _no_chain)
+    demand = sum(pipeline.point_demand())
+    message = f"prime 101 is too small .* guarantees 0 .* request {demand}"
+    with pytest.raises(PipelineError, match=message):
+        run_pipeline(101, 1)
+    with pytest.raises(PipelineError, match=message):
+        sample_survey(101, count=2, base_seed=1, workers=1)
+    assert main(["--prime", "101", "pipeline"]) == 1
+    err = capsys.readouterr().err
+    assert "error: prime 101 is too small for point sampling" in err
+    assert f"the stages request {demand}" in err
+
+
+def test_sampling_prime_boundary(monkeypatch):
+    # 661 is the largest prime rejected and 673 the smallest accepted
+    assert [n for n in range(640, 680) if is_prime(n)] == [641, 643, 647, 653, 659, 661, 673, 677]
+    demand = sum(pipeline.point_demand())
+    assert pipeline.guaranteed_points(661) < demand <= pipeline.guaranteed_points(673)
+    monkeypatch.setattr(pipeline, "build_chain", _no_chain)
+    with pytest.raises(PipelineError, match="prime 661"):
+        run_pipeline(661, 1)
+    with pytest.raises(PipelineError, match="prime 661"):
+        sample_survey(661, count=1, workers=1)
+
+    built = []
+
+    def no_points(prime, seed):
+        built.append(prime)
+        raise InsufficientRationalPointsError("stub chain")
+
+    monkeypatch.setattr(pipeline, "build_chain", no_points)
+    report = run_pipeline(673, 1, max_curve_attempts=1)
+    assert report["curveAttempts"] == [
+        {"seed": 1, "outcome": "InsufficientRationalPointsError: stub chain"}
+    ]
+    assert not sample_survey(673, count=1, workers=1)["ok"]
+    assert built == [673, 673]
+
+
+def test_hasse_weil_bound_is_exact():
+    # ceil(18 sqrt(p)) by integer arithmetic: (h - 1)^2 < 324 p <= h^2
+    for p in (2, 101, 661, 673, 10007, 100003, 16777213, 2147483629):
+        h = p + 1 - pipeline.SINGULAR_BRANCHES - pipeline.POINTS_AT_INFINITY \
+            - pipeline.guaranteed_points(p)
+        if pipeline.guaranteed_points(p):
+            assert (h - 1) ** 2 < 324 * p <= h * h
+    assert pipeline.guaranteed_points(10007) == 10007 + 1 - 1801 - 35 - 9
+
+
+def test_point_requests_within_declared_demand(monkeypatch):
+    requests = {0: [], 1: []}
+    points = SliceContext.points
+
+    def recording(self, batch, n):
+        requests[batch].append(n)
+        return points(self, batch, n)
+
+    monkeypatch.setattr(SliceContext, "points", recording)
+    assert run_pipeline(10007, 1)["ok"]
+    batch0, batch1 = pipeline.point_demand()
+    assert max(requests[0]) <= batch0 and max(requests[1]) <= batch1
+    assert max(requests[0]) == pipeline.K3_CHECK_POINTS
 
 
 def test_survey_function_small():

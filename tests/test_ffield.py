@@ -15,6 +15,7 @@ from scrollres.ffield import (
     mat_solve,
     mul_mod,
     rank_mod,
+    roots_mod,
     rref_mod,
     same_subspace,
     solve_mod,
@@ -370,3 +371,81 @@ def test_kernel_matches_loop_reference(shape, kernel_dim):
     expected = _loop_kernel(a, P)
     assert k.shape == (kernel_dim, cols)
     assert k.dtype == expected.dtype and k.tobytes() == expected.tobytes()
+
+
+# --- roots_mod ------------------------------------------------------------------
+
+
+def _scan_roots(coeffs, p):
+    """Every x in F_p at which the polynomial (highest degree first) vanishes."""
+    out = []
+    for x in range(p):
+        value = 0
+        for c in coeffs:
+            value = (value * x + c) % p
+        if value == 0:
+            out.append(x)
+    return out
+
+
+def _from_roots(roots, p, lead=1):
+    """Coefficients, highest degree first, of lead * prod (x - r)."""
+    coeffs = [lead % p]
+    for r in roots:
+        coeffs = [(a - r * b) % p for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 31, 101)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), max_size=12))
+))
+def test_roots_mod_matches_scan(case):
+    p, coeffs = case
+    assert roots_mod(coeffs, p) == _scan_roots(coeffs, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.lists(st.integers(0, p - 1), max_size=9),
+        st.integers(1, p - 1),
+        st.integers(0, 3),
+    )
+))
+def test_roots_mod_split_polynomials(case):
+    # products of linear factors, with repeated roots, a scalar and leading zeros
+    p, roots, lead, zeros = case
+    coeffs = [0] * zeros + _from_roots(roots, p, lead)
+    assert roots_mod(coeffs, p) == sorted(set(roots)) == _scan_roots(coeffs, p)
+
+
+def test_roots_mod_edge_cases():
+    p = 101
+    assert roots_mod([], p) == roots_mod([0, 0, 0], p) == list(range(p))  # zero polynomial
+    assert roots_mod([5], p) == roots_mod([0, 0, 7], p) == []             # nonzero constants
+    assert roots_mod([0, 0, 3, -6], p) == [2]                             # degree drop
+    assert roots_mod([1, 0, 0, 0], p) == [0]                              # x^3: root at 0 only
+    assert roots_mod([1, -3, 2, 0], p) == [0, 1, 2]                       # root at 0 and others
+    assert roots_mod(_from_roots([4, 4, 4, 9, 9], p), p) == [4, 9]        # repeated roots
+    assert roots_mod([1, 0, 1], 103) == []                                # x^2 + 1, 103 = 3 mod 4
+    assert roots_mod([1, 1], 2) == [1] and roots_mod([1, 1, 0], 2) == [0, 1]
+    assert roots_mod(np.array([1, -3, 2], dtype=np.int64), p) == [1, 2]
+
+
+def test_roots_mod_large_prime():
+    # a split part times an irreducible quadratic, at a prime close to 2^31
+    p = 2147483629
+    assert is_prime(p)
+    non_residue = next(n for n in range(2, 100) if pow(n, (p - 1) // 2, p) == p - 1)
+    split = _from_roots([0, 5, 5, p - 1, 123456789, 2**30], p, lead=7)
+    quadratic = [1, 0, -non_residue % p]
+    coeffs = [0] * (len(split) + 2)
+    for i, a in enumerate(split):
+        for j, b in enumerate(quadratic):
+            coeffs[i + j] = (coeffs[i + j] + a * b) % p
+    assert roots_mod(coeffs, p) == [0, 5, 123456789, 2**30, p - 1]

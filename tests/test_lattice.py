@@ -250,7 +250,7 @@ def test_second_polarization_entries():
 
 
 def test_hprime_consistency_report():
-    report = hprime_consistency_report()
+    report = hprime_consistency_report(second_polarization_entries())
     assert report["literal_inequalities"] == (16, 6)
     assert report["second_polarization"] == (16, 7)
     assert report["n2_square_literal"] == -2
@@ -262,7 +262,7 @@ def test_hprime_consistency_report():
 
 
 def test_basis_change_reproduces_displayed_matrix():
-    assert hprime_from_basis_change().gram == lattice_h_prime().gram
+    assert hprime_from_basis_change(second_polarization_entries()).gram == lattice_h_prime().gram
 
 
 def test_basis_change_identity_and_unimodularity():

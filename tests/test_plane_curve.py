@@ -1,11 +1,17 @@
+import random
+
 import numpy as np
+import pytest
 
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import solve_mod
 from scrollres.plane_curve import (
+    InsufficientRationalPointsError,
     NodalOcticModel,
     PlaneCurveModel,
     _hessian_nondegenerate,
+    _power_table,
+    as_plane_model,
     condition_matrix,
     construct_nodal_nonic,
     construct_nodal_octic,
@@ -198,3 +204,61 @@ def test_exhausted_attempts_raise():
         construct_nodal_octic(P, seed=1, max_attempts=0)
     with pytest.raises(DegenerateConfigurationError):
         construct_nodal_nonic(P, seed=1, max_attempts=0)
+
+
+def _scan_sample_smooth_points(model, count, seed=0, exclude=(), max_batches=40):
+    """The sampler before exact root finding: each random line y = m*x + c is
+    intersected with the curve by evaluating it at every x in F_p."""
+    pm = as_plane_model(model)
+    p, d = pm.prime, pm.degree
+    rng = random.Random(pm.seed * 7919 + seed * 104729 + p)
+    banned = pm.banned_points() | set(exclude)
+    found, seen = [], set()
+    u = np.arange(p, dtype=np.int64)
+    xpow = _power_table(u, d, p)
+    coeffs = pm.coeffs % p
+    for _ in range(max_batches):
+        for _ in range(max(8, count // 2)):
+            m, c = rng.randrange(p), rng.randrange(p)
+            y = (m * u + c) % p
+            ypow = _power_table(y, d, p)
+            vals = np.zeros(p, dtype=np.int64)
+            for coef, (i, j, _k) in zip(coeffs, monomials(d)):
+                if coef:
+                    vals = (vals + coef * (xpow[i] * ypow[j] % p)) % p
+            for x0 in np.nonzero(vals == 0)[0]:
+                pt = (int(x0), int(y[x0]), 1)
+                if pt not in banned and pt not in seen:
+                    seen.add(pt)
+                    found.append(pt)
+        if len(found) >= count:
+            return found[:count]
+    raise InsufficientRationalPointsError(
+        f"insufficient rational points: found {len(found)} of {count} at p={p}"
+    )
+
+
+def _outcome(sampler, *args, **kwargs):
+    try:
+        return sampler(*args, **kwargs)
+    except InsufficientRationalPointsError as exc:
+        return f"InsufficientRationalPointsError: {exc}"
+
+
+@pytest.mark.parametrize("p", [101, 1009, 10007])
+def test_sampling_matches_full_scan(p):
+    # same draws, same points in the same order, same failures
+    nonic = construct_nodal_nonic(p, seed=1)
+    octic = construct_nodal_octic(p, seed=2)
+    first = _outcome(sample_smooth_points, nonic, 40, seed=900)
+    cases = [
+        (nonic, 40, {"seed": 900}),
+        (nonic, 25, {"seed": 937, "exclude": first if isinstance(first, list) else ()}),
+        (octic, 30, {"seed": 3}),
+        (nonic, 60, {"seed": 5, "max_batches": 2}),
+    ]
+    for model, count, kwargs in cases:
+        got = _outcome(sample_smooth_points, model, count, **kwargs)
+        assert got == _outcome(_scan_sample_smooth_points, model, count, **kwargs)
+        if isinstance(got, list):
+            assert all(type(v) is int for pt in got for v in pt)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,40 @@ def test_binary_form_roots_and_division():
     assert binary_form_roots(quotient, P) == sorted([(3, 1), (P - 1, 1)])
     with pytest.raises(NetError):
         binary_form_divide_linear(form, (7, 1), P)  # not a root
+
+
+def _scan_binary_form_roots(coeffs, p):
+    """(1 : 0) when the leading coefficient vanishes, then every (a : 1) found
+    by evaluating the form at all a in F_p."""
+    roots = [(1, 0)] if coeffs[0] % p == 0 else []
+    for a in range(p):
+        value = 0
+        for c in coeffs:
+            value = (value * a + c) % p
+        if value == 0:
+            roots.append((a, 1))
+    return roots
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_binary_form_roots_match_scan(p):
+    rng = random.Random(p)
+    forms = [
+        [0, 0, 1, -5],        # t^2 (s - 5t): (1:0) and (5:1)
+        [0, 0, 0],            # zero form: every point
+        [0, 3],               # t: only (1:0)
+        [2],                  # nonzero constant: no root
+        [1, 0, 0, 0, 0],      # s^4: only (0:1)
+    ]
+    for degree in range(1, 10):
+        forms.append([rng.randrange(p) for _ in range(degree + 1)])
+        roots = [rng.randrange(p) for _ in range(degree)]
+        form = [rng.randrange(1, p)]
+        for r in roots:
+            form = [(a - r * b) % p for a, b in zip(form + [0], [0] + form)]
+        forms.append([0] + form)  # a root at (1:0) as well
+    for form in forms:
+        assert binary_form_roots(form, p) == _scan_binary_form_roots(form, p)
 
 
 # --- residual model and the net -------------------------------------------------

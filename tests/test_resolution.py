@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from scrollres.ffield import is_prime
+from scrollres.pipeline import build_chain
 from scrollres.resolution import (
     GENERIC_BETTI_TABLE,
     BigradedBettiTable,
@@ -156,3 +158,19 @@ def test_json_entries_roundtrip(table_and_steps):
     entries = table.to_json_entries()
     rebuilt = {(e["i"], e["a"], e["b"]): e["multiplicity"] for e in entries}
     assert rebuilt == table.entries
+
+
+LARGEST_PRIME_BELOW_2_24 = 16777213
+
+
+def test_largest_prime_below_2_24():
+    assert is_prime(LARGEST_PRIME_BELOW_2_24)
+    assert not any(is_prime(n) for n in range(LARGEST_PRIME_BELOW_2_24 + 1, 1 << 24))
+
+
+@pytest.mark.parametrize("p", [1009, 100003, LARGEST_PRIME_BELOW_2_24])
+def test_prime_sweep_generic_unbalanced_table(p):
+    # the answer must not depend on the prime, and sampling cost not on its size
+    table = build_chain(p, 1).table
+    assert table.entries == GENERIC_BETTI_TABLE
+    assert not is_balanced(splitting_type(table, 2))

@@ -3,12 +3,13 @@ import pytest
 
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import mat_rank, rank_mod, same_subspace
-from scrollres.plane_curve import evaluate_form, sample_smooth_points
+from scrollres.plane_curve import PlaneCurveModel, evaluate_form, monomials, sample_smooth_points
 from scrollres.scroll import (
     GENERIC_E,
     CoxPoly,
     ScrollError,
     ScrollType,
+    _line_residual_degree_six,
     _restrict_to_line,
     canonical_coordinates,
     canonical_image,
@@ -199,3 +200,13 @@ def test_cox_poly_evaluation_consistency(model, coords, sample_pool):
     expected = (3 * m.array[0] + 4 * m.array[5]) % P
     assert np.array_equal(direct, expected)
     assert np.array_equal(poly.vector(monos), vec)
+
+
+def test_line_residual_second_point_avoids_q():
+    # x^3 + y^3 has a triple point at q = (0:0:1); on the lines below the
+    # point with x = 0 is q itself, so the second point has x = 1
+    coeffs = np.array([1 if m in ((3, 0, 0), (0, 3, 0)) else 0 for m in monomials(3)])
+    cubic = PlaneCurveModel(P, 3, coeffs, (0, 0, 1), 3, (), 0)
+    assert _line_residual_degree_six(cubic, np.array([1, P - 1, 0]))   # x = y meets it only at q
+    assert not _line_residual_degree_six(cubic, np.array([1, 1, 0]))   # x = -y is a component
+    assert _line_residual_degree_six(cubic, np.array([1, 0, 0]))       # x = 0: second point (0, 1)
