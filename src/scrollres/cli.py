@@ -10,6 +10,7 @@ import time
 from . import DEFAULT_PRIME
 from .lattice import (
     GramLattice,
+    LatticeError,
     discriminant,
     is_ample,
     is_basepoint_free,
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PipelineError as exc:
+    except (PipelineError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

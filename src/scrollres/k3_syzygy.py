@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ffield import kernel_mod, rank_mod, solve_mod
+from .lattice import _solve_rational
 from .resolution import (
     BigradedBettiTable,
     ResolutionStep,
@@ -506,38 +507,6 @@ def chern_balance(a1: int, a2: int, b1: int, b2: int) -> bool:
 # --- intersection numbers from the resolution --------------------------------
 
 
-def _solve_exact(rows, rhs):
-    """Solve an overdetermined rational system exactly; raise on mismatch."""
-    m = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(rows, rhs)]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            raise K3Error("non-quadratic: Euler characteristics do not fit")
-    if len(pivots) != ncols:
-        raise K3Error("Euler-characteristic fit is underdetermined")
-    x = [Fraction(0)] * ncols
-    for row, c in enumerate(pivots):
-        x[c] = m[row][ncols]
-    return x
-
-
 def intersection_numbers_from_resolution(table: BigradedBettiTable, e=GENERIC_E) -> dict:
     """Fit chi(O_S(aH+bR)) over a grid where every twisted summand has
     nonnegative H-degree; the exact quadratic fit yields the intersection
@@ -551,7 +520,12 @@ def intersection_numbers_from_resolution(table: BigradedBettiTable, e=GENERIC_E)
                 chi += (-1) ** i * mult * euler_scroll(e, a - ta, b + tb)
             rows.append([1, a, b, a * a, a * b, b * b])
             rhs.append(chi)
-    c0, c1, c2, c3, c4, c5 = _solve_exact(rows, rhs)
+    coeffs, unique = _solve_rational(rows, rhs)
+    if coeffs is None:
+        raise K3Error("non-quadratic: Euler characteristics do not fit")
+    if not unique:
+        raise K3Error("Euler-characteristic fit is underdetermined")
+    c0, c1, c2, c3, c4, c5 = coeffs
     # verify the fit on the fly: recompute residuals exactly
     for row, v in zip(rows, rhs):
         if sum(Fraction(x) * c for x, c in zip(row, (c0, c1, c2, c3, c4, c5))) != v:

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 class LatticeError(RuntimeError):
@@ -400,8 +403,8 @@ def enum_classes(lat: GramLattice, norm: int, constraints, radius_factor: int = 
         sum(lat.gram_times(x0)[r] * kernel[j][r] for r in range(n))
         for j in range(len(kernel))
     ]
-    # solve Q center = u
-    center = _solve_rational(q, [Fraction(v) for v in u])
+    # solve Q center = u; Q is definite, so the solution exists and is unique
+    center, _unique = _solve_rational(q, u)
     radius2 = (
         Fraction(lat.norm(x0) - norm)
         + sum(center[j] * u[j] for j in range(len(kernel)))
@@ -421,25 +424,35 @@ def enum_classes(lat: GramLattice, norm: int, constraints, radius_factor: int = 
     return sorted(found)
 
 
-def _solve_rational(q, rhs):
-    n = len(q)
-    m = [[Fraction(q[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if m[i][c] != 0)
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
+def _solve_rational(rows, rhs):
+    """Exact Gauss-Jordan solve of rows . x = rhs over Q, any number of rows:
+    (None, False) if inconsistent, else (x, unique) with free variables 0."""
+    m = [[Fraction(v) for v in row] + [Fraction(c)] for row, c in zip(rows, rhs)]
+    ncols = len(rows[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    if any(row[ncols] != 0 for row in m[len(pivots):]):
+        return None, False
+    x = [Fraction(0)] * ncols
+    for row, c in zip(m, pivots):
+        x[c] = row[ncols]
+    return x, len(pivots) == ncols
 
 
 def enum_box_oracle(lat: GramLattice, norm: int, constraints, radius: int):
     """Brute-force coefficient-box enumeration; the independent test oracle."""
-    import numpy as np
-
     n = lat.rank
     side = np.arange(-radius, radius + 1, dtype=np.int64)
     grids = np.meshgrid(*([side] * n), indexing="ij")
@@ -577,48 +590,62 @@ def unique_polarization_classes(lat: GramLattice, h, target_norm: int, target_pa
 
 # --- the rank-4 lattice of the singular-fiber surface ---------------------------
 
+# classes in the basis (H1, C, N1, H2) of the template
+_H1, _C, _N1, _H2 = _unit_vectors(4)
+_N2 = (-1, 0, 1, 1)      # H2 - H1 + N1, the second elliptic class
+_H1_N1 = (1, 0, -1, 0)   # H' = H1 - N1
+_C_H1 = (-1, 1, 0, 0)    # Q1 = C - H1
+_C_H2 = (0, 1, 0, -1)    # Q2 = C - H2
+_EFFECTIVITY = (
+    (_C_H1, _C_H2, operator.ge, 0),
+    (_H2, _C_H1, operator.ge, 0),
+    (_C_H2, _H1_N1, operator.ge, 0),
+    (_C_H2, _N1, operator.ge, 0),
+)
+# N2.N2 = 0 and the second copies of H.N and C.N: N2.H2 = 5, N2.C = 6
+_SECOND_POLARIZATION = (
+    (_N2, _N2, operator.eq, 0),
+    (_N2, _H2, operator.eq, 5),
+    (_N2, _C, operator.eq, 6),
+)
 
-def _rank4_template(a: int, b: int):
-    return (
-        (14, 16, 5, a),
-        (16, 16, 6, 16),
-        (5, 6, 0, b),
-        (a, 16, b, 14),
-    )
+
+def _rank4_lattice(a: int, b: int) -> GramLattice:
+    gram = ((14, 16, 5, a), (16, 16, 6, 16), (5, 6, 0, b), (a, 16, b, 14))
+    return GramLattice(gram, ("H1", "C", "N1", "H2"))
+
+
+def _box_solutions(box: int, conditions) -> list:
+    """All (a, b) in [-box, box]^2, a ascending and then b ascending, at which
+    op(u.v, m) holds for every condition (u, v, op, m).
+
+    a and b enter the template linearly, so u.v is the affine form
+    c0 + (ca - c0) a + (cb - c0) b with c0, ca, cb its values at (0, 0),
+    (1, 0) and (0, 1); it is evaluated over the whole box at once.
+    """
+    corners = [_rank4_lattice(a, b) for a, b in ((0, 0), (1, 0), (0, 1))]
+    side = np.arange(-box, box + 1, dtype=np.int64)
+    a, b = np.meshgrid(side, side, indexing="ij")
+    keep = np.ones(a.shape, dtype=bool)
+    for u, v, op, m in conditions:
+        c0, ca, cb = (lat.pairing(u, v) for lat in corners)
+        keep &= op(c0 + (ca - c0) * a + (cb - c0) * b, m)
+    return [(int(x), int(y)) for x, y in zip(a[keep], b[keep])]
 
 
 def derive_hprime_entries(box: int = 100, drop_constraint: "int | None" = None):
-    """Integer pairs (a, b) = (H1.H2, N1.H2) passing the four effectivity
-    inequalities, searched over the given box.
+    """Integer pairs (a, b) = (H1.H2, N1.H2) in [-box, box]^2 passing the four
+    effectivity inequalities.
 
     The four inequalities are (C-H1).(C-H2) >= 0, H2.(C-H1) >= 0,
-    (C-H2).(H1-N1) >= 0 and (C-H2).N1 >= 0; dropping one (by index) exposes
-    the interval of solutions.  NOTE: the unique solution (16, 6) of all
-    four is inconsistent with a second elliptic polarisation (see
-    second_polarization_entries), which forces b = 7; the discrepancy is
-    reported by hprime_consistency_report.
+    (C-H2).(H1-N1) >= 0 and (C-H2).N1 >= 0, each an affine form in (a, b);
+    dropping one (by index) exposes the interval of solutions.  NOTE: the
+    unique solution (16, 6) of all four is inconsistent with a second
+    elliptic polarisation (see second_polarization_entries), which forces
+    b = 7; the discrepancy is reported by hprime_consistency_report.
     """
-    h1 = (1, 0, 0, 0)
-    c = (0, 1, 0, 0)
-    n1 = (0, 0, 1, 0)
-    h2 = (0, 0, 0, 1)
-    solutions = []
-    for a in range(-box, box + 1):
-        for b in range(-box, box + 1):
-            lat = GramLattice(_rank4_template(a, b), ("H1", "C", "N1", "H2"))
-            cm_h1 = tuple(x - y for x, y in zip(c, h1))
-            cm_h2 = tuple(x - y for x, y in zip(c, h2))
-            h1_n1 = tuple(x - y for x, y in zip(h1, n1))
-            checks = [
-                lat.pairing(cm_h1, cm_h2) >= 0,
-                lat.pairing(h2, cm_h1) >= 0,
-                lat.pairing(cm_h2, h1_n1) >= 0,
-                lat.pairing(cm_h2, n1) >= 0,
-            ]
-            if drop_constraint is not None:
-                checks = [v for i, v in enumerate(checks) if i != drop_constraint]
-            if all(checks):
-                solutions.append((a, b))
+    conditions = [c for i, c in enumerate(_EFFECTIVITY) if i != drop_constraint]
+    solutions = _box_solutions(box, conditions)
     if drop_constraint is None:
         if len(solutions) != 1:
             raise LatticeError(f"non-unique: {solutions}")
@@ -627,30 +654,14 @@ def derive_hprime_entries(box: int = 100, drop_constraint: "int | None" = None):
 
 
 def second_polarization_entries(box: int = 100):
-    """(a, b) for which the second polarisation closes up: N2 := H2 - H1 + N1
-    must satisfy N2.N2 = 0 (equivalently H2.N2 = 5 and C.N2 = 6 follow),
-    together with the two effectivity inequalities pinning a.
+    """(a, b) in [-box, box]^2 for which the second polarisation closes up:
+    N2 := H2 - H1 + N1 must satisfy N2.N2 = 0, H2.N2 = 5 and C.N2 = 6,
+    together with the first two effectivity inequalities pinning a.
 
     The unique solution is (16, 7); with it the basis change below reproduces
     the rank-4 lattice of the singular fiber entry for entry.
     """
-    h1, c, h2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)
-    n2 = (-1, 0, 1, 1)  # H2 - H1 + N1
-    solutions = []
-    for a in range(-box, box + 1):
-        for b in range(-box, box + 1):
-            lat = GramLattice(_rank4_template(a, b), ("H1", "C", "N1", "H2"))
-            cm_h1 = tuple(x - y for x, y in zip(c, h1))
-            cm_h2 = tuple(x - y for x, y in zip(c, h2))
-            if lat.pairing(cm_h1, cm_h2) < 0 or lat.pairing(h2, cm_h1) < 0:
-                continue
-            if lat.norm(n2) != 0:
-                continue
-            if lat.pairing(n2, h2) != 5:  # second copy of H.N
-                continue
-            if lat.pairing(n2, c) != 6:   # second copy of C.N
-                continue
-            solutions.append((a, b))
+    solutions = _box_solutions(box, _EFFECTIVITY[:2] + _SECOND_POLARIZATION)
     if len(solutions) != 1:
         raise LatticeError(f"non-unique: {solutions}")
     return solutions[0]
@@ -675,15 +686,8 @@ def hprime_from_basis_change(entries: tuple) -> GramLattice:
     """The rank-4 lattice in the basis (H1-N1, C, C-H1, C-H2), starting from
     the template with the entries (a, b) = second_polarization_entries();
     reproduces the displayed matrix."""
-    a, b = entries
-    lat = GramLattice(_rank4_template(a, b), ("H1", "C", "N1", "H2"))
-    columns = [
-        (1, 0, -1, 0),   # H' = H1 - N1
-        (0, 1, 0, 0),    # C
-        (-1, 1, 0, 0),   # Q1 = C - H1
-        (0, 1, 0, -1),   # Q2 = C - H2
-    ]
-    return basis_change_gram(lat, columns, ("H'", "C", "Q1", "Q2"))
+    columns, labels = (_H1_N1, _C, _C_H1, _C_H2), ("H'", "C", "Q1", "Q2")
+    return basis_change_gram(_rank4_lattice(*entries), columns, labels)
 
 
 def hprime_consistency_report(corrected: tuple) -> dict:
@@ -698,22 +702,17 @@ def hprime_consistency_report(corrected: tuple) -> dict:
     result of second_polarization_entries().
     """
     literal = derive_hprime_entries()
-    lat6 = GramLattice(_rank4_template(*literal), ("H1", "C", "N1", "H2"))
-    lat7 = GramLattice(_rank4_template(*corrected), ("H1", "C", "N1", "H2"))
-    n2 = (-1, 0, 1, 1)
-    columns = [(1, 0, -1, 0), (0, 1, 0, 0), (-1, 1, 0, 0), (0, 1, 0, -1)]
-    change6 = basis_change_gram(lat6, columns).gram
-    change7 = basis_change_gram(lat7, columns).gram
+    lat6, lat7 = _rank4_lattice(*literal), _rank4_lattice(*corrected)
     target = lattice_h_prime().gram
     return {
         "literal_inequalities": literal,
         "second_polarization": corrected,
-        "n2_square_literal": lat6.norm(n2),
-        "n2_square_corrected": lat7.norm(n2),
-        "basis_change_matches_literal": change6 == target,
-        "basis_change_matches_corrected": change7 == target,
-        "n1_dot_q2_corrected": lat7.pairing((0, 0, 1, 0), (0, 1, 0, -1)),
-        "q2_square": lat7.norm((0, 1, 0, -1)),
+        "n2_square_literal": lat6.norm(_N2),
+        "n2_square_corrected": lat7.norm(_N2),
+        "basis_change_matches_literal": hprime_from_basis_change(literal).gram == target,
+        "basis_change_matches_corrected": hprime_from_basis_change(corrected).gram == target,
+        "n1_dot_q2_corrected": lat7.pairing(_N1, _C_H2),
+        "q2_square": lat7.norm(_C_H2),
     }
 
 

@@ -360,7 +360,7 @@ def lattice_suite(checks: "dict | None" = None) -> dict:
     checks["h_determines_c_and_n"] = unique_c == [c] and unique_n == [n]
     roots_hp = unique_polarization_classes(hp_lat, hp, -2, 1)
     checks["hprime_determines_q1_q2"] = roots_hp == [(0, 0, 0, 1), (0, 0, 1, 0)]
-    # one box search serves both derivations of the rank-4 entries
+    # the second-polarisation entries serve both the report and the basis change
     entries = second_polarization_entries()
     consistency = hprime_consistency_report(entries)
     checks["derive_entries_literal"] = consistency["literal_inequalities"] == (16, 6)

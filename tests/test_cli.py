@@ -45,6 +45,26 @@ def test_lattice_command_with_gram_file(tmp_path, capsys):
     assert "56" in out
 
 
+def test_lattice_command(capsys):
+    assert main(["lattice"]) == 0
+    assert "all lattice checks passed: True" in capsys.readouterr().out
+
+
+def test_lattice_command_with_bound(tmp_path):
+    path = tmp_path / "lattice.json"
+    assert main(["--bound", "20", "--json", str(path), "lattice"]) == 0
+    entries = json.loads(path.read_text())["rank4Entries"]
+    assert entries["literal_inequalities"] == [16, 6]
+    assert entries["second_polarization"] == [16, 7]
+
+
+def test_lattice_command_bound_too_small(capsys):
+    # no entry pair lies in [-10, 10]^2: a one-line error, not a traceback
+    assert main(["--bound", "10", "lattice"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-unique: []\n"
+
+
 def test_survey_rejects_zero_count(capsys):
     assert main(["survey", "--count", "0"]) == 2
 

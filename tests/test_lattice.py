@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +33,7 @@ from scrollres.lattice import (
     unique_polarization_classes,
     verify_primitive_embedding,
 )
+from scrollres.lattice import _solve_rational
 
 H_LAT = lattice_h()
 HP_LAT = lattice_h_prime()
@@ -247,6 +249,77 @@ def test_derive_hprime_entries_dropped_constraint():
 
 def test_second_polarization_entries():
     assert second_polarization_entries() == (16, 7)
+
+
+def _reference_box_search(box, drop_constraint=None, second_polarization=False):
+    """Per-cell search: one GramLattice and explicit pairings per (a, b)."""
+    h1, c, n1, h2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    n2 = (-1, 0, 1, 1)  # H2 - H1 + N1
+    cm_h1, cm_h2, h1_n1 = (-1, 1, 0, 0), (0, 1, 0, -1), (1, 0, -1, 0)
+    solutions = []
+    for a in range(-box, box + 1):
+        for b in range(-box, box + 1):
+            lat = GramLattice(
+                ((14, 16, 5, a), (16, 16, 6, 16), (5, 6, 0, b), (a, 16, b, 14)),
+                ("H1", "C", "N1", "H2"),
+            )
+            checks = [
+                lat.pairing(cm_h1, cm_h2) >= 0,
+                lat.pairing(h2, cm_h1) >= 0,
+                lat.pairing(cm_h2, h1_n1) >= 0,
+                lat.pairing(cm_h2, n1) >= 0,
+            ]
+            if second_polarization:
+                checks = checks[:2] + [
+                    lat.norm(n2) == 0,
+                    lat.pairing(n2, h2) == 5,
+                    lat.pairing(n2, c) == 6,
+                ]
+            elif drop_constraint is not None:
+                checks = [v for i, v in enumerate(checks) if i != drop_constraint]
+            if all(checks):
+                solutions.append((a, b))
+    if drop_constraint is None:
+        if len(solutions) != 1:
+            raise LatticeError(f"non-unique: {solutions}")
+        return solutions[0]
+    return solutions
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except LatticeError as exc:
+        return "LatticeError", str(exc)
+
+
+@pytest.mark.parametrize("box", [3, 15, 16, 20])
+@pytest.mark.parametrize("drop", [None, 0, 1, 2, 3])
+def test_derive_hprime_entries_match_reference(box, drop):
+    # the same values in the same order, as Python ints, or the same error
+    fast = _outcome(derive_hprime_entries, box, drop)
+    assert repr(fast) == repr(_outcome(_reference_box_search, box, drop))
+
+
+@pytest.mark.parametrize("box", [3, 15, 16, 20])
+def test_second_polarization_entries_match_reference(box):
+    fast = _outcome(second_polarization_entries, box)
+    slow = _outcome(lambda bx: _reference_box_search(bx, second_polarization=True), box)
+    assert repr(fast) == repr(slow)
+
+
+def test_solve_rational_outcomes():
+    # square and unique
+    x, unique = _solve_rational([[2, 1], [1, 3]], [3, 5])
+    assert unique and x == [Fraction(4, 5), Fraction(7, 5)]
+    # overdetermined and consistent
+    x, unique = _solve_rational([[1, 0], [0, 1], [1, 1]], [1, 2, 3])
+    assert unique and x == [1, 2]
+    # overdetermined and inconsistent
+    assert _solve_rational([[1, 0], [0, 1], [1, 1]], [1, 2, 4]) == (None, False)
+    # underdetermined: free variables are 0
+    x, unique = _solve_rational([[1, 1, 0], [2, 2, 0]], [3, 6])
+    assert not unique and x == [3, 0, 0]
 
 
 def test_hprime_consistency_report():
