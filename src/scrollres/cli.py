@@ -128,12 +128,7 @@ def cmd_lattice(args) -> int:
         _write_json(args, out)
         return 0
     checks: dict = {}
-    suite = lattice_suite(checks)
-    if args.bound != 100:
-        from .lattice import derive_hprime_entries, second_polarization_entries
-
-        suite["rank4Entries"]["literal_inequalities"] = derive_hprime_entries(box=args.bound)
-        suite["rank4Entries"]["second_polarization"] = second_polarization_entries(box=args.bound)
+    suite = lattice_suite(checks, box=args.bound)
     ok = all(bool(v) for v in checks.values())
     print(f"signature(h) = {suite['h']['signature']}, disc = {suite['h']['discriminant']}")
     print(f"signature(h') = {suite['hPrime']['signature']}, disc = {suite['hPrime']['discriminant']}")

@@ -24,6 +24,7 @@ from .resolution import (
     BigradedBettiTable,
     ResolutionStep,
     SliceContext,
+    free_map_matrix,
     next_syzygies,
 )
 from .scroll import GENERIC_E, CoxPoly, cox_slice, euler_scroll
@@ -397,21 +398,9 @@ class K3Surface:
         return ResolutionStep(1, twists, gens, {}, cod_twists=[(0, 0)])
 
     def slice_span(self, a: int, b: int) -> np.ndarray:
-        """Row span of generator multiples inside the (a, b) Cox slice."""
-        p = self.prime
-        monos = cox_slice(GENERIC_E, a, b)
-        pos = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for (ga, gb), poly in self.generators:
-            for mult in cox_slice(GENERIC_E, a - ga, b - gb):
-                shifted = poly.mul_monomial(*mult)
-                vec = np.zeros(len(monos), dtype=np.int64)
-                for key, c in shifted.terms.items():
-                    vec[pos[key]] = c
-                rows.append(vec)
-        if not rows:
-            return np.zeros((0, len(monos)), dtype=np.int64)
-        return np.stack(rows)
+        """Row span of generator multiples inside the (a, b) Cox slice: for
+        each generator, its multiples by cox_slice(a - ga, b - gb) in order."""
+        return free_map_matrix(self.generator_step(), GENERIC_E, a, b, self.prime)
 
     def saturated_dim(self, a: int, b: int) -> int:
         """Slice dimension predicted by the Euler characteristic."""
@@ -445,20 +434,11 @@ def k3_betti_shape(ctx: SliceContext, surface: K3Surface) -> BigradedBettiTable:
     span_201 = surface.slice_span(2, -1)
     if rank_mod(span_201, p) != 4:
         raise K3Error("shape mismatch: (2H-R) generators not 4-dimensional")
-    t_mults = []
-    monos20 = cox_slice(GENERIC_E, 2, 0)
-    pos20 = {m: i for i, m in enumerate(monos20)}
-    for f in surface.scheme.forms:
-        for beta in ((1, 0), (0, 1)):
-            shifted = f.mul_monomial((0, 0, 0, 0, 0), beta)
-            vec = np.zeros(len(monos20), dtype=np.int64)
-            for key, c in shifted.terms.items():
-                vec[pos20[key]] = c
-            t_mults.append(vec)
-    q5_vec = surface.skew.q5.vector(monos20)
-    if rank_mod(np.stack(t_mults), p) != 8:
+    # rows: the four quadrics times t0 and t1, then q5
+    span_20 = surface.slice_span(2, 0)
+    if rank_mod(span_20[:8], p) != 8:
         raise K3Error("shape mismatch: multiples of the quadric generators degenerate")
-    if rank_mod(np.concatenate([np.stack(t_mults), q5_vec.reshape(1, -1)]), p) != 9:
+    if rank_mod(span_20, p) != 9:
         raise K3Error("shape mismatch: q5 is a multiple of the other generators")
 
     step1 = surface.generator_step()

@@ -690,7 +690,7 @@ def hprime_from_basis_change(entries: tuple) -> GramLattice:
     return basis_change_gram(_rank4_lattice(*entries), columns, labels)
 
 
-def hprime_consistency_report(corrected: tuple) -> dict:
+def hprime_consistency_report(corrected: tuple, box: int = 100) -> dict:
     """Reconciles the two derivations of the rank-4 entries.
 
     The four literal effectivity inequalities give (16, 6), but with b = 6
@@ -699,9 +699,10 @@ def hprime_consistency_report(corrected: tuple) -> dict:
     the displayed matrix; requiring N2.N2 = 0 instead gives (16, 7), which
     does.  The failing inequality is (C-H2).N1 >= 0: with b = 7 that pairing
     is -1, i.e. N1 is not nef on the boundary surface.  corrected is the
-    result of second_polarization_entries().
+    result of second_polarization_entries(box); the literal entries are
+    searched in the same box.
     """
-    literal = derive_hprime_entries()
+    literal = derive_hprime_entries(box=box)
     lat6, lat7 = _rank4_lattice(*literal), _rank4_lattice(*corrected)
     target = lattice_h_prime().gram
     return {

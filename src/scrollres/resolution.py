@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,9 +89,6 @@ class BigradedBettiTable:
 
     def rank(self, i: int) -> int:
         return sum(m for (j, _, _), m in self.entries.items() if j == i)
-
-    def max_index(self) -> int:
-        return max(j for (j, _, _) in self.entries)
 
     def twist_multiset(self, i: int) -> dict:
         out: dict = {}
@@ -274,14 +272,6 @@ class SliceContext:
                 return basis
         raise SampleDisagreementError(f"sample disagreement in slice ({a},{b})")
 
-    def restriction_rank(self, a: int, b: int) -> int:
-        monos = cox_slice(self.e, a, b)
-        return len(monos) - self.ideal_slice(a, b).shape[0]
-
-
-def ideal_slice(ctx: SliceContext, a: int, b: int) -> np.ndarray:
-    return ctx.ideal_slice(a, b)
-
 
 # --- free-module machinery -------------------------------------------------
 #
@@ -289,6 +279,75 @@ def ideal_slice(ctx: SliceContext, a: int, b: int) -> np.ndarray:
 # twists[j] = (a_j, b_j), homogeneous of bidegree (a, b), is a dict
 # {(j, mono): coeff} with mono in cox_slice(a - a_j, b - b_j).  Level-0
 # elements (ring elements) use the single generator index 0 of twist (0, 0).
+#
+# The matrices are built on integer keys instead: the term (j, (alpha, beta))
+# is j followed by the seven exponents as 6-bit digits.  Every exponent stays
+# below KEY_RADIX = 32, so adding the key of a monomial (j = 0) never carries,
+# key(j, e + m) = key(j, e) + key(0, m), and a digit that reaches 32 in a sum
+# flags an exponent overflow.
+
+KEY_RADIX = 32
+_DIGIT_BITS = 6
+_NVARS = 7
+_J_SHIFT = _DIGIT_BITS * _NVARS
+_MONO_MASK = (1 << _J_SHIFT) - 1
+_CARRY_BITS = sum(KEY_RADIX << (_DIGIT_BITS * i) for i in range(_NVARS))
+_WEIGHTS = np.array(
+    [1 << (_DIGIT_BITS * (_NVARS - 1 - i)) for i in range(_NVARS)], dtype=np.int64
+)
+
+
+def term_keys(terms) -> np.ndarray:
+    """Keys of the terms (j, (alpha, beta)), in the given order."""
+    rows = [(j,) + tuple(alpha) + tuple(beta) for j, (alpha, beta) in terms]
+    digits = np.array(rows, dtype=np.int64).reshape(len(rows), 1 + _NVARS)
+    exps = digits[:, 1:]
+    if exps.size and (exps.min() < 0 or exps.max() >= KEY_RADIX):
+        raise ValueError(f"exponent outside [0, {KEY_RADIX}) cannot be keyed")
+    if digits.size and (digits[:, 0].min() < 0 or digits[:, 0].max() >= 1 << (63 - _J_SHIFT)):
+        raise ValueError("generator index cannot be keyed")
+    return (digits[:, 0] << _J_SHIFT) + exps @ _WEIGHTS
+
+
+@lru_cache(maxsize=None)
+def _slice_keys(e: tuple, a: int, b: int) -> np.ndarray:
+    """Keys of cox_slice(e, a, b) as generator-0 terms, in slice order."""
+    keys = term_keys([(0, mono) for mono in cox_slice(e, a, b)])
+    keys.flags.writeable = False
+    return keys
+
+
+def module_keys(twists, e, a: int, b: int) -> np.ndarray:
+    """Keys of module_slice(twists, e, a, b), in the same order."""
+    parts = [_slice_keys(e, a - aj, b - bj) + (j << _J_SHIFT)
+             for j, (aj, bj) in enumerate(twists)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def add_keys(keys: np.ndarray, mono_keys: np.ndarray) -> np.ndarray:
+    """Keys of terms times monomials (numpy broadcasting), overflow checked."""
+    out = keys + mono_keys
+    if (out & _CARRY_BITS).any():
+        raise ValueError(f"exponent sum reaches {KEY_RADIX}: keys would carry")
+    return out
+
+
+class KeyIndex:
+    """Positions of keys in a fixed basis, looked up by binary search.
+
+    A key missing from the basis is a programming error, not a mathematical
+    outcome, so it raises ValueError like the key arithmetic above."""
+
+    def __init__(self, keys: np.ndarray):
+        self.size = len(keys)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._order]
+
+    def find(self, query: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(self._sorted, query)
+        if (at >= self.size).any() or not np.array_equal(self._sorted[at], query):
+            raise ValueError("term outside the target slice")
+        return self._order[at]
 
 
 def module_slice(twists, e, a: int, b: int) -> list:
@@ -300,40 +359,21 @@ def module_slice(twists, e, a: int, b: int) -> list:
     return out
 
 
-def _shift(elem: dict, mono, p: int, coeff: int = 1) -> dict:
-    alpha, beta = mono
-    out = {}
-    for (j, (a2, b2)), c in elem.items():
-        key = (
-            j,
-            (
-                tuple(u + v for u, v in zip(a2, alpha)),
-                tuple(u + v for u, v in zip(b2, beta)),
-            ),
-        )
-        out[key] = c * coeff % p
-    return out
-
-
-def element_vector(elem: dict, basis_pos: dict, size: int, p: int) -> np.ndarray:
-    vec = np.zeros(size, dtype=np.int64)
-    for key, c in elem.items():
-        vec[basis_pos[key]] = c % p
-    return vec
-
-
-def apply_map(gens: list, elem: dict, p: int) -> dict:
-    """Image of a level-(n) element under F_n -> F_(n-1); gens are the
-    level-n generators written as level-(n-1) elements."""
-    out: dict = {}
-    for (j, mono), c in elem.items():
-        for key, c2 in _shift(gens[j], mono, p, c).items():
-            v = (out.get(key, 0) + c2) % p
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
+def free_map_matrix(step: "ResolutionStep", e, a: int, b: int, p: int) -> np.ndarray:
+    """Matrix of F_step -> F_(step-1) on the (a, b) slices: one row per
+    (j, mono) of module_slice(step.twists, ...), holding gens[j] * mono in
+    the basis module_slice(step.cod_twists, ...)."""
+    index = KeyIndex(module_keys(step.cod_twists, e, a, b))
+    mults = [_slice_keys(e, a - aj, b - bj) for aj, bj in step.twists]
+    mat = np.zeros((sum(len(m) for m in mults), index.size), dtype=np.int64)
+    row = 0
+    for (keys, coefs), mono_keys in zip(step.terms, mults):
+        n = len(mono_keys)
+        if n:
+            cols = index.find(add_keys(keys[None, :], mono_keys[:, None]))
+            mat[np.arange(row, row + n)[:, None], cols] = coefs % p
+        row += n
+    return mat
 
 
 @dataclass
@@ -365,6 +405,13 @@ class ResolutionStep:
     gens: list            # dict representations over cod_twists
     kernels: dict         # (a, b) -> SyzygyBlock computed while minimalising
     cod_twists: list = field(default_factory=lambda: [(0, 0)])
+    terms: list = field(init=False, repr=False)  # (keys, coefs) of each gen
+
+    def __post_init__(self):
+        self.terms = [
+            (term_keys(gen), np.fromiter(gen.values(), dtype=np.int64, count=len(gen)))
+            for gen in self.gens
+        ]
 
 
 def _new_representatives(kernel: np.ndarray, multiples: np.ndarray, p: int) -> np.ndarray:
@@ -404,28 +451,31 @@ def _new_representatives(kernel: np.ndarray, multiples: np.ndarray, p: int) -> n
     return reduced[: len(picked)]
 
 
-def _multiples_span(kernels: dict, e, a: int, b: int,
-                    columns_pos: dict, size: int, p: int) -> np.ndarray:
-    """Span of all lower-slice syzygies times monomials, inside slice (a, b)."""
-    rows = []
+def _multiples_span(kernels: dict, twists, e, a: int, b: int, p: int) -> np.ndarray:
+    """Span of all lower-slice syzygies times monomials, inside slice (a, b).
+
+    The syzygies are vectors over module_slice(twists, ...) of their own
+    slice; the rows come vector by vector, and within a vector monomial by
+    monomial in cox_slice order.
+    """
+    index = KeyIndex(module_keys(twists, e, a, b))
+    lower = []
     for (a2, b2), block in kernels.items():
         if (a2, b2) == (a, b) or a2 > a or (a2 == a and b2 >= b):
             continue
-        mults = cox_slice(e, a - a2, b - b2)
-        if not mults:
-            continue
-        for vec in block.kernel:
-            elem = {
-                col: int(c)
-                for col, c in zip(block.columns, vec)
-                if int(c)
-            }
-            for mono in mults:
-                shifted = _shift(elem, mono, p)
-                rows.append(element_vector(shifted, columns_pos, size, p))
-    if not rows:
-        return np.zeros((0, size), dtype=np.int64)
-    return np.stack(rows)
+        mults = _slice_keys(e, a - a2, b - b2)
+        if len(mults):
+            lower.append((module_keys(twists, e, a2, b2), mults, block.kernel))
+    span = np.zeros((sum(len(m) * len(k) for _, m, k in lower), index.size), dtype=np.int64)
+    row = 0
+    for keys, mults, kernel in lower:
+        # position of column c times monomial m, computed once per block
+        pos = index.find(add_keys(keys[None, :], mults[:, None]))
+        rows = len(mults) * len(kernel)
+        out = span[row:row + rows].reshape(len(kernel), len(mults), index.size)
+        out[:, np.arange(len(mults))[:, None], pos] = kernel[:, None, :] % p
+        row += rows
+    return span
 
 
 def ideal_generator_step(ctx: SliceContext, window=GENERATOR_WINDOW) -> ResolutionStep:
@@ -448,8 +498,7 @@ def ideal_generator_step(ctx: SliceContext, window=GENERATOR_WINDOW) -> Resoluti
             continue
         slice_basis = ctx.ideal_slice(2, b)
         columns = [(0, mono) for mono in monos]
-        pos = {c: i for i, c in enumerate(columns)}
-        multiples = _multiples_span(kernels, e, 2, b, pos, len(monos), p)
+        multiples = _multiples_span(kernels, [(0, 0)], e, 2, b, p)
         if multiples.size:
             # lower-twist multiples must stay inside the slice
             slice_rank = rank_mod(slice_basis, p) if slice_basis.size else 0
@@ -478,7 +527,6 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
     """
     e, p = ctx.e, ctx.prime
     prev_twists = prev.twists
-    cod_twists = prev.cod_twists
     kernels: dict = {}
     twists: list = []
     gens: list = []
@@ -486,14 +534,9 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
     boundary_new = 0
     for b in sorted(window):
         columns = module_slice(prev_twists, e, a, b)
-        cod_basis = module_slice(cod_twists, e, a, b)
-        cod_pos = {c: i for i, c in enumerate(cod_basis)}
         if not columns:
             continue
-        mat = np.zeros((len(columns), len(cod_basis)), dtype=np.int64)
-        for ci, (j, mono) in enumerate(columns):
-            image = _shift(prev.gens[j], mono, p)
-            mat[ci] = element_vector(image, cod_pos, len(cod_basis), p)
+        mat = free_map_matrix(prev, e, a, b, p)
         kernel = kernel_mod(mat.T, p)
         kernel = np.stack(list(kernel)) if len(kernel) else np.zeros((0, len(columns)), dtype=np.int64)
         if prev.index == 1 and b in verify_against_ideal:
@@ -503,8 +546,7 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
                 raise ResolutionError(
                     f"generated ideal misses slice ({a},{b}): {image_rank} != {expected}"
                 )
-        pos = {c: i for i, c in enumerate(columns)}
-        multiples = _multiples_span(kernels, e, a, b, pos, len(columns), p)
+        multiples = _multiples_span(kernels, prev_twists, e, a, b, p)
         new = _new_representatives(kernel, multiples, p)
         block = SyzygyBlock(prev.index + 1, (a, b), columns, kernel, new)
         kernels[(a, b)] = block
@@ -531,12 +573,32 @@ def minimal_generators(ctx: SliceContext, window=GENERATOR_WINDOW) -> list:
 
 
 def _verify_composition(steps: list, p: int):
-    """d_{i} o d_{i+1} = 0, asserted exactly on every chosen generator."""
+    """d_{i} o d_{i+1} = 0, asserted exactly on every chosen generator.
+
+    Each generator's image is summed over the keys of its shifted terms;
+    every product is reduced mod p before the sum, so the sums stay far
+    below 2^63 for any p < 2^31.
+    """
     for idx in range(1, len(steps)):
-        lower = steps[idx - 1]
-        for gen in steps[idx].gens:
-            image = apply_map(lower.gens, gen, p)
-            if image:
+        if not steps[idx].gens:
+            continue
+        lower = steps[idx - 1].terms
+        lens = np.array([len(k) for k, _ in lower], dtype=np.int64)
+        starts = np.cumsum(lens) - lens
+        low_keys = np.concatenate([k for k, _ in lower])
+        low_coefs = np.concatenate([c for _, c in lower]) % p
+        for keys, coefs in steps[idx].terms:
+            j = keys >> _J_SHIFT
+            counts = lens[j]
+            # term t reads low_keys[starts[j_t] : starts[j_t] + counts[t]]
+            offsets = starts[j] - (np.cumsum(counts) - counts)
+            at = np.arange(counts.sum()) + np.repeat(offsets, counts)
+            image = add_keys(low_keys[at], np.repeat(keys & _MONO_MASK, counts))
+            prods = low_coefs[at] * np.repeat(coefs % p, counts) % p
+            uniq, inverse = np.unique(image, return_inverse=True)
+            sums = np.zeros(len(uniq), dtype=np.int64)
+            np.add.at(sums, inverse, prods)
+            if (sums % p).any():
                 raise ResolutionError(
                     f"differential composition nonzero at step {steps[idx].index}"
                 )

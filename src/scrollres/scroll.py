@@ -482,17 +482,6 @@ class CoxPoly:
                 out[key] = (out.get(key, 0) + c1 * c2) % p
         return CoxPoly(p, out)
 
-    def mul_monomial(self, alpha, beta, coeff: int = 1) -> "CoxPoly":
-        p = self.prime
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            key = (
-                tuple(u + v for u, v in zip(a1, alpha)),
-                tuple(u + v for u, v in zip(b1, beta)),
-            )
-            out[key] = c1 * coeff % p
-        return CoxPoly(p, out)
-
     def bidegrees(self, e=GENERIC_E):
         degs = set()
         for alpha, beta in self.terms:

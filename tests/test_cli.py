@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import scrollres.lattice as lattice
 import scrollres.pipeline as pipeline
 from scrollres.cli import main
 from scrollres.ffield import is_prime
@@ -56,6 +57,27 @@ def test_lattice_command_with_bound(tmp_path):
     entries = json.loads(path.read_text())["rank4Entries"]
     assert entries["literal_inequalities"] == [16, 6]
     assert entries["second_polarization"] == [16, 7]
+
+
+def test_lattice_command_bound_reaches_every_search(tmp_path, monkeypatch):
+    default = tmp_path / "default.json"
+    assert main(["--json", str(default), "lattice"]) == 0
+    boxes = {"derive_hprime_entries": [], "second_polarization_entries": []}
+    for name, seen in boxes.items():
+        original = getattr(lattice, name)
+
+        def counted(*args, _original=original, _seen=seen, **kwargs):
+            _seen.append(kwargs.get("box", args[0] if args else None))
+            return _original(*args, **kwargs)
+
+        for module in (lattice, pipeline):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "lattice.json"
+    assert main(["--bound", "20", "--json", str(path), "lattice"]) == 0
+    # each search runs once, in the requested box, and the report is unchanged
+    assert boxes == {"derive_hprime_entries": [20], "second_polarization_entries": [20]}
+    assert path.read_text() == default.read_text()
 
 
 def test_lattice_command_bound_too_small(capsys):

@@ -1,20 +1,125 @@
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from scrollres import resolution
 from scrollres.ffield import is_prime
+from scrollres.k3_syzygy import (
+    K3Surface,
+    k3_betti_shape,
+    linear_syzygy_space,
+    pencil_member,
+    surface_from_syzygy,
+    syzygy_scheme,
+)
 from scrollres.pipeline import build_chain
 from scrollres.resolution import (
     GENERIC_BETTI_TABLE,
+    KEY_RADIX,
     BigradedBettiTable,
+    ResolutionError,
+    ResolutionStep,
+    _verify_composition,
+    add_keys,
     ideal_generator_step,
     is_balanced,
     minimal_generators,
+    module_slice,
     schreyer_rank,
     splitting_type,
     syzygy_slope,
+    term_keys,
 )
-from scrollres.scroll import GENERIC_E, euler_scroll
+from scrollres.scroll import GENERIC_E, cox_slice, euler_scroll
+
+
+# --- dict-based free-module reference ----------------------------------------
+#
+# An element is a dict {(j, (alpha, beta)): coeff}; these are the per-term
+# shift and scatter the keyed matrices in scrollres.resolution must reproduce
+# entry for entry.
+
+
+def _shift(elem: dict, mono, p: int, coeff: int = 1) -> dict:
+    alpha, beta = mono
+    out = {}
+    for (j, (a2, b2)), c in elem.items():
+        key = (
+            j,
+            (
+                tuple(u + v for u, v in zip(a2, alpha)),
+                tuple(u + v for u, v in zip(b2, beta)),
+            ),
+        )
+        out[key] = c * coeff % p
+    return out
+
+
+def element_vector(elem: dict, basis_pos: dict, size: int, p: int) -> np.ndarray:
+    vec = np.zeros(size, dtype=np.int64)
+    for key, c in elem.items():
+        vec[basis_pos[key]] = c % p
+    return vec
+
+
+def apply_map(gens: list, elem: dict, p: int) -> dict:
+    """Image of a level-(n) element under F_n -> F_(n-1); gens are the
+    level-n generators written as level-(n-1) elements."""
+    out: dict = {}
+    for (j, mono), c in elem.items():
+        for key, c2 in _shift(gens[j], mono, p, c).items():
+            v = (out.get(key, 0) + c2) % p
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _reference_map_matrix(step, e, a, b, p):
+    columns = module_slice(step.twists, e, a, b)
+    cod_basis = module_slice(step.cod_twists, e, a, b)
+    cod_pos = {c: i for i, c in enumerate(cod_basis)}
+    mat = np.zeros((len(columns), len(cod_basis)), dtype=np.int64)
+    for ci, (j, mono) in enumerate(columns):
+        mat[ci] = element_vector(_shift(step.gens[j], mono, p), cod_pos, len(cod_basis), p)
+    return mat
+
+
+def _reference_multiples_span(kernels, twists, e, a, b, p):
+    columns = module_slice(twists, e, a, b)
+    columns_pos = {c: i for i, c in enumerate(columns)}
+    size = len(columns)
+    rows = []
+    for (a2, b2), block in kernels.items():
+        if (a2, b2) == (a, b) or a2 > a or (a2 == a and b2 >= b):
+            continue
+        mults = cox_slice(e, a - a2, b - b2)
+        if not mults:
+            continue
+        for vec in block.kernel:
+            elem = {col: int(c) for col, c in zip(block.columns, vec) if int(c)}
+            for mono in mults:
+                rows.append(element_vector(_shift(elem, mono, p), columns_pos, size, p))
+    if not rows:
+        return np.zeros((0, size), dtype=np.int64)
+    return np.stack(rows)
+
+
+def _reference_slice_span(surface, a, b):
+    p = surface.prime
+    monos = cox_slice(GENERIC_E, a, b)
+    pos = {(0, m): i for i, m in enumerate(monos)}
+    rows = []
+    for (ga, gb), poly in surface.generators:
+        elem = {(0, key): c for key, c in poly.terms.items()}
+        for mult in cox_slice(GENERIC_E, a - ga, b - gb):
+            rows.append(element_vector(_shift(elem, mult, p), pos, len(monos), p))
+    if not rows:
+        return np.zeros((0, len(monos)), dtype=np.int64)
+    return np.stack(rows)
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +226,6 @@ def test_splitting_types(table_and_steps):
 
 
 def test_differentials_compose_to_zero(table_and_steps, ctx):
-    from scrollres.resolution import apply_map
-
     _, steps = table_and_steps
     for idx in range(1, len(steps)):
         for gen in steps[idx].gens:
@@ -150,7 +253,8 @@ def test_hilbert_alternating_sum(table_and_steps, ctx):
 def test_restriction_ranks_match_riemann_roch(ctx):
     # h^0(omega^a L^b) = 16a + 6b - 8 in the nonspecial range
     for (a, b) in ((2, -1), (2, 0), (3, -2), (3, -1)):
-        assert ctx.restriction_rank(a, b) == 16 * a + 6 * b - 8
+        restriction_rank = len(cox_slice(ctx.e, a, b)) - ctx.ideal_slice(a, b).shape[0]
+        assert restriction_rank == 16 * a + 6 * b - 8
 
 
 def test_json_entries_roundtrip(table_and_steps):
@@ -174,3 +278,135 @@ def test_prime_sweep_generic_unbalanced_table(p):
     table = build_chain(p, 1).table
     assert table.entries == GENERIC_BETTI_TABLE
     assert not is_balanced(splitting_type(table, 2))
+
+
+# --- keyed free-module maps against the dict reference -----------------------
+
+
+def _spy(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args):
+        out = original(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_keyed_chain_matrices_match_dict_reference(monkeypatch):
+    maps = _spy(monkeypatch, resolution, "free_map_matrix")
+    spans = _spy(monkeypatch, resolution, "_multiples_span")
+    assert build_chain(10007, 1).table.entries == GENERIC_BETTI_TABLE
+    # the four next_syzygies calls; slice (3, -3) has no columns over F_1
+    called = [(step.index, a, b) for (step, _e, a, b, _p), _ in maps]
+    assert called == (
+        [(1, 3, b) for b in (-2, -1, 0, 1)] + [(2, 4, b) for b in (-3, -2, -1, 0, 1)]
+        + [(3, 5, b) for b in (-3, -2, -1, 0)] + [(3, 6, b) for b in (-4, -3, -2, -1)]
+    )
+    assert len(spans) == 5 + len(maps)
+    for (step, e, a, b, p), mat in maps:
+        assert np.array_equal(mat, _reference_map_matrix(step, e, a, b, p))
+    for args, span in spans:
+        assert np.array_equal(span, _reference_multiples_span(*args))
+    assert sum(span.shape[0] for _, span in spans) > 0
+
+
+def test_keyed_k3_slice_spans_match_dict_reference(monkeypatch, ctx, table_and_steps,
+                                                   generator_polys):
+    _, steps = table_and_steps
+    member = pencil_member(linear_syzygy_space(steps, ctx.prime), 1, 7)
+    surface = surface_from_syzygy(syzygy_scheme(member, generator_polys[:6]))
+    spans = _spy(monkeypatch, K3Surface, "slice_span")
+    k3_betti_shape(ctx, surface)
+    probed = [args[1:] for args, _ in spans]
+    assert probed == [(2, -1), (2, 0), (2, 1), (3, -2), (3, -1), (3, 0), (2, -1), (2, 0)]
+    for (surf, a, b), span in spans:
+        assert np.array_equal(span, _reference_slice_span(surf, a, b))
+
+
+def test_composition_check_catches_one_changed_coefficient(table_and_steps, ctx):
+    _, steps = table_and_steps
+    p = ctx.prime
+    _verify_composition(steps, p)
+    gen = dict(steps[1].gens[0])
+    key = next(iter(gen))
+    gen[key] = (gen[key] + 1) % p
+    broken = dataclasses.replace(steps[1], gens=[gen] + steps[1].gens[1:])
+    assert apply_map(steps[0].gens, gen, p) != {}
+    with pytest.raises(ResolutionError, match="differential composition nonzero at step 2"):
+        _verify_composition([steps[0], broken] + steps[2:], p)
+
+
+PRIME_BELOW_2_31 = 2147483629
+
+
+def _quadric_steps(p: int, coeffs: list):
+    """Lower step: the six products x_i x_j of x1..x4, each with coefficient
+    p - 1.  Upper generator: coeffs[k] times the complementary product."""
+    zero_beta = (0, 0)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+    def alpha(idx):
+        return tuple(1 if v in idx else 0 for v in range(5))
+
+    lower = [{(0, (alpha(pr), zero_beta)): p - 1} for pr in pairs]
+    upper = {
+        (k, (alpha(set(range(4)) - set(pr)), zero_beta)): c
+        for k, (pr, c) in enumerate(zip(pairs, coeffs))
+    }
+    steps = [
+        ResolutionStep(1, [(2, -2)] * 6, lower, {}),
+        ResolutionStep(2, [(4, -4)], [upper], {}, cod_twists=[(2, -2)] * 6),
+    ]
+    return steps, upper
+
+
+def test_composition_sum_at_large_prime_does_not_overflow():
+    p = PRIME_BELOW_2_31
+    assert is_prime(p)
+    # every image term lands on x1 x2 x3 x4 with product (p-1) c_k; three of
+    # them are (p-1)^2, so an unreduced int64 sum would wrap around
+    assert 3 * (p - 1) ** 2 > 2 ** 63
+    steps, upper = _quadric_steps(p, [p - 1, p - 1, p - 1, 1, 1, 1])
+    assert apply_map(steps[0].gens, upper, p) == {}
+    _verify_composition(steps, p)
+    steps, upper = _quadric_steps(p, [p - 1, p - 1, p - 1, 1, 1, 2])
+    assert apply_map(steps[0].gens, upper, p) != {}
+    with pytest.raises(ResolutionError, match="differential composition nonzero"):
+        _verify_composition(steps, p)
+
+
+def test_term_keys_are_additive():
+    e1 = ((2, 0, 1, 0, 3), (4, 0))
+    m = ((0, 1, 1, 0, 0), (1, 2))
+    e_plus_m = ((2, 1, 2, 0, 3), (5, 2))
+    [k], [mk], [target] = term_keys([(3, e1)]), term_keys([(0, m)]), term_keys([(3, e_plus_m)])
+    assert add_keys(k, mk) == target
+    # distinct terms give distinct keys
+    terms = [(j, mono) for j in range(3) for mono in cox_slice(GENERIC_E, 3, -1)]
+    assert len(set(term_keys(terms).tolist())) == len(terms)
+
+
+def test_exponent_at_radix_is_rejected():
+    top = KEY_RADIX - 1
+    term_keys([(0, ((top, 0, 0, 0, 0), (0, top)))])
+    for bad in (((KEY_RADIX, 0, 0, 0, 0), (0, 0)), ((0, 0, 0, 0, 0), (0, KEY_RADIX)),
+                ((-1, 0, 0, 0, 0), (0, 0))):
+        with pytest.raises(ValueError, match="cannot be keyed"):
+            term_keys([(0, bad)])
+    # a sum reaching the radix must not carry into the next digit
+    half = KEY_RADIX // 2
+    [k] = term_keys([(0, ((half, 0, 0, 0, 0), (0, 0)))])
+    with pytest.raises(ValueError, match="would carry"):
+        add_keys(k, k)
+
+
+def test_term_outside_target_slice_is_rejected(table_and_steps, ctx):
+    _, steps = table_and_steps
+    # the generator twists shifted by one H-degree land outside slice (3, b)
+    wrong = dataclasses.replace(steps[0], twists=[(1, b) for _, b in steps[0].twists])
+    with pytest.raises(ValueError, match="outside the target slice"):
+        resolution.free_map_matrix(wrong, ctx.e, 3, 0, ctx.prime)
