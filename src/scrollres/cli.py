@@ -22,7 +22,10 @@ from .pipeline import (
     build_chain,
     canonical_json,
     dimension_audit,
+    gamma_section,
+    k3_section,
     lattice_suite,
+    net_section,
     run_pipeline,
     sample_survey,
 )
@@ -31,6 +34,7 @@ from .plane_curve import (
     construct_nodal_octic,
     verify_model_report,
 )
+from .resolution import GENERIC_BETTI_TABLE
 
 
 def _write_json(args, payload: dict):
@@ -65,8 +69,6 @@ def cmd_betti(args) -> int:
     entries = chain.table.to_json_entries()
     for e in entries:
         print(f"  index {e['i']}: O(-{e['a']}H+{e['b']}R)^{e['multiplicity']}")
-    from .resolution import GENERIC_BETTI_TABLE
-
     ok = chain.table.entries == GENERIC_BETTI_TABLE
     print(f"matches generic table: {ok}; self-dual: {chain.table.is_self_dual()}")
     _write_json(args, {"prime": args.prime, "seed": args.seed, "entries": entries})
@@ -74,11 +76,9 @@ def cmd_betti(args) -> int:
 
 
 def cmd_k3(args) -> int:
-    from .pipeline import _k3_section
-
     chain = build_chain(args.prime, args.seed)
     checks: dict = {}
-    section, _basis, _gens, _surface = _k3_section(chain, checks)
+    section, _basis, _gens, _surface = k3_section(chain, checks)
     print(f"surface shape: {section['shape']}")
     print(f"intersection numbers: {section['intersectionNumbers']}")
     ok = all(bool(v) for v in checks.values())
@@ -88,20 +88,18 @@ def cmd_k3(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    from .pipeline import _gamma_section, _k3_section, _net_section
-
     chain = build_chain(args.prime, args.seed)
     checks: dict = {}
-    _k3, basis, gens, _surface = _k3_section(chain, checks)
-    net_section, net = _net_section(chain, checks)
-    gamma = _gamma_section(chain, basis, gens, net, checks)
-    print(f"net dimension: {net_section['netDim']}; residual degree: "
-          f"{net_section['residualModelDegree']}")
+    _k3, basis, gens, _surface = k3_section(chain, checks)
+    net_report, net = net_section(chain, checks)
+    gamma = gamma_section(chain, basis, gens, net, checks)
+    print(f"net dimension: {net_report['netDim']}; residual degree: "
+          f"{net_report['residualModelDegree']}")
     print(f"singular point: {gamma['singularPoint']}; fibers: {gamma['fiberParameters']}")
     print(f"smoothness verdict: {gamma['smoothnessVerdict']}")
     ok = all(bool(v) for v in checks.values())
     _write_json(args, {"prime": args.prime, "seed": args.seed,
-                       "net": net_section, "gamma": gamma})
+                       "net": net_report, "gamma": gamma})
     return 0 if ok else 1
 
 

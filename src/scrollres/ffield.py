@@ -3,8 +3,7 @@
 Matrices are stored as numpy int64 arrays with entries reduced into [0, p).
 All reductions use partial pivoting by the first nonzero entry in
 left-to-right column order, so ranks, kernels and solutions are
-deterministic and reproducible.  Values are immutable after construction;
-every operation here is a pure function.
+deterministic and reproducible.
 
 The supported prime range is bounded by int64 overflow: row operations
 form products of two residues, so we require p**2 < 2**62.
@@ -22,8 +21,6 @@ failures A is eliminated directly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,63 +68,6 @@ def check_prime(p: int) -> int:
     if p >= MAX_PRIME:
         raise FieldError(f"prime {p} exceeds supported bound {MAX_PRIME}")
     return p
-
-
-def as_field_array(data, p: int) -> np.ndarray:
-    a = np.asarray(data, dtype=np.int64) % p
-    return a
-
-
-@dataclass(frozen=True)
-class PrimeFieldMatrix:
-    """Immutable matrix of residues modulo a prime."""
-
-    prime: int
-    array: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        check_prime(self.prime)
-        a = np.asarray(self.array, dtype=np.int64)
-        if a.ndim != 2:
-            raise FieldError("matrix data must be two-dimensional")
-        if a.size and (a.min() < 0 or a.max() >= self.prime):
-            raise FieldError("entries must lie in [0, p)")
-        a.setflags(write=False)
-        object.__setattr__(self, "array", a)
-
-    @classmethod
-    def from_rows(cls, rows, p: int) -> "PrimeFieldMatrix":
-        a = np.asarray(rows, dtype=np.int64).reshape(len(rows), -1) % p
-        return cls(p, a)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "PrimeFieldMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> "PrimeFieldMatrix":
-        return cls(p, np.eye(n, dtype=np.int64) % p)
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    @property
-    def entries(self):
-        """Row-major sequence of residues."""
-        return self.array.reshape(-1)
-
-    def transpose(self) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix(self.prime, self.array.T.copy())
-
-    def matmul(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
-        if self.prime != other.prime:
-            raise FieldError("prime mismatch")
-        return PrimeFieldMatrix(self.prime, mul_mod(self.array, other.array, self.prime))
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -407,21 +347,6 @@ def same_subspace(a: np.ndarray, b: np.ndarray, p: int) -> bool:
     ra = row_space_mod(a, p) if a.shape[0] else a
     rb = row_space_mod(b, p) if b.shape[0] else b
     return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
-
-
-def mat_rank(m: PrimeFieldMatrix) -> int:
-    """Rank of m over F_p."""
-    return rank_mod(m.array, m.prime)
-
-
-def mat_kernel(m: PrimeFieldMatrix) -> list:
-    """Basis of the right kernel of m, as a list of int64 vectors."""
-    return list(kernel_mod(m.array, m.prime))
-
-
-def mat_solve(m: PrimeFieldMatrix, b) -> "np.ndarray | None":
-    """Solve m @ x = b exactly; None signals that b is not in the column span."""
-    return solve_mod(m.array, as_field_array(b, m.prime), m.prime)
 
 
 # --- univariate roots --------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ffield import kernel_mod, rank_mod, solve_mod
-from .lattice import _solve_rational
+from .lattice import solve_rational
 from .resolution import (
     BigradedBettiTable,
     ResolutionStep,
@@ -61,18 +61,6 @@ class SyzygyVector:
     prime: int
     entries: np.ndarray  # 6 x 4
     params: tuple        # (lam, mu) in the syzygy pencil
-
-    def entry_polys(self) -> list:
-        out = []
-        for g in range(6):
-            terms = {}
-            for i in range(4):
-                c = int(self.entries[g, i]) % self.prime
-                if c:
-                    alpha = tuple(1 if v == i else 0 for v in range(5))
-                    terms[(alpha, (0, 0))] = c
-            out.append(CoxPoly(self.prime, terms))
-        return out
 
 
 def linear_syzygy_space(steps, p: int) -> tuple:
@@ -500,7 +488,7 @@ def intersection_numbers_from_resolution(table: BigradedBettiTable, e=GENERIC_E)
                 chi += (-1) ** i * mult * euler_scroll(e, a - ta, b + tb)
             rows.append([1, a, b, a * a, a * b, b * b])
             rhs.append(chi)
-    coeffs, unique = _solve_rational(rows, rhs)
+    coeffs, unique = solve_rational(rows, rhs)
     if coeffs is None:
         raise K3Error("non-quadratic: Euler characteristics do not fit")
     if not unique:

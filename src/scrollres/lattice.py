@@ -16,7 +16,6 @@ separates the two).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -194,22 +193,15 @@ def reflect(lat: GramLattice, v, d) -> tuple:
 
 
 def smith_normal_form(rows):
-    """Elementary divisors of an integer matrix (gcd-of-minors method)."""
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0]) if m else 0
-    rank = min(nr, nc)
-    divisors = []
-    prev = 1
-    for k in range(1, rank + 1):
-        g = 0
-        for rs in itertools.combinations(range(nr), k):
-            for cs in itertools.combinations(range(nc), k):
-                sub = [[m[r][c] for c in cs] for r in rs]
-                g = math.gcd(g, det_cofactor(sub))
-        if g == 0:
-            break
-        divisors.append(g // prev)
-        prev = g
+    """Elementary divisors d_1 | d_2 | ... of an integer matrix: the nonzero
+    diagonal of _snf_transforms, made to divide one another by gcd/lcm."""
+    _u, s, _v = _snf_transforms(rows)
+    diagonal = (row[i] for i, row in enumerate(s) if i < len(row))
+    divisors = [abs(d) for d in diagonal if d]
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            g = math.gcd(divisors[i], divisors[j])
+            divisors[i], divisors[j] = g, divisors[i] * divisors[j] // g
     return divisors
 
 
@@ -404,7 +396,7 @@ def enum_classes(lat: GramLattice, norm: int, constraints, radius_factor: int = 
         for j in range(len(kernel))
     ]
     # solve Q center = u; Q is definite, so the solution exists and is unique
-    center, _unique = _solve_rational(q, u)
+    center, _unique = solve_rational(q, u)
     radius2 = (
         Fraction(lat.norm(x0) - norm)
         + sum(center[j] * u[j] for j in range(len(kernel)))
@@ -424,7 +416,7 @@ def enum_classes(lat: GramLattice, norm: int, constraints, radius_factor: int = 
     return sorted(found)
 
 
-def _solve_rational(rows, rhs):
+def solve_rational(rows, rhs):
     """Exact Gauss-Jordan solve of rows . x = rhs over Q, any number of rows:
     (None, False) if inconsistent, else (x, unique) with free variables 0."""
     m = [[Fraction(v) for v in row] + [Fraction(c)] for row, c in zip(rows, rhs)]

@@ -65,13 +65,13 @@ from .quartic_net import (
     gamma_singular_point,
     image_quartic,
     macaulay_resultant_smooth,
+    normalize_point,
     plane_forms_through,
     quartic_net,
     residual_degree,
     residual_image,
     singular_fiber_parameters,
     verify_net_on_points,
-    _normalize_point,
 )
 from .resolution import (
     GENERIC_BETTI_TABLE,
@@ -210,7 +210,7 @@ def _betti_section(chain: CurveChain, checks: dict) -> dict:
     }
 
 
-def _k3_section(chain: CurveChain, checks: dict):
+def k3_section(chain: CurveChain, checks: dict):
     p = chain.ctx.prime
     basis = linear_syzygy_space(chain.steps, p)
     checks["linear_syzygy_space_dim_2"] = len(basis) == 2
@@ -256,7 +256,7 @@ def _k3_section(chain: CurveChain, checks: dict):
     return section, basis, gens, surface
 
 
-def _net_section(chain: CurveChain, checks: dict):
+def net_section(chain: CurveChain, checks: dict):
     model, coords, ctx = chain.model, chain.coords, chain.ctx
     img = residual_image(model, coords, ctx.points(0, NET_FIT_POINTS))
     net = quartic_net(img, ctx.prime)
@@ -265,10 +265,10 @@ def _net_section(chain: CurveChain, checks: dict):
     checks["net_verified_on_fresh_sample"] = verify_net_on_points(net, fresh)
     degree = residual_degree(model, coords)
     checks["residual_degree_10"] = degree == 10
-    return {"netDim": 3, "residualModelDegree": degree}, net
+    return {"netDim": net.basis.shape[0], "residualModelDegree": degree}, net
 
 
-def _gamma_section(chain: CurveChain, basis, gens, net, checks: dict):
+def gamma_section(chain: CurveChain, basis, gens, net, checks: dict):
     p = chain.ctx.prime
     samples = []
     skipped = []
@@ -293,15 +293,15 @@ def _gamma_section(chain: CurveChain, basis, gens, net, checks: dict):
     fibers = singular_fiber_parameters(gmap, sing["point"], samples, p)
     checks["two_singular_fiber_parameters"] = len(fibers) == 2
     # both parameters map to the singular quartic; a third one does not
-    target = _normalize_point(sing["point"], p)
+    target = normalize_point(sing["point"], p)
     for lam, mu in fibers:
         surf = surface_from_syzygy(syzygy_scheme(pencil_member(basis, lam, mu), gens))
         _f, coords3 = image_quartic(surf, net)
-        if _normalize_point(tuple(int(v) for v in coords3), p) != target:
+        if normalize_point(tuple(int(v) for v in coords3), p) != target:
             raise PipelineError("fiber parameter does not map to the singular quartic")
     spare = next(s for s in samples if tuple(s[0]) not in {tuple(f) for f in fibers})
     checks["third_parameter_maps_elsewhere"] = (
-        _normalize_point(spare[1], p) != target
+        normalize_point(spare[1], p) != target
     )
     point = np.array(sing["point"], dtype=np.int64)
     quartic = sum(
@@ -431,14 +431,12 @@ def run_pipeline(prime: int = DEFAULT_PRIME, seed: int = 1,
             report["scrollType"] = [1, 1, 1, 1, 0]
             t1 = time.time()
             report["bettiTable"] = _betti_section(chain, checks)
-            report["syzygySpaceDim"] = 2
-            k3_section, basis, gens, _surface = _k3_section(chain, checks)
-            report["k3"] = k3_section
+            report["k3"], basis, gens, _surface = k3_section(chain, checks)
+            report["syzygySpaceDim"] = len(basis)
             timings["k3"] = round(time.time() - t1, 3)
             t2 = time.time()
-            net_section, net = _net_section(chain, checks)
-            report["net"] = net_section
-            report["gamma"] = _gamma_section(chain, basis, gens, net, checks)
+            report["net"], net = net_section(chain, checks)
+            report["gamma"] = gamma_section(chain, basis, gens, net, checks)
             timings["net_and_gamma"] = round(time.time() - t2, 3)
             attempts.append({"seed": attempt_seed, "outcome": "ok"})
             break

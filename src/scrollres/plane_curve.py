@@ -55,7 +55,7 @@ def monomial_count(d: int) -> int:
     return (d + 1) * (d + 2) // 2
 
 
-def _power_table(values: np.ndarray, max_exp: int, p: int) -> np.ndarray:
+def power_table(values: np.ndarray, max_exp: int, p: int) -> np.ndarray:
     """table[e] = values**e mod p for 0 <= e <= max_exp."""
     n = values.shape[0]
     table = np.empty((max_exp + 1, n), dtype=np.int64)
@@ -71,9 +71,9 @@ def evaluate_form(coeffs, d: int, points, p: int) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts.reshape(1, 3)
     monos = monomials(d)
-    px = _power_table(pts[:, 0], d, p)
-    py = _power_table(pts[:, 1], d, p)
-    pz = _power_table(pts[:, 2], d, p)
+    px = power_table(pts[:, 0], d, p)
+    py = power_table(pts[:, 1], d, p)
+    pz = power_table(pts[:, 2], d, p)
     vals = np.zeros(pts.shape[0], dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.int64) % p
     for c, (i, j, k) in zip(coeffs, monos):
@@ -191,68 +191,6 @@ class PlaneCurveModel:
         )
 
 
-@dataclass(frozen=True)
-class NodalOcticModel:
-    """Plane octic with 12 ordinary nodes; q_index marks the pencil node."""
-
-    prime: int
-    octic: np.ndarray  # 45 coefficients over monomials(8)
-    nodes: tuple       # 12 points, each an (x, y, z) tuple
-    q_index: int
-    seed: int
-
-    @property
-    def q(self):
-        return self.nodes[self.q_index]
-
-    @property
-    def other_nodes(self):
-        return tuple(n for i, n in enumerate(self.nodes) if i != self.q_index)
-
-    def genus(self) -> int:
-        return 21 - len(self.nodes)
-
-    def to_plane_model(self) -> PlaneCurveModel:
-        return PlaneCurveModel(
-            prime=self.prime,
-            degree=8,
-            coeffs=self.octic,
-            q=self.q,
-            q_mult=2,
-            nodes=self.other_nodes,
-            seed=self.seed,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "prime": self.prime,
-                "octic": [int(c) for c in self.octic],
-                "nodes": [[int(v) for v in n] for n in self.nodes],
-                "q_index": self.q_index,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NodalOcticModel":
-        data = json.loads(text)
-        return cls(
-            prime=data["prime"],
-            octic=np.array(data["octic"], dtype=np.int64),
-            nodes=tuple(tuple(v) for v in data["nodes"]),
-            q_index=data["q_index"],
-            seed=data["seed"],
-        )
-
-
-def as_plane_model(model) -> PlaneCurveModel:
-    if isinstance(model, PlaneCurveModel):
-        return model
-    return model.to_plane_model()
-
-
 def _hessian_nondegenerate(coeffs, d: int, point, p: int) -> bool:
     """Ordinary double point: the 2x2 Hessian of the z = 1 dehomogenisation
     is nondegenerate (char p exceeds the degree, so this is the
@@ -291,8 +229,10 @@ def node_conditions_matrix(nodes, p: int, d: int = 8) -> np.ndarray:
     return np.stack(rows)
 
 
-def construct_nodal_octic(prime: int, seed: int, max_attempts: int = 12) -> NodalOcticModel:
-    """Random 12-nodal octic over F_prime with distinguished node q.
+def construct_nodal_octic(prime: int, seed: int, max_attempts: int = 12) -> PlaneCurveModel:
+    """Random 12-nodal octic over F_prime as a PlaneCurveModel of degree 8:
+    q is the first of the 12 sorted nodes (q_mult 2) and cuts the pencil,
+    nodes holds the other 11.
 
     Raises DegenerateConfigurationError when every attempt produced nodes
     imposing dependent conditions or a non-ordinary singular point.
@@ -315,7 +255,7 @@ def construct_nodal_octic(prime: int, seed: int, max_attempts: int = 12) -> Noda
             continue
         weights = np.array([rng.randrange(1, prime) for _ in basis], dtype=np.int64)
         octic = (weights @ basis) % prime
-        model = NodalOcticModel(prime, octic, nodes, q_index=0, seed=seed)
+        model = PlaneCurveModel(prime, 8, octic, nodes[0], 2, nodes[1:], seed)
         report = verify_node_report(model)
         if report["ok"]:
             return model
@@ -364,46 +304,47 @@ def construct_nodal_nonic(prime: int, seed: int, max_attempts: int = 12) -> Plan
 
 def verify_model_report(model) -> dict:
     """Re-check every model invariant; failures are listed, not raised."""
-    pm = as_plane_model(model)
-    p, d = pm.prime, pm.degree
+    p, d = model.prime, model.degree
     failures = []
-    if np.all(pm.coeffs % p == 0):
+    if np.all(model.coeffs % p == 0):
         failures.append("curve is identically zero")
-    sing = pm.singular_points()
+    sing = model.singular_points()
     pts = [pt for pt, _m in sing]
     if len(set(pts)) != len(pts):
         failures.append("singular points are not distinct")
     for pt, mult in sing:
         for order in _multi_indices_below(mult):
-            if int(derivative_row(d, order, pt, p) @ pm.coeffs % p):
+            if int(derivative_row(d, order, pt, p) @ model.coeffs % p):
                 failures.append(f"partial {order} does not vanish at {pt}")
                 break
     for pt, mult in sing:
-        if mult == 2 and not _hessian_nondegenerate(pm.coeffs, d, pt, p):
+        if mult == 2 and not _hessian_nondegenerate(model.coeffs, d, pt, p):
             failures.append(f"node {pt} is not ordinary (degenerate Hessian)")
-        if mult == 3 and not _triple_point_ordinary(pm.coeffs, d, pt, p):
+        if mult == 3 and not _triple_point_ordinary(model.coeffs, d, pt, p):
             failures.append(f"triple point {pt} is not ordinary")
-    genus = pm.genus()
+    genus = model.genus()
     if genus != GENUS:
         failures.append(f"genus bookkeeping gives {genus}, expected {GENUS}")
-    if pm.pencil_degree != PENCIL_DEGREE:
-        failures.append(f"pencil degree {pm.pencil_degree} != {PENCIL_DEGREE}")
+    if model.pencil_degree != PENCIL_DEGREE:
+        failures.append(f"pencil degree {model.pencil_degree} != {PENCIL_DEGREE}")
     return {
         "ok": not failures,
         "failures": failures,
         "genus": genus,
         "arithmetic_genus": (d - 1) * (d - 2) // 2,
         "degree": d,
-        "node_count": len(pm.nodes),
-        "q_multiplicity": pm.q_mult,
+        "node_count": len(model.nodes),
+        "q_multiplicity": model.q_mult,
     }
 
 
-def verify_node_report(model: NodalOcticModel) -> dict:
-    """Octic-specific report: adds the 36-condition rank and the dimension of
-    the octic system."""
+def verify_node_report(model: PlaneCurveModel) -> dict:
+    """Octic-specific report: adds the rank of the conditions that the 12
+    nodes (q, then the other 11) impose and the dimension of the octic
+    system."""
     report = verify_model_report(model)
-    cond_rank = rank_mod(node_conditions_matrix(model.nodes, model.prime), model.prime)
+    nodes = (model.q,) + model.nodes
+    cond_rank = rank_mod(node_conditions_matrix(nodes, model.prime), model.prime)
     report["condition_rank"] = cond_rank
     report["octic_space_dim"] = 45 - cond_rank
     if cond_rank != 36:
@@ -445,15 +386,14 @@ def sample_smooth_points(
         return []
     if count < 0:
         raise ValueError("count must be nonnegative")
-    pm = as_plane_model(model)
-    p, d = pm.prime, pm.degree
-    rng = random.Random(pm.seed * 7919 + seed * 104729 + p)
-    banned = pm.banned_points() | set(exclude)
+    p, d = model.prime, model.degree
+    rng = random.Random(model.seed * 7919 + seed * 104729 + p)
+    banned = model.banned_points() | set(exclude)
     found: list = []
     seen = set()
     # by_y[j][i] is the coefficient of x^i y^j on the affine chart z = 1
     by_y = [[0] * (d + 1) for _ in range(d + 1)]
-    for coef, (i, j, _k) in zip(pm.coeffs, monomials(d)):
+    for coef, (i, j, _k) in zip(model.coeffs, monomials(d)):
         by_y[j][i] = int(coef) % p
     lines_per_batch = max(8, count // 2)
     for _ in range(max_batches):

@@ -25,7 +25,7 @@ import numpy as np
 from .ffield import Echelon, det_mod, kernel_mod, rank_mod, roots_mod, solve_mod
 from .k3_syzygy import K3Surface
 from .plane_curve import monomials as plane_monomials
-from .plane_curve import _power_table, as_plane_model, evaluate_form
+from .plane_curve import evaluate_form, power_table
 from .scroll import GENERIC_E, cox_slice
 
 
@@ -60,7 +60,7 @@ def nvar_monomials(nvars: int, d: int) -> tuple:
 def eval_nvar(coeffs, nvars: int, d: int, points: np.ndarray, p: int) -> np.ndarray:
     """Evaluate a degree-d form in nvars variables; points is (nvars, n)."""
     n = points.shape[1]
-    tables = [_power_table(points[i] % p, d, p) for i in range(nvars)]
+    tables = [power_table(points[i] % p, d, p) for i in range(nvars)]
     vals = np.zeros(n, dtype=np.int64)
     for c, expo in zip(coeffs, nvar_monomials(nvars, d)):
         c = int(c) % p
@@ -210,17 +210,12 @@ class QuarticNet:
     prime: int
     basis: np.ndarray  # 3 x 35 over nvar_monomials(4, 4)
 
-    @property
-    def coordinate_frame(self):
-        return ("Q1", "Q2", "Q3", "Q4")
-
 
 def residual_image(model, coords, points) -> np.ndarray:
     """(4, n) array of images under (Q1 : Q2 : Q3 : Q4)."""
-    pm = as_plane_model(model)
     pts = np.asarray(points, dtype=np.int64)
     rows = np.stack(
-        [evaluate_form(q, coords.q_degree, pts, pm.prime) for q in coords.quartics]
+        [evaluate_form(q, coords.q_degree, pts, model.prime) for q in coords.quartics]
     )
     if np.any(~np.any(rows, axis=0)):
         raise NetError("basepoint hit: a sample maps to (0:0:0:0)")
@@ -232,7 +227,7 @@ def quartic_net(image_points: np.ndarray, p: int) -> QuarticNet:
     n = image_points.shape[1]
     if n < 45:
         raise NetError("need at least 45 image points")
-    tables = [_power_table(image_points[i] % p, 4, p) for i in range(4)]
+    tables = [power_table(image_points[i] % p, 4, p) for i in range(4)]
     monos = nvar_monomials(4, 4)
     mat = np.empty((len(monos), n), dtype=np.int64)
     for r, expo in enumerate(monos):
@@ -273,9 +268,8 @@ def residual_degree(model, coords, seed: int = 0, tries: int = 8) -> int:
     of degree d*(d-4); every node lying on the member divides it twice, the
     pencil point q divides it q_mult times when the member passes through q,
     and the leftover degree is the plane-section degree of the image."""
-    pm = as_plane_model(model)
-    p, d = pm.prime, pm.degree
-    rng = random.Random(pm.seed * 65537 + seed + 13)
+    p, d = model.prime, model.degree
+    rng = random.Random(model.seed * 65537 + seed + 13)
     q_degree = coords.q_degree
     for _ in range(tries):
         a = [rng.randrange(p) for _ in range(4)]
@@ -283,7 +277,7 @@ def residual_degree(model, coords, seed: int = 0, tries: int = 8) -> int:
         for ai, q in zip(a, coords.quartics):
             combo = (combo + ai * q) % p
         t3 = random_gl(3, rng, p)
-        fcur = substitute_linear(pm.coeffs, 3, d, t3, p)
+        fcur = substitute_linear(model.coeffs, 3, d, t3, p)
         fqua = substitute_linear(combo, 3, q_degree, t3, p)
         if eval_nvar(fcur, 3, d, np.array([[0], [0], [1]]), p)[0] == 0:
             continue
@@ -292,11 +286,11 @@ def residual_degree(model, coords, seed: int = 0, tries: int = 8) -> int:
         tinv = np.array(
             [solve_mod(np.array(t3), e, p) for e in np.eye(3, dtype=np.int64)]
         ).T
-        divisions = [(n, 2) for n in pm.nodes]
-        if pm.q_mult > 2:
+        divisions = [(n, 2) for n in model.nodes]
+        if model.q_mult > 2:
             # the adjoint system vanishes at q, so the slice picks up q with
             # intersection multiplicity q_mult
-            divisions.append((pm.q, pm.q_mult))
+            divisions.append((model.q, model.q_mult))
         moved = [
             (tuple(int(v) for v in (tinv @ np.array(pt)) % p), mult)
             for pt, mult in divisions
@@ -556,7 +550,7 @@ def gamma_singular_point(gamma: GammaCurve, tries: int = 8) -> dict:
         candidates = set()
         for (u0, v0) in binary_form_roots(res, p):
             for w0 in _common_quadratic_roots(parts, u0, v0, p):
-                pt = _normalize_point((u0, v0, w0), p)
+                pt = normalize_point((u0, v0, w0), p)
                 if pt is not None:
                     candidates.add(pt)
         singular = []
@@ -571,7 +565,7 @@ def gamma_singular_point(gamma: GammaCurve, tries: int = 8) -> dict:
         tinv = np.array(
             [solve_mod(np.array(t3), e, p) for e in np.eye(3, dtype=np.int64)]
         ).T
-        original = _normalize_point(tuple((np.array(t3) @ np.array(moved_pt)) % p), p)
+        original = normalize_point(tuple((np.array(t3) @ np.array(moved_pt)) % p), p)
         mult = _quadratic_part_rank(gamma.cubic, original, p)
         return {
             "point": original, "quadratic_rank": mult, "is_node": mult == 2,
@@ -670,7 +664,7 @@ def _sqrt_mod(a: int, p: int):
     return r
 
 
-def _normalize_point(pt, p: int):
+def normalize_point(pt, p: int):
     vec = [int(v) % p for v in pt]
     last = next((i for i in range(len(vec) - 1, -1, -1) if vec[i]), None)
     if last is None:
@@ -751,7 +745,7 @@ def singular_fiber_parameters(gmap: np.ndarray, point, samples, p: int) -> list:
             sum(int(gmap[i, k]) * pow(lam, 3 - k, p) * pow(mu, k, p) for k in range(4)) % p
             for i in range(3)
         ]
-        if _normalize_point(img, p) == _normalize_point(point, p):
+        if normalize_point(img, p) == normalize_point(point, p):
             verified.append((lam, mu))
     if len(verified) != 2:
         raise GammaError(f"preimage count != 2: found {len(verified)}")

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ffield import Echelon, kernel_mod, rank_mod, row_space_mod, rref_mod, same_subspace
-from .plane_curve import as_plane_model, sample_smooth_points
+from .plane_curve import sample_smooth_points
 from .scroll import (
     GENERIC_E,
     GENUS,
@@ -181,7 +181,7 @@ class SliceContext:
 
     def __init__(self, model, coords: CanonicalCoordinates,
                  e=GENERIC_E, margin: int = SLICE_MARGIN):
-        self.model = as_plane_model(model)
+        self.model = model
         self.coords = coords
         self.e = tuple(e)
         self.prime = self.model.prime
@@ -560,16 +560,6 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
             f"window exhausted: new syzygies at boundary twist ({a},{boundary})"
         )
     return ResolutionStep(prev.index + 1, twists, gens, kernels, cod_twists=prev_twists)
-
-
-def minimal_generators(ctx: SliceContext, window=GENERATOR_WINDOW) -> list:
-    """Spec-facing view of the generator step: list of (twist, count, basis)."""
-    step = ideal_generator_step(ctx, window)
-    out = []
-    for (a, b), block in sorted(step.kernels.items(), key=lambda kv: kv[0][1]):
-        if block.new_count:
-            out.append(((a, -b), block.new_count, block.new_generators))
-    return out
 
 
 def _verify_composition(steps: list, p: int):

@@ -28,14 +28,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import PrimeFieldMatrix, rank_mod
+from .ffield import rank_mod
 from .plane_curve import (
-    _power_table,
-    as_plane_model,
     evaluate_form,
     linear_system,
     monomial_count,
     monomials,
+    power_table,
 )
 
 GENUS = 9
@@ -65,18 +64,6 @@ class ScrollType:
             )
 
 
-@dataclass(frozen=True)
-class CoxMonomial:
-    """x^alpha t^beta with alpha the fiber exponents and beta the base ones."""
-
-    alpha: tuple
-    beta: tuple
-
-    def bidegree(self, e=GENERIC_E):
-        a = sum(self.alpha)
-        return (a, sum(self.beta) - sum(ai * ei for ai, ei in zip(self.alpha, e)))
-
-
 @lru_cache(maxsize=None)
 def _compositions(total: int, parts: int) -> tuple:
     """Weak compositions of total into parts, lexicographically descending."""
@@ -102,10 +89,6 @@ def cox_slice(e: tuple, a: int, b: int) -> tuple:
         for b0 in range(m, -1, -1):
             out.append((alpha, (b0, m - b0)))
     return tuple(out)
-
-
-def cox_monomials(e, a: int, b: int) -> list:
-    return [CoxMonomial(alpha, beta) for alpha, beta in cox_slice(tuple(e), a, b)]
 
 
 def euler_scroll(e, a: int, b: int) -> int:
@@ -170,11 +153,10 @@ def adjoint_dims(model):
     A section of omega L^-2 is a section of omega L^-1 vanishing on a full
     pencil divisor, hence divisible by the corresponding line; the cofactor
     is an adjoint of one degree lower with no condition at q."""
-    pm = as_plane_model(model)
-    d = pm.degree
-    d0 = len(linear_system(pm, d - 3, canonical_conditions(pm)))
-    d1 = len(linear_system(pm, d - 4, residual_conditions(pm)))
-    d2 = len(linear_system(pm, d - 5, [(n, 1) for n in pm.nodes]))
+    d = model.degree
+    d0 = len(linear_system(model, d - 3, canonical_conditions(model)))
+    d1 = len(linear_system(model, d - 4, residual_conditions(model)))
+    d2 = len(linear_system(model, d - 5, [(n, 1) for n in model.nodes]))
     return (d0, d1, d2)
 
 
@@ -217,22 +199,21 @@ def pencil_from_node(model, max_tries: int = 64):
     """Two lines l1, l2 through q spanning the pencil, chosen so that neither
     passes through another singular point and each meets the curve at q with
     multiplicity exactly q_mult, leaving a residual degree-6 divisor."""
-    pm = as_plane_model(model)
-    p = pm.prime
-    base = linear_system(pm, 1, [(pm.q, 1)])
+    p = model.prime
+    base = linear_system(model, 1, [(model.q, 1)])
     if len(base) != 2:
         raise ScrollError("line pencil through q is not 2-dimensional")
-    rng = random.Random(pm.seed * 31337 + 5)
+    rng = random.Random(model.seed * 31337 + 5)
     chosen = []
     for _ in range(max_tries):
         c0, c1 = rng.randrange(p), rng.randrange(1, p)
         line = (c0 * base[0] + c1 * base[1]) % p
         if any(
             evaluate_form(line, 1, np.array([n]), p)[0] == 0
-            for n in pm.nodes
+            for n in model.nodes
         ):
             continue
-        if not _line_residual_degree_six(pm, line):
+        if not _line_residual_degree_six(model, line):
             continue
         chosen.append(line)
         if len(chosen) == 2:
@@ -269,14 +250,13 @@ def _line_residual_degree_six(pm, line) -> bool:
 def canonical_coordinates(model, pencil) -> CanonicalCoordinates:
     """Assemble Q1..Q4, Phi and verify the 8 products plus Phi span the
     canonical system."""
-    pm = as_plane_model(model)
-    p = pm.prime
-    q_degree = pm.degree - 4
-    phi_degree = pm.degree - 3
-    quartics = linear_system(pm, q_degree, residual_conditions(pm))
+    p = model.prime
+    q_degree = model.degree - 4
+    phi_degree = model.degree - 3
+    quartics = linear_system(model, q_degree, residual_conditions(model))
     if len(quartics) != 4:
         raise ScrollError("the adjoint system for H - R is not 4-dimensional")
-    adjoints = linear_system(pm, phi_degree, canonical_conditions(pm))
+    adjoints = linear_system(model, phi_degree, canonical_conditions(model))
     if len(adjoints) != 9:
         raise ScrollError("canonical system is not 9-dimensional")
     products = []
@@ -294,7 +274,7 @@ def canonical_coordinates(model, pencil) -> CanonicalCoordinates:
             break
     else:
         raise ScrollError("no adjoint completes the product span")
-    sing = np.array([pt for pt, _m in pm.singular_points()])
+    sing = np.array([pt for pt, _m in model.singular_points()])
     for vec in products + [phi]:
         if np.any(evaluate_form(vec, phi_degree, sing, p)):
             raise ScrollError("canonical representative misses a singular point")
@@ -329,7 +309,7 @@ def scroll_type(model, pencil) -> ScrollType:
 
 def point_values(model, coords: CanonicalCoordinates, points) -> np.ndarray:
     """(7, n) array of values Q1..Q4, Phi, l1, l2 at the sample points."""
-    p = as_plane_model(model).prime
+    p = model.prime
     pts = np.asarray(points, dtype=np.int64)
     rows = [evaluate_form(q, coords.q_degree, pts, p) for q in coords.quartics]
     rows.append(evaluate_form(coords.phi, coords.phi_degree, pts, p))
@@ -346,7 +326,7 @@ def monomial_value_matrix(values: np.ndarray, slice_monos, p: int) -> np.ndarray
     max_exp = max(
         max_exp, max(max(beta) for _, beta in slice_monos)
     )
-    tables = [_power_table(values[i], max_exp, p) for i in range(7)]
+    tables = [power_table(values[i], max_exp, p) for i in range(7)]
     out = np.empty((len(slice_monos), n), dtype=np.int64)
     for r, (alpha, beta) in enumerate(slice_monos):
         acc = np.ones(n, dtype=np.int64)
@@ -360,24 +340,9 @@ def monomial_value_matrix(values: np.ndarray, slice_monos, p: int) -> np.ndarray
     return out
 
 
-def evaluate_monomials(
-    model,
-    coords: CanonicalCoordinates,
-    points,
-    a: int,
-    b: int,
-    e=GENERIC_E,
-) -> PrimeFieldMatrix:
-    """Evaluation matrix of the slice (a, b) monomials at the given points."""
-    p = as_plane_model(model).prime
-    slice_monos = cox_slice(tuple(e), a, b)
-    values = point_values(model, coords, points)
-    return PrimeFieldMatrix(p, monomial_value_matrix(values, slice_monos, p))
-
-
 def canonical_image(model, coords: CanonicalCoordinates, points) -> np.ndarray:
     """(9, n): images of points under the canonical embedding, in basis_order."""
-    p = as_plane_model(model).prime
+    p = model.prime
     vals = point_values(model, coords, points)
     rows = []
     for i in range(4):
@@ -438,10 +403,6 @@ class CoxPoly:
                 c %= prime
                 if c:
                     self.terms[key] = c
-
-    @classmethod
-    def from_vector(cls, vec, slice_monos, p: int) -> "CoxPoly":
-        return cls(p, {m: int(c) for m, c in zip(slice_monos, vec) if int(c) % p})
 
     @classmethod
     def monomial(cls, alpha, beta, p: int, coeff: int = 1) -> "CoxPoly":

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import scrollres.lattice as lattice
@@ -13,7 +15,12 @@ from scrollres.pipeline import (
     sample_survey,
     survey_seed,
 )
-from scrollres.plane_curve import InsufficientRationalPointsError
+from scrollres.plane_curve import (
+    InsufficientRationalPointsError,
+    PlaneCurveModel,
+    construct_nodal_octic,
+    verify_node_report,
+)
 from scrollres.resolution import SliceContext
 
 
@@ -35,6 +42,19 @@ def test_construct_octic(capsys):
     assert main(["--seed", "3", "construct", "--plane-model", "octic"]) == 0
     out = capsys.readouterr().out
     assert "degree 8" in out
+
+
+def test_construct_octic_writes_plane_model_json(tmp_path):
+    path = tmp_path / "octic.json"
+    assert main(["--seed", "3", "--json", str(path), "construct", "--plane-model", "octic"]) == 0
+    payload = json.loads(path.read_text())
+    model = PlaneCurveModel.from_json(json.dumps(payload["model"]))
+    expected = construct_nodal_octic(10007, 3)
+    assert (model.degree, model.q_mult, len(model.nodes)) == (8, 2, 11)
+    assert np.array_equal(model.coeffs, expected.coeffs)
+    assert (model.q, model.nodes, model.seed) == (expected.q, expected.nodes, 3)
+    assert payload["report"]["ok"]
+    assert verify_node_report(model)["condition_rank"] == 36
 
 
 def test_lattice_command_with_gram_file(tmp_path, capsys):
@@ -215,3 +235,33 @@ def test_mathematical_failures_are_still_retried(monkeypatch):
     assert all(a["outcome"].startswith("InsufficientRationalPointsError") for a in report["curveAttempts"])
     tally = survey_seed(10007, 4)
     assert not tally["ok"] and tally["error"].startswith("InsufficientRationalPointsError")
+
+
+def test_net_dimension_is_computed_not_assumed(nonic_chain, monkeypatch):
+    quartic_net = pipeline.quartic_net
+
+    def with_extra_row(image_points, p):
+        net = quartic_net(image_points, p)
+        return dataclasses.replace(net, basis=np.vstack([net.basis, net.basis[:1]]))
+
+    monkeypatch.setattr(pipeline, "quartic_net", with_extra_row)
+    checks: dict = {}
+    section, _net = pipeline.net_section(nonic_chain, checks)
+    assert section["netDim"] == 4
+    assert checks["net_dimension_3"] is False
+
+
+def test_syzygy_space_dimension_is_computed_not_assumed(monkeypatch):
+    space, member = pipeline.linear_syzygy_space, pipeline.pencil_member
+
+    def with_extra_vector(steps, p):
+        basis = space(steps, p)
+        return basis + basis[:1]
+
+    monkeypatch.setattr(pipeline, "linear_syzygy_space", with_extra_vector)
+    monkeypatch.setattr(pipeline, "pencil_member",
+                        lambda basis, lam, mu: member(basis[:2], lam, mu))
+    report = run_pipeline(10007, 1)
+    assert report["syzygySpaceDim"] == 3
+    assert report["checks"]["linear_syzygy_space_dim_2"] is False
+    assert not report["ok"]

@@ -1,7 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollres.lattice import (
     GramLattice,
@@ -29,11 +33,11 @@ from scrollres.lattice import (
     signature,
     smith_normal_form,
     solve_integer_system,
+    solve_rational,
     stated_embedding_columns,
     unique_polarization_classes,
     verify_primitive_embedding,
 )
-from scrollres.lattice import _solve_rational
 
 H_LAT = lattice_h()
 HP_LAT = lattice_h_prime()
@@ -99,6 +103,45 @@ def test_smith_normal_form():
     assert smith_normal_form([[1, 0], [0, 1], [0, 0]]) == [1, 1]
     assert smith_normal_form([[2, 0], [0, 2]]) == [2, 2]
     assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
+    # already diagonal, but 2 does not divide 3: the divisors are 1 and 6
+    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_normal_form([[0, 0], [0, 0]]) == []
+
+
+def snf_by_minors(rows):
+    """Elementary divisors from the gcds g_k of all k x k minors,
+    d_k = g_k / g_(k-1); the independent oracle for smith_normal_form."""
+    nr, nc = len(rows), len(rows[0])
+    divisors, prev = [], 1
+    for k in range(1, min(nr, nc) + 1):
+        g = 0
+        for rs in itertools.combinations(range(nr), k):
+            for cs in itertools.combinations(range(nc), k):
+                g = math.gcd(g, det_cofactor([[rows[r][c] for c in cs] for r in rs]))
+        if g == 0:
+            break
+        divisors.append(g // prev)
+        prev = g
+    return divisors
+
+
+@st.composite
+def integer_matrices(draw):
+    """Products of an nr x r and an r x nc matrix: rank at most r, all-zero
+    when r = 0, so rank-deficient matrices are drawn as often as full ones."""
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    r = draw(st.integers(0, min(nr, nc)))
+    entries = st.integers(-9, 9)
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=nr, max_size=nr))
+    right = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=r, max_size=r))
+    return [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(nc)]
+            for i in range(nr)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_smith_normal_form_matches_minors_oracle(rows):
+    assert smith_normal_form(rows) == snf_by_minors(rows)
 
 
 @pytest.mark.parametrize(
@@ -310,15 +353,15 @@ def test_second_polarization_entries_match_reference(box):
 
 def test_solve_rational_outcomes():
     # square and unique
-    x, unique = _solve_rational([[2, 1], [1, 3]], [3, 5])
+    x, unique = solve_rational([[2, 1], [1, 3]], [3, 5])
     assert unique and x == [Fraction(4, 5), Fraction(7, 5)]
     # overdetermined and consistent
-    x, unique = _solve_rational([[1, 0], [0, 1], [1, 1]], [1, 2, 3])
+    x, unique = solve_rational([[1, 0], [0, 1], [1, 1]], [1, 2, 3])
     assert unique and x == [1, 2]
     # overdetermined and inconsistent
-    assert _solve_rational([[1, 0], [0, 1], [1, 1]], [1, 2, 4]) == (None, False)
+    assert solve_rational([[1, 0], [0, 1], [1, 1]], [1, 2, 4]) == (None, False)
     # underdetermined: free variables are 0
-    x, unique = _solve_rational([[1, 1, 0], [2, 2, 0]], [3, 6])
+    x, unique = solve_rational([[1, 1, 0], [2, 2, 0]], [3, 6])
     assert not unique and x == [3, 0, 0]
 
 

@@ -7,11 +7,8 @@ from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import solve_mod
 from scrollres.plane_curve import (
     InsufficientRationalPointsError,
-    NodalOcticModel,
     PlaneCurveModel,
     _hessian_nondegenerate,
-    _power_table,
-    as_plane_model,
     condition_matrix,
     construct_nodal_nonic,
     construct_nodal_octic,
@@ -20,6 +17,7 @@ from scrollres.plane_curve import (
     linear_system,
     monomial_count,
     monomials,
+    power_table,
     sample_smooth_points,
     verify_model_report,
     verify_node_report,
@@ -53,7 +51,7 @@ def test_construct_dimensions(model):
 
 def test_two_seeds_distinct_octics_same_report(model):
     other = construct_nodal_octic(P, seed=2)
-    assert not np.array_equal(model.octic, other.octic)
+    assert not np.array_equal(model.coeffs, other.coeffs)
     ra, rb = verify_node_report(model), verify_node_report(other)
     for key in ("ok", "genus", "condition_rank", "octic_space_dim", "node_count"):
         assert ra[key] == rb[key]
@@ -67,15 +65,15 @@ def test_cuspidal_point_flagged():
     octic = coeff_vector(poly_mult(cusp_factor, unit, P), 8)
     assert not _hessian_nondegenerate(octic, 8, (0, 0, 1), P)
     fake_nodes = ((0, 0, 1),) + tuple((i + 1, i * i + 3, 1) for i in range(11))
-    bad = NodalOcticModel(P, octic, fake_nodes, q_index=0, seed=0)
+    bad = PlaneCurveModel(P, 8, octic, fake_nodes[0], 2, fake_nodes[1:], 0)
     report = verify_node_report(bad)
     assert not report["ok"]
     assert any("not ordinary" in f for f in report["failures"])
 
 
 def test_deleted_node_changes_genus(model):
-    truncated = NodalOcticModel(
-        P, model.octic, model.nodes[:-1], q_index=0, seed=model.seed
+    truncated = PlaneCurveModel(
+        P, 8, model.coeffs, model.q, 2, model.nodes[:-1], model.seed
     )
     report = verify_node_report(truncated)
     assert report["genus"] == 10
@@ -83,21 +81,21 @@ def test_deleted_node_changes_genus(model):
 
 
 def test_perturbed_octic_fails_vanishing(model):
-    octic = model.octic.copy()
+    octic = model.coeffs.copy()
     octic[0] = (octic[0] + 1) % P
     report = verify_node_report(
-        NodalOcticModel(P, octic, model.nodes, model.q_index, model.seed)
+        PlaneCurveModel(P, 8, octic, model.q, 2, model.nodes, model.seed)
     )
     assert not report["ok"]
 
 
 def test_canonical_system_dimension(model):
-    basis = linear_system(model, 5, [(n, 1) for n in model.nodes])
+    basis = linear_system(model, 5, [(n, 1) for n in (model.q,) + model.nodes])
     assert len(basis) == 9  # h^0(omega) = genus
 
 
 def test_residual_quartics_dimension(model):
-    basis = linear_system(model, 4, [(n, 1) for n in model.other_nodes])
+    basis = linear_system(model, 4, [(n, 1) for n in model.nodes])
     assert len(basis) == 15 - 11 == 4
 
 
@@ -107,7 +105,7 @@ def test_line_pencil_dimension(model):
 
 
 def test_linear_system_multiplicity_vanishing(model):
-    conditions = [(model.nodes[0], 2), (model.nodes[1], 1)]
+    conditions = [(model.q, 2), (model.nodes[0], 1)]
     basis = linear_system(model, 4, conditions)
     assert basis
     for vec in basis:
@@ -122,8 +120,8 @@ def test_linear_system_multiplicity_vanishing(model):
 
 def test_product_lies_in_canonical_span(model):
     lines = linear_system(model, 1, [(model.q, 1)])
-    quartics = linear_system(model, 4, [(n, 1) for n in model.other_nodes])
-    quintics = linear_system(model, 5, [(n, 1) for n in model.nodes])
+    quartics = linear_system(model, 4, [(n, 1) for n in model.nodes])
+    quintics = linear_system(model, 5, [(n, 1) for n in (model.q,) + model.nodes])
     span = np.stack(quintics).T  # columns = canonical basis
     lin = {m: int(c) for m, c in zip(monomials(1), lines[0]) if c}
     qua = {m: int(c) for m, c in zip(monomials(4), quartics[0]) if c}
@@ -134,9 +132,9 @@ def test_product_lies_in_canonical_span(model):
 def test_sample_points_on_curve(model, sample_pool):
     assert len(sample_pool) == 200
     assert len(set(sample_pool)) == 200
-    values = evaluate_form(model.octic, 8, np.array(sample_pool), P)
+    values = evaluate_form(model.coeffs, 8, np.array(sample_pool), P)
     assert not np.any(values)
-    assert not (set(sample_pool) & set(model.nodes))
+    assert not (set(sample_pool) & model.banned_points())
 
 
 def test_sample_zero_count(model):
@@ -149,10 +147,10 @@ def test_condition_matrix_shape():
 
 
 def test_json_roundtrip(model):
-    clone = NodalOcticModel.from_json(model.to_json())
-    assert np.array_equal(clone.octic, model.octic)
+    clone = PlaneCurveModel.from_json(model.to_json())
+    assert np.array_equal(clone.coeffs, model.coeffs)
     assert clone.nodes == model.nodes
-    assert clone.q_index == model.q_index
+    assert clone.q == model.q
 
 
 def test_nonic_model_invariants():
@@ -209,19 +207,18 @@ def test_exhausted_attempts_raise():
 def _scan_sample_smooth_points(model, count, seed=0, exclude=(), max_batches=40):
     """The sampler before exact root finding: each random line y = m*x + c is
     intersected with the curve by evaluating it at every x in F_p."""
-    pm = as_plane_model(model)
-    p, d = pm.prime, pm.degree
-    rng = random.Random(pm.seed * 7919 + seed * 104729 + p)
-    banned = pm.banned_points() | set(exclude)
+    p, d = model.prime, model.degree
+    rng = random.Random(model.seed * 7919 + seed * 104729 + p)
+    banned = model.banned_points() | set(exclude)
     found, seen = [], set()
     u = np.arange(p, dtype=np.int64)
-    xpow = _power_table(u, d, p)
-    coeffs = pm.coeffs % p
+    xpow = power_table(u, d, p)
+    coeffs = model.coeffs % p
     for _ in range(max_batches):
         for _ in range(max(8, count // 2)):
             m, c = rng.randrange(p), rng.randrange(p)
             y = (m * u + c) % p
-            ypow = _power_table(y, d, p)
+            ypow = power_table(y, d, p)
             vals = np.zeros(p, dtype=np.int64)
             for coef, (i, j, _k) in zip(coeffs, monomials(d)):
                 if coef:

@@ -10,7 +10,6 @@ from scrollres.quartic_net import (
     GammaCurve,
     GammaError,
     NetError,
-    _normalize_point,
     binary_form_divide_linear,
     binary_form_roots,
     fit_gamma,
@@ -19,6 +18,7 @@ from scrollres.quartic_net import (
     image_quartic,
     interpolate_poly,
     macaulay_resultant_smooth,
+    normalize_point,
     nvar_monomials,
     quartic_net,
     residual_degree,
@@ -113,14 +113,13 @@ def test_residual_images_distinct(nonic_chain):
     img = residual_image(nonic_chain.model, nonic_chain.coords,
                          nonic_chain.ctx.points(0, 60))
     assert img.shape == (4, 60)
-    normalized = {_normalize_point(tuple(img[:, i]), P) for i in range(60)}
+    normalized = {normalize_point(tuple(img[:, i]), P) for i in range(60)}
     assert len(normalized) == 60
 
 
 def test_net_dimension(nonic_net):
     assert nonic_net.basis.shape == (3, 35)
     assert rank_mod(nonic_net.basis, P) == 3
-    assert nonic_net.coordinate_frame == ("Q1", "Q2", "Q3", "Q4")
 
 
 def test_net_requires_enough_points(nonic_chain):
@@ -160,7 +159,7 @@ def test_image_quartic_in_net(nonic_chain, nonic_k3, nonic_net):
 
 
 def test_distinct_parameters_distinct_quartics(gamma_samples):
-    points = {_normalize_point(c, P) for _par, c in gamma_samples}
+    points = {normalize_point(c, P) for _par, c in gamma_samples}
     assert len(points) == len(gamma_samples)
 
 
@@ -211,14 +210,14 @@ def test_pipeline_gamma_stage(gamma_samples, nonic_k3, nonic_net):
     fibers = singular_fiber_parameters(gmap, sing["point"], gamma_samples, P)
     assert len(fibers) == 2 and fibers[0] != fibers[1]
     # both parameters reproduce the singular quartic, a third one does not
-    target = _normalize_point(sing["point"], P)
+    target = normalize_point(sing["point"], P)
     for lam, mu in fibers:
         member = pencil_member(nonic_k3["basis"], lam, mu)
         surface = surface_from_syzygy(syzygy_scheme(member, nonic_k3["gens"]))
         _f, coords3 = image_quartic(surface, nonic_net)
-        assert _normalize_point(tuple(int(v) for v in coords3), P) == target
+        assert normalize_point(tuple(int(v) for v in coords3), P) == target
     other = next(s for s in gamma_samples if tuple(s[0]) not in set(map(tuple, fibers)))
-    assert _normalize_point(other[1], P) != target
+    assert normalize_point(other[1], P) != target
 
 
 def test_singular_quartic_is_smooth(gamma_samples, nonic_net):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scrollres import DEFAULT_PRIME as P
-from scrollres.ffield import mat_rank, rank_mod, same_subspace
+from scrollres.ffield import kernel_mod, rank_mod, same_subspace
 from scrollres.plane_curve import PlaneCurveModel, evaluate_form, monomials, sample_smooth_points
 from scrollres.scroll import (
     GENERIC_E,
@@ -13,11 +13,10 @@ from scrollres.scroll import (
     _restrict_to_line,
     canonical_coordinates,
     canonical_image,
-    cox_monomials,
     cox_slice,
     eval_quadrics,
     euler_scroll,
-    evaluate_monomials,
+    monomial_value_matrix,
     pencil_from_node,
     point_values,
     scroll_minor_quadrics,
@@ -33,6 +32,12 @@ def pencil(model):
 @pytest.fixture(scope="module")
 def coords(model, pencil):
     return canonical_coordinates(model, pencil)
+
+
+def slice_values(model, coords, points, a, b):
+    """Values of the slice (a, b) monomials at the points, one row each."""
+    values = point_values(model, coords, points)
+    return monomial_value_matrix(values, cox_slice(GENERIC_E, a, b), P)
 
 
 def curve_h0(a, b):
@@ -54,7 +59,7 @@ def test_pencil_residual_degree(model, pencil):
     x = 1
     y = (-(a * x + c)) * pow(b, -1, P) % P if b else 0
     other = (x, y, 1) if b else ((-c) * pow(a, -1, P) % P, 1, 1)
-    coeffs = _restrict_to_line(model.octic, 8, model.q, other, P)
+    coeffs = _restrict_to_line(model.coeffs, 8, model.q, other, P)
     assert coeffs[0] == 0 and coeffs[1] == 0
     residual = coeffs[2:]
     assert len(residual) == 7 and any(residual)  # degree-6 binary form
@@ -74,15 +79,15 @@ def test_scroll_type_validation():
 def test_d_vector_values(model):
     from scrollres.plane_curve import linear_system
 
-    assert len(linear_system(model, 5, [(n, 1) for n in model.nodes])) == 9
-    assert len(linear_system(model, 4, [(n, 1) for n in model.other_nodes])) == 4
+    assert len(linear_system(model, 5, [(n, 1) for n in (model.q,) + model.nodes])) == 9
+    assert len(linear_system(model, 4, [(n, 1) for n in model.nodes])) == 4
 
 
 def test_cox_monomial_counts():
-    assert len(cox_monomials(GENERIC_E, 1, 0)) == 9  # 2+2+2+2+1
-    assert len(cox_monomials(GENERIC_E, 0, 2)) == 3  # t0^2, t0 t1, t1^2
-    assert len(cox_monomials(GENERIC_E, 2, -1)) == 24  # 10*2 + 4*1
-    assert cox_monomials(GENERIC_E, 2, -3) == []
+    assert len(cox_slice(GENERIC_E, 1, 0)) == 9  # 2+2+2+2+1
+    assert len(cox_slice(GENERIC_E, 0, 2)) == 3  # t0^2, t0 t1, t1^2
+    assert len(cox_slice(GENERIC_E, 2, -1)) == 24  # 10*2 + 4*1
+    assert cox_slice(GENERIC_E, 2, -3) == ()
 
 
 def test_euler_scroll_values():
@@ -117,47 +122,43 @@ def test_canonical_coordinates_invariants(model, coords):
     assert len(coords.basis_order) == 9
     # every representative vanishes at all 12 nodes
     for q in coords.quartics:
-        assert not np.any(evaluate_form(q, 4, np.array(model.other_nodes), P))
-    assert not np.any(evaluate_form(coords.phi, 5, np.array(model.nodes), P))
+        assert not np.any(evaluate_form(q, 4, np.array(model.nodes), P))
+    assert not np.any(evaluate_form(coords.phi, 5, np.array((model.q,) + model.nodes), P))
     assert prod_rank == 8
 
 
 def test_evaluate_canonical_rank(model, coords, sample_pool):
-    m = evaluate_monomials(model, coords, sample_pool[:19], 1, 0)
-    assert m.rows == 9
-    assert mat_rank(m) == 9
+    m = slice_values(model, coords, sample_pool[:19], 1, 0)
+    assert m.shape[0] == 9
+    assert rank_mod(m, P) == 9
 
 
 def test_evaluate_pencil_rank(model, coords, sample_pool):
-    m = evaluate_monomials(model, coords, sample_pool[:12], 0, 1)
-    assert mat_rank(m) == 2
+    m = slice_values(model, coords, sample_pool[:12], 0, 1)
+    assert rank_mod(m, P) == 2
 
 
 def test_evaluate_quadric_slice(model, coords, sample_pool):
-    m = evaluate_monomials(model, coords, sample_pool[:28], 2, -1)
-    assert m.rows == 24
-    assert mat_rank(m) == 18  # h^0(omega^2 L^-1)
-    from scrollres.ffield import kernel_mod
-
+    m = slice_values(model, coords, sample_pool[:28], 2, -1)
+    assert m.shape[0] == 24
+    assert rank_mod(m, P) == 18  # h^0(omega^2 L^-1)
     # relations among the monomials = left kernel = ideal slice, dimension 6
-    assert len(kernel_mod(m.array.T, P)) == 6
+    assert len(kernel_mod(m.T, P)) == 6
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
 def test_riemann_roch_ranks(model, coords, sample_pool, a, b):
     npts = curve_h0(a, b) + 10
-    m = evaluate_monomials(model, coords, sample_pool[:npts], a, b)
-    assert mat_rank(m) == curve_h0(a, b)
+    m = slice_values(model, coords, sample_pool[:npts], a, b)
+    assert rank_mod(m, P) == curve_h0(a, b)
 
 
 def test_kernel_sample_independence(model, coords, sample_pool):
-    from scrollres.ffield import kernel_mod
-
     second = sample_smooth_points(model, 40, seed=77, exclude=sample_pool)
-    m1 = evaluate_monomials(model, coords, sample_pool[:30], 2, -1)
-    m2 = evaluate_monomials(model, coords, second[:30], 2, -1)
-    k1 = kernel_mod(m1.array.T, P)
-    k2 = kernel_mod(m2.array.T, P)
+    m1 = slice_values(model, coords, sample_pool[:30], 2, -1)
+    m2 = slice_values(model, coords, second[:30], 2, -1)
+    k1 = kernel_mod(m1.T, P)
+    k2 = kernel_mod(m2.T, P)
     assert same_subspace(np.stack(list(k1)), np.stack(list(k2)), P)
 
 
@@ -193,11 +194,11 @@ def test_cox_poly_evaluation_consistency(model, coords, sample_pool):
     vec = np.zeros(len(monos), dtype=np.int64)
     vec[0] = 3
     vec[5] = 4
-    poly = CoxPoly.from_vector(vec, monos, P)
+    poly = CoxPoly(P, {m: int(c) for m, c in zip(monos, vec)})
     values = point_values(model, coords, sample_pool[:10])
     direct = poly.evaluate(values)
-    m = evaluate_monomials(model, coords, sample_pool[:10], 2, -1)
-    expected = (3 * m.array[0] + 4 * m.array[5]) % P
+    m = monomial_value_matrix(values, monos, P)
+    expected = (3 * m[0] + 4 * m[5]) % P
     assert np.array_equal(direct, expected)
     assert np.array_equal(poly.vector(monos), vec)
 
