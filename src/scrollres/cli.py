@@ -170,6 +170,22 @@ def cmd_survey(args) -> int:
     return 0 if summary["ok"] else 1
 
 
+def _add_common_options(parser, suppress: bool):
+    """Options accepted before and after the command.  The copies after it
+    default to SUPPRESS, so they never reset a value given before it."""
+
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    parser.add_argument("--prime", type=int, default=default(DEFAULT_PRIME))
+    parser.add_argument("--seed", type=int, default=default(1))
+    parser.add_argument("--bound", type=int, default=default(100),
+                        help="search box for the rank-4 lattice entry derivation")
+    parser.add_argument("--json", metavar="PATH", default=default(None),
+                        help="write the JSON report here")
+    parser.add_argument("--verbose", action="store_true", default=default(False))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scrollres",
@@ -177,43 +193,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "relative canonical resolutions, syzygy-scheme K3 surfaces, and "
                     "certified lattice checks.",
     )
-    parser.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--bound", type=int, default=100,
-                        help="search box for the rank-4 lattice entry derivation")
-    parser.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    parser.add_argument("--verbose", action="store_true")
+    _add_common_options(parser, suppress=False)
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common_options(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build and verify a plane curve model")
+    def command(name, func, help_text):
+        cmd = sub.add_parser(name, help=help_text, parents=[common])
+        cmd.set_defaults(func=func)
+        return cmd
+
+    p = command("construct", cmd_construct, "build and verify a plane curve model")
     p.add_argument("--plane-model", choices=("nonic", "octic"), default="nonic")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("betti", help="relative canonical resolution table")
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("k3", help="syzygy-scheme K3 surface and its shape")
-    p.set_defaults(func=cmd_k3)
-
-    p = sub.add_parser("gamma", help="quartic net, the cubic of surfaces, smoothness")
-    p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("lattice", help="lattice certificates")
+    command("betti", cmd_betti, "relative canonical resolution table")
+    command("k3", cmd_k3, "syzygy-scheme K3 surface and its shape")
+    command("gamma", cmd_gamma, "quartic net, the cubic of surfaces, smoothness")
+    p = command("lattice", cmd_lattice, "lattice certificates")
     p.add_argument("--gram-file", help="JSON file with a gram matrix for ad-hoc queries")
     p.add_argument("--ample-class", help="comma-separated class to test, e.g. 1,0,0")
-    p.set_defaults(func=cmd_lattice)
-
-    p = sub.add_parser("audit", help="moduli dimension bookkeeping")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("pipeline", help="full pipeline with all checks")
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("survey", help="splitting-type survey over many seeds")
+    command("audit", cmd_audit, "moduli dimension bookkeeping")
+    command("pipeline", cmd_pipeline, "full pipeline with all checks")
+    p = command("survey", cmd_survey, "splitting-type survey over many seeds")
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--workers", type=int, default=None,
-                   help="thread count (default: SCROLLRES_WORKERS or 4)")
-    p.set_defaults(func=cmd_survey)
+    p.add_argument("--workers", type=int, default=4, help="thread count")
     return parser
 
 

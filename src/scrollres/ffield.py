@@ -233,7 +233,7 @@ class Echelon:
     """Incremental row-echelon accumulator over F_p.
 
     add() reduces a row against the current pivots and absorbs it when it is
-    independent; contains() tests membership in the row span.
+    independent.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -246,16 +246,12 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, row: np.ndarray) -> np.ndarray:
-        row = row % self.p
-        for r, pc in zip(self.rows, self.pivots):
-            f = int(row[pc])
-            if f:
-                row = (row - f * r) % self.p
-        return row
-
     def add(self, row: np.ndarray) -> bool:
-        red = self._reduce(np.asarray(row, dtype=np.int64))
+        red = np.asarray(row, dtype=np.int64) % self.p
+        for r, pc in zip(self.rows, self.pivots):
+            f = int(red[pc])
+            if f:
+                red = (red - f * r) % self.p
         nz = np.nonzero(red)[0]
         if nz.size == 0:
             return False
@@ -272,9 +268,6 @@ class Echelon:
         self.rows.insert(at, red)
         self.pivots.insert(at, pc)
         return True
-
-    def contains(self, row: np.ndarray) -> bool:
-        return not np.any(self._reduce(np.asarray(row, dtype=np.int64)))
 
 
 def kernel_mod(a: np.ndarray, p: int) -> np.ndarray:

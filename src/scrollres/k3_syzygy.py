@@ -27,7 +27,7 @@ from .resolution import (
     free_map_matrix,
     next_syzygies,
 )
-from .scroll import GENERIC_E, CoxPoly, cox_slice, euler_scroll
+from .scroll import GENERIC_E, CoxPoly, cox_slice, euler_scroll, slice_index, slice_keys, split_keys
 
 K3_GENUS = 8          # hyperplane sections of the surface are canonical genus-8 curves
 K3_SECTION_GONALITY = 5
@@ -77,17 +77,14 @@ def linear_syzygy_space(steps, p: int) -> tuple:
         raise K3Error(
             f"wrong dimension: linear syzygy space is {block.kernel.shape[0]}-dimensional"
         )
-    xmono = cox_slice(GENERIC_E, 1, -1)
-    col_of = {}
-    for ci, (g, mono) in enumerate(block.columns):
-        if step1.twists[g] != (2, -1):
-            raise K3Error("linear syzygy touches a non-(2H-R) generator")
-        col_of[(g, xmono.index(mono))] = ci
+    gens, monos = split_keys(block.columns)
+    if any(step1.twists[g] != (2, -1) for g in gens):
+        raise K3Error("linear syzygy touches a non-(2H-R) generator")
+    xs = slice_index(GENERIC_E, 1, -1).find(monos)  # columns are g times x_i
     out = []
     for lam, mu, vec in ((1, 0, block.kernel[0]), (0, 1, block.kernel[1])):
         entries = np.zeros((6, 4), dtype=np.int64)
-        for (g, i), ci in col_of.items():
-            entries[g, i] = vec[ci] % p
+        entries[gens, xs] = vec % p
         out.append(SyzygyVector(p, entries, (lam, mu)))
     return tuple(out)
 
@@ -162,22 +159,15 @@ def syzygy_scheme(s: SyzygyVector, gen_polys) -> SyzygyScheme:
             if c:
                 acc = acc.add(gen_polys[i].scale(c))
         forms.append(acc)
-    ell = []
-    for j in range(4):
-        terms = {}
-        for i in range(4):
-            c = int(sprime[j, i]) % p
-            if c:
-                alpha = tuple(1 if v == i else 0 for v in range(5))
-                terms[(alpha, (0, 0))] = c
-        ell.append(CoxPoly(p, terms))
+    # slice (1, -1) holds exactly x1..x4, in order
+    ell = [CoxPoly(p, slice_keys(GENERIC_E, 1, -1), sprime[j]) for j in range(4)]
     # defining identity of the syzygy scheme
     acc = CoxPoly(p)
     for f, l in zip(forms, ell):
         acc = acc.add(f.mul(l))
     if not acc.is_zero():
         raise K3Error("transformed syzygy identity failed")
-    span = np.stack([l.vector(cox_slice(GENERIC_E, 1, -1)) for l in ell])
+    span = np.stack([l.vector(GENERIC_E, 1, -1) for l in ell])
     if rank_mod(span, p) != 4:
         raise K3Error("transformed syzygy entries do not span the 4-dimensional space")
     return SyzygyScheme(p, s.params, tuple(forms), tuple(ell), u_mat)
@@ -258,23 +248,18 @@ def koszul_ambiguity_rank(ell, p: int) -> int:
     """Rank of the map sending u in H^0(R)^4 to the skew matrix iota_l(u')
     built from the Koszul contraction; this is the predicted ambiguity of the
     skew reconstruction."""
-    h_monos = cox_slice(GENERIC_E, 1, 0)
+    nh = len(cox_slice(GENERIC_E, 1, 0))
     pairs = list(itertools.combinations(range(4), 2))
     pair_pos = {pr: k for k, pr in enumerate(pairs)}
-    triples = list(itertools.combinations(range(4), 3))
     cols = []
-    for (j, k, l) in triples:
-        for t_idx in range(2):
-            tmono = ((0, 0, 0, 0, 0), (1, 0) if t_idx == 0 else (0, 1))
+    for (j, k, l) in itertools.combinations(range(4), 3):
+        for tkey in slice_keys(GENERIC_E, 0, 1):
+            t = CoxPoly(p, [tkey], [1])
+            vec = np.zeros(len(pairs) * nh, dtype=np.int64)
             # iota_l(e_jkl) = l_j e_kl - l_k e_jl + l_l e_jk
-            entries = {}
-            for sign, lv, pr in ((1, j, (k, l)), (-1, k, (j, l)), (1, l, (j, k))):
-                poly = ell[lv].mul(CoxPoly(p, {tmono: 1}))
-                entries[pr] = poly if sign == 1 else poly.scale(p - 1)
-            vec = np.zeros(len(pairs) * len(h_monos), dtype=np.int64)
-            for pr, poly in entries.items():
-                base = pair_pos[pr] * len(h_monos)
-                vec[base: base + len(h_monos)] = poly.vector(h_monos)
+            for sign, lv, pr in ((1, j, (k, l)), (p - 1, k, (j, l)), (1, l, (j, k))):
+                base = pair_pos[pr] * nh
+                vec[base: base + nh] = ell[lv].mul(t).scale(sign).vector(GENERIC_E, 1, 0)
             cols.append(vec)
     return rank_mod(np.stack(cols), p)
 
@@ -288,25 +273,15 @@ def pfaffian_reconstruct(scheme: SyzygyScheme) -> SkewPresentation:
     """
     p = scheme.prime
     ell = scheme.ell
-    target_monos = cox_slice(GENERIC_E, 2, -1)
-    h_monos = cox_slice(GENERIC_E, 1, 0)
+    nt = len(cox_slice(GENERIC_E, 2, -1))
+    h_keys = slice_keys(GENERIC_E, 1, 0)
     pairs = list(itertools.combinations(range(4), 2))
-    ncols = len(pairs) * len(h_monos)
-    nrows = 4 * len(target_monos)
-    mat = np.zeros((ncols, nrows), dtype=np.int64)
-    for c_idx, ((i, j), m) in enumerate(
-        (pr, m) for pr in pairs for m in h_monos
-    ):
-        mono_poly = CoxPoly(p, {m: 1})
-        contrib_i = mono_poly.mul(ell[j])
-        contrib_j = mono_poly.mul(ell[i]).scale(p - 1)
-        vec = np.zeros(nrows, dtype=np.int64)
-        vec[i * len(target_monos): (i + 1) * len(target_monos)] = contrib_i.vector(target_monos)
-        vec[j * len(target_monos): (j + 1) * len(target_monos)] = contrib_j.vector(target_monos)
-        mat[c_idx] = vec
-    rhs = np.zeros(nrows, dtype=np.int64)
-    for i, f in enumerate(scheme.forms):
-        rhs[i * len(target_monos): (i + 1) * len(target_monos)] = f.vector(target_monos)
+    mat = np.zeros((len(pairs) * len(h_keys), 4 * nt), dtype=np.int64)
+    for c_idx, ((i, j), m) in enumerate((pr, m) for pr in pairs for m in h_keys):
+        mono_poly = CoxPoly(p, [m], [1])
+        mat[c_idx, i * nt: (i + 1) * nt] = mono_poly.mul(ell[j]).vector(GENERIC_E, 2, -1)
+        mat[c_idx, j * nt: (j + 1) * nt] = mono_poly.mul(ell[i]).scale(p - 1).vector(GENERIC_E, 2, -1)
+    rhs = np.concatenate([f.vector(GENERIC_E, 2, -1) for f in scheme.forms])
     solution = solve_mod(mat.T, rhs, p)
     if solution is None:
         raise K3Error("inconsistent system: no skew presentation exists")
@@ -318,14 +293,9 @@ def pfaffian_reconstruct(scheme: SyzygyScheme) -> SkewPresentation:
         )
     # rebuild A from the solution vector
     a_entries = [[CoxPoly(p) for _ in range(4)] for _ in range(4)]
-    for c_idx, ((i, j), m) in enumerate(
-        (pr, m) for pr in pairs for m in h_monos
-    ):
-        c = int(solution[c_idx])
-        if not c:
-            continue
-        a_entries[i][j] = a_entries[i][j].add(CoxPoly(p, {m: c}))
-        a_entries[j][i] = a_entries[j][i].add(CoxPoly(p, {m: (p - c) % p}))
+    for (i, j), row in zip(pairs, solution.reshape(len(pairs), len(h_keys))):
+        a_entries[i][j] = CoxPoly(p, h_keys, row)
+        a_entries[j][i] = a_entries[i][j].scale(p - 1)
     # verify q_i = sum_j A_ij l_j exactly
     for i in range(4):
         acc = CoxPoly(p)
@@ -378,12 +348,8 @@ class K3Surface:
         return out
 
     def generator_step(self) -> ResolutionStep:
-        gens = []
-        twists = []
-        for (a, b), poly in self.generators:
-            twists.append((a, b))
-            gens.append({(0, key): c for key, c in poly.terms.items()})
-        return ResolutionStep(1, twists, gens, {}, cod_twists=[(0, 0)])
+        twists, gens = zip(*self.generators)
+        return ResolutionStep(1, list(twists), list(gens), {})
 
     def slice_span(self, a: int, b: int) -> np.ndarray:
         """Row span of generator multiples inside the (a, b) Cox slice: for

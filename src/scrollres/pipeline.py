@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -83,11 +82,9 @@ from .resolution import (
     splitting_type,
 )
 from .scroll import (
-    CoxPoly,
     GENERIC_E,
     ScrollError,
     canonical_coordinates,
-    cox_slice,
     pencil_from_node,
     scroll_type,
 )
@@ -139,14 +136,6 @@ class CurveChain:
     ctx: SliceContext
     table: object
     steps: list
-
-    @property
-    def generator_polys(self):
-        p = self.ctx.prime
-        return [
-            CoxPoly(p, {mono: c for (_z, mono), c in g.items()})
-            for g in self.steps[0].gens
-        ]
 
 
 def point_demand() -> tuple:
@@ -214,7 +203,7 @@ def k3_section(chain: CurveChain, checks: dict):
     p = chain.ctx.prime
     basis = linear_syzygy_space(chain.steps, p)
     checks["linear_syzygy_space_dim_2"] = len(basis) == 2
-    gens = chain.generator_polys[:6]
+    gens = chain.steps[0].gens[:6]
     member = None
     for lam, mu in K3_MEMBER_CHOICES:
         cand = pencil_member(basis, lam, mu)
@@ -231,7 +220,7 @@ def k3_section(chain: CurveChain, checks: dict):
     checks["surface_contains_curve"] = not any(
         np.any(poly.evaluate(values)) for _twist, poly in surface.generators
     )
-    q5v = surface.skew.q5.vector(cox_slice(GENERIC_E, 2, 0))
+    q5v = surface.skew.q5.vector(GENERIC_E, 2, 0)
     checks["q5_in_curve_ideal"] = (
         solve_mod(chain.ctx.ideal_slice(2, 0).T, q5v, p) is not None
     )
@@ -486,7 +475,7 @@ def survey_seed(prime: int, seed: int) -> dict:
 
 
 def sample_survey(prime: int = DEFAULT_PRIME, count: int = 20, base_seed: int = 1,
-                  workers: "int | None" = None) -> dict:
+                  workers: int = 4) -> dict:
     """Splitting-type survey over independent seeds.
 
     Tabulates the fraction of unbalanced second syzygy bundles (expected
@@ -498,8 +487,6 @@ def sample_survey(prime: int = DEFAULT_PRIME, count: int = 20, base_seed: int = 
     require_sampling_prime(prime)
     if count < 1:
         raise ValueError("count must be at least 1")
-    if workers is None:
-        workers = int(os.environ.get("SCROLLRES_WORKERS", "4"))
     seeds = [base_seed + i for i in range(count)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

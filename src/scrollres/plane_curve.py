@@ -42,17 +42,76 @@ class InsufficientRationalPointsError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def monomials(d: int) -> tuple:
-    """Exponent triples (i, j, k) with i+j+k = d, in a fixed order."""
-    out = []
-    for i in range(d, -1, -1):
-        for j in range(d - i, -1, -1):
-            out.append((i, j, d - i - j))
-    return tuple(out)
+def monomials(d: int, nvars: int = 3) -> tuple:
+    """Exponent tuples of degree d in nvars variables, lexicographically
+    descending: the order of every coefficient vector of a form."""
+    if nvars == 1:
+        return ((d,),)
+    return tuple(
+        (first,) + rest
+        for first in range(d, -1, -1) for rest in monomials(d - first, nvars - 1)
+    )
 
 
 def monomial_count(d: int) -> int:
     return (d + 1) * (d + 2) // 2
+
+
+@lru_cache(maxsize=None)
+def _product_positions(df: int, dg: int, nvars: int) -> np.ndarray:
+    """positions[i, k]: index in monomials(df + dg, nvars) of the product of
+    the i-th monomial of degree df and the k-th of degree dg.
+
+    Exponents are read as digits in radix df + dg + 1, so products add codes
+    without carries, and the lexicographic order is the descending code
+    order."""
+    weights = (df + dg + 1) ** np.arange(nvars - 1, -1, -1)
+
+    def codes(d):
+        return np.array(monomials(d, nvars), dtype=np.int64).reshape(-1, nvars) @ weights
+
+    ascending = codes(df + dg)[::-1]
+    sums = codes(df)[:, None] + codes(dg)[None, :]
+    return len(ascending) - 1 - np.searchsorted(ascending, sums)
+
+
+def multiply_forms(f, df: int, g, dg: int, p: int, nvars: int = 3) -> np.ndarray:
+    """Coefficients over monomials(df + dg, nvars) of the product of the
+    forms f and g, given over monomials(df, nvars) and monomials(dg, nvars)."""
+    f = np.asarray(f, dtype=np.int64) % p
+    g = np.asarray(g, dtype=np.int64) % p
+    positions = _product_positions(df, dg, nvars)
+    out = np.zeros(len(monomials(df + dg, nvars)), dtype=np.int64)
+    np.add.at(out, positions, np.outer(f, g) % p)
+    return out % p
+
+
+def substitute_linear(coeffs, nvars: int, d: int, t_mat, p: int) -> np.ndarray:
+    """Coefficients of F(T x) for a degree-d form F in nvars variables."""
+    # powers[var][e]: the linear form of row var of T, raised to the power e
+    powers = []
+    for row in np.asarray(t_mat, dtype=np.int64) % p:
+        powers.append([np.ones(1, dtype=np.int64)])
+        for e in range(d):
+            powers[-1].append(multiply_forms(powers[-1][e], e, row, 1, p, nvars))
+    out = np.zeros(len(monomials(d, nvars)), dtype=np.int64)
+    for c, expo in zip(coeffs, monomials(d, nvars)):
+        if int(c) % p:
+            term, degree = np.array([int(c) % p]), 0
+            for var, e in enumerate(expo):
+                if e:
+                    term = multiply_forms(term, degree, powers[var][e], e, p, nvars)
+                    degree += e
+            out = (out + term) % p
+    return out
+
+
+def restrict_to_line(coeffs, d: int, a_pt, b_pt, p: int) -> list:
+    """Binary form F(s*A + t*B) as coefficients [s^d, s^(d-1)t, ..., t^d]."""
+    t_mat = np.stack([np.asarray(a_pt), np.asarray(b_pt), np.zeros(3, dtype=np.int64)], axis=1)
+    moved = substitute_linear(coeffs, 3, d, t_mat, p)
+    # s^(d-k) t^k is monomial number k(k+1)/2 of monomials(d)
+    return [int(moved[k * (k + 1) // 2]) for k in range(d + 1)]
 
 
 def power_table(values: np.ndarray, max_exp: int, p: int) -> np.ndarray:
@@ -106,21 +165,8 @@ def derivative_row(d: int, order, point, p: int) -> np.ndarray:
     return row
 
 
-def _multi_indices_below(order: int):
-    out = []
-    for total in range(order):
-        for a in range(total, -1, -1):
-            for b in range(total - a, -1, -1):
-                out.append((a, b, total - a - b))
-    return out
-
-
-def _multi_indices_exact(order: int):
-    out = []
-    for a in range(order, -1, -1):
-        for b in range(order - a, -1, -1):
-            out.append((a, b, order - a - b))
-    return out
+def _multi_indices_below(order: int) -> list:
+    return [o for total in range(order) for o in monomials(total)]
 
 
 def condition_matrix(d: int, conditions, p: int) -> np.ndarray:
@@ -281,7 +327,7 @@ def construct_nodal_nonic(prime: int, seed: int, max_attempts: int = 12) -> Plan
         tpt, nodes = points[0], tuple(points[1:])
         rows = [
             derivative_row(9, order, tpt, prime)
-            for order in _multi_indices_exact(2)
+            for order in monomials(2)
         ]
         for n in nodes:
             for order in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):

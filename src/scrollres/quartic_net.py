@@ -10,7 +10,8 @@ partial derivatives.
 
 All elimination here is exact: resultants of univariate specialisations are
 Sylvester determinants over F_p, binary forms are recovered by Vandermonde
-interpolation, and root finding is a full scan over F_p.
+interpolation, and roots come from ffield.roots_mod (gcd with x^p - x), so
+no step scans F_p.
 """
 
 from __future__ import annotations
@@ -18,15 +19,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .ffield import Echelon, det_mod, kernel_mod, rank_mod, roots_mod, solve_mod
+from .ffield import det_mod, kernel_mod, rank_mod, roots_mod, rref_mod, solve_mod
 from .k3_syzygy import K3Surface
-from .plane_curve import monomials as plane_monomials
-from .plane_curve import evaluate_form, power_table
-from .scroll import GENERIC_E, cox_slice
+from .plane_curve import evaluate_form, monomials, power_table, restrict_to_line, substitute_linear
+from .scroll import GENERIC_E, KeyIndex, add_keys, cox_slice, slice_keys
 
 
 class NetError(RuntimeError):
@@ -44,25 +43,12 @@ class ResultantDegenerateError(RuntimeError):
 # --- small polynomial helpers ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def nvar_monomials(nvars: int, d: int) -> tuple:
-    """Exponent tuples of degree d in nvars variables, lexicographically
-    descending in the earlier variables."""
-    if nvars == 1:
-        return ((d,),)
-    out = []
-    for e in range(d, -1, -1):
-        for rest in nvar_monomials(nvars - 1, d - e):
-            out.append((e,) + rest)
-    return tuple(out)
-
-
 def eval_nvar(coeffs, nvars: int, d: int, points: np.ndarray, p: int) -> np.ndarray:
     """Evaluate a degree-d form in nvars variables; points is (nvars, n)."""
     n = points.shape[1]
     tables = [power_table(points[i] % p, d, p) for i in range(nvars)]
     vals = np.zeros(n, dtype=np.int64)
-    for c, expo in zip(coeffs, nvar_monomials(nvars, d)):
+    for c, expo in zip(coeffs, monomials(d, nvars)):
         c = int(c) % p
         if not c:
             continue
@@ -75,8 +61,8 @@ def eval_nvar(coeffs, nvars: int, d: int, points: np.ndarray, p: int) -> np.ndar
 
 
 def partial_derivative(coeffs, nvars: int, d: int, var: int, p: int) -> np.ndarray:
-    src = nvar_monomials(nvars, d)
-    dst = {m: i for i, m in enumerate(nvar_monomials(nvars, d - 1))}
+    src = monomials(d, nvars)
+    dst = {m: i for i, m in enumerate(monomials(d - 1, nvars))}
     out = np.zeros(len(dst), dtype=np.int64)
     for c, expo in zip(coeffs, src):
         c = int(c) % p
@@ -84,38 +70,6 @@ def partial_derivative(coeffs, nvars: int, d: int, var: int, p: int) -> np.ndarr
             continue
         lowered = tuple(e - 1 if i == var else e for i, e in enumerate(expo))
         out[dst[lowered]] = (out[dst[lowered]] + c * expo[var]) % p
-    return out
-
-
-def substitute_linear(coeffs, nvars: int, d: int, t_mat, p: int) -> np.ndarray:
-    """Coefficients of F(T x) for a degree-d form F in nvars variables."""
-    t_mat = [[int(v) % p for v in row] for row in t_mat]
-    index = {m: i for i, m in enumerate(nvar_monomials(nvars, d))}
-    out = np.zeros(len(index), dtype=np.int64)
-
-    def mul(a: dict, b: dict) -> dict:
-        res: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(u + v for u, v in zip(ea, eb))
-                res[key] = (res.get(key, 0) + ca * cb) % p
-        return res
-
-    lin = [
-        {tuple(1 if v == j else 0 for v in range(nvars)): t_mat[i][j]
-         for j in range(nvars) if t_mat[i][j]}
-        for i in range(nvars)
-    ]
-    for c, expo in zip(coeffs, nvar_monomials(nvars, d)):
-        c = int(c) % p
-        if not c:
-            continue
-        term = {tuple(0 for _ in range(nvars)): c}
-        for var, e in enumerate(expo):
-            for _ in range(e):
-                term = mul(term, lin[var])
-        for key, cv in term.items():
-            out[index[key]] = (out[index[key]] + cv) % p
     return out
 
 
@@ -208,7 +162,7 @@ class QuarticNet:
     The P^3 coordinate frame identifies y_i with the quartic adjoint Q_i."""
 
     prime: int
-    basis: np.ndarray  # 3 x 35 over nvar_monomials(4, 4)
+    basis: np.ndarray  # 3 x 35 over monomials(4, 4)
 
 
 def residual_image(model, coords, points) -> np.ndarray:
@@ -228,7 +182,7 @@ def quartic_net(image_points: np.ndarray, p: int) -> QuarticNet:
     if n < 45:
         raise NetError("need at least 45 image points")
     tables = [power_table(image_points[i] % p, 4, p) for i in range(4)]
-    monos = nvar_monomials(4, 4)
+    monos = monomials(4, 4)
     mat = np.empty((len(monos), n), dtype=np.int64)
     for r, expo in enumerate(monos):
         acc = np.ones(n, dtype=np.int64)
@@ -240,7 +194,7 @@ def quartic_net(image_points: np.ndarray, p: int) -> QuarticNet:
     if len(basis) != 3:
         raise NetError(f"unexpected net dimension {len(basis)}")
     # maximal-rank check one degree down: no cubics through the image
-    cmonos = nvar_monomials(4, 3)
+    cmonos = monomials(3, 4)
     cmat = np.empty((len(cmonos), n), dtype=np.int64)
     for r, expo in enumerate(cmonos):
         acc = np.ones(n, dtype=np.int64)
@@ -313,8 +267,8 @@ def residual_degree(model, coords, seed: int = 0, tries: int = 8) -> int:
 
 
 def _sliced_degree(fcur, d: int, fqua, dq: int, projections, p: int) -> int:
-    monos_d = plane_monomials(d)
-    monos_q = plane_monomials(dq)
+    monos_d = monomials(d)
+    monos_q = monomials(dq)
     total = d * dq
 
     def z_poly(coeffs, monos, x0, y0):
@@ -360,40 +314,36 @@ def image_quartic(surface: K3Surface, net: QuarticNet) -> tuple:
     Computed in the saturated slice of bidegree (4, -4): membership is
     decided after pushing with all degree-2 monomials in t into the
     (4, -2) slice, where the generated ideal is certified saturated.
-    Returns (coefficients over nvar_monomials(4,4), coordinates in the net).
+    Returns (coefficients over monomials(4, 4), coordinates in the net).
     """
     p = surface.prime
     surface.verify_slice_saturated(4, -2)
-    span = surface.slice_span(4, -2)
-    monos42 = cox_slice(GENERIC_E, 4, -2)
-    pos42 = {m: i for i, m in enumerate(monos42)}
-    ech = Echelon(len(monos42), p)
-    for row in span:
-        ech.add(row)
-    monos44 = cox_slice(GENERIC_E, 4, -4)
-    quartic_monos = nvar_monomials(4, 4)
-    if len(monos44) != len(quartic_monos):
+    reduced, pivots = rref_mod(surface.slice_span(4, -2), p)
+    keys42 = slice_keys(GENERIC_E, 4, -2)
+    # row of the RREF whose pivot is column k, or -1
+    pivot_row = np.full(len(keys42), -1)
+    pivot_row[list(pivots)] = np.arange(len(pivots))
+    # slice (4, -4) must be the x-quartics, in the order of monomials(4, 4)
+    quartic_monos = monomials(4, 4)
+    if cox_slice(GENERIC_E, 4, -4) != tuple((m + (0,), (0, 0)) for m in quartic_monos):
         raise NetError("slice (4,-4) is not the space of x-quartics")
+    keys44 = slice_keys(GENERIC_E, 4, -4)
+    index42 = KeyIndex(keys42)
+    rows = np.arange(len(keys44))
     conditions = []
-    for beta in ((2, 0), (1, 1), (0, 2)):
-        block = np.zeros((len(monos44), len(monos42)), dtype=np.int64)
-        for r, (alpha, b0) in enumerate(monos44):
-            shifted = (alpha, (b0[0] + beta[0], b0[1] + beta[1]))
-            vec = np.zeros(len(monos42), dtype=np.int64)
-            vec[pos42[shifted]] = 1
-            block[r] = ech._reduce(vec)
+    for tkey in slice_keys(GENERIC_E, 0, 2):
+        # the unit vector e_k reduces modulo the span to e_k - R[i] when k
+        # is the pivot of RREF row i, and to itself otherwise
+        cols = index42.find(add_keys(keys44, tkey))
+        block = np.zeros((len(keys44), len(keys42)), dtype=np.int64)
+        block[rows, cols] = 1
+        hit = pivot_row[cols] >= 0
+        block[hit] = (block[hit] - reduced[pivot_row[cols[hit]]]) % p
         conditions.append(block)
-    stacked = np.concatenate(conditions, axis=1)
-    kernel = kernel_mod(stacked.T, p)
+    kernel = kernel_mod(np.concatenate(conditions, axis=1).T, p)
     if len(kernel) != 1:
         raise NetError(f"relation space not 1-dimensional: {len(kernel)}")
-    fvec = kernel[0] % p
-    # translate cox monomials (pure x-part) to quartic monomials in y1..y4
-    out = np.zeros(len(quartic_monos), dtype=np.int64)
-    qpos = {m: i for i, m in enumerate(quartic_monos)}
-    for c, (alpha, _beta) in zip(fvec, monos44):
-        if int(c):
-            out[qpos[alpha[:4]]] = int(c)
+    out = kernel[0] % p
     coeffs_in_net = solve_mod(net.basis.T, out, p)
     if coeffs_in_net is None:
         raise NetError("surface quartic does not lie in the net")
@@ -408,7 +358,7 @@ class GammaCurve:
     """Cubic in the net plane traced by the pencil of syzygy-scheme surfaces."""
 
     prime: int
-    cubic: np.ndarray      # 10 coefficients over nvar_monomials(3, 3)
+    cubic: np.ndarray      # 10 coefficients over monomials(3, 3)
     samples: tuple         # ((lam, mu), net coordinates) pairs
 
 
@@ -439,7 +389,7 @@ def fit_gamma(samples, p: int, holdout: int = 3) -> GammaCurve:
 def plane_forms_through(points: np.ndarray, d: int, p: int) -> np.ndarray:
     """Canonical basis of the degree-d ternary forms vanishing at the
     columns of points (a 3 x n array)."""
-    n = len(nvar_monomials(3, d))
+    n = len(monomials(d, 3))
     rows = np.stack([eval_nvar(_unit(n, i), 3, d, points, p) for i in range(n)])
     return kernel_mod(rows.T, p)
 
@@ -485,33 +435,13 @@ def _cubic_points_on_line(gamma: GammaCurve, rng: random.Random, p: int):
     b = np.array([rng.randrange(p) for _ in range(3)], dtype=np.int64)
     if rank_mod(np.stack([a, b]), p) != 2:
         return None
-    coeffs = _restrict_cubic(gamma.cubic, a, b, p)
+    coeffs = restrict_to_line(gamma.cubic, 3, a, b, p)
     if not any(coeffs):
         return None
     pts = []
     for (s, t) in binary_form_roots(coeffs, p):
         pts.append(tuple(int(v) for v in (s * a + t * b) % p))
     return pts
-
-
-def _restrict_cubic(cubic, a, b, p):
-    """Binary cubic F(s*a + t*b), coefficients by t-degree."""
-    out = [0, 0, 0, 0]
-    for c, expo in zip(cubic, nvar_monomials(3, 3)):
-        c = int(c) % p
-        if not c:
-            continue
-        term = [c]
-        for var, e in enumerate(expo):
-            for _ in range(e):
-                nxt = [0] * (len(term) + 1)
-                for i, cv in enumerate(term):
-                    nxt[i] = (nxt[i] + cv * int(a[var])) % p
-                    nxt[i + 1] = (nxt[i + 1] + cv * int(b[var])) % p
-                term = nxt
-        for i, cv in enumerate(term):
-            out[i] = (out[i] + cv) % p
-    return out
 
 
 def _line_divides_cubic(gamma: GammaCurve, a, b, p: int) -> bool:
@@ -580,7 +510,7 @@ def _resultant_w(q1, q2, p: int):
 
     def w_poly(coeffs, u0, v0):
         by_w: dict = {}
-        for c, (i, j, k) in zip(coeffs, nvar_monomials(3, 2)):
+        for c, (i, j, k) in zip(coeffs, monomials(2, 3)):
             c = int(c) % p
             if c:
                 by_w[k] = (by_w.get(k, 0) + c * pow(u0, i, p) * pow(v0, j, p)) % p
@@ -606,62 +536,17 @@ def _common_quadratic_roots(parts, u0, v0, p: int) -> list:
     polys = []
     for q in parts:
         by_w = [0, 0, 0]
-        for c, (i, j, k) in zip(q, nvar_monomials(3, 2)):
+        for c, (i, j, k) in zip(q, monomials(2, 3)):
             c = int(c) % p
             if c:
                 by_w[k] = (by_w[k] + c * pow(u0, i, p) * pow(v0, j, p)) % p
         polys.append(by_w)
     roots = None
-    for by_w in polys:
-        if not any(by_w):
-            continue
-        cur = set()
-        c0, c1, c2 = by_w[0], by_w[1], by_w[2]  # c2 w^2 + c1 w + c0
-        if c2 == 0 and c1 == 0:
-            continue
-        if c2 == 0:
-            cur.add((-c0) * pow(c1, -1, p) % p)
-        else:
-            disc = (c1 * c1 - 4 * c2 * c0) % p
-            r = _sqrt_mod(disc, p)
-            if r is None:
-                cur = set()
-            else:
-                inv = pow(2 * c2 % p, -1, p)
-                cur.add((-c1 + r) * inv % p)
-                cur.add((-c1 - r) * inv % p)
-        roots = cur if roots is None else roots & cur
-        if not roots:
-            return []
-    return sorted(roots) if roots else []
-
-
-def _sqrt_mod(a: int, p: int):
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+    for c0, c1, c2 in polys:  # c2 w^2 + c1 w + c0
+        if c0 or c1 or c2:  # the zero polynomial does not constrain w
+            cur = set(roots_mod([c2, c1, c0], p))
+            roots = cur if roots is None else roots & cur
+    return sorted(roots or [])
 
 
 def normalize_point(pt, p: int):
@@ -687,7 +572,7 @@ def _quadratic_part_rank(cubic, point, p: int) -> int:
     moved = substitute_linear(cubic, 3, 3, t3, p)
     # now the singular point is (0 : 0 : 1); read the coefficient of z * (quadratic in x, y)
     hess = np.zeros((2, 2), dtype=np.int64)
-    index = {m: i for i, m in enumerate(nvar_monomials(3, 3))}
+    index = {m: i for i, m in enumerate(monomials(3, 3))}
     hess[0, 0] = 2 * moved[index[(2, 0, 1)]] % p
     hess[1, 1] = 2 * moved[index[(0, 2, 1)]] % p
     hess[0, 1] = hess[1, 0] = moved[index[(1, 1, 1)]] % p
@@ -785,8 +670,8 @@ def macaulay_resultant_smooth(quartic, p: int, seed: int = 0, tries: int = 6) ->
 
 
 def _macaulay_ratio(cubics, p: int):
-    monos9 = nvar_monomials(4, 9)
-    monos3 = nvar_monomials(4, 3)
+    monos9 = monomials(9, 4)
+    monos3 = monomials(3, 4)
     idx9 = {m: i for i, m in enumerate(monos9)}
     size = len(monos9)
     mat = np.zeros((size, size), dtype=np.int64)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,11 +28,15 @@ from .scroll import (
     GENUS,
     GONALITY,
     CanonicalCoordinates,
+    CoxPoly,
+    KeyIndex,
+    add_keys,
     adjoint_dims,
-    cox_slice,
     euler_scroll,
+    module_keys,
     monomial_value_matrix,
     point_values,
+    slice_keys,
 )
 
 
@@ -248,8 +251,8 @@ class SliceContext:
         key = (a, b)
         if key in self._slices:
             return self._slices[key]
-        monos = cox_slice(self.e, a, b)
-        if not monos:
+        monos = slice_keys(self.e, a, b)
+        if not len(monos):
             out = np.zeros((0, 0), dtype=np.int64)
             self._slices[key] = out
             return out
@@ -276,102 +279,25 @@ class SliceContext:
 # --- free-module machinery -------------------------------------------------
 #
 # An element of the free module F over generators with slice twists
-# twists[j] = (a_j, b_j), homogeneous of bidegree (a, b), is a dict
-# {(j, mono): coeff} with mono in cox_slice(a - a_j, b - b_j).  Level-0
-# elements (ring elements) use the single generator index 0 of twist (0, 0).
-#
-# The matrices are built on integer keys instead: the term (j, (alpha, beta))
-# is j followed by the seven exponents as 6-bit digits.  Every exponent stays
-# below KEY_RADIX = 32, so adding the key of a monomial (j = 0) never carries,
-# key(j, e + m) = key(j, e) + key(0, m), and a digit that reaches 32 in a sum
-# flags an exponent overflow.
-
-KEY_RADIX = 32
-_DIGIT_BITS = 6
-_NVARS = 7
-_J_SHIFT = _DIGIT_BITS * _NVARS
-_MONO_MASK = (1 << _J_SHIFT) - 1
-_CARRY_BITS = sum(KEY_RADIX << (_DIGIT_BITS * i) for i in range(_NVARS))
-_WEIGHTS = np.array(
-    [1 << (_DIGIT_BITS * (_NVARS - 1 - i)) for i in range(_NVARS)], dtype=np.int64
-)
-
-
-def term_keys(terms) -> np.ndarray:
-    """Keys of the terms (j, (alpha, beta)), in the given order."""
-    rows = [(j,) + tuple(alpha) + tuple(beta) for j, (alpha, beta) in terms]
-    digits = np.array(rows, dtype=np.int64).reshape(len(rows), 1 + _NVARS)
-    exps = digits[:, 1:]
-    if exps.size and (exps.min() < 0 or exps.max() >= KEY_RADIX):
-        raise ValueError(f"exponent outside [0, {KEY_RADIX}) cannot be keyed")
-    if digits.size and (digits[:, 0].min() < 0 or digits[:, 0].max() >= 1 << (63 - _J_SHIFT)):
-        raise ValueError("generator index cannot be keyed")
-    return (digits[:, 0] << _J_SHIFT) + exps @ _WEIGHTS
-
-
-@lru_cache(maxsize=None)
-def _slice_keys(e: tuple, a: int, b: int) -> np.ndarray:
-    """Keys of cox_slice(e, a, b) as generator-0 terms, in slice order."""
-    keys = term_keys([(0, mono) for mono in cox_slice(e, a, b)])
-    keys.flags.writeable = False
-    return keys
-
-
-def module_keys(twists, e, a: int, b: int) -> np.ndarray:
-    """Keys of module_slice(twists, e, a, b), in the same order."""
-    parts = [_slice_keys(e, a - aj, b - bj) + (j << _J_SHIFT)
-             for j, (aj, bj) in enumerate(twists)]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
-def add_keys(keys: np.ndarray, mono_keys: np.ndarray) -> np.ndarray:
-    """Keys of terms times monomials (numpy broadcasting), overflow checked."""
-    out = keys + mono_keys
-    if (out & _CARRY_BITS).any():
-        raise ValueError(f"exponent sum reaches {KEY_RADIX}: keys would carry")
-    return out
-
-
-class KeyIndex:
-    """Positions of keys in a fixed basis, looked up by binary search.
-
-    A key missing from the basis is a programming error, not a mathematical
-    outcome, so it raises ValueError like the key arithmetic above."""
-
-    def __init__(self, keys: np.ndarray):
-        self.size = len(keys)
-        self._order = np.argsort(keys, kind="stable")
-        self._sorted = keys[self._order]
-
-    def find(self, query: np.ndarray) -> np.ndarray:
-        at = np.searchsorted(self._sorted, query)
-        if (at >= self.size).any() or not np.array_equal(self._sorted[at], query):
-            raise ValueError("term outside the target slice")
-        return self._order[at]
-
-
-def module_slice(twists, e, a: int, b: int) -> list:
-    """Ordered basis [(j, mono)] of the degree-(a, b) slice of the free module."""
-    out = []
-    for j, (aj, bj) in enumerate(twists):
-        for mono in cox_slice(e, a - aj, b - bj):
-            out.append((j, mono))
-    return out
+# twists[j] = (a_j, b_j), homogeneous of bidegree (a, b), is a CoxPoly whose
+# keys carry the generator index j and a monomial of cox_slice(a - a_j,
+# b - b_j); its coordinates are taken over module_keys(twists, e, a, b).
+# Level-0 elements (ring elements) use the single generator 0 of twist (0, 0).
 
 
 def free_map_matrix(step: "ResolutionStep", e, a: int, b: int, p: int) -> np.ndarray:
-    """Matrix of F_step -> F_(step-1) on the (a, b) slices: one row per
-    (j, mono) of module_slice(step.twists, ...), holding gens[j] * mono in
-    the basis module_slice(step.cod_twists, ...)."""
+    """Matrix of F_step -> F_(step-1) on the (a, b) slices: one row per key
+    of module_keys(step.twists, ...), generator j times monomial m holding
+    gens[j] * m over module_keys(step.cod_twists, ...)."""
     index = KeyIndex(module_keys(step.cod_twists, e, a, b))
-    mults = [_slice_keys(e, a - aj, b - bj) for aj, bj in step.twists]
+    mults = [slice_keys(e, a - aj, b - bj) for aj, bj in step.twists]
     mat = np.zeros((sum(len(m) for m in mults), index.size), dtype=np.int64)
     row = 0
-    for (keys, coefs), mono_keys in zip(step.terms, mults):
+    for gen, mono_keys in zip(step.gens, mults):
         n = len(mono_keys)
         if n:
-            cols = index.find(add_keys(keys[None, :], mono_keys[:, None]))
-            mat[np.arange(row, row + n)[:, None], cols] = coefs % p
+            cols = index.find(add_keys(gen.keys[None, :], mono_keys[:, None]))
+            mat[np.arange(row, row + n)[:, None], cols] = gen.coefs
         row += n
     return mat
 
@@ -382,7 +308,7 @@ class SyzygyBlock:
 
     index: int                 # homological index of the NEW generators
     slice_bidegree: tuple      # (a, b) section bidegree of the slice
-    columns: list              # ordered (j, mono) pairs over the previous step
+    columns: np.ndarray        # module keys of the columns over the previous step
     kernel: np.ndarray         # all syzygies in this slice (rows)
     new_generators: np.ndarray # representatives minimal over lower slices
 
@@ -402,16 +328,9 @@ class ResolutionStep:
 
     index: int
     twists: list          # slice bidegrees (a, b) of the generators
-    gens: list            # dict representations over cod_twists
+    gens: list            # CoxPoly module elements over cod_twists
     kernels: dict         # (a, b) -> SyzygyBlock computed while minimalising
     cod_twists: list = field(default_factory=lambda: [(0, 0)])
-    terms: list = field(init=False, repr=False)  # (keys, coefs) of each gen
-
-    def __post_init__(self):
-        self.terms = [
-            (term_keys(gen), np.fromiter(gen.values(), dtype=np.int64, count=len(gen)))
-            for gen in self.gens
-        ]
 
 
 def _new_representatives(kernel: np.ndarray, multiples: np.ndarray, p: int) -> np.ndarray:
@@ -454,7 +373,7 @@ def _new_representatives(kernel: np.ndarray, multiples: np.ndarray, p: int) -> n
 def _multiples_span(kernels: dict, twists, e, a: int, b: int, p: int) -> np.ndarray:
     """Span of all lower-slice syzygies times monomials, inside slice (a, b).
 
-    The syzygies are vectors over module_slice(twists, ...) of their own
+    The syzygies are vectors over module_keys(twists, ...) of their own
     slice; the rows come vector by vector, and within a vector monomial by
     monomial in cox_slice order.
     """
@@ -463,7 +382,7 @@ def _multiples_span(kernels: dict, twists, e, a: int, b: int, p: int) -> np.ndar
     for (a2, b2), block in kernels.items():
         if (a2, b2) == (a, b) or a2 > a or (a2 == a and b2 >= b):
             continue
-        mults = _slice_keys(e, a - a2, b - b2)
+        mults = slice_keys(e, a - a2, b - b2)
         if len(mults):
             lower.append((module_keys(twists, e, a2, b2), mults, block.kernel))
     span = np.zeros((sum(len(m) * len(k) for _, m, k in lower), index.size), dtype=np.int64)
@@ -493,11 +412,10 @@ def ideal_generator_step(ctx: SliceContext, window=GENERATOR_WINDOW) -> Resoluti
     kernels: dict = {}
     boundary_new = 0
     for b in sorted(window):
-        monos = cox_slice(e, 2, b)
-        if not monos:
+        columns = slice_keys(e, 2, b)
+        if not len(columns):
             continue
         slice_basis = ctx.ideal_slice(2, b)
-        columns = [(0, mono) for mono in monos]
         multiples = _multiples_span(kernels, [(0, 0)], e, 2, b, p)
         if multiples.size:
             # lower-twist multiples must stay inside the slice
@@ -509,7 +427,7 @@ def ideal_generator_step(ctx: SliceContext, window=GENERATOR_WINDOW) -> Resoluti
         kernels[(2, b)] = SyzygyBlock(1, (2, b), columns, slice_basis, new)
         for row in new:
             twists.append((2, b))
-            gens.append({(0, mono): int(c) for mono, c in zip(monos, row) if int(c)})
+            gens.append(CoxPoly(p, columns, row))
         if b == max(window) and new.shape[0]:
             boundary_new = new.shape[0]
     if boundary_new:
@@ -533,8 +451,8 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
     boundary = max(window)
     boundary_new = 0
     for b in sorted(window):
-        columns = module_slice(prev_twists, e, a, b)
-        if not columns:
+        columns = module_keys(prev_twists, e, a, b)
+        if not len(columns):
             continue
         mat = free_map_matrix(prev, e, a, b, p)
         kernel = kernel_mod(mat.T, p)
@@ -552,7 +470,7 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
         kernels[(a, b)] = block
         for row in new:
             twists.append((a, b))
-            gens.append({col: int(c) for col, c in zip(columns, row) if int(c)})
+            gens.append(CoxPoly(p, columns, row))
         if b == boundary and new.shape[0]:
             boundary_new = new.shape[0]
     if boundary_new:
@@ -563,32 +481,10 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
 
 
 def _verify_composition(steps: list, p: int):
-    """d_{i} o d_{i+1} = 0, asserted exactly on every chosen generator.
-
-    Each generator's image is summed over the keys of its shifted terms;
-    every product is reduced mod p before the sum, so the sums stay far
-    below 2^63 for any p < 2^31.
-    """
+    """d_{i} o d_{i+1} = 0, asserted exactly on every chosen generator."""
     for idx in range(1, len(steps)):
-        if not steps[idx].gens:
-            continue
-        lower = steps[idx - 1].terms
-        lens = np.array([len(k) for k, _ in lower], dtype=np.int64)
-        starts = np.cumsum(lens) - lens
-        low_keys = np.concatenate([k for k, _ in lower])
-        low_coefs = np.concatenate([c for _, c in lower]) % p
-        for keys, coefs in steps[idx].terms:
-            j = keys >> _J_SHIFT
-            counts = lens[j]
-            # term t reads low_keys[starts[j_t] : starts[j_t] + counts[t]]
-            offsets = starts[j] - (np.cumsum(counts) - counts)
-            at = np.arange(counts.sum()) + np.repeat(offsets, counts)
-            image = add_keys(low_keys[at], np.repeat(keys & _MONO_MASK, counts))
-            prods = low_coefs[at] * np.repeat(coefs % p, counts) % p
-            uniq, inverse = np.unique(image, return_inverse=True)
-            sums = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(sums, inverse, prods)
-            if (sums % p).any():
+        for gen in steps[idx].gens:
+            if not gen.image(steps[idx - 1].gens).is_zero():
                 raise ResolutionError(
                     f"differential composition nonzero at step {steps[idx].index}"
                 )

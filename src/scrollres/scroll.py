@@ -32,9 +32,10 @@ from .ffield import rank_mod
 from .plane_curve import (
     evaluate_form,
     linear_system,
-    monomial_count,
     monomials,
+    multiply_forms,
     power_table,
+    restrict_to_line,
 )
 
 GENUS = 9
@@ -65,24 +66,12 @@ class ScrollType:
 
 
 @lru_cache(maxsize=None)
-def _compositions(total: int, parts: int) -> tuple:
-    """Weak compositions of total into parts, lexicographically descending."""
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def cox_slice(e: tuple, a: int, b: int) -> tuple:
     """All exponent pairs ((alpha, beta)) of bidegree (a, b), fixed order."""
     if a < 0:
         return ()
     out = []
-    for alpha in _compositions(a, len(e)):
+    for alpha in monomials(a, len(e)):
         m = b + sum(ai * ei for ai, ei in zip(alpha, e))
         if m < 0:
             continue
@@ -106,8 +95,97 @@ def euler_scroll(e, a: int, b: int) -> int:
         return 0
     return sum(
         b + sum(ai * ei for ai, ei in zip(alpha, e)) + 1
-        for alpha in _compositions(a, len(e))
+        for alpha in monomials(a, len(e))
     )
+
+
+# --- Cox monomial keys -----------------------------------------------------
+#
+# The term (j, (alpha, beta)) of a free module over the Cox ring, generator j
+# times x^alpha t^beta, is keyed by the int64 j followed by the seven
+# exponents as 6-bit digits; ring elements have j = 0.  Every exponent stays
+# below KEY_RADIX = 32, so adding the key of a monomial (j = 0) never
+# carries, key(j, e + m) = key(j, e) + key(0, m), and a digit that reaches
+# 32 in a sum flags an exponent overflow.  Within one generator the key
+# order is the lexicographic order of (alpha, beta).
+
+KEY_RADIX = 32
+_DIGIT_BITS = 6
+_NVARS = 7
+_J_SHIFT = _DIGIT_BITS * _NVARS
+_MONO_MASK = (1 << _J_SHIFT) - 1
+_CARRY_BITS = sum(KEY_RADIX << (_DIGIT_BITS * i) for i in range(_NVARS))
+_SHIFTS = np.array([_DIGIT_BITS * (_NVARS - 1 - i) for i in range(_NVARS)], dtype=np.int64)
+
+
+def term_keys(terms) -> np.ndarray:
+    """Keys of the terms (j, (alpha, beta)), in the given order."""
+    rows = [(j,) + tuple(alpha) + tuple(beta) for j, (alpha, beta) in terms]
+    digits = np.array(rows, dtype=np.int64).reshape(len(rows), 1 + _NVARS)
+    exps = digits[:, 1:]
+    if exps.size and (exps.min() < 0 or exps.max() >= KEY_RADIX):
+        raise ValueError(f"exponent outside [0, {KEY_RADIX}) cannot be keyed")
+    if digits.size and (digits[:, 0].min() < 0 or digits[:, 0].max() >= 1 << (63 - _J_SHIFT)):
+        raise ValueError("generator index cannot be keyed")
+    return (digits[:, 0] << _J_SHIFT) + (exps << _SHIFTS).sum(axis=1)
+
+
+def split_keys(keys: np.ndarray) -> tuple:
+    """(generator indices, monomial keys) of the keys."""
+    return keys >> _J_SHIFT, keys & _MONO_MASK
+
+
+def key_exponents(keys: np.ndarray) -> np.ndarray:
+    """(n, 7) exponents (alpha, beta) of the monomial part of n keys."""
+    return (np.asarray(keys, dtype=np.int64)[:, None] >> _SHIFTS) & ((1 << _DIGIT_BITS) - 1)
+
+
+@lru_cache(maxsize=None)
+def slice_keys(e: tuple, a: int, b: int) -> np.ndarray:
+    """Keys of cox_slice(e, a, b) as generator-0 terms, in slice order."""
+    keys = term_keys([(0, mono) for mono in cox_slice(e, a, b)])
+    keys.flags.writeable = False
+    return keys
+
+
+def module_keys(twists, e, a: int, b: int) -> np.ndarray:
+    """Keys of the degree-(a, b) slice of the free module with generators of
+    slice twists (a_j, b_j): generator by generator, each in slice order."""
+    parts = [slice_keys(e, a - aj, b - bj) + (j << _J_SHIFT)
+             for j, (aj, bj) in enumerate(twists)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def add_keys(keys: np.ndarray, mono_keys: np.ndarray) -> np.ndarray:
+    """Keys of terms times monomials (numpy broadcasting), overflow checked."""
+    out = keys + mono_keys
+    if (out & _CARRY_BITS).any():
+        raise ValueError(f"exponent sum reaches {KEY_RADIX}: keys would carry")
+    return out
+
+
+class KeyIndex:
+    """Positions of keys in a fixed basis, looked up by binary search.
+
+    A key missing from the basis is a programming error, not a mathematical
+    outcome, so it raises ValueError like the key arithmetic above."""
+
+    def __init__(self, keys: np.ndarray):
+        self.size = len(keys)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._order]
+
+    def find(self, query: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(self._sorted, query)
+        if (at >= self.size).any() or not np.array_equal(self._sorted[at], query):
+            raise ValueError("term outside the target slice")
+        return self._order[at]
+
+
+@lru_cache(maxsize=None)
+def slice_index(e: tuple, a: int, b: int) -> KeyIndex:
+    """KeyIndex of slice_keys(e, a, b)."""
+    return KeyIndex(slice_keys(e, a, b))
 
 
 @dataclass(frozen=True)
@@ -160,41 +238,6 @@ def adjoint_dims(model):
     return (d0, d1, d2)
 
 
-def _restrict_to_line(coeffs, d: int, a_pt, b_pt, p: int) -> list:
-    """Binary form F(s*A + t*B) as coefficients [s^d, s^(d-1)t, ..., t^d]."""
-    ax, ay, az = (int(v) % p for v in a_pt)
-    bx, by, bz = (int(v) % p for v in b_pt)
-    lin = {0: [ax, bx], 1: [ay, by], 2: [az, bz]}
-
-    def binpow(linear, n):
-        out = [1]
-        for _ in range(n):
-            nxt = [0] * (len(out) + 1)
-            for i, c in enumerate(out):
-                nxt[i] = (nxt[i] + c * linear[0]) % p
-                nxt[i + 1] = (nxt[i + 1] + c * linear[1]) % p
-            out = nxt
-        return out
-
-    total = [0] * (d + 1)
-    for c, (i, j, k) in zip(coeffs, monomials(d)):
-        if not c:
-            continue
-        term = [1]
-        for exp, var in ((i, 0), (j, 1), (k, 2)):
-            if exp:
-                factor = binpow(lin[var], exp)
-                nxt = [0] * (len(term) + len(factor) - 1)
-                for u, cu in enumerate(term):
-                    if cu:
-                        for v, cv in enumerate(factor):
-                            nxt[u + v] = (nxt[u + v] + cu * cv) % p
-                term = nxt
-        for idx, cv in enumerate(term):
-            total[idx] = (total[idx] + int(c) * cv) % p
-    return total
-
-
 def pencil_from_node(model, max_tries: int = 64):
     """Two lines l1, l2 through q spanning the pencil, chosen so that neither
     passes through another singular point and each meets the curve at q with
@@ -238,7 +281,7 @@ def _line_residual_degree_six(pm, line) -> bool:
     other = on_line(0)
     if other == q:
         other = on_line(1)
-    restricted = _restrict_to_line(pm.coeffs, pm.degree, q, other, p)
+    restricted = restrict_to_line(pm.coeffs, pm.degree, q, other, p)
     # coefficients are indexed by t-degree and (s:t) = (1:0) is q, so q must
     # be a root of multiplicity exactly q_mult
     return (
@@ -262,7 +305,7 @@ def canonical_coordinates(model, pencil) -> CanonicalCoordinates:
     products = []
     for quartic in quartics:
         for line in pencil:
-            products.append(_plane_product(quartic, q_degree, line, 1, p))
+            products.append(multiply_forms(quartic, q_degree, line, 1, p))
     prod = np.stack(products)
     if rank_mod(prod, p) != 8:
         raise ScrollError("multiplication map degenerate: product span below 8")
@@ -280,21 +323,6 @@ def canonical_coordinates(model, pencil) -> CanonicalCoordinates:
             raise ScrollError("canonical representative misses a singular point")
     return CanonicalCoordinates(p, tuple(pencil), tuple(quartics), phi,
                                 q_degree, phi_degree)
-
-
-def _plane_product(f, df: int, g, dg: int, p: int) -> np.ndarray:
-    """Coefficient vector of the product of two plane forms."""
-    index = {m: i for i, m in enumerate(monomials(df + dg))}
-    out = np.zeros(monomial_count(df + dg), dtype=np.int64)
-    for cf, mf in zip(f, monomials(df)):
-        if not cf:
-            continue
-        for cg, mg in zip(g, monomials(dg)):
-            if not cg:
-                continue
-            tgt = tuple(u + v for u, v in zip(mf, mg))
-            out[index[tgt]] = (out[index[tgt]] + int(cf) * int(cg)) % p
-    return out
 
 
 def scroll_type(model, pencil) -> ScrollType:
@@ -317,26 +345,15 @@ def point_values(model, coords: CanonicalCoordinates, points) -> np.ndarray:
     return np.stack(rows)
 
 
-def monomial_value_matrix(values: np.ndarray, slice_monos, p: int) -> np.ndarray:
-    """Rows: Cox monomials of one slice evaluated at the points behind values."""
-    n = values.shape[1]
-    if not slice_monos:
-        return np.zeros((0, n), dtype=np.int64)
-    max_exp = max(max(alpha) for alpha, _ in slice_monos)
-    max_exp = max(
-        max_exp, max(max(beta) for _, beta in slice_monos)
-    )
-    tables = [power_table(values[i], max_exp, p) for i in range(7)]
-    out = np.empty((len(slice_monos), n), dtype=np.int64)
-    for r, (alpha, beta) in enumerate(slice_monos):
-        acc = np.ones(n, dtype=np.int64)
-        for var, exp in enumerate(alpha):
-            if exp:
-                acc = acc * tables[var][exp] % p
-        for var, exp in enumerate(beta):
-            if exp:
-                acc = acc * tables[5 + var][exp] % p
-        out[r] = acc
+def monomial_value_matrix(values: np.ndarray, keys: np.ndarray, p: int) -> np.ndarray:
+    """Rows: the Cox monomials of the keys evaluated at the points behind
+    values (the (7, n) array from point_values)."""
+    exps = key_exponents(keys)
+    out = np.ones((len(keys), values.shape[1]), dtype=np.int64)
+    for var in range(_NVARS):
+        top = int(exps[:, var].max(initial=0))
+        if top:
+            out = out * power_table(values[var], top, p)[exps[:, var]] % p
     return out
 
 
@@ -391,86 +408,73 @@ def eval_quadrics(quadrics: np.ndarray, points9: np.ndarray, p: int) -> np.ndarr
 
 
 class CoxPoly:
-    """Sparse bigraded polynomial in x1..x5, t0, t1 over F_p."""
+    """Sparse element of a free module over the Cox ring, over F_p.
 
-    __slots__ = ("prime", "terms")
+    keys holds the sorted, unique term keys (term_keys; a ring element has
+    generator index 0) and coefs their coefficients, all in [1, p)."""
 
-    def __init__(self, prime: int, terms=None):
-        self.prime = prime
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c %= prime
-                if c:
-                    self.terms[key] = c
+    __slots__ = ("prime", "keys", "coefs")
 
-    @classmethod
-    def monomial(cls, alpha, beta, p: int, coeff: int = 1) -> "CoxPoly":
-        return cls(p, {(tuple(alpha), tuple(beta)): coeff})
+    def __init__(self, prime: int, keys=(), coefs=()):
+        """Coefficients are reduced mod p, then terms with equal keys summed
+        and zero coefficients dropped; keys that are already sorted and
+        unique skip the summation."""
+        keys = np.asarray(keys, dtype=np.int64)
+        coefs = np.asarray(coefs, dtype=np.int64) % prime
+        if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys, coefs = keys[order], coefs[order]
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            keys, coefs = keys[starts], np.add.reduceat(coefs, starts) % prime
+        nonzero = coefs != 0
+        self.prime, self.keys, self.coefs = prime, keys[nonzero], coefs[nonzero]
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def copy(self) -> "CoxPoly":
-        return CoxPoly(self.prime, dict(self.terms))
+        return not len(self.keys)
 
     def add(self, other: "CoxPoly") -> "CoxPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = (out.get(key, 0) + c) % self.prime
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return CoxPoly(self.prime, out)
+        return CoxPoly(self.prime, np.concatenate([self.keys, other.keys]),
+                       np.concatenate([self.coefs, other.coefs]))
 
     def scale(self, c: int) -> "CoxPoly":
-        c %= self.prime
-        return CoxPoly(self.prime, {k: v * c % self.prime for k, v in self.terms.items()})
+        return CoxPoly(self.prime, self.keys, self.coefs * (c % self.prime))
 
     def sub(self, other: "CoxPoly") -> "CoxPoly":
         return self.add(other.scale(self.prime - 1))
 
     def mul(self, other: "CoxPoly") -> "CoxPoly":
-        out = {}
-        p = self.prime
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (
-                    tuple(u + v for u, v in zip(a1, a2)),
-                    tuple(u + v for u, v in zip(b1, b2)),
-                )
-                out[key] = (out.get(key, 0) + c1 * c2) % p
-        return CoxPoly(p, out)
+        """Product with a ring element: every key sum through add_keys, each
+        coefficient product (below p^2 < 2^62) reduced mod p by the
+        constructor before equal keys are summed.  A one-term factor is a key
+        shift, which keeps the keys sorted."""
+        keys = add_keys(self.keys[:, None], other.keys[None, :])
+        coefs = self.coefs[:, None] * other.coefs[None, :]
+        return CoxPoly(self.prime, keys.ravel(), coefs.ravel())
 
-    def bidegrees(self, e=GENERIC_E):
-        degs = set()
-        for alpha, beta in self.terms:
-            a = sum(alpha)
-            degs.add((a, sum(beta) - sum(ai * ei for ai, ei in zip(alpha, e))))
-        return degs
+    def image(self, gens) -> "CoxPoly":
+        """Image of this free-module element under the map sending
+        generator j to gens[j]: the term c * m * e_j contributes c * m * gens[j]."""
+        j, monos = split_keys(self.keys)
+        lens = np.array([len(g.keys) for g in gens], dtype=np.int64)
+        counts = lens[j]
+        # term t reads the terms of gens[j_t], which start at starts[j_t]
+        starts = np.cumsum(lens) - lens
+        at = np.arange(counts.sum()) + np.repeat(starts[j] - (np.cumsum(counts) - counts), counts)
+        keys = add_keys(np.concatenate([g.keys for g in gens])[at], np.repeat(monos, counts))
+        coefs = np.concatenate([g.coefs for g in gens])[at] * np.repeat(self.coefs, counts)
+        return CoxPoly(self.prime, keys, coefs)
 
-    def vector(self, slice_monos) -> np.ndarray:
-        index = {m: i for i, m in enumerate(slice_monos)}
-        out = np.zeros(len(slice_monos), dtype=np.int64)
-        for key, c in self.terms.items():
-            if key not in index:
-                raise ScrollError("polynomial has terms outside the requested slice")
-            out[index[key]] = c
+    def vector(self, e, a: int, b: int) -> np.ndarray:
+        """Coefficients over cox_slice(e, a, b); ValueError for a term
+        outside that slice."""
+        index = slice_index(tuple(e), a, b)
+        out = np.zeros(index.size, dtype=np.int64)
+        out[index.find(self.keys)] = self.coefs
         return out
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
-        """values is the (7, n) array from point_values."""
+        """Values at the points behind values (the (7, n) array from
+        point_values)."""
         p = self.prime
-        n = values.shape[1]
-        acc = np.zeros(n, dtype=np.int64)
-        for (alpha, beta), c in self.terms.items():
-            term = np.full(n, c, dtype=np.int64)
-            for var, exp in enumerate(alpha):
-                for _ in range(exp):
-                    term = term * values[var] % p
-            for var, exp in enumerate(beta):
-                for _ in range(exp):
-                    term = term * values[5 + var] % p
-            acc = (acc + term) % p
-        return acc
+        terms = monomial_value_matrix(values, self.keys, p) * self.coefs[:, None] % p
+        return terms.sum(axis=0) % p

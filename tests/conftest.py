@@ -3,7 +3,7 @@ import pytest
 from scrollres import DEFAULT_PRIME
 from scrollres.plane_curve import construct_nodal_octic, sample_smooth_points
 from scrollres.resolution import SliceContext, betti_table
-from scrollres.scroll import CoxPoly, canonical_coordinates, pencil_from_node
+from scrollres.scroll import canonical_coordinates, pencil_from_node
 
 
 @pytest.fixture(scope="session")
@@ -35,11 +35,7 @@ def betti_data(slice_ctx):
 @pytest.fixture(scope="session")
 def generator_polys(betti_data):
     _, steps = betti_data
-    p = DEFAULT_PRIME
-    return [
-        CoxPoly(p, {mono: c for (_z, mono), c in g.items()})
-        for g in steps[0].gens
-    ]
+    return steps[0].gens
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +50,7 @@ def nonic_k3(nonic_chain):
     from scrollres.k3_syzygy import linear_syzygy_space
 
     basis = linear_syzygy_space(nonic_chain.steps, DEFAULT_PRIME)
-    return {"basis": basis, "gens": nonic_chain.generator_polys[:6]}
+    return {"basis": basis, "gens": nonic_chain.steps[0].gens[:6]}
 
 
 @pytest.fixture(scope="session")

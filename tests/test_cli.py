@@ -57,6 +57,16 @@ def test_construct_octic_writes_plane_model_json(tmp_path):
     assert verify_node_report(model)["condition_rank"] == 36
 
 
+def test_common_options_on_either_side_of_the_command(tmp_path):
+    before, after, mixed = (tmp_path / name for name in ("before", "after", "mixed"))
+    assert main(["--seed", "3", "--json", str(before), "construct", "--plane-model", "octic"]) == 0
+    assert main(["construct", "--plane-model", "octic", "--seed", "3", "--json", str(after)]) == 0
+    # an option given before the command is not reset by the command's copy
+    assert main(["--seed", "3", "construct", "--plane-model", "octic", "--json", str(mixed)]) == 0
+    assert before.read_text() == after.read_text() == mixed.read_text()
+    assert json.loads(before.read_text())["model"]["seed"] == 3
+
+
 def test_lattice_command_with_gram_file(tmp_path, capsys):
     gram = {"gram": [[14, 16, 5], [16, 16, 6], [5, 6, 0]], "labels": ["H", "C", "N"]}
     path = tmp_path / "gram.json"

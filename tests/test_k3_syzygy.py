@@ -23,11 +23,13 @@ from scrollres.k3_syzygy import (
     syzygy_scheme,
     verify_containment,
 )
-from scrollres.scroll import GENERIC_E, CoxPoly, cox_slice
+from scrollres.scroll import GENERIC_E, CoxPoly
+
+from dict_cox import DictPoly, monomial
 
 
 def const_poly(c, p=P):
-    return CoxPoly(p, {((0, 0, 0, 0, 0), (0, 0)): c % p})
+    return monomial(p, (0, 0, 0, 0, 0), (0, 0), c % p)
 
 
 def skew_from(upper, n, p=P):
@@ -103,8 +105,7 @@ def test_scheme_vanishes_on_curve(scheme, slice_ctx):
 
 
 def test_entries_span_four_dimensional_space(scheme):
-    monos = cox_slice(GENERIC_E, 1, -1)
-    span = np.stack([l.vector(monos) for l in scheme.ell])
+    span = np.stack([l.vector(GENERIC_E, 1, -1) for l in scheme.ell])
     assert rank_mod(span, P) == 4
 
 
@@ -126,7 +127,7 @@ def test_pfaffian_squared_is_determinant():
     for _ in range(5):
         vals = [rng.randrange(P) for _ in range(6)]
         m = skew_from(vals, 4)
-        pf = list(pfaffian(m).terms.values())
+        pf = pfaffian(m).coefs.tolist()
         pf_val = pf[0] if pf else 0
         a = np.zeros((4, 4), dtype=np.int64)
         k = 0
@@ -175,11 +176,11 @@ def test_ambiguity_matches_koszul_rank(surface, scheme):
 
 
 def test_q5_has_twist_2H(surface):
-    assert surface.skew.q5.bidegrees() == {(2, 0)}
+    assert DictPoly.from_keyed(surface.skew.q5).bidegrees() == {(2, 0)}
 
 
 def test_q5_in_curve_ideal(surface, slice_ctx):
-    q5v = surface.skew.q5.vector(cox_slice(GENERIC_E, 2, 0))
+    q5v = surface.skew.q5.vector(GENERIC_E, 2, 0)
     assert solve_mod(slice_ctx.ideal_slice(2, 0).T, q5v, P) is not None
 
 
@@ -225,11 +226,10 @@ def test_surface_chi_values():
 
 
 def test_distinct_parameters_give_distinct_surfaces(syzygy_basis, generator_polys):
-    monos = cox_slice(GENERIC_E, 2, 0)
     seen = []
     for mu in (1, 2):
         member = pencil_member(syzygy_basis, 1, mu)
         surf = surface_from_syzygy(syzygy_scheme(member, generator_polys[:6]))
-        seen.append(surf.skew.q5.vector(monos))
+        seen.append(surf.skew.q5.vector(GENERIC_E, 2, 0))
     # q5 differs between pencil members (surfaces are distinct)
     assert rank_mod(np.stack(seen), P) == 2

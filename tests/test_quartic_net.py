@@ -2,16 +2,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import rank_mod
 from scrollres.k3_syzygy import pencil_member, surface_from_syzygy, syzygy_scheme
+from scrollres.plane_curve import monomials
 from scrollres.quartic_net import (
     GammaCurve,
     GammaError,
     NetError,
+    _common_quadratic_roots,
     binary_form_divide_linear,
     binary_form_roots,
+    eval_nvar,
     fit_gamma,
     fit_gamma_map,
     gamma_singular_point,
@@ -19,7 +24,6 @@ from scrollres.quartic_net import (
     interpolate_poly,
     macaulay_resultant_smooth,
     normalize_point,
-    nvar_monomials,
     quartic_net,
     residual_degree,
     residual_image,
@@ -31,7 +35,7 @@ from scrollres.quartic_net import (
 
 def cubic_coeffs(terms: dict) -> np.ndarray:
     vec = np.zeros(10, dtype=np.int64)
-    index = {m: i for i, m in enumerate(nvar_monomials(3, 3))}
+    index = {m: i for i, m in enumerate(monomials(3, 3))}
     for expo, c in terms.items():
         vec[index[expo]] = c % P
     return vec
@@ -39,7 +43,7 @@ def cubic_coeffs(terms: dict) -> np.ndarray:
 
 def quartic_coeffs4(terms: dict) -> np.ndarray:
     vec = np.zeros(35, dtype=np.int64)
-    index = {m: i for i, m in enumerate(nvar_monomials(4, 4))}
+    index = {m: i for i, m in enumerate(monomials(4, 4))}
     for expo, c in terms.items():
         vec[index[expo]] = c % P
     return vec
@@ -104,6 +108,24 @@ def test_binary_form_roots_match_scan(p):
         forms.append([0] + form)  # a root at (1:0) as well
     for form in forms:
         assert binary_form_roots(form, p) == _scan_binary_form_roots(form, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7, 13, 101]).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.lists(st.integers(0, p - 1), min_size=6, max_size=6), min_size=3, max_size=3),
+    st.integers(0, p - 1), st.integers(0, p - 1),
+)))
+def test_common_quadratic_roots_match_scan(case):
+    # three ternary conics restricted to the line (u0 : v0 : w); a conic that
+    # vanishes on the whole line constrains nothing (for p > 2 only the zero
+    # quadratic in w vanishes at every w)
+    p, conics, u0, v0 = case
+    constraining = [q for q in conics if any(
+        eval_nvar(q, 3, 2, np.array([[u0], [v0], [w]]), p)[0] for w in range(p))]
+    scan = [w for w in range(p) if all(
+        eval_nvar(q, 3, 2, np.array([[u0], [v0], [w]]), p)[0] == 0 for q in constraining)]
+    assert _common_quadratic_roots(conics, u0, v0, p) == (scan if constraining else [])
 
 
 # --- residual model and the net -------------------------------------------------

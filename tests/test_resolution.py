@@ -17,108 +17,79 @@ from scrollres.k3_syzygy import (
 from scrollres.pipeline import build_chain
 from scrollres.resolution import (
     GENERIC_BETTI_TABLE,
-    KEY_RADIX,
     BigradedBettiTable,
     ResolutionError,
     ResolutionStep,
     _verify_composition,
-    add_keys,
     ideal_generator_step,
     is_balanced,
-    module_slice,
     schreyer_rank,
     splitting_type,
     syzygy_slope,
+)
+from scrollres.scroll import (
+    GENERIC_E,
+    KEY_RADIX,
+    CoxPoly,
+    add_keys,
+    cox_slice,
+    euler_scroll,
     term_keys,
 )
-from scrollres.scroll import GENERIC_E, cox_slice, euler_scroll
 
+from dict_cox import DictPoly, module_terms
 
 # --- dict-based free-module reference ----------------------------------------
 #
-# An element is a dict {(j, (alpha, beta)): coeff}; these are the per-term
-# shift and scatter the keyed matrices in scrollres.resolution must reproduce
-# entry for entry.
-
-
-def _shift(elem: dict, mono, p: int, coeff: int = 1) -> dict:
-    alpha, beta = mono
-    out = {}
-    for (j, (a2, b2)), c in elem.items():
-        key = (
-            j,
-            (
-                tuple(u + v for u, v in zip(a2, alpha)),
-                tuple(u + v for u, v in zip(b2, beta)),
-            ),
-        )
-        out[key] = c * coeff % p
-    return out
-
-
-def element_vector(elem: dict, basis_pos: dict, size: int, p: int) -> np.ndarray:
-    vec = np.zeros(size, dtype=np.int64)
-    for key, c in elem.items():
-        vec[basis_pos[key]] = c % p
-    return vec
-
-
-def apply_map(gens: list, elem: dict, p: int) -> dict:
-    """Image of a level-(n) element under F_n -> F_(n-1); gens are the
-    level-n generators written as level-(n-1) elements."""
-    out: dict = {}
-    for (j, mono), c in elem.items():
-        for key, c2 in _shift(gens[j], mono, p, c).items():
-            v = (out.get(key, 0) + c2) % p
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
+# DictPoly shifts and scatters term by term; the keyed matrices in
+# scrollres.resolution must reproduce them entry for entry.
 
 
 def _reference_map_matrix(step, e, a, b, p):
-    columns = module_slice(step.twists, e, a, b)
-    cod_basis = module_slice(step.cod_twists, e, a, b)
-    cod_pos = {c: i for i, c in enumerate(cod_basis)}
+    gens = [DictPoly.from_keyed(g) for g in step.gens]
+    cod_basis = module_terms(step.cod_twists, e, a, b)
+    columns = module_terms(step.twists, e, a, b)
     mat = np.zeros((len(columns), len(cod_basis)), dtype=np.int64)
     for ci, (j, mono) in enumerate(columns):
-        mat[ci] = element_vector(_shift(step.gens[j], mono, p), cod_pos, len(cod_basis), p)
+        mat[ci] = gens[j].mul(DictPoly(p, {(0, mono): 1})).vector(cod_basis)
     return mat
 
 
 def _reference_multiples_span(kernels, twists, e, a, b, p):
-    columns = module_slice(twists, e, a, b)
-    columns_pos = {c: i for i, c in enumerate(columns)}
-    size = len(columns)
+    columns = module_terms(twists, e, a, b)
     rows = []
     for (a2, b2), block in kernels.items():
         if (a2, b2) == (a, b) or a2 > a or (a2 == a and b2 >= b):
             continue
+        block_terms = module_terms(twists, e, a2, b2)
+        assert np.array_equal(block.columns, term_keys(block_terms))
         mults = cox_slice(e, a - a2, b - b2)
-        if not mults:
-            continue
         for vec in block.kernel:
-            elem = {col: int(c) for col, c in zip(block.columns, vec) if int(c)}
+            elem = DictPoly(p, dict(zip(block_terms, vec.tolist())))
             for mono in mults:
-                rows.append(element_vector(_shift(elem, mono, p), columns_pos, size, p))
+                rows.append(DictPoly(p, {(0, mono): 1}).mul(elem).vector(columns))
     if not rows:
-        return np.zeros((0, size), dtype=np.int64)
+        return np.zeros((0, len(columns)), dtype=np.int64)
     return np.stack(rows)
 
 
 def _reference_slice_span(surface, a, b):
     p = surface.prime
-    monos = cox_slice(GENERIC_E, a, b)
-    pos = {(0, m): i for i, m in enumerate(monos)}
+    basis = module_terms([(0, 0)], GENERIC_E, a, b)
     rows = []
     for (ga, gb), poly in surface.generators:
-        elem = {(0, key): c for key, c in poly.terms.items()}
+        elem = DictPoly.from_keyed(poly)
         for mult in cox_slice(GENERIC_E, a - ga, b - gb):
-            rows.append(element_vector(_shift(elem, mult, p), pos, len(monos), p))
+            rows.append(elem.mul(DictPoly(p, {(0, mult): 1})).vector(basis))
     if not rows:
-        return np.zeros((0, len(monos)), dtype=np.int64)
+        return np.zeros((0, len(basis)), dtype=np.int64)
     return np.stack(rows)
+
+
+def apply_map(gens: list, elem: CoxPoly) -> dict:
+    """Terms of the image of a level-n element under F_n -> F_(n-1); gens
+    are the level-n generators written as level-(n-1) elements."""
+    return DictPoly.from_keyed(elem).image([DictPoly.from_keyed(g) for g in gens]).terms
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +201,7 @@ def test_differentials_compose_to_zero(table_and_steps, ctx):
     _, steps = table_and_steps
     for idx in range(1, len(steps)):
         for gen in steps[idx].gens:
-            assert apply_map(steps[idx - 1].gens, gen, ctx.prime) == {}
+            assert apply_map(steps[idx - 1].gens, gen) == {}
 
 
 def test_first_syzygy_twists(table_and_steps):
@@ -332,11 +303,11 @@ def test_composition_check_catches_one_changed_coefficient(table_and_steps, ctx)
     _, steps = table_and_steps
     p = ctx.prime
     _verify_composition(steps, p)
-    gen = dict(steps[1].gens[0])
-    key = next(iter(gen))
-    gen[key] = (gen[key] + 1) % p
+    coefs = steps[1].gens[0].coefs.copy()
+    coefs[0] = (coefs[0] + 1) % p
+    gen = CoxPoly(p, steps[1].gens[0].keys, coefs)
     broken = dataclasses.replace(steps[1], gens=[gen] + steps[1].gens[1:])
-    assert apply_map(steps[0].gens, gen, p) != {}
+    assert apply_map(steps[0].gens, gen) != {}
     with pytest.raises(ResolutionError, match="differential composition nonzero at step 2"):
         _verify_composition([steps[0], broken] + steps[2:], p)
 
@@ -353,11 +324,11 @@ def _quadric_steps(p: int, coeffs: list):
     def alpha(idx):
         return tuple(1 if v in idx else 0 for v in range(5))
 
-    lower = [{(0, (alpha(pr), zero_beta)): p - 1} for pr in pairs]
-    upper = {
+    lower = [DictPoly(p, {(0, (alpha(pr), zero_beta)): p - 1}).keyed() for pr in pairs]
+    upper = DictPoly(p, {
         (k, (alpha(set(range(4)) - set(pr)), zero_beta)): c
         for k, (pr, c) in enumerate(zip(pairs, coeffs))
-    }
+    }).keyed()
     steps = [
         ResolutionStep(1, [(2, -2)] * 6, lower, {}),
         ResolutionStep(2, [(4, -4)], [upper], {}, cod_twists=[(2, -2)] * 6),
@@ -372,10 +343,10 @@ def test_composition_sum_at_large_prime_does_not_overflow():
     # them are (p-1)^2, so an unreduced int64 sum would wrap around
     assert 3 * (p - 1) ** 2 > 2 ** 63
     steps, upper = _quadric_steps(p, [p - 1, p - 1, p - 1, 1, 1, 1])
-    assert apply_map(steps[0].gens, upper, p) == {}
+    assert apply_map(steps[0].gens, upper) == {}
     _verify_composition(steps, p)
     steps, upper = _quadric_steps(p, [p - 1, p - 1, p - 1, 1, 1, 2])
-    assert apply_map(steps[0].gens, upper, p) != {}
+    assert apply_map(steps[0].gens, upper) != {}
     with pytest.raises(ResolutionError, match="differential composition nonzero"):
         _verify_composition(steps, p)
 

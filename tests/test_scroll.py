@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import kernel_mod, rank_mod, same_subspace
-from scrollres.plane_curve import PlaneCurveModel, evaluate_form, monomials, sample_smooth_points
+from scrollres.plane_curve import (
+    PlaneCurveModel,
+    evaluate_form,
+    monomials,
+    restrict_to_line,
+    sample_smooth_points,
+)
 from scrollres.scroll import (
     GENERIC_E,
+    KEY_RADIX,
     CoxPoly,
     ScrollError,
     ScrollType,
     _line_residual_degree_six,
-    _restrict_to_line,
     canonical_coordinates,
     canonical_image,
     cox_slice,
@@ -21,7 +29,10 @@ from scrollres.scroll import (
     point_values,
     scroll_minor_quadrics,
     scroll_type,
+    slice_keys,
 )
+
+from dict_cox import DictPoly, module_terms, monomial
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +48,7 @@ def coords(model, pencil):
 def slice_values(model, coords, points, a, b):
     """Values of the slice (a, b) monomials at the points, one row each."""
     values = point_values(model, coords, points)
-    return monomial_value_matrix(values, cox_slice(GENERIC_E, a, b), P)
+    return monomial_value_matrix(values, slice_keys(GENERIC_E, a, b), P)
 
 
 def curve_h0(a, b):
@@ -59,7 +70,7 @@ def test_pencil_residual_degree(model, pencil):
     x = 1
     y = (-(a * x + c)) * pow(b, -1, P) % P if b else 0
     other = (x, y, 1) if b else ((-c) * pow(a, -1, P) % P, 1, 1)
-    coeffs = _restrict_to_line(model.coeffs, 8, model.q, other, P)
+    coeffs = restrict_to_line(model.coeffs, 8, model.q, other, P)
     assert coeffs[0] == 0 and coeffs[1] == 0
     residual = coeffs[2:]
     assert len(residual) == 7 and any(residual)  # degree-6 binary form
@@ -101,13 +112,11 @@ def test_euler_scroll_values():
 
 
 def test_euler_matches_monomial_count_when_nonnegative():
-    from scrollres.scroll import _compositions
-
     for a in range(4):
         for b in range(-2, 3):
             all_nonneg = all(
                 b + sum(ai * ei for ai, ei in zip(alpha, GENERIC_E)) >= 0
-                for alpha in _compositions(a, 5)
+                for alpha in monomials(a, 5)
             )
             if all_nonneg:
                 assert euler_scroll(GENERIC_E, a, b) == len(cox_slice(GENERIC_E, a, b))
@@ -180,27 +189,95 @@ def test_scroll_minors_nonzero_off_scroll(coords):
 
 
 def test_cox_poly_arithmetic():
-    x1 = CoxPoly.monomial((1, 0, 0, 0, 0), (0, 0), P)
-    t0 = CoxPoly.monomial((0, 0, 0, 0, 0), (1, 0), P)
+    x1 = monomial(P, (1, 0, 0, 0, 0), (0, 0))
+    t0 = monomial(P, (0, 0, 0, 0, 0), (1, 0))
     prod = x1.mul(t0)
-    assert prod.bidegrees() == {(1, 0)}
+    assert DictPoly.from_keyed(prod).bidegrees() == {(1, 0)}
     double = prod.add(prod)
-    assert list(double.terms.values()) == [2]
+    assert double.coefs.tolist() == [2]
     assert prod.sub(prod).is_zero()
 
 
+PRIME_BELOW_2_31 = 2147483629
+
+
+def dict_polys(p, gens=1):
+    """Up to six terms over exponents 0..1, so that sums and products often
+    meet on one key; coefficients 1 and p - 1 are drawn often."""
+    term = st.tuples(st.integers(0, gens - 1), st.tuples(*[st.integers(0, 1)] * 7))
+    coef = st.one_of(st.sampled_from([1, p - 1]), st.integers(0, p - 1))
+    return st.dictionaries(term, coef, max_size=6).map(
+        lambda d: DictPoly(p, {(j, (e[:5], e[5:])): c for (j, e), c in d.items()}))
+
+
+def cox_cases(p):
+    return st.tuples(st.just(p), dict_polys(p), dict_polys(p), dict_polys(p),
+                     dict_polys(p, gens=2), st.integers(0, p - 1),
+                     st.lists(st.integers(0, p - 1), min_size=7, max_size=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([P, PRIME_BELOW_2_31]).flatmap(cox_cases))
+def test_keyed_cox_poly_matches_dict_oracle(case):
+    p, f, g, h, elem, c, point = case
+    kf, kg, kh = f.keyed(), g.keyed(), h.keyed()
+    pairs = [(kf.add(kg), f.add(g)), (kf.sub(kg), f.sub(g)), (kf.scale(c), f.scale(c)),
+             (kf.mul(kg), f.mul(g)), (kf.sub(kf), f.sub(f)),
+             (elem.keyed().image([kg, kh]), elem.image([g, h]))]
+    for keyed, ref in pairs:
+        assert DictPoly.from_keyed(keyed).terms == ref.terms
+        assert (np.diff(keyed.keys) > 0).all() and ((keyed.coefs > 0) & (keyed.coefs < p)).all()
+    assert kf.sub(kf).is_zero()
+    values = np.array(point, dtype=np.int64).reshape(7, 1)
+    assert np.array_equal(kf.evaluate(values), f.evaluate(values))
+
+
+@pytest.mark.parametrize("p", [P, PRIME_BELOW_2_31])
+@pytest.mark.parametrize("a,b", [(1, 0), (2, -1), (2, 0)])
+def test_keyed_vector_matches_dict_oracle(p, a, b):
+    rng = np.random.default_rng(a * 7 + b)
+    basis = module_terms([(0, 0)], GENERIC_E, a, b)
+    vec = rng.integers(0, p, size=len(basis)) * rng.integers(0, 2, size=len(basis))
+    poly = DictPoly(p, dict(zip(basis, vec.tolist())))
+    assert np.array_equal(poly.keyed().vector(GENERIC_E, a, b), poly.vector(basis))
+    with pytest.raises(ValueError, match="outside the target slice"):
+        poly.keyed().mul(monomial(p, (0, 0, 0, 0, 0), (1, 0))).vector(GENERIC_E, a, b)
+
+
+def test_keyed_products_at_large_prime():
+    p = PRIME_BELOW_2_31
+    # three (p - 1)^2 products meet on x1 x2 x3 and would wrap around in
+    # int64 if summed unreduced
+    assert 3 * (p - 1) ** 2 > 2 ** 63
+
+    def x(*idx):
+        return (0, (tuple(int(i in idx) for i in range(5)), (0, 0)))
+
+    f = DictPoly(p, {x(0): p - 1, x(1): p - 1, x(2): p - 1})
+    g = DictPoly(p, {x(1, 2): p - 1, x(0, 2): p - 1, x(0, 1): p - 1})
+    product = f.keyed().mul(g.keyed())
+    assert DictPoly.from_keyed(product).terms == f.mul(g).terms
+    assert product.vector(GENERIC_E, 3, -3)[cox_slice(GENERIC_E, 3, -3).index(x(0, 1, 2)[1])] == 3
+    # an exponent that reaches KEY_RADIX is refused, not carried
+    half = monomial(p, (KEY_RADIX // 2, 0, 0, 0, 0), (0, 0))
+    with pytest.raises(ValueError, match="would carry"):
+        half.mul(half)
+    with pytest.raises(ValueError, match="cannot be keyed"):
+        DictPoly(p, {(0, ((KEY_RADIX, 0, 0, 0, 0), (0, 0))): 1}).keyed()
+
+
 def test_cox_poly_evaluation_consistency(model, coords, sample_pool):
-    monos = cox_slice(GENERIC_E, 2, -1)
+    monos = slice_keys(GENERIC_E, 2, -1)
     vec = np.zeros(len(monos), dtype=np.int64)
     vec[0] = 3
     vec[5] = 4
-    poly = CoxPoly(P, {m: int(c) for m, c in zip(monos, vec)})
+    poly = CoxPoly(P, monos, vec)
     values = point_values(model, coords, sample_pool[:10])
     direct = poly.evaluate(values)
     m = monomial_value_matrix(values, monos, P)
     expected = (3 * m[0] + 4 * m[5]) % P
     assert np.array_equal(direct, expected)
-    assert np.array_equal(poly.vector(monos), vec)
+    assert np.array_equal(poly.vector(GENERIC_E, 2, -1), vec)
 
 
 def test_line_residual_second_point_avoids_q():
