@@ -130,11 +130,16 @@ def _project(a: np.ndarray, p: int, seed: int) -> np.ndarray:
     return acc.astype(np.int64)
 
 
-def _rref_inplace(r: np.ndarray, p: int) -> list:
-    """Reduce r (int64, entries in [0, p)) to RREF in place; return pivots."""
+def _rref_inplace(r: np.ndarray, p: int):
+    """Reduce r (int64, entries in [0, p)) to RREF in place.
+
+    Returns (pivots, det): det is the product of the pivots before scaling,
+    negated once per row swap, so for a square r of full rank it is the
+    determinant of the input."""
     rows, cols = r.shape
     pivots = []
     pr = 0
+    det = 1
     for c in range(cols):
         if pr >= rows:
             break
@@ -144,6 +149,8 @@ def _rref_inplace(r: np.ndarray, p: int) -> list:
         piv = pr + nz[0]
         if piv != pr:
             r[[pr, piv]] = r[[piv, pr]]
+            det = -det
+        det = det * int(r[pr, c]) % p
         inv = pow(int(r[pr, c]), -1, p)
         # rows pr.. vanish left of column c, so only columns c.. change
         prow = r[pr, c:] * inv % p
@@ -161,13 +168,13 @@ def _rref_inplace(r: np.ndarray, p: int) -> list:
         r[pr, c:] = prow
         pivots.append(c)
         pr += 1
-    return pivots
+    return pivots, det
 
 
 def _rref_direct(a: np.ndarray, p: int):
     """RREF by per-pivot elimination of the whole matrix."""
     r = np.array(a, dtype=np.int64) % p
-    return r, _rref_inplace(r, p)
+    return r, _rref_inplace(r, p)[0]
 
 
 def _kernel_from_rref(r: np.ndarray, pivots: list, cols: int, p: int) -> np.ndarray:
@@ -198,7 +205,7 @@ def _rref_compressed(a: np.ndarray, p: int):
     rows, cols = a.shape
     for seed in range(_SEEDS):
         small = _project(a, p, seed)
-        pivots = _rref_inplace(small, p)
+        pivots = _rref_inplace(small, p)[0]
         if len(pivots) == cols or _annihilates(a, _kernel_from_rref(small, pivots, cols, p), p):
             r = np.zeros((rows, cols), dtype=np.int64)
             r[: len(pivots)] = small[: len(pivots)]
@@ -305,28 +312,13 @@ def solve_mod(a: np.ndarray, b: np.ndarray, p: int):
 
 
 def det_mod(a: np.ndarray, p: int) -> int:
-    """Determinant over F_p by Gaussian elimination."""
+    """Determinant over F_p, read off the RREF loop."""
     m = np.array(a, dtype=np.int64) % p
     n = m.shape[0]
     if m.shape != (n, n):
         raise FieldError("determinant needs a square matrix")
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(m[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        piv = c + nz[0]
-        if piv != c:
-            m[[c, piv]] = m[[piv, c]]
-            det = -det
-        det = det * int(m[c, c]) % p
-        inv = pow(int(m[c, c]), -1, p)
-        below = m[c + 1:, c].copy()
-        mask = below != 0
-        if mask.any():
-            factors = (below[mask] * inv) % p
-            m[c + 1:][mask] = (m[c + 1:][mask] - np.outer(factors, m[c])) % p
-    return det % p
+    pivots, det = _rref_inplace(m, p)
+    return det if len(pivots) == n else 0
 
 
 def row_space_mod(a: np.ndarray, p: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import kernel_mod, rank_mod, solve_mod
+from .ffield import kernel_mod, mul_mod, rank_mod, rref_mod, solve_mod
 from .lattice import solve_rational
 from .resolution import (
     BigradedBettiTable,
@@ -147,7 +147,7 @@ def syzygy_scheme(s: SyzygyVector, gen_polys) -> SyzygyScheme:
         col = solve_mod(u_mat, e, p)
         inv[:, j] = col
     # transformed syzygy s' = U s has last two entries zero
-    sprime = (u_mat @ s.entries) % p
+    sprime = mul_mod(u_mat, s.entries, p)
     if np.any(sprime[4:]):
         raise K3Error("base change failed to kill the last two entries")
     # transformed generators f' = f U^{-1}
@@ -360,15 +360,19 @@ class K3Surface:
         """Slice dimension predicted by the Euler characteristic."""
         return len(cox_slice(GENERIC_E, a, b)) - surface_chi(a, b)
 
-    def verify_slice_saturated(self, a: int, b: int) -> int:
-        span = self.slice_span(a, b)
-        got = rank_mod(span, self.prime) if span.size else 0
+    def saturated_rref(self, a: int, b: int) -> tuple:
+        """rref_mod of slice_span(a, b), certified to have the rank that
+        saturated_dim predicts."""
+        reduced, pivots = rref_mod(self.slice_span(a, b), self.prime)
         want = self.saturated_dim(a, b)
-        if got != want:
+        if len(pivots) != want:
             raise K3Error(
-                f"surface slice ({a},{b}) has span {got}, chi predicts {want}"
+                f"surface slice ({a},{b}) has span {len(pivots)}, chi predicts {want}"
             )
-        return got
+        return reduced, pivots
+
+    def verify_slice_saturated(self, a: int, b: int) -> int:
+        return len(self.saturated_rref(a, b)[1])
 
 
 def surface_from_syzygy(scheme: SyzygyScheme) -> K3Surface:

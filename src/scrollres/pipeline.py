@@ -279,7 +279,7 @@ def gamma_section(chain: CurveChain, basis, gens, net, checks: dict):
     checks["unique_singular_point"] = sing["singular_count"] == 1
     checks["singular_point_is_node"] = sing["is_node"]
     gmap = fit_gamma_map(samples, p)
-    fibers = singular_fiber_parameters(gmap, sing["point"], samples, p)
+    fibers = singular_fiber_parameters(gmap, sing["point"], p)
     checks["two_singular_fiber_parameters"] = len(fibers) == 2
     # both parameters map to the singular quartic; a third one does not
     target = normalize_point(sing["point"], p)

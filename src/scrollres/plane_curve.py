@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import check_prime, kernel_mod, rank_mod, roots_mod
+from .ffield import check_prime, kernel_mod, mul_mod, rank_mod, roots_mod
 
 GENUS = 9
 PENCIL_DEGREE = 6
@@ -58,7 +58,15 @@ def monomial_count(d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _product_positions(df: int, dg: int, nvars: int) -> np.ndarray:
+def exponents(d: int, nvars: int = 3) -> np.ndarray:
+    """monomials(d, nvars) as a read-only (count, nvars) int64 array."""
+    out = np.array(monomials(d, nvars), dtype=np.int64).reshape(-1, nvars)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def product_positions(df: int, dg: int, nvars: int) -> np.ndarray:
     """positions[i, k]: index in monomials(df + dg, nvars) of the product of
     the i-th monomial of degree df and the k-th of degree dg.
 
@@ -66,12 +74,8 @@ def _product_positions(df: int, dg: int, nvars: int) -> np.ndarray:
     without carries, and the lexicographic order is the descending code
     order."""
     weights = (df + dg + 1) ** np.arange(nvars - 1, -1, -1)
-
-    def codes(d):
-        return np.array(monomials(d, nvars), dtype=np.int64).reshape(-1, nvars) @ weights
-
-    ascending = codes(df + dg)[::-1]
-    sums = codes(df)[:, None] + codes(dg)[None, :]
+    ascending = (exponents(df + dg, nvars) @ weights)[::-1]
+    sums = (exponents(df, nvars) @ weights)[:, None] + (exponents(dg, nvars) @ weights)[None, :]
     return len(ascending) - 1 - np.searchsorted(ascending, sums)
 
 
@@ -80,7 +84,7 @@ def multiply_forms(f, df: int, g, dg: int, p: int, nvars: int = 3) -> np.ndarray
     forms f and g, given over monomials(df, nvars) and monomials(dg, nvars)."""
     f = np.asarray(f, dtype=np.int64) % p
     g = np.asarray(g, dtype=np.int64) % p
-    positions = _product_positions(df, dg, nvars)
+    positions = product_positions(df, dg, nvars)
     out = np.zeros(len(monomials(df + dg, nvars)), dtype=np.int64)
     np.add.at(out, positions, np.outer(f, g) % p)
     return out % p
@@ -124,28 +128,37 @@ def power_table(values: np.ndarray, max_exp: int, p: int) -> np.ndarray:
     return table
 
 
-def evaluate_form(coeffs, d: int, points, p: int) -> np.ndarray:
-    """Evaluate a degree-d form at each point; points is an (n, 3) array."""
-    pts = np.asarray(points, dtype=np.int64) % p
-    if pts.ndim == 1:
-        pts = pts.reshape(1, 3)
-    monos = monomials(d)
-    px = power_table(pts[:, 0], d, p)
-    py = power_table(pts[:, 1], d, p)
-    pz = power_table(pts[:, 2], d, p)
-    vals = np.zeros(pts.shape[0], dtype=np.int64)
-    coeffs = np.asarray(coeffs, dtype=np.int64) % p
-    for c, (i, j, k) in zip(coeffs, monos):
-        if c:
-            vals = (vals + c * (px[i] * py[j] % p) % p * pz[k]) % p
-    return vals
-
-
-def _falling(n: int, k: int, p: int) -> int:
-    out = 1
-    for t in range(k):
-        out = out * (n - t) % p
+def monomial_values(exps, values, p: int) -> np.ndarray:
+    """Row i: the monomial with exponents exps[i] (an (m, nvars) array) at
+    the points whose coordinates are the columns of values (nvars, n)."""
+    exps = np.asarray(exps, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64) % p
+    out = np.ones((len(exps), values.shape[1]), dtype=np.int64)
+    for var in range(exps.shape[1]):
+        top = int(exps[:, var].max(initial=0))
+        if top:
+            out = out * power_table(values[var], top, p)[exps[:, var]] % p
     return out
+
+
+def evaluate_form(coeffs, d: int, points, p: int) -> np.ndarray:
+    """Values of a degree-d form at the rows of points, an (n, nvars) array
+    or a single point; a (k, count) stack of forms gives k rows of values."""
+    pts = np.asarray(points, dtype=np.int64)
+    pts = pts.reshape(-1, pts.shape[-1])
+    return mul_mod(coeffs, monomial_values(exponents(d, pts.shape[1]), pts.T, p), p)
+
+
+def z_coefficients(coeffs, d: int, x0, y0, p: int) -> np.ndarray:
+    """Coefficients of F(x0, y0, z) in z, highest power first, for a ternary
+    form F of degree d; arrays x0, y0 of shape s give an s + (d + 1,) array."""
+    shape = np.broadcast(x0, y0).shape
+    exps = exponents(d)
+    xy = np.stack(np.broadcast_arrays(x0, y0)).reshape(2, -1)
+    terms = monomial_values(exps[:, :2], xy, p) * (np.asarray(coeffs, dtype=np.int64) % p)[:, None] % p
+    out = np.zeros((d + 1, xy.shape[1]), dtype=np.int64)
+    np.add.at(out, d - exps[:, 2], terms)
+    return (out % p).T.reshape(shape + (d + 1,))
 
 
 def derivative_row(d: int, order, point, p: int) -> np.ndarray:
@@ -153,16 +166,20 @@ def derivative_row(d: int, order, point, p: int) -> np.ndarray:
 
     order is a multi-index (a, b, c); the row is indexed by monomials(d).
     """
-    a, b, c = order
-    x, y, z = (int(v) % p for v in point)
-    row = np.zeros(monomial_count(d), dtype=np.int64)
-    for idx, (i, j, k) in enumerate(monomials(d)):
-        if i < a or j < b or k < c:
-            continue
-        coef = _falling(i, a, p) * _falling(j, b, p) % p * _falling(k, c, p) % p
-        val = pow(x, i - a, p) * pow(y, j - b, p) % p * pow(z, k - c, p) % p
-        row[idx] = coef * val % p
-    return row
+    exps = exponents(d)
+    # falling factorials e (e - 1) ... (e - o + 1); zero once e < o
+    coef = np.ones(len(exps), dtype=np.int64)
+    for var, o in enumerate(order):
+        for t in range(o):
+            coef = coef * (exps[:, var] - t) % p
+    lowered = np.maximum(exps - np.asarray(order), 0)
+    vals = monomial_values(lowered, np.asarray(point, dtype=np.int64).reshape(3, 1), p)[:, 0]
+    return coef * vals % p
+
+
+def _partial_at(coeffs, d: int, order, point, p: int) -> int:
+    """(partial^order F)(point) for the degree-d ternary form F."""
+    return int(mul_mod(derivative_row(d, order, point, p), coeffs, p))
 
 
 def _multi_indices_below(order: int) -> list:
@@ -241,9 +258,9 @@ def _hessian_nondegenerate(coeffs, d: int, point, p: int) -> bool:
     """Ordinary double point: the 2x2 Hessian of the z = 1 dehomogenisation
     is nondegenerate (char p exceeds the degree, so this is the
     scheme-theoretic condition)."""
-    fxx = int(derivative_row(d, (2, 0, 0), point, p) @ coeffs % p)
-    fxy = int(derivative_row(d, (1, 1, 0), point, p) @ coeffs % p)
-    fyy = int(derivative_row(d, (0, 2, 0), point, p) @ coeffs % p)
+    fxx = _partial_at(coeffs, d, (2, 0, 0), point, p)
+    fxy = _partial_at(coeffs, d, (1, 1, 0), point, p)
+    fyy = _partial_at(coeffs, d, (0, 2, 0), point, p)
     return (fxx * fyy - fxy * fxy) % p != 0
 
 
@@ -252,10 +269,10 @@ def _triple_point_ordinary(coeffs, d: int, point, p: int) -> bool:
     distinct roots, tested by its discriminant."""
     inv6 = pow(6, -1, p)
     inv2 = pow(2, -1, p)
-    c30 = int(derivative_row(d, (3, 0, 0), point, p) @ coeffs % p)
-    c21 = int(derivative_row(d, (2, 1, 0), point, p) @ coeffs % p)
-    c12 = int(derivative_row(d, (1, 2, 0), point, p) @ coeffs % p)
-    c03 = int(derivative_row(d, (0, 3, 0), point, p) @ coeffs % p)
+    c30 = _partial_at(coeffs, d, (3, 0, 0), point, p)
+    c21 = _partial_at(coeffs, d, (2, 1, 0), point, p)
+    c12 = _partial_at(coeffs, d, (1, 2, 0), point, p)
+    c03 = _partial_at(coeffs, d, (0, 3, 0), point, p)
     a, b = c30 * inv6 % p, c21 * inv2 % p
     c, e = c12 * inv2 % p, c03 * inv6 % p
     disc = (
@@ -300,7 +317,7 @@ def construct_nodal_octic(prime: int, seed: int, max_attempts: int = 12) -> Plan
             last_error = "octic solution space has unexpected dimension"
             continue
         weights = np.array([rng.randrange(1, prime) for _ in basis], dtype=np.int64)
-        octic = (weights @ basis) % prime
+        octic = mul_mod(weights, basis, prime)
         model = PlaneCurveModel(prime, 8, octic, nodes[0], 2, nodes[1:], seed)
         report = verify_node_report(model)
         if report["ok"]:
@@ -360,7 +377,7 @@ def verify_model_report(model) -> dict:
         failures.append("singular points are not distinct")
     for pt, mult in sing:
         for order in _multi_indices_below(mult):
-            if int(derivative_row(d, order, pt, p) @ model.coeffs % p):
+            if _partial_at(model.coeffs, d, order, pt, p):
                 failures.append(f"partial {order} does not vanish at {pt}")
                 break
     for pt, mult in sing:

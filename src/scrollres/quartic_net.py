@@ -22,9 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import det_mod, kernel_mod, rank_mod, roots_mod, rref_mod, solve_mod
+from .ffield import det_mod, kernel_mod, mul_mod, rank_mod, roots_mod, solve_mod
 from .k3_syzygy import K3Surface
-from .plane_curve import evaluate_form, monomials, power_table, restrict_to_line, substitute_linear
+from .plane_curve import (
+    evaluate_form,
+    exponents,
+    monomial_values,
+    monomials,
+    product_positions,
+    restrict_to_line,
+    substitute_linear,
+    z_coefficients,
+)
 from .scroll import GENERIC_E, KeyIndex, add_keys, cox_slice, slice_keys
 
 
@@ -41,23 +50,6 @@ class ResultantDegenerateError(RuntimeError):
 
 
 # --- small polynomial helpers ------------------------------------------------
-
-
-def eval_nvar(coeffs, nvars: int, d: int, points: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate a degree-d form in nvars variables; points is (nvars, n)."""
-    n = points.shape[1]
-    tables = [power_table(points[i] % p, d, p) for i in range(nvars)]
-    vals = np.zeros(n, dtype=np.int64)
-    for c, expo in zip(coeffs, monomials(d, nvars)):
-        c = int(c) % p
-        if not c:
-            continue
-        term = np.full(n, c, dtype=np.int64)
-        for var, e in enumerate(expo):
-            if e:
-                term = term * tables[var][e] % p
-        vals = (vals + term) % p
-    return vals
 
 
 def partial_derivative(coeffs, nvars: int, d: int, var: int, p: int) -> np.ndarray:
@@ -101,16 +93,32 @@ def sylvester_resultant(f, g, p: int) -> int:
 def interpolate_poly(xs, ys, degree: int, p: int) -> np.ndarray:
     """Coefficients (highest first) of the unique poly of degree <= degree
     through the points."""
-    v = np.zeros((len(xs), degree + 1), dtype=np.int64)
-    for r, x in enumerate(xs):
-        acc = 1
-        for c in range(degree, -1, -1):
-            v[r, c] = acc
-            acc = acc * x % p
+    # row r: x_r^degree, ..., x_r, 1, the binary monomials of that degree at (x_r : 1)
+    v = monomial_values(exponents(degree, 2), np.array([xs, [1] * len(xs)]), p).T
     sol = solve_mod(v, np.array(ys, dtype=np.int64) % p, p)
     if sol is None:
         raise NetError("interpolation failed")
     return sol
+
+
+def resultant_z(f, df: int, g, dg: int, p: int):
+    """Res_z of two ternary forms as a binary form of degree df * dg in
+    (x, y), coefficient k multiplying x^(df*dg - k) y^k: interpolated from
+    the Sylvester resultants of F(u, 1, z) and G(u, 1, z) at u = 0, 1, ...
+
+    A specialisation is clean when its z^df and z^dg coefficients are
+    nonzero; those are the coefficients of the monomials z^df and z^dg, the
+    same for every u.  Returns None when they vanish or p is too small."""
+    total = df * dg
+    if total >= p:
+        return None
+    us = np.arange(total + 1)
+    fz = z_coefficients(f, df, us, 1, p)
+    gz = z_coefficients(g, dg, us, 1, p)
+    if not (fz[0, 0] and gz[0, 0]):
+        return None
+    vals = [sylvester_resultant(a, b, p) for a, b in zip(fz, gz)]
+    return list(interpolate_poly(us, vals, total, p))
 
 
 def binary_form_divide_linear(coeffs, root, p: int):
@@ -167,10 +175,7 @@ class QuarticNet:
 
 def residual_image(model, coords, points) -> np.ndarray:
     """(4, n) array of images under (Q1 : Q2 : Q3 : Q4)."""
-    pts = np.asarray(points, dtype=np.int64)
-    rows = np.stack(
-        [evaluate_form(q, coords.q_degree, pts, model.prime) for q in coords.quartics]
-    )
+    rows = evaluate_form(np.stack(coords.quartics), coords.q_degree, points, model.prime)
     if np.any(~np.any(rows, axis=0)):
         raise NetError("basepoint hit: a sample maps to (0:0:0:0)")
     return rows
@@ -181,38 +186,17 @@ def quartic_net(image_points: np.ndarray, p: int) -> QuarticNet:
     n = image_points.shape[1]
     if n < 45:
         raise NetError("need at least 45 image points")
-    tables = [power_table(image_points[i] % p, 4, p) for i in range(4)]
-    monos = monomials(4, 4)
-    mat = np.empty((len(monos), n), dtype=np.int64)
-    for r, expo in enumerate(monos):
-        acc = np.ones(n, dtype=np.int64)
-        for var, e in enumerate(expo):
-            if e:
-                acc = acc * tables[var][e] % p
-        mat[r] = acc
-    basis = kernel_mod(mat.T, p)
+    basis = kernel_mod(monomial_values(exponents(4, 4), image_points, p).T, p)
     if len(basis) != 3:
         raise NetError(f"unexpected net dimension {len(basis)}")
     # maximal-rank check one degree down: no cubics through the image
-    cmonos = monomials(3, 4)
-    cmat = np.empty((len(cmonos), n), dtype=np.int64)
-    for r, expo in enumerate(cmonos):
-        acc = np.ones(n, dtype=np.int64)
-        for var, e in enumerate(expo):
-            if e:
-                acc = acc * tables[var][e] % p
-        cmat[r] = acc
-    if len(kernel_mod(cmat.T, p)) != 0:
+    if len(kernel_mod(monomial_values(exponents(3, 4), image_points, p).T, p)) != 0:
         raise NetError("cubics through the residual model: not maximal rank")
     return QuarticNet(p, np.stack(list(basis)))
 
 
 def verify_net_on_points(net: QuarticNet, image_points: np.ndarray) -> bool:
-    p = net.prime
-    vals = np.stack(
-        [eval_nvar(vec, 4, 4, image_points, p) for vec in net.basis]
-    )
-    return not np.any(vals)
+    return not np.any(evaluate_form(net.basis, 4, image_points.T, net.prime))
 
 
 def residual_degree(model, coords, seed: int = 0, tries: int = 8) -> int:
@@ -233,10 +217,6 @@ def residual_degree(model, coords, seed: int = 0, tries: int = 8) -> int:
         t3 = random_gl(3, rng, p)
         fcur = substitute_linear(model.coeffs, 3, d, t3, p)
         fqua = substitute_linear(combo, 3, q_degree, t3, p)
-        if eval_nvar(fcur, 3, d, np.array([[0], [0], [1]]), p)[0] == 0:
-            continue
-        if eval_nvar(fqua, 3, q_degree, np.array([[0], [0], [1]]), p)[0] == 0:
-            continue
         tinv = np.array(
             [solve_mod(np.array(t3), e, p) for e in np.eye(3, dtype=np.int64)]
         ).T
@@ -246,7 +226,7 @@ def residual_degree(model, coords, seed: int = 0, tries: int = 8) -> int:
             # intersection multiplicity q_mult
             divisions.append((model.q, model.q_mult))
         moved = [
-            (tuple(int(v) for v in (tinv @ np.array(pt)) % p), mult)
+            (tuple(int(v) for v in mul_mod(tinv, pt, p)), mult)
             for pt, mult in divisions
         ]
         projections = [((x, y), mult) for ((x, y, _z), mult) in moved]
@@ -267,34 +247,9 @@ def residual_degree(model, coords, seed: int = 0, tries: int = 8) -> int:
 
 
 def _sliced_degree(fcur, d: int, fqua, dq: int, projections, p: int) -> int:
-    monos_d = monomials(d)
-    monos_q = monomials(dq)
-    total = d * dq
-
-    def z_poly(coeffs, monos, x0, y0):
-        by_z: dict = {}
-        xs = {e: pow(x0, e, p) for e in range(d + 1)}
-        ys = {e: pow(y0, e, p) for e in range(d + 1)}
-        for c, (i, j, k) in zip(coeffs, monos):
-            c = int(c) % p
-            if c:
-                by_z[k] = (by_z.get(k, 0) + c * xs[i] % p * ys[j]) % p
-        deg = max(by_z) if by_z else 0
-        return [by_z.get(k, 0) for k in range(deg, -1, -1)]
-
-    xs, vals = [], []
-    u = 0
-    while len(xs) < total + 1 and u < p:
-        fz = z_poly(fcur, monos_d, u, 1)
-        gz = z_poly(fqua, monos_q, u, 1)
-        if len(fz) == d + 1 and len(gz) == dq + 1:
-            xs.append(u)
-            vals.append(sylvester_resultant(fz, gz, p))
-        u += 1
-    if len(xs) < total + 1:
+    form = resultant_z(fcur, d, fqua, dq, p)
+    if form is None:
         raise NetError("not enough clean specialisations for the resultant")
-    # coefficient k multiplies x^(total-k) y^k (from evaluation at y = 1)
-    form = list(interpolate_poly(xs, vals, total, p))
     # exact divisibility by every singular projection is asserted
     for ((x0, y0), mult) in projections:
         root = (x0 * pow(y0, -1, p) % p, 1) if y0 else (1, 0)
@@ -317,8 +272,7 @@ def image_quartic(surface: K3Surface, net: QuarticNet) -> tuple:
     Returns (coefficients over monomials(4, 4), coordinates in the net).
     """
     p = surface.prime
-    surface.verify_slice_saturated(4, -2)
-    reduced, pivots = rref_mod(surface.slice_span(4, -2), p)
+    reduced, pivots = surface.saturated_rref(4, -2)
     keys42 = slice_keys(GENERIC_E, 4, -2)
     # row of the RREF whose pivot is column k, or -1
     pivot_row = np.full(len(keys42), -1)
@@ -377,8 +331,7 @@ def fit_gamma(samples, p: int, holdout: int = 3) -> GammaCurve:
     if len(plane_forms_through(pts, 2, p)) != 0:
         raise GammaError("degree too low: a conic fits the samples")
     cubic = kernel[0]
-    held_pts = np.stack([np.asarray(c) for (_par, c) in held]).T
-    if np.any(eval_nvar(cubic, 3, 3, held_pts, p)):
+    if np.any(evaluate_form(cubic, 3, [c for (_par, c) in held], p)):
         raise GammaError("holdout sample violates the fitted cubic")
     gamma = GammaCurve(p, cubic, tuple((tuple(par), tuple(int(v) for v in c)) for par, c in samples))
     if _linear_factor_exists(gamma):
@@ -389,15 +342,7 @@ def fit_gamma(samples, p: int, holdout: int = 3) -> GammaCurve:
 def plane_forms_through(points: np.ndarray, d: int, p: int) -> np.ndarray:
     """Canonical basis of the degree-d ternary forms vanishing at the
     columns of points (a 3 x n array)."""
-    n = len(monomials(d, 3))
-    rows = np.stack([eval_nvar(_unit(n, i), 3, d, points, p) for i in range(n)])
-    return kernel_mod(rows.T, p)
-
-
-def _unit(n, i):
-    v = np.zeros(n, dtype=np.int64)
-    v[i] = 1
-    return v
+    return kernel_mod(monomial_values(exponents(d, 3), points, p).T, p)
 
 
 def _linear_factor_exists(gamma: GammaCurve) -> bool:
@@ -447,18 +392,9 @@ def _cubic_points_on_line(gamma: GammaCurve, rng: random.Random, p: int):
 def _line_divides_cubic(gamma: GammaCurve, a, b, p: int) -> bool:
     """Does the line through a and b lie on the cubic?  A cubic vanishing at
     4 distinct points of a line contains it."""
-    a = np.array(a, dtype=np.int64)
-    b = np.array(b, dtype=np.int64)
-    count = 0
-    for t in range(5):
-        pt = (a + t * b) % p
-        if not np.any(pt):
-            continue
-        if eval_nvar(gamma.cubic, 3, 3, pt.reshape(3, 1), p)[0] == 0:
-            count += 1
-        else:
-            return False
-    return count >= 4
+    pts = (np.array(a, dtype=np.int64) + np.arange(5)[:, None] * np.array(b)) % p
+    pts = pts[pts.any(axis=1)]
+    return len(pts) >= 4 and not np.any(evaluate_form(gamma.cubic, 3, pts, p))
 
 
 def gamma_singular_point(gamma: GammaCurve, tries: int = 8) -> dict:
@@ -474,7 +410,7 @@ def gamma_singular_point(gamma: GammaCurve, tries: int = 8) -> dict:
         parts = [partial_derivative(moved, 3, 3, v, p) for v in range(3)]
         if any(not np.any(q) for q in parts):
             continue
-        res = _resultant_w(parts[0], parts[1], p)
+        res = resultant_z(parts[0], 2, parts[1], 2, p)
         if res is None or not any(res):
             continue
         candidates = set()
@@ -485,17 +421,13 @@ def gamma_singular_point(gamma: GammaCurve, tries: int = 8) -> dict:
                     candidates.add(pt)
         singular = []
         for pt in sorted(candidates):
-            arr = np.array(pt, dtype=np.int64).reshape(3, 1)
-            if all(eval_nvar(q, 3, 2, arr, p)[0] == 0 for q in parts):
-                if eval_nvar(moved, 3, 3, arr, p)[0] == 0:
+            if not np.any(evaluate_form(np.stack(parts), 2, pt, p)):
+                if evaluate_form(moved, 3, pt, p)[0] == 0:
                     singular.append(pt)
         if len(singular) != 1:
             raise GammaError(f"unexpected singular count: {len(singular)}")
         moved_pt = singular[0]
-        tinv = np.array(
-            [solve_mod(np.array(t3), e, p) for e in np.eye(3, dtype=np.int64)]
-        ).T
-        original = normalize_point(tuple((np.array(t3) @ np.array(moved_pt)) % p), p)
+        original = normalize_point(mul_mod(t3, moved_pt, p), p)
         mult = _quadratic_part_rank(gamma.cubic, original, p)
         return {
             "point": original, "quadratic_rank": mult, "is_node": mult == 2,
@@ -504,47 +436,13 @@ def gamma_singular_point(gamma: GammaCurve, tries: int = 8) -> dict:
     raise GammaError("singular point elimination degenerate after retries")
 
 
-def _resultant_w(q1, q2, p: int):
-    """Res_w of two ternary conics as a binary quartic in (u, v), by
-    interpolation; None when the specialisations degenerate."""
-
-    def w_poly(coeffs, u0, v0):
-        by_w: dict = {}
-        for c, (i, j, k) in zip(coeffs, monomials(2, 3)):
-            c = int(c) % p
-            if c:
-                by_w[k] = (by_w.get(k, 0) + c * pow(u0, i, p) * pow(v0, j, p)) % p
-        deg = max(by_w) if by_w else 0
-        return [by_w.get(k, 0) for k in range(deg, -1, -1)]
-
-    xs, vals = [], []
-    u0 = 0
-    while len(xs) < 5 and u0 < p:
-        f = w_poly(q1, u0, 1)
-        g = w_poly(q2, u0, 1)
-        if len(f) == 3 and len(g) == 3:
-            xs.append(u0)
-            vals.append(sylvester_resultant(f, g, p))
-        u0 += 1
-    if len(xs) < 5:
-        return None
-    return list(interpolate_poly(xs, vals, 4, p))
-
-
 def _common_quadratic_roots(parts, u0, v0, p: int) -> list:
     """w-values solving all three partials at (u0 : v0 : w)."""
-    polys = []
-    for q in parts:
-        by_w = [0, 0, 0]
-        for c, (i, j, k) in zip(q, monomials(2, 3)):
-            c = int(c) % p
-            if c:
-                by_w[k] = (by_w[k] + c * pow(u0, i, p) * pow(v0, j, p)) % p
-        polys.append(by_w)
     roots = None
-    for c0, c1, c2 in polys:  # c2 w^2 + c1 w + c0
-        if c0 or c1 or c2:  # the zero polynomial does not constrain w
-            cur = set(roots_mod([c2, c1, c0], p))
+    for q in parts:
+        poly = z_coefficients(q, 2, u0, v0, p)
+        if poly.any():  # the zero polynomial does not constrain w
+            cur = set(roots_mod(poly, p))
             roots = cur if roots is None else roots & cur
     return sorted(roots or [])
 
@@ -589,10 +487,8 @@ def fit_gamma_map(samples, p: int) -> np.ndarray:
     solution space must be 1-dimensional.
     """
     rows = []
-    for (lam, mu), y in samples:
-        powers = [
-            pow(lam, 3 - k, p) * pow(mu, k, p) % p for k in range(4)
-        ]
+    params = np.array([par for par, _y in samples], dtype=np.int64).T
+    for powers, (_par, y) in zip(monomial_values(exponents(3, 2), params, p).T, samples):
         for i, j in itertools.combinations(range(3), 2):
             row = np.zeros(12, dtype=np.int64)
             row[4 * i: 4 * i + 4] = [int(y[j]) * w % p for w in powers]
@@ -604,7 +500,7 @@ def fit_gamma_map(samples, p: int) -> np.ndarray:
     return kernel[0].reshape(3, 4) % p
 
 
-def singular_fiber_parameters(gmap: np.ndarray, point, samples, p: int) -> list:
+def singular_fiber_parameters(gmap: np.ndarray, point, p: int) -> list:
     """The parameters (lam : mu) mapping to the singular point.
 
     Candidates are roots of the cross forms g_i p_j - g_j p_i; each is
@@ -626,10 +522,7 @@ def singular_fiber_parameters(gmap: np.ndarray, point, samples, p: int) -> list:
         candidates &= set(binary_form_roots(form, p))
     verified = []
     for (lam, mu) in sorted(candidates):
-        img = [
-            sum(int(gmap[i, k]) * pow(lam, 3 - k, p) * pow(mu, k, p) for k in range(4)) % p
-            for i in range(3)
-        ]
+        img = evaluate_form(gmap, 3, (lam, mu), p)[:, 0]
         if normalize_point(img, p) == normalize_point(point, p):
             verified.append((lam, mu))
     if len(verified) != 2:
@@ -670,23 +563,22 @@ def macaulay_resultant_smooth(quartic, p: int, seed: int = 0, tries: int = 6) ->
 
 
 def _macaulay_ratio(cubics, p: int):
-    monos9 = monomials(9, 4)
-    monos3 = monomials(3, 4)
-    idx9 = {m: i for i, m in enumerate(monos9)}
-    size = len(monos9)
+    # row r of M is q * cubics[i] for the r-th degree-9 monomial x_i^3 * q,
+    # x_i the first variable whose cube divides it (the loop runs downwards,
+    # so the first one is written last); monomials divisible by two cubes
+    # give the non-reduced rows
+    positions = product_positions(6, 3, 4)
+    size = len(monomials(9, 4))
+    owner = np.zeros(size, dtype=np.int64)
+    quotient = np.zeros(size, dtype=np.int64)
+    divisors = np.zeros(size, dtype=np.int64)
+    for i in range(3, -1, -1):
+        rows = positions[:, monomials(3, 4).index(tuple(3 * (v == i) for v in range(4)))]
+        owner[rows], quotient[rows] = i, np.arange(len(positions))
+        divisors[rows] += 1
     mat = np.zeros((size, size), dtype=np.int64)
-    non_reduced = []
-    for r, m in enumerate(monos9):
-        divisors = [i for i in range(4) if m[i] >= 3]
-        i = divisors[0]
-        if len(divisors) >= 2:
-            non_reduced.append(r)
-        quotient = tuple(e - 3 if v == i else e for v, e in enumerate(m))
-        for c, cm in zip(cubics[i], monos3):
-            c = int(c) % p
-            if c:
-                target = tuple(a + b for a, b in zip(quotient, cm))
-                mat[r, idx9[target]] = c
+    mat[np.arange(size)[:, None], positions[quotient]] = np.asarray(cubics, dtype=np.int64)[owner] % p
+    non_reduced = np.flatnonzero(divisors >= 2)
     det_m = det_mod(mat, p)
     sub = mat[np.ix_(non_reduced, non_reduced)]
     det_e = det_mod(sub, p)

@@ -32,9 +32,9 @@ from .ffield import rank_mod
 from .plane_curve import (
     evaluate_form,
     linear_system,
+    monomial_values,
     monomials,
     multiply_forms,
-    power_table,
     restrict_to_line,
 )
 
@@ -348,13 +348,7 @@ def point_values(model, coords: CanonicalCoordinates, points) -> np.ndarray:
 def monomial_value_matrix(values: np.ndarray, keys: np.ndarray, p: int) -> np.ndarray:
     """Rows: the Cox monomials of the keys evaluated at the points behind
     values (the (7, n) array from point_values)."""
-    exps = key_exponents(keys)
-    out = np.ones((len(keys), values.shape[1]), dtype=np.int64)
-    for var in range(_NVARS):
-        top = int(exps[:, var].max(initial=0))
-        if top:
-            out = out * power_table(values[var], top, p)[exps[:, var]] % p
-    return out
+    return monomial_values(key_exponents(keys), values, p)
 
 
 def canonical_image(model, coords: CanonicalCoordinates, points) -> np.ndarray:

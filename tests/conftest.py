@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from scrollres import DEFAULT_PRIME
@@ -77,3 +81,20 @@ def gamma_samples(nonic_k3, nonic_net):
         _fvec, coords3 = image_quartic(surface, nonic_net)
         samples.append(((lam, mu), tuple(int(v) for v in coords3)))
     return samples
+
+
+@pytest.fixture(scope="session")
+def known_canonical_sha256():
+    """sha256 of canonical_json(report), checked against the benchmark's
+    recorded answer for (prime, seed); the recorded schema must be the
+    report's."""
+    from scrollres.pipeline import canonical_json
+
+    known = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "known_answers.json").read_text())
+
+    def check(report, prime, seed):
+        assert report["schemaVersion"] == known["schemaVersion"]
+        digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
+        assert digest == known["canonicalSha256"][f"{prime}/{seed}"]
+
+    return check

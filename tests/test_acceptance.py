@@ -189,3 +189,8 @@ def test_overall_pipeline_verdict(report):
     failed = [k for k, v in report["checks"].items() if not v]
     _verdict(0, report["ok"] and not failed,
              "full pipeline report is green (exit status would be 0)")
+
+
+def test_canonical_report_is_the_recorded_one(report, known_canonical_sha256):
+    # the behaviour contract: canonical_json(run_pipeline(p, 1)) byte for byte
+    known_canonical_sha256(report, DEFAULT_PRIME, 1)

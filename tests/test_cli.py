@@ -129,16 +129,25 @@ def test_betti_command(tmp_path, capsys):
     assert entries[(4, 6, 2)] == 1
 
 
-def test_pipeline_report_determinism_with_retry():
+def test_pipeline_report_determinism_with_retry(known_canonical_sha256):
     # seed 2 has conjugate (non-rational) singular-fiber parameters, so the
     # pipeline must retry on the derived seed and still be deterministic
     a = run_pipeline(10007, 2)
     b = run_pipeline(10007, 2)
     assert a["ok"] and b["ok"]
     assert canonical_json(a) == canonical_json(b)
+    known_canonical_sha256(a, 10007, 2)
     assert len(a["curveAttempts"]) == 2
     assert "preimage count != 2" in a["curveAttempts"][0]["outcome"]
     assert a["curveAttempts"][1]["outcome"] == "ok"
+
+
+def test_pipeline_certifies_at_the_largest_supported_prime():
+    # below 2^31 a product of two residues nears 2^62, so any int64 matrix
+    # product of more than one term must go through mul_mod
+    report = run_pipeline(2147483629, 1)
+    assert report["ok"], report.get("error")
+    assert [a["outcome"] for a in report["curveAttempts"]] == ["ok"]
 
 
 def _no_chain(prime, seed):

@@ -97,6 +97,43 @@ def test_det_mod_matches_numpy_small():
         assert det_mod(a, P) == expected
 
 
+def _det_cofactor(a: list) -> int:
+    """Laplace expansion along the first row, on Python ints."""
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j] * _det_cofactor([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)) if a[0][j])
+
+
+@st.composite
+def det_cases(draw):
+    """(p, square matrix, kind): kind "singular" makes the last row a
+    combination of the others, "swap" zeroes the leading entry."""
+    p = draw(st.sampled_from([10007, 2147483629]))
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["any", "singular", "swap"]))
+    if kind == "singular":
+        weights = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+        a[-1] = [sum(w * row[c] for w, row in zip(weights, a)) % p for c in range(n)]
+    elif kind == "swap":
+        a[0][0] = 0
+        if n > 1:
+            a[1][0] = draw(st.integers(1, p - 1))
+    return p, a, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(det_cases())
+def test_det_mod_matches_cofactor_expansion(case):
+    p, a, kind = case
+    got = det_mod(np.array(a, dtype=np.int64), p)
+    assert got == _det_cofactor(a) % p
+    if kind == "singular":
+        assert got == 0
+
+
 def test_same_subspace_detects_reordering():
     a = np.array([[1, 2, 3], [0, 1, 1]])
     b = np.array([[2, 4, 6], [1, 3, 4]])  # row ops of a

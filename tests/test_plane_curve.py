@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import solve_mod
@@ -21,6 +23,7 @@ from scrollres.plane_curve import (
     sample_smooth_points,
     verify_model_report,
     verify_node_report,
+    z_coefficients,
 )
 
 
@@ -259,3 +262,109 @@ def test_sampling_matches_full_scan(p):
         assert got == _outcome(_scan_sample_smooth_points, model, count, **kwargs)
         if isinstance(got, list):
             assert all(type(v) is int for pt in got for v in pt)
+
+
+# --- the dense-form evaluator against pure-Python pow sums ----------------------
+
+PRIME_BELOW_2_31 = 2147483629
+
+
+def _pow_sum(coeffs, d: int, point, p: int) -> int:
+    """F(point) for the form with the given coefficients over
+    monomials(d, len(point)), as a sum of Python-int pow products."""
+    total = 0
+    for c, expo in zip(coeffs, monomials(d, len(point))):
+        term = int(c)
+        for v, e in zip(point, expo):
+            term = term * pow(int(v), e, p)
+        total += term
+    return total % p
+
+
+def _falling(n: int, k: int, p: int) -> int:
+    out = 1
+    for t in range(k):
+        out = out * (n - t) % p
+    return out
+
+
+def _derivative_row_oracle(d: int, order, point, p: int) -> np.ndarray:
+    """derivative_row monomial by monomial, with Python-int falling factorials."""
+    a, b, c = order
+    x, y, z = (int(v) % p for v in point)
+    row = np.zeros(monomial_count(d), dtype=np.int64)
+    for idx, (i, j, k) in enumerate(monomials(d)):
+        if i < a or j < b or k < c:
+            continue
+        coef = _falling(i, a, p) * _falling(j, b, p) % p * _falling(k, c, p) % p
+        val = pow(x, i - a, p) * pow(y, j - b, p) % p * pow(z, k - c, p) % p
+        row[idx] = coef * val % p
+    return row
+
+
+def _residues(p: int):
+    """F_p elements, with 0, 1 and p - 1 drawn often."""
+    return st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+
+
+@st.composite
+def form_cases(draw, nvars_choices=(3, 4)):
+    """(p, nvars, d, coefficients over monomials(d, nvars), list of points)."""
+    p = draw(st.sampled_from([10007, PRIME_BELOW_2_31]))
+    nvars = draw(st.sampled_from(nvars_choices))
+    d = draw(st.integers(0, 9))
+    count = len(monomials(d, nvars))
+    coeffs = draw(st.lists(_residues(p), min_size=count, max_size=count))
+    points = draw(st.lists(st.lists(_residues(p), min_size=nvars, max_size=nvars),
+                           min_size=1, max_size=4))
+    return p, nvars, d, coeffs, points
+
+
+def _all_top(nvars: int, d: int = 9, p: int = PRIME_BELOW_2_31):
+    # every coefficient and coordinate p - 1: each of the 55 (nvars 3) or
+    # 220 (nvars 4) products is (p - 1)^2 near 2^62, so a plain int64 sum
+    # of them overflows
+    return p, nvars, d, [p - 1] * len(monomials(d, nvars)), [[p - 1] * nvars]
+
+
+@settings(max_examples=120, deadline=None)
+@given(form_cases())
+@example(_all_top(3))
+@example(_all_top(4))
+def test_evaluate_form_matches_pow_sums(case):
+    p, nvars, d, coeffs, points = case
+    got = evaluate_form(np.array(coeffs, dtype=np.int64), d, np.array(points, dtype=np.int64), p)
+    assert [int(v) for v in got] == [_pow_sum(coeffs, d, pt, p) for pt in points]
+    # a stack of forms evaluates row by row
+    stacked = evaluate_form(np.array([coeffs, coeffs[::-1]], dtype=np.int64), d, points, p)
+    assert [int(v) for v in stacked[1]] == [_pow_sum(coeffs[::-1], d, pt, p) for pt in points]
+
+
+@settings(max_examples=120, deadline=None)
+@given(form_cases(nvars_choices=(3,)), st.data())
+@example(_all_top(3), None)
+def test_z_coefficients_match_evaluation(case, data):
+    p, _nvars, d, coeffs, points = case
+    zs = [0, 1, p - 1] if data is None else data.draw(st.lists(_residues(p), min_size=1, max_size=3))
+    xs, ys = [pt[0] for pt in points], [pt[1] for pt in points]
+    rows = z_coefficients(np.array(coeffs, dtype=np.int64), d, np.array(xs), np.array(ys), p)
+    assert rows.shape == (len(points), d + 1)
+    for (x0, y0), row in zip(zip(xs, ys), rows):
+        assert np.array_equal(row, z_coefficients(coeffs, d, x0, y0, p))
+        for z in zs:
+            value = 0
+            for c in row:  # Horner, highest power of z first
+                value = (value * z + int(c)) % p
+            assert value == _pow_sum(coeffs, d, (x0, y0, z), p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([10007, PRIME_BELOW_2_31]).flatmap(lambda p: st.tuples(
+    st.just(p), st.integers(0, 9),
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(_residues(p), _residues(p), _residues(p)),
+)))
+def test_derivative_row_matches_monomial_formula(case):
+    p, d, order, point = case
+    assert np.array_equal(derivative_row(d, order, point, p),
+                          _derivative_row_oracle(d, order, point, p))

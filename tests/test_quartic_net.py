@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import rank_mod
 from scrollres.k3_syzygy import pencil_member, surface_from_syzygy, syzygy_scheme
-from scrollres.plane_curve import monomials
+from scrollres.plane_curve import evaluate_form, monomials
 from scrollres.quartic_net import (
     GammaCurve,
     GammaError,
@@ -16,7 +16,6 @@ from scrollres.quartic_net import (
     _common_quadratic_roots,
     binary_form_divide_linear,
     binary_form_roots,
-    eval_nvar,
     fit_gamma,
     fit_gamma_map,
     gamma_singular_point,
@@ -122,9 +121,9 @@ def test_common_quadratic_roots_match_scan(case):
     # quadratic in w vanishes at every w)
     p, conics, u0, v0 = case
     constraining = [q for q in conics if any(
-        eval_nvar(q, 3, 2, np.array([[u0], [v0], [w]]), p)[0] for w in range(p))]
+        evaluate_form(q, 2, (u0, v0, w), p)[0] for w in range(p))]
     scan = [w for w in range(p) if all(
-        eval_nvar(q, 3, 2, np.array([[u0], [v0], [w]]), p)[0] == 0 for q in constraining)]
+        evaluate_form(q, 2, (u0, v0, w), p)[0] == 0 for q in constraining)]
     assert _common_quadratic_roots(conics, u0, v0, p) == (scan if constraining else [])
 
 
@@ -192,9 +191,7 @@ def test_fit_gamma(gamma_samples):
     gamma = fit_gamma(gamma_samples, P)
     assert np.any(gamma.cubic)
     pts = np.stack([np.array(c) for _par, c in gamma_samples]).T
-    from scrollres.quartic_net import eval_nvar
-
-    assert not np.any(eval_nvar(gamma.cubic, 3, 3, pts, P))
+    assert not np.any(evaluate_form(gamma.cubic, 3, pts.T, P))
 
 
 def test_fit_gamma_needs_samples(gamma_samples):
@@ -229,7 +226,7 @@ def test_pipeline_gamma_stage(gamma_samples, nonic_k3, nonic_net):
     sing = gamma_singular_point(gamma)
     assert sing["is_node"]
     gmap = fit_gamma_map(gamma_samples, P)
-    fibers = singular_fiber_parameters(gmap, sing["point"], gamma_samples, P)
+    fibers = singular_fiber_parameters(gmap, sing["point"], P)
     assert len(fibers) == 2 and fibers[0] != fibers[1]
     # both parameters reproduce the singular quartic, a third one does not
     target = normalize_point(sing["point"], P)
