@@ -1,23 +1,28 @@
-"""Dense exact linear algebra over a prime field F_p.
+"""Dense exact linear algebra over a prime field F_p, for primes below 2**31.
 
 Matrices are stored as numpy int64 arrays with entries reduced into [0, p).
 All reductions use partial pivoting by the first nonzero entry in
 left-to-right column order, so ranks, kernels and solutions are
 deterministic and reproducible.
 
-The supported prime range is bounded by int64 overflow: row operations
-form products of two residues, so we require p**2 < 2**62.
+One elimination core, _rref_inplace, serves rref, rank, kernel, solve and
+det; rank and det stop at a row echelon form.  (Echelon, the row-at-a-time
+reducer, is still separate.)  The core takes the columns in panels: each
+pivot updates only its panel, and the trailing columns change once per
+panel by one product through _dot_mod (FFLAS-FFPACK style, Dumas, Giorgi &
+Pernet 2008).  _dot_mod sums in float64 BLAS while every partial sum stays
+below 2**53 and so exact, and in int64 for p above 94906249; inside a panel
+reduction mod p likewise waits until pending products could pass 2**53.
 
 Tall matrices (rows > cols + 8, the slice matrices of the resolution) are
-eliminated through a random compression.  C = R @ A for a seeded random
-(cols + 8) x rows matrix R is accumulated in float64 BLAS over row blocks,
-each block product exact because its sum stays below 2**53; primes whose
-exact blocks would be shorter than 64 rows (p above about 1.2e7) skip the
-compression.  Since ker A lies inside ker C, checking A @ K.T = 0 exactly in
-int64 for the kernel basis K of rref(C) proves the kernels, hence the row
-spaces and the (unique) RREFs, equal; the result is identical to direct
-elimination.  A failed check retries with the next seed, and after a few
-failures A is eliminated directly.
+eliminated through a random compression C = R @ A for a seeded random
+(cols + 8) x rows matrix R; primes whose exact float64 chunks would be
+shorter than 64 rows (p above about 1.2e7) skip the compression.  Since
+ker A lies inside ker C, checking A @ K.T = 0 exactly for the kernel basis K
+of rref(C) proves the kernels, hence the row spaces and the (unique) RREFs,
+equal; the result is identical to direct elimination.  A failed check
+retries with the next seed, and after a few failures A is eliminated
+directly.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ import numpy as np
 
 MAX_PRIME = 1 << 31  # p**2 stays well inside int64
 
-# Compressed elimination of tall matrices (see rref_mod).
 _FLOAT_EXACT = 1 << 53  # float64 represents every integer below this
+_PANEL = 32             # columns per elimination panel (see _rref_inplace)
+
+# Compressed elimination of tall matrices (see rref_mod).
 _PAD = 8                # extra random combinations beyond cols
 _BLOCK_ROWS = 512       # rows of A per projection block and per certificate block
 _MIN_BLOCK_ROWS = 64    # shorter exact blocks (p above about 1.2e7): eliminate directly
@@ -63,7 +70,9 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    if not isinstance(p, int) or not is_prime(p):
+    if type(p) is not int:
+        raise TypeError(f"modulus must be a Python int, not {type(p).__name__}")
+    if not is_prime(p):
         raise FieldError(f"modulus {p} is not prime")
     if p >= MAX_PRIME:
         raise FieldError(f"prime {p} exceeds supported bound {MAX_PRIME}")
@@ -88,12 +97,47 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _exact_block_rows(p: int) -> int:
-    """Most rows of A one float64 block product may span and stay exact.
+    """How many products (p-1)**2 may be added to a value of absolute value
+    below p while the sum stays within 2**53 - p, where float64 is exact and
+    _reduce applies: the one exactness bound of the module.  It is at least 1
+    up to the prime 94906249 and 0 from the next prime, 94906297, on."""
+    return (_FLOAT_EXACT - 2 * p) // ((p - 1) ** 2)
 
-    A block adds at most that many products (p-1)**2 to an accumulator
-    already reduced below p; the sum must stay below 2**53.
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place.  A float64 x must hold integers of absolute value at
+    most 2**53 - p: x / p is then nearer the true quotient than 1/p, so its
+    floor is exact, and this is several times faster than np.remainder."""
+    if x.dtype != np.float64:
+        x %= p
+        return x
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _dot_mod(a: np.ndarray, b: np.ndarray, p: int, c=None) -> np.ndarray:
+    """(c + a @ b) mod p, exactly, for entries of absolute value below p.
+
+    The inner sums run through float64 BLAS in chunks of _exact_block_rows(p)
+    terms, reduced between chunks; for primes where float64 cannot hold even
+    one product beside a residue, through the int64 mul_mod.  The result has
+    the dtype of the arithmetic used: float64 or int64.
     """
-    return (_FLOAT_EXACT - p) // ((p - 1) ** 2)
+    step = _exact_block_rows(p)
+    if step < 1:
+        out = mul_mod(a, b, p)
+        return out if c is None else (out + c) % p
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    shape = a.shape[:-1] + b.shape[1:]
+    out = np.zeros(shape) if c is None else np.array(c, dtype=np.float64)
+    for lo in range(0, a.shape[-1], step):
+        out += a[..., lo:lo + step] @ b[lo:lo + step]
+        _reduce(out, p)
+    return out
 
 
 def _compressible(rows: int, cols: int, p: int) -> bool:
@@ -117,62 +161,91 @@ def _projection_block(seed: int, start: int, rows: int, cols: int, p: int) -> np
 def _project(a: np.ndarray, p: int, seed: int) -> np.ndarray:
     """C = R @ a mod p for a seeded random (cols + _PAD) x rows matrix R.
 
-    R and the float64 image of a exist one row block at a time; each block
-    product is exact by the choice of block length.
+    R and the float64 image of a exist one row block at a time.
     """
     rows, cols = a.shape
-    block = min(_BLOCK_ROWS, _exact_block_rows(p))
-    acc = np.zeros((cols + _PAD, cols), dtype=np.float64)
-    for lo in range(0, rows, block):
-        part = (np.asarray(a[lo:lo + block], dtype=np.int64) % p).astype(np.float64)
-        acc += _projection_block(seed, lo, cols + _PAD, part.shape[0], p) @ part
-        acc %= p
+    acc = np.zeros((cols + _PAD, cols))
+    for lo in range(0, rows, _BLOCK_ROWS):
+        part = np.asarray(a[lo:lo + _BLOCK_ROWS], dtype=np.int64) % p
+        acc = _dot_mod(_projection_block(seed, lo, cols + _PAD, part.shape[0], p), part, p, acc)
     return acc.astype(np.int64)
 
 
-def _rref_inplace(r: np.ndarray, p: int):
+def _rref_inplace(r: np.ndarray, p: int, echelon: bool = False):
     """Reduce r (int64, entries in [0, p)) to RREF in place.
+
+    Columns go one panel of _PANEL at a time.  In a panel each pivot updates
+    the panel and one more column, which records its row operation.  The
+    recorded columns K (minus 1 at the pivot rows I) then update the
+    trailing columns T by T += K @ T[I].  With echelon set, rows above a
+    pivot are left alone: r ends in a row echelon form with unit pivots.
 
     Returns (pivots, det): det is the product of the pivots before scaling,
     negated once per row swap, so for a square r of full rank it is the
     determinant of the input."""
     rows, cols = r.shape
+    room = _exact_block_rows(p)
+    if room >= 1:
+        m = r.astype(np.float64)
+    else:  # int64 arithmetic, reduced after every pivot
+        m, room = r, 1
     pivots = []
     pr = 0
     det = 1
-    for c in range(cols):
-        if pr >= rows:
+    for c0 in range(0, cols, _PANEL):
+        if pr == rows:
             break
-        nz = np.nonzero(r[pr:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = pr + nz[0]
-        if piv != pr:
-            r[[pr, piv]] = r[[piv, pr]]
-            det = -det
-        det = det * int(r[pr, c]) % p
-        inv = pow(int(r[pr, c]), -1, p)
-        # rows pr.. vanish left of column c, so only columns c.. change
-        prow = r[pr, c:] * inv % p
-        r[pr, c:] = 0
-        col = r[:, c].copy()
-        nnz = int(np.count_nonzero(col))
-        if 4 * nnz > rows:
-            # dense column: one fused update beats fancy-indexed copies
-            tail = r[:, c:]
-            tail -= np.outer(col, prow)
-            tail %= p
-        elif nnz:
-            idx = np.flatnonzero(col)
-            r[idx, c:] = (r[idx, c:] - np.outer(col[idx], prow)) % p
-        r[pr, c:] = prow
-        pivots.append(c)
-        pr += 1
+        c1 = min(c0 + _PANEL, cols)
+        width = c1 - c0
+        trailing = c1 < cols
+        x = m[:, c0:c1]
+        if trailing:
+            x = np.concatenate((x, np.zeros_like(x)), axis=1)
+        pr0 = pr
+        for c in range(width):
+            if pr == rows:
+                break
+            x[:, c] %= p
+            nz = x[pr:, c].nonzero()[0]
+            if nz.size == 0:
+                continue
+            piv = pr + nz[0]
+            if piv != pr:
+                m[[pr, piv]] = m[[piv, pr]]
+                if trailing:
+                    x[[pr, piv]] = x[[piv, pr]]
+                det = -det
+            # columns left of c are settled; later record columns are still 0
+            live = slice(c, width + pr - pr0 + 1 if trailing else width)
+            x[pr, live] %= p
+            if trailing:
+                x[pr, width + pr - pr0] = 1
+            lead = int(x[pr, c])
+            det = det * lead % p
+            prow = x[pr, live] * pow(lead, -1, p) % p
+            top = pr if echelon else 0
+            x[top:, live] -= x[top:, c, None] * prow
+            x[pr, live] = prow
+            pivots.append(c0 + c)
+            pr += 1
+            if (pr - pr0) % room == 0:
+                _reduce(x, p)
+        if trailing:
+            m[:, c0:c1] = x[:, :width]
+            if pr > pr0:
+                top = pr0 if echelon else 0
+                k = _reduce(x[top:, width:width + pr - pr0], p)
+                at = np.arange(pr - pr0)
+                k[pr0 - top + at, at] = (k[pr0 - top + at, at] - 1) % p
+                m[top:, c1:] = _dot_mod(k, m[pr0:pr, c1:], p, m[top:, c1:])
+    if m is not r:
+        r[:] = m
+    r %= p  # the panels were left unreduced
     return pivots, det
 
 
 def _rref_direct(a: np.ndarray, p: int):
-    """RREF by per-pivot elimination of the whole matrix."""
+    """RREF by elimination of the whole matrix, without compression."""
     r = np.array(a, dtype=np.int64) % p
     return r, _rref_inplace(r, p)[0]
 
@@ -187,10 +260,10 @@ def _kernel_from_rref(r: np.ndarray, pivots: list, cols: int, p: int) -> np.ndar
 
 
 def _annihilates(a: np.ndarray, kernel: np.ndarray, p: int) -> bool:
-    """Is a @ kernel.T zero mod p?  Exact int64 products, one row block at a time."""
+    """Is a @ kernel.T zero mod p?  Exact products, one row block at a time."""
     kt = kernel.T
     for lo in range(0, a.shape[0], _BLOCK_ROWS):
-        if np.any(mul_mod(a[lo:lo + _BLOCK_ROWS], kt, p)):
+        if np.any(_dot_mod(np.asarray(a[lo:lo + _BLOCK_ROWS], dtype=np.int64) % p, kt, p)):
             return False
     return True
 
@@ -230,10 +303,10 @@ def rref_mod(a: np.ndarray, p: int):
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:
+    """Rank over F_p: the pivot count of a row echelon form."""
     if a.size == 0:
         return 0
-    _, pivots = rref_mod(a, p)
-    return len(pivots)
+    return len(_rref_inplace(np.array(a, dtype=np.int64) % p, p, echelon=True)[0])
 
 
 class Echelon:
@@ -312,12 +385,13 @@ def solve_mod(a: np.ndarray, b: np.ndarray, p: int):
 
 
 def det_mod(a: np.ndarray, p: int) -> int:
-    """Determinant over F_p, read off the RREF loop."""
+    """Determinant over F_p: the signed product of the pivots of a row
+    echelon form."""
     m = np.array(a, dtype=np.int64) % p
     n = m.shape[0]
     if m.shape != (n, n):
         raise FieldError("determinant needs a square matrix")
-    pivots, det = _rref_inplace(m, p)
+    pivots, det = _rref_inplace(m, p, echelon=True)
     return det if len(pivots) == n else 0
 
 

@@ -170,6 +170,15 @@ def test_small_prime_failure_mode(monkeypatch, capsys):
     assert f"the stages request {demand}" in err
 
 
+def test_modulus_of_a_wrong_type_is_a_type_error(monkeypatch):
+    # a numpy integer or a bool is not reported as a non-prime
+    monkeypatch.setattr(pipeline, "build_chain", _no_chain)
+    with pytest.raises(TypeError, match="not int64"):
+        run_pipeline(np.int64(10007), 1)
+    with pytest.raises(TypeError, match="not bool"):
+        run_pipeline(True, 1)
+
+
 def test_sampling_prime_boundary(monkeypatch):
     # 661 is the largest prime rejected and 673 the smallest accepted
     assert [n for n in range(640, 680) if is_prime(n)] == [641, 643, 647, 653, 659, 661, 673, 677]

@@ -28,6 +28,14 @@ def test_prime_checks():
         check_prime(10006)
 
 
+def test_check_prime_names_a_wrong_type():
+    assert check_prime(P) == P
+    with pytest.raises(TypeError, match="not int64"):
+        check_prime(np.int64(P))
+    with pytest.raises(TypeError, match="not bool"):
+        check_prime(True)
+
+
 def test_rank_identity():
     m = np.eye(3, dtype=np.int64)
     assert rank_mod(m, P) == 3
@@ -191,16 +199,22 @@ def test_solve_in_span_roundtrip(rows):
 # --- tall matrices: certified compressed elimination ------------------------
 
 
-def _hand_rref(a, p):
-    """Textbook Gauss-Jordan on Python ints: an oracle independent of ffield."""
+def _hand_gauss_jordan(a, p):
+    """Textbook Gauss-Jordan on Python ints: an oracle independent of ffield.
+
+    Returns (RREF, pivots, det), det being the product of the pivots before
+    scaling, negated once per row swap."""
     m = [[int(v) % p for v in row] for row in a]
     rows, cols = len(m), len(m[0])
-    pivots, pr = [], 0
+    pivots, pr, det = [], 0, 1
     for c in range(cols):
         piv = next((i for i in range(pr, rows) if m[i][c]), None)
         if piv is None:
             continue
+        if piv != pr:
+            det = -det
         m[pr], m[piv] = m[piv], m[pr]
+        det = det * m[pr][c] % p
         inv = pow(m[pr][c], -1, p)
         m[pr] = [v * inv % p for v in m[pr]]
         for i in range(rows):
@@ -211,7 +225,11 @@ def _hand_rref(a, p):
         pr += 1
         if pr == rows:
             break
-    return np.array(m, dtype=np.int64), pivots
+    return np.array(m, dtype=np.int64), pivots, det
+
+
+def _hand_rref(a, p):
+    return _hand_gauss_jordan(a, p)[:2]
 
 
 def _tall(rng, rows, cols, kernel_dim, p, density=0.08):
@@ -379,6 +397,89 @@ def test_tall_rref_property(rows):
     r, pivots = _assert_same_rref(a, 101)
     r_hand, pivots_hand = _hand_rref(a, 101)
     assert pivots == pivots_hand and np.array_equal(r, r_hand)
+
+
+# --- the panel elimination core ---------------------------------------------
+
+W = ffield._PANEL
+FLOAT_TOP, INT_BOTTOM = 94906249, 94906297  # the float64 arithmetic ends between these primes
+# 100003 and 67108859 let 900683 and 2 products wait for a reduction
+CORE_PRIMES = (2, 3, 101, 10007, 100003, 67108859, FLOAT_TOP, INT_BOTTOM, 2147483629)
+
+
+def test_float64_path_boundary():
+    assert is_prime(FLOAT_TOP) and is_prime(INT_BOTTOM)
+    assert not any(is_prime(n) for n in range(FLOAT_TOP + 1, INT_BOTTOM))
+    assert ffield._exact_block_rows(FLOAT_TOP) == 1
+    assert ffield._exact_block_rows(INT_BOTTOM) == 0
+
+
+def _assert_core_matches_hand(a, p):
+    """RREF, pivots and det of the core, in both of its modes, and rank_mod,
+    det_mod and rref_mod, against textbook Gauss-Jordan."""
+    r_hand, pivots_hand, det_hand = _hand_gauss_jordan(a, p)
+    r = np.array(a, dtype=np.int64) % p
+    pivots, det = ffield._rref_inplace(r, p)
+    assert pivots == pivots_hand and r.tobytes() == r_hand.tobytes()
+    assert det % p == det_hand % p
+    e = np.array(a, dtype=np.int64) % p
+    assert ffield._rref_inplace(e, p, echelon=True) == (pivots_hand, det)
+    assert rank_mod(a, p) == len(pivots_hand)
+    r2, pivots2 = rref_mod(a, p)
+    assert pivots2 == pivots_hand and r2.tobytes() == r_hand.tobytes()
+    if a.shape[0] == a.shape[1]:
+        assert det_mod(a, p) == (det_hand % p if len(pivots_hand) == a.shape[0] else 0)
+
+
+@st.composite
+def core_cases(draw):
+    """(p, matrix): panel-straddling widths; wide, square and tall shapes that
+    are not compressed; zero columns at a panel's first column, zero panels
+    and panels of deficient rank."""
+    p = draw(st.sampled_from(CORE_PRIMES))
+    cols = draw(st.sampled_from([W - 1, W, W + 1, 2 * W + 3]) | st.integers(1, 2 * W + 3))
+    kind = draw(st.sampled_from(["wide", "square", "tall"]))
+    if kind == "wide":
+        rows = draw(st.integers(1, max(1, cols - 1)))
+    elif kind == "square":
+        rows = cols
+    else:
+        rows = draw(st.integers(cols + 1, cols + ffield._PAD))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.integers(0, p, size=(rows, rank)).astype(object)
+    right = rng.integers(0, p, size=(rank, cols)).astype(object)
+    a = (left @ right % p).astype(np.int64)
+    if draw(st.booleans()):
+        a[:, ::W] = 0  # the first column of every panel
+    if draw(st.booleans()):
+        a[:, W:2 * W] = 0  # the whole second panel
+    if draw(st.booleans()):
+        n = min(cols, W) // 2
+        a[:, 1:2 * n:2] = a[:, 0:2 * n:2]  # repeated columns in the first panel
+    if draw(st.booleans()):
+        a[rng.random(a.shape) < 0.3] = p - 1
+    return p, a
+
+
+@settings(max_examples=80, deadline=None)
+@given(core_cases())
+def test_core_matches_hand_reduction(case):
+    p, a = case
+    assert not ffield._compressible(*a.shape, p)
+    _assert_core_matches_hand(a, p)
+
+
+@pytest.mark.parametrize("p", [100003, 67108859, FLOAT_TOP])
+@pytest.mark.parametrize("n", [W - 1, W + 1, 2 * W + 3])
+def test_delayed_reduction_stress(p, n):
+    # entries p - 1 make the products as large as they can be; at FLOAT_TOP
+    # one pending product (p - 1)**2 per entry is all that float64 holds
+    full = np.full((n, n), p - 1, dtype=np.int64)
+    unit_diagonal = full.copy()
+    np.fill_diagonal(unit_diagonal, 1)
+    for a in (full, unit_diagonal, unit_diagonal[:, ::-1], unit_diagonal[: n - 2]):
+        _assert_core_matches_hand(a, p)
 
 
 def _loop_kernel(a, p):
