@@ -78,7 +78,7 @@ def cmd_betti(args) -> int:
 def cmd_k3(args) -> int:
     chain = build_chain(args.prime, args.seed)
     checks: dict = {}
-    section, _basis, _gens, _surface = k3_section(chain, checks)
+    section, _basis, _gens = k3_section(chain, checks)
     print(f"surface shape: {section['shape']}")
     print(f"intersection numbers: {section['intersectionNumbers']}")
     ok = all(bool(v) for v in checks.values())
@@ -90,7 +90,7 @@ def cmd_k3(args) -> int:
 def cmd_gamma(args) -> int:
     chain = build_chain(args.prime, args.seed)
     checks: dict = {}
-    _k3, basis, gens, _surface = k3_section(chain, checks)
+    _k3, basis, gens = k3_section(chain, checks)
     net_report, net = net_section(chain, checks)
     gamma = gamma_section(chain, basis, gens, net, checks)
     print(f"net dimension: {net_report['netDim']}; residual degree: "

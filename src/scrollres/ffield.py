@@ -401,13 +401,6 @@ def row_space_mod(a: np.ndarray, p: int) -> np.ndarray:
     return r[: len(pivots)]
 
 
-def same_subspace(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    """Do the rows of a and b span the same subspace of F_p^n?"""
-    ra = row_space_mod(a, p) if a.shape[0] else a
-    rb = row_space_mod(b, p) if b.shape[0] else b
-    return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
-
-
 # --- univariate roots --------------------------------------------------------
 #
 # The helpers below work on lists of Python ints in [0, p), lowest degree

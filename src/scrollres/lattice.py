@@ -1,12 +1,13 @@
 """Certified integer-lattice engine for the K3 intersection lattices.
 
-Everything is exact: signatures come from rational congruence
-diagonalisation, determinants from fraction-free elimination, and every
-enumeration of classes with prescribed norm and pairings is reduced to
-integer points of a rational ellipsoid (the constraint complement of a
-positive class is negative definite), enumerated completely by recursive
-LDL bounds.  Ample/nef/base-point-free verdicts therefore come with finite,
-checkable certificates instead of sampling.
+Everything is exact.  One rational congruence diagonalisation gives
+signatures (the signs of its pivots), determinants (their product) and the
+L^T D L factor of a definite form.  Every enumeration of classes with
+prescribed norm and pairings is reduced to integer points of a rational
+ellipsoid (the constraint complement of a positive class is negative
+definite), enumerated completely by recursive bounds read off that factor.
+Ample/nef/base-point-free verdicts therefore come with finite, checkable
+certificates instead of sampling.
 
 Conventions: classes are integer coefficient vectors in the fixed basis of a
 Gram matrix; a (-2)-class D is called effective when D.h > 0 for the ample
@@ -96,12 +97,21 @@ def hyperbolic_plane() -> GramLattice:
 # --- basic invariants ---------------------------------------------------------
 
 
-def signature(lat: GramLattice) -> tuple:
-    """(positives, negatives, zeros) by exact rational congruence reduction."""
-    n = lat.rank
-    m = [[Fraction(lat.gram[i][j]) for j in range(n)] for i in range(n)]
-    pos = neg = zero = 0
-    idx = list(range(n))
+def _diagonalize(gram) -> tuple:
+    """Exact rational congruence diagonalisation: (d, l, zero).
+
+    d holds the nonzero pivots in order, l[i][k] the multiplier that clears
+    entry (k, i) with pivot row i, and zero the rank defect.  Every step is a
+    congruence by a matrix of determinant +-1, so det(gram) is the product of
+    d when zero == 0 and 0 otherwise.  A definite form never meets a zero
+    diagonal, so it is never pivoted and gram = L^T D L with L unit upper
+    triangular (row i holds l_{ij}, j > i).
+    """
+    n = len(gram)
+    m = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    d = []
+    l = [[Fraction(0)] * n for _ in range(n)]
+    zero = 0
     size = n
     row = 0
     while row < size:
@@ -127,42 +137,31 @@ def signature(lat: GramLattice) -> tuple:
                 m[row], m[swap] = m[swap], m[row]
                 for k in range(size):
                     m[k][row], m[k][swap] = m[k][swap], m[k][row]
-        d = m[row][row]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+        pivot = m[row][row]
+        d.append(pivot)
         for k in range(row + 1, size):
-            f = m[k][row] / d
+            f = m[k][row] / pivot
             if f:
+                l[row][k] = f
                 for c in range(size):
                     m[k][c] -= f * m[row][c]
                 for c in range(size):
                     m[c][k] -= f * m[c][row]
         row += 1
-    return (pos, neg, zero)
+    return d, l, zero
+
+
+def signature(lat: GramLattice) -> tuple:
+    """(positives, negatives, zeros): the signs of the congruence pivots."""
+    d, _l, zero = _diagonalize(lat.gram)
+    pos = sum(1 for v in d if v > 0)
+    return (pos, len(d) - pos, zero)
 
 
 def discriminant(lat: GramLattice) -> int:
-    """Determinant of the Gram matrix by fraction-free (Bareiss) elimination."""
-    n = lat.rank
-    if n == 0:
-        return 1
-    m = [list(row) for row in lat.gram]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Determinant of the Gram matrix: the product of the congruence pivots."""
+    d, _l, zero = _diagonalize(lat.gram)
+    return 0 if zero else int(math.prod(d))
 
 
 def det_cofactor(gram) -> int:
@@ -206,61 +205,54 @@ def smith_normal_form(rows):
 
 
 def _snf_transforms(a):
-    """(U, S, V) with U a V = S diagonal, U and V unimodular."""
+    """(U, S, V) with U a V = S diagonal, U and V unimodular.
+
+    Each pass moves the smallest nonzero entry of the trailing block to the
+    pivot and reduces its row and column by nearest-integer quotients, so
+    every leftover is at most half the pivot and the next pivot is smaller.
+    Re-choosing the global minimum on every pass keeps the entries small;
+    keeping one pivot until its row and column clear lets them grow to
+    hundreds of thousands of bits on some 5 x 5 symmetric inputs.
+    """
     s = [list(r) for r in a]
     nr = len(s)
     nc = len(s[0]) if nr else 0
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    t = 0
-    while t < min(nr, nc):
-        # find a pivot
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if s[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        s[t], s[i0] = s[i0], s[t]
-        u[t], u[i0] = u[i0], u[t]
-        for row in s:
-            row[t], row[j0] = row[j0], row[t]
-        for row in v:
-            row[t], row[j0] = row[j0], row[t]
+    for t in range(min(nr, nc)):
         while True:
-            reduced = False
+            cells = [
+                (abs(s[i][j]), i, j)
+                for i in range(t, nr) for j in range(t, nc) if s[i][j]
+            ]
+            if not cells:
+                return u, s, v
+            _size, i0, j0 = min(cells)
+            s[t], s[i0] = s[i0], s[t]
+            u[t], u[i0] = u[i0], u[t]
+            for row in s:
+                row[t], row[j0] = row[j0], row[t]
+            for row in v:
+                row[t], row[j0] = row[j0], row[t]
+            p = s[t][t]
             for i in range(t + 1, nr):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
+                q = (2 * s[i][t] + p) // (2 * p)
+                if q:
                     for c in range(nc):
                         s[i][c] -= q * s[t][c]
                     for c in range(nr):
                         u[i][c] -= q * u[t][c]
-                    if s[i][t]:
-                        s[t], s[i] = s[i], s[t]
-                        u[t], u[i] = u[i], u[t]
-                    reduced = True
             for j in range(t + 1, nc):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
+                q = (2 * s[t][j] + p) // (2 * p)
+                if q:
                     for r in range(nr):
                         s[r][j] -= q * s[r][t]
                     for r in range(nc):
                         v[r][j] -= q * v[r][t]
-                    if s[t][j]:
-                        for r in range(nr):
-                            s[r][t], s[r][j] = s[r][j], s[r][t]
-                        for r in range(nc):
-                            v[r][t], v[r][j] = v[r][j], v[r][t]
-                    reduced = True
-            if not reduced:
+            if not any(s[i][t] for i in range(t + 1, nr)) and not any(
+                s[t][j] for j in range(t + 1, nc)
+            ):
                 break
-        t += 1
     return u, s, v
 
 
@@ -292,41 +284,18 @@ def solve_integer_system(a, b):
 # --- complete enumeration by rational ellipsoids -------------------------------
 
 
-def _ldl(q):
-    """LDL decomposition of a positive definite rational matrix:
-    q = L^T D L with L unit upper triangular (row i holds l_{ij}, j > i)."""
-    n = len(q)
-    q = [[Fraction(q[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    l = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = q[i][j]
-            for k in range(i):
-                acc -= d[k] * l[k][i] * l[k][j]
-            if j == i:
-                if acc <= 0:
-                    raise LatticeError("form is not positive definite")
-                d[i] = acc
-                l[i][i] = Fraction(1)
-            else:
-                l[i][j] = acc / d[i]
-    return d, l
-
-
 def _frac_sqrt_floor(x: Fraction) -> int:
     if x < 0:
         return -1
     return math.isqrt(x.numerator * x.denominator) // x.denominator
 
 
-def _ellipsoid_points(q, center, radius2):
-    """All integer points c with (c - center)^T q (c - center) <= radius2.
-
-    q is positive definite rational, center rational, radius2 rational.
+def _ellipsoid_points(d, l, center, radius2):
+    """All integer points c with (c - center)^T q (c - center) <= radius2,
+    where q = L^T D L is positive definite with pivots d and multipliers l
+    from _diagonalize; center and radius2 are rational.
     """
-    n = len(q)
-    d, l = _ldl(q)
+    n = len(d)
     out = []
     point = [0] * n
 
@@ -378,14 +347,13 @@ def enum_classes(lat: GramLattice, norm: int, constraints, radius_factor: int = 
     if not kernel:
         d = tuple(x0)
         return [d] if lat.norm(d) == norm and any(d) else []
-    # negative definiteness of the form on the kernel lattice
-    b = [
-        [lat.pairing(kernel[i], kernel[j]) for j in range(len(kernel))]
+    # Q = -(form on the kernel lattice) must be positive definite
+    q = [
+        [-lat.pairing(kernel[i], kernel[j]) for j in range(len(kernel))]
         for i in range(len(kernel))
     ]
-    q = [[-Fraction(v) for v in row] for row in b]
-    sig = signature(GramLattice(tuple(tuple(r) for r in b), tuple(map(str, range(len(b))))))
-    if sig[0] or sig[2]:
+    pivots, l, zero = _diagonalize(q)
+    if zero or any(v < 0 for v in pivots):
         raise LatticeError(
             "anchor not positive: constraint complement is not negative definite"
         )
@@ -405,7 +373,7 @@ def enum_classes(lat: GramLattice, norm: int, constraints, radius_factor: int = 
         return []
     radius2 *= radius_factor * radius_factor
     found = []
-    for c in _ellipsoid_points(q, center, radius2):
+    for c in _ellipsoid_points(pivots, l, center, radius2):
         d = tuple(
             x0[i] + sum(c[j] * kernel[j][i] for j in range(len(kernel)))
             for i in range(n)

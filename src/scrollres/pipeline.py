@@ -242,7 +242,7 @@ def k3_section(chain: CurveChain, checks: dict):
                                   "resolution shape and lattice data are the evidence",
         },
     }
-    return section, basis, gens, surface
+    return section, basis, gens
 
 
 def net_section(chain: CurveChain, checks: dict):
@@ -420,7 +420,7 @@ def run_pipeline(prime: int = DEFAULT_PRIME, seed: int = 1,
             report["scrollType"] = [1, 1, 1, 1, 0]
             t1 = time.time()
             report["bettiTable"] = _betti_section(chain, checks)
-            report["k3"], basis, gens, _surface = k3_section(chain, checks)
+            report["k3"], basis, gens = k3_section(chain, checks)
             report["syzygySpaceDim"] = len(basis)
             timings["k3"] = round(time.time() - t1, 3)
             t2 = time.time()

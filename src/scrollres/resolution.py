@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import Echelon, kernel_mod, rank_mod, row_space_mod, rref_mod, same_subspace
+from .ffield import Echelon, kernel_mod, rank_mod, row_space_mod, rref_mod
 from .plane_curve import sample_smooth_points
 from .scroll import (
     GENERIC_E,
@@ -267,10 +267,9 @@ class SliceContext:
                 monomial_value_matrix(self.values(1, m), monos, self.prime).T,
                 self.prime,
             )
-            e0 = np.stack(list(k0)) if len(k0) else np.zeros((0, len(monos)), dtype=np.int64)
-            e1 = np.stack(list(k1)) if len(k1) else np.zeros((0, len(monos)), dtype=np.int64)
-            if same_subspace(e0, e1, self.prime):
-                basis = row_space_mod(e0, self.prime) if e0.size else e0
+            # the kernel basis is canonical: equal kernels give equal arrays
+            if np.array_equal(k0, k1):
+                basis = row_space_mod(k0, self.prime) if k0.size else k0
                 self._slices[key] = basis
                 return basis
         raise SampleDisagreementError(f"sample disagreement in slice ({a},{b})")
@@ -419,9 +418,8 @@ def ideal_generator_step(ctx: SliceContext, window=GENERATOR_WINDOW) -> Resoluti
         multiples = _multiples_span(kernels, [(0, 0)], e, 2, b, p)
         if multiples.size:
             # lower-twist multiples must stay inside the slice
-            slice_rank = rank_mod(slice_basis, p) if slice_basis.size else 0
-            joint = np.concatenate([slice_basis, multiples]) if slice_basis.size else multiples
-            if rank_mod(joint, p) != slice_rank:
+            slice_rank = slice_basis.shape[0]  # an RREF without zero rows
+            if rank_mod(np.concatenate([slice_basis, multiples]), p) != slice_rank:
                 raise ResolutionError("generator multiples escape the ideal slice")
         new = _new_representatives(slice_basis, multiples, p)
         kernels[(2, b)] = SyzygyBlock(1, (2, b), columns, slice_basis, new)
@@ -456,9 +454,8 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
             continue
         mat = free_map_matrix(prev, e, a, b, p)
         kernel = kernel_mod(mat.T, p)
-        kernel = np.stack(list(kernel)) if len(kernel) else np.zeros((0, len(columns)), dtype=np.int64)
         if prev.index == 1 and b in verify_against_ideal:
-            image_rank = rank_mod(mat, p)
+            image_rank = len(columns) - len(kernel)  # rank-nullity on mat.T
             expected = ctx.ideal_slice(a, b).shape[0]
             if image_rank != expected:
                 raise ResolutionError(

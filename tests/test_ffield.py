@@ -14,7 +14,6 @@ from scrollres.ffield import (
     rank_mod,
     roots_mod,
     rref_mod,
-    same_subspace,
     solve_mod,
 )
 
@@ -142,12 +141,41 @@ def test_det_mod_matches_cofactor_expansion(case):
         assert got == 0
 
 
-def test_same_subspace_detects_reordering():
+def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_kernel_basis_detects_reordering():
     a = np.array([[1, 2, 3], [0, 1, 1]])
     b = np.array([[2, 4, 6], [1, 3, 4]])  # row ops of a
     c = np.array([[1, 0, 0], [0, 1, 0]])
-    assert same_subspace(a, b, P)
-    assert not same_subspace(a, c, P)
+    assert _same_bytes(kernel_mod(a, P), kernel_mod(b, P))
+    assert not np.array_equal(kernel_mod(a, P), kernel_mod(c, P))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda r: st.integers(1, 6).flatmap(lambda c: st.tuples(
+        st.lists(st.lists(st.integers(0, P - 1), min_size=c, max_size=c), min_size=r, max_size=r),
+        st.lists(st.lists(st.integers(0, P - 1), min_size=r, max_size=r), min_size=r, max_size=r),
+        st.lists(st.integers(1, P - 1), min_size=r, max_size=r),
+        st.permutations(range(r)),
+    )))
+)
+def test_kernel_basis_depends_only_on_the_kernel(case):
+    """kernel_mod(A) is a function of ker A alone, so two samples of one
+    ideal slice can be compared with np.array_equal: an invertible G (unit
+    lower times invertible upper triangular) and a row permutation of A
+    leave the returned basis byte-identical."""
+    rows, square, diagonal, perm = case
+    a = np.array(rows, dtype=np.int64)
+    square = np.array(square, dtype=np.int64)
+    lower = np.tril(square, -1) + np.eye(len(rows), dtype=np.int64)
+    upper = np.triu(square, 1) + np.diag(diagonal)
+    g = mul_mod(lower, upper, P)
+    k = kernel_mod(a, P)
+    assert _same_bytes(kernel_mod(mul_mod(g, a, P), P), k)
+    assert _same_bytes(kernel_mod(a[list(perm)], P), k)
 
 
 matrices = st.integers(1, 6).flatmap(

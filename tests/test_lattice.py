@@ -106,6 +106,12 @@ def test_smith_normal_form():
     # already diagonal, but 2 does not divide 3: the divisors are 1 and 6
     assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
     assert smith_normal_form([[0, 0], [0, 0]]) == []
+    # a zero-diagonal symmetric 5 x 5 on which keeping the first nonzero
+    # entry as pivot until its row and column clear swells the entries to
+    # hundreds of thousands of bits within seconds
+    swell = [[0, -34, -27, 14, -15], [-34, 0, -4, 36, -36], [-27, -4, 0, 10, -13],
+             [14, 36, 10, 0, 26], [-15, -36, -13, 26, 0]]
+    assert smith_normal_form(swell) == [1, 1, 2, 2, 3695480]
 
 
 def snf_by_minors(rows):
@@ -142,6 +148,57 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_smith_normal_form_matches_minors_oracle(rows):
     assert smith_normal_form(rows) == snf_by_minors(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_solve_integer_system_on_an_image(rows, x):
+    x = x[: len(rows[0])]
+    b = [sum(r * v for r, v in zip(row, x)) for row in rows]
+    x0, kernel = solve_integer_system(rows, b)
+    assert [sum(r * v for r, v in zip(row, x0)) for row in rows] == b
+    for k in kernel:
+        assert not any(sum(r * v for r, v in zip(row, k)) for row in rows)
+    assert len(kernel) == len(x) - len(smith_normal_form(rows))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n integer matrices, n <= 5: B^T S B with B of r rows, so
+    of rank at most r; the diagonal is zeroed half of the time (the pivot
+    search must then go off the diagonal), and copying one row and column
+    onto another forces singular cases with a zero diagonal too."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n))
+    entries = st.integers(-3, 3)
+    b = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    upper = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r))
+    s = [[upper[min(k, l)][max(k, l)] for l in range(r)] for k in range(r)]
+    m = [[sum(b[k][i] * s[k][l] * b[l][j] for k in range(r) for l in range(r))
+          for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        m[j] = list(m[i])
+        for row in m:
+            row[j] = row[i]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_signature_and_discriminant_match_oracles(gram):
+    n = len(gram)
+    lat = GramLattice(gram, tuple(map(str, range(n))))
+    pos, neg, zero = signature(lat)
+    disc = discriminant(lat)
+    assert disc == det_cofactor(gram)
+    assert pos + neg + zero == n
+    assert zero == n - len(smith_normal_form(gram))
+    if zero == 0:
+        assert (disc < 0) == (neg % 2 == 1)
 
 
 @pytest.mark.parametrize(

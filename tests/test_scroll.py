@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrollres import DEFAULT_PRIME as P
-from scrollres.ffield import kernel_mod, rank_mod, same_subspace
+from scrollres.ffield import kernel_mod, rank_mod
 from scrollres.plane_curve import (
     PlaneCurveModel,
     evaluate_form,
@@ -168,7 +168,7 @@ def test_kernel_sample_independence(model, coords, sample_pool):
     m2 = slice_values(model, coords, second[:30], 2, -1)
     k1 = kernel_mod(m1.T, P)
     k2 = kernel_mod(m2.T, P)
-    assert same_subspace(np.stack(list(k1)), np.stack(list(k2)), P)
+    assert len(k1) and np.array_equal(k1, k2)  # kernel_mod's basis is canonical
 
 
 def test_scroll_minors_vanish_on_curve(model, coords, sample_pool):
