@@ -8,6 +8,7 @@ import sys
 import time
 
 from . import DEFAULT_PRIME
+from .ffield import FieldError
 from .lattice import (
     GramLattice,
     LatticeError,
@@ -18,6 +19,7 @@ from .lattice import (
     signature,
 )
 from .pipeline import (
+    CHAIN_ERRORS,
     PipelineError,
     build_chain,
     canonical_json,
@@ -26,6 +28,7 @@ from .pipeline import (
     k3_section,
     lattice_suite,
     net_section,
+    require_sampling_prime,
     run_pipeline,
     sample_survey,
 )
@@ -76,6 +79,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_k3(args) -> int:
+    require_sampling_prime(args.prime)
     chain = build_chain(args.prime, args.seed)
     checks: dict = {}
     section, _basis, _gens = k3_section(chain, checks)
@@ -88,6 +92,7 @@ def cmd_k3(args) -> int:
 
 
 def cmd_gamma(args) -> int:
+    require_sampling_prime(args.prime)
     chain = build_chain(args.prime, args.seed)
     checks: dict = {}
     _k3, basis, gens = k3_section(chain, checks)
@@ -225,6 +230,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PipelineError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (FieldError, *CHAIN_ERRORS) as exc:
+        # a bad modulus or a failed chain stage; any other exception is a bug
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

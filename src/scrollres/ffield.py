@@ -5,14 +5,15 @@ All reductions use partial pivoting by the first nonzero entry in
 left-to-right column order, so ranks, kernels and solutions are
 deterministic and reproducible.
 
-One elimination core, _rref_inplace, serves rref, rank, kernel, solve and
-det; rank and det stop at a row echelon form.  (Echelon, the row-at-a-time
-reducer, is still separate.)  The core takes the columns in panels: each
-pivot updates only its panel, and the trailing columns change once per
-panel by one product through _dot_mod (FFLAS-FFPACK style, Dumas, Giorgi &
-Pernet 2008).  _dot_mod sums in float64 BLAS while every partial sum stays
-below 2**53 and so exact, and in int64 for p above 94906249; inside a panel
-reduction mod p likewise waits until pending products could pass 2**53.
+One elimination core, _rref_inplace, serves rref, rank, kernel, solve,
+inverse and det; rank and det stop at a row echelon form.  (Echelon, the
+row-at-a-time reducer, is still separate.)  The core takes the columns in
+panels: each pivot updates only its panel, and the trailing columns change
+once per panel by one product through _dot_mod (FFLAS-FFPACK style, Dumas,
+Giorgi & Pernet 2008).  _dot_mod sums in float64 BLAS while every partial
+sum stays below 2**53 and so exact, and in int64 for p above 94906249;
+inside a panel reduction mod p likewise waits until pending products could
+pass 2**53.
 
 Tall matrices (rows > cols + 8, the slice matrices of the resolution) are
 eliminated through a random compression C = R @ A for a seeded random
@@ -382,6 +383,19 @@ def solve_mod(a: np.ndarray, b: np.ndarray, p: int):
     for row, pc in enumerate(pivots):
         x[pc] = r[row, cols]
     return x
+
+
+def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of a square matrix over F_p, read off one rref_mod of [a | I];
+    FieldError for a singular or non-square a."""
+    a = np.asarray(a, dtype=np.int64) % p
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise FieldError("inverse needs a square matrix")
+    r, pivots = rref_mod(np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1), p)
+    if list(pivots[:n]) != list(range(n)):
+        raise FieldError("matrix is singular")
+    return r[:, n:]
 
 
 def det_mod(a: np.ndarray, p: int) -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import kernel_mod, mul_mod, rank_mod, rref_mod, solve_mod
+from .ffield import inverse_mod, kernel_mod, mul_mod, rank_mod, rref_mod
 from .lattice import solve_rational
 from .resolution import (
     BigradedBettiTable,
@@ -27,7 +27,17 @@ from .resolution import (
     free_map_matrix,
     next_syzygies,
 )
-from .scroll import GENERIC_E, CoxPoly, cox_slice, euler_scroll, slice_index, slice_keys, split_keys
+from .scroll import (
+    GENERIC_E,
+    CoxPoly,
+    cox_slice,
+    euler_scroll,
+    module_element,
+    module_keys,
+    slice_index,
+    slice_keys,
+    split_keys,
+)
 
 K3_GENUS = 8          # hyperplane sections of the surface are canonical genus-8 curves
 K3_SECTION_GONALITY = 5
@@ -123,54 +133,40 @@ def syzygy_scheme(s: SyzygyVector, gen_polys) -> SyzygyScheme:
     left_kernel = kernel_mod(s.entries.T, p)  # vectors u with u^T S = 0
     if len(left_kernel) != 2:
         raise K3Error("left kernel of the syzygy entries is not 2-dimensional")
-    rows = []
-    ech_rows = [list(v) for v in left_kernel]
-    # complete the kernel rows to an invertible matrix with unit rows, greedily
-    for i in range(6):
-        unit = np.zeros(6, dtype=np.int64)
-        unit[i] = 1
-        cand = np.stack([unit] + [np.array(r) for r in ech_rows] + [np.array(r) for r in rows])
-        if rank_mod(cand, p) == len(cand):
-            rows.append(unit)
-        if len(rows) == 4:
-            break
-    if len(rows) != 4:
+    units = unit_completion(left_kernel, p)
+    if len(units) != 4:
         raise K3Error("could not complete the base change")
-    u_mat = np.stack(rows + [np.array(v) for v in left_kernel]) % p
-    if rank_mod(u_mat, p) != 6:
-        raise K3Error("base change is not invertible")
-    # inverse of u_mat modulo p
-    inv = np.zeros((6, 6), dtype=np.int64)
-    for j in range(6):
-        e = np.zeros(6, dtype=np.int64)
-        e[j] = 1
-        col = solve_mod(u_mat, e, p)
-        inv[:, j] = col
+    u_mat = np.concatenate([np.eye(6, dtype=np.int64)[units], left_kernel]) % p
+    inv = inverse_mod(u_mat, p)
     # transformed syzygy s' = U s has last two entries zero
     sprime = mul_mod(u_mat, s.entries, p)
     if np.any(sprime[4:]):
         raise K3Error("base change failed to kill the last two entries")
-    # transformed generators f' = f U^{-1}
-    forms = []
-    for j in range(4):
-        acc = CoxPoly(p)
-        for i in range(6):
-            c = int(inv[i, j])
-            if c:
-                acc = acc.add(gen_polys[i].scale(c))
-        forms.append(acc)
+    # transformed generators f' = f U^{-1}: column j of U^{-1} is the element
+    # sum_i U^{-1}[i, j] e_i, sent to f'_j by e_i -> f_i
+    e_keys = module_keys([(0, 0)] * 6, GENERIC_E, 0, 0)
+    forms = [CoxPoly(p, e_keys, inv[:, j]).image(gen_polys) for j in range(4)]
     # slice (1, -1) holds exactly x1..x4, in order
     ell = [CoxPoly(p, slice_keys(GENERIC_E, 1, -1), sprime[j]) for j in range(4)]
     # defining identity of the syzygy scheme
-    acc = CoxPoly(p)
-    for f, l in zip(forms, ell):
-        acc = acc.add(f.mul(l))
-    if not acc.is_zero():
+    if not module_element(ell).image(forms).is_zero():
         raise K3Error("transformed syzygy identity failed")
     span = np.stack([l.vector(GENERIC_E, 1, -1) for l in ell])
     if rank_mod(span, p) != 4:
         raise K3Error("transformed syzygy entries do not span the 4-dimensional space")
     return SyzygyScheme(p, s.params, tuple(forms), tuple(ell), u_mat)
+
+
+def unit_completion(rows: np.ndarray, p: int) -> list:
+    """Indices i, in increasing order, of the unit vectors e_i that greedily
+    extend the row space of the independent rows to all of F_p^n: the
+    column rank profile of [rows^T | I] beyond the columns of rows^T.
+    Empty when rows are dependent."""
+    k, n = rows.shape
+    _reduced, pivots = rref_mod(np.concatenate([rows.T, np.eye(n, dtype=np.int64)], axis=1), p)
+    if list(pivots[:k]) != list(range(k)):
+        return []
+    return [c - k for c in pivots[k:]]
 
 
 # --- Pfaffians ---------------------------------------------------------------
@@ -191,21 +187,18 @@ def pfaffian(matrix) -> CoxPoly:
 
 
 def _pf(m) -> CoxPoly:
+    """Expansion along the first row: sum_j (-1)^(j+1) m[0][j] Pf(m_0j),
+    m_0j being m without rows and columns 0 and j."""
     n = len(m)
     p = m[0][0].prime
     if n == 2:
         return m[0][1]
-    acc = CoxPoly(p)
+    minors = []
     for j in range(1, n):
-        if m[0][j].is_zero():
-            continue
         keep = [i for i in range(1, n) if i != j]
-        sub = [[m[a][b] for b in keep] for a in keep]
-        term = m[0][j].mul(_pf(sub))
-        if j % 2 == 0:
-            term = term.scale(p - 1)
-        acc = acc.add(term)
-    return acc
+        minor = _pf([[m[a][b] for b in keep] for a in keep])
+        minors.append(minor.scale(p - 1) if j % 2 == 0 else minor)
+    return module_element(m[0][1:]).image(minors)
 
 
 def sub_pfaffians(psi) -> list:
@@ -235,33 +228,37 @@ class SkewPresentation:
 
     def check_identity(self):
         pf = sub_pfaffians([list(r) for r in self.psi])
-        for i in range(5):
-            acc = CoxPoly(self.prime)
-            for j in range(5):
-                acc = acc.add(self.psi[i][j].mul(pf[j]))
-            if not acc.is_zero():
+        for row in self.psi:
+            if not module_element(row).image(pf).is_zero():
                 raise K3Error("psi times its signed sub-Pfaffians is nonzero")
         return pf
+
+
+# the pairs i < j and triples j < k < l of the four syzygy entries
+_PAIRS = list(itertools.combinations(range(4), 2))
+_TRIPLES = list(itertools.combinations(range(4), 3))
+
+
+def _linear_map(images) -> ResolutionStep:
+    """The map, as free_map_matrix reads it, sending generator g of twist
+    (1, -1) to sum_k images[g][k] * eps_k, the eps_k of twist (0, 0)."""
+    gens = [module_element(row) for row in images]
+    return ResolutionStep(0, [(1, -1)] * len(gens), gens, {},
+                          cod_twists=[(0, 0)] * len(images[0]))
 
 
 def koszul_ambiguity_rank(ell, p: int) -> int:
     """Rank of the map sending u in H^0(R)^4 to the skew matrix iota_l(u')
     built from the Koszul contraction; this is the predicted ambiguity of the
     skew reconstruction."""
-    nh = len(cox_slice(GENERIC_E, 1, 0))
-    pairs = list(itertools.combinations(range(4), 2))
-    pair_pos = {pr: k for k, pr in enumerate(pairs)}
-    cols = []
-    for (j, k, l) in itertools.combinations(range(4), 3):
-        for tkey in slice_keys(GENERIC_E, 0, 1):
-            t = CoxPoly(p, [tkey], [1])
-            vec = np.zeros(len(pairs) * nh, dtype=np.int64)
-            # iota_l(e_jkl) = l_j e_kl - l_k e_jl + l_l e_jk
-            for sign, lv, pr in ((1, j, (k, l)), (p - 1, k, (j, l)), (1, l, (j, k))):
-                base = pair_pos[pr] * nh
-                vec[base: base + nh] = ell[lv].mul(t).scale(sign).vector(GENERIC_E, 1, 0)
-            cols.append(vec)
-    return rank_mod(np.stack(cols), p)
+    pos = {pr: k for k, pr in enumerate(_PAIRS)}
+    images = []
+    for (j, k, l) in _TRIPLES:
+        # iota_l(e_jkl) = l_j e_kl - l_k e_jl + l_l e_jk
+        row = [CoxPoly(p)] * len(_PAIRS)
+        row[pos[(k, l)]], row[pos[(j, l)]], row[pos[(j, k)]] = ell[j], ell[k].scale(p - 1), ell[l]
+        images.append(row)
+    return rank_mod(free_map_matrix(_linear_map(images), GENERIC_E, 1, 0, p), p)
 
 
 def pfaffian_reconstruct(scheme: SyzygyScheme) -> SkewPresentation:
@@ -273,38 +270,40 @@ def pfaffian_reconstruct(scheme: SyzygyScheme) -> SkewPresentation:
     """
     p = scheme.prime
     ell = scheme.ell
-    nt = len(cox_slice(GENERIC_E, 2, -1))
     h_keys = slice_keys(GENERIC_E, 1, 0)
-    pairs = list(itertools.combinations(range(4), 2))
-    mat = np.zeros((len(pairs) * len(h_keys), 4 * nt), dtype=np.int64)
-    for c_idx, ((i, j), m) in enumerate((pr, m) for pr in pairs for m in h_keys):
-        mono_poly = CoxPoly(p, [m], [1])
-        mat[c_idx, i * nt: (i + 1) * nt] = mono_poly.mul(ell[j]).vector(GENERIC_E, 2, -1)
-        mat[c_idx, j * nt: (j + 1) * nt] = mono_poly.mul(ell[i]).scale(p - 1).vector(GENERIC_E, 2, -1)
+    # e_ij -> l_j eps_i - l_i eps_j on the (2, -1) slices: one row per e_ij
+    # times a monomial of h_keys, one column block per eps_i
+    zero = CoxPoly(p)
+    images = []
+    for (i, j) in _PAIRS:
+        row = [zero] * 4
+        row[i], row[j] = ell[j], ell[i].scale(p - 1)
+        images.append(row)
+    mat = free_map_matrix(_linear_map(images), GENERIC_E, 2, -1, p)
     rhs = np.concatenate([f.vector(GENERIC_E, 2, -1) for f in scheme.forms])
-    solution = solve_mod(mat.T, rhs, p)
-    if solution is None:
+    # one elimination of [mat^T | rhs] gives a solution and the kernel dimension
+    unknowns = mat.shape[0]
+    reduced, pivots = rref_mod(np.concatenate([mat.T, rhs[:, None]], axis=1), p)
+    if unknowns in pivots:
         raise K3Error("inconsistent system: no skew presentation exists")
-    kernel_dim = len(kernel_mod(mat.T, p))
+    solution = np.zeros(unknowns, dtype=np.int64)
+    solution[pivots] = reduced[: len(pivots), unknowns]
+    kernel_dim = unknowns - len(pivots)
     koszul_rank = koszul_ambiguity_rank(ell, p)
     if kernel_dim != koszul_rank:
         raise K3Error(
             f"reconstruction ambiguity {kernel_dim} != Koszul image rank {koszul_rank}"
         )
     # rebuild A from the solution vector
-    a_entries = [[CoxPoly(p) for _ in range(4)] for _ in range(4)]
-    for (i, j), row in zip(pairs, solution.reshape(len(pairs), len(h_keys))):
+    a_entries = [[zero for _ in range(4)] for _ in range(4)]
+    for (i, j), row in zip(_PAIRS, solution.reshape(len(_PAIRS), len(h_keys))):
         a_entries[i][j] = CoxPoly(p, h_keys, row)
         a_entries[j][i] = a_entries[i][j].scale(p - 1)
     # verify q_i = sum_j A_ij l_j exactly
-    for i in range(4):
-        acc = CoxPoly(p)
-        for j in range(4):
-            acc = acc.add(a_entries[i][j].mul(ell[j]))
-        if not acc.sub(scheme.forms[i]).is_zero():
+    for row, form in zip(a_entries, scheme.forms):
+        if not module_element(row).image(ell).sub(form).is_zero():
             raise K3Error("skew presentation does not reproduce the generators")
     q5 = pfaffian(a_entries)
-    zero = CoxPoly(p)
     psi = [[zero for _ in range(5)] for _ in range(5)]
     for i in range(4):
         psi[0][i + 1] = ell[i].scale(p - 1)

@@ -90,10 +90,6 @@ def lattice_n() -> GramLattice:
     return GramLattice(((4, 10), (10, 16)), ("n1", "n2"))
 
 
-def hyperbolic_plane() -> GramLattice:
-    return GramLattice(((0, 1), (1, 0)), ("e", "f"))
-
-
 # --- basic invariants ---------------------------------------------------------
 
 
@@ -178,14 +174,6 @@ def det_cofactor(gram) -> int:
         ]
         total += (-1) ** j * gram[0][j] * det_cofactor(minor)
     return total
-
-
-def reflect(lat: GramLattice, v, d) -> tuple:
-    """Picard-Lefschetz reflection of v in the root d."""
-    if lat.norm(d) != -2:
-        raise LatticeError("not a root: d.d != -2")
-    vd = lat.pairing(v, d)
-    return tuple(int(v[i]) + vd * int(d[i]) for i in range(lat.rank))
 
 
 # --- integer linear algebra ---------------------------------------------------
@@ -409,22 +397,6 @@ def solve_rational(rows, rhs):
     for row, c in zip(m, pivots):
         x[c] = row[ncols]
     return x, len(pivots) == ncols
-
-
-def enum_box_oracle(lat: GramLattice, norm: int, constraints, radius: int):
-    """Brute-force coefficient-box enumeration; the independent test oracle."""
-    n = lat.rank
-    side = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([side] * n), indexing="ij")
-    coords = np.stack([g.reshape(-1) for g in grids])  # (n, count)
-    g = np.array(lat.gram, dtype=np.int64)
-    gx = g @ coords
-    norms = (coords * gx).sum(axis=0)
-    mask = norms == norm
-    mask &= np.any(coords != 0, axis=0)
-    for v, m in constraints:
-        mask &= (np.array(v, dtype=np.int64) @ gx) == m
-    return sorted(tuple(int(x) for x in coords[:, i]) for i in np.nonzero(mask)[0])
 
 
 # --- positivity certificates ---------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import det_mod, kernel_mod, mul_mod, rank_mod, roots_mod, solve_mod
+from .ffield import det_mod, inverse_mod, kernel_mod, mul_mod, rank_mod, roots_mod, solve_mod
 from .k3_syzygy import K3Surface
 from .plane_curve import (
     evaluate_form,
@@ -217,9 +217,7 @@ def residual_degree(model, coords, seed: int = 0, tries: int = 8) -> int:
         t3 = random_gl(3, rng, p)
         fcur = substitute_linear(model.coeffs, 3, d, t3, p)
         fqua = substitute_linear(combo, 3, q_degree, t3, p)
-        tinv = np.array(
-            [solve_mod(np.array(t3), e, p) for e in np.eye(3, dtype=np.int64)]
-        ).T
+        tinv = inverse_mod(np.array(t3), p)
         divisions = [(n, 2) for n in model.nodes]
         if model.q_mult > 2:
             # the adjoint system vanishes at q, so the slice picks up q with

@@ -316,10 +316,6 @@ class SyzygyBlock:
         a, b = self.slice_bidegree
         return (a, -b)  # O(-aH + bR) convention
 
-    @property
-    def new_count(self):
-        return self.new_generators.shape[0]
-
 
 @dataclass
 class ResolutionStep:
@@ -372,28 +368,17 @@ def _new_representatives(kernel: np.ndarray, multiples: np.ndarray, p: int) -> n
 def _multiples_span(kernels: dict, twists, e, a: int, b: int, p: int) -> np.ndarray:
     """Span of all lower-slice syzygies times monomials, inside slice (a, b).
 
-    The syzygies are vectors over module_keys(twists, ...) of their own
-    slice; the rows come vector by vector, and within a vector monomial by
-    monomial in cox_slice order.
+    Each syzygy of a lower slice is one generator of free_map_matrix, a
+    vector over module_keys(twists, ...) of its own slice; the rows come
+    vector by vector, and within a vector monomial by monomial in cox_slice
+    order.
     """
-    index = KeyIndex(module_keys(twists, e, a, b))
-    lower = []
-    for (a2, b2), block in kernels.items():
-        if (a2, b2) == (a, b) or a2 > a or (a2 == a and b2 >= b):
-            continue
-        mults = slice_keys(e, a - a2, b - b2)
-        if len(mults):
-            lower.append((module_keys(twists, e, a2, b2), mults, block.kernel))
-    span = np.zeros((sum(len(m) * len(k) for _, m, k in lower), index.size), dtype=np.int64)
-    row = 0
-    for keys, mults, kernel in lower:
-        # position of column c times monomial m, computed once per block
-        pos = index.find(add_keys(keys[None, :], mults[:, None]))
-        rows = len(mults) * len(kernel)
-        out = span[row:row + rows].reshape(len(kernel), len(mults), index.size)
-        out[:, np.arange(len(mults))[:, None], pos] = kernel[:, None, :] % p
-        row += rows
-    return span
+    lower = [((a2, b2), CoxPoly(p, block.columns, vec))
+             for (a2, b2), block in kernels.items() if a2 < a or (a2 == a and b2 < b)
+             for vec in block.kernel]
+    step = ResolutionStep(0, [twist for twist, _ in lower], [gen for _, gen in lower], {},
+                          cod_twists=twists)
+    return free_map_matrix(step, e, a, b, p)
 
 
 def ideal_generator_step(ctx: SliceContext, window=GENERATOR_WINDOW) -> ResolutionStep:

@@ -21,7 +21,6 @@ and kernels of evaluation matrices are well defined.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -154,6 +153,14 @@ def module_keys(twists, e, a: int, b: int) -> np.ndarray:
     parts = [slice_keys(e, a - aj, b - bj) + (j << _J_SHIFT)
              for j, (aj, bj) in enumerate(twists)]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def module_element(polys) -> "CoxPoly":
+    """The free-module element sum_j polys[j] * e_j of the ring elements
+    polys, with generator j of twist (0, 0)."""
+    keys = [poly.keys + (j << _J_SHIFT) for j, poly in enumerate(polys)]
+    return CoxPoly(polys[0].prime, np.concatenate(keys),
+                   np.concatenate([poly.coefs for poly in polys]))
 
 
 def add_keys(keys: np.ndarray, mono_keys: np.ndarray) -> np.ndarray:
@@ -349,56 +356,6 @@ def monomial_value_matrix(values: np.ndarray, keys: np.ndarray, p: int) -> np.nd
     """Rows: the Cox monomials of the keys evaluated at the points behind
     values (the (7, n) array from point_values)."""
     return monomial_values(key_exponents(keys), values, p)
-
-
-def canonical_image(model, coords: CanonicalCoordinates, points) -> np.ndarray:
-    """(9, n): images of points under the canonical embedding, in basis_order."""
-    p = model.prime
-    vals = point_values(model, coords, points)
-    rows = []
-    for i in range(4):
-        for j in range(2):
-            rows.append(vals[i] * vals[5 + j] % p)
-    rows.append(vals[4])
-    return np.stack(rows)
-
-
-PAIR_INDEX = [(i, j) for i in range(9) for j in range(i, 9)]
-PAIR_POS = {pair: k for k, pair in enumerate(PAIR_INDEX)}
-
-
-def scroll_matrix(coords: CanonicalCoordinates):
-    """2x4 matrix of P^8 coordinate indices: entry (i, j) is the coordinate
-    for Q_{j+1} * l_{i+1}; basis_order puts that at position 2*j + i."""
-    return [[2 * j + i for j in range(4)] for i in range(2)]
-
-
-def scroll_minor_quadrics(coords: CanonicalCoordinates) -> np.ndarray:
-    """The six 2x2 minors of the scroll matrix as quadrics in the 9 canonical
-    coordinates (coefficient vectors over the 45 degree-2 monomials)."""
-    p = coords.prime
-    mat = scroll_matrix(coords)
-    quadrics = []
-    for j1, j2 in itertools.combinations(range(4), 2):
-        vec = np.zeros(len(PAIR_INDEX), dtype=np.int64)
-        a, b = mat[0][j1], mat[1][j2]
-        c, d = mat[0][j2], mat[1][j1]
-        vec[PAIR_POS[tuple(sorted((a, b)))]] = (vec[PAIR_POS[tuple(sorted((a, b)))]] + 1) % p
-        vec[PAIR_POS[tuple(sorted((c, d)))]] = (vec[PAIR_POS[tuple(sorted((c, d)))]] - 1) % p
-        quadrics.append(vec)
-    return np.stack(quadrics)
-
-
-def eval_quadrics(quadrics: np.ndarray, points9: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate quadrics (rows over PAIR_INDEX) at 9-coordinate points (9, n)."""
-    n = points9.shape[1]
-    out = np.zeros((quadrics.shape[0], n), dtype=np.int64)
-    for k, (i, j) in enumerate(PAIR_INDEX):
-        col = points9[i] * points9[j] % p
-        nz = quadrics[:, k] != 0
-        if nz.any():
-            out[nz] = (out[nz] + np.outer(quadrics[nz, k], col)) % p
-    return out
 
 
 class CoxPoly:

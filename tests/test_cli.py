@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import scrollres.cli as cli
 import scrollres.lattice as lattice
 import scrollres.pipeline as pipeline
 from scrollres.cli import main
@@ -168,6 +169,36 @@ def test_small_prime_failure_mode(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "error: prime 101 is too small for point sampling" in err
     assert f"the stages request {demand}" in err
+
+
+def test_pipeline_command_reports_a_non_prime_modulus(capsys):
+    assert main(["--prime", "10006", "pipeline"]) == 1
+    assert capsys.readouterr().err == "error: FieldError: modulus 10006 is not prime\n"
+
+
+def test_gamma_command_reports_a_failed_stage(capsys):
+    # seed 2's two singular-fiber parameters are not F_p-rational
+    assert main(["--seed", "2", "gamma"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: GammaError: ") and err.count("\n") == 1
+    assert "preimage count != 2" in err
+
+
+def test_k3_command_rejects_a_small_prime_before_any_chain(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_chain", _no_chain)
+    for command in ("k3", "gamma"):
+        assert main(["--prime", "101", command]) == 1
+        assert "error: prime 101 is too small for point sampling" in capsys.readouterr().err
+
+
+def test_cli_lets_programming_errors_propagate(monkeypatch):
+    def broken(prime, seed):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "build_chain", broken)
+    for command in ("betti", "k3", "gamma"):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            main([command])
 
 
 def test_modulus_of_a_wrong_type_is_a_type_error(monkeypatch):

@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollres import DEFAULT_PRIME as P
-from scrollres.ffield import det_mod, rank_mod, solve_mod
+from scrollres import k3_syzygy
+from scrollres.ffield import det_mod, kernel_mod, rank_mod, solve_mod
 from scrollres.k3_syzygy import (
     K3_SHAPE_TABLE,
     K3Error,
@@ -21,11 +24,14 @@ from scrollres.k3_syzygy import (
     surface_from_syzygy,
     syzygy_rank,
     syzygy_scheme,
+    unit_completion,
     verify_containment,
 )
+from scrollres.pipeline import GAMMA_PARAMETERS
 from scrollres.scroll import GENERIC_E, CoxPoly
 
 from dict_cox import DictPoly, monomial
+from oracles import greedy_unit_completion, reference_koszul_matrix, reference_solve_matrix
 
 
 def const_poly(c, p=P):
@@ -233,3 +239,48 @@ def test_distinct_parameters_give_distinct_surfaces(syzygy_basis, generator_poly
         seen.append(surf.skew.q5.vector(GENERIC_E, 2, 0))
     # q5 differs between pencil members (surfaces are distinct)
     assert rank_mod(np.stack(seen), P) == 2
+
+
+def test_k3_matrices_match_hand_built_reference(monkeypatch, nonic_k3):
+    # every rank-4 surface of the gamma loop on the fixture chain: its unit
+    # completion, solve matrix and Koszul matrix against the reference builders
+    calls = []
+    scatter = k3_syzygy.free_map_matrix
+
+    def recorded(step, e, a, b, p):
+        out = scatter(step, e, a, b, p)
+        calls.append(((a, b), out))
+        return out
+
+    monkeypatch.setattr(k3_syzygy, "free_map_matrix", recorded)
+    surfaces = 0
+    for lam, mu in GAMMA_PARAMETERS:
+        member = pencil_member(nonic_k3["basis"], lam, mu)
+        if syzygy_rank(member) != 4:
+            continue
+        left_kernel = kernel_mod(member.entries.T, P)
+        assert unit_completion(left_kernel, P) == greedy_unit_completion(left_kernel, P)
+        scheme = syzygy_scheme(member, nonic_k3["gens"])
+        calls.clear()
+        surface_from_syzygy(scheme)
+        [(solve_slice, solve), (koszul_slice, koszul)] = calls
+        assert (solve_slice, koszul_slice) == ((2, -1), (1, 0))
+        assert np.array_equal(solve, reference_solve_matrix(scheme.ell, P))
+        assert np.array_equal(koszul, reference_koszul_matrix(scheme.ell, P))
+        surfaces += 1
+    assert surfaces == 17
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, P]), k=st.integers(1, 4), data=st.data())
+def test_unit_completion_matches_greedy_loop(p, k, data):
+    # random rows, dependent ones included: both give [] for those
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=6 * k, max_size=6 * k))
+    rows = np.array(entries, dtype=np.int64).reshape(k, 6)
+    units = unit_completion(rows, p)
+    assert units == greedy_unit_completion(rows, p)
+    if rank_mod(rows, p) == k:
+        assert len(units) == 6 - k
+        assert rank_mod(np.concatenate([rows, np.eye(6, dtype=np.int64)[units]]), p) == 6
+    else:
+        assert units == []

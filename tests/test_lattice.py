@@ -16,11 +16,9 @@ from scrollres.lattice import (
     det_cofactor,
     dimension_audit,
     discriminant,
-    enum_box_oracle,
     enum_classes,
     hprime_consistency_report,
     hprime_from_basis_change,
-    hyperbolic_plane,
     is_ample,
     is_basepoint_free,
     is_nef,
@@ -28,7 +26,6 @@ from scrollres.lattice import (
     lattice_h_prime,
     lattice_n,
     moduli_dimension,
-    reflect,
     second_polarization_entries,
     signature,
     smith_normal_form,
@@ -38,6 +35,8 @@ from scrollres.lattice import (
     unique_polarization_classes,
     verify_primitive_embedding,
 )
+
+from oracles import enum_box_oracle, hyperbolic_plane, reflect
 
 H_LAT = lattice_h()
 HP_LAT = lattice_h_prime()

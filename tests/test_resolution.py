@@ -38,6 +38,7 @@ from scrollres.scroll import (
 )
 
 from dict_cox import DictPoly, module_terms
+from oracles import new_count
 
 # --- dict-based free-module reference ----------------------------------------
 #
@@ -138,7 +139,7 @@ def test_ideal_slices(ctx):
 def test_minimal_generators(ctx):
     kernels = ideal_generator_step(ctx).kernels
     # every key is (2, b), so sorting the keys sorts by the twist b
-    gens = [((a, -b), blk.new_count) for (a, b), blk in sorted(kernels.items()) if blk.new_count]
+    gens = [((a, -b), new_count(blk)) for (a, b), blk in sorted(kernels.items()) if new_count(blk)]
     assert gens == [((2, 1), 6), ((2, 0), 3)]
 
 
@@ -146,7 +147,7 @@ def test_generator_probe_beyond_window(ctx):
     step = ideal_generator_step(ctx)
     for b in (1, 2):
         blk = step.kernels[(2, b)]
-        assert blk.new_count == 0
+        assert new_count(blk) == 0
 
 
 def test_window_exhaustion_detected(ctx, table_and_steps):
@@ -272,15 +273,22 @@ def test_keyed_chain_matrices_match_dict_reference(monkeypatch):
     maps = _spy(monkeypatch, resolution, "free_map_matrix")
     spans = _spy(monkeypatch, resolution, "_multiples_span")
     assert build_chain(10007, 1).table.entries == GENERIC_BETTI_TABLE
-    # the four next_syzygies calls; slice (3, -3) has no columns over F_1
-    called = [(step.index, a, b) for (step, _e, a, b, _p), _ in maps]
-    assert called == (
+    # every multiples span is the output of one free_map_matrix call
+    span_ids = {id(span) for _, span in spans}
+    called = [("span" if id(mat) in span_ids else step.index, a, b)
+              for (step, _e, a, b, _p), mat in maps]
+    # the five generator slices, then the four next_syzygies calls, each
+    # slice's map followed by its span; slice (3, -3) has no columns over F_1
+    syzygy_slices = (
         [(1, 3, b) for b in (-2, -1, 0, 1)] + [(2, 4, b) for b in (-3, -2, -1, 0, 1)]
         + [(3, 5, b) for b in (-3, -2, -1, 0)] + [(3, 6, b) for b in (-4, -3, -2, -1)]
     )
-    assert len(spans) == 5 + len(maps)
-    for (step, e, a, b, p), mat in maps:
-        assert np.array_equal(mat, _reference_map_matrix(step, e, a, b, p))
+    assert called == [("span", 2, b) for b in (-2, -1, 0, 1, 2)] + [
+        call for index, a, b in syzygy_slices for call in ((index, a, b), ("span", a, b))]
+    assert len(spans) == 5 + len(syzygy_slices)
+    for ((step, e, a, b, p), mat), (index, _a, _b) in zip(maps, called):
+        if index != "span":
+            assert np.array_equal(mat, _reference_map_matrix(step, e, a, b, p))
     for args, span in spans:
         assert np.array_equal(span, _reference_multiples_span(*args))
     assert sum(span.shape[0] for _, span in spans) > 0

@@ -20,19 +20,17 @@ from scrollres.scroll import (
     ScrollType,
     _line_residual_degree_six,
     canonical_coordinates,
-    canonical_image,
     cox_slice,
-    eval_quadrics,
     euler_scroll,
     monomial_value_matrix,
     pencil_from_node,
     point_values,
-    scroll_minor_quadrics,
     scroll_type,
     slice_keys,
 )
 
 from dict_cox import DictPoly, module_terms, monomial
+from oracles import canonical_image, eval_quadrics, scroll_minor_quadrics
 
 
 @pytest.fixture(scope="module")
