@@ -24,6 +24,10 @@ of rref(C) proves the kernels, hence the row spaces and the (unique) RREFs,
 equal; the result is identical to direct elimination.  A failed check
 retries with the next seed, and after a few failures A is eliminated
 directly.
+
+roots_mod_batch, the one univariate root finder, takes the F_p-roots of a
+whole array of polynomials at once (roots_mod is its one-polynomial case):
+gcd with x^p - x, then Cantor-Zassenhaus splitting read off by traces.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ _PAD = 8                # extra random combinations beyond cols
 _BLOCK_ROWS = 512       # rows of A per projection block and per certificate block
 _MIN_BLOCK_ROWS = 64    # shorter exact blocks (p above about 1.2e7): eliminate directly
 _SEEDS = 3              # projections tried before eliminating directly
+
+_SHIFTS = 8             # splitting shifts whose powers _split_roots takes at once
 
 
 class FieldError(ValueError):
@@ -417,117 +423,244 @@ def row_space_mod(a: np.ndarray, p: int) -> np.ndarray:
 
 # --- univariate roots --------------------------------------------------------
 #
-# The helpers below work on lists of Python ints in [0, p), lowest degree
-# first and without trailing zeros; [] is the zero polynomial.
+# The helpers below work on a batch of polynomials at once.  A batch is an
+# (L, w + 1) int64 array: row i is one polynomial, lowest degree first, with
+# entries in [0, p), and deg[i] is its degree (-1 for the zero row).  A
+# residue modulo a batch f of monic rows of degree >= 1 is an (L, w) array
+# whose row i is zero from column deg[i] on.  A product of two residues is
+# below 2**62: it is reduced mod p before it is summed with others, and the
+# difference of two of them, in the division steps, stays inside int64.
 
 
-def _trim(f: list) -> list:
-    while f and not f[-1]:
-        f.pop()
-    return f
+def _degrees(f: np.ndarray) -> np.ndarray:
+    """Degree of each row, -1 for a zero row."""
+    return np.where(f != 0, np.arange(f.shape[1]), -1).max(axis=1)
 
 
-def _sub(a: list, b: list, p: int) -> list:
-    n = max(len(a), len(b))
-    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
-    return _trim([(x - y) % p for x, y in zip(a, b)])
+def _monic_rows(f: np.ndarray, deg: np.ndarray, p: int) -> np.ndarray:
+    """Each (nonzero) row divided by its leading coefficient."""
+    lead = f[np.arange(len(f)), deg]
+    inv = np.array([pow(int(c), -1, p) for c in lead], dtype=np.int64)
+    return f * inv[:, None] % p
 
 
-def _monic(f: list, p: int) -> list:
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
+class _Residues:
+    """Arithmetic modulo a batch f of monic rows of degree >= 1.
 
-
-def _divmod_poly(a: list, f: list, p: int):
-    """Quotient and remainder of a by the monic f."""
-    a = list(a)
-    n = len(f) - 1
-    quot = [0] * max(len(a) - n, 0)
-    for k in range(len(a) - 1, n - 1, -1):
-        c = a[k] % p
-        quot[k - n] = c
-        if c:
-            for i in range(n):
-                a[k - n + i] -= c * f[i]
-    return quot, _trim([c % p for c in a[:n]])
-
-
-def _mulmod_poly(a: list, b: list, f: list, p: int) -> list:
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    return _divmod_poly(prod, f, p)[1]
-
-
-def _powmod_poly(base: list, e: int, f: list, p: int) -> list:
-    """base**e modulo the monic f of degree >= 1, by left-to-right
-    square-and-multiply."""
-    result = [1]
-    for bit in bin(e)[2:]:
-        result = _mulmod_poly(result, result, f, p)
-        if bit == "1":
-            result = _mulmod_poly(result, base, f, p)
-    return result
-
-
-def _gcd_poly(a: list, b: list, p: int) -> list:
-    """Monic gcd; a must be nonzero."""
-    while b:
-        a, b = b, _divmod_poly(a, _monic(b, p), p)[1]
-    return _monic(a, p)
-
-
-def _split_linear(g: list, p: int, delta: int, out: list) -> None:
-    """Append the roots of g, monic and a product of distinct linear factors
-    (x - r) with r != 0, trying the shifts delta, delta + 1, ...
-
-    A shift splits g when its roots r do not all agree on whether r + delta
-    is a nonzero square.  Some delta in 1..p-1 separates any two distinct
-    roots (the nonzero squares are not invariant under a translation), so
-    the search ends; a shift that failed for g fails for its factors too,
-    so they continue from the next one.
+    table[:, j] = x**j modulo f for 0 <= j <= 2w - 2, the degrees a product
+    of two residues can reach; it is x**j itself below the least degree.
     """
-    if len(g) == 2:
-        out.append(-g[0] % p)
+
+    def __init__(self, f: np.ndarray, deg: np.ndarray, p: int):
+        n, w = len(f), f.shape[1] - 1
+        self.p, self.low, self.lead = p, f[:, :-1], (np.arange(n), deg - 1)
+        self.zero = np.zeros((n, 1), dtype=np.int64)
+        least = int(deg.min())
+        self.table = np.zeros((n, 2 * w - 1, w), dtype=np.int64)
+        self.table[:, np.arange(least), np.arange(least)] = 1
+        for j in range(least, 2 * w - 1):
+            self.table[:, j] = self.times_x(self.table[:, j - 1]) % p
+        # products a_i * a_j at [:, i, j]; read with row length 2w - 1, row i
+        # moves i places right, so the column sums are the coefficients of a^2
+        self.products = np.zeros((n, w, 2 * w), dtype=np.int64)
+        self.by_degree = self.products.reshape(n, -1)[:, : w * (2 * w - 1)].reshape(n, w, 2 * w - 1)
+
+    def one(self) -> np.ndarray:
+        return self.table[:, 0].copy()
+
+    def power_sums(self) -> np.ndarray:
+        """sums[:, j] = Tr(x**j), the sum of the j-th powers of the roots of
+        f with multiplicity, for j < w: the sum over i of the coefficient of
+        x**i in x**(i + j), read from the table."""
+        i = np.arange(self.table.shape[2])
+        return self.table[:, i[None, :] + i[:, None], i[None, :]].sum(axis=2) % self.p
+
+    def times_x(self, a: np.ndarray) -> np.ndarray:
+        """x * a, not yet reduced: entries of absolute value below p**2."""
+        shifted = np.concatenate([self.zero, a[:, :-1]], axis=1)
+        return shifted - a[self.lead][:, None] * self.low
+
+    def square(self, a: np.ndarray) -> np.ndarray:
+        p, products = self.p, self.products[:, :, : a.shape[1]]
+        np.multiply(a[:, :, None], a[:, None, :], out=products)
+        np.remainder(products, p, out=products)
+        coeffs = np.add.reduce(self.by_degree, axis=1) % p
+        return np.add.reduce(coeffs[:, :, None] * self.table % p, axis=1) % p
+
+    def power(self, delta, e: int) -> np.ndarray:
+        """(x + delta)**e for e >= 1 and delta one integer or one per row, by
+        left-to-right square-and-multiply; a product by x + delta is a shift."""
+        delta = np.reshape(np.asarray(delta, dtype=np.int64) % self.p, (-1, 1))
+        one = self.one()
+        result = (self.times_x(one) + delta * one) % self.p
+        for bit in bin(e)[3:]:
+            result = self.square(result)
+            if bit == "1":
+                result = (self.times_x(result) + delta * result) % self.p
+        return result
+
+
+def _gcd_rows(f: np.ndarray, deg: np.ndarray, r: np.ndarray, p: int) -> tuple:
+    """Monic gcd of each monic row of f, of degree d = deg, and the residue
+    r modulo it, with its degree.
+
+    Bernstein and Yang's division steps (2019), on every row at once and
+    without inverses: F = x^d f(1/x) and G = x^(d-1) r(1/x) are kept as
+    coefficient rows, constant term first.  A step replaces G by
+    (F(0) G - G(0) F) / x and, when delta > 0 and G(0) != 0, F by the old
+    G and delta by -delta; delta then grows by one.  After 2d steps G is
+    zero, the gcd has degree (delta - 1)/2 and is the reverse of that many
+    leading coefficients of F, over F(0).  A row of lower degree than the
+    widest takes the extra steps with G zero, which only raise delta.
+    """
+    n, steps = len(f), 2 * (f.shape[1] - 1)
+    rows, cols = np.arange(n)[:, None], np.arange(f.shape[1])
+    src = deg[:, None] - cols
+    big_f = f[rows, src] * (src >= 0)
+    r = np.concatenate([r, np.zeros((n, f.shape[1] - r.shape[1]), dtype=np.int64)], axis=1)
+    big_g = r[rows, src - 1] * (src >= 1)
+    delta = np.ones(n, dtype=np.int64)
+    for _ in range(steps):
+        step = (big_f[:, :1] * big_g - big_g[:, :1] * big_f) % p  # each product below 2**62
+        swap = (delta > 0) & (big_g[:, 0] != 0)
+        big_f = np.where(swap[:, None], big_g, big_f)
+        delta = np.where(swap, -delta, delta) + 1
+        big_g[:, :-1] = step[:, 1:]
+    gdeg = (delta - 1 - steps + 2 * deg) // 2
+    src = gdeg[:, None] - cols
+    inv = np.array([pow(int(c), -1, p) for c in big_f[:, 0]], dtype=np.int64)
+    return big_f[rows, src] * (src >= 0) * inv[:, None] % p, gdeg
+
+
+def _eval_rows(f: np.ndarray, x, p: int) -> np.ndarray:
+    """The value of each row at x, one integer or one per row, by Horner's
+    rule."""
+    value = np.zeros(len(f), dtype=np.int64)
+    for k in range(f.shape[1] - 1, -1, -1):
+        value = (value * x + f[:, k]) % p
+    return value
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the nonzero square a modulo the odd prime p, by
+    Tonelli and Shanks with the least quadratic non-residue."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _close_roots(roots: set, g: np.ndarray, d: int, p: int) -> None:
+    """Add the last roots of g (monic of degree d, a product of distinct
+    x - r with r != 0) to roots once at most two are missing: their sum
+    and product follow from the coefficients of g and the known roots, so
+    they are the roots of a quadratic."""
+    missing = d - len(roots)
+    if missing not in (1, 2):
         return
-    half = (p - 1) // 2
+    total = (-int(g[d - 1]) - sum(roots)) % p
+    if missing == 1:
+        roots.add(total)
+        return
+    known = 1
+    for r in roots:
+        known = known * r % p
+    product = (-1) ** d * int(g[0]) * pow(known, -1, p) % p
+    root = _sqrt_mod((total * total - 4 * product) % p, p)
+    roots.update({(total + root) * (p + 1) // 2 % p, (total - root) * (p + 1) // 2 % p})
+
+
+def _split_roots(g: np.ndarray, deg: np.ndarray, p: int, out: list) -> None:
+    """Add to out[i] the roots of g[i], monic of degree deg[i] and a product
+    of distinct x - r with r != 0 (so deg[i] <= 1 when p = 2).
+
+    Rows with at most two roots unknown are closed by _close_roots.  For
+    the others (p is odd), a round takes the shifts delta .. delta + _SHIFTS - 1 for
+    every row at once.  h = (x + delta)**((p - 1)/2) modulo g is
+    chi(r + delta) at each root r: 1 or -1 as r + delta is a nonzero
+    square or not, and 0 at the root -delta, which is tested directly.
+    The traces of h and x*h (sums over the roots, from the power sums of
+    g) give the sum of the roots in each class, which is the root itself
+    when the class has one element; every candidate is checked on g.  The
+    shift p - r finds r, so the rounds end, and for large p one round
+    usually finds all but two roots of every row.
+    """
+    half, inv2, delta = (p - 1) // 2, (p + 1) // 2, 1
+    found = [set() for _ in g]
+    live = np.arange(len(g))
     while True:
-        h = _powmod_poly([delta, 1], half, g, p)
-        d = _gcd_poly(g, _sub(h, [1], p), p)
-        if 1 < len(d) < len(g):
-            _split_linear(d, p, delta + 1, out)
-            _split_linear(_divmod_poly(g, d, p)[0], p, delta + 1, out)
-            return
-        delta += 1
+        for i in live:
+            _close_roots(found[i], g[i], int(deg[i]), p)
+        live = np.array([i for i in live if len(found[i]) < deg[i]], dtype=np.int64)
+        if not len(live):
+            break
+        rows = g[live, : deg[live].max() + 1]
+        gs, which = np.repeat(rows, _SHIFTS, axis=0), np.repeat(live, _SHIFTS)
+        shift = np.tile(np.arange(delta, delta + _SHIFTS), len(live)) % p
+        mod_g = _Residues(gs, deg[which], p)
+        h = mod_g.power(shift, half)
+        hit = _eval_rows(gs, -shift % p, p) == 0
+        sums = mod_g.power_sums()
+        rest = (sums[:, 1] + hit * shift) % p  # the roots other than -delta
+        twist = (mod_g.times_x(h) % p * sums % p).sum(axis=1) % p
+        candidate = np.concatenate([(rest + twist) % p, (rest - twist) % p]) * inv2 % p
+        root = _eval_rows(np.vstack([gs, gs]), candidate, p) == 0
+        for i, r in zip(np.tile(which, 2)[root], candidate[root]):
+            found[i].add(int(r))
+        for i, s in zip(which[hit], shift[hit]):
+            found[i].add(int(-s % p))
+        delta += _SHIFTS
+    for roots, new in zip(out, found):
+        roots.update(new)
+
+
+def roots_mod_batch(rows, p: int) -> list:
+    """Sorted distinct roots in F_p of each row of a 2-D array of integer
+    coefficients.  The coefficients come highest degree first, as for
+    numpy.polyval, and leading zeros just lower the degree, so one array
+    holds polynomials of every degree up to its width - 1.
+
+    A zero row vanishes at every x, so all of F_p is returned for it.  Each
+    other row f of degree >= 1 is made monic, and its roots are those of
+    g = gcd(f, x^p - x), the product of the distinct x - r: x^p is taken
+    modulo f by square-and-multiply, and the gcd by division steps.  The
+    root 0 is split off g, and _split_roots finds the roots of the rest.
+    Every step runs on all rows at once, as int64
+    arrays.  The cost is polynomial in the degree and log p, and no random
+    state is used.
+    """
+    f = np.asarray(rows, dtype=np.int64)
+    if f.ndim != 2:
+        raise ValueError("roots_mod_batch needs a 2-D coefficient array")
+    f = np.ascontiguousarray(f[:, ::-1] % p)
+    deg = deg_all = _degrees(f)
+    roots = [set() for _ in deg]
+    owner = np.flatnonzero(deg >= 1)
+    if len(owner):
+        deg = deg[owner]
+        f = _monic_rows(f[owner, : deg.max() + 1], deg, p)
+        mod_f = _Residues(f, deg, p)
+        x = mod_f.times_x(mod_f.one())
+        g, deg = _gcd_rows(f, deg, (mod_f.power(0, p) - x) % p, p)
+        at_zero = g[:, 0] == 0  # g is squarefree: x divides it at most once
+        g[at_zero] = np.roll(g[at_zero], -1, axis=1)
+        deg[at_zero] -= 1
+        _split_roots(g, deg, p, [roots[i] for i in owner])
+        for i in owner[at_zero]:
+            roots[i].add(0)
+    return [list(range(p)) if d < 0 else sorted(r) for d, r in zip(deg_all, roots)]
 
 
 def roots_mod(coeffs, p: int) -> list:
     """Sorted distinct roots in F_p of sum(coeffs[k] * x**(n - k)), where
-    n = len(coeffs) - 1: the coefficients come highest degree first, as for
-    numpy.polyval, and leading zeros just lower the degree.
-
-    The zero polynomial vanishes at every x, so all of F_p is returned.
-    Otherwise the root 0 is split off, and the other roots are those of
-    g = gcd(f, x^p - x), with x^p taken modulo f by square-and-multiply.
-    g is split into its linear factors by gcd(g, (x + delta)^((p-1)/2) - 1)
-    for delta = 1, 2, ... (Cantor-Zassenhaus equal-degree splitting with
-    deterministic shifts).  The cost is polynomial in deg f and log p, and
-    no random state is used.
-    """
-    f = _trim([int(c) % p for c in reversed(list(coeffs))])
-    if not f:
-        return list(range(p))
-    roots = []
-    if f[0] == 0:
-        roots.append(0)
-        f = f[next(i for i, c in enumerate(f) if c):]
-    if len(f) > 1:
-        f = _monic(f, p)
-        g = _gcd_poly(f, _sub(_powmod_poly([0, 1], p, f, p), [0, 1], p), p)
-        if len(g) > 1:
-            _split_linear(g, p, 1, roots)
-    return sorted(roots)
+    n = len(coeffs) - 1: the one-polynomial case of roots_mod_batch.  The
+    coefficients come highest degree first, and [] is the zero polynomial."""
+    return roots_mod_batch([[int(c) % p for c in coeffs] or [0]], p)[0]

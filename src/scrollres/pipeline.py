@@ -158,11 +158,19 @@ def guaranteed_points(prime: int) -> int:
     return max(0, prime + 1 - hasse_weil - SINGULAR_BRANCHES - POINTS_AT_INFINITY)
 
 
-def require_sampling_prime(prime: int) -> None:
+def survey_point_demand() -> int:
+    """Most points one survey chain requests: build_chain draws only the
+    slice kernels' points, at most slice_point_demand() from each batch."""
+    return 2 * slice_point_demand()
+
+
+def require_sampling_prime(prime: int, demand: int | None = None) -> None:
     """Reject, before any chain is built, a prime at which the Hasse-Weil
-    bound cannot guarantee the points the stages request."""
+    bound cannot guarantee the points the stages request: demand, by
+    default the full pipeline's sum(point_demand())."""
     check_prime(prime)
-    have, demand = guaranteed_points(prime), sum(point_demand())
+    have = guaranteed_points(prime)
+    demand = sum(point_demand()) if demand is None else demand
     if have < demand:
         raise PipelineError(
             f"prime {prime} is too small for point sampling: the Hasse-Weil bound "
@@ -481,10 +489,10 @@ def sample_survey(prime: int = DEFAULT_PRIME, count: int = 20, base_seed: int = 
     Tabulates the fraction of unbalanced second syzygy bundles (expected
     100 percent) and the fraction matching the generic splitting exactly.
     A prime too small for point sampling raises PipelineError first; the
-    bound is the full pipeline's, although the survey's chains draw fewer
-    points.
+    bound is survey_point_demand(), since a survey chain stops after the
+    Betti table.
     """
-    require_sampling_prime(prime)
+    require_sampling_prime(prime, survey_point_demand())
     if count < 1:
         raise ValueError("count must be at least 1")
     seeds = [base_seed + i for i in range(count)]

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import check_prime, kernel_mod, mul_mod, rank_mod, roots_mod
+from .ffield import check_prime, kernel_mod, mul_mod, rank_mod, roots_mod_batch
 
 GENUS = 9
 PENCIL_DEGREE = 6
@@ -441,9 +441,13 @@ def sample_smooth_points(
     """Distinct F_p-points on the curve away from its singular points.
 
     Random affine lines y = m*x + c are intersected with the curve exactly:
-    the curve restricted to the line is a polynomial of degree at most d in
-    x, whose F_p-roots roots_mod returns in ascending order (roughly one
-    rational point per random line).  The cost grows with log p, not p.
+    the curve restricted to a line is a polynomial of degree at most d in x
+    (roughly one rational root per random line).  No draw depends on a
+    root, so the lines of every batch that one point per line would still
+    need are drawn first, the curve is restricted to them as one array, and
+    one roots_mod_batch call returns each line's roots in ascending order.
+    The points are appended in line order and cut at count, so they are
+    those of drawing one batch at a time.  The cost grows with log p, not p.
     """
     if count == 0:
         return []
@@ -454,27 +458,32 @@ def sample_smooth_points(
     banned = model.banned_points() | set(exclude)
     found: list = []
     seen = set()
-    # by_y[j][i] is the coefficient of x^i y^j on the affine chart z = 1
-    by_y = [[0] * (d + 1) for _ in range(d + 1)]
+    # by_y[j, i] is the coefficient of x^i y^j on the affine chart z = 1
+    by_y = np.zeros((d + 1, d + 1), dtype=np.int64)
     for coef, (i, j, _k) in zip(model.coeffs, monomials(d)):
-        by_y[j][i] = int(coef) % p
+        by_y[j, i] = int(coef) % p
     lines_per_batch = max(8, count // 2)
-    for _ in range(max_batches):
-        for _ in range(lines_per_batch):
-            m, c = rng.randrange(p), rng.randrange(p)
-            # Horner in y = c + m*x; the partial sums stay of degree <= d
-            acc = list(by_y[d])
-            for j in range(d - 1, -1, -1):
-                acc = [
-                    (c * acc[i] + (m * acc[i - 1] if i else 0) + by_y[j][i]) % p
-                    for i in range(d + 1)
-                ]
-            for x0 in roots_mod(acc[::-1], p):
-                pt = (x0, (m * x0 + c) % p, 1)
+    batches = 0
+    while batches < max_batches:
+        group = min(max_batches - batches, -(-(count - len(found)) // lines_per_batch))
+        lines = [(rng.randrange(p), rng.randrange(p)) for _ in range(group * lines_per_batch)]
+        m, c = (np.array(v, dtype=np.int64)[:, None] for v in zip(*lines))
+        # Horner in y = c + m*x, lowest power of x first; the partial sums
+        # stay of degree <= d, and every product is reduced before it is added
+        acc = np.repeat(by_y[d][None, :], len(lines), axis=0)
+        for j in range(d - 1, -1, -1):
+            times_m = m * acc % p
+            acc = c * acc % p + by_y[j]
+            acc[:, 1:] += times_m[:, :-1]
+            acc %= p
+        for (m0, c0), xs in zip(lines, roots_mod_batch(acc[:, ::-1], p)):
+            for x0 in xs:
+                pt = (x0, (m0 * x0 + c0) % p, 1)
                 if pt in banned or pt in seen:
                     continue
                 seen.add(pt)
                 found.append(pt)
+        batches += group
         if len(found) >= count:
             return found[:count]
     raise InsufficientRationalPointsError(

@@ -270,7 +270,7 @@ def image_quartic(surface: K3Surface, net: QuarticNet) -> tuple:
     Returns (coefficients over monomials(4, 4), coordinates in the net).
     """
     p = surface.prime
-    reduced, pivots = surface.saturated_rref(4, -2)
+    _, reduced, pivots = surface.saturated_span(4, -2)
     keys42 = slice_keys(GENERIC_E, 4, -2)
     # row of the RREF whose pivot is column k, or -1
     pivot_row = np.full(len(keys42), -1)

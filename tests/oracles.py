@@ -2,11 +2,13 @@
 package computes another way, and small helpers only the tests need."""
 
 import itertools
+import random
 
 import numpy as np
 
 from scrollres.ffield import rank_mod
 from scrollres.lattice import GramLattice, LatticeError
+from scrollres.plane_curve import InsufficientRationalPointsError, monomials
 from scrollres.scroll import GENERIC_E, CanonicalCoordinates, CoxPoly, cox_slice, point_values, slice_keys
 
 # --- the scroll as 2x2 minors in the canonical P^8 ---------------------------
@@ -154,3 +156,139 @@ def reference_koszul_matrix(ell, p: int) -> np.ndarray:
                 vec[base: base + nh] = ell[lv].mul(t).scale(sign).vector(GENERIC_E, 1, 0)
             cols.append(vec)
     return np.stack(cols)
+
+
+# --- one polynomial at a time: the list-based root finder and sampler --------
+#
+# The helpers below work on lists of Python ints in [0, p), lowest degree
+# first and without trailing zeros; [] is the zero polynomial.
+
+
+def _trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _sub(a: list, b: list, p: int) -> list:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _monic(f: list, p: int) -> list:
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _divmod_poly(a: list, f: list, p: int):
+    """Quotient and remainder of a by the monic f."""
+    a = list(a)
+    n = len(f) - 1
+    quot = [0] * max(len(a) - n, 0)
+    for k in range(len(a) - 1, n - 1, -1):
+        c = a[k] % p
+        quot[k - n] = c
+        if c:
+            for i in range(n):
+                a[k - n + i] -= c * f[i]
+    return quot, _trim([c % p for c in a[:n]])
+
+
+def _mulmod_poly(a: list, b: list, f: list, p: int) -> list:
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return _divmod_poly(prod, f, p)[1]
+
+
+def _powmod_poly(base: list, e: int, f: list, p: int) -> list:
+    """base**e modulo the monic f of degree >= 1, by left-to-right
+    square-and-multiply."""
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _mulmod_poly(result, result, f, p)
+        if bit == "1":
+            result = _mulmod_poly(result, base, f, p)
+    return result
+
+
+def _gcd_poly(a: list, b: list, p: int) -> list:
+    """Monic gcd; a must be nonzero."""
+    while b:
+        a, b = b, _divmod_poly(a, _monic(b, p), p)[1]
+    return _monic(a, p)
+
+
+def _split_linear(g: list, p: int, delta: int, out: list) -> None:
+    """Append the roots of g, monic and a product of distinct linear factors
+    (x - r) with r != 0, splitting by gcd(g, (x + delta)^((p-1)/2) - 1) for
+    the shifts delta, delta + 1, ..."""
+    if len(g) == 2:
+        out.append(-g[0] % p)
+        return
+    half = (p - 1) // 2
+    while True:
+        h = _powmod_poly([delta, 1], half, g, p)
+        d = _gcd_poly(g, _sub(h, [1], p), p)
+        if 1 < len(d) < len(g):
+            _split_linear(d, p, delta + 1, out)
+            _split_linear(_divmod_poly(g, d, p)[0], p, delta + 1, out)
+            return
+        delta += 1
+
+
+def reference_roots_mod(coeffs, p: int) -> list:
+    """Sorted distinct roots in F_p of one polynomial, coefficients highest
+    degree first, on Python lists: the root 0 split off, g = gcd(f, x^p - x)
+    with x^p by square-and-multiply modulo f, and g split by deterministic
+    shifts.  The zero polynomial returns all of F_p."""
+    f = _trim([int(c) % p for c in reversed(list(coeffs))])
+    if not f:
+        return list(range(p))
+    roots = []
+    if f[0] == 0:
+        roots.append(0)
+        f = f[next(i for i, c in enumerate(f) if c):]
+    if len(f) > 1:
+        f = _monic(f, p)
+        g = _gcd_poly(f, _sub(_powmod_poly([0, 1], p, f, p), [0, 1], p), p)
+        if len(g) > 1:
+            _split_linear(g, p, 1, roots)
+    return sorted(roots)
+
+
+def reference_sample_points(model, count: int, seed: int = 0, exclude=(), max_batches: int = 40):
+    """sample_smooth_points one line at a time: the same draws, each line's
+    restriction by a Python-list Horner scheme and its roots by
+    reference_roots_mod."""
+    if count == 0:
+        return []
+    p, d = model.prime, model.degree
+    rng = random.Random(model.seed * 7919 + seed * 104729 + p)
+    banned = model.banned_points() | set(exclude)
+    found, seen = [], set()
+    by_y = [[0] * (d + 1) for _ in range(d + 1)]
+    for coef, (i, j, _k) in zip(model.coeffs, monomials(d)):
+        by_y[j][i] = int(coef) % p
+    for _ in range(max_batches):
+        for _ in range(max(8, count // 2)):
+            m, c = rng.randrange(p), rng.randrange(p)
+            acc = list(by_y[d])
+            for j in range(d - 1, -1, -1):
+                acc = [(c * acc[i] + (m * acc[i - 1] if i else 0) + by_y[j][i]) % p
+                       for i in range(d + 1)]
+            for x0 in reference_roots_mod(acc[::-1], p):
+                pt = (x0, (m * x0 + c) % p, 1)
+                if pt not in banned and pt not in seen:
+                    seen.add(pt)
+                    found.append(pt)
+        if len(found) >= count:
+            return found[:count]
+    raise InsufficientRationalPointsError(
+        f"insufficient rational points: found {len(found)} of {count} at p={p}"
+    )

@@ -22,7 +22,7 @@ from scrollres.plane_curve import (
     construct_nodal_octic,
     verify_node_report,
 )
-from scrollres.resolution import SliceContext
+from scrollres.resolution import SliceContext, slice_point_demand
 
 
 def test_audit_command(capsys):
@@ -160,10 +160,10 @@ def test_small_prime_failure_mode(monkeypatch, capsys):
     # the prime is rejected with a clear error before any chain is built
     monkeypatch.setattr(pipeline, "build_chain", _no_chain)
     demand = sum(pipeline.point_demand())
-    message = f"prime 101 is too small .* guarantees 0 .* request {demand}"
-    with pytest.raises(PipelineError, match=message):
+    message = "prime 101 is too small .* guarantees 0 .* request {}"
+    with pytest.raises(PipelineError, match=message.format(demand)):
         run_pipeline(101, 1)
-    with pytest.raises(PipelineError, match=message):
+    with pytest.raises(PipelineError, match=message.format(pipeline.survey_point_demand())):
         sample_survey(101, count=2, base_seed=1, workers=1)
     assert main(["--prime", "101", "pipeline"]) == 1
     err = capsys.readouterr().err
@@ -211,15 +211,20 @@ def test_modulus_of_a_wrong_type_is_a_type_error(monkeypatch):
 
 
 def test_sampling_prime_boundary(monkeypatch):
-    # 661 is the largest prime rejected and 673 the smallest accepted
+    # the pipeline rejects 661 and accepts 673; the survey, whose chains
+    # stop after the Betti table, rejects 601 and accepts 607
     assert [n for n in range(640, 680) if is_prime(n)] == [641, 643, 647, 653, 659, 661, 673, 677]
     demand = sum(pipeline.point_demand())
     assert pipeline.guaranteed_points(661) < demand <= pipeline.guaranteed_points(673)
+    assert [n for n in range(590, 610) if is_prime(n)] == [593, 599, 601, 607]
+    survey_demand = pipeline.survey_point_demand()
+    assert survey_demand == 2 * slice_point_demand() == 120
+    assert pipeline.guaranteed_points(601) < survey_demand <= pipeline.guaranteed_points(607)
     monkeypatch.setattr(pipeline, "build_chain", _no_chain)
     with pytest.raises(PipelineError, match="prime 661"):
         run_pipeline(661, 1)
-    with pytest.raises(PipelineError, match="prime 661"):
-        sample_survey(661, count=1, workers=1)
+    with pytest.raises(PipelineError, match="prime 601"):
+        sample_survey(601, count=1, workers=1)
 
     built = []
 
@@ -232,8 +237,14 @@ def test_sampling_prime_boundary(monkeypatch):
     assert report["curveAttempts"] == [
         {"seed": 1, "outcome": "InsufficientRationalPointsError: stub chain"}
     ]
-    assert not sample_survey(673, count=1, workers=1)["ok"]
-    assert built == [673, 673]
+    assert not sample_survey(607, count=1, workers=1)["ok"]
+    assert built == [673, 607]
+
+
+def test_survey_certifies_at_its_smallest_prime():
+    # the survey's own demand is enough: a chain at p = 607 finds its points
+    summary = sample_survey(607, count=1, base_seed=1, workers=1)
+    assert summary["ok"] and summary["results"][0]["ok"]
 
 
 def test_hasse_weil_bound_is_exact():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scrollres.ffield as ffield
+from oracles import reference_roots_mod
 from scrollres.ffield import (
     FieldError,
     check_prime,
@@ -14,6 +15,7 @@ from scrollres.ffield import (
     mul_mod,
     rank_mod,
     roots_mod,
+    roots_mod_batch,
     rref_mod,
     solve_mod,
 )
@@ -644,3 +646,45 @@ def test_roots_mod_large_prime():
         for j, b in enumerate(quadratic):
             coeffs[i + j] = (coeffs[i + j] + a * b) % p
     assert roots_mod(coeffs, p) == [0, 5, 123456789, 2**30, p - 1]
+
+
+# --- roots_mod_batch against the one-polynomial oracle ---------------------------
+
+BATCH_PRIMES = (2, 3, 101, 10007, 94906249, 2147483629)
+SCAN_LIMIT = 101  # primes up to this are also checked against a full scan
+ZERO_LIMIT = 10007  # the zero polynomial returns all of F_p, so only up to this
+
+
+def _times_linear(coeffs, r, p):
+    """coeffs (highest degree first) times (x - r)."""
+    return [(a - r * b) % p for a, b in zip(coeffs + [0], [0] + coeffs)]
+
+
+@st.composite
+def _batch_rows(draw, p):
+    """One row of degree 0..10: plain coefficients with leading zeros (the
+    zero polynomial among them, for p up to ZERO_LIMIT), or a nonzero
+    cofactor times linear factors with a repeated root, times x or not."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, p - 1), max_size=11).filter(
+            lambda r: p <= ZERO_LIMIT or any(r)))
+    coeffs = [draw(st.integers(1, p - 1))] + draw(st.lists(st.integers(0, p - 1), max_size=4))
+    roots = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+    for r in roots + [roots[0]] * draw(st.integers(0, 2)):
+        coeffs = _times_linear(coeffs, r, p)
+    return coeffs + [0] * draw(st.integers(0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BATCH_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(_batch_rows(p), min_size=1, max_size=12))
+))
+def test_roots_mod_batch_matches_oracle(case):
+    p, rows = case
+    width = max(11, max(len(r) for r in rows))
+    batch = np.array([[0] * (width - len(r)) + r for r in rows], dtype=np.int64)
+    got = roots_mod_batch(batch, p)
+    assert got == [reference_roots_mod(r, p) for r in rows]
+    if p <= SCAN_LIMIT:
+        assert got == [_scan_roots(r, p) for r in rows]
+    assert all(type(x) is int for roots in got for x in roots)

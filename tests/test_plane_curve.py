@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_sample_points
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import solve_mod
 from scrollres.plane_curve import (
@@ -262,6 +264,31 @@ def test_sampling_matches_full_scan(p):
         assert got == _outcome(_scan_sample_smooth_points, model, count, **kwargs)
         if isinstance(got, list):
             assert all(type(v) is int for pt in got for v in pt)
+
+
+SAMPLER_PRIMES = (10007, 94906249, 2147483629)
+
+
+@functools.lru_cache(maxsize=None)
+def _nonic(p: int) -> PlaneCurveModel:
+    return construct_nodal_nonic(p, seed=1)
+
+
+@pytest.mark.parametrize("p", SAMPLER_PRIMES)
+@settings(max_examples=6, deadline=None)
+@given(count=st.integers(1, 60), seed=st.integers(0, 10**6), max_batches=st.integers(1, 3),
+       excluded=st.integers(0, 5))
+@example(count=60, seed=5, max_batches=1, excluded=0)  # fails: 30 lines, too few points
+@example(count=14, seed=900, max_batches=3, excluded=5)
+def test_sampling_matches_reference_sampler(p, count, seed, max_batches, excluded):
+    # the batched sampler against the one-line-at-a-time one, where no scan
+    # of F_p is affordable: the same points in the same order, or the same
+    # failure with the same count of points found
+    model = _nonic(p)
+    exclude = sample_smooth_points(model, excluded, seed=seed + 1)
+    kwargs = {"seed": seed, "exclude": exclude, "max_batches": max_batches}
+    got = _outcome(sample_smooth_points, model, count, **kwargs)
+    assert got == _outcome(reference_sample_points, model, count, **kwargs)
 
 
 # --- the dense-form evaluator against pure-Python pow sums ----------------------
