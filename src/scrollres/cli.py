@@ -24,12 +24,9 @@ from .pipeline import (
     build_chain,
     canonical_json,
     dimension_audit,
-    gamma_section,
-    k3_section,
     lattice_suite,
-    net_section,
-    require_sampling_prime,
     run_pipeline,
+    run_stages,
     sample_survey,
 )
 from .plane_curve import (
@@ -78,34 +75,39 @@ def cmd_betti(args) -> int:
     return 0 if ok else 1
 
 
+def _report_error(report: dict) -> bool:
+    """Print a failed run's chain error as one line; True when there was one."""
+    error = report.get("error")
+    if error:
+        print(f"error: {error['type']}: {error['message']} (stage {error['stage']})",
+              file=sys.stderr)
+    return bool(error)
+
+
 def cmd_k3(args) -> int:
-    require_sampling_prime(args.prime)
-    chain = build_chain(args.prime, args.seed)
-    checks: dict = {}
-    section, _basis, _gens = k3_section(chain, checks)
+    report = run_stages(args.prime, args.seed, last="k3")
+    if _report_error(report):
+        return 1
+    section = report["k3"]
     print(f"surface shape: {section['shape']}")
     print(f"intersection numbers: {section['intersectionNumbers']}")
-    ok = all(bool(v) for v in checks.values())
-    print(f"all checks passed: {ok}")
+    print(f"all checks passed: {report['ok']}")
     _write_json(args, {"prime": args.prime, "seed": args.seed, "k3": section})
-    return 0 if ok else 1
+    return 0 if report["ok"] else 1
 
 
 def cmd_gamma(args) -> int:
-    require_sampling_prime(args.prime)
-    chain = build_chain(args.prime, args.seed)
-    checks: dict = {}
-    _k3, basis, gens = k3_section(chain, checks)
-    net_report, net = net_section(chain, checks)
-    gamma = gamma_section(chain, basis, gens, net, checks)
+    report = run_stages(args.prime, args.seed, last="net_and_gamma")
+    if _report_error(report):
+        return 1
+    net_report, gamma = report["net"], report["gamma"]
     print(f"net dimension: {net_report['netDim']}; residual degree: "
           f"{net_report['residualModelDegree']}")
     print(f"singular point: {gamma['singularPoint']}; fibers: {gamma['fiberParameters']}")
     print(f"smoothness verdict: {gamma['smoothnessVerdict']}")
-    ok = all(bool(v) for v in checks.values())
     _write_json(args, {"prime": args.prime, "seed": args.seed,
                        "net": net_report, "gamma": gamma})
-    return 0 if ok else 1
+    return 0 if report["ok"] else 1
 
 
 def cmd_lattice(args) -> int:
@@ -153,6 +155,7 @@ def cmd_pipeline(args) -> int:
     t0 = time.time()
     report = run_pipeline(args.prime, args.seed)
     elapsed = time.time() - t0
+    _report_error(report)
     failed = [k for k, v in report["checks"].items() if not v]
     print(f"pipeline({args.prime}, {args.seed}): "
           f"{'ok' if report['ok'] else 'FAILED'} in {elapsed:.1f}s")

@@ -28,6 +28,11 @@ directly.
 roots_mod_batch, the one univariate root finder, takes the F_p-roots of a
 whole array of polynomials at once (roots_mod is its one-polynomial case):
 gcd with x^p - x, then Cantor-Zassenhaus splitting read off by traces.
+gcd_mod takes the gcd of a few polynomials by the same division steps.
+
+weil_restriction turns a matrix over a residue ring R = F_p[theta]/(h) into
+a matrix over F_p (von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 14), so rref_mod, rank_mod and kernel_mod serve R unchanged.
 """
 
 from __future__ import annotations
@@ -628,8 +633,9 @@ def roots_mod_batch(rows, p: int) -> list:
     numpy.polyval, and leading zeros just lower the degree, so one array
     holds polynomials of every degree up to its width - 1.
 
-    A zero row vanishes at every x, so all of F_p is returned for it.  Each
-    other row f of degree >= 1 is made monic, and its roots are those of
+    A zero row vanishes at every x, so FieldError is raised for it before
+    any work is done.  Each other row f of degree >= 1 is made monic, and its
+    roots are those of
     g = gcd(f, x^p - x), the product of the distinct x - r: x^p is taken
     modulo f by square-and-multiply, and the gcd by division steps.  The
     root 0 is split off g, and _split_roots finds the roots of the rest.
@@ -641,7 +647,9 @@ def roots_mod_batch(rows, p: int) -> list:
     if f.ndim != 2:
         raise ValueError("roots_mod_batch needs a 2-D coefficient array")
     f = np.ascontiguousarray(f[:, ::-1] % p)
-    deg = deg_all = _degrees(f)
+    deg = _degrees(f)
+    if (deg < 0).any():
+        raise FieldError("the zero polynomial vanishes at every point of F_p")
     roots = [set() for _ in deg]
     owner = np.flatnonzero(deg >= 1)
     if len(owner):
@@ -656,11 +664,75 @@ def roots_mod_batch(rows, p: int) -> list:
         _split_roots(g, deg, p, [roots[i] for i in owner])
         for i in owner[at_zero]:
             roots[i].add(0)
-    return [list(range(p)) if d < 0 else sorted(r) for d, r in zip(deg_all, roots)]
+    return [sorted(r) for r in roots]
 
 
 def roots_mod(coeffs, p: int) -> list:
     """Sorted distinct roots in F_p of sum(coeffs[k] * x**(n - k)), where
     n = len(coeffs) - 1: the one-polynomial case of roots_mod_batch.  The
-    coefficients come highest degree first, and [] is the zero polynomial."""
+    coefficients come highest degree first, and [] is the zero polynomial,
+    for which FieldError is raised."""
     return roots_mod_batch([[int(c) % p for c in coeffs] or [0]], p)[0]
+
+
+def _remainder(a: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
+    """a modulo the monic f of degree d >= 1, both lowest degree first, as a
+    row of length d."""
+    d = len(f) - 1
+    a = np.concatenate([a, np.zeros(max(0, d - len(a)), dtype=np.int64)])
+    for k in range(len(a) - 1, d - 1, -1):
+        a[k - d: k + 1] = (a[k - d: k + 1] - a[k] * f) % p
+    return a[:d]
+
+
+def gcd_mod(polys, p: int) -> list:
+    """Monic gcd over F_p of polynomials given highest degree first (leading
+    zeros just lower the degree), in the same form; FieldError when every
+    polynomial is zero.
+
+    The gcd so far, g, is monic; the next polynomial is reduced modulo g and
+    _gcd_rows takes the gcd of g and the remainder by division steps."""
+    g = None  # lowest degree first
+    for coeffs in polys:
+        f = np.array([int(c) % p for c in coeffs][::-1] or [0], dtype=np.int64)
+        deg = int(_degrees(f[None])[0])
+        if deg < 0:
+            continue
+        if g is None:
+            g = _monic_rows(f[None, : deg + 1], np.array([deg]), p)[0]
+        elif len(g) > 1:
+            rows, gdeg = _gcd_rows(g[None], np.array([len(g) - 1]), _remainder(f, g, p)[None], p)
+            g = rows[0, : gdeg[0] + 1]
+    if g is None:
+        raise FieldError("zero polynomials have no monic gcd")
+    return [int(c) for c in g[::-1]]
+
+
+def weil_restriction(coeffs, modulus, p: int) -> np.ndarray:
+    """The F_p matrix of M = sum_i coeffs[i] * theta**i, a matrix
+    polynomial with n x m coefficients, acting on row vectors over
+    R = F_p[theta]/(h), h = theta**d + sum_s modulus[s] * theta**s.
+
+    R**n has the F_p-basis u * theta**r (r < d), so the result is d x d
+    blocks of n x m: block (r, s) holds the theta**s coordinate of
+    theta**r * M.  For d = 2 that is [[M_0, M_1], [-c0 M_1, M_0 - c1 M_1]]
+    when M = M_0 + M_1 theta and h = theta**2 + c1 theta + c0.  Its row
+    space is the R-span of the rows of M, so for an irreducible h the rank
+    is d times the rank over the field R.  modulus (0,) is F_p itself, and
+    there M is just evaluated at 0."""
+    coeffs = [np.asarray(c, dtype=np.int64) % p for c in coeffs]
+    modulus = np.asarray(modulus, dtype=np.int64) % p
+    d, n, m = len(modulus), coeffs[0].shape[0], coeffs[0].shape[1]
+    # powers[j]: the coordinates of theta**j modulo h
+    powers = np.zeros((d + len(coeffs) - 1, d), dtype=np.int64)
+    powers[:d] = np.eye(d, dtype=np.int64)
+    for j in range(d, len(powers)):
+        powers[j, 1:] = powers[j - 1, :-1]
+        powers[j] = (powers[j] - powers[j - 1, -1] * modulus) % p
+    out = np.zeros((d, n, d, m), dtype=np.int64)
+    for r in range(d):
+        for i, c in enumerate(coeffs):
+            for s in range(d):
+                if powers[r + i, s]:
+                    out[r, :, s] = (out[r, :, s] + int(powers[r + i, s]) * c) % p
+    return out.reshape(d * n, d * m)

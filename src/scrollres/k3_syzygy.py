@@ -1,13 +1,21 @@
 """K3 surfaces cut out by linear syzygies of the curve's quadric generators.
 
-A linear syzygy s of the six (2H-R)-generators has entries in the
-4-dimensional space spanned by x1..x4; after a scalar base change moving s to
-(s1, s2, s3, s4, 0, 0) the first four transformed generators cut out a
-surface containing the curve.  The fifth generator q5 (of twist 2H) is
-recovered through the skew presentation: q_i = sum_j A_ij l_j for a skew
-4x4 matrix A with hyperplane-class entries, and q5 = Pf(A).  Surface ideal
-slices are spans of generator multiples, certified saturated against the
-Euler-characteristic prediction chi(O_S(aH+bR)) = 2 + (14a^2 + 10ab)/2.
+A linear syzygy s of the six (2H-R)-generators f_i has entries in the
+4-dimensional space spanned by l = (x1..x4): s_i = sum_k S[i, k] x_k.  In
+this Koszul basis the syzygy reads sum_k x_k phi_k = 0 with phi_k =
+sum_i f_i S[i, k], and the four phi_k cut out a surface containing the
+curve.  The fifth generator q5 (of twist 2H) is recovered through the skew
+presentation: phi_i = sum_j A_ij x_j for a skew 4x4 matrix A with
+hyperplane-class entries, and q5 = Pf(A).  Surface ideal slices are spans
+of generator multiples, certified saturated against the Euler-characteristic
+prediction chi(O_S(aH+bR)) = 2 + (14a^2 + 10ab)/2.
+
+For the pencil s = lam*s1 + mu*s2 the phi_k are linear in (lam : mu), the
+solve matrix does not depend on the member, so A = lam*P + mu*Q from one
+elimination with two right-hand sides, and Pf(A) = lam^2 Pf(P) +
+lam*mu (Pf(P + Q) - Pf(P) - Pf(Q)) + mu^2 Pf(Q).  A member is therefore an
+evaluation, over F_p or over a residue ring F_p[theta]/(h), and its slice
+spans over F_p are Weil restrictions (ffield.weil_restriction).
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import inverse_mod, kernel_mod, mul_mod, rank_mod, rref_mod
+from .ffield import mul_mod, rank_mod, rref_mod, weil_restriction
 from .lattice import solve_rational
 from .resolution import (
     BigradedBettiTable,
@@ -110,63 +118,44 @@ def syzygy_rank(s: SyzygyVector) -> int:
     return rank_mod(s.entries, s.prime)
 
 
+def koszul_basis(p: int) -> tuple:
+    """x1..x4 as CoxPoly: the slice (1, -1) holds exactly these, in order."""
+    keys = slice_keys(GENERIC_E, 1, -1)
+    return tuple(CoxPoly(p, keys[k:k + 1], [1]) for k in range(4))
+
+
 @dataclass(frozen=True)
 class SyzygyScheme:
-    """Ideal data of the syzygy scheme: four (2H-R)-forms and the syzygy l."""
+    """Ideal data of the syzygy scheme: the four (2H-R)-forms phi_k and the
+    Koszul basis l = (x1..x4), with sum_k l_k phi_k = 0."""
 
     prime: int
     params: tuple
-    forms: tuple      # f'_1..f'_4 as CoxPoly
-    ell: tuple        # l_1..l_4 as CoxPoly (entries of the transformed syzygy)
-    base_change: np.ndarray
+    forms: tuple      # phi_1..phi_4 as CoxPoly
+    ell: tuple        # x_1..x_4 as CoxPoly
+
+
+def _koszul_scheme(s: SyzygyVector, gen_polys) -> SyzygyScheme:
+    """phi_k = sum_i f_i S[i, k], and the syzygy identity checked."""
+    p = s.prime
+    # column k of S is the element sum_i S[i, k] e_i, sent to phi_k by e_i -> f_i
+    e_keys = module_keys([(0, 0)] * 6, GENERIC_E, 0, 0)
+    forms = tuple(CoxPoly(p, e_keys, s.entries[:, k]).image(gen_polys) for k in range(4))
+    ell = koszul_basis(p)
+    if not module_element(ell).image(forms).is_zero():
+        raise K3Error("syzygy identity failed")
+    return SyzygyScheme(p, s.params, forms, ell)
 
 
 def syzygy_scheme(s: SyzygyVector, gen_polys) -> SyzygyScheme:
-    """Base change moving s to (s1..s4, 0, 0) and the resulting 4-form ideal.
+    """The syzygy scheme of a rank-4 syzygy, written in the Koszul basis.
 
     gen_polys are the six (2H-R)-generators as CoxPoly, in the order used by
     the syzygy's entries.
     """
-    p = s.prime
     if syzygy_rank(s) != 4:
         raise K3Error(f"rank deficient: syzygy rank {syzygy_rank(s)} != 4")
-    left_kernel = kernel_mod(s.entries.T, p)  # vectors u with u^T S = 0
-    if len(left_kernel) != 2:
-        raise K3Error("left kernel of the syzygy entries is not 2-dimensional")
-    units = unit_completion(left_kernel, p)
-    if len(units) != 4:
-        raise K3Error("could not complete the base change")
-    u_mat = np.concatenate([np.eye(6, dtype=np.int64)[units], left_kernel]) % p
-    inv = inverse_mod(u_mat, p)
-    # transformed syzygy s' = U s has last two entries zero
-    sprime = mul_mod(u_mat, s.entries, p)
-    if np.any(sprime[4:]):
-        raise K3Error("base change failed to kill the last two entries")
-    # transformed generators f' = f U^{-1}: column j of U^{-1} is the element
-    # sum_i U^{-1}[i, j] e_i, sent to f'_j by e_i -> f_i
-    e_keys = module_keys([(0, 0)] * 6, GENERIC_E, 0, 0)
-    forms = [CoxPoly(p, e_keys, inv[:, j]).image(gen_polys) for j in range(4)]
-    # slice (1, -1) holds exactly x1..x4, in order
-    ell = [CoxPoly(p, slice_keys(GENERIC_E, 1, -1), sprime[j]) for j in range(4)]
-    # defining identity of the syzygy scheme
-    if not module_element(ell).image(forms).is_zero():
-        raise K3Error("transformed syzygy identity failed")
-    span = np.stack([l.vector(GENERIC_E, 1, -1) for l in ell])
-    if rank_mod(span, p) != 4:
-        raise K3Error("transformed syzygy entries do not span the 4-dimensional space")
-    return SyzygyScheme(p, s.params, tuple(forms), tuple(ell), u_mat)
-
-
-def unit_completion(rows: np.ndarray, p: int) -> list:
-    """Indices i, in increasing order, of the unit vectors e_i that greedily
-    extend the row space of the independent rows to all of F_p^n: the
-    column rank profile of [rows^T | I] beyond the columns of rows^T.
-    Empty when rows are dependent."""
-    k, n = rows.shape
-    _reduced, pivots = rref_mod(np.concatenate([rows.T, np.eye(n, dtype=np.int64)], axis=1), p)
-    if list(pivots[:k]) != list(range(k)):
-        return []
-    return [c - k for c in pivots[k:]]
+    return _koszul_scheme(s, gen_polys)
 
 
 # --- Pfaffians ---------------------------------------------------------------
@@ -261,15 +250,54 @@ def koszul_ambiguity_rank(ell, p: int) -> int:
     return rank_mod(free_map_matrix(_linear_map(images), GENERIC_E, 1, 0, p), p)
 
 
-def pfaffian_reconstruct(scheme: SyzygyScheme) -> SkewPresentation:
-    """Skew 4x4 matrix A with q_i = sum_j A_ij l_j, assembled into the 5x5 psi.
+def _presentation(a_entries, forms, ell, ambiguity_dim: int) -> SkewPresentation:
+    """The skew presentation of the forms by the skew 4x4 matrix a_entries:
+    phi_i = sum_j A_ij l_j exactly, and the five principal Pfaffians of the
+    5x5 psi are (Pf(A), phi_1, .., phi_4)."""
+    p = ell[0].prime
+    zero = CoxPoly(p)
+    for row, form in zip(a_entries, forms):
+        if not module_element(row).image(ell).sub(form).is_zero():
+            raise K3Error("skew presentation does not reproduce the generators")
+    q5 = pfaffian(a_entries)
+    psi = [[zero for _ in range(5)] for _ in range(5)]
+    for i in range(4):
+        psi[0][i + 1] = ell[i].scale(p - 1)
+        psi[i + 1][0] = ell[i]
+    # block entries carry the complementary entry of A; the sign pattern is
+    # the one for which the five principal Pfaffians come out as
+    # (Pf(A), phi_1, phi_2, phi_3, phi_4) exactly
+    sub = {(1, 2): a_entries[2][3], (1, 3): a_entries[1][3].scale(p - 1),
+           (1, 4): a_entries[1][2], (2, 3): a_entries[0][3],
+           (2, 4): a_entries[0][2].scale(p - 1), (3, 4): a_entries[0][1]}
+    for (i, j), poly in sub.items():
+        psi[i][j] = poly
+        psi[j][i] = poly.scale(p - 1)
+    pres = SkewPresentation(
+        p, tuple(tuple(r) for r in psi), tuple(tuple(r) for r in a_entries),
+        q5, ambiguity_dim,
+    )
+    pf = pres.check_identity()
+    if not pf[0].sub(q5).is_zero():
+        raise K3Error("first principal Pfaffian is not Pf(A)")
+    for i in range(4):
+        if not pf[i + 1].sub(forms[i]).is_zero():
+            raise K3Error("sub-Pfaffians do not recover the quadric generators")
+    return pres
 
-    The solve's kernel dimension must equal the rank of the explicit Koszul
-    map; the identity psi . (signed sub-Pfaffians) = 0 is asserted
-    coefficientwise.
+
+def pfaffian_reconstruct(schemes) -> list:
+    """Skew 4x4 matrices A with phi_i = sum_j A_ij l_j, one per scheme, each
+    assembled into its 5x5 psi; the schemes share the Koszul basis l.
+
+    One elimination of [mat^T | rhs_1 .. rhs_n] solves every scheme: its
+    kernel dimension must equal the rank of the explicit Koszul map, and
+    each identity psi . (signed sub-Pfaffians) = 0 is asserted
+    coefficientwise.  The solution is the one with every free unknown zero,
+    so it is linear in the right-hand side.
     """
-    p = scheme.prime
-    ell = scheme.ell
+    p = schemes[0].prime
+    ell = schemes[0].ell
     h_keys = slice_keys(GENERIC_E, 1, 0)
     # e_ij -> l_j eps_i - l_i eps_j on the (2, -1) slices: one row per e_ij
     # times a monomial of h_keys, one column block per eps_i
@@ -280,54 +308,43 @@ def pfaffian_reconstruct(scheme: SyzygyScheme) -> SkewPresentation:
         row[i], row[j] = ell[j], ell[i].scale(p - 1)
         images.append(row)
     mat = free_map_matrix(_linear_map(images), GENERIC_E, 2, -1, p)
-    rhs = np.concatenate([f.vector(GENERIC_E, 2, -1) for f in scheme.forms])
-    # one elimination of [mat^T | rhs] gives a solution and the kernel dimension
+    rhs = np.stack([np.concatenate([f.vector(GENERIC_E, 2, -1) for f in s.forms])
+                    for s in schemes], axis=1)
     unknowns = mat.shape[0]
-    reduced, pivots = rref_mod(np.concatenate([mat.T, rhs[:, None]], axis=1), p)
-    if unknowns in pivots:
+    reduced, pivots = rref_mod(np.concatenate([mat.T, rhs], axis=1), p)
+    if pivots and pivots[-1] >= unknowns:
         raise K3Error("inconsistent system: no skew presentation exists")
-    solution = np.zeros(unknowns, dtype=np.int64)
-    solution[pivots] = reduced[: len(pivots), unknowns]
     kernel_dim = unknowns - len(pivots)
     koszul_rank = koszul_ambiguity_rank(ell, p)
     if kernel_dim != koszul_rank:
         raise K3Error(
             f"reconstruction ambiguity {kernel_dim} != Koszul image rank {koszul_rank}"
         )
-    # rebuild A from the solution vector
-    a_entries = [[zero for _ in range(4)] for _ in range(4)]
-    for (i, j), row in zip(_PAIRS, solution.reshape(len(_PAIRS), len(h_keys))):
-        a_entries[i][j] = CoxPoly(p, h_keys, row)
-        a_entries[j][i] = a_entries[i][j].scale(p - 1)
-    # verify q_i = sum_j A_ij l_j exactly
-    for row, form in zip(a_entries, scheme.forms):
-        if not module_element(row).image(ell).sub(form).is_zero():
-            raise K3Error("skew presentation does not reproduce the generators")
-    q5 = pfaffian(a_entries)
-    psi = [[zero for _ in range(5)] for _ in range(5)]
-    for i in range(4):
-        psi[0][i + 1] = ell[i].scale(p - 1)
-        psi[i + 1][0] = ell[i]
-    # block entries carry the complementary entry of A; the sign pattern is
-    # the one for which the five principal Pfaffians come out as
-    # (Pf(A), q_1, q_2, q_3, q_4) exactly
-    sub = {(1, 2): a_entries[2][3], (1, 3): a_entries[1][3].scale(p - 1),
-           (1, 4): a_entries[1][2], (2, 3): a_entries[0][3],
-           (2, 4): a_entries[0][2].scale(p - 1), (3, 4): a_entries[0][1]}
-    for (i, j), poly in sub.items():
-        psi[i][j] = poly
-        psi[j][i] = poly.scale(p - 1)
-    pres = SkewPresentation(
-        p, tuple(tuple(r) for r in psi), tuple(tuple(r) for r in a_entries),
-        q5, kernel_dim,
-    )
-    pf = pres.check_identity()
-    if not pf[0].sub(q5).is_zero():
-        raise K3Error("first principal Pfaffian is not Pf(A)")
-    for i in range(4):
-        if not pf[i + 1].sub(scheme.forms[i]).is_zero():
-            raise K3Error("sub-Pfaffians do not recover the quadric generators")
-    return pres
+    out = []
+    for column, scheme in enumerate(schemes):
+        solution = np.zeros(unknowns, dtype=np.int64)
+        solution[pivots] = reduced[: len(pivots), unknowns + column]
+        a_entries = [[zero for _ in range(4)] for _ in range(4)]
+        for (i, j), row in zip(_PAIRS, solution.reshape(len(_PAIRS), len(h_keys))):
+            a_entries[i][j] = CoxPoly(p, h_keys, row)
+            a_entries[j][i] = a_entries[i][j].scale(p - 1)
+        out.append(_presentation(a_entries, scheme.forms, ell, kernel_dim))
+    return out
+
+
+def _element(x, d: int, p: int) -> np.ndarray:
+    """The coordinates over 1, theta, .., theta^(d-1) of an element of R
+    given by its leading coordinates or, as an int, a constant."""
+    out = np.zeros(d, dtype=np.int64)
+    x = np.atleast_1d(np.asarray(x, dtype=np.int64)) % p
+    out[: len(x)] = x
+    return out
+
+
+def _combine(polys, weights, p: int) -> CoxPoly:
+    """sum_k weights[k] * polys[k]."""
+    return CoxPoly(p, np.concatenate([f.keys for f in polys]),
+                   np.concatenate([f.coefs * (int(w) % p) for f, w in zip(polys, weights)]))
 
 
 # --- the surface ideal and its resolution shape ------------------------------
@@ -335,16 +352,35 @@ def pfaffian_reconstruct(scheme: SyzygyScheme) -> SkewPresentation:
 
 @dataclass
 class K3Surface:
+    """A syzygy-scheme surface over R = F_p[theta]/(h), with
+    h = theta^d + sum_s modulus[s] theta^s monic; modulus (0,) is F_p.
+
+    parts[s] lists the generators' theta^s coordinates with their slice
+    bidegrees, so over F_p parts[0] is the list of the five generators.  A
+    slice span over F_p is the Weil restriction of the span over R: its row
+    space is the R-span of the generator multiples, of F_p-dimension d times
+    their R-dimension.
+    """
+
     prime: int
-    scheme: SyzygyScheme
-    skew: SkewPresentation
+    parts: tuple
+    ambiguity_dim: int    # kernel dimension of the skew reconstruction
+    modulus: tuple = (0,)
+
+    @property
+    def degree(self) -> int:
+        return len(self.modulus)
 
     @property
     def generators(self) -> list:
-        """The five generators with their slice bidegrees."""
-        out = [((2, -1), f) for f in self.scheme.forms]
-        out.append(((2, 0), self.skew.q5))
-        return out
+        """The five generators with their slice bidegrees (over F_p)."""
+        if self.degree != 1:
+            raise ValueError("generators over a proper extension have no CoxPoly form")
+        return list(self.parts[0])
+
+    @property
+    def q5(self) -> CoxPoly:
+        return self.generators[-1][1]
 
     def generator_step(self) -> ResolutionStep:
         twists, gens = zip(*self.generators)
@@ -352,12 +388,19 @@ class K3Surface:
 
     def slice_span(self, a: int, b: int) -> np.ndarray:
         """Row span of generator multiples inside the (a, b) Cox slice: for
-        each generator, its multiples by cox_slice(a - ga, b - gb) in order."""
-        return free_map_matrix(self.generator_step(), GENERIC_E, a, b, self.prime)
+        each generator, its multiples by cox_slice(a - ga, b - gb) in order;
+        over R, the Weil restriction of that matrix."""
+        coeffs = []
+        for part in self.parts:
+            twists, gens = zip(*part)
+            step = ResolutionStep(1, list(twists), list(gens), {})
+            coeffs.append(free_map_matrix(step, GENERIC_E, a, b, self.prime))
+        return weil_restriction(coeffs, self.modulus, self.prime)
 
     def saturated_dim(self, a: int, b: int) -> int:
-        """Slice dimension predicted by the Euler characteristic."""
-        return len(cox_slice(GENERIC_E, a, b)) - surface_chi(a, b)
+        """F_p-dimension of the slice span predicted by the Euler
+        characteristic."""
+        return self.degree * (len(cox_slice(GENERIC_E, a, b)) - surface_chi(a, b))
 
     def saturated_span(self, a: int, b: int) -> tuple:
         """slice_span(a, b) and its rref_mod (reduced, pivots), certified to
@@ -375,8 +418,62 @@ class K3Surface:
         return len(self.saturated_span(a, b)[2])
 
 
-def surface_from_syzygy(scheme: SyzygyScheme) -> K3Surface:
-    return K3Surface(scheme.prime, scheme, pfaffian_reconstruct(scheme))
+@dataclass(frozen=True)
+class SurfacePencil:
+    """The syzygy-scheme surfaces of the pencil lam*s1 + mu*s2 at once.
+
+    The forms are linear and q5 = Pf(lam P + mu Q) quadratic in (lam : mu):
+    q5 holds the coefficients of lam^2, lam*mu and mu^2.
+    """
+
+    prime: int
+    entries: tuple        # S1, S2
+    forms: tuple          # the phi_k of s1 and of s2
+    q5: tuple
+    ambiguity_dim: int
+
+    def member(self, lam, mu, modulus=(0,)) -> K3Surface:
+        """The member (lam : mu) over R = F_p[theta]/(h), modulus as in
+        K3Surface; lam and mu are elements of R, given by their coordinates
+        over 1, theta, .. (an int is a constant).  Raises K3Error unless the
+        member's syzygy has rank 4 over R."""
+        p, d = self.prime, len(modulus)
+        lam, mu = (_element(x, d, p) for x in (lam, mu))
+        s1, s2 = self.entries
+        rank = rank_mod(weil_restriction([a * s1 + b * s2 for a, b in zip(lam, mu)], modulus, p), p)
+        if rank != 4 * d:
+            raise K3Error(f"rank deficient: syzygy rank {rank // d} != 4")
+        # multiplication by lam and by mu on R; row 0 of a product is its value
+        by_lam, by_mu = (weil_restriction(x.reshape(d, 1, 1), modulus, p) for x in (lam, mu))
+        squares = [mul_mod(x, y, p)[0] for x, y in ((by_lam, by_lam), (by_lam, by_mu), (by_mu, by_mu))]
+        parts = []
+        for s in range(d):
+            gens = [((2, -1), _combine(pair, (lam[s], mu[s]), p)) for pair in zip(*self.forms)]
+            gens.append(((2, 0), _combine(self.q5, [w[s] for w in squares], p)))
+            parts.append(tuple(gens))
+        return K3Surface(p, tuple(parts), self.ambiguity_dim, tuple(int(c) % p for c in modulus))
+
+
+def surface_pencil(s1: SyzygyVector, s2: SyzygyVector, gen_polys) -> SurfacePencil:
+    """The pencil of syzygy schemes spanned by s1 and s2.
+
+    The checks run once for all members: the syzygy identity and
+    phi_i = sum_j A_ij l_j are linear in (lam : mu), so s1 and s2 cover the
+    pencil; the Pfaffian identities are binary forms of degree at most 2
+    in (lam : mu), so holding at (1 : 0), (0 : 1) and (1 : 1) they hold for
+    every member over every extension of F_p.
+    """
+    p = s1.prime
+    schemes = [_koszul_scheme(s, gen_polys) for s in (s1, s2)]
+    pres_p, pres_q = pfaffian_reconstruct(schemes)
+    both = [[x.add(y) for x, y in zip(r1, r2)] for r1, r2 in zip(pres_p.askew, pres_q.askew)]
+    forms = [f.add(g) for f, g in zip(schemes[0].forms, schemes[1].forms)]
+    pres_sum = _presentation(both, forms, schemes[0].ell, pres_p.ambiguity_dim)
+    mixed = pres_sum.q5.sub(pres_p.q5).sub(pres_q.q5)
+    return SurfacePencil(
+        p, (s1.entries, s2.entries), (schemes[0].forms, schemes[1].forms),
+        (pres_p.q5, mixed, pres_q.q5), pres_p.ambiguity_dim,
+    )
 
 
 def k3_betti_shape(ctx: SliceContext, surface: K3Surface) -> BigradedBettiTable:

@@ -1,9 +1,12 @@
 """End-to-end pipeline: curve model to Betti table to K3 data to lattice audit.
 
-run_pipeline executes every stage, records one report section per stage, and
-tracks the assertions whose failure makes the run unacceptable.  Reports are
-reproducible bit for bit for a fixed (prime, seed, version) once the timing
-section is stripped; canonical_json does that stripping.
+run_stages executes the stages of one curve chain in a straight line,
+records one report section per stage, and tracks the assertions whose
+failure makes the run unacceptable; run_pipeline runs all of them.  A chain
+that fails mathematically is reported once, with its stage and exception
+type, and never re-seeded.  Reports are reproducible bit for bit for a fixed
+(prime, seed, version) once the timing section is stripped; canonical_json
+does that stripping.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from .k3_syzygy import (
     k3_betti_shape,
     linear_syzygy_space,
     pencil_member,
-    surface_from_syzygy,
+    surface_pencil,
     syzygy_rank,
-    syzygy_scheme,
     verify_containment,
 )
 from .lattice import (
@@ -59,6 +61,7 @@ from .quartic_net import (
     GammaError,
     NetError,
     ResultantDegenerateError,
+    certify_fiber,
     fit_gamma,
     fit_gamma_map,
     gamma_singular_point,
@@ -89,7 +92,7 @@ from .scroll import (
     scroll_type,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 GAMMA_PARAMETERS = [(1, mu) for mu in range(16)] + [(0, 1)]
 K3_MEMBER_CHOICES = [(1, 7), (1, 3), (1, 11), (1, 13), (0, 1), (1, 0)]
@@ -111,9 +114,8 @@ class PipelineError(RuntimeError):
     pass
 
 
-# Mathematical outcomes of one curve chain: a run records them and re-seeds
-# (run_pipeline) or tallies them (survey_seed).  Anything else is a bug and
-# propagates.
+# Mathematical outcomes of one curve chain: a run reports them (run_stages)
+# or tallies them (survey_seed).  Anything else is a bug and propagates.
 CHAIN_ERRORS = (
     ResolutionError,
     K3Error,
@@ -208,10 +210,13 @@ def _betti_section(chain: CurveChain, checks: dict) -> dict:
 
 
 def k3_section(chain: CurveChain, checks: dict):
+    """The surface pencil of the chain and the K3 data of its first rank-4
+    member among K3_MEMBER_CHOICES; returns (section, pencil, basis)."""
     p = chain.ctx.prime
     basis = linear_syzygy_space(chain.steps, p)
     checks["linear_syzygy_space_dim_2"] = len(basis) == 2
     gens = chain.steps[0].gens[:6]
+    pencil = surface_pencil(pencil_member(basis, 1, 0), pencil_member(basis, 0, 1), gens)
     member = None
     for lam, mu in K3_MEMBER_CHOICES:
         cand = pencil_member(basis, lam, mu)
@@ -221,14 +226,13 @@ def k3_section(chain: CurveChain, checks: dict):
     if member is None:
         raise PipelineError("no rank-4 member found in the syzygy pencil")
     checks["generic_syzygy_rank_4"] = syzygy_rank(member) == 4
-    scheme = syzygy_scheme(member, gens)
-    surface = surface_from_syzygy(scheme)
+    surface = pencil.member(*member.params)
     values = chain.ctx.values(0, K3_CHECK_POINTS)
     verify_containment(surface, values)
     checks["surface_contains_curve"] = not any(
         np.any(poly.evaluate(values)) for _twist, poly in surface.generators
     )
-    q5v = surface.skew.q5.vector(GENERIC_E, 2, 0)
+    q5v = surface.q5.vector(GENERIC_E, 2, 0)
     checks["q5_in_curve_ideal"] = (
         solve_mod(chain.ctx.ideal_slice(2, 0).T, q5v, p) is not None
     )
@@ -242,7 +246,7 @@ def k3_section(chain: CurveChain, checks: dict):
         "parametersUsed": list(member.params),
         "shape": shape.to_json_entries(),
         "intersectionNumbers": numbers,
-        "pfaffianAmbiguityDim": surface.skew.ambiguity_dim,
+        "pfaffianAmbiguityDim": surface.ambiguity_dim,
         "notes": {
             "vertexSaturation": "not needed: all slices are computed on the "
                                 "projective bundle, away from the scroll vertex",
@@ -250,7 +254,7 @@ def k3_section(chain: CurveChain, checks: dict):
                                   "resolution shape and lattice data are the evidence",
         },
     }
-    return section, basis, gens
+    return section, pencil, basis
 
 
 def net_section(chain: CurveChain, checks: dict):
@@ -265,17 +269,30 @@ def net_section(chain: CurveChain, checks: dict):
     return {"netDim": net.basis.shape[0], "residualModelDegree": degree}, net
 
 
-def gamma_section(chain: CurveChain, basis, gens, net, checks: dict):
+def _fiber_report(fibers, p: int) -> tuple:
+    """fiberParameters and fiberModulus: two rational parameters (lam, mu),
+    or for a conjugate pair lam = a + b*t and its conjugate (mu = 1), t a
+    root of h = t^2 + c1 t + c0, written [[a, b], [1, 0]], and h as
+    [1, c1, c0]."""
+    if len(fibers) == 2:
+        return [[lam[0], mu[0]] for _h, lam, mu in fibers], None
+    [((c0, c1), lam, mu)] = fibers
+    # a + b*t has the conjugate a + b*(-c1 - t)
+    def conjugate(x):
+        return [(x[0] - c1 * x[1]) % p, (-x[1]) % p]
+
+    return [[list(lam), list(mu)], [conjugate(lam), conjugate(mu)]], [1, c1, c0]
+
+
+def gamma_section(chain: CurveChain, pencil, basis, net, checks: dict):
     p = chain.ctx.prime
     samples = []
     skipped = []
     for lam, mu in GAMMA_PARAMETERS:
-        member = pencil_member(basis, lam, mu)
-        if syzygy_rank(member) != 4:
+        if syzygy_rank(pencil_member(basis, lam, mu)) != 4:
             skipped.append((lam, mu))
             continue
-        surf = surface_from_syzygy(syzygy_scheme(member, gens))
-        _fvec, coords3 = image_quartic(surf, net)
+        _fvec, coords3 = image_quartic(pencil.member(lam, mu), net)
         samples.append(((lam, mu), tuple(int(v) for v in coords3)))
     gamma = fit_gamma(samples, p)
     sample_points = np.array([c for _par, c in samples], dtype=np.int64).T
@@ -288,15 +305,14 @@ def gamma_section(chain: CurveChain, basis, gens, net, checks: dict):
     checks["singular_point_is_node"] = sing["is_node"]
     gmap = fit_gamma_map(samples, p)
     fibers = singular_fiber_parameters(gmap, sing["point"], p)
-    checks["two_singular_fiber_parameters"] = len(fibers) == 2
-    # both parameters map to the singular quartic; a third one does not
+    checks["two_singular_fiber_parameters"] = sum(len(h) for h, _lam, _mu in fibers) == 2
+    # both parameters map to the singular quartic (a conjugate pair at once,
+    # over F_p[t]/(h)); a third one does not
     target = normalize_point(sing["point"], p)
-    for lam, mu in fibers:
-        surf = surface_from_syzygy(syzygy_scheme(pencil_member(basis, lam, mu), gens))
-        _f, coords3 = image_quartic(surf, net)
-        if normalize_point(tuple(int(v) for v in coords3), p) != target:
-            raise PipelineError("fiber parameter does not map to the singular quartic")
-    spare = next(s for s in samples if tuple(s[0]) not in {tuple(f) for f in fibers})
+    for modulus, lam, mu in fibers:
+        certify_fiber(gmap, (modulus, lam, mu), target, pencil.member(lam, mu, modulus), net)
+    rational = {normalize_point((lam[0], mu[0]), p) for h, lam, mu in fibers if len(h) == 1}
+    spare = next(s for s in samples if normalize_point(s[0], p) not in rational)
     checks["third_parameter_maps_elsewhere"] = (
         normalize_point(spare[1], p) != target
     )
@@ -306,6 +322,7 @@ def gamma_section(chain: CurveChain, basis, gens, net, checks: dict):
     ) % p
     smooth = macaulay_resultant_smooth(quartic, p)
     checks["singular_fiber_quartic_smooth"] = smooth
+    parameters, modulus = _fiber_report(fibers, p)
     return {
         "sampleCount": len(samples),
         "skippedParameters": skipped,
@@ -313,7 +330,8 @@ def gamma_section(chain: CurveChain, basis, gens, net, checks: dict):
         "gammaDegree": 3,
         "singularPoint": list(sing["point"]),
         "quadraticRank": sing["quadratic_rank"],
-        "fiberParameters": [list(f) for f in fibers],
+        "fiberParameters": parameters,
+        "fiberModulus": modulus,
         "smoothnessVerdict": bool(smooth),
     }
 
@@ -396,16 +414,53 @@ def lattice_suite(checks: "dict | None" = None, box: int = 100) -> dict:
     }
 
 
-def run_pipeline(prime: int = DEFAULT_PRIME, seed: int = 1,
-                 max_curve_attempts: int = 6) -> dict:
-    """Full pipeline report; report["ok"] is the overall verdict.
+def _curve_and_betti(run: dict, report: dict, checks: dict) -> None:
+    chain = run["chain"] = build_chain(report["prime"], report["seed"])
+    report["model"] = json.loads(chain.model.to_json())
+    report["modelReport"] = verify_model_report(chain.model)
+    report["scrollType"] = [1, 1, 1, 1, 0]
+    report["bettiTable"] = _betti_section(chain, checks)
 
-    When the singular fiber parameters of a seed are not F_p-rational (a
-    genuine possibility: the two branch parameters may be conjugate over a
-    quadratic extension), the curve stages are retried on the derived seeds
-    seed + 7919*k; the attempts are recorded.  A prime too small for point
-    sampling raises PipelineError before any chain is built.
+
+def _k3(run: dict, report: dict, checks: dict) -> None:
+    report["k3"], run["pencil"], run["basis"] = k3_section(run["chain"], checks)
+    report["syzygySpaceDim"] = len(run["basis"])
+
+
+def _net_and_gamma(run: dict, report: dict, checks: dict) -> None:
+    report["net"], net = net_section(run["chain"], checks)
+    report["gamma"] = gamma_section(run["chain"], run["pencil"], run["basis"], net, checks)
+
+
+def _lattice_and_audit(run: dict, report: dict, checks: dict) -> None:
+    report["latticeCertificates"] = lattice_suite(checks)
+    report["dimensionAudit"] = dimension_audit()
+    checks["dimension_audit"] = report["dimensionAudit"]["ok"]
+
+
+#: the stages of one run, in order; their names key report["timings"] and
+#: the stage of a failed run's report["error"]
+STAGES = (
+    ("curve_and_betti", _curve_and_betti),
+    ("k3", _k3),
+    ("net_and_gamma", _net_and_gamma),
+    ("lattice_and_audit", _lattice_and_audit),
+)
+
+
+def run_stages(prime: int, seed: int, last: str = STAGES[-1][0]) -> dict:
+    """Run the stages of the chain of (prime, seed) in order, up to and
+    including the stage named last; report["ok"] is the verdict.
+
+    One chain is built.  A chain error (CHAIN_ERRORS) stops the run, which
+    is then reported once, not retried: report["error"] is {"stage",
+    "type", "message"}, the stage it happened in and the exception's type
+    and text; ok is false.  Any other exception is a bug and propagates.  A
+    prime too small for point sampling raises PipelineError before any
+    chain is built.
     """
+    names = [name for name, _stage in STAGES]
+    stages = STAGES[: names.index(last) + 1]
     require_sampling_prime(prime)
     checks: dict = {}
     timings: dict = {}
@@ -415,47 +470,33 @@ def run_pipeline(prime: int = DEFAULT_PRIME, seed: int = 1,
         "prime": prime,
         "seed": seed,
     }
-    attempts = []
-    chain = None
-    for attempt in range(max_curve_attempts):
-        attempt_seed = seed + 7919 * attempt
+    run: dict = {}
+    for name, stage in stages:
         t0 = time.time()
         try:
-            chain = build_chain(prime, attempt_seed)
-            timings["curve_and_betti"] = round(time.time() - t0, 3)
-            report["model"] = json.loads(chain.model.to_json())
-            report["modelReport"] = verify_model_report(chain.model)
-            report["scrollType"] = [1, 1, 1, 1, 0]
-            t1 = time.time()
-            report["bettiTable"] = _betti_section(chain, checks)
-            report["k3"], basis, gens = k3_section(chain, checks)
-            report["syzygySpaceDim"] = len(basis)
-            timings["k3"] = round(time.time() - t1, 3)
-            t2 = time.time()
-            report["net"], net = net_section(chain, checks)
-            report["gamma"] = gamma_section(chain, basis, gens, net, checks)
-            timings["net_and_gamma"] = round(time.time() - t2, 3)
-            attempts.append({"seed": attempt_seed, "outcome": "ok"})
-            break
+            stage(run, report, checks)
         except CHAIN_ERRORS as exc:
-            attempts.append({"seed": attempt_seed, "outcome": f"{type(exc).__name__}: {exc}"})
-            chain = None
-    report["curveAttempts"] = attempts
-    if chain is None:
-        report["ok"] = False
-        report["checks"] = checks
-        report["error"] = "all curve attempts failed"
-        report["timings"] = timings
-        return report
-    t3 = time.time()
-    report["latticeCertificates"] = lattice_suite(checks)
-    report["dimensionAudit"] = dimension_audit()
-    checks["dimension_audit"] = report["dimensionAudit"]["ok"]
-    timings["lattice_and_audit"] = round(time.time() - t3, 3)
+            report["error"] = {"stage": name, "type": type(exc).__name__, "message": str(exc)}
+            break
+        timings[name] = round(time.time() - t0, 3)
     report["checks"] = checks
-    report["ok"] = all(bool(v) for v in checks.values())
+    report["ok"] = "error" not in report and all(bool(v) for v in checks.values())
     report["timings"] = timings
     return report
+
+
+def run_pipeline(prime: int = DEFAULT_PRIME, seed: int = 1,
+                 max_curve_attempts: int = 1) -> dict:
+    """Full pipeline report: every stage of run_stages, on the one chain of
+    (prime, seed); report["ok"] is the overall verdict.
+
+    max_curve_attempts must be at least 1 and does nothing else: it remains
+    only because perfbench's self-check still passes it, and goes in the
+    next change to the benchmark.
+    """
+    if max_curve_attempts < 1:
+        raise ValueError("max_curve_attempts must be at least 1")
+    return run_stages(prime, seed)
 
 
 def canonical_json(report: dict) -> str:

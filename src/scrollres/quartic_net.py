@@ -11,7 +11,9 @@ partial derivatives.
 All elimination here is exact: resultants of univariate specialisations are
 Sylvester determinants over F_p, binary forms are recovered by Vandermonde
 interpolation, and roots come from ffield.roots_mod (gcd with x^p - x), so
-no step scans F_p.
+no step scans F_p.  The two pencil parameters over the node are the roots of
+one binary quadratic g; when they are conjugate they are certified together
+over F_p[theta]/(g(theta, 1)), on Weil-restricted matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffield import det_mod, inverse_mod, kernel_mod, mul_mod, rank_mod, roots_mod, solve_mod
+from .ffield import (
+    FieldError,
+    det_mod,
+    gcd_mod,
+    inverse_mod,
+    kernel_mod,
+    mul_mod,
+    rank_mod,
+    roots_mod,
+    solve_mod,
+    weil_restriction,
+)
 from .k3_syzygy import K3Surface
 from .plane_curve import (
     evaluate_form,
@@ -34,7 +47,7 @@ from .plane_curve import (
     substitute_linear,
     z_coefficients,
 )
-from .scroll import GENERIC_E, KeyIndex, add_keys, cox_slice, slice_keys
+from .scroll import GENERIC_E, KeyIndex, add_keys, cox_slice, module_keys
 
 
 class NetError(RuntimeError):
@@ -155,9 +168,20 @@ def binary_form_divide_linear(coeffs, root, p: int):
 def binary_form_roots(coeffs, p: int) -> list:
     """All projective F_p-roots (a : b) of a binary form, without multiplicity:
     (1 : 0) first when the leading coefficient vanishes, then the affine
-    roots (a : 1) in ascending a."""
+    roots (a : 1) in ascending a.  The zero form vanishes everywhere:
+    FieldError, as for roots_mod."""
+    if not any(int(c) % p for c in coeffs):
+        raise FieldError("the zero binary form vanishes at every point")
     roots = [(1, 0)] if int(coeffs[0]) % p == 0 else []
     return roots + [(a, 1) for a in roots_mod(coeffs, p)]
+
+
+def binary_form_gcd(forms, p: int) -> list:
+    """gcd of nonzero binary forms (coefficients by t-degree, highest s-power
+    first): t to the least multiplicity of (1 : 0), times the monic gcd of
+    the dehomogenised polynomials."""
+    at_infinity = min(next(k for k, c in enumerate(f) if int(c) % p) for f in forms)
+    return [0] * at_infinity + gcd_mod(forms, p)
 
 
 # --- residual model and the net ----------------------------------------------
@@ -266,12 +290,16 @@ def image_quartic(surface: K3Surface, net: QuarticNet) -> tuple:
 
     Computed in the saturated slice of bidegree (4, -4): membership is
     decided after pushing with all degree-2 monomials in t into the
-    (4, -2) slice, where the generated ideal is certified saturated.
-    Returns (coefficients over monomials(4, 4), coordinates in the net).
+    (4, -2) slice, where the generated ideal is certified saturated.  Over
+    R = F_p[theta]/(h) of degree d the unknowns are F = sum_s F_s theta^s,
+    the relation space is an R-module and must have F_p-dimension d, and
+    its first basis vector generates it.  Returns (F_0, .., F_(d-1) over
+    monomials(4, 4), concatenated; their coordinates in the net, likewise).
     """
-    p = surface.prime
+    p, d = surface.prime, surface.degree
     _, reduced, pivots = surface.saturated_span(4, -2)
-    keys42 = slice_keys(GENERIC_E, 4, -2)
+    # the span's columns and the unknowns: one block of slice keys per theta^s
+    keys42 = module_keys([(0, 0)] * d, GENERIC_E, 4, -2)
     # row of the RREF whose pivot is column k, or -1
     pivot_row = np.full(len(keys42), -1)
     pivot_row[list(pivots)] = np.arange(len(pivots))
@@ -279,11 +307,11 @@ def image_quartic(surface: K3Surface, net: QuarticNet) -> tuple:
     quartic_monos = monomials(4, 4)
     if cox_slice(GENERIC_E, 4, -4) != tuple((m + (0,), (0, 0)) for m in quartic_monos):
         raise NetError("slice (4,-4) is not the space of x-quartics")
-    keys44 = slice_keys(GENERIC_E, 4, -4)
+    keys44 = module_keys([(0, 0)] * d, GENERIC_E, 4, -4)
     index42 = KeyIndex(keys42)
     rows = np.arange(len(keys44))
     conditions = []
-    for tkey in slice_keys(GENERIC_E, 0, 2):
+    for tkey in module_keys([(0, 0)], GENERIC_E, 0, 2):
         # the unit vector e_k reduces modulo the span to e_k - R[i] when k
         # is the pivot of RREF row i, and to itself otherwise
         cols = index42.find(add_keys(keys44, tkey))
@@ -293,13 +321,20 @@ def image_quartic(surface: K3Surface, net: QuarticNet) -> tuple:
         block[hit] = (block[hit] - reduced[pivot_row[cols[hit]]]) % p
         conditions.append(block)
     kernel = kernel_mod(np.concatenate(conditions, axis=1).T, p)
-    if len(kernel) != 1:
-        raise NetError(f"relation space not 1-dimensional: {len(kernel)}")
+    if len(kernel) != d:
+        raise NetError(f"relation space not {d}-dimensional: {len(kernel)}")
     out = kernel[0] % p
-    coeffs_in_net = solve_mod(net.basis.T, out, p)
-    if coeffs_in_net is None:
+    coeffs_in_net = [solve_mod(net.basis.T, part, p) for part in out.reshape(d, -1)]
+    if any(c is None for c in coeffs_in_net):
         raise NetError("surface quartic does not lie in the net")
-    return out, coeffs_in_net % p
+    return out, np.concatenate(coeffs_in_net) % p
+
+
+def is_multiple_of(image: np.ndarray, point, p: int) -> bool:
+    """Is the point of R^3 whose theta^s coordinates are the rows of image
+    (a (d, 3) array) a nonzero R-multiple of the F_p-point?  Over F_p
+    (d = 1) that is equality in P^2."""
+    return bool(np.any(image % p)) and rank_mod(np.vstack([np.asarray(point), image]), p) == 1
 
 
 # --- the plane cubic of K3 surfaces ------------------------------------------
@@ -499,10 +534,16 @@ def fit_gamma_map(samples, p: int) -> np.ndarray:
 
 
 def singular_fiber_parameters(gmap: np.ndarray, point, p: int) -> list:
-    """The parameters (lam : mu) mapping to the singular point.
+    """The parameters (lam : mu) over the algebraic closure that map to the
+    singular point, one entry per irreducible factor h of their binary form.
 
-    Candidates are roots of the cross forms g_i p_j - g_j p_i; each is
-    verified against the parametrisation, and exactly two must survive.
+    That form is g = gcd of the cross forms g_i p_j - g_j p_i, and it must
+    be a squarefree quadratic: exactly two preimages.  An entry is
+    (modulus, lam, mu), the member over R = F_p[theta]/(h) in the convention
+    of K3Surface: ((0,), (a,), (b,)) for each of two F_p-rational parameters
+    (a : b) in ascending order, or, when g is irreducible, the conjugate pair
+    at once as (theta : 1) over h = g(theta, 1)/g(1, 0) = theta^2 + c1 theta
+    + c0, that is ((c0, c1), (0, 1), (1, 0)).  certify_fiber verifies them.
     """
     point = [int(v) % p for v in point]
     cross = []
@@ -515,17 +556,52 @@ def singular_fiber_parameters(gmap: np.ndarray, point, p: int) -> list:
             cross.append(form)
     if not cross:
         raise GammaError("cross forms vanish identically")
-    candidates = set(binary_form_roots(cross[0], p))
-    for form in cross[1:]:
-        candidates &= set(binary_form_roots(form, p))
-    verified = []
-    for (lam, mu) in sorted(candidates):
-        img = evaluate_form(gmap, 3, (lam, mu), p)[:, 0]
-        if normalize_point(img, p) == normalize_point(point, p):
-            verified.append((lam, mu))
-    if len(verified) != 2:
-        raise GammaError(f"preimage count != 2: found {len(verified)}")
-    return verified
+    g = binary_form_gcd(cross, p)
+    if len(g) != 3 or (g[1] * g[1] - 4 * g[0] * g[2]) % p == 0:
+        raise GammaError(f"preimage count != 2: the cross forms share the form {g}")
+    roots = binary_form_roots(g, p)
+    if roots:
+        return [((0,), (a,), (b,)) for a, b in sorted(roots)]
+    inv = pow(g[0], -1, p)
+    return [((g[2] * inv % p, g[1] * inv % p), (0, 1), (1, 0))]
+
+
+def gamma_image(gmap: np.ndarray, fiber, p: int) -> np.ndarray:
+    """gamma(lam : mu) for fiber = (modulus, lam, mu) over R as in
+    singular_fiber_parameters: a (d, 3) array whose row s holds the theta^s
+    coordinates of (g1 : g2 : g3)(lam, mu)."""
+    modulus, lam, mu = fiber
+    d = len(modulus)
+    # multiplication by lam and by mu on R, as d x d matrices over F_p
+    by_lam, by_mu = (
+        weil_restriction(np.asarray(x, dtype=np.int64).reshape(d, 1, 1), modulus, p)
+        for x in (lam, mu)
+    )
+    total = np.zeros((3, d), dtype=np.int64)
+    for k in range(4):
+        term = np.eye(d, dtype=np.int64)
+        for factor in [by_lam] * (3 - k) + [by_mu] * k:
+            term = mul_mod(term, factor, p)
+        total = (total + np.outer(gmap[:, k], term[0])) % p
+    return total.T
+
+
+def certify_fiber(gmap: np.ndarray, fiber, point, surface: K3Surface, net: QuarticNet) -> None:
+    """Certify that the member fiber = (modulus, lam, mu) over R maps to the
+    F_p-point of the net plane, or raise GammaError.
+
+    On the parametrisation, gamma(lam : mu) must be the point over R, which
+    says that h divides every cross form.  On the surface of that member
+    (the caller builds it over R), the relation space must be the quartic of
+    the point times every power of theta: the images of both conjugate
+    parameters at once.
+    """
+    p = net.prime
+    if not is_multiple_of(gamma_image(gmap, fiber, p), point, p):
+        raise GammaError(f"parameter {fiber} does not map to {tuple(point)} on gamma")
+    _f, coords = image_quartic(surface, net)
+    if not is_multiple_of(coords.reshape(surface.degree, 3), point, p):
+        raise GammaError(f"the surface of parameter {fiber} does not map to the singular quartic")
 
 
 # --- Macaulay resultant smoothness certificate --------------------------------

@@ -51,10 +51,12 @@ def nonic_chain():
 
 @pytest.fixture(scope="session")
 def nonic_k3(nonic_chain):
-    from scrollres.k3_syzygy import linear_syzygy_space
+    from scrollres.k3_syzygy import linear_syzygy_space, pencil_member, surface_pencil
 
     basis = linear_syzygy_space(nonic_chain.steps, DEFAULT_PRIME)
-    return {"basis": basis, "gens": nonic_chain.steps[0].gens[:6]}
+    gens = nonic_chain.steps[0].gens[:6]
+    pencil = surface_pencil(pencil_member(basis, 1, 0), pencil_member(basis, 0, 1), gens)
+    return {"basis": basis, "gens": gens, "pencil": pencil}
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +71,7 @@ def nonic_net(nonic_chain):
 
 @pytest.fixture(scope="session")
 def gamma_samples(nonic_k3, nonic_net):
-    from scrollres.k3_syzygy import pencil_member, syzygy_rank, syzygy_scheme, surface_from_syzygy
+    from scrollres.k3_syzygy import pencil_member, syzygy_rank
     from scrollres.quartic_net import image_quartic
 
     samples = []
@@ -77,20 +79,19 @@ def gamma_samples(nonic_k3, nonic_net):
         member = pencil_member(nonic_k3["basis"], lam, mu)
         if syzygy_rank(member) != 4:
             continue
-        surface = surface_from_syzygy(syzygy_scheme(member, nonic_k3["gens"]))
-        _fvec, coords3 = image_quartic(surface, nonic_net)
+        _fvec, coords3 = image_quartic(nonic_k3["pencil"].member(lam, mu), nonic_net)
         samples.append(((lam, mu), tuple(int(v) for v in coords3)))
     return samples
 
 
 @pytest.fixture(scope="session")
 def known_canonical_sha256():
-    """sha256 of canonical_json(report), checked against the benchmark's
-    recorded answer for (prime, seed); the recorded schema must be the
+    """sha256 of canonical_json(report), checked against the answer recorded
+    for (prime, seed) in known_sha256.json; the recorded schema must be the
     report's."""
     from scrollres.pipeline import canonical_json
 
-    known = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "known_answers.json").read_text())
+    known = json.loads(Path(__file__).with_name("known_sha256.json").read_text())
 
     def check(report, prime, seed):
         assert report["schemaVersion"] == known["schemaVersion"]

@@ -6,7 +6,6 @@ import random
 
 import numpy as np
 
-from scrollres.ffield import rank_mod
 from scrollres.lattice import GramLattice, LatticeError
 from scrollres.plane_curve import InsufficientRationalPointsError, monomials
 from scrollres.scroll import GENERIC_E, CanonicalCoordinates, CoxPoly, cox_slice, point_values, slice_keys
@@ -109,22 +108,6 @@ def new_count(block) -> int:
 # references for the free_map_matrix scatters in scrollres.k3_syzygy.
 
 
-def greedy_unit_completion(kernel: np.ndarray, p: int) -> list:
-    """Indices of the unit rows that complete the independent kernel rows to
-    a basis, picked one at a time by rank tests."""
-    n = kernel.shape[1]
-    rows = []
-    for i in range(n):
-        unit = np.zeros(n, dtype=np.int64)
-        unit[i] = 1
-        cand = np.stack([unit] + list(kernel) + [np.eye(n, dtype=np.int64)[r] for r in rows])
-        if rank_mod(cand, p) == len(cand):
-            rows.append(i)
-        if len(rows) == n - len(kernel):
-            break
-    return rows
-
-
 def reference_solve_matrix(ell, p: int) -> np.ndarray:
     """Rows e_ij * m for the pairs i < j and m in slice (1, 0); columns the
     four (2, -1) blocks, holding m * l_j in block i and -m * l_i in block j."""
@@ -222,6 +205,49 @@ def _gcd_poly(a: list, b: list, p: int) -> list:
     while b:
         a, b = b, _divmod_poly(a, _monic(b, p), p)[1]
     return _monic(a, p)
+
+
+def reference_gcd(polys, p: int) -> list:
+    """Monic gcd of polynomials given highest degree first, by Euclid on
+    Python lists; [] when every polynomial is zero."""
+    g = []
+    for coeffs in polys:
+        f = _trim([int(c) % p for c in reversed(list(coeffs))])
+        if f:
+            g = _gcd_poly(f, g, p) if g else _monic(f, p)
+    return g[::-1]
+
+
+def reference_rank_over_quadratic(rows, c0: int, c1: int, p: int) -> int:
+    """Rank of a matrix over the field F_p[t]/(t^2 + c1 t + c0), entries
+    (a, b) meaning a + b t, by Gaussian elimination in that field: the
+    inverse of a + b t is (a - b c1 - b t) / (a^2 - a b c1 + b^2 c0)."""
+    def mul(x, y):
+        (a, b), (c, d) = x, y
+        # b d t^2 = b d (-c1 t - c0)
+        return ((a * c - b * d * c0) % p, (a * d + b * c - b * d * c1) % p)
+
+    def inv(x):
+        a, b = x
+        norm = pow((a * a - a * b * c1 + b * b * c0) % p, -1, p)
+        return ((a - b * c1) * norm % p, -b * norm % p)
+
+    m = [[(a % p, b % p) for a, b in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != (0, 0)), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        scale = inv(m[rank][col])
+        m[rank] = [mul(scale, x) for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != (0, 0):
+                f = m[r][col]
+                m[r] = [((x[0] - y[0]) % p, (x[1] - y[1]) % p)
+                        for x, y in zip(m[r], (mul(f, z) for z in m[rank]))]
+        rank += 1
+    return rank
 
 
 def _split_linear(g: list, p: int, delta: int, out: list) -> None:

@@ -4,7 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  All tolerances are exact: every assertion is an integer identity.
 """
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,8 @@ from scrollres.lattice import (
     lattice_h,
     lattice_h_prime,
 )
-from scrollres.pipeline import run_pipeline, sample_survey
+from scrollres import pipeline
+from scrollres.pipeline import canonical_json, run_pipeline, sample_survey
 from scrollres.resolution import BigradedBettiTable, schreyer_rank, syzygy_slope
 
 #: the expected resolution: generators (2H-R)^6 + (2H)^3, first syzygies
@@ -194,3 +198,50 @@ def test_overall_pipeline_verdict(report):
 def test_canonical_report_is_the_recorded_one(report, known_canonical_sha256):
     # the behaviour contract: canonical_json(run_pipeline(p, 1)) byte for byte
     known_canonical_sha256(report, DEFAULT_PRIME, 1)
+
+
+#: what schema 2 added to a report: keys of the gamma section (no check names)
+SCHEMA_2_GAMMA_KEYS = ("fiberModulus",)
+
+
+def _as_schema_1(report: dict) -> str:
+    """The canonical JSON a schema-1 run of the same seed wrote, when its
+    first chain certified: schema 2's added keys dropped, schemaVersion 1,
+    and the one-entry attempt list schema 1 kept."""
+    data = json.loads(canonical_json(report))
+    for key in SCHEMA_2_GAMMA_KEYS:
+        del data["gamma"][key]
+    data["schemaVersion"] = 1
+    data["curveAttempts"] = [{"seed": report["seed"], "outcome": "ok"}]
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("seed", [1, 3, 9])
+def test_schema_2_reports_bridge_to_the_schema_1_digests(seed, report, known_canonical_sha256):
+    # seeds whose first chain certified under schema 1 give the same report,
+    # byte for byte, apart from the schema, curveAttempts and the new keys
+    known = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "known_answers.json").read_text())
+    assert known["schemaVersion"] == 1
+    run = report if seed == 1 else run_pipeline(DEFAULT_PRIME, seed)
+    assert run["ok"] and run["gamma"]["fiberModulus"] is None
+    digest = hashlib.sha256(_as_schema_1(run).encode()).hexdigest()
+    assert digest == known["canonicalSha256"][f"{DEFAULT_PRIME}/{seed}"]
+    known_canonical_sha256(run, DEFAULT_PRIME, seed)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 10])
+def test_held_out_conjugate_seeds_certify_with_one_chain(seed, monkeypatch, known_canonical_sha256):
+    # under schema 1 these seeds were retried; now their one chain certifies
+    built = []
+    build = pipeline.build_chain
+
+    def counted(prime, s):
+        built.append(s)
+        return build(prime, s)
+
+    monkeypatch.setattr(pipeline, "build_chain", counted)
+    run = run_pipeline(DEFAULT_PRIME, seed)
+    assert run["ok"] and built == [seed]
+    assert len(run["gamma"]["fiberParameters"]) == 2 and len(run["gamma"]["fiberModulus"]) == 3
+    known_canonical_sha256(run, DEFAULT_PRIME, seed)

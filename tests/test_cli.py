@@ -22,6 +22,7 @@ from scrollres.plane_curve import (
     construct_nodal_octic,
     verify_node_report,
 )
+from scrollres.quartic_net import GammaError, binary_form_roots
 from scrollres.resolution import SliceContext, slice_point_demand
 
 
@@ -130,25 +131,47 @@ def test_betti_command(tmp_path, capsys):
     assert entries[(4, 6, 2)] == 1
 
 
-def test_pipeline_report_determinism_with_retry(known_canonical_sha256):
-    # seed 2 has conjugate (non-rational) singular-fiber parameters, so the
-    # pipeline must retry on the derived seed and still be deterministic
+def _count_chains(monkeypatch) -> list:
+    """Record the (prime, seed) of every chain the pipeline builds."""
+    built = []
+    build = pipeline.build_chain
+
+    def counted(prime, seed):
+        built.append((prime, seed))
+        return build(prime, seed)
+
+    monkeypatch.setattr(pipeline, "build_chain", counted)
+    return built
+
+
+def test_pipeline_report_determinism_with_retry(monkeypatch, known_canonical_sha256):
+    # seed 2 has conjugate (non-rational) singular-fiber parameters: its one
+    # chain certifies both at once over F_p[t]/(h), deterministically
+    built = _count_chains(monkeypatch)
     a = run_pipeline(10007, 2)
+    assert built == [(10007, 2)]
     b = run_pipeline(10007, 2)
-    assert a["ok"] and b["ok"]
+    assert a["ok"] and b["ok"] and "error" not in a
     assert canonical_json(a) == canonical_json(b)
     known_canonical_sha256(a, 10007, 2)
-    assert len(a["curveAttempts"]) == 2
-    assert "preimage count != 2" in a["curveAttempts"][0]["outcome"]
-    assert a["curveAttempts"][1]["outcome"] == "ok"
+    assert "curveAttempts" not in a
+    # h = t^2 + c1 t + c0 is irreducible, and the two entries are t and its
+    # conjugate -c1 - t, with mu = 1
+    one, c1, c0 = a["gamma"]["fiberModulus"]
+    assert one == 1 and binary_form_roots([1, c1, c0], 10007) == []
+    assert a["gamma"]["fiberParameters"] == [
+        [[0, 1], [1, 0]], [[-c1 % 10007, 10006], [1, 0]]]
+    assert a["checks"]["two_singular_fiber_parameters"]
+    assert a["checks"]["third_parameter_maps_elsewhere"]
 
 
-def test_pipeline_certifies_at_the_largest_supported_prime():
+def test_pipeline_certifies_at_the_largest_supported_prime(monkeypatch):
     # below 2^31 a product of two residues nears 2^62, so any int64 matrix
     # product of more than one term must go through mul_mod
+    built = _count_chains(monkeypatch)
     report = run_pipeline(2147483629, 1)
     assert report["ok"], report.get("error")
-    assert [a["outcome"] for a in report["curveAttempts"]] == ["ok"]
+    assert built == [(2147483629, 1)] and "error" not in report
 
 
 def _no_chain(prime, seed):
@@ -176,16 +199,35 @@ def test_pipeline_command_reports_a_non_prime_modulus(capsys):
     assert capsys.readouterr().err == "error: FieldError: modulus 10006 is not prime\n"
 
 
-def test_gamma_command_reports_a_failed_stage(capsys):
-    # seed 2's two singular-fiber parameters are not F_p-rational
+def test_gamma_command_reports_a_failed_stage(monkeypatch, capsys):
+    # a chain whose cross forms share no squarefree quadratic fails in the
+    # gamma stage: one line naming the error and the stage
+    def no_pair(gmap, point, p):
+        raise GammaError("preimage count != 2: the cross forms share the form [1, 5]")
+
+    monkeypatch.setattr(pipeline, "singular_fiber_parameters", no_pair)
     assert main(["--seed", "2", "gamma"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: GammaError: ") and err.count("\n") == 1
-    assert "preimage count != 2" in err
+    assert "preimage count != 2" in err and err.endswith("(stage net_and_gamma)\n")
+
+
+def test_gamma_command_certifies_a_conjugate_pair(monkeypatch, tmp_path, capsys):
+    # seed 2's two singular-fiber parameters are conjugate over F_p; the
+    # command certifies them from its one chain
+    built = _count_chains(monkeypatch)
+    path = tmp_path / "gamma.json"
+    assert main(["--seed", "2", "--json", str(path), "gamma"]) == 0
+    assert built == [(10007, 2)]
+    gamma = json.loads(path.read_text())["gamma"]
+    assert len(gamma["fiberParameters"]) == 2 and len(gamma["fiberModulus"]) == 3
+    assert gamma["smoothnessVerdict"] is True
+    assert "smoothness verdict: True" in capsys.readouterr().out
 
 
 def test_k3_command_rejects_a_small_prime_before_any_chain(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_chain", _no_chain)
+    monkeypatch.setattr(pipeline, "build_chain", _no_chain)
     for command in ("k3", "gamma"):
         assert main(["--prime", "101", command]) == 1
         assert "error: prime 101 is too small for point sampling" in capsys.readouterr().err
@@ -196,6 +238,7 @@ def test_cli_lets_programming_errors_propagate(monkeypatch):
         raise TypeError("unsupported operand")
 
     monkeypatch.setattr(cli, "build_chain", broken)
+    monkeypatch.setattr(pipeline, "build_chain", broken)
     for command in ("betti", "k3", "gamma"):
         with pytest.raises(TypeError, match="unsupported operand"):
             main([command])
@@ -234,9 +277,10 @@ def test_sampling_prime_boundary(monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_chain", no_points)
     report = run_pipeline(673, 1, max_curve_attempts=1)
-    assert report["curveAttempts"] == [
-        {"seed": 1, "outcome": "InsufficientRationalPointsError: stub chain"}
-    ]
+    assert report["error"] == {
+        "stage": "curve_and_betti", "type": "InsufficientRationalPointsError",
+        "message": "stub chain",
+    }
     assert not sample_survey(607, count=1, workers=1)["ok"]
     assert built == [673, 607]
 
@@ -292,7 +336,9 @@ def test_programming_errors_are_not_retried(monkeypatch):
         survey_seed(10007, 1)
 
 
-def test_mathematical_failures_are_still_retried(monkeypatch):
+def test_chain_errors_are_reported_once_not_retried(monkeypatch):
+    # a mathematical failure is reported with its stage and exception type,
+    # and no other chain is built
     seeds = []
 
     def too_few_points(prime, seed):
@@ -301,10 +347,32 @@ def test_mathematical_failures_are_still_retried(monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_chain", too_few_points)
     report = run_pipeline(10007, 1, max_curve_attempts=3)
-    assert not report["ok"] and seeds == [1, 7920, 15839]
-    assert all(a["outcome"].startswith("InsufficientRationalPointsError") for a in report["curveAttempts"])
+    assert not report["ok"] and seeds == [1]
+    assert report["error"] == {"stage": "curve_and_betti",
+                               "type": "InsufficientRationalPointsError",
+                               "message": "found 3 of 50"}
+    assert "curveAttempts" not in report and "k3" not in report
+    assert list(report["timings"]) == []
     tally = survey_seed(10007, 4)
     assert not tally["ok"] and tally["error"].startswith("InsufficientRationalPointsError")
+    with pytest.raises(ValueError, match="at least 1"):
+        run_pipeline(10007, 1, max_curve_attempts=0)
+
+
+def test_a_later_stage_error_names_its_stage(monkeypatch):
+    built = _count_chains(monkeypatch)
+
+    def no_pair(gmap, point, p):
+        raise GammaError("preimage count != 2: the cross forms share the form [1]")
+
+    monkeypatch.setattr(pipeline, "singular_fiber_parameters", no_pair)
+    report = run_pipeline(10007, 1)
+    assert built == [(10007, 1)] and not report["ok"]
+    assert report["error"] == {"stage": "net_and_gamma", "type": "GammaError",
+                               "message": "preimage count != 2: the cross forms share the form [1]"}
+    # the stages before it ran and kept their checks; the lattice stage did not run
+    assert list(report["timings"]) == ["curve_and_betti", "k3"]
+    assert report["checks"]["k3_shape_matches"] and "latticeCertificates" not in report
 
 
 def test_net_dimension_is_computed_not_assumed(nonic_chain, monkeypatch):

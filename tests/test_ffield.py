@@ -1,14 +1,17 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scrollres.ffield as ffield
-from oracles import reference_roots_mod
+from oracles import reference_gcd, reference_rank_over_quadratic, reference_roots_mod
 from scrollres.ffield import (
     FieldError,
     check_prime,
     det_mod,
+    gcd_mod,
     inverse_mod,
     is_prime,
     kernel_mod,
@@ -18,6 +21,7 @@ from scrollres.ffield import (
     roots_mod_batch,
     rref_mod,
     solve_mod,
+    weil_restriction,
 )
 
 P = 10007
@@ -602,6 +606,10 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 31, 101)
 ))
 def test_roots_mod_matches_scan(case):
     p, coeffs = case
+    if not any(coeffs):  # the zero polynomial: every x is a root, so it is rejected
+        with pytest.raises(FieldError, match="zero polynomial"):
+            roots_mod(coeffs, p)
+        return
     assert roots_mod(coeffs, p) == _scan_roots(coeffs, p)
 
 
@@ -623,7 +631,9 @@ def test_roots_mod_split_polynomials(case):
 
 def test_roots_mod_edge_cases():
     p = 101
-    assert roots_mod([], p) == roots_mod([0, 0, 0], p) == list(range(p))  # zero polynomial
+    for zero in ([], [0, 0, 0], [p, 0]):                                 # zero polynomial
+        with pytest.raises(FieldError, match="zero polynomial"):
+            roots_mod(zero, p)
     assert roots_mod([5], p) == roots_mod([0, 0, 7], p) == []             # nonzero constants
     assert roots_mod([0, 0, 3, -6], p) == [2]                             # degree drop
     assert roots_mod([1, 0, 0, 0], p) == [0]                              # x^3: root at 0 only
@@ -652,7 +662,6 @@ def test_roots_mod_large_prime():
 
 BATCH_PRIMES = (2, 3, 101, 10007, 94906249, 2147483629)
 SCAN_LIMIT = 101  # primes up to this are also checked against a full scan
-ZERO_LIMIT = 10007  # the zero polynomial returns all of F_p, so only up to this
 
 
 def _times_linear(coeffs, r, p):
@@ -660,14 +669,26 @@ def _times_linear(coeffs, r, p):
     return [(a - r * b) % p for a, b in zip(coeffs + [0], [0] + coeffs)]
 
 
+@pytest.mark.parametrize("p", BATCH_PRIMES)
+def test_roots_mod_batch_rejects_a_zero_row(p):
+    # the zero polynomial has every x as a root; at p near 2^31 a list of
+    # them would never finish, so it is rejected before any other work
+    batch = np.array([[1, 0, p - 4], [0, 0, 0], [0, 2, 3]], dtype=np.int64)
+    started = time.perf_counter()
+    with pytest.raises(FieldError, match="zero polynomial"):
+        roots_mod_batch(batch, p)
+    with pytest.raises(FieldError, match="zero polynomial"):
+        roots_mod([0] * 5, p)
+    assert time.perf_counter() - started < 1.0
+
+
 @st.composite
 def _batch_rows(draw, p):
     """One row of degree 0..10: plain coefficients with leading zeros (the
-    zero polynomial among them, for p up to ZERO_LIMIT), or a nonzero
-    cofactor times linear factors with a repeated root, times x or not."""
+    zero polynomial among them, at every prime), or a nonzero cofactor times
+    linear factors with a repeated root, times x or not."""
     if draw(st.booleans()):
-        return draw(st.lists(st.integers(0, p - 1), max_size=11).filter(
-            lambda r: p <= ZERO_LIMIT or any(r)))
+        return draw(st.lists(st.integers(0, p - 1), max_size=11))
     coeffs = [draw(st.integers(1, p - 1))] + draw(st.lists(st.integers(0, p - 1), max_size=4))
     roots = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
     for r in roots + [roots[0]] * draw(st.integers(0, 2)):
@@ -683,8 +704,106 @@ def test_roots_mod_batch_matches_oracle(case):
     p, rows = case
     width = max(11, max(len(r) for r in rows))
     batch = np.array([[0] * (width - len(r)) + r for r in rows], dtype=np.int64)
+    if not batch.any(axis=1).all():
+        # a zero row vanishes at every x: the batch is rejected before any
+        # root is sought, at once even at p near 2^31
+        started = time.perf_counter()
+        with pytest.raises(FieldError, match="zero polynomial"):
+            roots_mod_batch(batch, p)
+        assert time.perf_counter() - started < 1.0
+        rows = [r for r in rows if any(r)]
+        if not rows:
+            return
+        batch = batch[batch.any(axis=1)]
     got = roots_mod_batch(batch, p)
     assert got == [reference_roots_mod(r, p) for r in rows]
     if p <= SCAN_LIMIT:
         assert got == [_scan_roots(r, p) for r in rows]
     assert all(type(x) is int for roots in got for x in roots)
+
+
+# --- gcd_mod and weil_restriction ------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 101, 10007, 2147483629)).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.integers(0, p - 1), min_size=1, max_size=4),
+    st.lists(st.lists(st.integers(0, p - 1), max_size=5), min_size=1, max_size=4),
+)))
+def test_gcd_mod_matches_euclid(case):
+    # random polynomials, most of them multiples of one common factor
+    p, common, cofactors = case
+    polys = []
+    for cof in cofactors:
+        prod = [0] * (len(common) + max(len(cof), 1) - 1)
+        for i, a in enumerate(common):
+            for j, b in enumerate(cof or [0]):
+                prod[i + j] = (prod[i + j] + a * b) % p
+        polys.append([0, 0] + prod)  # leading zeros just lower the degree
+    want = reference_gcd(polys, p)
+    if not want:
+        with pytest.raises(FieldError, match="no monic gcd"):
+            gcd_mod(polys, p)
+        return
+    assert gcd_mod(polys, p) == want
+    assert gcd_mod(polys[::-1], p) == want
+
+
+def test_gcd_mod_edge_cases():
+    p = 101
+    assert gcd_mod([[1, -3, 2], [1, -1]], p) == [1, p - 1]   # (x-1)(x-2), x-1
+    assert gcd_mod([[2, 4]], p) == [1, 2]                    # made monic
+    assert gcd_mod([[0, 0], [1, 0, 1], [5]], p) == [1]       # zeros skipped, a unit
+    assert gcd_mod([[1, 0, 0], [0, 3, 0]], p) == [1, 0]      # x^2, 3x: x
+
+
+def _irreducible_quadratic(p, c1, c0):
+    """c0 shifted until t^2 + c1 t + c0 has no root (odd p: a non-square
+    discriminant)."""
+    while pow((c1 * c1 - 4 * c0) % p, (p - 1) // 2, p) != p - 1:
+        c0 = (c0 + 1) % p
+    return c0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((3, 101, 10007, 2147483629)).flatmap(lambda p: st.tuples(
+    st.just(p), st.integers(0, p - 1), st.integers(0, p - 1),
+    st.integers(1, 4), st.integers(1, 4), st.data(),
+)))
+def test_weil_restriction_over_a_quadratic_field(case):
+    p, c1, c0, n, m, data = case
+    c0 = _irreducible_quadratic(p, c1, c0)
+    entries = st.integers(0, p - 1)
+    # low rank on purpose: a product of n x k and k x m matrices over R
+    k = data.draw(st.integers(1, min(n, m)))
+    left = [[(data.draw(entries), data.draw(entries)) for _ in range(k)] for _ in range(n)]
+    right = [[(data.draw(entries), data.draw(entries)) for _ in range(m)] for _ in range(k)]
+
+    def parts(mat):
+        return [np.array([[x[s] for x in row] for row in mat], dtype=np.int64) for s in (0, 1)]
+
+    (a0, a1), (b0, b1) = parts(left), parts(right)
+    # the product as a polynomial in t of degree 2, reduced by the restriction
+    prod = [mul_mod(a0, b0, p), (mul_mod(a0, b1, p) + mul_mod(a1, b0, p)) % p, mul_mod(a1, b1, p)]
+    weil = weil_restriction(prod, (c0, c1), p)
+    assert np.array_equal(weil, mul_mod(weil_restriction([a0, a1], (c0, c1), p),
+                                        weil_restriction([b0, b1], (c0, c1), p), p))
+    assert weil.shape == (2 * n, 2 * m)
+    reduced = [[tuple(int(v) for v in x) for x in zip(*pair)]
+               for pair in zip(weil[:n, :m].tolist(), weil[:n, m:].tolist())]
+    assert rank_mod(weil, p) == 2 * reference_rank_over_quadratic(reduced, c0, c1, p)
+
+
+def test_weil_restriction_over_f_p_is_evaluation():
+    p = 10007
+    rng = np.random.default_rng(5)
+    m0, m1, m2 = rng.integers(0, p, size=(3, 4, 6))
+    # F_p = F_p[t]/(t + 3): t is -3
+    want = (m0 - 3 * m1 + 9 * m2) % p
+    assert np.array_equal(weil_restriction([m0, m1, m2], (3,), p), want)
+    assert np.array_equal(weil_restriction([m0], (0,), p), m0)
+    # h = t^2 + c1 t + c0: the block layout [[M0, M1], [-c0 M1, M0 - c1 M1]]
+    c0, c1 = 5, 7
+    block = weil_restriction([m0, m1], (c0, c1), p)
+    assert np.array_equal(block, np.block([[m0, m1], [-c0 * m1 % p, (m0 - c1 * m1) % p]]))

@@ -2,12 +2,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from scrollres import DEFAULT_PRIME as P
 from scrollres import k3_syzygy
-from scrollres.ffield import det_mod, kernel_mod, rank_mod, solve_mod
+from scrollres.ffield import det_mod, rank_mod, solve_mod
 from scrollres.k3_syzygy import (
     K3_SHAPE_TABLE,
     K3Error,
@@ -17,21 +15,22 @@ from scrollres.k3_syzygy import (
     k3_betti_shape,
     koszul_ambiguity_rank,
     linear_syzygy_space,
+    koszul_basis,
     pencil_member,
     pfaffian,
+    pfaffian_reconstruct,
     sub_pfaffians,
     surface_chi,
-    surface_from_syzygy,
+    surface_pencil,
     syzygy_rank,
     syzygy_scheme,
-    unit_completion,
     verify_containment,
 )
 from scrollres.pipeline import GAMMA_PARAMETERS
 from scrollres.scroll import GENERIC_E, CoxPoly
 
 from dict_cox import DictPoly, monomial
-from oracles import greedy_unit_completion, reference_koszul_matrix, reference_solve_matrix
+from oracles import reference_koszul_matrix, reference_solve_matrix
 
 
 def const_poly(c, p=P):
@@ -62,8 +61,14 @@ def scheme(syzygy_basis, generator_polys):
 
 
 @pytest.fixture(scope="module")
-def surface(scheme):
-    return surface_from_syzygy(scheme)
+def pencil(syzygy_basis, generator_polys):
+    s1, s2 = (pencil_member(syzygy_basis, *par) for par in ((1, 0), (0, 1)))
+    return surface_pencil(s1, s2, generator_polys[:6])
+
+
+@pytest.fixture(scope="module")
+def surface(pencil):
+    return pencil.member(1, 7)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +169,10 @@ def test_sub_pfaffian_identity_random_scalar():
 
 
 def test_skew_presentation(surface, scheme):
-    skew = surface.skew
+    # the member's own solve and the pencil's evaluation give one surface
+    skew, = pfaffian_reconstruct([scheme])
+    for (_twist, poly), want in zip(surface.generators, list(scheme.forms) + [skew.q5], strict=True):
+        assert poly.sub(want).is_zero()
     # skew symmetry of psi, zero diagonal
     for i in range(5):
         assert skew.psi[i][i].is_zero()
@@ -178,15 +186,15 @@ def test_skew_presentation(surface, scheme):
 
 
 def test_ambiguity_matches_koszul_rank(surface, scheme):
-    assert surface.skew.ambiguity_dim == koszul_ambiguity_rank(scheme.ell, P) == 8
+    assert surface.ambiguity_dim == koszul_ambiguity_rank(scheme.ell, P) == 8
 
 
 def test_q5_has_twist_2H(surface):
-    assert DictPoly.from_keyed(surface.skew.q5).bidegrees() == {(2, 0)}
+    assert DictPoly.from_keyed(surface.q5).bidegrees() == {(2, 0)}
 
 
 def test_q5_in_curve_ideal(surface, slice_ctx):
-    q5v = surface.skew.q5.vector(GENERIC_E, 2, 0)
+    q5v = surface.q5.vector(GENERIC_E, 2, 0)
     assert solve_mod(slice_ctx.ideal_slice(2, 0).T, q5v, P) is not None
 
 
@@ -231,19 +239,19 @@ def test_surface_chi_values():
     assert surface_chi(2, 0) == 30
 
 
-def test_distinct_parameters_give_distinct_surfaces(syzygy_basis, generator_polys):
+def test_distinct_parameters_give_distinct_surfaces(pencil):
     seen = []
     for mu in (1, 2):
-        member = pencil_member(syzygy_basis, 1, mu)
-        surf = surface_from_syzygy(syzygy_scheme(member, generator_polys[:6]))
-        seen.append(surf.skew.q5.vector(GENERIC_E, 2, 0))
+        seen.append(pencil.member(1, mu).q5.vector(GENERIC_E, 2, 0))
     # q5 differs between pencil members (surfaces are distinct)
     assert rank_mod(np.stack(seen), P) == 2
 
 
 def test_k3_matrices_match_hand_built_reference(monkeypatch, nonic_k3):
-    # every rank-4 surface of the gamma loop on the fixture chain: its unit
-    # completion, solve matrix and Koszul matrix against the reference builders
+    # the pencil of the fixture chain builds one solve matrix and one Koszul
+    # matrix, in the Koszul basis l = (x1..x4) that every member shares;
+    # both against the reference builders, and every rank-4 member of the
+    # gamma loop is the one the member's own scheme and solve give
     calls = []
     scatter = k3_syzygy.free_map_matrix
 
@@ -253,34 +261,36 @@ def test_k3_matrices_match_hand_built_reference(monkeypatch, nonic_k3):
         return out
 
     monkeypatch.setattr(k3_syzygy, "free_map_matrix", recorded)
+    basis = nonic_k3["basis"]
+    pencil = surface_pencil(pencil_member(basis, 1, 0), pencil_member(basis, 0, 1), nonic_k3["gens"])
+    [(solve_slice, solve), (koszul_slice, koszul)] = calls
+    assert (solve_slice, koszul_slice) == ((2, -1), (1, 0))
+    ell = koszul_basis(P)
+    assert np.array_equal(solve, reference_solve_matrix(ell, P))
+    assert np.array_equal(koszul, reference_koszul_matrix(ell, P))
     surfaces = 0
     for lam, mu in GAMMA_PARAMETERS:
-        member = pencil_member(nonic_k3["basis"], lam, mu)
+        member = pencil_member(basis, lam, mu)
         if syzygy_rank(member) != 4:
             continue
-        left_kernel = kernel_mod(member.entries.T, P)
-        assert unit_completion(left_kernel, P) == greedy_unit_completion(left_kernel, P)
         scheme = syzygy_scheme(member, nonic_k3["gens"])
         calls.clear()
-        surface_from_syzygy(scheme)
-        [(solve_slice, solve), (koszul_slice, koszul)] = calls
-        assert (solve_slice, koszul_slice) == ((2, -1), (1, 0))
-        assert np.array_equal(solve, reference_solve_matrix(scheme.ell, P))
-        assert np.array_equal(koszul, reference_koszul_matrix(scheme.ell, P))
+        skew, = pfaffian_reconstruct([scheme])
+        assert [c[0] for c in calls] == [(2, -1), (1, 0)]
+        assert np.array_equal(calls[0][1], solve) and np.array_equal(calls[1][1], koszul)
+        want = list(scheme.forms) + [skew.q5]
+        for (_twist, poly), ref in zip(pencil.member(lam, mu).generators, want, strict=True):
+            assert np.array_equal(poly.keys, ref.keys) and np.array_equal(poly.coefs, ref.coefs)
+        assert skew.ambiguity_dim == pencil.ambiguity_dim
         surfaces += 1
     assert surfaces == 17
 
 
-@settings(max_examples=300, deadline=None)
-@given(p=st.sampled_from([2, 3, 5, P]), k=st.integers(1, 4), data=st.data())
-def test_unit_completion_matches_greedy_loop(p, k, data):
-    # random rows, dependent ones included: both give [] for those
-    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=6 * k, max_size=6 * k))
-    rows = np.array(entries, dtype=np.int64).reshape(k, 6)
-    units = unit_completion(rows, p)
-    assert units == greedy_unit_completion(rows, p)
-    if rank_mod(rows, p) == k:
-        assert len(units) == 6 - k
-        assert rank_mod(np.concatenate([rows, np.eye(6, dtype=np.int64)[units]]), p) == 6
-    else:
-        assert units == []
+def test_pencil_checks_the_syzygy_identity_of_its_basis(syzygy_basis, generator_polys):
+    # the identity is linear in (lam : mu): checked on s1 and s2, it covers
+    # every member, so a corrupted basis vector must be caught
+    s1, s2 = syzygy_basis
+    entries = s2.entries.copy()
+    entries[0, 0] = (entries[0, 0] + 1) % P
+    with pytest.raises(K3Error, match="syzygy identity failed"):
+        surface_pencil(s1, SyzygyVector(P, entries, s2.params), generator_polys[:6])

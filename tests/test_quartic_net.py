@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrollres import DEFAULT_PRIME as P
-from scrollres.ffield import rank_mod
-from scrollres.k3_syzygy import pencil_member, surface_from_syzygy, syzygy_scheme
+from scrollres.ffield import FieldError, rank_mod
 from scrollres.plane_curve import evaluate_form, monomials
 from scrollres.quartic_net import (
     GammaCurve,
@@ -15,12 +14,16 @@ from scrollres.quartic_net import (
     NetError,
     _common_quadratic_roots,
     binary_form_divide_linear,
+    binary_form_gcd,
     binary_form_roots,
+    certify_fiber,
     fit_gamma,
     fit_gamma_map,
     gamma_singular_point,
+    gamma_image,
     image_quartic,
     interpolate_poly,
+    is_multiple_of,
     macaulay_resultant_smooth,
     normalize_point,
     quartic_net,
@@ -93,7 +96,6 @@ def test_binary_form_roots_match_scan(p):
     rng = random.Random(p)
     forms = [
         [0, 0, 1, -5],        # t^2 (s - 5t): (1:0) and (5:1)
-        [0, 0, 0],            # zero form: every point
         [0, 3],               # t: only (1:0)
         [2],                  # nonzero constant: no root
         [1, 0, 0, 0, 0],      # s^4: only (0:1)
@@ -107,6 +109,10 @@ def test_binary_form_roots_match_scan(p):
         forms.append([0] + form)  # a root at (1:0) as well
     for form in forms:
         assert binary_form_roots(form, p) == _scan_binary_form_roots(form, p)
+    # the zero form vanishes at every point: rejected, not scanned
+    for zero in ([0, 0, 0], [0], [p, 2 * p]):
+        with pytest.raises(FieldError, match="zero binary form"):
+            binary_form_roots(zero, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -169,9 +175,7 @@ def test_residual_degree_ten(nonic_chain):
 
 
 def test_image_quartic_in_net(nonic_chain, nonic_k3, nonic_net):
-    member = pencil_member(nonic_k3["basis"], 1, 5)
-    surface = surface_from_syzygy(syzygy_scheme(member, nonic_k3["gens"]))
-    fvec, coords3 = image_quartic(surface, nonic_net)
+    fvec, coords3 = image_quartic(nonic_k3["pencil"].member(1, 5), nonic_net)
     assert np.any(fvec)
     reconstructed = sum(
         int(coords3[i]) * nonic_net.basis[i] for i in range(3)
@@ -227,15 +231,19 @@ def test_pipeline_gamma_stage(gamma_samples, nonic_k3, nonic_net):
     assert sing["is_node"]
     gmap = fit_gamma_map(gamma_samples, P)
     fibers = singular_fiber_parameters(gmap, sing["point"], P)
+    # the fixture chain's two parameters are F_p-rational and distinct
     assert len(fibers) == 2 and fibers[0] != fibers[1]
+    assert [h for h, _lam, _mu in fibers] == [(0,), (0,)]
     # both parameters reproduce the singular quartic, a third one does not
     target = normalize_point(sing["point"], P)
-    for lam, mu in fibers:
-        member = pencil_member(nonic_k3["basis"], lam, mu)
-        surface = surface_from_syzygy(syzygy_scheme(member, nonic_k3["gens"]))
+    pencil = nonic_k3["pencil"]
+    for modulus, lam, mu in fibers:
+        surface = pencil.member(lam, mu, modulus)
+        certify_fiber(gmap, (modulus, lam, mu), target, surface, nonic_net)
         _f, coords3 = image_quartic(surface, nonic_net)
         assert normalize_point(tuple(int(v) for v in coords3), P) == target
-    other = next(s for s in gamma_samples if tuple(s[0]) not in set(map(tuple, fibers)))
+    fiber_points = {normalize_point((lam[0], mu[0]), P) for _h, lam, mu in fibers}
+    other = next(s for s in gamma_samples if normalize_point(s[0], P) not in fiber_points)
     assert normalize_point(other[1], P) != target
 
 
@@ -280,3 +288,109 @@ def test_macaulay_nodal_quartic_singular():
 def test_macaulay_rejects_zero():
     with pytest.raises(ValueError):
         macaulay_resultant_smooth(np.zeros(35, dtype=np.int64), P)
+
+
+# --- a conjugate pair of singular-fiber parameters ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def conjugate_case():
+    """Seed 2 at p = 10007: the node's two pencil parameters are conjugate
+    over F_p.  The pencil, net, gamma map and node of its one chain."""
+    from scrollres.k3_syzygy import linear_syzygy_space, pencil_member, surface_pencil, syzygy_rank
+    from scrollres.pipeline import GAMMA_PARAMETERS, build_chain
+
+    chain = build_chain(P, 2)
+    basis = linear_syzygy_space(chain.steps, P)
+    pencil = surface_pencil(pencil_member(basis, 1, 0), pencil_member(basis, 0, 1),
+                            chain.steps[0].gens[:6])
+    net = quartic_net(residual_image(chain.model, chain.coords, chain.ctx.points(0, 60)), P)
+    samples = []
+    for lam, mu in GAMMA_PARAMETERS:
+        if syzygy_rank(pencil_member(basis, lam, mu)) == 4:
+            _f, coords3 = image_quartic(pencil.member(lam, mu), net)
+            samples.append(((lam, mu), tuple(int(v) for v in coords3)))
+    gmap = fit_gamma_map(samples, P)
+    node = gamma_singular_point(fit_gamma(samples, P))["point"]
+    return {"pencil": pencil, "net": net, "samples": samples, "gmap": gmap, "node": node}
+
+
+def _cross_forms(gmap, point, p):
+    return [[(int(gmap[i, k]) * point[j] - int(gmap[j, k]) * point[i]) % p for k in range(4)]
+            for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
+def test_conjugate_pair_is_one_irreducible_quadratic(conjugate_case):
+    gmap, node = conjugate_case["gmap"], conjugate_case["node"]
+    [(modulus, lam, mu)] = singular_fiber_parameters(gmap, node, P)
+    c0, c1 = modulus
+    assert (lam, mu) == ((0, 1), (1, 0))
+    # h = t^2 + c1 t + c0 has no root in F_p and divides every cross form
+    assert binary_form_roots([1, c1, c0], P) == []
+    assert binary_form_gcd([f for f in _cross_forms(gmap, node, P) if any(f)], P) == [1, c1, c0]
+    for form in _cross_forms(gmap, node, P):
+        rem = list(form)
+        for k in range(len(rem) - 2):  # divide by h, highest degree first
+            rem[k + 1] = (rem[k + 1] - c1 * rem[k]) % P
+            rem[k + 2] = (rem[k + 2] - c0 * rem[k]) % P
+            rem[k] = 0
+        assert not any(rem)
+    # gamma(t : 1) over F_p[t]/(h) is the node
+    assert is_multiple_of(gamma_image(gmap, (modulus, lam, mu), P), node, P)
+
+
+def test_conjugate_pair_certified_at_the_surface_level(conjugate_case):
+    pencil, net, node = conjugate_case["pencil"], conjugate_case["net"], conjugate_case["node"]
+    gmap = conjugate_case["gmap"]
+    [fiber] = singular_fiber_parameters(gmap, node, P)
+    modulus, lam, mu = fiber
+    surface = pencil.member(lam, mu, modulus)
+    rational = pencil.member(1, 0)
+    # the Weil span over F_p[t]/(h) is chi-saturated: twice the rational rank
+    assert surface.verify_slice_saturated(4, -2) == 2 * rational.verify_slice_saturated(4, -2)
+    # a relation space of F_p-dimension 2, the node quartic times 1 and t
+    fvec, coords = image_quartic(surface, net)
+    assert fvec.shape == (70,) and coords.shape == (6,)
+    assert is_multiple_of(coords.reshape(2, 3), node, P)
+    certify_fiber(gmap, fiber, node, surface, net)
+
+
+def test_certificate_rejects_a_target_that_is_not_the_node(conjugate_case):
+    pencil, net, node = conjugate_case["pencil"], conjugate_case["net"], conjugate_case["node"]
+    gmap = conjugate_case["gmap"]
+    [fiber] = singular_fiber_parameters(gmap, node, P)
+    modulus, lam, mu = fiber
+    surface = pencil.member(lam, mu, modulus)
+    # a rational sample's quartic is a point of gamma, but not the node
+    _par, elsewhere = conjugate_case["samples"][0]
+    assert normalize_point(elsewhere, P) != normalize_point(node, P)
+    with pytest.raises(GammaError):
+        certify_fiber(gmap, fiber, elsewhere, surface, net)
+    _f, coords = image_quartic(surface, net)
+    assert not is_multiple_of(coords.reshape(2, 3), elsewhere, P)
+    assert not is_multiple_of(gamma_image(gmap, fiber, P), elsewhere, P)
+
+
+def test_certificate_rejects_a_quadratic_that_misses_the_cross_forms(conjugate_case):
+    pencil, net, node = conjugate_case["pencil"], conjugate_case["net"], conjugate_case["node"]
+    gmap = conjugate_case["gmap"]
+    [((c0, c1), lam, mu)] = singular_fiber_parameters(gmap, node, P)
+    # another irreducible quadratic: it divides no cross form
+    other = next((c0 + k) % P for k in range(1, P) if binary_form_roots([1, c1, (c0 + k) % P], P) == [])
+    wrong = ((other, c1), lam, mu)
+    surface = pencil.member(lam, mu, wrong[0])
+    with pytest.raises(GammaError, match="on gamma"):
+        certify_fiber(gmap, wrong, node, surface, net)
+    # and its surface does not map to the node either
+    _f, coords = image_quartic(surface, net)
+    assert not is_multiple_of(coords.reshape(2, 3), node, P)
+
+
+def test_squarefree_quadratic_is_required():
+    # gamma(lam : mu) = (lam^3 : lam^2 mu : mu^3); at the point (1 : 0 : 0)
+    # the cross forms lam^2 mu and mu^3 share only mu, one preimage: rejected
+    gmap = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64)
+    with pytest.raises(GammaError, match="preimage count != 2"):
+        singular_fiber_parameters(gmap, (1, 0, 0), P)
+    with pytest.raises(GammaError, match="vanish identically"):
+        singular_fiber_parameters(np.zeros((3, 4), dtype=np.int64), (1, 0, 0), P)

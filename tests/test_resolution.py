@@ -11,8 +11,7 @@ from scrollres.k3_syzygy import (
     k3_betti_shape,
     linear_syzygy_space,
     pencil_member,
-    surface_from_syzygy,
-    syzygy_scheme,
+    surface_pencil,
 )
 from scrollres.pipeline import build_chain
 from scrollres.resolution import (
@@ -297,8 +296,10 @@ def test_keyed_chain_matrices_match_dict_reference(monkeypatch):
 def test_keyed_k3_slice_spans_match_dict_reference(monkeypatch, ctx, table_and_steps,
                                                    generator_polys):
     _, steps = table_and_steps
-    member = pencil_member(linear_syzygy_space(steps, ctx.prime), 1, 7)
-    surface = surface_from_syzygy(syzygy_scheme(member, generator_polys[:6]))
+    basis = linear_syzygy_space(steps, ctx.prime)
+    pencil = surface_pencil(pencil_member(basis, 1, 0), pencil_member(basis, 0, 1),
+                            generator_polys[:6])
+    surface = pencil.member(1, 7)
     spans = _spy(monkeypatch, K3Surface, "slice_span")
     k3_betti_shape(ctx, surface)
     probed = [args[1:] for args, _ in spans]
