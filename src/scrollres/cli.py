@@ -123,7 +123,11 @@ def cmd_lattice(args) -> int:
             "discriminant": discriminant(lat),
         }
         if args.ample_class:
-            cls = tuple(int(v) for v in args.ample_class.split(","))
+            try:
+                cls = tuple(int(v) for v in args.ample_class.split(","))
+            except ValueError:
+                raise LatticeError(
+                    f"--ample-class needs comma-separated integers, not {args.ample_class!r}") from None
             verdict, cert = is_ample(lat, cls)
             out["ample"] = {"class": list(cls), "verdict": verdict, "certificate": cert}
             if verdict:

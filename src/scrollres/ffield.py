@@ -6,24 +6,25 @@ left-to-right column order, so ranks, kernels and solutions are
 deterministic and reproducible.
 
 One elimination core, _rref_inplace, serves rref, rank, kernel, solve,
-inverse and det; rank and det stop at a row echelon form.  (Echelon, the
-row-at-a-time reducer, is still separate.)  The core takes the columns in
-panels: each pivot updates only its panel, and the trailing columns change
-once per panel by one product through _dot_mod (FFLAS-FFPACK style, Dumas,
-Giorgi & Pernet 2008).  _dot_mod sums in float64 BLAS while every partial
-sum stays below 2**53 and so exact, and in int64 for p above 94906249;
-inside a panel reduction mod p likewise waits until pending products could
-pass 2**53.
+inverse and det; rank and det stop at a row echelon form.  The core takes
+the columns in panels: each pivot updates only its panel, and the trailing
+columns change once per panel by one product through _dot_mod
+(FFLAS-FFPACK style, Dumas, Giorgi & Pernet 2008).
+
+Every product is one float64 arithmetic, exact while partial sums stay
+below 2**53; reduction mod p waits as long as one bound, _exact_terms,
+allows.  From p = 11863289 on, where a product (p - 1)**2 leaves room for
+fewer than 64 terms, the right factor is split, b = b1 * 2**16 + b0, and
+a @ b = a @ b0 + (2**16 a mod p) @ b1: every term is below 2**47, so 64
+terms stay exact up to 2**31 (van der Hoeven, Lecerf & Quintin 2016).
 
 Tall matrices (rows > cols + 8, the slice matrices of the resolution) are
 eliminated through a random compression C = R @ A for a seeded random
-(cols + 8) x rows matrix R; primes whose exact float64 chunks would be
-shorter than 64 rows (p above about 1.2e7) skip the compression.  Since
-ker A lies inside ker C, checking A @ K.T = 0 exactly for the kernel basis K
-of rref(C) proves the kernels, hence the row spaces and the (unique) RREFs,
-equal; the result is identical to direct elimination.  A failed check
-retries with the next seed, and after a few failures A is eliminated
-directly.
+(cols + 8) x rows matrix R.  Since ker A lies inside ker C, checking
+A @ K.T = 0 exactly for the kernel basis K of rref(C) proves the kernels,
+hence the row spaces and the (unique) RREFs, equal; the result is
+identical to direct elimination.  A failed check retries with the next
+seed, and after a few failures A is eliminated directly.
 
 roots_mod_batch, the one univariate root finder, takes the F_p-roots of a
 whole array of polynomials at once (roots_mod is its one-polynomial case):
@@ -37,17 +38,20 @@ ch. 14), so rref_mod, rank_mod and kernel_mod serve R unchanged.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 MAX_PRIME = 1 << 31  # p**2 stays well inside int64
 
 _FLOAT_EXACT = 1 << 53  # float64 represents every integer below this
-_PANEL = 32             # columns per elimination panel (see _rref_inplace)
+_LIMB = 1 << 16         # limb base of a split right factor (see _dot_mod)
+_CHUNK = 64             # terms per exact sum that every supported prime allows
+_PANEL = _CHUNK // 2    # columns per elimination panel (see _rref_inplace)
 
 # Compressed elimination of tall matrices (see rref_mod).
 _PAD = 8                # extra random combinations beyond cols
 _BLOCK_ROWS = 512       # rows of A per projection block and per certificate block
-_MIN_BLOCK_ROWS = 64    # shorter exact blocks (p above about 1.2e7): eliminate directly
 _SEEDS = 3              # projections tried before eliminating directly
 
 _SHIFTS = 8             # splitting shifts whose powers _split_roots takes at once
@@ -92,38 +96,40 @@ def check_prime(p: int) -> int:
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Matrix product over F_p with chunked accumulation to avoid overflow."""
+    """Matrix product over F_p, exact for every supported prime: _dot_mod
+    of the reduced factors, as int64."""
     a = np.asarray(a, dtype=np.int64) % p
     b = np.asarray(b, dtype=np.int64) % p
-    # max accumulation length before a reduction is needed
-    step = max(1, (1 << 62) // (p * p))
-    n = a.shape[1] if a.ndim == 2 else a.shape[0]
-    if n <= step:
-        return (a @ b) % p
-    out = None
-    for lo in range(0, n, step):
-        part = a[..., lo:lo + step] @ b[lo:lo + step]
-        out = part if out is None else out + part
-        out %= p
-    return out
+    return _dot_mod(a, b, p).astype(np.int64)
 
 
-def _exact_block_rows(p: int) -> int:
-    """How many products (p-1)**2 may be added to a value of absolute value
-    below p while the sum stays within 2**53 - p, where float64 is exact and
-    _reduce applies: the one exactness bound of the module.  It is at least 1
-    up to the prime 94906249 and 0 from the next prime, 94906297, on."""
-    return (_FLOAT_EXACT - 2 * p) // ((p - 1) ** 2)
+@cache
+def _split(p: int) -> bool:
+    """Is a right factor split into limbs at p (see the module docstring)?"""
+    return (_FLOAT_EXACT - 2 * p) // (p - 1) ** 2 < _CHUNK
+
+
+@cache
+def _exact_terms(p: int) -> int:
+    """How many products of a residue by a limb (a residue, or below 2**16
+    where p is split) may be added to a value of absolute value below p
+    while the sum stays within 2**53 - p, where float64 is exact and
+    _reduce applies: the one exactness bound, at least _CHUNK below 2**31."""
+    top = _LIMB - 1 if _split(p) else p - 1
+    return (_FLOAT_EXACT - 2 * p) // ((p - 1) * top)
+
+
+def _limbs(b: np.ndarray) -> tuple:
+    """(b0, b1) with b = b1 * 2**16 + b0 and 0 <= b0 < 2**16."""
+    high = np.floor(b / _LIMB)
+    return b - high * _LIMB, high
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place.  A float64 x must hold integers of absolute value at
+    """x mod p in place, for float64 x holding integers of absolute value at
     most 2**53 - p: x / p is then nearer the true quotient than 1/p, so its
     floor is exact, and this is several times faster than np.remainder."""
-    if x.dtype != np.float64:
-        x %= p
-        return x
-    q = x / p
+    q = np.divide(x, p, out=np.empty_like(x))  # an array also for a 0-d x
     np.floor(q, out=q)
     q *= p
     x -= q
@@ -131,29 +137,24 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _dot_mod(a: np.ndarray, b: np.ndarray, p: int, c=None) -> np.ndarray:
-    """(c + a @ b) mod p, exactly, for entries of absolute value below p.
-
-    The inner sums run through float64 BLAS in chunks of _exact_block_rows(p)
-    terms, reduced between chunks; for primes where float64 cannot hold even
-    one product beside a residue, through the int64 mul_mod.  The result has
-    the dtype of the arithmetic used: float64 or int64.
-    """
-    step = _exact_block_rows(p)
-    if step < 1:
-        out = mul_mod(a, b, p)
-        return out if c is None else (out + c) % p
+    """(c + a @ b) mod p in float64, exactly, for entries of absolute value
+    below p: [a | 2**16 a mod p] @ [b0; b1] where p is split, through BLAS
+    in chunks of _exact_terms(p) terms, reduced between chunks."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    shape = a.shape[:-1] + b.shape[1:]
-    out = np.zeros(shape) if c is None else np.array(c, dtype=np.float64)
+    if _split(p):
+        a = np.concatenate((a, _reduce(a * _LIMB, p)), axis=-1)
+        b = np.concatenate(_limbs(b))
+    out = np.zeros(a.shape[:-1] + b.shape[1:]) if c is None else np.array(c, dtype=np.float64)
+    step = _exact_terms(p)
     for lo in range(0, a.shape[-1], step):
         out += a[..., lo:lo + step] @ b[lo:lo + step]
         _reduce(out, p)
     return out
 
 
-def _compressible(rows: int, cols: int, p: int) -> bool:
-    return cols > 0 and rows > cols + _PAD and _exact_block_rows(p) >= _MIN_BLOCK_ROWS
+def _compressible(rows: int, cols: int) -> bool:
+    return cols > 0 and rows > cols + _PAD
 
 
 def _projection_block(seed: int, start: int, rows: int, cols: int, p: int) -> np.ndarray:
@@ -184,23 +185,22 @@ def _project(a: np.ndarray, p: int, seed: int) -> np.ndarray:
 
 
 def _rref_inplace(r: np.ndarray, p: int, echelon: bool = False):
-    """Reduce r (int64, entries in [0, p)) to RREF in place.
-
-    Columns go one panel of _PANEL at a time.  In a panel each pivot updates
-    the panel and one more column, which records its row operation.  The
-    recorded columns K (minus 1 at the pivot rows I) then update the
-    trailing columns T by T += K @ T[I].  With echelon set, rows above a
-    pivot are left alone: r ends in a row echelon form with unit pivots.
+    """Reduce r (int64, entries in [0, p)) to RREF in place, on a float64
+    copy.  Columns go one panel of _PANEL at a time.  In a panel each pivot
+    updates the panel and one more column, which records its row operation;
+    it takes the split of _dot_mod and leaves one pending product per limb,
+    so a panel leaves at most 2 * _PANEL = _CHUNK, and it is reduced only
+    where a column becomes a pivot column and when it ends.  The recorded
+    columns K (minus 1 at the pivot rows I) then update the trailing
+    columns T by T += K @ T[I].  With echelon set, rows above a pivot are
+    left alone: r ends in a row echelon form with unit pivots.
 
     Returns (pivots, det): det is the product of the pivots before scaling,
     negated once per row swap, so for a square r of full rank it is the
     determinant of the input."""
     rows, cols = r.shape
-    room = _exact_block_rows(p)
-    if room >= 1:
-        m = r.astype(np.float64)
-    else:  # int64 arithmetic, reduced after every pivot
-        m, room = r, 1
+    split = _split(p)
+    m = r.astype(np.float64)
     pivots = []
     pr = 0
     det = 1
@@ -234,14 +234,20 @@ def _rref_inplace(r: np.ndarray, p: int, echelon: bool = False):
                 x[pr, width + pr - pr0] = 1
             lead = int(x[pr, c])
             det = det * lead % p
-            prow = x[pr, live] * pow(lead, -1, p) % p
+            inv = pow(lead, -1, p)
             top = pr if echelon else 0
-            x[top:, live] -= x[top:, c, None] * prow
+            col = x[top:, c, None]
+            if split:
+                low, high = _limbs(x[pr, live])
+                prow = _reduce(low * inv + high * (inv * _LIMB % p), p)
+                low, high = _limbs(prow)
+                x[top:, live] -= col * low + _reduce(col * _LIMB, p) * high
+            else:
+                prow = x[pr, live] * inv % p
+                x[top:, live] -= col * prow
             x[pr, live] = prow
             pivots.append(c0 + c)
             pr += 1
-            if (pr - pr0) % room == 0:
-                _reduce(x, p)
         if trailing:
             m[:, c0:c1] = x[:, :width]
             if pr > pr0:
@@ -250,8 +256,7 @@ def _rref_inplace(r: np.ndarray, p: int, echelon: bool = False):
                 at = np.arange(pr - pr0)
                 k[pr0 - top + at, at] = (k[pr0 - top + at, at] - 1) % p
                 m[top:, c1:] = _dot_mod(k, m[pr0:pr, c1:], p, m[top:, c1:])
-    if m is not r:
-        r[:] = m
+    r[:] = m
     r %= p  # the panels were left unreduced
     return pivots, det
 
@@ -307,7 +312,7 @@ def rref_mod(a: np.ndarray, p: int):
     and identical to direct elimination.
     """
     a = np.asarray(a)
-    if a.ndim == 2 and _compressible(*a.shape, p):
+    if a.ndim == 2 and _compressible(*a.shape):
         out = _rref_compressed(a, p)
         if out is not None:
             return out
@@ -325,7 +330,8 @@ class Echelon:
     """Incremental row-echelon accumulator over F_p.
 
     add() reduces a row against the current pivots and absorbs it when it is
-    independent.
+    independent.  Nothing in scrollres calls it: it stays only because the
+    benchmark's tracer times Echelon.add by name.
     """
 
     def __init__(self, ncols: int, p: int):

@@ -414,9 +414,6 @@ class K3Surface:
             )
         return span, reduced, pivots
 
-    def verify_slice_saturated(self, a: int, b: int) -> int:
-        return len(self.saturated_span(a, b)[2])
-
 
 @dataclass(frozen=True)
 class SurfacePencil:

@@ -52,7 +52,13 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.gram)
 
+    def _coordinates(self, v) -> tuple:
+        if len(v) != self.rank:
+            raise LatticeError(f"class {tuple(v)} has length {len(v)}, the lattice rank is {self.rank}")
+        return v
+
     def pairing(self, u, v) -> int:
+        u, v = self._coordinates(u), self._coordinates(v)
         return sum(
             int(u[i]) * self.gram[i][j] * int(v[j])
             for i in range(self.rank)
@@ -63,6 +69,7 @@ class GramLattice:
         return self.pairing(v, v)
 
     def gram_times(self, v):
+        v = self._coordinates(v)
         return tuple(
             sum(self.gram[i][j] * int(v[j]) for j in range(self.rank))
             for i in range(self.rank)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import Echelon, kernel_mod, rank_mod, row_space_mod, rref_mod
+from .ffield import kernel_mod, mul_mod, rank_mod, row_space_mod, rref_mod
 from .plane_curve import sample_smooth_points
 from .scroll import (
     GENERIC_E,
@@ -329,40 +329,21 @@ class ResolutionStep:
 
 
 def _new_representatives(kernel: np.ndarray, multiples: np.ndarray, p: int) -> np.ndarray:
-    """Rows of kernel extending the row space of multiples.
+    """Rows of kernel's span extending the row space of multiples.
 
-    The picks are reduced against the multiple span's pivots (so their span
-    stays a complement of it) and then echelonised among themselves for a
-    canonical, deterministic presentation.
+    The kernel rows are reduced against base, the RREF of multiples, by one
+    product: K - K[:, pivots] @ base is zero at every base pivot, and it
+    spans a complement of the multiples' span in the span of both.  The
+    RREF of its nonzero rows, without zero rows, is that complement's
+    canonical basis.
     """
     if kernel.size == 0:
         return kernel.reshape(0, kernel.shape[1] if kernel.ndim == 2 else 0)
-    ncols = kernel.shape[1]
     if multiples.size:
-        base, base_pivots = rref_mod(multiples, p)
-        base = base[: len(base_pivots)]
-    else:
-        base = np.zeros((0, ncols), dtype=np.int64)
-        base_pivots = []
-    ech = Echelon(ncols, p)
-    for brow in base:
-        ech.add(brow)
-    picked = []
-    for row in kernel:
-        if ech.add(row):
-            picked.append(row)
-    if not picked:
-        return np.zeros((0, ncols), dtype=np.int64)
-    reduced = np.stack(picked) % p
-    for brow, pc in zip(base, base_pivots):
-        factors = reduced[:, pc].copy()
-        mask = factors != 0
-        if mask.any():
-            reduced[mask] = (reduced[mask] - np.outer(factors[mask], brow)) % p
-    reduced, pivots = rref_mod(reduced, p)
-    if len(pivots) != len(picked):
-        raise ResolutionError("representative reduction lost rank")
-    return reduced[: len(picked)]
+        base, pivots = rref_mod(multiples, p)
+        kernel = kernel - mul_mod(kernel[:, pivots], base[: len(pivots)], p)
+    reduced, pivots = rref_mod(kernel[kernel.any(axis=1)], p)
+    return reduced[: len(pivots)]
 
 
 def _multiples_span(kernels: dict, twists, e, a: int, b: int, p: int) -> np.ndarray:

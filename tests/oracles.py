@@ -102,6 +102,55 @@ def new_count(block) -> int:
     return block.new_generators.shape[0]
 
 
+class _RowReducer:
+    """Rows kept fully reduced against each other and sorted by pivot, so
+    that they always form an RREF; add() absorbs a row when it is
+    independent of them."""
+
+    def __init__(self, p: int):
+        self.p, self.rows, self.pivots = p, [], []
+
+    def add(self, row) -> bool:
+        p = self.p
+        red = np.asarray(row, dtype=np.int64) % p
+        for r, pc in zip(self.rows, self.pivots):
+            if red[pc]:
+                red = (red - int(red[pc]) * r) % p
+        nz = np.flatnonzero(red)
+        if not nz.size:
+            return False
+        pc = int(nz[0])
+        red = red * pow(int(red[pc]), -1, p) % p
+        self.rows = [(r - int(r[pc]) * red) % p for r in self.rows]
+        at = sum(1 for c in self.pivots if c < pc)
+        self.rows.insert(at, red)
+        self.pivots.insert(at, pc)
+        return True
+
+
+def reference_new_representatives(kernel: np.ndarray, multiples: np.ndarray, p: int) -> np.ndarray:
+    """The minimal generators of a slice, row by row: kernel rows are picked
+    while they are independent of the multiples and of the earlier picks,
+    reduced against the pivots of the multiples' RREF, and the picks are
+    brought to their own RREF."""
+    ncols = kernel.shape[1]
+    base = _RowReducer(p)
+    for row in multiples:
+        base.add(row)
+    span = _RowReducer(p)
+    for row in base.rows:
+        span.add(row)
+    picked = [row % p for row in kernel if span.add(row)]
+    for i, row in enumerate(picked):
+        for brow, pc in zip(base.rows, base.pivots):
+            row = (row - int(row[pc]) * brow) % p
+        picked[i] = row
+    own = _RowReducer(p)
+    for row in picked:
+        assert own.add(row), "the picks are independent modulo the multiples"
+    return np.array(own.rows, dtype=np.int64).reshape(len(own.rows), ncols)
+
+
 # --- hand-built K3 matrices ------------------------------------------------------
 #
 # Monomial by monomial, with one CoxPoly product per entry block: the

@@ -78,6 +78,32 @@ def test_lattice_command_with_gram_file(tmp_path, capsys):
     assert "56" in out
 
 
+def test_lattice_command_rejects_a_class_of_the_wrong_length(tmp_path, capsys):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": [[2, 1], [1, -2]]}))
+    assert main(["lattice", "--gram-file", str(path), "--ample-class", "1,0,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: class (1, 0, 0) has length 3, the lattice rank is 2" in captured.err
+    assert main(["lattice", "--gram-file", str(path), "--ample-class", "1"]) == 1
+    assert "has length 1" in capsys.readouterr().err
+    lat = lattice.GramLattice(((2, 1), (1, -2)), ("a", "b"))
+    for bad in ((1, 0, 0), (1,)):
+        with pytest.raises(lattice.LatticeError, match="the lattice rank is 2"):
+            lat.pairing(bad, (1, 0))
+        with pytest.raises(lattice.LatticeError, match="the lattice rank is 2"):
+            lat.gram_times(bad)
+
+
+def test_lattice_command_rejects_a_non_integer_class(tmp_path, capsys):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": [[2, 1], [1, -2]]}))
+    assert main(["lattice", "--gram-file", str(path), "--ample-class", "1,x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --ample-class needs comma-separated integers, not '1,x'\n"
+
+
 def test_lattice_command(capsys):
     assert main(["lattice"]) == 0
     assert "all lattice checks passed: True" in capsys.readouterr().out
@@ -165,13 +191,15 @@ def test_pipeline_report_determinism_with_retry(monkeypatch, known_canonical_sha
     assert a["checks"]["third_parameter_maps_elsewhere"]
 
 
-def test_pipeline_certifies_at_the_largest_supported_prime(monkeypatch):
-    # below 2^31 a product of two residues nears 2^62, so any int64 matrix
-    # product of more than one term must go through mul_mod
+def test_pipeline_certifies_at_the_largest_supported_prime(monkeypatch, known_canonical_sha256):
+    # below 2^31 a product of two residues nears 2^62, so every matrix
+    # product must split a factor into limbs to stay exact in float64; the
+    # digest guards the report byte for byte
     built = _count_chains(monkeypatch)
     report = run_pipeline(2147483629, 1)
     assert report["ok"], report.get("error")
     assert built == [(2147483629, 1)] and "error" not in report
+    known_canonical_sha256(report, 2147483629, 1)
 
 
 def _no_chain(prime, seed):

@@ -323,7 +323,7 @@ def _assert_same_rref(a, p):
 def test_tall_rref_matches_direct_elimination(p, kernel_dim):
     rng = np.random.default_rng(1000 * kernel_dim + p)
     a = _tall(rng, 400, 60, kernel_dim, p)
-    assert ffield._compressible(*a.shape, p)
+    assert ffield._compressible(*a.shape)
     _r, pivots = _assert_same_rref(a, p)
     assert len(pivots) == 60 - kernel_dim
     k = kernel_mod(a, p)
@@ -335,7 +335,7 @@ def test_tall_rref_matches_direct_elimination(p, kernel_dim):
 def test_tall_rref_matches_hand_reduction(p):
     rng = np.random.default_rng(p)
     a = _tall(rng, 40, 12, 3, p, density=0.3)
-    assert ffield._compressible(*a.shape, p)
+    assert ffield._compressible(*a.shape)
     r, pivots = rref_mod(a, p)
     r_hand, pivots_hand = _hand_rref(a, p)
     assert pivots == pivots_hand
@@ -420,30 +420,59 @@ def test_rank_deficient_projection_retries(monkeypatch):
     assert pivots == expected[1] and r.tobytes() == expected[0].tobytes()
 
 
-def test_prime_near_2_31_takes_direct_path(monkeypatch):
+def test_prime_near_2_31_is_compressed(monkeypatch):
     q = 2147483629
-    assert is_prime(q) and q < ffield.MAX_PRIME
+    assert is_prime(q) and q < ffield.MAX_PRIME and ffield._split(q)
     rng = np.random.default_rng(8)
     a = _tall(rng, 60, 10, 1, q, density=0.3)
-    assert not ffield._compressible(*a.shape, q)
+    assert ffield._compressible(*a.shape)
+    projected = []
+    project = ffield._project
 
-    def no_projection(*_args):
-        raise AssertionError("float64 products are not exact at this prime")
+    def counted(*args):
+        projected.append(args[2])
+        return project(*args)
 
-    monkeypatch.setattr(ffield, "_project", no_projection)
+    def no_direct(*_args):
+        raise AssertionError("the compressed elimination is exact at every supported prime")
+
+    monkeypatch.setattr(ffield, "_project", counted)
+    monkeypatch.setattr(ffield, "_rref_direct", no_direct)
     r, pivots = rref_mod(a, q)
+    assert projected == [0]
     r_hand, pivots_hand = _hand_rref(a, q)
     assert pivots == pivots_hand and np.array_equal(r, r_hand)
     assert kernel_mod(a, q).shape == (1, 10)
 
 
+SPLIT_BELOW, SPLIT_FROM = 11863279, 11863289  # right factors are split into limbs from the second on
+FLOAT_TOP, ONE_PRODUCT_PAST = 94906249, 94906297  # one product (p - 1)**2 fits below 2**53 up to the first
+# the largest prime below 2**k for k = 2 .. 31, and the primes around each switch
+SUPPORTED_PRIMES = sorted(
+    {next(n for n in range((1 << k) - 1, 1, -1) if is_prime(n)) for k in range(2, 32)}
+    | {2, 101, 10007, 100003, 67108859, SPLIT_BELOW, SPLIT_FROM, FLOAT_TOP, ONE_PRODUCT_PAST, 2147483629}
+)
+
+
 def test_float64_exactness_bound():
-    for p in (101, 10007, 100003, 1_000_003):
-        assert ffield._exact_block_rows(p) >= ffield._MIN_BLOCK_ROWS
-        assert ffield._compressible(200, 20, p)
-    # near 2**26, (p - 1)**2 is about 2**52: exact blocks would be 2 rows long
-    assert not ffield._compressible(200, 20, 67108859)
-    assert not ffield._compressible(28, 20, 10007)  # not tall enough
+    # the bound falls as p grows on either side of the limb switch, so the
+    # largest prime of each side decides; both are in the list
+    assert SUPPORTED_PRIMES[-1] == ffield.MAX_PRIME - 1 and is_prime(ffield.MAX_PRIME - 1)
+    assert ffield._CHUNK == 64
+    for p in SUPPORTED_PRIMES:
+        n = ffield._exact_terms(p)
+        assert n >= ffield._CHUNK, p
+        # a limb is a residue, or below 2**16 where p is split; n terms of a
+        # residue times a limb, beside a residue, stay within 2**53 - p,
+        # where float64 is exact and _reduce applies, and n + 1 may not
+        top = ffield._LIMB - 1 if ffield._split(p) else p - 1
+        assert (p - 1) + n * (p - 1) * top <= 2**53 - p
+        assert (p - 1) + (n + 1) * (p - 1) * top >= 2**53 - p
+        # a panel's pivots leave one pending product per limb each, and
+        # the panel is reduced only when it ends
+        assert ffield._PANEL * (2 if ffield._split(p) else 1) <= n
+    assert ffield._compressible(200, 20)
+    assert not ffield._compressible(28, 20)  # not tall enough
 
 
 tall_matrices = st.integers(1, 8).flatmap(
@@ -469,16 +498,50 @@ def test_tall_rref_property(rows):
 # --- the panel elimination core ---------------------------------------------
 
 W = ffield._PANEL
-FLOAT_TOP, INT_BOTTOM = 94906249, 94906297  # the float64 arithmetic ends between these primes
-# 100003 and 67108859 let 900683 and 2 products wait for a reduction
-CORE_PRIMES = (2, 3, 101, 10007, 100003, 67108859, FLOAT_TOP, INT_BOTTOM, 2147483629)
+# 100003 lets 900683 products wait for a reduction; 67108859, FLOAT_TOP and
+# 2147483629, all split, let 1024, 724 and 32 pivots wait
+CORE_PRIMES = (2, 3, 101, 10007, 100003, SPLIT_BELOW, SPLIT_FROM, 67108859,
+               FLOAT_TOP, ONE_PRODUCT_PAST, 2147483629)
 
 
 def test_float64_path_boundary():
-    assert is_prime(FLOAT_TOP) and is_prime(INT_BOTTOM)
-    assert not any(is_prime(n) for n in range(FLOAT_TOP + 1, INT_BOTTOM))
-    assert ffield._exact_block_rows(FLOAT_TOP) == 1
-    assert ffield._exact_block_rows(INT_BOTTOM) == 0
+    assert is_prime(SPLIT_BELOW) and is_prime(SPLIT_FROM)
+    assert not any(is_prime(n) for n in range(SPLIT_BELOW + 1, SPLIT_FROM))
+    # the switch: one product beside a residue leaves room for 64 terms, then 63
+    assert (2**53 - 2 * SPLIT_BELOW) // (SPLIT_BELOW - 1) ** 2 == 64
+    assert (2**53 - 2 * SPLIT_FROM) // (SPLIT_FROM - 1) ** 2 == 63
+    assert not ffield._split(SPLIT_BELOW) and ffield._split(SPLIT_FROM)
+    assert ffield._exact_terms(SPLIT_BELOW) == 64 and ffield._exact_terms(SPLIT_FROM) == 11585
+    assert [p for p in SUPPORTED_PRIMES if ffield._split(p)] == [
+        p for p in SUPPORTED_PRIMES if p >= SPLIT_FROM]
+    # where one product no longer fits at all, the split still leaves room
+    assert is_prime(FLOAT_TOP) and is_prime(ONE_PRODUCT_PAST)
+    assert not any(is_prime(n) for n in range(FLOAT_TOP + 1, ONE_PRODUCT_PAST))
+    assert (2**53 - 2 * FLOAT_TOP) // (FLOAT_TOP - 1) ** 2 == 1
+    assert (2**53 - 2 * ONE_PRODUCT_PAST) // (ONE_PRODUCT_PAST - 1) ** 2 == 0
+    assert ffield._exact_terms(FLOAT_TOP) == ffield._exact_terms(ONE_PRODUCT_PAST) == 1448
+
+
+@pytest.mark.parametrize("p", [SPLIT_BELOW, SPLIT_FROM, ONE_PRODUCT_PAST, ffield.MAX_PRIME - 1])
+@pytest.mark.parametrize("n", [63, 65, 127, 129])
+def test_products_match_python_integers(p, n):
+    # entries p - 1 (and 1 - p where _dot_mod allows it) make every term and
+    # every partial sum as large as it can be; n = 64k +- 1 straddles the chunks
+    rng = np.random.default_rng(n)
+    top = np.full((4, n), p - 1, dtype=np.int64)
+    right = np.full((n, 5), p - 1, dtype=np.int64)
+    mixed = rng.integers(0, p, size=(4, n))
+    for a, b in ((top, right), (mixed, right), (top, rng.integers(0, p, size=(n, 5)))):
+        expected = (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+        product = mul_mod(a, b, p)
+        assert product.dtype == np.int64 and product.tobytes() == expected.tobytes()
+        assert np.array_equal(mul_mod(a, b[:, 0], p), expected[:, 0])
+        assert mul_mod(a[0], b[:, 0], p) == expected[0, 0]
+        c = np.full(expected.shape, p - 1, dtype=np.int64)
+        for sa, sb, sc in ((1, 1, 1), (-1, 1, -1), (1, -1, 1), (-1, -1, -1)):
+            want = ((sc * c).astype(object) + (sa * a).astype(object) @ (sb * b).astype(object)) % p
+            got = ffield._dot_mod(sa * a, sb * b, p, sc * c)
+            assert got.dtype == np.float64 and np.array_equal(got, want.astype(np.float64))
 
 
 def _assert_core_matches_hand(a, p):
@@ -533,15 +596,16 @@ def core_cases(draw):
 @given(core_cases())
 def test_core_matches_hand_reduction(case):
     p, a = case
-    assert not ffield._compressible(*a.shape, p)
+    assert not ffield._compressible(*a.shape)
     _assert_core_matches_hand(a, p)
 
 
-@pytest.mark.parametrize("p", [100003, 67108859, FLOAT_TOP])
+@pytest.mark.parametrize("p", [100003, 67108859, FLOAT_TOP, ONE_PRODUCT_PAST, 2147483629])
 @pytest.mark.parametrize("n", [W - 1, W + 1, 2 * W + 3])
 def test_delayed_reduction_stress(p, n):
-    # entries p - 1 make the products as large as they can be; at FLOAT_TOP
-    # one pending product (p - 1)**2 per entry is all that float64 holds
+    # entries p - 1 make the products as large as they can be; at 2147483629
+    # a full panel of 32 pivots, two pending products each, is all that
+    # float64 holds
     full = np.full((n, n), p - 1, dtype=np.int64)
     unit_diagonal = full.copy()
     np.fill_diagonal(unit_diagonal, 1)

@@ -203,10 +203,10 @@ def test_containment(surface, slice_ctx):
 
 
 def test_surface_slices_saturated(surface):
-    assert surface.verify_slice_saturated(2, -1) == 4
-    assert surface.verify_slice_saturated(2, 0) == 9
-    assert surface.verify_slice_saturated(3, -2) == 15
-    assert surface.verify_slice_saturated(3, -1) == 34
+    assert len(surface.saturated_span(2, -1)[2]) == 4
+    assert len(surface.saturated_span(2, 0)[2]) == 9
+    assert len(surface.saturated_span(3, -2)[2]) == 15
+    assert len(surface.saturated_span(3, -1)[2]) == 34
 
 
 def test_k3_shape(shape):

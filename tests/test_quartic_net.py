@@ -347,7 +347,7 @@ def test_conjugate_pair_certified_at_the_surface_level(conjugate_case):
     surface = pencil.member(lam, mu, modulus)
     rational = pencil.member(1, 0)
     # the Weil span over F_p[t]/(h) is chi-saturated: twice the rational rank
-    assert surface.verify_slice_saturated(4, -2) == 2 * rational.verify_slice_saturated(4, -2)
+    assert len(surface.saturated_span(4, -2)[2]) == 2 * len(rational.saturated_span(4, -2)[2])
     # a relation space of F_p-dimension 2, the node quartic times 1 and t
     fvec, coords = image_quartic(surface, net)
     assert fvec.shape == (70,) and coords.shape == (6,)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollres import resolution
 from scrollres.ffield import is_prime
@@ -37,7 +39,7 @@ from scrollres.scroll import (
 )
 
 from dict_cox import DictPoly, module_terms
-from oracles import new_count
+from oracles import new_count, reference_new_representatives
 
 # --- dict-based free-module reference ----------------------------------------
 #
@@ -291,6 +293,44 @@ def test_keyed_chain_matrices_match_dict_reference(monkeypatch):
     for args, span in spans:
         assert np.array_equal(span, _reference_multiples_span(*args))
     assert sum(span.shape[0] for _, span in spans) > 0
+
+
+def test_new_representatives_match_row_by_row_reference(monkeypatch):
+    calls = _spy(monkeypatch, resolution, "_new_representatives")
+    assert build_chain(10007, 1).table.entries == GENERIC_BETTI_TABLE
+    assert len(calls) == 5 + 17  # the generator slices and the syzygy slices
+    assert sum(len(out) for _args, out in calls) > 0
+    for (kernel, multiples, p), out in calls:
+        expected = reference_new_representatives(kernel, multiples, p)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+
+@st.composite
+def slice_spaces(draw):
+    """(p, kernel, multiples): a kernel basis and multiples drawn inside its
+    span, some of them repeated, zero or scaled."""
+    p = draw(st.sampled_from([101, 2147483629]))
+    cols = draw(st.integers(1, 40))
+    rows = draw(st.integers(0, cols + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < draw(st.floats(0.1, 1)))
+    combos = rng.integers(0, p, size=(draw(st.integers(0, 2 * rows + 2)), rows))
+    combos[:, rng.random(rows) < draw(st.floats(0, 1))] = 0
+    multiples = (combos.astype(object) @ kernel.astype(object) % p).astype(np.int64)
+    multiples = multiples.reshape(len(combos), cols)
+    if len(multiples) and draw(st.booleans()):
+        multiples = np.concatenate([multiples, multiples[:1], 0 * multiples[:1]])
+    return p, kernel, multiples
+
+
+@settings(max_examples=60, deadline=None)
+@given(slice_spaces())
+def test_new_representatives_property(case):
+    p, kernel, multiples = case
+    out = resolution._new_representatives(kernel, multiples, p)
+    expected = reference_new_representatives(kernel, multiples, p)
+    assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
 
 def test_keyed_k3_slice_spans_match_dict_reference(monkeypatch, ctx, table_and_steps,
