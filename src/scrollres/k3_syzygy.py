@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import mul_mod, rank_mod, rref_mod, weil_restriction
+from .ffield import rank_mod, rref_mod, weil_restriction
 from .lattice import solve_rational
 from .resolution import (
     BigradedBettiTable,
@@ -440,9 +440,11 @@ class SurfacePencil:
         rank = rank_mod(weil_restriction([a * s1 + b * s2 for a, b in zip(lam, mu)], modulus, p), p)
         if rank != 4 * d:
             raise K3Error(f"rank deficient: syzygy rank {rank // d} != 4")
-        # multiplication by lam and by mu on R; row 0 of a product is its value
-        by_lam, by_mu = (weil_restriction(x.reshape(d, 1, 1), modulus, p) for x in (lam, mu))
-        squares = [mul_mod(x, y, p)[0] for x, y in ((by_lam, by_lam), (by_lam, by_mu), (by_mu, by_mu))]
+        # multiplication by lam and by mu on R; row 0 of a product is its
+        # value, in Python ints since d <= 2 is too small for mul_mod to pay
+        by_lam, by_mu = (weil_restriction(x.reshape(d, 1, 1), modulus, p).astype(object)
+                         for x in (lam, mu))
+        squares = [x[0] @ y % p for x, y in ((by_lam, by_lam), (by_lam, by_mu), (by_mu, by_mu))]
         parts = []
         for s in range(d):
             gens = [((2, -1), _combine(pair, (lam[s], mu[s]), p)) for pair in zip(*self.forms)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DEFAULT_PRIME, __version__
-from .ffield import check_prime, solve_mod
+from .ffield import check_prime, mul_mod, solve_mod
 from .k3_syzygy import (
     K3_SHAPE_TABLE,
     K3Error,
@@ -55,15 +55,17 @@ from .plane_curve import (
     DegenerateConfigurationError,
     InsufficientRationalPointsError,
     construct_nodal_nonic,
+    evaluate_form,
     verify_model_report,
 )
 from .quartic_net import (
+    GAMMA_FIT,
+    GAMMA_HOLDOUT,
     GammaError,
     NetError,
     ResultantDegenerateError,
     certify_fiber,
     fit_gamma,
-    fit_gamma_map,
     gamma_singular_point,
     image_quartic,
     macaulay_resultant_smooth,
@@ -92,8 +94,10 @@ from .scroll import (
     scroll_type,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
+#: pencil parameters of the gamma members, tried in order until
+#: GAMMA_FIT + GAMMA_HOLDOUT of them have rank 4
 GAMMA_PARAMETERS = [(1, mu) for mu in range(16)] + [(0, 1)]
 K3_MEMBER_CHOICES = [(1, 7), (1, 3), (1, 11), (1, 13), (0, 1), (1, 0)]
 
@@ -289,38 +293,35 @@ def gamma_section(chain: CurveChain, pencil, basis, net, checks: dict):
     samples = []
     skipped = []
     for lam, mu in GAMMA_PARAMETERS:
+        if len(samples) == GAMMA_FIT + GAMMA_HOLDOUT:
+            break
         if syzygy_rank(pencil_member(basis, lam, mu)) != 4:
             skipped.append((lam, mu))
             continue
         _fvec, coords3 = image_quartic(pencil.member(lam, mu), net)
         samples.append(((lam, mu), tuple(int(v) for v in coords3)))
     gamma = fit_gamma(samples, p)
-    sample_points = np.array([c for _par, c in samples], dtype=np.int64).T
+    sample_points = np.array([c for _par, c in samples], dtype=np.int64)
     checks["gamma_is_cubic_not_conic"] = (
-        np.array_equal(plane_forms_through(sample_points, 3, p), gamma.cubic.reshape(1, -1))
-        and len(plane_forms_through(sample_points, 2, p)) == 0
+        not np.any(evaluate_form(gamma.cubic, 3, sample_points, p))
+        and len(plane_forms_through(sample_points.T, 2, p)) == 0
     )
     sing = gamma_singular_point(gamma)
     checks["unique_singular_point"] = sing["singular_count"] == 1
     checks["singular_point_is_node"] = sing["is_node"]
-    gmap = fit_gamma_map(samples, p)
-    fibers = singular_fiber_parameters(gmap, sing["point"], p)
+    fibers = singular_fiber_parameters(gamma.gmap, sing["point"], p)
     checks["two_singular_fiber_parameters"] = sum(len(h) for h, _lam, _mu in fibers) == 2
     # both parameters map to the singular quartic (a conjugate pair at once,
     # over F_p[t]/(h)); a third one does not
     target = normalize_point(sing["point"], p)
     for modulus, lam, mu in fibers:
-        certify_fiber(gmap, (modulus, lam, mu), target, pencil.member(lam, mu, modulus), net)
+        certify_fiber(gamma.gmap, (modulus, lam, mu), target, pencil.member(lam, mu, modulus), net)
     rational = {normalize_point((lam[0], mu[0]), p) for h, lam, mu in fibers if len(h) == 1}
     spare = next(s for s in samples if normalize_point(s[0], p) not in rational)
     checks["third_parameter_maps_elsewhere"] = (
         normalize_point(spare[1], p) != target
     )
-    point = np.array(sing["point"], dtype=np.int64)
-    quartic = sum(
-        int(point[i]) * net.basis[i] for i in range(3)
-    ) % p
-    smooth = macaulay_resultant_smooth(quartic, p)
+    smooth = macaulay_resultant_smooth(mul_mod(sing["point"], net.basis, p), p)
     checks["singular_fiber_quartic_smooth"] = smooth
     parameters, modulus = _fiber_report(fibers, p)
     return {

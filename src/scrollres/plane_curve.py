@@ -178,8 +178,9 @@ def derivative_row(d: int, order, point, p: int) -> np.ndarray:
 
 
 def _partial_at(coeffs, d: int, order, point, p: int) -> int:
-    """(partial^order F)(point) for the degree-d ternary form F."""
-    return int(mul_mod(derivative_row(d, order, point, p), coeffs, p))
+    """(partial^order F)(point) for the degree-d ternary form F, in Python
+    ints: one dot product is too small for mul_mod to pay."""
+    return sum(int(r) * int(c) for r, c in zip(derivative_row(d, order, point, p), coeffs)) % p
 
 
 def _multi_indices_below(order: int) -> list:

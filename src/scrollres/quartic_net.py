@@ -3,10 +3,15 @@
 The residual map sends a curve point to (Q1 : Q2 : Q3 : Q4); its image is a
 degree-10 space curve lying on a 3-dimensional net of quartics.  Each
 syzygy-scheme K3 surface determines one quartic of the net (the unique
-quartic relation among x1..x4 modulo the surface ideal), the parameter
-sweep traces out a plane cubic in the net, and the quartic at the cubic's
-unique singular point is certified smooth by a Macaulay resultant of its
-partial derivatives.
+quartic relation among x1..x4 modulo the surface ideal), and the parameter
+sweep traces out a plane cubic in the net, the image of a map
+gamma = (g1 : g2 : g3) by binary cubics.
+
+Everything about the cubic follows from gamma: its equation is the kernel
+of the cubic monomials composed with gamma (implicitisation), and its node
+is the centre of gamma's moving line of degree 1, certified by the
+vanishing of the cubic's partials there.  The quartic at the node is
+certified smooth by a Macaulay resultant of its partial derivatives.
 
 All elimination here is exact: resultants of univariate specialisations are
 Sylvester determinants over F_p, binary forms are recovered by Vandermonde
@@ -43,7 +48,6 @@ from .plane_curve import (
     monomial_values,
     monomials,
     product_positions,
-    restrict_to_line,
     substitute_linear,
     z_coefficients,
 )
@@ -339,37 +343,49 @@ def is_multiple_of(image: np.ndarray, point, p: int) -> bool:
 
 # --- the plane cubic of K3 surfaces ------------------------------------------
 
+#: gamma is fitted from the first GAMMA_FIT samples, and at least
+#: GAMMA_HOLDOUT more must lie on it
+GAMMA_FIT, GAMMA_HOLDOUT = 7, 2
+
 
 @dataclass(frozen=True)
 class GammaCurve:
-    """Cubic in the net plane traced by the pencil of syzygy-scheme surfaces."""
+    """Cubic in the net plane traced by the pencil of syzygy-scheme surfaces,
+    with its parametrisation gamma(lam : mu) = (g1 : g2 : g3)."""
 
     prime: int
+    gmap: np.ndarray       # 3 x 4: g1, g2, g3 over monomials(3, 2)
     cubic: np.ndarray      # 10 coefficients over monomials(3, 3)
-    samples: tuple         # ((lam, mu), net coordinates) pairs
 
 
-def fit_gamma(samples, p: int, holdout: int = 3) -> GammaCurve:
-    """Unique cubic through the sampled net points; fails if a conic fits,
-    if no cubic fits, or if a holdout sample misses the cubic."""
-    if len(samples) < 12 + holdout:
-        raise GammaError("need at least 15 samples (12 fit + 3 holdout)")
-    fit, held = samples[:-holdout], samples[-holdout:]
-    pts = np.stack([np.asarray(c) for (_par, c) in fit]).T
-    kernel = plane_forms_through(pts, 3, p)
-    if len(kernel) == 0:
-        raise GammaError("no cubic through the sampled quartics")
-    if len(kernel) > 1:
-        raise GammaError("cubic through the samples is not unique")
-    if len(plane_forms_through(pts, 2, p)) != 0:
-        raise GammaError("degree too low: a conic fits the samples")
-    cubic = kernel[0]
-    if np.any(evaluate_form(cubic, 3, [c for (_par, c) in held], p)):
-        raise GammaError("holdout sample violates the fitted cubic")
-    gamma = GammaCurve(p, cubic, tuple((tuple(par), tuple(int(v) for v in c)) for par, c in samples))
-    if _linear_factor_exists(gamma):
-        raise GammaError("cubic has a rational linear factor: not irreducible")
-    return gamma
+def fit_gamma(samples, p: int) -> GammaCurve:
+    """gamma fitted from the first GAMMA_FIT samples, checked on the others,
+    and its implicit cubic; GammaError unless that cubic is irreducible.
+
+    Two maps of degree 3 that agree at 7 parameters have the same cross
+    forms (degree 6), so they coincide.  A form F of degree d vanishes on
+    gamma iff the binary form F(g1, g2, g3) of degree 3d vanishes at 10
+    parameters, so the implicit cubics and conics are kernels of 10-point
+    evaluations.  One cubic and no conic make the image of P^1, which is
+    irreducible, a cubic curve: gamma is birational onto an irreducible
+    cubic.
+    """
+    if len(samples) < GAMMA_FIT + GAMMA_HOLDOUT:
+        raise GammaError(f"need at least {GAMMA_FIT + GAMMA_HOLDOUT} samples "
+                         f"({GAMMA_FIT} fit + {GAMMA_HOLDOUT} holdout)")
+    gmap = fit_gamma_map(samples[:GAMMA_FIT], p)
+    for (lam, mu), point in samples[GAMMA_FIT:]:
+        if not is_multiple_of(gamma_image(gmap, ((0,), (lam,), (mu,)), p), point, p):
+            raise GammaError(f"holdout sample {(lam, mu)} is not on the fitted gamma")
+    # gamma at (1 : t), t = 0..9: distinct parameters for every p > 9
+    params = np.array([[1] * 10, list(range(10))], dtype=np.int64)
+    values = mul_mod(gmap, monomial_values(exponents(3, 2), params, p), p)
+    if len(plane_forms_through(values, 2, p)):
+        raise GammaError("degree too low: a conic vanishes on gamma")
+    cubics = plane_forms_through(values, 3, p)
+    if len(cubics) != 1:
+        raise GammaError(f"{len(cubics)} independent cubics vanish on gamma, not 1")
+    return GammaCurve(p, gmap, cubics[0])
 
 
 def plane_forms_through(points: np.ndarray, d: int, p: int) -> np.ndarray:
@@ -378,106 +394,39 @@ def plane_forms_through(points: np.ndarray, d: int, p: int) -> np.ndarray:
     return kernel_mod(monomial_values(exponents(d, 3), points, p).T, p)
 
 
-def _linear_factor_exists(gamma: GammaCurve) -> bool:
-    """Search for linear factors over F_p on three independent line pairs.
+def gamma_singular_point(gamma: GammaCurve) -> dict:
+    """The singular point of the cubic: the centre of gamma's moving line of
+    degree 1, certified exactly.
 
-    If ell divides the cubic then the point of ell on any line m is among
-    the cubic's points on m, so candidate factors are lines through pairs of
-    such points; a line meeting the cubic in no rational point at all rules
-    a rational factor out immediately.
+    The moving lines lam*a(x) + mu*b(x) that follow gamma, that is
+    sum_i (lam a_i + mu b_i) g_i = 0, are the kernel of 5 equations in 6
+    unknowns.  On a rational cubic that kernel is one pencil of lines, the
+    lines through the singular point, so the point is a x b (Cox, Sederberg
+    & Chen, CAGD 1998; Chen, Wang & Liu, JSC 2008).  It is certified by the
+    vanishing of the cubic and its partials.  fit_gamma certified the cubic
+    irreducible, and an irreducible cubic has at most one singular point:
+    singular_count is the number certified here, 1 or 0.  A quadratic rank
+    of 2 makes the point an ordinary node.
     """
     p = gamma.prime
-    rng = random.Random(4242)
-    rounds = 0
-    for _ in range(10):
-        if rounds == 3:
-            break
-        pts1 = _cubic_points_on_line(gamma, rng, p)
-        pts2 = _cubic_points_on_line(gamma, rng, p)
-        if pts1 is None or pts2 is None:
-            continue
-        if not pts1 or not pts2:
-            return False
-        for a in pts1:
-            for b in pts2:
-                if a != b and _line_divides_cubic(gamma, a, b, p):
-                    return True
-        rounds += 1
-    if rounds == 0:
-        raise GammaError("linear factor search degenerate")
-    return False
-
-
-def _cubic_points_on_line(gamma: GammaCurve, rng: random.Random, p: int):
-    a = np.array([rng.randrange(p) for _ in range(3)], dtype=np.int64)
-    b = np.array([rng.randrange(p) for _ in range(3)], dtype=np.int64)
-    if rank_mod(np.stack([a, b]), p) != 2:
-        return None
-    coeffs = restrict_to_line(gamma.cubic, 3, a, b, p)
-    if not any(coeffs):
-        return None
-    pts = []
-    for (s, t) in binary_form_roots(coeffs, p):
-        pts.append(tuple(int(v) for v in (s * a + t * b) % p))
-    return pts
-
-
-def _line_divides_cubic(gamma: GammaCurve, a, b, p: int) -> bool:
-    """Does the line through a and b lie on the cubic?  A cubic vanishing at
-    4 distinct points of a line contains it."""
-    pts = (np.array(a, dtype=np.int64) + np.arange(5)[:, None] * np.array(b)) % p
-    pts = pts[pts.any(axis=1)]
-    return len(pts) >= 4 and not np.any(evaluate_form(gamma.cubic, 3, pts, p))
-
-
-def gamma_singular_point(gamma: GammaCurve, tries: int = 8) -> dict:
-    """The unique singular point of the cubic, by resultant elimination.
-
-    Raises GammaError when the rational singular count is not exactly one.
-    """
-    p = gamma.prime
-    rng = random.Random(int(gamma.cubic.sum()) % 2**31 + 99)
-    for _ in range(tries):
-        t3 = random_gl(3, rng, p)
-        moved = substitute_linear(gamma.cubic, 3, 3, t3, p)
-        parts = [partial_derivative(moved, 3, 3, v, p) for v in range(3)]
-        if any(not np.any(q) for q in parts):
-            continue
-        res = resultant_z(parts[0], 2, parts[1], 2, p)
-        if res is None or not any(res):
-            continue
-        candidates = set()
-        for (u0, v0) in binary_form_roots(res, p):
-            for w0 in _common_quadratic_roots(parts, u0, v0, p):
-                pt = normalize_point((u0, v0, w0), p)
-                if pt is not None:
-                    candidates.add(pt)
-        singular = []
-        for pt in sorted(candidates):
-            if not np.any(evaluate_form(np.stack(parts), 2, pt, p)):
-                if evaluate_form(moved, 3, pt, p)[0] == 0:
-                    singular.append(pt)
-        if len(singular) != 1:
-            raise GammaError(f"unexpected singular count: {len(singular)}")
-        moved_pt = singular[0]
-        original = normalize_point(mul_mod(t3, moved_pt, p), p)
-        mult = _quadratic_part_rank(gamma.cubic, original, p)
-        return {
-            "point": original, "quadratic_rank": mult, "is_node": mult == 2,
-            "singular_count": len(singular),
-        }
-    raise GammaError("singular point elimination degenerate after retries")
-
-
-def _common_quadratic_roots(parts, u0, v0, p: int) -> list:
-    """w-values solving all three partials at (u0 : v0 : w)."""
-    roots = None
-    for q in parts:
-        poly = z_coefficients(q, 2, u0, v0, p)
-        if poly.any():  # the zero polynomial does not constrain w
-            cur = set(roots_mod(poly, p))
-            roots = cur if roots is None else roots & cur
-    return sorted(roots or [])
+    # row k: the coefficient of lam^(4-k) mu^k, from lam * g_i and mu * g_i
+    rows = np.zeros((5, 6), dtype=np.int64)
+    rows[:4, :3] = rows[1:, 3:] = gamma.gmap.T
+    kernel = kernel_mod(rows, p)
+    if len(kernel) != 1:
+        raise GammaError(f"{len(kernel)} independent moving lines of degree 1, not 1")
+    (a0, a1, a2), (b0, b1, b2) = ([int(v) for v in kernel[0][i: i + 3]] for i in (0, 3))
+    point = normalize_point((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), p)
+    if point is None:
+        raise GammaError("the moving line of degree 1 is fixed: gamma is a line")
+    parts = np.stack([partial_derivative(gamma.cubic, 3, 3, v, p) for v in range(3)])
+    singular = not (np.any(evaluate_form(gamma.cubic, 3, point, p))
+                    or np.any(evaluate_form(parts, 2, point, p)))
+    rank = _quadratic_part_rank(parts, point, p)
+    return {
+        "point": point, "quadratic_rank": rank, "is_node": singular and rank == 2,
+        "singular_count": int(singular),
+    }
 
 
 def normalize_point(pt, p: int):
@@ -489,25 +438,13 @@ def normalize_point(pt, p: int):
     return tuple(v * inv % p for v in vec)
 
 
-def _quadratic_part_rank(cubic, point, p: int) -> int:
-    """Rank of the quadratic part of the cubic at a singular point, computed
-    in an affine chart around the point (2 = ordinary node)."""
-    chart = next(i for i in range(2, -1, -1) if point[i])
-    t3 = [[0] * 3 for _ in range(3)]
-    others = [i for i in range(3) if i != chart]
-    # affine chart: x_chart = 1, translated so the point is the origin
-    for col, var in enumerate(others):
-        t3[var][col] = 1
-    for i in range(3):
-        t3[i][2] = point[i]
-    moved = substitute_linear(cubic, 3, 3, t3, p)
-    # now the singular point is (0 : 0 : 1); read the coefficient of z * (quadratic in x, y)
-    hess = np.zeros((2, 2), dtype=np.int64)
-    index = {m: i for i, m in enumerate(monomials(3, 3))}
-    hess[0, 0] = 2 * moved[index[(2, 0, 1)]] % p
-    hess[1, 1] = 2 * moved[index[(0, 2, 1)]] % p
-    hess[0, 1] = hess[1, 0] = moved[index[(1, 1, 1)]] % p
-    return rank_mod(hess, p)
+def _quadratic_part_rank(parts, point, p: int) -> int:
+    """Rank of the quadratic part at a singular point (2 = an ordinary node)
+    of the cubic whose partials are parts: the rank of the Hessian matrix
+    there, whose kernel holds the point (Euler's relation) and whose block
+    in a chart centred at the point is the Hessian of the quadratic part."""
+    second = np.stack([partial_derivative(f, 3, 2, v, p) for f in parts for v in range(3)])
+    return rank_mod(evaluate_form(second, 1, point, p).reshape(3, 3), p)
 
 
 # --- gamma as a parametrised map and the singular fibers ----------------------
@@ -572,18 +509,20 @@ def gamma_image(gmap: np.ndarray, fiber, p: int) -> np.ndarray:
     coordinates of (g1 : g2 : g3)(lam, mu)."""
     modulus, lam, mu = fiber
     d = len(modulus)
-    # multiplication by lam and by mu on R, as d x d matrices over F_p
+    # multiplication by lam and by mu on R, as d x d matrices over F_p, in
+    # Python ints: these products are too small for mul_mod to pay
     by_lam, by_mu = (
-        weil_restriction(np.asarray(x, dtype=np.int64).reshape(d, 1, 1), modulus, p)
+        weil_restriction(np.asarray(x, dtype=np.int64).reshape(d, 1, 1), modulus, p).astype(object)
         for x in (lam, mu)
     )
-    total = np.zeros((3, d), dtype=np.int64)
+    total = np.zeros((3, d), dtype=object)
     for k in range(4):
-        term = np.eye(d, dtype=np.int64)
+        # the coordinates of lam^(3-k) mu^k, starting from those of 1
+        term = np.array([1] + [0] * (d - 1), dtype=object)
         for factor in [by_lam] * (3 - k) + [by_mu] * k:
-            term = mul_mod(term, factor, p)
-        total = (total + np.outer(gmap[:, k], term[0])) % p
-    return total.T
+            term = term @ factor % p
+        total = (total + np.outer(gmap[:, k].astype(object), term)) % p
+    return total.T.astype(np.int64)
 
 
 def certify_fiber(gmap: np.ndarray, fiber, point, surface: K3Surface, net: QuarticNet) -> None:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  All tolerances are exact: every assertion is an integer identity.
 """
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -17,7 +18,7 @@ from scrollres.lattice import (
     lattice_h,
     lattice_h_prime,
 )
-from scrollres import pipeline
+from scrollres import pipeline, quartic_net
 from scrollres.pipeline import canonical_json, run_pipeline, sample_survey
 from scrollres.resolution import BigradedBettiTable, schreyer_rank, syzygy_slope
 
@@ -50,9 +51,34 @@ def survey():
     return sample_survey(DEFAULT_PRIME, count=SURVEY_COUNT, base_seed=1)
 
 
+@functools.cache
+def _counted_run(prime: int, seed: int) -> tuple:
+    """run_pipeline(prime, seed), the seeds of the chains it built and the
+    number of image_quartic calls it made; each (prime, seed) runs once
+    per session."""
+    built, members = [], []
+    build, image = pipeline.build_chain, quartic_net.image_quartic
+
+    def counted_build(p, s):
+        built.append(s)
+        return build(p, s)
+
+    def counted_image(surface, net):
+        members.append(surface)
+        return image(surface, net)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "build_chain", counted_build)
+        # certify_fiber calls image_quartic from quartic_net
+        for module in (pipeline, quartic_net):
+            mp.setattr(module, "image_quartic", counted_image)
+        run = run_pipeline(prime, seed)
+    return run, built, len(members)
+
+
 @pytest.fixture(scope="module")
 def report():
-    return run_pipeline(DEFAULT_PRIME, seed=1)
+    return _counted_run(DEFAULT_PRIME, 1)[0]
 
 
 def _verdict(number: int, ok: bool, description: str):
@@ -203,12 +229,27 @@ def test_canonical_report_is_the_recorded_one(report, known_canonical_sha256):
 #: what schema 2 added to a report: keys of the gamma section (no check names)
 SCHEMA_2_GAMMA_KEYS = ("fiberModulus",)
 
+#: the recorded digests: schema 3 under canonicalSha256, schema 2 below
+KNOWN = json.loads((Path(__file__).with_name("known_sha256.json")).read_text())
+
+
+def _as_schema_2(report: dict) -> str:
+    """The canonical JSON a schema-2 run of the same (prime, seed) wrote:
+    schemaVersion 2, and the gamma loop's 17 members with none skipped.
+    Schema 3 stops at the 9th rank-4 member; every recorded seed had 17
+    rank-4 members under schema 2, and no other key changed."""
+    data = json.loads(canonical_json(report))
+    data["schemaVersion"] = 2
+    data["gamma"]["sampleCount"] = 17
+    data["gamma"]["skippedParameters"] = []
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
 
 def _as_schema_1(report: dict) -> str:
     """The canonical JSON a schema-1 run of the same seed wrote, when its
-    first chain certified: schema 2's added keys dropped, schemaVersion 1,
-    and the one-entry attempt list schema 1 kept."""
-    data = json.loads(canonical_json(report))
+    first chain certified: the schema-2 report with schema 2's added keys
+    dropped, schemaVersion 1, and the one-entry attempt list schema 1 kept."""
+    data = json.loads(_as_schema_2(report))
     for key in SCHEMA_2_GAMMA_KEYS:
         del data["gamma"][key]
     data["schemaVersion"] = 1
@@ -216,14 +257,31 @@ def _as_schema_1(report: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+@pytest.mark.parametrize("key", sorted(KNOWN["schema2Sha256"]))
+def test_schema_3_reports_bridge_to_the_schema_2_digests(key, known_canonical_sha256):
+    # every schema-2 digest is reproduced byte for byte from the schema-3
+    # report, with one chain, 9 gamma members and one image_quartic call
+    # per certified fiber (two rational ones, or a conjugate pair at once)
+    prime, seed = map(int, key.split("/"))
+    run, built, members = _counted_run(prime, seed)
+    assert run["ok"] and built == [seed]
+    assert run["gamma"]["sampleCount"] == 9 and run["gamma"]["skippedParameters"] == []
+    fibers = 1 if run["gamma"]["fiberModulus"] else 2
+    assert members == 9 + fibers <= 11
+    digest = hashlib.sha256(_as_schema_2(run).encode()).hexdigest()
+    assert digest == KNOWN["schema2Sha256"][key]
+    known_canonical_sha256(run, prime, seed)
+
+
 @pytest.mark.parametrize("seed", [1, 3, 9])
-def test_schema_2_reports_bridge_to_the_schema_1_digests(seed, report, known_canonical_sha256):
-    # seeds whose first chain certified under schema 1 give the same report,
-    # byte for byte, apart from the schema, curveAttempts and the new keys
+def test_schema_2_reports_bridge_to_the_schema_1_digests(seed, known_canonical_sha256):
+    # seeds whose first chain certified under schema 1 give the same
+    # schema-2 report, byte for byte, apart from the schema, curveAttempts
+    # and the new keys
     known = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                         / "known_answers.json").read_text())
     assert known["schemaVersion"] == 1
-    run = report if seed == 1 else run_pipeline(DEFAULT_PRIME, seed)
+    run = _counted_run(DEFAULT_PRIME, seed)[0]
     assert run["ok"] and run["gamma"]["fiberModulus"] is None
     digest = hashlib.sha256(_as_schema_1(run).encode()).hexdigest()
     assert digest == known["canonicalSha256"][f"{DEFAULT_PRIME}/{seed}"]
@@ -231,17 +289,9 @@ def test_schema_2_reports_bridge_to_the_schema_1_digests(seed, report, known_can
 
 
 @pytest.mark.parametrize("seed", [5, 6, 10])
-def test_held_out_conjugate_seeds_certify_with_one_chain(seed, monkeypatch, known_canonical_sha256):
+def test_held_out_conjugate_seeds_certify_with_one_chain(seed, known_canonical_sha256):
     # under schema 1 these seeds were retried; now their one chain certifies
-    built = []
-    build = pipeline.build_chain
-
-    def counted(prime, s):
-        built.append(s)
-        return build(prime, s)
-
-    monkeypatch.setattr(pipeline, "build_chain", counted)
-    run = run_pipeline(DEFAULT_PRIME, seed)
+    run, built, _members = _counted_run(DEFAULT_PRIME, seed)
     assert run["ok"] and built == [seed]
     assert len(run["gamma"]["fiberParameters"]) == 2 and len(run["gamma"]["fiberModulus"]) == 3
     known_canonical_sha256(run, DEFAULT_PRIME, seed)

@@ -8,7 +8,7 @@ import scrollres.cli as cli
 import scrollres.lattice as lattice
 import scrollres.pipeline as pipeline
 from scrollres.cli import main
-from scrollres.ffield import is_prime
+from scrollres.ffield import MAX_PRIME, is_prime
 from scrollres.pipeline import (
     PipelineError,
     canonical_json,
@@ -191,15 +191,18 @@ def test_pipeline_report_determinism_with_retry(monkeypatch, known_canonical_sha
     assert a["checks"]["third_parameter_maps_elsewhere"]
 
 
-def test_pipeline_certifies_at_the_largest_supported_prime(monkeypatch, known_canonical_sha256):
+@pytest.mark.parametrize("prime", [2147483629, 2147483647])
+def test_pipeline_certifies_at_the_largest_supported_prime(prime, monkeypatch, known_canonical_sha256):
     # below 2^31 a product of two residues nears 2^62, so every matrix
-    # product must split a factor into limbs to stay exact in float64; the
-    # digest guards the report byte for byte
+    # product must split a factor into limbs to stay exact in float64;
+    # 2^31 - 1 = MAX_PRIME - 1 is the largest supported prime; the digest
+    # guards the report byte for byte
+    assert is_prime(prime) and prime < MAX_PRIME
     built = _count_chains(monkeypatch)
-    report = run_pipeline(2147483629, 1)
+    report = run_pipeline(prime, 1)
     assert report["ok"], report.get("error")
-    assert built == [(2147483629, 1)] and "error" not in report
-    known_canonical_sha256(report, 2147483629, 1)
+    assert built == [(prime, 1)] and "error" not in report
+    known_canonical_sha256(report, prime, 1)
 
 
 def _no_chain(prime, seed):

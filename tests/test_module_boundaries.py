@@ -1,6 +1,10 @@
-"""No module of the package uses another object's private names."""
+"""No module of the package uses another object's private names, and every
+name the benchmark's tracer instruments exists."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,22 @@ def test_private_uses_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_name_crosses_an_object(path):
     assert private_uses(path.read_text()) == []
+
+
+def test_every_benchmark_target_resolves(monkeypatch):
+    # perfbench/tracer.py looks its TARGETS up by name when it installs, so
+    # a renamed or deleted one would otherwise fail only the benchmark run;
+    # it is loaded without writing bytecode next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", SRC.parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, attr, _detail in tracer.TARGETS:
+        owner_name, _, name = attr.rpartition(".")
+        owner = importlib.import_module(f"scrollres.{module}")
+        if owner_name:
+            owner = getattr(owner, owner_name)
+        assert callable(vars(owner).get(name)), f"scrollres.{module}.{attr} is missing"

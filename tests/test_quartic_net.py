@@ -2,8 +2,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import FieldError, rank_mod
@@ -12,7 +10,6 @@ from scrollres.quartic_net import (
     GammaCurve,
     GammaError,
     NetError,
-    _common_quadratic_roots,
     binary_form_divide_linear,
     binary_form_gcd,
     binary_form_roots,
@@ -26,6 +23,7 @@ from scrollres.quartic_net import (
     is_multiple_of,
     macaulay_resultant_smooth,
     normalize_point,
+    plane_forms_through,
     quartic_net,
     residual_degree,
     residual_image,
@@ -115,24 +113,6 @@ def test_binary_form_roots_match_scan(p):
             binary_form_roots(zero, p)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([3, 5, 7, 13, 101]).flatmap(lambda p: st.tuples(
-    st.just(p),
-    st.lists(st.lists(st.integers(0, p - 1), min_size=6, max_size=6), min_size=3, max_size=3),
-    st.integers(0, p - 1), st.integers(0, p - 1),
-)))
-def test_common_quadratic_roots_match_scan(case):
-    # three ternary conics restricted to the line (u0 : v0 : w); a conic that
-    # vanishes on the whole line constrains nothing (for p > 2 only the zero
-    # quadratic in w vanishes at every w)
-    p, conics, u0, v0 = case
-    constraining = [q for q in conics if any(
-        evaluate_form(q, 2, (u0, v0, w), p)[0] for w in range(p))]
-    scan = [w for w in range(p) if all(
-        evaluate_form(q, 2, (u0, v0, w), p)[0] == 0 for q in constraining)]
-    assert _common_quadratic_roots(conics, u0, v0, p) == (scan if constraining else [])
-
-
 # --- residual model and the net -------------------------------------------------
 
 
@@ -191,16 +171,37 @@ def test_distinct_parameters_distinct_quartics(gamma_samples):
 # --- the cubic and its singular point ---------------------------------------------
 
 
+def samples_of(gmap, count=9):
+    """((1, t), gamma(1 : t)) for t = 2, 3, ..: samples of the map gmap."""
+    gmap = np.array(gmap, dtype=np.int64) % P
+    return [((1, t), tuple(int(v) for v in gamma_image(gmap, ((0,), (1,), (t,)), P)[0]))
+            for t in range(2, 2 + count)]
+
+
+#: y^2 z = x^2 (x + z), parametrised by the lines y = (lam/mu) x through
+#: its node (0 : 0 : 1): (lam^2 mu - mu^3 : lam^3 - lam mu^2 : mu^3)
+NODAL_MAP = [[0, 1, 0, -1], [1, 0, -1, 0], [0, 0, 0, 1]]
+NODAL_CUBIC = {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1}
+#: y^2 z = x^3, parametrised as (lam^2 mu : lam^3 : mu^3), with a cusp at (0 : 0 : 1)
+CUSPIDAL_MAP = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
+
+
 def test_fit_gamma(gamma_samples):
     gamma = fit_gamma(gamma_samples, P)
     assert np.any(gamma.cubic)
     pts = np.stack([np.array(c) for _par, c in gamma_samples]).T
     assert not np.any(evaluate_form(gamma.cubic, 3, pts.T, P))
+    # the first 7 samples give the map fitted to all 17, and the implicit
+    # cubic is the unique cubic through the 17 sample points
+    assert np.array_equal(gamma.gmap, fit_gamma_map(gamma_samples, P))
+    assert np.array_equal(plane_forms_through(pts, 3, P), gamma.cubic.reshape(1, -1))
+    assert len(plane_forms_through(pts, 2, P)) == 0
 
 
 def test_fit_gamma_needs_samples(gamma_samples):
-    with pytest.raises(GammaError, match="at least 15"):
-        fit_gamma(gamma_samples[:10], P)
+    with pytest.raises(GammaError, match="at least 9"):
+        fit_gamma(gamma_samples[:8], P)
+    assert fit_gamma(gamma_samples[:9], P).cubic.shape == (10,)
 
 
 def test_fit_gamma_rejects_conic_samples():
@@ -209,27 +210,67 @@ def test_fit_gamma_rejects_conic_samples():
         fit_gamma(samples, P)
 
 
+def test_fit_gamma_rejects_a_map_onto_a_conic():
+    # mu * (lam^2 : lam mu : mu^2) is a map of degree 2 onto x z = y^2
+    with pytest.raises(GammaError):
+        fit_gamma(samples_of([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), P)
+    # (lam^3 : mu^3 : 0) is fitted uniquely, but its image is a line
+    line = samples_of([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    assert fit_gamma_map(line[:7], P).shape == (3, 4)
+    with pytest.raises(GammaError, match="a conic vanishes on gamma"):
+        fit_gamma(line, P)
+
+
+def test_fit_gamma_rejects_a_holdout_off_gamma():
+    samples = samples_of(NODAL_MAP)
+    assert fit_gamma(samples, P).cubic.shape == (10,)
+    # the last holdout moved to the point of the first fit sample
+    (par, _point), elsewhere = samples[-1], samples[0][1]
+    with pytest.raises(GammaError, match="holdout"):
+        fit_gamma(samples[:-1] + [(par, elsewhere)], P)
+
+
 def test_gamma_singular_point_synthetic_node():
-    # y^2 z - x^2 (x + z): node at (0 : 0 : 1)
-    cubic = cubic_coeffs({(0, 2, 1): 1, (3, 0, 0): P - 1, (2, 0, 1): P - 1})
-    gamma = GammaCurve(P, cubic, ())
+    gamma = fit_gamma(samples_of(NODAL_MAP), P)
+    # the implicit cubic is y^2 z - x^2 (x + z), up to scale
+    assert rank_mod(np.stack([gamma.cubic, cubic_coeffs(NODAL_CUBIC)]), P) == 1
     sing = gamma_singular_point(gamma)
-    assert sing["point"] == (0, 0, 1)
+    assert sing["point"] == (0, 0, 1) and sing["singular_count"] == 1
     assert sing["is_node"] and sing["quadratic_rank"] == 2
+    # the lines through the node of slope +1 and -1 are its two branches
+    assert singular_fiber_parameters(gamma.gmap, sing["point"], P) == [
+        ((0,), (1,), (1,)), ((0,), (P - 1,), (1,))]
+
+
+def test_gamma_singular_point_on_a_cusp():
+    gamma = fit_gamma(samples_of(CUSPIDAL_MAP), P)
+    assert rank_mod(np.stack([gamma.cubic, cubic_coeffs({(0, 2, 1): 1, (3, 0, 0): -1})]), P) == 1
+    sing = gamma_singular_point(gamma)
+    assert sing["point"] == (0, 0, 1) and sing["singular_count"] == 1
+    assert sing["quadratic_rank"] == 1 and not sing["is_node"]
+    # one preimage, lam^2 divides every cross form: g has a double root
+    with pytest.raises(GammaError, match="preimage count != 2"):
+        singular_fiber_parameters(gamma.gmap, sing["point"], P)
 
 
 def test_gamma_singular_point_smooth_input_fails():
+    # the centre of the nodal map's moving line is no singular point of the
+    # smooth Fermat cubic: nothing is certified
     fermat = cubic_coeffs({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-    gamma = GammaCurve(P, fermat, ())
-    with pytest.raises(GammaError, match="unexpected singular count"):
-        gamma_singular_point(gamma)
+    gamma = GammaCurve(P, np.array(NODAL_MAP) % P, fermat)
+    sing = gamma_singular_point(gamma)
+    assert sing["singular_count"] == 0 and not sing["is_node"]
+    # a map onto a line has a fixed moving line: no centre at all
+    line = GammaCurve(P, np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]), fermat)
+    with pytest.raises(GammaError, match="2 independent moving lines"):
+        gamma_singular_point(line)
 
 
 def test_pipeline_gamma_stage(gamma_samples, nonic_k3, nonic_net):
     gamma = fit_gamma(gamma_samples, P)
     sing = gamma_singular_point(gamma)
-    assert sing["is_node"]
-    gmap = fit_gamma_map(gamma_samples, P)
+    assert sing["is_node"] and sing["singular_count"] == 1
+    gmap = gamma.gmap
     fibers = singular_fiber_parameters(gmap, sing["point"], P)
     # the fixture chain's two parameters are F_p-rational and distinct
     assert len(fibers) == 2 and fibers[0] != fibers[1]
