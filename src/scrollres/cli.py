@@ -174,8 +174,7 @@ def cmd_survey(args) -> int:
     if args.count < 1:
         print("survey count must be at least 1", file=sys.stderr)
         return 2
-    summary = sample_survey(args.prime, args.count, base_seed=args.seed,
-                            workers=args.workers)
+    summary = sample_survey(args.prime, args.count, base_seed=args.seed)
     print(f"survey: {summary['fractionUnbalanced']} unbalanced second syzygy bundles; "
           f"{summary['matchesGenericTable']}/{summary['succeeded']} match the generic table")
     _write_json(args, summary)
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("pipeline", cmd_pipeline, "full pipeline with all checks")
     p = command("survey", cmd_survey, "splitting-type survey over many seeds")
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--workers", type=int, default=4, help="thread count")
     return parser
 
 

@@ -511,8 +511,6 @@ def k3_betti_shape(ctx: SliceContext, surface: K3Surface) -> BigradedBettiTable:
         raise K3Error(f"shape mismatch: {table.entries}")
     if not table.is_self_dual():
         raise K3Error("surface resolution shape is not self-dual")
-    if not chern_balance(4, 1, 4, 1):
-        raise K3Error("chern balance violated")
     return table
 
 
@@ -521,14 +519,6 @@ def _twist_counts(step: ResolutionStep) -> dict:
     for (a, b) in step.twists:
         counts[(a, -b)] = counts.get((a, -b), 0) + 1
     return counts
-
-
-def chern_balance(a1: int, a2: int, b1: int, b2: int) -> bool:
-    """First-Chern-class bookkeeping of the 5x5 skew presentation:
-    the twists balance exactly when 2*b2 + b1 - a1 = 2."""
-    if a1 + a2 != 5 or b1 + b2 != 5:
-        raise ValueError("not a 5x5 shape")
-    return 2 * b2 + b1 - a1 == 2
 
 
 # --- intersection numbers from the resolution --------------------------------
@@ -575,8 +565,10 @@ def intersection_numbers_from_resolution(table: BigradedBettiTable, e=GENERIC_E)
     return out
 
 
-def verify_containment(surface: K3Surface, values: np.ndarray):
-    """Every surface generator vanishes at every curve sample point."""
+def verify_containment(surface: K3Surface, values: np.ndarray) -> bool:
+    """True when every surface generator vanishes at every curve sample
+    point; K3Error otherwise."""
     for (_twist, poly) in surface.generators:
         if np.any(poly.evaluate(values)):
             raise K3Error("surface generator does not vanish on the curve")
+    return True

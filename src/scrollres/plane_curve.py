@@ -149,18 +149,6 @@ def evaluate_form(coeffs, d: int, points, p: int) -> np.ndarray:
     return mul_mod(coeffs, monomial_values(exponents(d, pts.shape[1]), pts.T, p), p)
 
 
-def z_coefficients(coeffs, d: int, x0, y0, p: int) -> np.ndarray:
-    """Coefficients of F(x0, y0, z) in z, highest power first, for a ternary
-    form F of degree d; arrays x0, y0 of shape s give an s + (d + 1,) array."""
-    shape = np.broadcast(x0, y0).shape
-    exps = exponents(d)
-    xy = np.stack(np.broadcast_arrays(x0, y0)).reshape(2, -1)
-    terms = monomial_values(exps[:, :2], xy, p) * (np.asarray(coeffs, dtype=np.int64) % p)[:, None] % p
-    out = np.zeros((d + 1, xy.shape[1]), dtype=np.int64)
-    np.add.at(out, d - exps[:, 2], terms)
-    return (out % p).T.reshape(shape + (d + 1,))
-
-
 def derivative_row(d: int, order, point, p: int) -> np.ndarray:
     """Row of the linear functional F -> (partial^order F)(point).
 

@@ -13,12 +13,13 @@ is the centre of gamma's moving line of degree 1, certified by the
 vanishing of the cubic's partials there.  The quartic at the node is
 certified smooth by a Macaulay resultant of its partial derivatives.
 
-All elimination here is exact: resultants of univariate specialisations are
-Sylvester determinants over F_p, binary forms are recovered by Vandermonde
-interpolation, and roots come from ffield.roots_mod (gcd with x^p - x), so
-no step scans F_p.  The two pencil parameters over the node are the roots of
-one binary quadratic g; when they are conjugate they are certified together
-over F_p[theta]/(g(theta, 1)), on Weil-restricted matrices.
+All elimination here is exact.  The degree of the residual model is a
+Bezout count at the base points of the adjoint system, certified by the
+rank of the quartics' gradients there; roots come from ffield.roots_mod
+(gcd with x^p - x), so no step scans F_p.  The two pencil parameters over
+the node are the roots of one binary quadratic g; when they are conjugate
+they are certified together over F_p[theta]/(g(theta, 1)), on
+Weil-restricted matrices.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .ffield import (
     FieldError,
     det_mod,
     gcd_mod,
-    inverse_mod,
     kernel_mod,
     mul_mod,
     rank_mod,
@@ -49,7 +49,6 @@ from .plane_curve import (
     monomials,
     product_positions,
     substitute_linear,
-    z_coefficients,
 )
 from .scroll import GENERIC_E, KeyIndex, add_keys, cox_slice, module_keys
 
@@ -87,86 +86,6 @@ def random_gl(n: int, rng: random.Random, p: int):
         t = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         if det_mod(np.array(t), p):
             return t
-
-
-def sylvester_resultant(f, g, p: int) -> int:
-    """Resultant of univariate f, g (coefficient lists, highest degree first)."""
-    f = [int(c) % p for c in f]
-    g = [int(c) % p for c in g]
-    m, n = len(f) - 1, len(g) - 1
-    if m < 0 or n < 0:
-        return 0
-    size = m + n
-    if size == 0:
-        return 1
-    mat = np.zeros((size, size), dtype=np.int64)
-    for i in range(n):
-        mat[i, i: i + m + 1] = f
-    for i in range(m):
-        mat[n + i, i: i + n + 1] = g
-    return det_mod(mat, p)
-
-
-def interpolate_poly(xs, ys, degree: int, p: int) -> np.ndarray:
-    """Coefficients (highest first) of the unique poly of degree <= degree
-    through the points."""
-    # row r: x_r^degree, ..., x_r, 1, the binary monomials of that degree at (x_r : 1)
-    v = monomial_values(exponents(degree, 2), np.array([xs, [1] * len(xs)]), p).T
-    sol = solve_mod(v, np.array(ys, dtype=np.int64) % p, p)
-    if sol is None:
-        raise NetError("interpolation failed")
-    return sol
-
-
-def resultant_z(f, df: int, g, dg: int, p: int):
-    """Res_z of two ternary forms as a binary form of degree df * dg in
-    (x, y), coefficient k multiplying x^(df*dg - k) y^k: interpolated from
-    the Sylvester resultants of F(u, 1, z) and G(u, 1, z) at u = 0, 1, ...
-
-    A specialisation is clean when its z^df and z^dg coefficients are
-    nonzero; those are the coefficients of the monomials z^df and z^dg, the
-    same for every u.  Returns None when they vanish or p is too small."""
-    total = df * dg
-    if total >= p:
-        return None
-    us = np.arange(total + 1)
-    fz = z_coefficients(f, df, us, 1, p)
-    gz = z_coefficients(g, dg, us, 1, p)
-    if not (fz[0, 0] and gz[0, 0]):
-        return None
-    vals = [sylvester_resultant(a, b, p) for a, b in zip(fz, gz)]
-    return list(interpolate_poly(us, vals, total, p))
-
-
-def binary_form_divide_linear(coeffs, root, p: int):
-    """Divide a binary form (coefficient list, highest s-power first, indexed
-    by t-degree) by (b*s - a*t) for the projective root (a : b).
-
-    Returns the quotient coefficients; raises if the division has remainder.
-    """
-    a, b = int(root[0]) % p, int(root[1]) % p
-    d = len(coeffs) - 1
-    coeffs = [int(c) % p for c in coeffs]
-    if b == 0:
-        # dividing by t up to scalar: the s^d coefficient must vanish
-        if coeffs[0] != 0:
-            raise NetError("binary form not divisible: (1:0) is not a root")
-        inv = pow((-a) % p, -1, p)
-        return [c * inv % p for c in coeffs[1:]]
-    # synthetic division viewing the form as a polynomial in s over t
-    binv = pow(b, -1, p)
-    quot = [0] * d
-    rem = 0
-    carry = 0
-    # f = sum coeffs[k] s^(d-k) t^k; process k = 0..d
-    for k in range(d):
-        cur = (coeffs[k] + carry) % p
-        quot[k] = cur * binv % p
-        carry = quot[k] * a % p
-    rem = (coeffs[d] + carry) % p
-    if rem != 0:
-        raise NetError("binary form not divisible: remainder nonzero")
-    return quot
 
 
 def binary_form_roots(coeffs, p: int) -> list:
@@ -227,63 +146,30 @@ def verify_net_on_points(net: QuarticNet, image_points: np.ndarray) -> bool:
     return not np.any(evaluate_form(net.basis, 4, image_points.T, net.prime))
 
 
-def residual_degree(model, coords, seed: int = 0, tries: int = 8) -> int:
-    """Degree of the residual model, by slicing with a random plane.
+def residual_degree(model, coords) -> int:
+    """Degree of the residual model, deg(phi) * deg(image): the moving
+    intersections of C with a general member of the adjoint system, the
+    quantity a plane section of the image counts.
 
-    Res_z of the plane curve and a pulled-back net member is a binary form
-    of degree d*(d-4); every node lying on the member divides it twice, the
-    pencil point q divides it q_mult times when the member passes through q,
-    and the leftover degree is the plane-section degree of the image."""
-    p, d = model.prime, model.degree
-    rng = random.Random(model.seed * 65537 + seed + 13)
-    q_degree = coords.q_degree
-    for _ in range(tries):
-        a = [rng.randrange(p) for _ in range(4)]
-        combo = np.zeros_like(coords.quartics[0])
-        for ai, q in zip(a, coords.quartics):
-            combo = (combo + ai * q) % p
-        t3 = random_gl(3, rng, p)
-        fcur = substitute_linear(model.coeffs, 3, d, t3, p)
-        fqua = substitute_linear(combo, 3, q_degree, t3, p)
-        tinv = inverse_mod(np.array(t3), p)
-        divisions = [(n, 2) for n in model.nodes]
-        if model.q_mult > 2:
-            # the adjoint system vanishes at q, so the slice picks up q with
-            # intersection multiplicity q_mult
-            divisions.append((model.q, model.q_mult))
-        moved = [
-            (tuple(int(v) for v in mul_mod(tinv, pt, p)), mult)
-            for pt, mult in divisions
-        ]
-        projections = [((x, y), mult) for ((x, y, _z), mult) in moved]
-        keys = set()
-        ok = True
-        for ((x, y), _mult) in projections:
-            key = (x * pow(y, -1, p) % p, 1) if y else (1, 0)
-            if key in keys:
-                ok = False
-            keys.add(key)
-        if not ok:
+    By Bezout a member meets C in d * q_degree points with multiplicity.  At
+    a singular point P of multiplicity m_P where every quartic vanishes, the
+    4 x 3 matrix of their gradients must have rank 2, or NetError: then a
+    general member is smooth at P and tangent to no branch of C, so it meets
+    C there with multiplicity exactly m_P (Fulton, Algebraic Curves, 3.3).
+    A singular point that some quartic misses is no base point."""
+    p, dq = model.prime, coords.q_degree
+    quartics = np.stack(coords.quartics)
+    partials = np.stack([partial_derivative(q, 3, dq, v, p) for q in quartics for v in range(3)])
+    fixed = 0
+    for point, mult in model.singular_points():
+        if np.any(evaluate_form(quartics, dq, point, p)):
             continue
-        try:
-            return _sliced_degree(fcur, d, fqua, q_degree, projections, p)
-        except NetError:
-            continue
-    raise NetError("residual degree check failed on every slicing attempt")
-
-
-def _sliced_degree(fcur, d: int, fqua, dq: int, projections, p: int) -> int:
-    form = resultant_z(fcur, d, fqua, dq, p)
-    if form is None:
-        raise NetError("not enough clean specialisations for the resultant")
-    # exact divisibility by every singular projection is asserted
-    for ((x0, y0), mult) in projections:
-        root = (x0 * pow(y0, -1, p) % p, 1) if y0 else (1, 0)
-        for _ in range(mult):
-            form = binary_form_divide_linear(form, (root[0], root[1]), p)
-    if not any(c % p for c in form):
-        raise NetError("sliced resultant vanished identically")
-    return len(form) - 1
+        rank = rank_mod(evaluate_form(partials, dq - 1, point, p).reshape(4, 3), p)
+        if rank != 2:
+            raise NetError(f"gradient rank {rank} at the base point {tuple(point)}, not 2: "
+                           "the quartics are singular there")
+        fixed += mult
+    return model.degree * dq - fixed
 
 
 # --- the quartic attached to one K3 surface ----------------------------------
@@ -546,7 +432,12 @@ def certify_fiber(gmap: np.ndarray, fiber, point, surface: K3Surface, net: Quart
 # --- Macaulay resultant smoothness certificate --------------------------------
 
 
-def macaulay_resultant_smooth(quartic, p: int, seed: int = 0, tries: int = 6) -> bool:
+#: macaulay_resultant_smooth moves the quartic by at most MACAULAY_TRIES - 1
+#: coordinate changes drawn from random.Random(MACAULAY_SEED)
+MACAULAY_SEED, MACAULAY_TRIES = 17, 6
+
+
+def macaulay_resultant_smooth(quartic, p: int) -> bool:
     """True iff the Macaulay resultant of the four cubic partials is nonzero.
 
     A nonzero resultant certifies that the partials have no common zero over
@@ -559,8 +450,8 @@ def macaulay_resultant_smooth(quartic, p: int, seed: int = 0, tries: int = 6) ->
     quartic = np.asarray(quartic, dtype=np.int64) % p
     if not np.any(quartic):
         raise ValueError("zero quartic")
-    rng = random.Random(seed * 2654435761 % 2**31 + 17)
-    for attempt in range(tries):
+    rng = random.Random(MACAULAY_SEED)
+    for attempt in range(MACAULAY_TRIES):
         moved = quartic if attempt == 0 else substitute_linear(
             quartic, 4, 4, random_gl(4, rng, p), p
         )

@@ -149,6 +149,14 @@ def test_survey_rejects_zero_count(capsys):
     assert main(["survey", "--count", "0"]) == 2
 
 
+def test_survey_has_no_workers_option(capsys):
+    # the survey runs its seeds in order; a thread count is not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--count", "1", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_betti_command(tmp_path, capsys):
     path = tmp_path / "betti.json"
     assert main(["--seed", "1", "--json", str(path), "betti"]) == 0
@@ -218,7 +226,7 @@ def test_small_prime_failure_mode(monkeypatch, capsys):
     with pytest.raises(PipelineError, match=message.format(demand)):
         run_pipeline(101, 1)
     with pytest.raises(PipelineError, match=message.format(pipeline.survey_point_demand())):
-        sample_survey(101, count=2, base_seed=1, workers=1)
+        sample_survey(101, count=2, base_seed=1)
     assert main(["--prime", "101", "pipeline"]) == 1
     err = capsys.readouterr().err
     assert "error: prime 101 is too small for point sampling" in err
@@ -298,7 +306,7 @@ def test_sampling_prime_boundary(monkeypatch):
     with pytest.raises(PipelineError, match="prime 661"):
         run_pipeline(661, 1)
     with pytest.raises(PipelineError, match="prime 601"):
-        sample_survey(601, count=1, workers=1)
+        sample_survey(601, count=1)
 
     built = []
 
@@ -312,13 +320,13 @@ def test_sampling_prime_boundary(monkeypatch):
         "stage": "curve_and_betti", "type": "InsufficientRationalPointsError",
         "message": "stub chain",
     }
-    assert not sample_survey(607, count=1, workers=1)["ok"]
+    assert not sample_survey(607, count=1)["ok"]
     assert built == [673, 607]
 
 
 def test_survey_certifies_at_its_smallest_prime():
     # the survey's own demand is enough: a chain at p = 607 finds its points
-    summary = sample_survey(607, count=1, base_seed=1, workers=1)
+    summary = sample_survey(607, count=1, base_seed=1)
     assert summary["ok"] and summary["results"][0]["ok"]
 
 
@@ -348,11 +356,17 @@ def test_point_requests_within_declared_demand(monkeypatch):
 
 
 def test_survey_function_small():
-    summary = sample_survey(10007, count=2, base_seed=5, workers=1)
+    summary = sample_survey(10007, count=2, base_seed=5)
     assert summary["succeeded"] == 2
     assert summary["unbalanced"] == 2
     assert summary["matchesGenericTable"] == 2
     assert summary["ok"]
+    # workers (default 1) is only checked: the seeds run in order whatever
+    # its value
+    two = sample_survey(10007, count=2, base_seed=5, workers=2)
+    assert json.dumps(two, sort_keys=True) == json.dumps(summary, sort_keys=True)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        sample_survey(10007, count=2, base_seed=5, workers=0)
 
 
 def test_programming_errors_are_not_retried(monkeypatch):

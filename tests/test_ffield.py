@@ -12,7 +12,6 @@ from scrollres.ffield import (
     check_prime,
     det_mod,
     gcd_mod,
-    inverse_mod,
     is_prime,
     kernel_mod,
     mul_mod,
@@ -101,38 +100,6 @@ def test_solve_construct_then_solve():
     x = solve_mod(a % P, b, P)
     assert x is not None
     assert np.array_equal(mul_mod(a, x, P), b % P)
-
-
-@pytest.mark.parametrize("p", [2, 101, P, 2147483629])
-def test_inverse_is_a_two_sided_inverse(p):
-    rng = np.random.default_rng(p % 1000)
-    for n in (1, 3, 8):
-        while True:
-            a = rng.integers(0, p, size=(n, n))
-            if det_mod(a, p):
-                break
-        inv = inverse_mod(a, p)
-        assert inv.dtype == np.int64 and inv.min() >= 0 and inv.max() < p
-        assert np.array_equal(mul_mod(a, inv, p), np.eye(n, dtype=np.int64))
-        assert np.array_equal(mul_mod(inv, a, p), np.eye(n, dtype=np.int64))
-        # the columns agree with one solve per unit vector
-        for j in range(n):
-            assert np.array_equal(inv[:, j], solve_mod(a, np.eye(n, dtype=np.int64)[j], p))
-
-
-def test_inverse_rejects_singular_and_non_square():
-    singular = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]])
-    assert det_mod(singular, P) == 0
-    with pytest.raises(FieldError, match="singular"):
-        inverse_mod(singular, P)
-    with pytest.raises(FieldError, match="singular"):
-        inverse_mod(np.zeros((2, 2), dtype=np.int64), P)
-    # singular only modulo p
-    assert inverse_mod(np.array([[1, 0], [0, 7]]), 5).tolist() == [[1, 0], [0, 3]]
-    with pytest.raises(FieldError, match="singular"):
-        inverse_mod(np.array([[1, 0], [0, 7]]), 7)
-    with pytest.raises(FieldError, match="square"):
-        inverse_mod(np.ones((2, 3), dtype=np.int64), P)
 
 
 def test_det_mod_matches_numpy_small():

@@ -10,7 +10,6 @@ from scrollres.k3_syzygy import (
     K3_SHAPE_TABLE,
     K3Error,
     SyzygyVector,
-    chern_balance,
     intersection_numbers_from_resolution,
     k3_betti_shape,
     koszul_ambiguity_rank,
@@ -219,14 +218,6 @@ def test_k3_shape(shape):
 def test_k3_shape_self_dual(shape):
     assert shape.is_self_dual()
     assert shape.rank(1) == 5 and shape.rank(2) == 5
-
-
-def test_chern_balance():
-    assert chern_balance(4, 1, 4, 1)
-    assert not chern_balance(5, 0, 5, 0)  # 2*0 + 5 - 5 = 0
-    assert not chern_balance(3, 2, 3, 2)
-    with pytest.raises(ValueError):
-        chern_balance(4, 2, 4, 1)
 
 
 def test_intersection_numbers(shape):

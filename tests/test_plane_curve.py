@@ -25,7 +25,6 @@ from scrollres.plane_curve import (
     sample_smooth_points,
     verify_model_report,
     verify_node_report,
-    z_coefficients,
 )
 
 
@@ -365,24 +364,6 @@ def test_evaluate_form_matches_pow_sums(case):
     # a stack of forms evaluates row by row
     stacked = evaluate_form(np.array([coeffs, coeffs[::-1]], dtype=np.int64), d, points, p)
     assert [int(v) for v in stacked[1]] == [_pow_sum(coeffs[::-1], d, pt, p) for pt in points]
-
-
-@settings(max_examples=120, deadline=None)
-@given(form_cases(nvars_choices=(3,)), st.data())
-@example(_all_top(3), None)
-def test_z_coefficients_match_evaluation(case, data):
-    p, _nvars, d, coeffs, points = case
-    zs = [0, 1, p - 1] if data is None else data.draw(st.lists(_residues(p), min_size=1, max_size=3))
-    xs, ys = [pt[0] for pt in points], [pt[1] for pt in points]
-    rows = z_coefficients(np.array(coeffs, dtype=np.int64), d, np.array(xs), np.array(ys), p)
-    assert rows.shape == (len(points), d + 1)
-    for (x0, y0), row in zip(zip(xs, ys), rows):
-        assert np.array_equal(row, z_coefficients(coeffs, d, x0, y0, p))
-        for z in zs:
-            value = 0
-            for c in row:  # Horner, highest power of z first
-                value = (value * z + int(c)) % p
-            assert value == _pow_sum(coeffs, d, (x0, y0, z), p)
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -5,12 +6,11 @@ import pytest
 
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import FieldError, rank_mod
-from scrollres.plane_curve import evaluate_form, monomials
+from scrollres.plane_curve import evaluate_form, linear_system, monomials
 from scrollres.quartic_net import (
     GammaCurve,
     GammaError,
     NetError,
-    binary_form_divide_linear,
     binary_form_gcd,
     binary_form_roots,
     certify_fiber,
@@ -19,7 +19,6 @@ from scrollres.quartic_net import (
     gamma_singular_point,
     gamma_image,
     image_quartic,
-    interpolate_poly,
     is_multiple_of,
     macaulay_resultant_smooth,
     normalize_point,
@@ -28,7 +27,6 @@ from scrollres.quartic_net import (
     residual_degree,
     residual_image,
     singular_fiber_parameters,
-    sylvester_resultant,
     verify_net_on_points,
 )
 
@@ -52,28 +50,14 @@ def quartic_coeffs4(terms: dict) -> np.ndarray:
 # --- helpers ------------------------------------------------------------------
 
 
-def test_sylvester_resultant_linear():
-    a, b = 17, 23
-    assert sylvester_resultant([1, -a], [1, -b], P) == (a - b) % P
-    assert sylvester_resultant([1, -a], [1, -a], P) == 0
-
-
-def test_interpolate_roundtrip():
-    coeffs = [3, 0, 7, 11]  # cubic
-    xs = [1, 2, 3, 4]
-    ys = [sum(c * pow(x, 3 - k, P) for k, c in enumerate(coeffs)) % P for x in xs]
-    assert list(interpolate_poly(xs, ys, 3, P)) == coeffs
-
-
 def test_binary_form_roots_and_division():
     # (s - 2t)(s - 3t)(s + t) expanded, coefficients by t-degree
     form = [1, -4, 1, 6]
     roots = binary_form_roots(form, P)
     assert (2, 1) in roots and (3, 1) in roots and (P - 1, 1) in roots
-    quotient = binary_form_divide_linear(form, (2, 1), P)
-    assert binary_form_roots(quotient, P) == sorted([(3, 1), (P - 1, 1)])
-    with pytest.raises(NetError):
-        binary_form_divide_linear(form, (7, 1), P)  # not a root
+    # s - 2t divides the form, s - 7t does not
+    assert binary_form_gcd([form, [1, -2]], P) == [1, P - 2]
+    assert binary_form_gcd([form, [1, -7]], P) == [1]
 
 
 def _scan_binary_form_roots(coeffs, p):
@@ -149,6 +133,35 @@ def test_net_verified_on_fresh_sample(nonic_chain, nonic_net):
 
 def test_residual_degree_ten(nonic_chain):
     assert residual_degree(nonic_chain.model, nonic_chain.coords) == 10
+
+
+def test_residual_degree_of_the_octic(model, coords):
+    # the octic's quartics miss its pencil node q: 8 * 4 - 2 * 11
+    assert np.any(evaluate_form(np.stack(coords.quartics), 4, model.q, P))
+    assert residual_degree(model, coords) == 10
+
+
+def test_residual_degree_counts_only_base_points(nonic_chain):
+    # a quintic through every base point but one node: that node stops
+    # being a base point, and the count goes up by its multiplicity 2
+    model, coords = nonic_chain.model, nonic_chain.coords
+    kept = [(n, 1) for n in model.nodes[1:]] + [(model.q, 1)]
+    missing = next(f for f in linear_system(model, coords.q_degree, kept)
+                   if evaluate_form(f, coords.q_degree, model.nodes[0], P)[0])
+    moved = dataclasses.replace(coords, quartics=(missing,) + coords.quartics[1:])
+    assert residual_degree(model, moved) == 12
+
+
+def test_residual_degree_rejects_quartics_singular_at_a_node(nonic_chain):
+    # quintics through the base points and singular at the first node: the
+    # gradients there vanish, so the node's multiplicity is not certified
+    model, coords = nonic_chain.model, nonic_chain.coords
+    conditions = [(model.nodes[0], 2)] + [(n, 1) for n in model.nodes[1:]] + [(model.q, 1)]
+    singular = linear_system(model, coords.q_degree, conditions)
+    assert singular
+    moved = dataclasses.replace(coords, quartics=tuple(singular[i % len(singular)] for i in range(4)))
+    with pytest.raises(NetError, match="gradient rank 0 at the base point"):
+        residual_degree(model, moved)
 
 
 # --- quartics of pencil members --------------------------------------------------
