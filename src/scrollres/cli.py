@@ -28,6 +28,7 @@ from .pipeline import (
     run_pipeline,
     run_stages,
     sample_survey,
+    usable_cpus,
 )
 from .plane_curve import (
     construct_nodal_nonic,
@@ -174,7 +175,7 @@ def cmd_survey(args) -> int:
     if args.count < 1:
         print("survey count must be at least 1", file=sys.stderr)
         return 2
-    summary = sample_survey(args.prime, args.count, base_seed=args.seed)
+    summary = sample_survey(args.prime, args.count, base_seed=args.seed, workers=usable_cpus())
     print(f"survey: {summary['fractionUnbalanced']} unbalanced second syzygy bundles; "
           f"{summary['matchesGenericTable']}/{summary['succeeded']} match the generic table")
     _write_json(args, summary)

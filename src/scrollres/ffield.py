@@ -20,11 +20,15 @@ terms stay exact up to 2**31 (van der Hoeven, Lecerf & Quintin 2016).
 
 Tall matrices (rows > cols + 8, the slice matrices of the resolution) are
 eliminated through a random compression C = R @ A for a seeded random
-(cols + 8) x rows matrix R.  Since ker A lies inside ker C, checking
+m x rows Hankel matrix R, R[i, j] = v[i + j], m = cols + 8, whose entries
+come from one hashed vector v.  Since ker A lies inside ker C, checking
 A @ K.T = 0 exactly for the kernel basis K of rref(C) proves the kernels,
 hence the row spaces and the (unique) RREFs, equal; the result is
-identical to direct elimination.  A failed check retries with the next
-seed, and after a few failures A is eliminated directly.
+identical to direct elimination.  For each fixed y != 0 the map v -> R @ y
+is onto F_p^m, so R @ y is uniform as for a dense random R, and a
+projection fails with the dense bound, below p**(r - m) / (p - 1) for
+r = rank A.  A failed check retries with the next seed, and after a few
+failures A is eliminated directly.
 
 roots_mod_batch, the one univariate root finder, takes the F_p-roots of a
 whole array of polynomials at once (roots_mod is its one-polynomial case):
@@ -158,17 +162,20 @@ def _compressible(rows: int, cols: int) -> bool:
 
 
 def _projection_block(seed: int, start: int, rows: int, cols: int, p: int) -> np.ndarray:
-    """Columns start .. start + cols - 1 of the random projection R, as float64.
+    """Columns start .. start + cols - 1 of the random projection R, as a
+    fresh float64 array.
 
-    Entry (i, j) of R is a splitmix64 hash of its position j * rows + i and
-    the seed, reduced mod p: reproducible on any numpy, no generator state.
+    R is a Hankel matrix, R[i, j] = v[i + j]: entry k of v is a splitmix64
+    hash of k and the seed, reduced mod p, so a block costs rows + cols - 1
+    hashes, is reproducible on any numpy and needs no generator state.
     """
-    pos = np.arange(start * rows, (start + cols) * rows, dtype=np.uint64)
+    pos = np.arange(start, start + rows + cols - 1, dtype=np.uint64)
     z = (pos + np.uint64((seed << 40) + 1)) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    return (z % np.uint64(p)).astype(np.float64).reshape(cols, rows).T
+    v = (z % np.uint64(p)).astype(np.float64)
+    return np.lib.stride_tricks.sliding_window_view(v, cols).copy()
 
 
 def _project(a: np.ndarray, p: int, seed: int) -> np.ndarray:

@@ -48,7 +48,9 @@ SURVEY_COUNT = 20
 
 @pytest.fixture(scope="module")
 def survey():
-    return sample_survey(DEFAULT_PRIME, count=SURVEY_COUNT, base_seed=1)
+    # as `scrollres survey` runs it: one worker process per usable CPU
+    return sample_survey(DEFAULT_PRIME, count=SURVEY_COUNT, base_seed=1,
+                         workers=pipeline.usable_cpus())
 
 
 @functools.cache

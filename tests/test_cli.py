@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,7 +154,7 @@ def test_survey_rejects_zero_count(capsys):
 
 
 def test_survey_has_no_workers_option(capsys):
-    # the survey runs its seeds in order; a thread count is not an option
+    # the command runs one worker per usable CPU; the count is not an option
     with pytest.raises(SystemExit) as exc:
         main(["survey", "--count", "1", "--workers", "2"])
     assert exc.value.code == 2
@@ -355,18 +359,123 @@ def test_point_requests_within_declared_demand(monkeypatch):
     assert max(requests[0]) == pipeline.K3_CHECK_POINTS
 
 
-def test_survey_function_small():
-    summary = sample_survey(10007, count=2, base_seed=5)
+@pytest.fixture(scope="module")
+def small_survey():
+    return sample_survey(10007, count=2, base_seed=5)
+
+
+def _record_launches(monkeypatch, cpus: int = 8) -> list:
+    """Pretend this process may use `cpus` CPUs, and record the arguments
+    and the process of every worker the survey launches."""
+    launched = []
+    popen = subprocess.Popen
+
+    def record(args, **kwargs):
+        proc = popen(args, **kwargs)
+        launched.append((args, kwargs, proc))
+        return proc
+
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline.subprocess, "Popen", record)
+    return launched
+
+
+def _all_reaped(launched) -> bool:
+    return all(proc.returncode is not None and proc.stdin.closed and proc.stdout.closed
+               for _args, _kwargs, proc in launched)
+
+
+def test_survey_function_small(monkeypatch, small_survey):
+    summary = small_survey
     assert summary["succeeded"] == 2
     assert summary["unbalanced"] == 2
     assert summary["matchesGenericTable"] == 2
     assert summary["ok"]
-    # workers (default 1) is only checked: the seeds run in order whatever
-    # its value
-    two = sample_survey(10007, count=2, base_seed=5, workers=2)
-    assert json.dumps(two, sort_keys=True) == json.dumps(summary, sort_keys=True)
     with pytest.raises(ValueError, match="workers must be at least 1"):
         sample_survey(10007, count=2, base_seed=5, workers=0)
+    # two worker processes, each with one BLAS thread and this checkout's
+    # sources first on its path, give the serial results in seed order
+    environ = dict(os.environ)
+    launched = _record_launches(monkeypatch)
+    assert sample_survey(10007, count=2, base_seed=5, workers=2) == summary
+    assert len(launched) == 2 and _all_reaped(launched)
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    for args, kwargs, _proc in launched:
+        assert args == [sys.executable, "-m", "scrollres.survey_worker", "10007"]
+        env = kwargs["env"]
+        assert env["PYTHONPATH"].split(os.pathsep)[0] == src
+        assert all(env[name] == "1" for name in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    assert dict(os.environ) == environ
+
+
+def test_survey_launches_at_most_count_workers(monkeypatch, small_survey):
+    launched = _record_launches(monkeypatch)
+    assert sample_survey(10007, count=2, base_seed=5, workers=8) == small_survey
+    assert len(launched) == 2 and _all_reaped(launched)
+
+
+def test_survey_runs_in_order_with_one_usable_cpu(monkeypatch):
+    launched = _record_launches(monkeypatch, cpus=1)
+    seeds = []
+    monkeypatch.setattr(pipeline, "survey_seed",
+                        lambda prime, seed: seeds.append(seed) or {"seed": seed, "ok": False})
+    assert sample_survey(10007, count=3, base_seed=5, workers=8)["results"] == [
+        {"seed": s, "ok": False} for s in (5, 6, 7)]
+    assert seeds == [5, 6, 7] and launched == []
+
+
+def test_survey_worker_that_fails_is_an_error(monkeypatch):
+    # a worker exiting non-zero is a bug, not a failed seed: the survey
+    # raises, and no worker is left running
+    launched = _record_launches(monkeypatch)
+    monkeypatch.setattr(sys, "executable", "/bin/false")
+    with pytest.raises(pipeline.SurveyWorkerError, match="exited with status 1"):
+        sample_survey(10007, count=4, base_seed=1, workers=2)
+    assert len(launched) == 2 and _all_reaped(launched)
+
+
+def test_survey_worker_malformed_line_is_an_error(monkeypatch):
+    # /bin/echo answers with its arguments, not a result for the seed
+    launched = _record_launches(monkeypatch)
+    monkeypatch.setattr(sys, "executable", "/bin/echo")
+    with pytest.raises(pipeline.SurveyWorkerError, match="malformed line for seed"):
+        sample_survey(10007, count=4, base_seed=1, workers=2)
+    assert len(launched) == 2 and _all_reaped(launched)
+
+
+def test_survey_worker_failing_after_its_answers_is_an_error(monkeypatch, tmp_path):
+    # every seed answered, then a non-zero exit: still a failed survey
+    worker = tmp_path / "worker.sh"
+    worker.write_text('#!/bin/sh\nwhile read s; do echo "{\\"seed\\": $s, \\"ok\\": false}"; done\nexit 3\n')
+    worker.chmod(0o755)
+    launched = _record_launches(monkeypatch)
+    monkeypatch.setattr(sys, "executable", str(worker))
+    with pytest.raises(pipeline.SurveyWorkerError, match="exited with status 3"):
+        sample_survey(10007, count=4, base_seed=1, workers=2)
+    assert len(launched) == 2 and _all_reaped(launched)
+
+
+def test_survey_checks_come_before_any_worker(monkeypatch):
+    launched = _record_launches(monkeypatch)
+    with pytest.raises(PipelineError, match="prime 601"):
+        sample_survey(601, count=4, workers=2)
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        sample_survey(10007, count=0, workers=2)
+    assert launched == []
+
+
+def test_survey_command_uses_every_usable_cpu(monkeypatch, capsys):
+    calls = []
+
+    def fake(prime, count, base_seed, workers):
+        calls.append((prime, count, base_seed, workers))
+        return {"fractionUnbalanced": "2/2", "matchesGenericTable": 2, "succeeded": 2,
+                "ok": True}
+
+    monkeypatch.setattr(cli, "sample_survey", fake)
+    assert main(["--seed", "5", "survey", "--count", "2"]) == 0
+    assert calls == [(10007, 2, 5, pipeline.usable_cpus())]
 
 
 def test_programming_errors_are_not_retried(monkeypatch):
