@@ -28,7 +28,14 @@ identical to direct elimination.  For each fixed y != 0 the map v -> R @ y
 is onto F_p^m, so R @ y is uniform as for a dense random R, and a
 projection fails with the dense bound, below p**(r - m) / (p - 1) for
 r = rank A.  A failed check retries with the next seed, and after a few
-failures A is eliminated directly.
+failures A is eliminated directly.  On the projected C, a panel is first
+tried as one block step: when its leading block B is invertible, B^-1
+comes from the per-pivot elimination of [B | I], two products update the
+trailing columns and the panel becomes unit columns; a singular B (a
+non-pivot column in the panel, or bad luck at a small p) sends the panel
+down the per-pivot path.  The matrices eliminated directly are sparse
+and structured, their blocks often singular, so there failed attempts
+would cost more than block steps save.
 
 roots_mod_batch, the one univariate root finder, takes the F_p-roots of a
 whole array of polynomials at once (roots_mod is its one-polynomial case):
@@ -191,7 +198,31 @@ def _project(a: np.ndarray, p: int, seed: int) -> np.ndarray:
     return acc.astype(np.int64)
 
 
-def _rref_inplace(r: np.ndarray, p: int, echelon: bool = False):
+def _block_step(m: np.ndarray, pr: int, c0: int, c1: int, p: int):
+    """Eliminate the panel c0 .. c1 - 1 of m (float64, reduced) at once when
+    its block B = m[pr:pr + w, c0:c1], w = c1 - c0, is invertible, and
+    return det B; return None, leaving m alone, when B is singular.
+
+    B^-1 comes from the per-pivot elimination of [B | I].  With X the panel
+    columns, K = -X B^-1, and B^-1 - I on the rows of B, the trailing
+    columns T become T + K @ T[pr:pr + w] (two products by _dot_mod), and
+    the panel becomes the unit columns of rows pr .. pr + w - 1."""
+    w = c1 - c0
+    aug = np.concatenate((m[pr:pr + w, c0:c1].astype(np.int64), np.eye(w, dtype=np.int64)), axis=1)
+    pivots, det = _rref_inplace(aug, p)
+    if pivots[-1] != w - 1:
+        return None
+    if c1 < m.shape[1]:
+        inverse = aug[:, w:]
+        k = -_dot_mod(m[:, c0:c1], inverse, p)
+        k[pr:pr + w] = inverse - np.eye(w)
+        m[:, c1:] = _dot_mod(k, m[pr:pr + w, c1:], p, m[:, c1:])
+    m[:, c0:c1] = 0
+    m[pr:pr + w, c0:c1] = np.eye(w)
+    return det
+
+
+def _rref_inplace(r: np.ndarray, p: int, echelon: bool = False, _blocks: bool = False):
     """Reduce r (int64, entries in [0, p)) to RREF in place, on a float64
     copy.  Columns go one panel of _PANEL at a time.  In a panel each pivot
     updates the panel and one more column, which records its row operation;
@@ -201,6 +232,11 @@ def _rref_inplace(r: np.ndarray, p: int, echelon: bool = False):
     columns K (minus 1 at the pivot rows I) then update the trailing
     columns T by T += K @ T[I].  With echelon set, rows above a pivot are
     left alone: r ends in a row echelon form with unit pivots.
+
+    With _blocks set (only by _rref_compressed, whose random projections
+    make invertible blocks likely), a panel is first tried as one
+    _block_step, and takes the per-pivot path only where its leading block
+    is singular.  The RREF is unique, so the result is the same.
 
     Returns (pivots, det): det is the product of the pivots before scaling,
     negated once per row swap, so for a square r of full rank it is the
@@ -216,6 +252,13 @@ def _rref_inplace(r: np.ndarray, p: int, echelon: bool = False):
             break
         c1 = min(c0 + _PANEL, cols)
         width = c1 - c0
+        if _blocks and pr + width <= rows:
+            det_block = _block_step(m, pr, c0, c1, p)
+            if det_block is not None:
+                det = det * det_block % p
+                pivots.extend(range(c0, c1))
+                pr += width
+                continue
         trailing = c1 < cols
         x = m[:, c0:c1]
         if trailing:
@@ -276,7 +319,9 @@ def _rref_direct(a: np.ndarray, p: int):
 
 def _kernel_from_rref(r: np.ndarray, pivots: list, cols: int, p: int) -> np.ndarray:
     """The canonical kernel basis of a matrix whose RREF is (r, pivots)."""
-    free = np.setdiff1d(np.arange(cols), pivots)
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = (-r[: len(pivots), free]).T % p
@@ -302,7 +347,7 @@ def _rref_compressed(a: np.ndarray, p: int):
     rows, cols = a.shape
     for seed in range(_SEEDS):
         small = _project(a, p, seed)
-        pivots = _rref_inplace(small, p)[0]
+        pivots = _rref_inplace(small, p, _blocks=True)[0]
         if len(pivots) == cols or _annihilates(a, _kernel_from_rref(small, pivots, cols, p), p):
             r = np.zeros((rows, cols), dtype=np.int64)
             r[: len(pivots)] = small[: len(pivots)]

@@ -183,8 +183,10 @@ def guaranteed_points(prime: int) -> int:
 
 
 def survey_point_demand() -> int:
-    """Most points one survey chain requests: build_chain draws only the
-    slice kernels' points, at most slice_point_demand() from each batch."""
+    """A bound on the points one survey chain requests: build_chain draws
+    only the slice kernels' points, at most slice_point_demand() from
+    batch 0.  The bound counts that twice, room for one more batch, so the
+    primes the survey accepts do not depend on how the slices are checked."""
     return 2 * slice_point_demand()
 
 

@@ -44,8 +44,10 @@ class ResolutionError(RuntimeError):
     pass
 
 
-class SampleDisagreementError(ResolutionError):
-    """Two disjoint point samples produced different slice kernels."""
+class SliceRankError(ResolutionError):
+    """An ideal slice's evaluation matrix at the sample points has a nonzero
+    kernel but not rank h^0, even after the one enlargement: the kernel is
+    not certified to be the ideal slice."""
 
 
 class WindowExhaustedError(ResolutionError):
@@ -152,7 +154,7 @@ GENERIC_BETTI_TABLE = {
 
 #: sample points beyond h^0 behind every ideal-slice kernel
 SLICE_MARGIN = 10
-#: points added to both batches by the one enlargement after a disagreement
+#: points added to batch 0 by the one enlargement after a rank other than h^0
 SLICE_ENLARGEMENT = 10
 #: b-degrees of the H-degree-2 slices probed for ideal generators
 GENERATOR_WINDOW = (-2, -1, 0, 1, 2)
@@ -162,7 +164,7 @@ IDEAL_CHECK_TWISTS = (-2, -1, 0)
 
 
 def slice_point_demand() -> int:
-    """Most points an ideal-slice kernel draws from one sample batch,
+    """Most points an ideal-slice kernel draws from sample batch 0,
     enlargement included.
 
     The resolution takes the ideal slices (1, b) for |b| <= 1, whose h^0 is
@@ -178,8 +180,9 @@ def slice_point_demand() -> int:
 class SliceContext:
     """Caches sample points, their canonical values, and ideal slices.
 
-    Two disjoint point batches back every ideal-slice kernel; a mismatch
-    between them raises SampleDisagreementError after one enlargement retry.
+    Every ideal-slice kernel comes from batch 0 alone and is certified by
+    the rank of its evaluation matrix (see ideal_slice); batch 1, disjoint
+    from it, holds points that other stages use to check their results.
     """
 
     def __init__(self, model, coords: CanonicalCoordinates,
@@ -247,7 +250,18 @@ class SliceContext:
     # --- ideal slices ------------------------------------------------------
 
     def ideal_slice(self, a: int, b: int) -> np.ndarray:
-        """Canonical basis (rows) of the ideal slice in section bidegree (a, b)."""
+        """Canonical basis (rows) of the ideal slice in section bidegree (a, b).
+
+        The slice is the kernel of the evaluation of the slice monomials at
+        h^0 + margin points of batch 0, h^0 = curve_h0(a, b).  That kernel
+        always contains the ideal slice, so it is the slice when it is zero;
+        otherwise it is accepted when the evaluation rank equals h^0, which
+        makes the two dimensions equal.  Every slice the resolution takes
+        has a zero kernel ((1, b) and (2, -2)) or degree 16a + 6b above
+        2g - 2 = 16, where h^0 = 16a + 6b - 8 exactly by Riemann-Roch.  A
+        rank other than h^0 is retried once with SLICE_ENLARGEMENT more
+        points, then raises SliceRankError.
+        """
         key = (a, b)
         if key in self._slices:
             return self._slices[key]
@@ -256,23 +270,19 @@ class SliceContext:
             out = np.zeros((0, 0), dtype=np.int64)
             self._slices[key] = out
             return out
-        npts = self.curve_h0(a, b) + self.margin
+        h0 = self.curve_h0(a, b)
         for attempt in range(2):
-            m = npts + SLICE_ENLARGEMENT * attempt
-            k0 = kernel_mod(
+            m = h0 + self.margin + SLICE_ENLARGEMENT * attempt
+            kernel = kernel_mod(
                 monomial_value_matrix(self.values(0, m), monos, self.prime).T,
                 self.prime,
             )
-            k1 = kernel_mod(
-                monomial_value_matrix(self.values(1, m), monos, self.prime).T,
-                self.prime,
-            )
-            # the kernel basis is canonical: equal kernels give equal arrays
-            if np.array_equal(k0, k1):
-                basis = row_space_mod(k0, self.prime) if k0.size else k0
+            rank = len(monos) - len(kernel)
+            if not len(kernel) or rank == h0:
+                basis = row_space_mod(kernel, self.prime) if kernel.size else kernel
                 self._slices[key] = basis
                 return basis
-        raise SampleDisagreementError(f"sample disagreement in slice ({a},{b})")
+        raise SliceRankError(f"slice ({a},{b}): evaluation rank {rank} != h^0 = {h0}")
 
 
 # --- free-module machinery -------------------------------------------------

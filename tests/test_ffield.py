@@ -580,6 +580,54 @@ def test_delayed_reduction_stress(p, n):
         _assert_core_matches_hand(a, p)
 
 
+# --- block steps on projected matrices ---------------------------------------
+
+
+def _projected_cases(p):
+    """Projections R @ A, three seeds each, of tall matrices A with 2W + 6
+    columns: one of full column rank, one with a repeated sum and a zero
+    column inside the second panel, and one whose first column is zero."""
+    rng = np.random.default_rng(p % 100003)
+    cols = 2 * W + 6
+    full = rng.integers(0, p, size=(150, cols))
+    inside = full.copy()
+    inside[:, W + 5] = (inside[:, 3] + inside[:, W + 1]) % p
+    inside[:, W + 20] = 0
+    first = full.copy()
+    first[:, 0] = 0
+    return [ffield._project(a, p, seed) for a in (full, inside, first) for seed in range(3)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 10007, FLOAT_TOP, 2147483629, 2147483647])
+def test_block_steps_match_per_pivot_path(monkeypatch, p):
+    # a panel whose leading block is singular (a non-pivot column inside
+    # it, or bad luck at p = 2 and 3) takes the per-pivot path instead
+    taken = []
+    block_step = ffield._block_step
+
+    def recorded(*args):
+        det = block_step(*args)
+        taken.append(det is not None)
+        return det
+
+    monkeypatch.setattr(ffield, "_block_step", recorded)
+    for i, c in enumerate(_projected_cases(p)):
+        plain, blocked = c.copy(), c.copy()
+        steps = len(taken)
+        pivots = ffield._rref_inplace(plain, p)[0]
+        assert len(taken) == steps  # only _blocks=True tries block steps
+        assert ffield._rref_inplace(blocked, p, _blocks=True)[0] == pivots
+        assert blocked.tobytes() == plain.tobytes()
+        if i % 3 == 0:
+            r_hand, pivots_hand = _hand_rref(c, p)
+            assert pivots == pivots_hand and plain.tobytes() == r_hand.tobytes()
+        square = c[: c.shape[1]]
+        pivots, det = ffield._rref_inplace(square.copy(), p)
+        if len(pivots) == c.shape[1]:
+            assert ffield._rref_inplace(square.copy(), p, _blocks=True) == (pivots, det)
+    assert any(taken) and not all(taken)
+
+
 def _loop_kernel(a, p):
     """The per-entry kernel construction that kernel_mod vectorises."""
     rows, cols = a.shape

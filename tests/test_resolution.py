@@ -18,9 +18,13 @@ from scrollres.k3_syzygy import (
 from scrollres.pipeline import build_chain
 from scrollres.resolution import (
     GENERIC_BETTI_TABLE,
+    SLICE_ENLARGEMENT,
+    SLICE_MARGIN,
     BigradedBettiTable,
     ResolutionError,
     ResolutionStep,
+    SliceContext,
+    SliceRankError,
     _verify_composition,
     ideal_generator_step,
     is_balanced,
@@ -231,6 +235,22 @@ def test_restriction_ranks_match_riemann_roch(ctx):
         assert restriction_rank == 16 * a + 6 * b - 8
 
 
+@pytest.mark.parametrize("shift", [1, -1])
+def test_slice_rank_other_than_h0_is_rejected(monkeypatch, model, coords, ctx, shift):
+    # slice (2, 0) has degree 32 > 2g - 2 and a kernel of dimension 39 - 24;
+    # a wrong h^0 leaves the rank unequal to it before and after the
+    # enlargement, and only batch 0 is drawn
+    true_h0 = SliceContext.curve_h0
+    monkeypatch.setattr(SliceContext, "curve_h0", lambda self, a, b: true_h0(self, a, b) + shift)
+    fresh = SliceContext(model, coords)
+    with pytest.raises(SliceRankError, match=r"slice \(2,0\)"):
+        fresh.ideal_slice(2, 0)
+    assert len(fresh._points[0]) == 24 + shift + SLICE_MARGIN + SLICE_ENLARGEMENT
+    assert fresh._points[1] == []
+    monkeypatch.undo()
+    assert np.array_equal(SliceContext(model, coords).ideal_slice(2, 0), ctx.ideal_slice(2, 0))
+
+
 def test_json_entries_roundtrip(table_and_steps):
     table, _ = table_and_steps
     entries = table.to_json_entries()
@@ -249,9 +269,10 @@ def test_largest_prime_below_2_24():
 @pytest.mark.parametrize("p", [1009, 100003, LARGEST_PRIME_BELOW_2_24])
 def test_prime_sweep_generic_unbalanced_table(p):
     # the answer must not depend on the prime, and sampling cost not on its size
-    table = build_chain(p, 1).table
-    assert table.entries == GENERIC_BETTI_TABLE
-    assert not is_balanced(splitting_type(table, 2))
+    chain = build_chain(p, 1)
+    assert chain.table.entries == GENERIC_BETTI_TABLE
+    assert not is_balanced(splitting_type(chain.table, 2))
+    assert chain.ctx._points[1] == []  # every ideal slice comes from batch 0
 
 
 # --- keyed free-module maps against the dict reference -----------------------
