@@ -3,7 +3,7 @@ degree-6 pencil, the K3 surfaces cut out by their linear syzygies, and the
 integer-lattice certificates attached to those surfaces.
 
 Everything is computed over a prime field (default p = 10007) with exact
-integer arithmetic; no floating point enters any verdict.
+arithmetic: float64 holds only integers below 2**53, where it is exact.
 """
 
 __version__ = "0.1.0"

@@ -115,6 +115,9 @@ def cmd_lattice(args) -> int:
     if args.gram_file:
         with open(args.gram_file) as fh:
             data = json.load(fh)
+        if not (isinstance(data, dict) and isinstance(data.get("gram"), list)
+                and all(isinstance(row, list) for row in data["gram"])):
+            raise LatticeError(f"{args.gram_file} needs a \"gram\" key holding a list of rows")
         lat = GramLattice(
             tuple(tuple(row) for row in data["gram"]),
             tuple(data.get("labels", [f"v{i}" for i in range(len(data["gram"]))])),

@@ -6,7 +6,8 @@ left-to-right column order, so ranks, kernels and solutions are
 deterministic and reproducible.
 
 One elimination core, _rref_inplace, serves rref, rank, kernel, solve
-and det; rank and det stop at a row echelon form.  The core takes
+and det, all from one Gauss-Jordan run: rank is the pivot count of
+rref_mod, and det the signed product of the pivots.  The core takes
 the columns in panels: each pivot updates only its panel, and the trailing
 columns change once per panel by one product through _dot_mod
 (FFLAS-FFPACK style, Dumas, Giorgi & Pernet 2008).
@@ -222,7 +223,7 @@ def _block_step(m: np.ndarray, pr: int, c0: int, c1: int, p: int):
     return det
 
 
-def _rref_inplace(r: np.ndarray, p: int, echelon: bool = False, _blocks: bool = False):
+def _rref_inplace(r: np.ndarray, p: int, _blocks: bool = False):
     """Reduce r (int64, entries in [0, p)) to RREF in place, on a float64
     copy.  Columns go one panel of _PANEL at a time.  In a panel each pivot
     updates the panel and one more column, which records its row operation;
@@ -230,8 +231,7 @@ def _rref_inplace(r: np.ndarray, p: int, echelon: bool = False, _blocks: bool = 
     so a panel leaves at most 2 * _PANEL = _CHUNK, and it is reduced only
     where a column becomes a pivot column and when it ends.  The recorded
     columns K (minus 1 at the pivot rows I) then update the trailing
-    columns T by T += K @ T[I].  With echelon set, rows above a pivot are
-    left alone: r ends in a row echelon form with unit pivots.
+    columns T by T += K @ T[I].
 
     With _blocks set (only by _rref_compressed, whose random projections
     make invertible blocks likely), a panel is first tried as one
@@ -285,27 +285,25 @@ def _rref_inplace(r: np.ndarray, p: int, echelon: bool = False, _blocks: bool = 
             lead = int(x[pr, c])
             det = det * lead % p
             inv = pow(lead, -1, p)
-            top = pr if echelon else 0
-            col = x[top:, c, None]
+            col = x[:, c, None]
             if split:
                 low, high = _limbs(x[pr, live])
                 prow = _reduce(low * inv + high * (inv * _LIMB % p), p)
                 low, high = _limbs(prow)
-                x[top:, live] -= col * low + _reduce(col * _LIMB, p) * high
+                x[:, live] -= col * low + _reduce(col * _LIMB, p) * high
             else:
                 prow = x[pr, live] * inv % p
-                x[top:, live] -= col * prow
+                x[:, live] -= col * prow
             x[pr, live] = prow
             pivots.append(c0 + c)
             pr += 1
         if trailing:
             m[:, c0:c1] = x[:, :width]
             if pr > pr0:
-                top = pr0 if echelon else 0
-                k = _reduce(x[top:, width:width + pr - pr0], p)
+                k = _reduce(x[:, width:width + pr - pr0], p)
                 at = np.arange(pr - pr0)
-                k[pr0 - top + at, at] = (k[pr0 - top + at, at] - 1) % p
-                m[top:, c1:] = _dot_mod(k, m[pr0:pr, c1:], p, m[top:, c1:])
+                k[pr0 + at, at] = (k[pr0 + at, at] - 1) % p
+                m[:, c1:] = _dot_mod(k, m[pr0:pr, c1:], p, m[:, c1:])
     r[:] = m
     r %= p  # the panels were left unreduced
     return pivots, det
@@ -372,10 +370,9 @@ def rref_mod(a: np.ndarray, p: int):
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:
-    """Rank over F_p: the pivot count of a row echelon form."""
-    if a.size == 0:
-        return 0
-    return len(_rref_inplace(np.array(a, dtype=np.int64) % p, p, echelon=True)[0])
+    """Rank over F_p: the pivot count of rref_mod, so tall matrices are
+    compressed."""
+    return len(rref_mod(a, p)[1])
 
 
 class Echelon:
@@ -455,13 +452,13 @@ def solve_mod(a: np.ndarray, b: np.ndarray, p: int):
 
 
 def det_mod(a: np.ndarray, p: int) -> int:
-    """Determinant over F_p: the signed product of the pivots of a row
-    echelon form."""
+    """Determinant over F_p: the signed product of the pivots of one direct
+    (uncompressed) Gauss-Jordan run of the core."""
     m = np.array(a, dtype=np.int64) % p
     n = m.shape[0]
     if m.shape != (n, n):
         raise FieldError("determinant needs a square matrix")
-    pivots, det = _rref_inplace(m, p, echelon=True)
+    pivots, det = _rref_inplace(m, p)
     return det if len(pivots) == n else 0
 
 

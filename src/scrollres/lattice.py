@@ -29,6 +29,17 @@ class LatticeError(RuntimeError):
     pass
 
 
+def _integer(v) -> int:
+    """v as an int, or LatticeError: a float or a string is not truncated
+    or parsed, and a bool is no integer here."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise LatticeError(f"gram entry {v!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class GramLattice:
     """Integer symmetric matrix with ordered basis labels."""
@@ -37,7 +48,7 @@ class GramLattice:
     labels: tuple
 
     def __post_init__(self):
-        g = tuple(tuple(int(v) for v in row) for row in self.gram)
+        g = tuple(tuple(_integer(v) for v in row) for row in self.gram)
         n = len(g)
         if any(len(row) != n for row in g):
             raise LatticeError("gram matrix must be square")

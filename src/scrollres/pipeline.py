@@ -69,7 +69,6 @@ from .quartic_net import (
     GAMMA_HOLDOUT,
     GammaError,
     NetError,
-    ResultantDegenerateError,
     certify_fiber,
     fit_gamma,
     gamma_singular_point,
@@ -143,7 +142,6 @@ CHAIN_ERRORS = (
     K3Error,
     NetError,
     GammaError,
-    ResultantDegenerateError,
     ScrollError,
     DegenerateConfigurationError,
     InsufficientRationalPointsError,
@@ -212,7 +210,7 @@ def build_chain(prime: int, seed: int) -> CurveChain:
     if st.e != (1, 1, 1, 1, 0):
         raise PipelineError(f"unexpected scroll type {st.e}")
     ctx = SliceContext(model, coords)
-    table, steps = betti_table(ctx, collect_steps=True)
+    table, steps = betti_table(ctx)
     return CurveChain(model, coords, ctx, table, steps)
 
 

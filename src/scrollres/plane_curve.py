@@ -231,6 +231,10 @@ class PlaneCurveModel:
 
     @classmethod
     def from_json(cls, text: str) -> "PlaneCurveModel":
+        """The inverse of to_json.  Only the tests call it, but it stays
+        here: to_json is the "model" record that `scrollres construct --json`
+        and every pipeline report write, and this reads such a record back
+        into the model it was written from."""
         data = json.loads(text)
         return cls(
             prime=data["prime"],

@@ -11,7 +11,8 @@ Everything about the cubic follows from gamma: its equation is the kernel
 of the cubic monomials composed with gamma (implicitisation), and its node
 is the centre of gamma's moving line of degree 1, certified by the
 vanishing of the cubic's partials there.  The quartic at the node is
-certified smooth by a Macaulay resultant of its partial derivatives.
+certified smooth by one rank: its partial derivatives times the sextics
+span every nonic (Macaulay).
 
 All elimination here is exact.  The degree of the residual model is a
 Bezout count at the base points of the adjoint system, certified by the
@@ -25,14 +26,12 @@ Weil-restricted matrices.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ffield import (
     FieldError,
-    det_mod,
     gcd_mod,
     kernel_mod,
     mul_mod,
@@ -48,7 +47,6 @@ from .plane_curve import (
     monomial_values,
     monomials,
     product_positions,
-    substitute_linear,
 )
 from .scroll import GENERIC_E, KeyIndex, add_keys, cox_slice, module_keys
 
@@ -58,10 +56,6 @@ class NetError(RuntimeError):
 
 
 class GammaError(RuntimeError):
-    pass
-
-
-class ResultantDegenerateError(RuntimeError):
     pass
 
 
@@ -79,13 +73,6 @@ def partial_derivative(coeffs, nvars: int, d: int, var: int, p: int) -> np.ndarr
         lowered = tuple(e - 1 if i == var else e for i, e in enumerate(expo))
         out[dst[lowered]] = (out[dst[lowered]] + c * expo[var]) % p
     return out
-
-
-def random_gl(n: int, rng: random.Random, p: int):
-    while True:
-        t = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        if det_mod(np.array(t), p):
-            return t
 
 
 def binary_form_roots(coeffs, p: int) -> list:
@@ -429,63 +416,23 @@ def certify_fiber(gmap: np.ndarray, fiber, point, surface: K3Surface, net: Quart
         raise GammaError(f"the surface of parameter {fiber} does not map to the singular quartic")
 
 
-# --- Macaulay resultant smoothness certificate --------------------------------
-
-
-#: macaulay_resultant_smooth moves the quartic by at most MACAULAY_TRIES - 1
-#: coordinate changes drawn from random.Random(MACAULAY_SEED)
-MACAULAY_SEED, MACAULAY_TRIES = 17, 6
+# --- Macaulay smoothness certificate -----------------------------------------
 
 
 def macaulay_resultant_smooth(quartic, p: int) -> bool:
-    """True iff the Macaulay resultant of the four cubic partials is nonzero.
-
-    A nonzero resultant certifies that the partials have no common zero over
-    the algebraic closure, i.e. the quartic surface is smooth (p does not
-    divide 4, so Euler's relation applies).  The resultant is det(M)/det(E)
-    for the classical degree-9 Macaulay matrix M and its non-reduced
-    submatrix E; when det(E) vanishes the quartic is moved by a random
-    coordinate change, which rescales the resultant by a nonzero factor.
-    """
+    """Is the quartic surface smooth, i.e. do its four cubic partials have
+    no common zero over the algebraic closure (p does not divide 4, so
+    Euler's relation applies)?  Four cubics in four variables without one
+    generate every nonic (Macaulay; Cox, Little & O'Shea, Using Algebraic
+    Geometry, ch. 3 sec. 4), and at a common zero P all their multiples
+    vanish while some nonic monomial does not.  So the partials times the
+    84 sextic monomials have rank 220 exactly when the quartic is smooth."""
     quartic = np.asarray(quartic, dtype=np.int64) % p
     if not np.any(quartic):
         raise ValueError("zero quartic")
-    rng = random.Random(MACAULAY_SEED)
-    for attempt in range(MACAULAY_TRIES):
-        moved = quartic if attempt == 0 else substitute_linear(
-            quartic, 4, 4, random_gl(4, rng, p), p
-        )
-        parts = [partial_derivative(moved, 4, 4, v, p) for v in range(4)]
-        if any(not np.any(q) for q in parts):
-            return False  # a vanishing partial forces a common zero
-        verdict = _macaulay_ratio(parts, p)
-        if verdict is not None:
-            return verdict
-    raise ResultantDegenerateError(
-        "resultant degenerate: denominator minor vanished for every change of coordinates"
-    )
-
-
-def _macaulay_ratio(cubics, p: int):
-    # row r of M is q * cubics[i] for the r-th degree-9 monomial x_i^3 * q,
-    # x_i the first variable whose cube divides it (the loop runs downwards,
-    # so the first one is written last); monomials divisible by two cubes
-    # give the non-reduced rows
+    parts = np.stack([partial_derivative(quartic, 4, 4, v, p) for v in range(4)])
+    # row (v, k): the partial by x_v times the k-th sextic monomial
     positions = product_positions(6, 3, 4)
-    size = len(monomials(9, 4))
-    owner = np.zeros(size, dtype=np.int64)
-    quotient = np.zeros(size, dtype=np.int64)
-    divisors = np.zeros(size, dtype=np.int64)
-    for i in range(3, -1, -1):
-        rows = positions[:, monomials(3, 4).index(tuple(3 * (v == i) for v in range(4)))]
-        owner[rows], quotient[rows] = i, np.arange(len(positions))
-        divisors[rows] += 1
-    mat = np.zeros((size, size), dtype=np.int64)
-    mat[np.arange(size)[:, None], positions[quotient]] = np.asarray(cubics, dtype=np.int64)[owner] % p
-    non_reduced = np.flatnonzero(divisors >= 2)
-    det_m = det_mod(mat, p)
-    sub = mat[np.ix_(non_reduced, non_reduced)]
-    det_e = det_mod(sub, p)
-    if det_e == 0:
-        return None
-    return det_m != 0
+    mat = np.zeros((4, len(positions), len(monomials(9, 4))), dtype=np.int64)
+    mat[:, np.arange(len(positions))[:, None], positions] = parts[:, None, :]
+    return rank_mod(mat.reshape(-1, mat.shape[2]), p) == mat.shape[2]

@@ -477,8 +477,9 @@ def _hilbert_check(ctx: SliceContext, table: BigradedBettiTable):
             )
 
 
-def betti_table(ctx: SliceContext, collect_steps: bool = False):
-    """Full bigraded Betti table of the relative canonical resolution.
+def betti_table(ctx: SliceContext):
+    """Full bigraded Betti table of the relative canonical resolution, and
+    the resolution steps it was read from: (table, steps).
 
     Verifies, in order: empty H-degree-1 slices, generator minimality,
     image-equals-ideal in degrees 3 and 4, zero composition of consecutive
@@ -516,6 +517,4 @@ def betti_table(ctx: SliceContext, collect_steps: bool = False):
     if not table.is_self_dual():
         raise ResolutionError("table is not self-dual")
     _hilbert_check(ctx, table)
-    if collect_steps:
-        return table, steps
-    return table
+    return table, steps

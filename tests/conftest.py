@@ -32,8 +32,7 @@ def slice_ctx(model, coords):
 
 @pytest.fixture(scope="session")
 def betti_data(slice_ctx):
-    table, steps = betti_table(slice_ctx, collect_steps=True)
-    return table, steps
+    return betti_table(slice_ctx)
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,10 @@ import random
 
 import numpy as np
 
+from scrollres.ffield import det_mod
 from scrollres.lattice import GramLattice, LatticeError
-from scrollres.plane_curve import InsufficientRationalPointsError, monomials
+from scrollres.plane_curve import InsufficientRationalPointsError, monomials, product_positions, substitute_linear
+from scrollres.quartic_net import partial_derivative
 from scrollres.scroll import GENERIC_E, CanonicalCoordinates, CoxPoly, cox_slice, point_values, slice_keys
 
 # --- the scroll as 2x2 minors in the canonical P^8 ---------------------------
@@ -367,3 +369,55 @@ def reference_sample_points(model, count: int, seed: int = 0, exclude=(), max_ba
     raise InsufficientRationalPointsError(
         f"insufficient rational points: found {len(found)} of {count} at p={p}"
     )
+
+
+# --- the Macaulay resultant as a ratio of determinants ---------------------------
+
+
+def random_gl(n: int, rng: random.Random, p: int) -> list:
+    """A uniformly random invertible n x n matrix over F_p, as lists."""
+    while True:
+        t = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if det_mod(np.array(t), p):
+            return t
+
+
+def _macaulay_ratio(cubics, p: int):
+    """Is det(M) nonzero, for the classical degree-9 Macaulay matrix M of
+    four cubics in four variables?  None when the minor E of its non-reduced
+    rows and columns is singular, so that det(M)/det(E) is undefined.
+
+    Row r of M is q * cubics[i] for the r-th nonic monomial x_i^3 * q, x_i
+    the first variable whose cube divides it (the loop runs downwards, so
+    the first one is written last); monomials divisible by two cubes give
+    the non-reduced rows."""
+    positions = product_positions(6, 3, 4)
+    size = len(monomials(9, 4))
+    owner = np.zeros(size, dtype=np.int64)
+    quotient = np.zeros(size, dtype=np.int64)
+    divisors = np.zeros(size, dtype=np.int64)
+    for i in range(3, -1, -1):
+        rows = positions[:, monomials(3, 4).index(tuple(3 * (v == i) for v in range(4)))]
+        owner[rows], quotient[rows] = i, np.arange(len(positions))
+        divisors[rows] += 1
+    mat = np.zeros((size, size), dtype=np.int64)
+    mat[np.arange(size)[:, None], positions[quotient]] = np.asarray(cubics, dtype=np.int64)[owner] % p
+    non_reduced = np.flatnonzero(divisors >= 2)
+    if det_mod(mat[np.ix_(non_reduced, non_reduced)], p) == 0:
+        return None
+    return det_mod(mat, p) != 0
+
+
+def reference_macaulay_smooth(quartic, p: int) -> bool:
+    """Is the Macaulay resultant of the quartic's four partials nonzero?  It
+    is det(M)/det(E); when det(E) vanishes the quartic is moved by a random
+    coordinate change, which rescales the resultant by a nonzero factor, at
+    most five times."""
+    rng = random.Random(17)
+    quartic = np.asarray(quartic, dtype=np.int64) % p
+    for attempt in range(6):
+        moved = quartic if attempt == 0 else substitute_linear(quartic, 4, 4, random_gl(4, rng, p), p)
+        verdict = _macaulay_ratio([partial_derivative(moved, 4, 4, v, p) for v in range(4)], p)
+        if verdict is not None:
+            return verdict
+    raise AssertionError("det(E) vanished for six coordinate changes")

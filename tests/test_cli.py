@@ -99,6 +99,23 @@ def test_lattice_command_rejects_a_class_of_the_wrong_length(tmp_path, capsys):
             lat.gram_times(bad)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"gram": [[2.5, 1], [1, -2]]}, "gram entry 2.5 is not an integer"),
+    ({"gram": [["2", 1], [1, -2]]}, "gram entry '2' is not an integer"),
+    ({"gram": [[2, 1], [1, True]]}, "gram entry True is not an integer"),
+    ({"labels": ["a", "b"]}, 'needs a "gram" key holding a list of rows'),
+    ({"gram": [2, 1]}, 'needs a "gram" key holding a list of rows'),
+    ([[2, 1], [1, -2]], 'needs a "gram" key holding a list of rows'),
+])
+def test_lattice_command_rejects_a_malformed_gram_file(tmp_path, capsys, data, message):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(data))
+    assert main(["lattice", "--gram-file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_lattice_command_rejects_a_non_integer_class(tmp_path, capsys):
     path = tmp_path / "gram.json"
     path.write_text(json.dumps({"gram": [[2, 1], [1, -2]]}))

@@ -512,15 +512,13 @@ def test_products_match_python_integers(p, n):
 
 
 def _assert_core_matches_hand(a, p):
-    """RREF, pivots and det of the core, in both of its modes, and rank_mod,
-    det_mod and rref_mod, against textbook Gauss-Jordan."""
+    """RREF, pivots and det of the core, and rank_mod, det_mod and rref_mod,
+    against textbook Gauss-Jordan."""
     r_hand, pivots_hand, det_hand = _hand_gauss_jordan(a, p)
     r = np.array(a, dtype=np.int64) % p
     pivots, det = ffield._rref_inplace(r, p)
     assert pivots == pivots_hand and r.tobytes() == r_hand.tobytes()
     assert det % p == det_hand % p
-    e = np.array(a, dtype=np.int64) % p
-    assert ffield._rref_inplace(e, p, echelon=True) == (pivots_hand, det)
     assert rank_mod(a, p) == len(pivots_hand)
     r2, pivots2 = rref_mod(a, p)
     assert pivots2 == pivots_hand and r2.tobytes() == r_hand.tobytes()

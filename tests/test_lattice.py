@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,13 @@ def test_signatures():
     assert signature(identity3) == (3, 0, 0)
     degenerate = GramLattice(((0, 0), (0, 1)), ("a", "b"))
     assert signature(degenerate) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("entry", [2.5, 2.0, "2", True, None])
+def test_gram_entries_must_be_integers(entry):
+    with pytest.raises(LatticeError, match="is not an integer"):
+        GramLattice(((entry, 1), (1, -2)), ("a", "b"))
+    assert GramLattice(((np.int64(2), 1), (1, -2)), ("a", "b")).gram == ((2, 1), (1, -2))
 
 
 def test_discriminants_with_cofactor_oracle():

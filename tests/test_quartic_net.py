@@ -6,7 +6,7 @@ import pytest
 
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import FieldError, rank_mod
-from scrollres.plane_curve import evaluate_form, linear_system, monomials
+from scrollres.plane_curve import evaluate_form, linear_system, monomials, substitute_linear
 from scrollres.quartic_net import (
     GammaCurve,
     GammaError,
@@ -29,6 +29,8 @@ from scrollres.quartic_net import (
     singular_fiber_parameters,
     verify_net_on_points,
 )
+
+from oracles import random_gl, reference_macaulay_smooth
 
 
 def cubic_coeffs(terms: dict) -> np.ndarray:
@@ -342,6 +344,29 @@ def test_macaulay_nodal_quartic_singular():
 def test_macaulay_rejects_zero():
     with pytest.raises(ValueError):
         macaulay_resultant_smooth(np.zeros(35, dtype=np.int64), P)
+
+
+@pytest.mark.parametrize("p", [P, 2147483629])
+def test_macaulay_rank_matches_determinant_ratio(p):
+    """The rank certificate against the determinant ratio with its
+    coordinate-change retry: random quartics (smooth); the cone, the nodal
+    quartic above and a quartic with one ordinary node, whose partials span
+    all nonics but one, moved by random coordinate changes (singular); and
+    the unmoved cone, whose partial by w vanishes identically."""
+    rng = random.Random(p)
+    cone = quartic_coeffs4({(4, 0, 0, 0): 1, (0, 4, 0, 0): 1, (0, 0, 4, 0): 1})
+    nodal = quartic_coeffs4({(1, 1, 0, 2): 1, (4, 0, 0, 0): 1, (0, 4, 0, 0): 1, (1, 0, 3, 0): 1})
+    # w^2 (xy + z^2) + w c(x, y, z) + f(x, y, z), c and f random: an
+    # ordinary node at (0:0:0:1)
+    one_node = np.array([rng.randrange(p) if e[3] < 2 else int(e[:3] in ((1, 1, 0), (0, 0, 2)))
+                         for e in monomials(4, 4)])
+    cases = [(np.array([rng.randrange(p) for _ in range(35)]), True) for _ in range(3)]
+    cases += [(substitute_linear(q, 4, 4, random_gl(4, rng, p), p), False)
+              for q in (cone, nodal, one_node) for _ in range(2)]
+    cases.append((cone, False))
+    for quartic, smooth in cases:
+        assert reference_macaulay_smooth(quartic, p) is smooth
+        assert macaulay_resultant_smooth(quartic, p) is smooth
 
 
 # --- a conjugate pair of singular-fiber parameters ---------------------------------
