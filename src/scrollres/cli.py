@@ -113,15 +113,20 @@ def cmd_gamma(args) -> int:
 
 def cmd_lattice(args) -> int:
     if args.gram_file:
-        with open(args.gram_file) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.gram_file) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise LatticeError(f"cannot read {args.gram_file}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise LatticeError(f"{args.gram_file} is not JSON: {exc}") from None
         if not (isinstance(data, dict) and isinstance(data.get("gram"), list)
                 and all(isinstance(row, list) for row in data["gram"])):
             raise LatticeError(f"{args.gram_file} needs a \"gram\" key holding a list of rows")
-        lat = GramLattice(
-            tuple(tuple(row) for row in data["gram"]),
-            tuple(data.get("labels", [f"v{i}" for i in range(len(data["gram"]))])),
-        )
+        labels = data.get("labels", [f"v{i}" for i in range(len(data["gram"]))])
+        if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+            raise LatticeError(f"{args.gram_file}: \"labels\" must be a list of strings")
+        lat = GramLattice(tuple(tuple(row) for row in data["gram"]), tuple(labels))
         out = {
             "signature": signature(lat),
             "discriminant": discriminant(lat),

@@ -27,7 +27,6 @@ from fractions import Fraction
 import numpy as np
 
 from .ffield import rank_mod, rref_mod, weil_restriction
-from .lattice import solve_rational
 from .resolution import (
     BigradedBettiTable,
     ResolutionStep,
@@ -37,6 +36,8 @@ from .resolution import (
 )
 from .scroll import (
     GENERIC_E,
+    GENUS,
+    GONALITY,
     CoxPoly,
     cox_slice,
     euler_scroll,
@@ -524,29 +525,34 @@ def _twist_counts(step: ResolutionStep) -> dict:
 # --- intersection numbers from the resolution --------------------------------
 
 
+def _quadratic_fit(chi: dict) -> tuple:
+    """(c0, .., c5) with chi(a, b) = c0 + c1 a + c2 b + c3 a^2 + c4 ab + c5 b^2,
+    read off by second differences at (6, 0); K3Error unless every value of
+    chi fits exactly."""
+    c3 = Fraction(chi[7, 0] - 2 * chi[6, 0] + chi[5, 0], 2)
+    c5 = Fraction(chi[6, 1] - 2 * chi[6, 0] + chi[6, -1], 2)
+    c4 = chi[6, 1] - chi[6, 0] - chi[5, 1] + chi[5, 0]
+    c1 = Fraction(chi[7, 0] - chi[5, 0], 2) - 12 * c3
+    c2 = Fraction(chi[6, 1] - chi[6, -1], 2) - 6 * c4
+    c0 = chi[6, 0] - 6 * c1 - 36 * c3
+    for (a, b), v in chi.items():
+        if c0 + c1 * a + c2 * b + c3 * a * a + c4 * a * b + c5 * b * b != v:
+            raise K3Error(f"non-quadratic: chi{(a, b)} = {v} misses the fit")
+    return c0, c1, c2, c3, c4, c5
+
+
 def intersection_numbers_from_resolution(table: BigradedBettiTable, e=GENERIC_E) -> dict:
     """Fit chi(O_S(aH+bR)) over a grid where every twisted summand has
     nonnegative H-degree; the exact quadratic fit yields the intersection
     numbers and chi(O_S)."""
-    rows = []
-    rhs = []
+    chi = {}
     for a in (5, 6, 7):
         for b in (-2, -1, 0, 1, 2):
-            chi = euler_scroll(e, a, b)
+            value = euler_scroll(e, a, b)
             for (i, ta, tb), mult in table.entries.items():
-                chi += (-1) ** i * mult * euler_scroll(e, a - ta, b + tb)
-            rows.append([1, a, b, a * a, a * b, b * b])
-            rhs.append(chi)
-    coeffs, unique = solve_rational(rows, rhs)
-    if coeffs is None:
-        raise K3Error("non-quadratic: Euler characteristics do not fit")
-    if not unique:
-        raise K3Error("Euler-characteristic fit is underdetermined")
-    c0, c1, c2, c3, c4, c5 = coeffs
-    # verify the fit on the fly: recompute residuals exactly
-    for row, v in zip(rows, rhs):
-        if sum(Fraction(x) * c for x, c in zip(row, (c0, c1, c2, c3, c4, c5))) != v:
-            raise K3Error("non-quadratic: residual after fit")
+                value += (-1) ** i * mult * euler_scroll(e, a - ta, b + tb)
+            chi[a, b] = value
+    c0, c1, c2, c3, c4, c5 = _quadratic_fit(chi)
     if c1 != 0 or c2 != 0:
         raise K3Error("linear terms present: canonical class is not trivial")
     out = {
@@ -554,9 +560,9 @@ def intersection_numbers_from_resolution(table: BigradedBettiTable, e=GENERIC_E)
         "HN": int(c4),
         "N2": int(2 * c5),
         "chi": int(c0),
-        "C_H": 16,  # deg omega_C on the curve side (2g - 2)
-        "C_N": 6,   # deg L on the curve side
-        "C2": 16,   # adjunction input: 2 * genus(C) - 2
+        "C_H": 2 * GENUS - 2,  # deg omega_C on the curve side
+        "C_N": GONALITY,       # deg L, the pencil, on the curve side
+        "C2": 2 * GENUS - 2,   # adjunction input
     }
     if (out["H2"], out["HN"], out["N2"]) != (K3_H2, K3_HN, K3_N2):
         raise K3Error(f"intersection numbers {out} do not match the expected lattice")

@@ -331,6 +331,19 @@ def _ellipsoid_points(d, l, center, radius2):
     return out
 
 
+def _ldl_solve(d, l, u):
+    """x with Q x = u for Q = L^T D L, pivots d and multipliers l from
+    _diagonalize: forward-solve L^T y = u, then back-solve L x = y / D."""
+    n = len(d)
+    y = [Fraction(0)] * n
+    for i in range(n):
+        y[i] = u[i] - sum(l[k][i] * y[k] for k in range(i))
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = y[i] / d[i] - sum(l[i][k] * x[k] for k in range(i + 1, n))
+    return x
+
+
 def enum_classes(lat: GramLattice, norm: int, constraints, radius_factor: int = 1):
     """All nonzero classes D with D.D = norm and D.v_i = m_i for each
     (v_i, m_i) in constraints.
@@ -369,8 +382,9 @@ def enum_classes(lat: GramLattice, norm: int, constraints, radius_factor: int = 
         sum(lat.gram_times(x0)[r] * kernel[j][r] for r in range(n))
         for j in range(len(kernel))
     ]
-    # solve Q center = u; Q is definite, so the solution exists and is unique
-    center, _unique = solve_rational(q, u)
+    # the check above makes Q positive definite, so _diagonalize never
+    # pivoted and Q = L^T D L holds: the centre takes two triangular solves
+    center = _ldl_solve(pivots, l, u)
     radius2 = (
         Fraction(lat.norm(x0) - norm)
         + sum(center[j] * u[j] for j in range(len(kernel)))
@@ -388,33 +402,6 @@ def enum_classes(lat: GramLattice, norm: int, constraints, radius_factor: int = 
             if all(lat.pairing(d, v) == m for v, m in constraints):
                 found.append(d)
     return sorted(found)
-
-
-def solve_rational(rows, rhs):
-    """Exact Gauss-Jordan solve of rows . x = rhs over Q, any number of rows:
-    (None, False) if inconsistent, else (x, unique) with free variables 0."""
-    m = [[Fraction(v) for v in row] + [Fraction(c)] for row, c in zip(rows, rhs)]
-    ncols = len(rows[0])
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    if any(row[ncols] != 0 for row in m[len(pivots):]):
-        return None, False
-    x = [Fraction(0)] * ncols
-    for row, c in zip(m, pivots):
-        x[c] = row[ncols]
-    return x, len(pivots) == ncols
 
 
 # --- positivity certificates ---------------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 
 from .ffield import rank_mod
 from .plane_curve import (
+    GENUS,
     evaluate_form,
     linear_system,
     monomial_values,
@@ -37,7 +38,6 @@ from .plane_curve import (
     restrict_to_line,
 )
 
-GENUS = 9
 GONALITY = 6
 SCROLL_DEGREE = GENUS - GONALITY + 1  # 4
 GENERIC_E = (1, 1, 1, 1, 0)

@@ -3,6 +3,7 @@ package computes another way, and small helpers only the tests need."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,6 +95,33 @@ def enum_box_oracle(lat: GramLattice, norm: int, constraints, radius: int):
     for v, m in constraints:
         mask &= (np.array(v, dtype=np.int64) @ gx) == m
     return sorted(tuple(int(x) for x in coords[:, i]) for i in np.nonzero(mask)[0])
+
+
+def solve_rational(rows, rhs):
+    """Exact Gauss-Jordan solve of rows . x = rhs over Q, any number of rows:
+    (None, False) if inconsistent, else (x, unique) with free variables 0."""
+    m = [[Fraction(v) for v in row] + [Fraction(c)] for row, c in zip(rows, rhs)]
+    ncols = len(rows[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    if any(row[ncols] != 0 for row in m[len(pivots):]):
+        return None, False
+    x = [Fraction(0)] * ncols
+    for row, c in zip(m, pivots):
+        x[c] = row[ncols]
+    return x, len(pivots) == ncols
 
 
 # --- the resolution -------------------------------------------------------------

@@ -106,10 +106,17 @@ def test_lattice_command_rejects_a_class_of_the_wrong_length(tmp_path, capsys):
     ({"labels": ["a", "b"]}, 'needs a "gram" key holding a list of rows'),
     ({"gram": [2, 1]}, 'needs a "gram" key holding a list of rows'),
     ([[2, 1], [1, -2]], 'needs a "gram" key holding a list of rows'),
+    ('{"gram": [[2, 1], [1, -2]]', "is not JSON"),
+    (None, "cannot read"),
+    ({"gram": [[2, 1], [1, -2]], "labels": 5}, '"labels" must be a list of strings'),
+    ({"gram": [[2, 1], [1, -2]], "labels": "ab"}, '"labels" must be a list of strings'),
+    ({"gram": [[2, 1], [1, -2]], "labels": ["a", 2]}, '"labels" must be a list of strings'),
 ])
 def test_lattice_command_rejects_a_malformed_gram_file(tmp_path, capsys, data, message):
+    # data is a JSON value, raw file text, or None for a missing file
     path = tmp_path / "gram.json"
-    path.write_text(json.dumps(data))
+    if data is not None:
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
     assert main(["lattice", "--gram-file", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -22,6 +22,7 @@ from scrollres.ffield import (
     solve_mod,
     weil_restriction,
 )
+from scrollres.lattice import det_cofactor
 
 P = 10007
 
@@ -110,14 +111,6 @@ def test_det_mod_matches_numpy_small():
         assert det_mod(a, P) == expected
 
 
-def _det_cofactor(a: list) -> int:
-    """Laplace expansion along the first row, on Python ints."""
-    if not a:
-        return 1
-    return sum((-1) ** j * a[0][j] * _det_cofactor([row[:j] + row[j + 1:] for row in a[1:]])
-               for j in range(len(a)) if a[0][j])
-
-
 @st.composite
 def det_cases(draw):
     """(p, square matrix, kind): kind "singular" makes the last row a
@@ -142,7 +135,7 @@ def det_cases(draw):
 def test_det_mod_matches_cofactor_expansion(case):
     p, a, kind = case
     got = det_mod(np.array(a, dtype=np.int64), p)
-    assert got == _det_cofactor(a) % p
+    assert got == det_cofactor(a) % p
     if kind == "singular":
         assert got == 0
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from scrollres import DEFAULT_PRIME as P
 from scrollres import k3_syzygy
 from scrollres.ffield import det_mod, rank_mod, solve_mod
 from scrollres.k3_syzygy import (
+    K3_GENUS,
+    K3_SECTION_GONALITY,
     K3_SHAPE_TABLE,
     K3Error,
     SyzygyVector,
@@ -25,10 +28,11 @@ from scrollres.k3_syzygy import (
     syzygy_scheme,
     verify_containment,
 )
+from scrollres.resolution import BigradedBettiTable
 from scrollres.scroll import GENERIC_E, CoxPoly
 
 from dict_cox import DictPoly, monomial
-from oracles import reference_koszul_matrix, reference_solve_matrix
+from oracles import reference_koszul_matrix, reference_solve_matrix, solve_rational
 
 #: 17 pencil parameters whose members the pencil must reproduce; the gamma
 #: loop of the pipeline uses only the first rank-4 members of its own list
@@ -225,6 +229,46 @@ def test_intersection_numbers(shape):
     assert (nums["H2"], nums["HN"], nums["N2"]) == (14, 5, 0)
     assert nums["chi"] == 2
     assert nums["C_H"] == 16 and nums["C_N"] == 6 and nums["C2"] == 16
+
+
+CHI_GRID = [(a, b) for a in (5, 6, 7) for b in (-2, -1, 0, 1, 2)]
+SHAPE_TABLE = BigradedBettiTable(K3_GENUS, K3_SECTION_GONALITY, K3_SHAPE_TABLE)
+
+
+def test_quadratic_fit_matches_the_reference_solver(monkeypatch):
+    # the chi grid of the surface, random quadratics with half-integer
+    # squares, and random grids that no quadratic fits
+    fit = k3_syzygy._quadratic_fit
+    grids = []
+    monkeypatch.setattr(k3_syzygy, "_quadratic_fit", lambda chi: grids.append(chi) or fit(chi))
+    intersection_numbers_from_resolution(SHAPE_TABLE)
+    rng = random.Random(11)
+    for _ in range(20):
+        c = [Fraction(rng.randint(-30, 30), rng.choice((1, 2))) for _ in range(6)]
+        grids.append({(a, b): c[0] + c[1] * a + c[2] * b + c[3] * a * a + c[4] * a * b + c[5] * b * b
+                      for a, b in CHI_GRID})
+    grids += [{ab: rng.randint(-99, 99) for ab in CHI_GRID} for _ in range(5)]
+    rejected = 0
+    for chi in grids:
+        rows = [[1, a, b, a * a, a * b, b * b] for a, b in CHI_GRID]
+        x, unique = solve_rational(rows, [chi[ab] for ab in CHI_GRID])
+        if x is None:
+            rejected += 1
+            with pytest.raises(K3Error, match="non-quadratic"):
+                fit(chi)
+        else:
+            assert unique and fit(chi) == tuple(x)
+    assert rejected == 5
+    assert fit(grids[0]) == (2, 0, 0, 7, 5, 0)
+
+
+@pytest.mark.parametrize("point", CHI_GRID, ids=str)
+def test_a_chi_off_by_one_is_not_quadratic(monkeypatch, point):
+    fit = k3_syzygy._quadratic_fit
+    monkeypatch.setattr(k3_syzygy, "_quadratic_fit",
+                        lambda chi: fit({**chi, point: chi[point] + 1}))
+    with pytest.raises(K3Error, match="non-quadratic"):
+        intersection_numbers_from_resolution(SHAPE_TABLE)
 
 
 def test_surface_chi_values():

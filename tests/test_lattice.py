@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrollres import lattice
 from scrollres.lattice import (
     GramLattice,
     LatticeError,
@@ -31,13 +32,12 @@ from scrollres.lattice import (
     signature,
     smith_normal_form,
     solve_integer_system,
-    solve_rational,
     stated_embedding_columns,
     unique_polarization_classes,
     verify_primitive_embedding,
 )
 
-from oracles import enum_box_oracle, hyperbolic_plane, reflect
+from oracles import enum_box_oracle, hyperbolic_plane, reflect, solve_rational
 
 H_LAT = lattice_h()
 HP_LAT = lattice_h_prime()
@@ -208,17 +208,17 @@ def test_signature_and_discriminant_match_oracles(gram):
         assert (disc < 0) == (neg % 2 == 1)
 
 
-@pytest.mark.parametrize(
-    "lat,norm,anchor,pairing",
-    [
-        (H_LAT, -2, H, 0),
-        (H_LAT, -2, H, 2),
-        (H_LAT, 0, H, 5),
-        (H_LAT, 16, H, 16),
-        (HP_LAT, -2, (1, 0, 0, 0), 1),
-        (HP_LAT, 0, (1, 0, 0, 0), 4),
-    ],
-)
+ENUM_CASES = [
+    (H_LAT, -2, H, 0),
+    (H_LAT, -2, H, 2),
+    (H_LAT, 0, H, 5),
+    (H_LAT, 16, H, 16),
+    (HP_LAT, -2, (1, 0, 0, 0), 1),
+    (HP_LAT, 0, (1, 0, 0, 0), 4),
+]
+
+
+@pytest.mark.parametrize("lat,norm,anchor,pairing", ENUM_CASES)
 def test_enum_matches_box_oracle(lat, norm, anchor, pairing):
     fast = enum_classes(lat, norm, [(anchor, pairing)])
     slow = enum_box_oracle(lat, norm, [(anchor, pairing)], radius=30)
@@ -226,6 +226,28 @@ def test_enum_matches_box_oracle(lat, norm, anchor, pairing):
     for d in fast:
         assert lat.norm(d) == norm
         assert lat.pairing(d, anchor) == pairing
+
+
+def test_ellipsoid_centre_matches_the_reference_solver(monkeypatch):
+    # every (Q, u) that enum_classes builds for the box-oracle cases, and
+    # random positive definite Q = A^T A + 1 of sizes 1 to 4
+    diagonalize, ldl_solve = lattice._diagonalize, lattice._ldl_solve
+    grams, solves = [], []
+    monkeypatch.setattr(lattice, "_diagonalize", lambda q: grams.append(q) or diagonalize(q))
+    monkeypatch.setattr(lattice, "_ldl_solve",
+                        lambda d, l, u: solves.append((grams[-1], u)) or ldl_solve(d, l, u))
+    for lat, norm, anchor, pairing in ENUM_CASES:
+        enum_classes(lat, norm, [(anchor, pairing)])
+    assert len(solves) == len(ENUM_CASES)
+    rng = random.Random(7)
+    for n in (1, 2, 3, 3, 3, 4, 4, 4):
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        q = [[sum(r[i] * r[j] for r in a) + (i == j) for j in range(n)] for i in range(n)]
+        solves.append((q, [rng.randint(-20, 20) for _ in range(n)]))
+    for q, u in solves:
+        d, l, zero = diagonalize(q)
+        assert zero == 0 and all(v > 0 for v in d)
+        assert solve_rational(q, u) == (ldl_solve(d, l, u), True)
 
 
 def test_enum_completeness_radius_doubling():

@@ -1,5 +1,6 @@
-"""No module of the package uses another object's private names, and every
-name the benchmark's tracer instruments exists."""
+"""No module of the package uses another object's private names, the
+modules keep their import boundaries, and every name the benchmark's tracer
+instruments exists."""
 
 import ast
 import importlib
@@ -38,6 +39,34 @@ def test_private_uses_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_name_crosses_an_object(path):
     assert private_uses(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set:
+    """Every module a source imports from and every name it imports, dotted;
+    a relative import keeps its leading dots."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            if node.module:
+                found.add(base)
+            prefix = base if base.endswith(".") else base + "."
+            found.update(prefix + alias.name for alias in node.names)
+    return found
+
+
+def test_imported_modules_are_found():
+    source = "import numpy as np\nfrom .lattice import x\nfrom . import ffield\nfrom scrollres import scroll\n"
+    assert imported_modules(source) == {
+        "numpy", ".lattice", ".lattice.x", ".ffield", "scrollres", "scrollres.scroll"}
+
+
+def test_k3_syzygy_imports_nothing_from_lattice():
+    # the chi fit is closed-form, so the surface side needs no lattice solver
+    found = imported_modules((SRC / "k3_syzygy.py").read_text())
+    assert not found & {".lattice", "scrollres.lattice"}
 
 
 def test_every_benchmark_target_resolves(monkeypatch):
