@@ -207,9 +207,9 @@ def build_chain(prime: int, seed: int) -> CurveChain:
     pencil = pencil_from_node(model)
     coords = canonical_coordinates(model, pencil)
     st = scroll_type(model, pencil)
-    if st.e != (1, 1, 1, 1, 0):
+    if st.e != GENERIC_E:
         raise PipelineError(f"unexpected scroll type {st.e}")
-    ctx = SliceContext(model, coords)
+    ctx = SliceContext(model, coords, st.e)
     table, steps = betti_table(ctx)
     return CurveChain(model, coords, ctx, table, steps)
 
@@ -433,7 +433,7 @@ def _curve_and_betti(run: dict, report: dict, checks: dict) -> None:
     chain = run["chain"] = build_chain(report["prime"], report["seed"])
     report["model"] = json.loads(chain.model.to_json())
     report["modelReport"] = verify_model_report(chain.model)
-    report["scrollType"] = [1, 1, 1, 1, 0]
+    report["scrollType"] = list(chain.ctx.e)
     report["bettiTable"] = _betti_section(chain, checks)
 
 

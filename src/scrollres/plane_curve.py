@@ -27,10 +27,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import check_prime, kernel_mod, mul_mod, rank_mod, roots_mod_batch
+from .ffield import check_prime, kernel_mod, mul_mod, rank_mod, roots_mod_batch, solve_mod
 
 GENUS = 9
-PENCIL_DEGREE = 6
+#: the degree of the pencil, cut by the lines through q: the curve's gonality
+GONALITY = 6
+#: the first partials at a node, and the second (Hessian) and third (cubic)
+#: partials that decide whether a double or triple point is ordinary
+FIRST_PARTIALS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+LOCAL_ORDERS = {2: ((2, 0, 0), (1, 1, 0), (0, 2, 0)),
+                3: ((3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0))}
 
 
 class DegenerateConfigurationError(RuntimeError):
@@ -90,32 +96,18 @@ def multiply_forms(f, df: int, g, dg: int, p: int, nvars: int = 3) -> np.ndarray
     return out % p
 
 
-def substitute_linear(coeffs, nvars: int, d: int, t_mat, p: int) -> np.ndarray:
-    """Coefficients of F(T x) for a degree-d form F in nvars variables."""
-    # powers[var][e]: the linear form of row var of T, raised to the power e
-    powers = []
-    for row in np.asarray(t_mat, dtype=np.int64) % p:
-        powers.append([np.ones(1, dtype=np.int64)])
-        for e in range(d):
-            powers[-1].append(multiply_forms(powers[-1][e], e, row, 1, p, nvars))
-    out = np.zeros(len(monomials(d, nvars)), dtype=np.int64)
-    for c, expo in zip(coeffs, monomials(d, nvars)):
-        if int(c) % p:
-            term, degree = np.array([int(c) % p]), 0
-            for var, e in enumerate(expo):
-                if e:
-                    term = multiply_forms(term, degree, powers[var][e], e, p, nvars)
-                    degree += e
-            out = (out + term) % p
-    return out
-
-
 def restrict_to_line(coeffs, d: int, a_pt, b_pt, p: int) -> list:
-    """Binary form F(s*A + t*B) as coefficients [s^d, s^(d-1)t, ..., t^d]."""
-    t_mat = np.stack([np.asarray(a_pt), np.asarray(b_pt), np.zeros(3, dtype=np.int64)], axis=1)
-    moved = substitute_linear(coeffs, 3, d, t_mat, p)
-    # s^(d-k) t^k is monomial number k(k+1)/2 of monomials(d)
-    return [int(moved[k * (k + 1) // 2]) for k in range(d + 1)]
+    """Binary form F(s*A + t*B) as coefficients [s^d, s^(d-1)t, ..., t^d].
+
+    At (s, t) = (1, tau) it takes the value F(A + tau*B), so its values at
+    tau = 0..d, one evaluate_form call, determine it through a Vandermonde
+    system; the nodes tau are distinct mod p exactly when p > d."""
+    if p <= d:
+        raise ValueError(f"restricting a degree-{d} form to a line needs p > {d}, got p = {p}")
+    taus = np.arange(d + 1, dtype=np.int64)
+    a_pt, b_pt = (np.asarray(v, dtype=np.int64) % p for v in (a_pt, b_pt))
+    values = evaluate_form(coeffs, d, a_pt + taus[:, None] * b_pt, p)
+    return [int(v) for v in solve_mod(power_table(taus, d, p).T, values, p)]
 
 
 def power_table(values: np.ndarray, max_exp: int, p: int) -> np.ndarray:
@@ -149,26 +141,29 @@ def evaluate_form(coeffs, d: int, points, p: int) -> np.ndarray:
     return mul_mod(coeffs, monomial_values(exponents(d, pts.shape[1]), pts.T, p), p)
 
 
-def derivative_row(d: int, order, point, p: int) -> np.ndarray:
-    """Row of the linear functional F -> (partial^order F)(point).
+def derivative_rows(d: int, pairs, p: int) -> np.ndarray:
+    """Row i: the functional F -> (partial^order F)(point) on degree-d
+    ternary forms, indexed by monomials(d), for the i-th (order, point) of
+    pairs; order is a multi-index (a, b, c).
 
-    order is a multi-index (a, b, c); the row is indexed by monomials(d).
-    """
+    All rows are one array computation: the falling factorials
+    e (e - 1) ... (e - o + 1) (zero once e < o) come from one table, and the
+    lowered exponents index one power table per coordinate covering every
+    point.  Each product of two residues is below 2**62 and reduced mod p
+    at once."""
     exps = exponents(d)
-    # falling factorials e (e - 1) ... (e - o + 1); zero once e < o
-    coef = np.ones(len(exps), dtype=np.int64)
-    for var, o in enumerate(order):
-        for t in range(o):
-            coef = coef * (exps[:, var] - t) % p
-    lowered = np.maximum(exps - np.asarray(order), 0)
-    vals = monomial_values(lowered, np.asarray(point, dtype=np.int64).reshape(3, 1), p)[:, 0]
-    return coef * vals % p
-
-
-def _partial_at(coeffs, d: int, order, point, p: int) -> int:
-    """(partial^order F)(point) for the degree-d ternary form F, in Python
-    ints: one dot product is too small for mul_mod to pay."""
-    return sum(int(r) * int(c) for r, c in zip(derivative_row(d, order, point, p), coeffs)) % p
+    orders = np.array([order for order, _pt in pairs], dtype=np.int64).reshape(-1, 3)
+    points = np.array([pt for _order, pt in pairs], dtype=np.int64).reshape(-1, 3) % p
+    falling = np.ones((d + 1, int(orders.max(initial=0)) + 1), dtype=np.int64)
+    for o in range(1, falling.shape[1]):
+        falling[:, o] = falling[:, o - 1] * (np.arange(d + 1) - o + 1) % p
+    lowered = np.maximum(exps[None] - orders[:, None], 0)
+    out = np.ones((len(orders), len(exps)), dtype=np.int64)
+    for var in range(3):
+        out = out * falling[exps[None, :, var], orders[:, None, var]] % p
+        powers = power_table(points[:, var], d, p).T
+        out = out * np.take_along_axis(powers, lowered[:, :, var], axis=1) % p
+    return out
 
 
 def _multi_indices_below(order: int) -> list:
@@ -178,13 +173,8 @@ def _multi_indices_below(order: int) -> list:
 def condition_matrix(d: int, conditions, p: int) -> np.ndarray:
     """Vanishing conditions: multiplicity m at a point imposes all partials
     of order < m.  Rows are stacked in condition order."""
-    rows = []
-    for point, mult in conditions:
-        for order in _multi_indices_below(mult):
-            rows.append(derivative_row(d, order, point, p))
-    if not rows:
-        return np.zeros((0, monomial_count(d)), dtype=np.int64)
-    return np.stack(rows)
+    return derivative_rows(
+        d, [(order, point) for point, mult in conditions for order in _multi_indices_below(mult)], p)
 
 
 @dataclass(frozen=True)
@@ -247,42 +237,10 @@ class PlaneCurveModel:
         )
 
 
-def _hessian_nondegenerate(coeffs, d: int, point, p: int) -> bool:
-    """Ordinary double point: the 2x2 Hessian of the z = 1 dehomogenisation
-    is nondegenerate (char p exceeds the degree, so this is the
-    scheme-theoretic condition)."""
-    fxx = _partial_at(coeffs, d, (2, 0, 0), point, p)
-    fxy = _partial_at(coeffs, d, (1, 1, 0), point, p)
-    fyy = _partial_at(coeffs, d, (0, 2, 0), point, p)
-    return (fxx * fyy - fxy * fxy) % p != 0
-
-
-def _triple_point_ordinary(coeffs, d: int, point, p: int) -> bool:
-    """Ordinary triple point: the leading cubic of the local expansion has
-    distinct roots, tested by its discriminant."""
-    inv6 = pow(6, -1, p)
-    inv2 = pow(2, -1, p)
-    c30 = _partial_at(coeffs, d, (3, 0, 0), point, p)
-    c21 = _partial_at(coeffs, d, (2, 1, 0), point, p)
-    c12 = _partial_at(coeffs, d, (1, 2, 0), point, p)
-    c03 = _partial_at(coeffs, d, (0, 3, 0), point, p)
-    a, b = c30 * inv6 % p, c21 * inv2 % p
-    c, e = c12 * inv2 % p, c03 * inv6 % p
-    disc = (
-        18 * a * b * c * e - 4 * b ** 3 * e + b * b * c * c
-        - 4 * a * c ** 3 - 27 * a * a * e * e
-    ) % p
-    return disc != 0
-
-
 def node_conditions_matrix(nodes, p: int, d: int = 8) -> np.ndarray:
     """Three first partials of a degree-d form at each node; vanishing of the
     form itself follows from the Euler relation."""
-    rows = []
-    for node in nodes:
-        for order in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            rows.append(derivative_row(d, order, node, p))
-    return np.stack(rows)
+    return derivative_rows(d, [(order, node) for node in nodes for order in FIRST_PARTIALS], p)
 
 
 def construct_nodal_octic(prime: int, seed: int, max_attempts: int = 12) -> PlaneCurveModel:
@@ -301,13 +259,10 @@ def construct_nodal_octic(prime: int, seed: int, max_attempts: int = 12) -> Plan
         while len(nodes) < 12:
             nodes.add((rng.randrange(prime), rng.randrange(prime), 1))
         nodes = tuple(sorted(nodes))
-        cond = node_conditions_matrix(nodes, prime)
-        if rank_mod(cond, prime) != 36:
-            last_error = "condition matrix rank below 36"
-            continue
-        basis = kernel_mod(cond, prime)
+        # the rank of the 36 x 45 conditions is 45 - len(basis)
+        basis = kernel_mod(node_conditions_matrix(nodes, prime), prime)
         if len(basis) != 45 - 36:
-            last_error = "octic solution space has unexpected dimension"
+            last_error = "condition matrix rank below 36"
             continue
         weights = np.array([rng.randrange(1, prime) for _ in basis], dtype=np.int64)
         octic = mul_mod(weights, basis, prime)
@@ -335,20 +290,12 @@ def construct_nodal_nonic(prime: int, seed: int, max_attempts: int = 12) -> Plan
             points.add((rng.randrange(prime), rng.randrange(prime), 1))
         points = sorted(points)
         tpt, nodes = points[0], tuple(points[1:])
-        rows = [
-            derivative_row(9, order, tpt, prime)
-            for order in monomials(2)
-        ]
-        for n in nodes:
-            for order in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                rows.append(derivative_row(9, order, n, prime))
-        cond = np.stack(rows)
-        if rank_mod(cond, prime) != 54:
-            last_error = "nonic condition matrix rank below 54"
-            continue
+        cond = derivative_rows(9, [(order, tpt) for order in monomials(2)]
+                               + [(order, n) for n in nodes for order in FIRST_PARTIALS], prime)
+        # one elimination: the rank of the 54 x 55 conditions is 55 - len(basis)
         basis = kernel_mod(cond, prime)
         if len(basis) != 1:
-            last_error = "nonic solution space not 1-dimensional"
+            last_error = "nonic condition matrix rank below 54"
             continue
         model = PlaneCurveModel(prime, 9, basis[0] % prime, tpt, 3, nodes, seed)
         report = verify_model_report(model)
@@ -368,21 +315,37 @@ def verify_model_report(model) -> dict:
     pts = [pt for pt, _m in sing]
     if len(set(pts)) != len(pts):
         failures.append("singular points are not distinct")
-    for pt, mult in sing:
+    # every partial read below, (point index, order) -> value, from one
+    # derivative_rows call and one product with the coefficients
+    keys = [(i, order) for i, (_pt, mult) in enumerate(sing)
+            for order in _multi_indices_below(mult) + list(LOCAL_ORDERS.get(mult, ()))]
+    rows = derivative_rows(d, [(order, sing[i][0]) for i, order in keys], p)
+    partial = dict(zip(keys, mul_mod(rows, model.coeffs, p).tolist()))
+    for i, (pt, mult) in enumerate(sing):
         for order in _multi_indices_below(mult):
-            if _partial_at(model.coeffs, d, order, pt, p):
+            if partial[i, order]:
                 failures.append(f"partial {order} does not vanish at {pt}")
                 break
-    for pt, mult in sing:
-        if mult == 2 and not _hessian_nondegenerate(model.coeffs, d, pt, p):
+    for i, (pt, mult) in enumerate(sing):
+        local = [partial[i, order] for order in LOCAL_ORDERS.get(mult, ())]
+        # ordinary double point: the Hessian of the z = 1 dehomogenisation is
+        # nondegenerate (char p exceeds the degree, so this is the
+        # scheme-theoretic condition)
+        if mult == 2 and (local[0] * local[2] - local[1] ** 2) % p == 0:
             failures.append(f"node {pt} is not ordinary (degenerate Hessian)")
-        if mult == 3 and not _triple_point_ordinary(model.coeffs, d, pt, p):
-            failures.append(f"triple point {pt} is not ordinary")
+        # ordinary triple point: the leading cubic a x^3 + b x^2 y + c x y^2
+        # + e y^3 of the local expansion has distinct roots
+        if mult == 3:
+            a, b, c, e = (v * pow(w, -1, p) % p for v, w in zip(local, (6, 2, 2, 6)))
+            disc = (18 * a * b * c * e - 4 * b ** 3 * e + b * b * c * c
+                    - 4 * a * c ** 3 - 27 * a * a * e * e) % p
+            if disc == 0:
+                failures.append(f"triple point {pt} is not ordinary")
     genus = model.genus()
     if genus != GENUS:
         failures.append(f"genus bookkeeping gives {genus}, expected {GENUS}")
-    if model.pencil_degree != PENCIL_DEGREE:
-        failures.append(f"pencil degree {model.pencil_degree} != {PENCIL_DEGREE}")
+    if model.pencil_degree != GONALITY:
+        failures.append(f"pencil degree {model.pencil_degree} != {GONALITY}")
     return {
         "ok": not failures,
         "failures": failures,

@@ -21,6 +21,7 @@ and kernels of evaluation matrices are well defined.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,6 +31,7 @@ import numpy as np
 from .ffield import rank_mod
 from .plane_curve import (
     GENUS,
+    GONALITY,
     evaluate_form,
     linear_system,
     monomial_values,
@@ -38,7 +40,6 @@ from .plane_curve import (
     restrict_to_line,
 )
 
-GONALITY = 6
 SCROLL_DEGREE = GENUS - GONALITY + 1  # 4
 GENERIC_E = (1, 1, 1, 1, 0)
 
@@ -82,20 +83,19 @@ def cox_slice(e: tuple, a: int, b: int) -> tuple:
 def euler_scroll(e, a: int, b: int) -> int:
     """Euler characteristic of O(aH + bR) on P(E), additive over Sym^a.
 
-    chi(P^1, O(d)) = d + 1 for every integer d, so the sum below is the true
-    Euler characteristic whenever a >= 0.  For -len(e) < a < 0 every direct
-    image vanishes and chi = 0; lower a would need the top direct image and
-    is outside this artifact's needs.
+    chi(P^1, O(d)) = d + 1 for every integer d, so for a >= 0 chi is the sum
+    of b + alpha.e + 1 over the C(a+k-1, k-1) exponents alpha of degree a in
+    k = len(e) variables.  By symmetry each variable's exponents sum to
+    a C(a+k-1, k-1) / k = C(a+k-1, k), which gives the closed form below.
+    For -k < a < 0 every direct image vanishes and chi = 0; lower a would
+    need the top direct image and is outside this artifact's needs.
     """
-    e = tuple(e)
+    k = len(e)
     if a < 0:
-        if a <= -len(e):
+        if a <= -k:
             raise ScrollError("euler_scroll is not implemented for a <= -(k-1)")
         return 0
-    return sum(
-        b + sum(ai * ei for ai, ei in zip(alpha, e)) + 1
-        for alpha in monomials(a, len(e))
-    )
+    return math.comb(a + k - 1, k - 1) * (b + 1) + math.comb(a + k - 1, k) * sum(e)
 
 
 # --- Cox monomial keys -----------------------------------------------------
@@ -258,10 +258,7 @@ def pencil_from_node(model, max_tries: int = 64):
     for _ in range(max_tries):
         c0, c1 = rng.randrange(p), rng.randrange(1, p)
         line = (c0 * base[0] + c1 * base[1]) % p
-        if any(
-            evaluate_form(line, 1, np.array([n]), p)[0] == 0
-            for n in model.nodes
-        ):
+        if not evaluate_form(line, 1, model.nodes, p).all():
             continue
         if not _line_residual_degree_six(model, line):
             continue
@@ -324,10 +321,9 @@ def canonical_coordinates(model, pencil) -> CanonicalCoordinates:
             break
     else:
         raise ScrollError("no adjoint completes the product span")
-    sing = np.array([pt for pt, _m in model.singular_points()])
-    for vec in products + [phi]:
-        if np.any(evaluate_form(vec, phi_degree, sing, p)):
-            raise ScrollError("canonical representative misses a singular point")
+    sing = [pt for pt, _m in model.singular_points()]
+    if np.any(evaluate_form(np.stack(products + [phi]), phi_degree, sing, p)):
+        raise ScrollError("canonical representative misses a singular point")
     return CanonicalCoordinates(p, tuple(pencil), tuple(quartics), phi,
                                 q_degree, phi_degree)
 
@@ -346,10 +342,11 @@ def point_values(model, coords: CanonicalCoordinates, points) -> np.ndarray:
     """(7, n) array of values Q1..Q4, Phi, l1, l2 at the sample points."""
     p = model.prime
     pts = np.asarray(points, dtype=np.int64)
-    rows = [evaluate_form(q, coords.q_degree, pts, p) for q in coords.quartics]
-    rows.append(evaluate_form(coords.phi, coords.phi_degree, pts, p))
-    rows.extend(evaluate_form(l, 1, pts, p) for l in coords.lines)
-    return np.stack(rows)
+    return np.concatenate([
+        evaluate_form(np.stack(coords.quartics), coords.q_degree, pts, p),
+        evaluate_form(coords.phi[None], coords.phi_degree, pts, p),
+        evaluate_form(np.stack(coords.lines), 1, pts, p),
+    ])
 
 
 def monomial_value_matrix(values: np.ndarray, keys: np.ndarray, p: int) -> np.ndarray:

@@ -9,7 +9,16 @@ import numpy as np
 
 from scrollres.ffield import det_mod
 from scrollres.lattice import GramLattice, LatticeError
-from scrollres.plane_curve import InsufficientRationalPointsError, monomials, product_positions, substitute_linear
+from scrollres.plane_curve import (
+    GENUS,
+    GONALITY,
+    InsufficientRationalPointsError,
+    exponents,
+    monomial_values,
+    monomials,
+    multiply_forms,
+    product_positions,
+)
 from scrollres.quartic_net import partial_derivative
 from scrollres.scroll import GENERIC_E, CanonicalCoordinates, CoxPoly, cox_slice, point_values, slice_keys
 
@@ -397,6 +406,119 @@ def reference_sample_points(model, count: int, seed: int = 0, exclude=(), max_ba
     raise InsufficientRationalPointsError(
         f"insufficient rational points: found {len(found)} of {count} at p={p}"
     )
+
+
+# --- the plane-curve layer one row, one partial, one product at a time ----------
+
+
+def substitute_linear(coeffs, nvars: int, d: int, t_mat, p: int) -> np.ndarray:
+    """Coefficients of F(T x) for a degree-d form F in nvars variables."""
+    # powers[var][e]: the linear form of row var of T, raised to the power e
+    powers = []
+    for row in np.asarray(t_mat, dtype=np.int64) % p:
+        powers.append([np.ones(1, dtype=np.int64)])
+        for e in range(d):
+            powers[-1].append(multiply_forms(powers[-1][e], e, row, 1, p, nvars))
+    out = np.zeros(len(monomials(d, nvars)), dtype=np.int64)
+    for c, expo in zip(coeffs, monomials(d, nvars)):
+        if int(c) % p:
+            term, degree = np.array([int(c) % p]), 0
+            for var, e in enumerate(expo):
+                if e:
+                    term = multiply_forms(term, degree, powers[var][e], e, p, nvars)
+                    degree += e
+            out = (out + term) % p
+    return out
+
+
+def reference_restrict_to_line(coeffs, d: int, a_pt, b_pt, p: int) -> list:
+    """Binary form F(s*A + t*B) as coefficients [s^d, s^(d-1)t, ..., t^d],
+    read off the substitution x -> s*A + t*B."""
+    t_mat = np.stack([np.asarray(a_pt), np.asarray(b_pt), np.zeros(3, dtype=np.int64)], axis=1)
+    moved = substitute_linear(coeffs, 3, d, t_mat, p)
+    # s^(d-k) t^k is monomial number k(k+1)/2 of monomials(d)
+    return [int(moved[k * (k + 1) // 2]) for k in range(d + 1)]
+
+
+def derivative_row(d: int, order, point, p: int) -> np.ndarray:
+    """Row of the linear functional F -> (partial^order F)(point).
+
+    order is a multi-index (a, b, c); the row is indexed by monomials(d).
+    """
+    exps = exponents(d)
+    # falling factorials e (e - 1) ... (e - o + 1); zero once e < o
+    coef = np.ones(len(exps), dtype=np.int64)
+    for var, o in enumerate(order):
+        for t in range(o):
+            coef = coef * (exps[:, var] - t) % p
+    lowered = np.maximum(exps - np.asarray(order), 0)
+    vals = monomial_values(lowered, np.asarray(point, dtype=np.int64).reshape(3, 1), p)[:, 0]
+    return coef * vals % p
+
+
+def partial_at(coeffs, d: int, order, point, p: int) -> int:
+    """(partial^order F)(point) for the degree-d ternary form F, in Python ints."""
+    return sum(int(r) * int(c) for r, c in zip(derivative_row(d, order, point, p), coeffs)) % p
+
+
+def hessian_nondegenerate(coeffs, d: int, point, p: int) -> bool:
+    """Ordinary double point: the 2x2 Hessian of the z = 1 dehomogenisation
+    is nondegenerate."""
+    fxx = partial_at(coeffs, d, (2, 0, 0), point, p)
+    fxy = partial_at(coeffs, d, (1, 1, 0), point, p)
+    fyy = partial_at(coeffs, d, (0, 2, 0), point, p)
+    return (fxx * fyy - fxy * fxy) % p != 0
+
+
+def triple_point_ordinary(coeffs, d: int, point, p: int) -> bool:
+    """Ordinary triple point: the leading cubic of the local expansion has
+    distinct roots, tested by its discriminant."""
+    inv6 = pow(6, -1, p)
+    inv2 = pow(2, -1, p)
+    c30 = partial_at(coeffs, d, (3, 0, 0), point, p)
+    c21 = partial_at(coeffs, d, (2, 1, 0), point, p)
+    c12 = partial_at(coeffs, d, (1, 2, 0), point, p)
+    c03 = partial_at(coeffs, d, (0, 3, 0), point, p)
+    a, b = c30 * inv6 % p, c21 * inv2 % p
+    c, e = c12 * inv2 % p, c03 * inv6 % p
+    disc = (
+        18 * a * b * c * e - 4 * b ** 3 * e + b * b * c * c
+        - 4 * a * c ** 3 - 27 * a * a * e * e
+    ) % p
+    return disc != 0
+
+
+def reference_model_failures(model) -> list:
+    """The failures of verify_model_report, each partial a Python-int sum."""
+    p, d = model.prime, model.degree
+    failures = []
+    if np.all(model.coeffs % p == 0):
+        failures.append("curve is identically zero")
+    sing = model.singular_points()
+    pts = [pt for pt, _m in sing]
+    if len(set(pts)) != len(pts):
+        failures.append("singular points are not distinct")
+    for pt, mult in sing:
+        for order in [o for total in range(mult) for o in monomials(total)]:
+            if partial_at(model.coeffs, d, order, pt, p):
+                failures.append(f"partial {order} does not vanish at {pt}")
+                break
+    for pt, mult in sing:
+        if mult == 2 and not hessian_nondegenerate(model.coeffs, d, pt, p):
+            failures.append(f"node {pt} is not ordinary (degenerate Hessian)")
+        if mult == 3 and not triple_point_ordinary(model.coeffs, d, pt, p):
+            failures.append(f"triple point {pt} is not ordinary")
+    if model.genus() != GENUS:
+        failures.append(f"genus bookkeeping gives {model.genus()}, expected {GENUS}")
+    if model.pencil_degree != GONALITY:
+        failures.append(f"pencil degree {model.pencil_degree} != {GONALITY}")
+    return failures
+
+
+def euler_scroll_sum(e, a: int, b: int) -> int:
+    """chi(O(aH + bR)) on P(E) for a >= 0: the sum of chi(P^1, O(b + alpha.e))
+    = b + alpha.e + 1 over the exponents alpha of degree a."""
+    return sum(b + sum(ai * ei for ai, ei in zip(alpha, e)) + 1 for alpha in monomials(a, len(e)))
 
 
 # --- the Macaulay resultant as a ratio of determinants ---------------------------

@@ -6,22 +6,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_sample_points
+from oracles import (
+    derivative_row,
+    hessian_nondegenerate,
+    reference_model_failures,
+    reference_restrict_to_line,
+    reference_sample_points,
+)
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import solve_mod
 from scrollres.plane_curve import (
     InsufficientRationalPointsError,
     PlaneCurveModel,
-    _hessian_nondegenerate,
     condition_matrix,
     construct_nodal_nonic,
     construct_nodal_octic,
-    derivative_row,
+    derivative_rows,
     evaluate_form,
     linear_system,
     monomial_count,
     monomials,
+    multiply_forms,
     power_table,
+    restrict_to_line,
     sample_smooth_points,
     verify_model_report,
     verify_node_report,
@@ -37,11 +44,11 @@ def poly_mult(a: dict, b: dict, p: int) -> dict:
     return out
 
 
-def coeff_vector(poly: dict, d: int) -> np.ndarray:
+def coeff_vector(poly: dict, d: int, p: int = P) -> np.ndarray:
     vec = np.zeros(monomial_count(d), dtype=np.int64)
     index = {m: i for i, m in enumerate(monomials(d))}
     for e, c in poly.items():
-        vec[index[e]] = c % P
+        vec[index[e]] = c % p
     return vec
 
 
@@ -67,7 +74,7 @@ def test_cuspidal_point_flagged():
     cusp_factor = {(0, 2, 1): 1, (3, 0, 0): P - 1}
     unit = {(0, 0, 5): 1, (4, 1, 0): 1}
     octic = coeff_vector(poly_mult(cusp_factor, unit, P), 8)
-    assert not _hessian_nondegenerate(octic, 8, (0, 0, 1), P)
+    assert not hessian_nondegenerate(octic, 8, (0, 0, 1), P)
     fake_nodes = ((0, 0, 1),) + tuple((i + 1, i * i + 3, 1) for i in range(11))
     bad = PlaneCurveModel(P, 8, octic, fake_nodes[0], 2, fake_nodes[1:], 0)
     report = verify_node_report(bad)
@@ -376,3 +383,107 @@ def test_derivative_row_matches_monomial_formula(case):
     p, d, order, point = case
     assert np.array_equal(derivative_row(d, order, point, p),
                           _derivative_row_oracle(d, order, point, p))
+    assert np.array_equal(derivative_rows(d, [(order, point)], p)[0],
+                          _derivative_row_oracle(d, order, point, p))
+
+
+# --- the batched plane-curve layer against its one-row references ---------------
+
+#: at 2**31 - 1 a product of two residues is near 2**62, so one left
+#: unreduced overflows int64 at the next product, which numpy does not report
+LAYER_PRIMES = (11, 10007, 2147483647)
+
+
+def _points_with_zeros(rng: random.Random, p: int, count: int) -> list:
+    pts = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, rng.randrange(p), rng.randrange(p)),
+           (p - 1, p - 1, p - 1)]
+    return pts + [tuple(rng.randrange(p) for _ in range(3)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", LAYER_PRIMES)
+def test_derivative_rows_match_the_per_row_reference(p):
+    rng = random.Random(p)
+    orders = [o for total in range(4) for o in monomials(total)]
+    for d in (0, 1, 2, 3, 5, 8, 9):
+        pairs = [(order, pt) for pt in _points_with_zeros(rng, p, 4) for order in orders]
+        rng.shuffle(pairs)
+        expected = np.stack([derivative_row(d, order, pt, p) for order, pt in pairs])
+        assert np.array_equal(derivative_rows(d, pairs, p), expected)
+    assert derivative_rows(4, [], p).shape == (0, monomial_count(4))
+
+
+@pytest.mark.parametrize("p", LAYER_PRIMES)
+def test_restrict_to_line_matches_the_substitution(p):
+    rng = random.Random(p + 1)
+    for d in range(1, 10):
+        for a_pt, b_pt in zip(_points_with_zeros(rng, p, 3), _points_with_zeros(rng, p, 3)[::-1]):
+            coeffs = [rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(monomial_count(d))]
+            assert restrict_to_line(coeffs, d, a_pt, b_pt, p) == \
+                reference_restrict_to_line(coeffs, d, a_pt, b_pt, p)
+
+
+@pytest.mark.parametrize("p, d", [(2, 9), (7, 9), (11, 11), (3, 3)])
+def test_restrict_to_line_rejects_a_prime_not_above_the_degree(p, d):
+    with pytest.raises(ValueError, match=f"needs p > {d}"):
+        restrict_to_line([1] * monomial_count(d), d, (1, 0, 0), (0, 1, 0), p)
+
+
+def _off_point_form(model, node) -> np.ndarray:
+    """x - x0 z (a line through node, which has z = 1) times a random form:
+    it vanishes at node, its x-partial there does not (for most draws)."""
+    p, d = model.prime, model.degree
+    rng = random.Random(d * 31 + p)
+    line = np.array([1, 0, -node[0]], dtype=np.int64) % p
+    other = np.array([rng.randrange(p) for _ in range(monomial_count(d - 1))])
+    return multiply_forms(other, d - 1, line, 1, p)
+
+
+def _mutated_models(p: int, octic: PlaneCurveModel) -> list:
+    """(model, a failure its report must list, or None for a valid model)."""
+    nonic = _nonic(p)
+    nodes = ((0, 0, 1),) + tuple((i + 1, i * i + 3, 1) for i in range(11))
+    # the cuspidal octic of test_cuspidal_point_flagged: a degenerate Hessian
+    cusp = coeff_vector(poly_mult({(0, 2, 1): 1, (3, 0, 0): p - 1},
+                                  {(0, 0, 5): 1, (4, 1, 0): 1}, p), 8, p)
+    # (x - y)^2 (x + y) z^6 + x^9 + y^9: a triple point at (0:0:1) whose
+    # tangent cone has a double line, so it is not ordinary; every
+    # coefficient of the cone is nonzero, so a misweighted cubic is seen
+    unordinary = coeff_vector({(3, 0, 6): 1, (2, 1, 6): -1, (1, 2, 6): -1, (0, 3, 6): 1,
+                               (9, 0, 0): 1, (0, 9, 0): 1}, 9, p)
+    node, q = nonic.nodes[3], nonic.q
+    cases = [
+        (nonic, None),
+        (PlaneCurveModel(p, 9, (nonic.coeffs + _off_point_form(nonic, node)) % p, q, 3, nonic.nodes, 1),
+         f"partial (1, 0, 0) does not vanish at {node}"),
+        (PlaneCurveModel(p, 9, (nonic.coeffs + _off_point_form(nonic, q)) % p, q, 3, nonic.nodes, 1),
+         f"partial (1, 0, 0) does not vanish at {q}"),
+        (PlaneCurveModel(p, 9, nonic.coeffs, q, 3, nonic.nodes + (nonic.nodes[0],), 1),
+         "singular points are not distinct"),
+        (PlaneCurveModel(p, 9, unordinary, (0, 0, 1), 3, nonic.nodes, 1),
+         "triple point (0, 0, 1) is not ordinary"),
+        (PlaneCurveModel(p, 9, np.zeros(55, dtype=np.int64), q, 3, nonic.nodes, 1),
+         "curve is identically zero"),
+        (PlaneCurveModel(p, 8, cusp, nodes[0], 2, nodes[1:], 0),
+         "node (0, 0, 1) is not ordinary (degenerate Hessian)"),
+    ]
+    if p == P:
+        perturbed = octic.coeffs.copy()
+        perturbed[0] = (perturbed[0] + 1) % P
+        cases += [
+            (octic, None),
+            (PlaneCurveModel(P, 8, perturbed, octic.q, 2, octic.nodes, octic.seed),
+             f"partial (0, 0, 0) does not vanish at {octic.q}"),
+            (PlaneCurveModel(P, 8, octic.coeffs, octic.q, 2, octic.nodes[:-1], octic.seed),
+             "genus bookkeeping gives 10, expected 9"),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("p", [P, 2147483647])
+def test_verify_model_report_matches_the_reference(model, p):
+    # the same failures in the same order as the one-partial-at-a-time report
+    for mutated, failure in _mutated_models(p, model):
+        report = verify_model_report(mutated)
+        assert report["failures"] == reference_model_failures(mutated)
+        assert report["ok"] is (failure is None)
+        assert failure is None or failure in report["failures"]

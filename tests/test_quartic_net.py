@@ -6,7 +6,7 @@ import pytest
 
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import FieldError, rank_mod
-from scrollres.plane_curve import evaluate_form, linear_system, monomials, substitute_linear
+from scrollres.plane_curve import evaluate_form, linear_system, monomials
 from scrollres.quartic_net import (
     GammaCurve,
     GammaError,
@@ -30,7 +30,7 @@ from scrollres.quartic_net import (
     verify_net_on_points,
 )
 
-from oracles import random_gl, reference_macaulay_smooth
+from oracles import random_gl, reference_macaulay_smooth, substitute_linear
 
 
 def cubic_coeffs(terms: dict) -> np.ndarray:

@@ -30,7 +30,7 @@ from scrollres.scroll import (
 )
 
 from dict_cox import DictPoly, module_terms, monomial
-from oracles import canonical_image, eval_quadrics, scroll_minor_quadrics
+from oracles import canonical_image, euler_scroll_sum, eval_quadrics, scroll_minor_quadrics
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,14 @@ def test_euler_matches_monomial_count_when_nonnegative():
             )
             if all_nonneg:
                 assert euler_scroll(GENERIC_E, a, b) == len(cox_slice(GENERIC_E, a, b))
+
+
+@pytest.mark.parametrize("e", [GENERIC_E, (0, 0, 0, 0, 0), (2, 1, 1, 0, 0), (4, 0, 0, 0, 0),
+                               (3, 2), (1,), (0, 5, 1)], ids=str)
+def test_euler_closed_form_matches_the_monomial_sum(e):
+    for a in range(9):
+        for b in range(-6, 7):
+            assert euler_scroll(e, a, b) == euler_scroll_sum(e, a, b)
 
 
 def test_canonical_coordinates_invariants(model, coords):
