@@ -8,34 +8,26 @@ import sys
 import time
 
 from . import DEFAULT_PRIME
+from .chain import PipelineError, build_chain
 from .ffield import FieldError
 from .lattice import (
     GramLattice,
     LatticeError,
+    dimension_audit,
     discriminant,
     is_ample,
     is_basepoint_free,
     is_nef,
     signature,
 )
-from .pipeline import (
-    CHAIN_ERRORS,
-    PipelineError,
-    build_chain,
-    canonical_json,
-    dimension_audit,
-    lattice_suite,
-    run_pipeline,
-    run_stages,
-    sample_survey,
-    usable_cpus,
-)
+from .pipeline import CHAIN_ERRORS, canonical_json, lattice_suite, run_pipeline, run_stages
 from .plane_curve import (
     construct_nodal_nonic,
     construct_nodal_octic,
     verify_model_report,
 )
 from .resolution import GENERIC_BETTI_TABLE
+from .survey import sample_survey, usable_cpus
 
 
 def _write_json(args, payload: dict):

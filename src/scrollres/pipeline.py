@@ -6,27 +6,31 @@ failure makes the run unacceptable; run_pipeline runs all of them.  A chain
 that fails mathematically is reported once, with its stage and exception
 type, and never re-seeded.  Reports are reproducible bit for bit for a fixed
 (prime, seed, version) once the timing section is stripped; canonical_json
-does that stripping.  sample_survey runs Betti-only chains over many seeds,
-in worker processes (scrollres.survey_worker) when it may use more than one.
+does that stripping.  The chain itself (build_chain) is built in
+scrollres.chain, and the Betti-only survey runs in scrollres.survey.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import math
-import os
-import selectors
-import subprocess
-import sys
 import time
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import DEFAULT_PRIME, __version__
-from .ffield import check_prime, mul_mod, solve_mod
+from . import DEFAULT_PRIME, SCHEMA_VERSION, __version__
+
+# The benchmark harness reads build_chain, survey_seed, sample_survey and
+# PipelineError from this module; survey_seed and sample_survey are imported
+# only for it, and go with the rename of its TARGETS (ROADMAP item 0).
+from .chain import (
+    BUILD_ERRORS,
+    CurveChain,
+    PipelineError,
+    build_chain,
+    require_sampling_prime,
+    survey_seed,
+)
+from .ffield import mul_mod, solve_mod
 from .k3_syzygy import (
     K3_SHAPE_TABLE,
     K3Error,
@@ -56,14 +60,7 @@ from .lattice import (
     unique_polarization_classes,
     verify_primitive_embedding,
 )
-from .plane_curve import (
-    GENUS,
-    DegenerateConfigurationError,
-    InsufficientRationalPointsError,
-    construct_nodal_nonic,
-    evaluate_form,
-    verify_model_report,
-)
+from .plane_curve import evaluate_form, verify_model_report
 from .quartic_net import (
     GAMMA_FIT,
     GAMMA_HOLDOUT,
@@ -84,22 +81,12 @@ from .quartic_net import (
 )
 from .resolution import (
     GENERIC_BETTI_TABLE,
-    ResolutionError,
-    SliceContext,
-    betti_table,
     is_balanced,
     slice_point_demand,
     splitting_type,
 )
-from .scroll import (
-    GENERIC_E,
-    ScrollError,
-    canonical_coordinates,
-    pencil_from_node,
-    scroll_type,
-)
-
-SCHEMA_VERSION = 3
+from .scroll import GENERIC_E
+from .survey import sample_survey
 
 #: pencil parameters of the gamma members, tried in order until
 #: GAMMA_FIT + GAMMA_HOLDOUT of them have rank 4
@@ -112,52 +99,11 @@ K3_CHECK_POINTS = 100
 NET_FIT_POINTS = 60
 #: batch-1 curve samples that verify the net
 NET_CHECK_POINTS = 50
-#: F_p-rational branches the nonic can have over its singular points: three
-#: over the triple point and two over each of the 16 nodes
-SINGULAR_BRANCHES = 3 + 2 * 16
-#: the nonic meets the line at infinity in at most nine points
-POINTS_AT_INFINITY = 9
 
 
-#: the survey worker module, run as `python -m SURVEY_WORKER prime`
-SURVEY_WORKER = "scrollres.survey_worker"
-#: set in each survey worker's environment: one BLAS thread per process
-ONE_BLAS_THREAD = {name: "1" for name in
-                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-
-
-class PipelineError(RuntimeError):
-    pass
-
-
-class SurveyWorkerError(RuntimeError):
-    """A survey worker exited non-zero or sent a malformed line.  This is a
-    bug, not a chain outcome, so it is never tallied as a failed seed."""
-
-
-# Mathematical outcomes of one curve chain: a run reports them (run_stages)
-# or tallies them (survey_seed).  Anything else is a bug and propagates.
-CHAIN_ERRORS = (
-    ResolutionError,
-    K3Error,
-    NetError,
-    GammaError,
-    ScrollError,
-    DegenerateConfigurationError,
-    InsufficientRationalPointsError,
-    PipelineError,
-)
-
-
-@dataclass
-class CurveChain:
-    """Everything derived from one curve model, shared across stages."""
-
-    model: object
-    coords: object
-    ctx: SliceContext
-    table: object
-    steps: list
+# Mathematical outcomes of one curve chain: a run reports them (run_stages).
+# Anything else is a bug and propagates.
+CHAIN_ERRORS = BUILD_ERRORS + (K3Error, NetError, GammaError)
 
 
 def point_demand() -> tuple:
@@ -165,53 +111,6 @@ def point_demand() -> tuple:
     1 (SliceContext.points); the two batches are disjoint."""
     slices = slice_point_demand()
     return max(K3_CHECK_POINTS, NET_FIT_POINTS, slices), max(NET_CHECK_POINTS, slices)
-
-
-def guaranteed_points(prime: int) -> int:
-    """Hasse-Weil lower bound on the number of smooth affine F_p-points of a
-    nonic model (0 when the bound is negative).
-
-    Its genus-9 normalisation has at least p + 1 - 2g*sqrt(p) rational
-    points; the branches over the singular points and the points at
-    infinity, which the sampler never returns, are subtracted.
-    ceil(2g*sqrt(p)) = ceil(sqrt(4g^2 p)) is computed exactly.
-    """
-    hasse_weil = math.isqrt(4 * GENUS * GENUS * prime - 1) + 1
-    return max(0, prime + 1 - hasse_weil - SINGULAR_BRANCHES - POINTS_AT_INFINITY)
-
-
-def survey_point_demand() -> int:
-    """A bound on the points one survey chain requests: build_chain draws
-    only the slice kernels' points, at most slice_point_demand() from
-    batch 0.  The bound counts that twice, room for one more batch, so the
-    primes the survey accepts do not depend on how the slices are checked."""
-    return 2 * slice_point_demand()
-
-
-def require_sampling_prime(prime: int, demand: int | None = None) -> None:
-    """Reject, before any chain is built, a prime at which the Hasse-Weil
-    bound cannot guarantee the points the stages request: demand, by
-    default the full pipeline's sum(point_demand())."""
-    check_prime(prime)
-    have = guaranteed_points(prime)
-    demand = sum(point_demand()) if demand is None else demand
-    if have < demand:
-        raise PipelineError(
-            f"prime {prime} is too small for point sampling: the Hasse-Weil bound "
-            f"guarantees {have} smooth affine points, the stages request {demand}"
-        )
-
-
-def build_chain(prime: int, seed: int) -> CurveChain:
-    model = construct_nodal_nonic(prime, seed)
-    pencil = pencil_from_node(model)
-    coords = canonical_coordinates(model, pencil)
-    st = scroll_type(model, pencil)
-    if st.e != GENERIC_E:
-        raise PipelineError(f"unexpected scroll type {st.e}")
-    ctx = SliceContext(model, coords, st.e)
-    table, steps = betti_table(ctx)
-    return CurveChain(model, coords, ctx, table, steps)
 
 
 def _betti_section(chain: CurveChain, checks: dict) -> dict:
@@ -476,7 +375,7 @@ def run_stages(prime: int, seed: int, last: str = STAGES[-1][0]) -> dict:
     """
     names = [name for name, _stage in STAGES]
     stages = STAGES[: names.index(last) + 1]
-    require_sampling_prime(prime)
+    require_sampling_prime(prime, sum(point_demand()))
     checks: dict = {}
     timings: dict = {}
     report: dict = {
@@ -487,13 +386,13 @@ def run_stages(prime: int, seed: int, last: str = STAGES[-1][0]) -> dict:
     }
     run: dict = {}
     for name, stage in stages:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             stage(run, report, checks)
         except CHAIN_ERRORS as exc:
             report["error"] = {"stage": name, "type": type(exc).__name__, "message": str(exc)}
             break
-        timings[name] = round(time.time() - t0, 3)
+        timings[name] = round(time.perf_counter() - t0, 3)
     report["checks"] = checks
     report["ok"] = "error" not in report and all(bool(v) for v in checks.values())
     report["timings"] = timings
@@ -519,148 +418,3 @@ def canonical_json(report: dict) -> str:
     excluded from the byte-for-byte reproducibility contract."""
     stripped = {k: v for k, v in report.items() if k != "timings"}
     return json.dumps(stripped, sort_keys=True, separators=(",", ":"))
-
-
-def survey_seed(prime: int, seed: int) -> dict:
-    """Betti-only run for one seed: splitting type of the second syzygy bundle."""
-    try:
-        chain = build_chain(prime, seed)
-    except CHAIN_ERRORS as exc:
-        return {"seed": seed, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
-    n2 = splitting_type(chain.table, 2)
-    return {
-        "seed": seed,
-        "ok": True,
-        "splitting": {str(k): v for k, v in sorted(n2.items())},
-        "unbalanced": not is_balanced(n2),
-        "matches_generic_table": chain.table.entries == GENERIC_BETTI_TABLE,
-        "tableEntries": chain.table.to_json_entries(),
-    }
-
-
-def usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_env() -> dict:
-    """The parent's environment with one BLAS thread, and the directory
-    holding this package first on PYTHONPATH, so a worker loads these very
-    sources."""
-    env = dict(os.environ, **ONE_BLAS_THREAD)
-    src = str(Path(__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def _worker_result(proc, line: bytes, seed) -> dict:
-    """The survey_seed result for seed in one line from proc."""
-    if not line:
-        raise SurveyWorkerError(f"survey worker exited with status {proc.wait()} "
-                                f"before answering seed {seed}")
-    try:
-        result = json.loads(line)
-    except ValueError:
-        result = None
-    if seed is None or not isinstance(result, dict) or result.get("seed") != seed:
-        raise SurveyWorkerError(f"survey worker sent a malformed line for seed {seed}: "
-                                f"{line[:200]!r}")
-    return result
-
-
-def _survey_in_workers(prime: int, seeds, processes: int) -> list:
-    """survey_seed(prime, seed) for every seed, in seed order, computed by
-    `processes` fresh interpreters that each hold one seed at a time: a seed
-    goes in as a line on stdin, its result comes back as one JSON line.  A
-    failed worker kills the others and raises SurveyWorkerError; every
-    worker is reaped and every pipe closed before this returns or raises."""
-    command = [sys.executable, "-m", SURVEY_WORKER, str(prime)]
-    todo, owed, results, procs = iter(seeds), {}, {}, []
-
-    def send_next(proc):
-        seed = next(todo, None)
-        with contextlib.suppress(BrokenPipeError):  # its stdout tells how it ended
-            if seed is None:
-                proc.stdin.close()  # the worker ends
-            else:
-                owed[proc] = seed
-                proc.stdin.write(b"%d\n" % seed)
-                proc.stdin.flush()
-
-    try:
-        with selectors.DefaultSelector() as selector:
-            for _ in range(processes):
-                proc = subprocess.Popen(command, stdin=subprocess.PIPE,
-                                        stdout=subprocess.PIPE, env=_worker_env())
-                procs.append(proc)
-                selector.register(proc.stdout, selectors.EVENT_READ, proc)
-                send_next(proc)
-            while selector.get_map():
-                for key, _events in selector.select():
-                    proc, line = key.data, key.fileobj.readline()
-                    seed = owed.pop(proc, None)
-                    if not line and seed is None:  # it ended after its last seed
-                        selector.unregister(key.fileobj)
-                        continue
-                    results[seed] = _worker_result(proc, line, seed)
-                    send_next(proc)
-    except BaseException:
-        for proc in procs:
-            proc.kill()
-        raise
-    finally:
-        for proc in procs:
-            with contextlib.suppress(BrokenPipeError):
-                proc.stdin.close()
-            proc.stdout.close()
-            proc.wait()
-    for proc in procs:
-        if proc.returncode:
-            raise SurveyWorkerError(f"survey worker exited with status {proc.returncode}")
-    return [results[seed] for seed in seeds]
-
-
-def sample_survey(prime: int = DEFAULT_PRIME, count: int = 20, base_seed: int = 1,
-                  workers: int = 1) -> dict:
-    """Splitting-type survey over the seeds base_seed .. base_seed + count - 1.
-
-    Tabulates the fraction of unbalanced second syzygy bundles (expected
-    100 percent) and the fraction matching the generic splitting exactly.
-    A prime too small for point sampling raises PipelineError before any
-    chain is built; the bound is survey_point_demand(), since a survey chain
-    stops after the Betti table.
-
-    The seeds run in min(workers, count, usable_cpus()) processes.  For one,
-    they run here in order; for more, in that many fresh interpreters with
-    one BLAS thread each (python -m scrollres.survey_worker), whose results
-    come back in seed order, equal to the serial ones.  A worker that fails
-    raises SurveyWorkerError.
-    """
-    require_sampling_prime(prime, survey_point_demand())
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    seeds = range(base_seed, base_seed + count)
-    processes = min(workers, count, usable_cpus())
-    if processes > 1:
-        results = _survey_in_workers(prime, seeds, processes)
-    else:
-        results = [survey_seed(prime, seed) for seed in seeds]
-    succeeded = [r for r in results if r["ok"]]
-    unbalanced = sum(1 for r in succeeded if r["unbalanced"])
-    generic = sum(1 for r in succeeded if r["matches_generic_table"])
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "prime": prime,
-        "count": count,
-        "succeeded": len(succeeded),
-        "unbalanced": unbalanced,
-        "matchesGenericTable": generic,
-        "fractionUnbalanced": f"{unbalanced}/{len(succeeded) or 1}",
-        "results": results,
-        "ok": bool(succeeded) and unbalanced == len(succeeded) == count,
-    }

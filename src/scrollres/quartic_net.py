@@ -42,6 +42,8 @@ from .ffield import (
 )
 from .k3_syzygy import K3Surface
 from .plane_curve import (
+    FIRST_PARTIALS,
+    derivative_rows,
     evaluate_form,
     exponents,
     monomial_values,
@@ -60,19 +62,6 @@ class GammaError(RuntimeError):
 
 
 # --- small polynomial helpers ------------------------------------------------
-
-
-def partial_derivative(coeffs, nvars: int, d: int, var: int, p: int) -> np.ndarray:
-    src = monomials(d, nvars)
-    dst = {m: i for i, m in enumerate(monomials(d - 1, nvars))}
-    out = np.zeros(len(dst), dtype=np.int64)
-    for c, expo in zip(coeffs, src):
-        c = int(c) % p
-        if not c or expo[var] == 0:
-            continue
-        lowered = tuple(e - 1 if i == var else e for i, e in enumerate(expo))
-        out[dst[lowered]] = (out[dst[lowered]] + c * expo[var]) % p
-    return out
 
 
 def binary_form_roots(coeffs, p: int) -> list:
@@ -146,12 +135,16 @@ def residual_degree(model, coords) -> int:
     A singular point that some quartic misses is no base point."""
     p, dq = model.prime, coords.q_degree
     quartics = np.stack(coords.quartics)
-    partials = np.stack([partial_derivative(q, 3, dq, v, p) for q in quartics for v in range(3)])
+    sing = model.singular_points()
+    # [quartic, point, order]: each quartic's value and gradient at each point
+    orders = ((0, 0, 0),) + FIRST_PARTIALS
+    rows = derivative_rows(dq, [(order, point) for point, _m in sing for order in orders], p)
+    values = mul_mod(quartics, rows.T, p).reshape(len(quartics), len(sing), len(orders))
     fixed = 0
-    for point, mult in model.singular_points():
-        if np.any(evaluate_form(quartics, dq, point, p)):
+    for (point, mult), at in zip(sing, values.transpose(1, 0, 2)):
+        if np.any(at[:, 0]):
             continue
-        rank = rank_mod(evaluate_form(partials, dq - 1, point, p).reshape(4, 3), p)
+        rank = rank_mod(at[:, 1:], p)
         if rank != 2:
             raise NetError(f"gradient rank {rank} at the base point {tuple(point)}, not 2: "
                            "the quartics are singular there")
@@ -292,10 +285,15 @@ def gamma_singular_point(gamma: GammaCurve) -> dict:
     point = normalize_point((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), p)
     if point is None:
         raise GammaError("the moving line of degree 1 is fixed: gamma is a line")
-    parts = np.stack([partial_derivative(gamma.cubic, 3, 3, v, p) for v in range(3)])
-    singular = not (np.any(evaluate_form(gamma.cubic, 3, point, p))
-                    or np.any(evaluate_form(parts, 2, point, p)))
-    rank = _quadratic_part_rank(parts, point, p)
+    # the cubic's value, gradient and Hessian matrix at the point; the
+    # Hessian's kernel holds the point (Euler's relation), and its block in
+    # a chart centred there is the Hessian of the quadratic part, so its
+    # rank is the quadratic part's (2 = an ordinary node)
+    hessian = [tuple(i + j for i, j in zip(a, b)) for a in FIRST_PARTIALS for b in FIRST_PARTIALS]
+    orders = [(0, 0, 0), *FIRST_PARTIALS, *hessian]
+    values = mul_mod(derivative_rows(3, [(order, point) for order in orders], p), gamma.cubic, p)
+    singular = not np.any(values[:4])
+    rank = rank_mod(values[4:].reshape(3, 3), p)
     return {
         "point": point, "quadratic_rank": rank, "is_node": singular and rank == 2,
         "singular_count": int(singular),
@@ -309,15 +307,6 @@ def normalize_point(pt, p: int):
         return None
     inv = pow(vec[last], -1, p)
     return tuple(v * inv % p for v in vec)
-
-
-def _quadratic_part_rank(parts, point, p: int) -> int:
-    """Rank of the quadratic part at a singular point (2 = an ordinary node)
-    of the cubic whose partials are parts: the rank of the Hessian matrix
-    there, whose kernel holds the point (Euler's relation) and whose block
-    in a chart centred at the point is the Hessian of the quadratic part."""
-    second = np.stack([partial_derivative(f, 3, 2, v, p) for f in parts for v in range(3)])
-    return rank_mod(evaluate_form(second, 1, point, p).reshape(3, 3), p)
 
 
 # --- gamma as a parametrised map and the singular fibers ----------------------
@@ -430,7 +419,9 @@ def macaulay_resultant_smooth(quartic, p: int) -> bool:
     quartic = np.asarray(quartic, dtype=np.int64) % p
     if not np.any(quartic):
         raise ValueError("zero quartic")
-    parts = np.stack([partial_derivative(quartic, 4, 4, v, p) for v in range(4)])
+    # parts[v, i]: the coefficient of the i-th cubic monomial m in the
+    # partial by x_v, (m_v + 1) times the quartic's coefficient of m * x_v
+    parts = (quartic[product_positions(3, 1, 4)] * (exponents(3, 4) + 1) % p).T
     # row (v, k): the partial by x_v times the k-th sextic monomial
     positions = product_positions(6, 3, 4)
     mat = np.zeros((4, len(positions), len(monomials(9, 4))), dtype=np.int64)

@@ -24,7 +24,6 @@ import numpy as np
 from .ffield import kernel_mod, mul_mod, rank_mod, row_space_mod, rref_mod
 from .plane_curve import sample_smooth_points
 from .scroll import (
-    GENERIC_E,
     GENUS,
     GONALITY,
     CanonicalCoordinates,
@@ -36,6 +35,7 @@ from .scroll import (
     module_keys,
     monomial_value_matrix,
     point_values,
+    scroll_type,
     slice_keys,
 )
 
@@ -183,20 +183,21 @@ class SliceContext:
     Every ideal-slice kernel comes from batch 0 alone and is certified by
     the rank of its evaluation matrix (see ideal_slice); batch 1, disjoint
     from it, holds points that other stages use to check their results.
+    The d-vector of adjoint dimensions is computed once, here: it gives the
+    curve's h^1 values and the scroll type e.
     """
 
-    def __init__(self, model, coords: CanonicalCoordinates,
-                 e=GENERIC_E, margin: int = SLICE_MARGIN):
+    def __init__(self, model, coords: CanonicalCoordinates, margin: int = SLICE_MARGIN):
         self.model = model
         self.coords = coords
-        self.e = tuple(e)
         self.prime = self.model.prime
         self.margin = margin
         self._points = {0: [], 1: []}
         self._values = {0: None, 1: None}
         self._slices: dict = {}
-        d0, d1, d2 = adjoint_dims(self.model)
-        self._h1 = {0: d0, 1: d1, 2: d2}  # h^0(omega L^-j) for j = 0, 1, 2
+        dims = adjoint_dims(self.model)
+        self._h1 = dict(enumerate(dims))  # h^0(omega L^-j) for j = 0, 1, 2
+        self.e = scroll_type(dims).e
 
     # --- samples ---------------------------------------------------------
 

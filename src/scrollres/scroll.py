@@ -328,14 +328,13 @@ def canonical_coordinates(model, pencil) -> CanonicalCoordinates:
                                 q_degree, phi_degree)
 
 
-def scroll_type(model, pencil) -> ScrollType:
-    """Scroll type as the dual partition of d_j = h^0(omega L^-j)."""
-    dvec = list(adjoint_dims(model))
+def scroll_type(dims) -> ScrollType:
+    """Scroll type as the dual partition of dims, the d-vector
+    d_j = h^0(omega L^-j) of adjoint_dims."""
     e = tuple(
-        sum(1 for d in dvec if d >= i) - 1 for i in range(1, GONALITY)
+        sum(1 for d in dims if d >= i) - 1 for i in range(1, GONALITY)
     )
-    st = ScrollType(e)  # raises "unexpected scroll type" when the sum is off
-    return st
+    return ScrollType(e)  # raises "unexpected scroll type" when the sum is off
 
 
 def point_values(model, coords: CanonicalCoordinates, points) -> np.ndarray:

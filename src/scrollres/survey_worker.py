@@ -1,10 +1,11 @@
 """One survey worker: python -m scrollres.survey_worker PRIME
 
 Reads one seed per line on stdin and answers each with one JSON line on
-stdout, pipeline.survey_seed(PRIME, seed); it ends when stdin closes.
-pipeline.sample_survey starts these processes and reads their answers.  A
+stdout, chain.survey_seed(PRIME, seed); it ends when stdin closes.
+survey.sample_survey starts these processes and reads their answers.  A
 chain error is tallied inside survey_seed; any other exception ends the
-worker with a traceback on stderr and a non-zero exit status.
+worker with a traceback on stderr and a non-zero exit status.  It imports
+only scrollres.chain, so it loads only the modules a Betti table needs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .pipeline import survey_seed
+from .chain import survey_seed
 
 
 def main() -> int:

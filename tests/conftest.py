@@ -43,7 +43,7 @@ def generator_polys(betti_data):
 
 @pytest.fixture(scope="session")
 def nonic_chain():
-    from scrollres.pipeline import build_chain
+    from scrollres.chain import build_chain
 
     return build_chain(DEFAULT_PRIME, 1)
 

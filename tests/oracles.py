@@ -19,8 +19,25 @@ from scrollres.plane_curve import (
     multiply_forms,
     product_positions,
 )
-from scrollres.quartic_net import partial_derivative
 from scrollres.scroll import GENERIC_E, CanonicalCoordinates, CoxPoly, cox_slice, point_values, slice_keys
+
+# --- derivatives of forms -----------------------------------------------------
+
+
+def partial_derivative(coeffs, nvars: int, d: int, var: int, p: int) -> np.ndarray:
+    """The partial by x_var of a degree-d form in nvars variables, over
+    monomials(d - 1, nvars), one monomial at a time."""
+    src = monomials(d, nvars)
+    dst = {m: i for i, m in enumerate(monomials(d - 1, nvars))}
+    out = np.zeros(len(dst), dtype=np.int64)
+    for c, expo in zip(coeffs, src):
+        c = int(c) % p
+        if not c or expo[var] == 0:
+            continue
+        lowered = tuple(e - 1 if i == var else e for i, e in enumerate(expo))
+        out[dst[lowered]] = (out[dst[lowered]] + c * expo[var]) % p
+    return out
+
 
 # --- the scroll as 2x2 minors in the canonical P^8 ---------------------------
 

@@ -19,7 +19,8 @@ from scrollres.lattice import (
     lattice_h_prime,
 )
 from scrollres import pipeline, quartic_net
-from scrollres.pipeline import canonical_json, run_pipeline, sample_survey
+from scrollres.pipeline import canonical_json, run_pipeline
+from scrollres.survey import sample_survey, usable_cpus
 from scrollres.resolution import BigradedBettiTable, schreyer_rank, syzygy_slope
 
 #: the expected resolution: generators (2H-R)^6 + (2H)^3, first syzygies
@@ -50,7 +51,7 @@ SURVEY_COUNT = 20
 def survey():
     # as `scrollres survey` runs it: one worker process per usable CPU
     return sample_survey(DEFAULT_PRIME, count=SURVEY_COUNT, base_seed=1,
-                         workers=pipeline.usable_cpus())
+                         workers=usable_cpus())
 
 
 @functools.cache

@@ -8,18 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scrollres.chain as chain
 import scrollres.cli as cli
 import scrollres.lattice as lattice
 import scrollres.pipeline as pipeline
+import scrollres.survey as survey
+from scrollres.chain import PipelineError, survey_seed
 from scrollres.cli import main
 from scrollres.ffield import MAX_PRIME, is_prime
-from scrollres.pipeline import (
-    PipelineError,
-    canonical_json,
-    run_pipeline,
-    sample_survey,
-    survey_seed,
-)
+from scrollres.pipeline import canonical_json, run_pipeline
 from scrollres.plane_curve import (
     InsufficientRationalPointsError,
     PlaneCurveModel,
@@ -28,6 +25,7 @@ from scrollres.plane_curve import (
 )
 from scrollres.quartic_net import GammaError, binary_form_roots
 from scrollres.resolution import SliceContext, slice_point_demand
+from scrollres.survey import sample_survey
 
 
 def test_audit_command(capsys):
@@ -248,12 +246,13 @@ def _no_chain(prime, seed):
 def test_small_prime_failure_mode(monkeypatch, capsys):
     # at p = 101 the Hasse-Weil bound cannot guarantee the sampled points:
     # the prime is rejected with a clear error before any chain is built
-    monkeypatch.setattr(pipeline, "build_chain", _no_chain)
+    for module in (pipeline, chain):
+        monkeypatch.setattr(module, "build_chain", _no_chain)
     demand = sum(pipeline.point_demand())
     message = "prime 101 is too small .* guarantees 0 .* request {}"
     with pytest.raises(PipelineError, match=message.format(demand)):
         run_pipeline(101, 1)
-    with pytest.raises(PipelineError, match=message.format(pipeline.survey_point_demand())):
+    with pytest.raises(PipelineError, match=message.format(chain.survey_point_demand())):
         sample_survey(101, count=2, base_seed=1)
     assert main(["--prime", "101", "pipeline"]) == 1
     err = capsys.readouterr().err
@@ -325,12 +324,13 @@ def test_sampling_prime_boundary(monkeypatch):
     # stop after the Betti table, rejects 601 and accepts 607
     assert [n for n in range(640, 680) if is_prime(n)] == [641, 643, 647, 653, 659, 661, 673, 677]
     demand = sum(pipeline.point_demand())
-    assert pipeline.guaranteed_points(661) < demand <= pipeline.guaranteed_points(673)
+    assert chain.guaranteed_points(661) < demand <= chain.guaranteed_points(673)
     assert [n for n in range(590, 610) if is_prime(n)] == [593, 599, 601, 607]
-    survey_demand = pipeline.survey_point_demand()
+    survey_demand = chain.survey_point_demand()
     assert survey_demand == 2 * slice_point_demand() == 120
-    assert pipeline.guaranteed_points(601) < survey_demand <= pipeline.guaranteed_points(607)
-    monkeypatch.setattr(pipeline, "build_chain", _no_chain)
+    assert chain.guaranteed_points(601) < survey_demand <= chain.guaranteed_points(607)
+    for module in (pipeline, chain):
+        monkeypatch.setattr(module, "build_chain", _no_chain)
     with pytest.raises(PipelineError, match="prime 661"):
         run_pipeline(661, 1)
     with pytest.raises(PipelineError, match="prime 601"):
@@ -342,7 +342,8 @@ def test_sampling_prime_boundary(monkeypatch):
         built.append(prime)
         raise InsufficientRationalPointsError("stub chain")
 
-    monkeypatch.setattr(pipeline, "build_chain", no_points)
+    for module in (pipeline, chain):
+        monkeypatch.setattr(module, "build_chain", no_points)
     report = run_pipeline(673, 1, max_curve_attempts=1)
     assert report["error"] == {
         "stage": "curve_and_betti", "type": "InsufficientRationalPointsError",
@@ -361,11 +362,11 @@ def test_survey_certifies_at_its_smallest_prime():
 def test_hasse_weil_bound_is_exact():
     # ceil(18 sqrt(p)) by integer arithmetic: (h - 1)^2 < 324 p <= h^2
     for p in (2, 101, 661, 673, 10007, 100003, 16777213, 2147483629):
-        h = p + 1 - pipeline.SINGULAR_BRANCHES - pipeline.POINTS_AT_INFINITY \
-            - pipeline.guaranteed_points(p)
-        if pipeline.guaranteed_points(p):
+        h = p + 1 - chain.SINGULAR_BRANCHES - chain.POINTS_AT_INFINITY \
+            - chain.guaranteed_points(p)
+        if chain.guaranteed_points(p):
             assert (h - 1) ** 2 < 324 * p <= h * h
-    assert pipeline.guaranteed_points(10007) == 10007 + 1 - 1801 - 35 - 9
+    assert chain.guaranteed_points(10007) == 10007 + 1 - 1801 - 35 - 9
 
 
 def test_point_requests_within_declared_demand(monkeypatch):
@@ -399,8 +400,8 @@ def _record_launches(monkeypatch, cpus: int = 8) -> list:
         launched.append((args, kwargs, proc))
         return proc
 
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(pipeline.subprocess, "Popen", record)
+    monkeypatch.setattr(survey, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(survey.subprocess, "Popen", record)
     return launched
 
 
@@ -423,7 +424,7 @@ def test_survey_function_small(monkeypatch, small_survey):
     launched = _record_launches(monkeypatch)
     assert sample_survey(10007, count=2, base_seed=5, workers=2) == summary
     assert len(launched) == 2 and _all_reaped(launched)
-    src = str(Path(pipeline.__file__).resolve().parents[1])
+    src = str(Path(survey.__file__).resolve().parents[1])
     for args, kwargs, _proc in launched:
         assert args == [sys.executable, "-m", "scrollres.survey_worker", "10007"]
         env = kwargs["env"]
@@ -442,7 +443,7 @@ def test_survey_launches_at_most_count_workers(monkeypatch, small_survey):
 def test_survey_runs_in_order_with_one_usable_cpu(monkeypatch):
     launched = _record_launches(monkeypatch, cpus=1)
     seeds = []
-    monkeypatch.setattr(pipeline, "survey_seed",
+    monkeypatch.setattr(survey, "survey_seed",
                         lambda prime, seed: seeds.append(seed) or {"seed": seed, "ok": False})
     assert sample_survey(10007, count=3, base_seed=5, workers=8)["results"] == [
         {"seed": s, "ok": False} for s in (5, 6, 7)]
@@ -454,7 +455,7 @@ def test_survey_worker_that_fails_is_an_error(monkeypatch):
     # raises, and no worker is left running
     launched = _record_launches(monkeypatch)
     monkeypatch.setattr(sys, "executable", "/bin/false")
-    with pytest.raises(pipeline.SurveyWorkerError, match="exited with status 1"):
+    with pytest.raises(survey.SurveyWorkerError, match="exited with status 1"):
         sample_survey(10007, count=4, base_seed=1, workers=2)
     assert len(launched) == 2 and _all_reaped(launched)
 
@@ -463,7 +464,7 @@ def test_survey_worker_malformed_line_is_an_error(monkeypatch):
     # /bin/echo answers with its arguments, not a result for the seed
     launched = _record_launches(monkeypatch)
     monkeypatch.setattr(sys, "executable", "/bin/echo")
-    with pytest.raises(pipeline.SurveyWorkerError, match="malformed line for seed"):
+    with pytest.raises(survey.SurveyWorkerError, match="malformed line for seed"):
         sample_survey(10007, count=4, base_seed=1, workers=2)
     assert len(launched) == 2 and _all_reaped(launched)
 
@@ -475,7 +476,7 @@ def test_survey_worker_failing_after_its_answers_is_an_error(monkeypatch, tmp_pa
     worker.chmod(0o755)
     launched = _record_launches(monkeypatch)
     monkeypatch.setattr(sys, "executable", str(worker))
-    with pytest.raises(pipeline.SurveyWorkerError, match="exited with status 3"):
+    with pytest.raises(survey.SurveyWorkerError, match="exited with status 3"):
         sample_survey(10007, count=4, base_seed=1, workers=2)
     assert len(launched) == 2 and _all_reaped(launched)
 
@@ -499,7 +500,7 @@ def test_survey_command_uses_every_usable_cpu(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "sample_survey", fake)
     assert main(["--seed", "5", "survey", "--count", "2"]) == 0
-    assert calls == [(10007, 2, 5, pipeline.usable_cpus())]
+    assert calls == [(10007, 2, 5, survey.usable_cpus())]
 
 
 def test_programming_errors_are_not_retried(monkeypatch):
@@ -507,7 +508,8 @@ def test_programming_errors_are_not_retried(monkeypatch):
     def broken(prime, seed):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr(pipeline, "build_chain", broken)
+    for module in (pipeline, chain):
+        monkeypatch.setattr(module, "build_chain", broken)
     with pytest.raises(TypeError):
         run_pipeline(10007, 1)
     with pytest.raises(TypeError):
@@ -523,7 +525,8 @@ def test_chain_errors_are_reported_once_not_retried(monkeypatch):
         seeds.append(seed)
         raise InsufficientRationalPointsError("found 3 of 50")
 
-    monkeypatch.setattr(pipeline, "build_chain", too_few_points)
+    for module in (pipeline, chain):
+        monkeypatch.setattr(module, "build_chain", too_few_points)
     report = run_pipeline(10007, 1, max_curve_attempts=3)
     assert not report["ok"] and seeds == [1]
     assert report["error"] == {"stage": "curve_and_betti",

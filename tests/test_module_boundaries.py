@@ -5,6 +5,8 @@ instruments exists."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,16 +71,41 @@ def test_k3_syzygy_imports_nothing_from_lattice():
     assert not found & {".lattice", "scrollres.lattice"}
 
 
-def test_every_benchmark_target_resolves(monkeypatch):
-    # perfbench/tracer.py looks its TARGETS up by name when it installs, so
-    # a renamed or deleted one would otherwise fail only the benchmark run;
-    # it is loaded without writing bytecode next to it
+def test_chain_imports_only_the_betti_table_modules():
+    # a survey worker imports chain alone, so chain's imports bound what it loads
+    found = imported_modules((SRC / "chain.py").read_text())
+    package = {name.split(".")[1] for name in found if name.startswith(".") and name != "."}
+    assert package == {"ffield", "plane_curve", "scroll", "resolution"}
+    assert not any(name.startswith("scrollres") for name in found)
+
+
+def test_survey_worker_loads_no_stage_it_never_runs():
+    # a fresh interpreter, as sample_survey starts one
+    probe = "import sys, scrollres.survey_worker; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "scrollres.chain" in out
+    unused = {f"scrollres.{name}" for name in
+              ("k3_syzygy", "quartic_net", "lattice", "pipeline", "survey")}
+    assert not unused & set(out)
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    """perfbench/tracer.py, loaded without writing bytecode next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", SRC.parents[1] / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_target_resolves(tracer):
+    # perfbench/tracer.py looks its TARGETS up by name when it installs, so
+    # a renamed or deleted one would otherwise fail only the benchmark run
     assert tracer.TARGETS
     for module, attr, _detail in tracer.TARGETS:
         owner_name, _, name = attr.rpartition(".")
@@ -86,3 +113,20 @@ def test_every_benchmark_target_resolves(monkeypatch):
         if owner_name:
             owner = getattr(owner, owner_name)
         assert callable(vars(owner).get(name)), f"scrollres.{module}.{attr} is missing"
+
+
+def test_tracer_sees_the_chain_a_survey_seed_builds(tracer):
+    # the tracer wraps pipeline.build_chain and rebinds every loaded module
+    # holding the same function, chain's own name included
+    from scrollres import chain
+
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        result = chain.survey_seed(10007, 1)
+    finally:
+        spans.uninstall()
+    assert result["ok"]
+    labels = [span.label for span in spans.spans]
+    assert labels.count("pipeline.build_chain") == 1
+    assert labels.count("pipeline.survey_seed") == 1

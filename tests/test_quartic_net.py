@@ -4,9 +4,18 @@ import random
 import numpy as np
 import pytest
 
+import scrollres.quartic_net as net_module
 from scrollres import DEFAULT_PRIME as P
-from scrollres.ffield import FieldError, rank_mod
-from scrollres.plane_curve import evaluate_form, linear_system, monomials
+from scrollres.ffield import FieldError, kernel_mod, mul_mod, rank_mod
+from scrollres.plane_curve import (
+    PlaneCurveModel,
+    condition_matrix,
+    evaluate_form,
+    linear_system,
+    monomials,
+    multiply_forms,
+)
+from scrollres.scroll import CanonicalCoordinates
 from scrollres.quartic_net import (
     GammaCurve,
     GammaError,
@@ -30,7 +39,7 @@ from scrollres.quartic_net import (
     verify_net_on_points,
 )
 
-from oracles import random_gl, reference_macaulay_smooth, substitute_linear
+from oracles import partial_derivative, random_gl, reference_macaulay_smooth, substitute_linear
 
 
 def cubic_coeffs(terms: dict) -> np.ndarray:
@@ -376,8 +385,9 @@ def test_macaulay_rank_matches_determinant_ratio(p):
 def conjugate_case():
     """Seed 2 at p = 10007: the node's two pencil parameters are conjugate
     over F_p.  The pencil, net, gamma map and node of its one chain."""
+    from scrollres.chain import build_chain
     from scrollres.k3_syzygy import linear_syzygy_space, pencil_member, surface_pencil, syzygy_rank
-    from scrollres.pipeline import GAMMA_PARAMETERS, build_chain
+    from scrollres.pipeline import GAMMA_PARAMETERS
 
     chain = build_chain(P, 2)
     basis = linear_syzygy_space(chain.steps, P)
@@ -473,3 +483,90 @@ def test_squarefree_quadratic_is_required():
         singular_fiber_parameters(gmap, (1, 0, 0), P)
     with pytest.raises(GammaError, match="vanish identically"):
         singular_fiber_parameters(np.zeros((3, 4), dtype=np.int64), (1, 0, 0), P)
+
+
+# --- derivatives against the per-monomial reference ----------------------------
+
+
+def _ranked_matrices(monkeypatch, rank=None) -> list:
+    """Record every matrix quartic_net passes to rank_mod; answer with rank
+    when it is given, else with the true rank."""
+    seen = []
+
+    def recorded(mat, p):
+        seen.append(np.array(mat) % p)
+        return rank_mod(mat, p) if rank is None else rank
+
+    monkeypatch.setattr(net_module, "rank_mod", recorded)
+    return seen
+
+
+def _random_point(rng, p):
+    while True:
+        point = tuple(rng.randrange(p) for _ in range(3))
+        if any(point):
+            return point
+
+
+@pytest.mark.parametrize("p", [11, 10007, 2147483647])
+def test_derivatives_match_the_partial_derivative_reference(p, monkeypatch):
+    """The gradients of residual_degree, the value, gradient and Hessian of
+    gamma_singular_point and the partials of macaulay_resultant_smooth
+    equal those of the per-monomial partial_derivative."""
+    rng = random.Random(p)
+
+    def at(form, d, point):
+        return int(evaluate_form(form, d, point, p)[0])
+
+    def gradient(form, d, point):
+        return [at(partial_derivative(form, 3, d, v, p), d - 1, point) for v in range(3)]
+
+    def combination(rows):
+        return mul_mod([rng.randrange(p) for _ in rows], rows, p)
+
+    # residual_degree: quintics through the first two of four singular
+    # points; rank_mod answers 2, so every base point is visited
+    points = [_random_point(rng, p) for _ in range(4)]
+    model = PlaneCurveModel(p, 9, np.zeros(55, dtype=np.int64), points[0], 3, tuple(points[1:]), 0)
+    through = kernel_mod(condition_matrix(5, [(pt, 1) for pt in points[:2]], p), p)
+    quintics = tuple(combination(through) for _ in range(4))
+    coords = CanonicalCoordinates(p, (), quintics, np.zeros(28, dtype=np.int64), 5, 6)
+    base = [(pt, m) for pt, m in model.singular_points()
+            if not any(at(q, 5, pt) for q in quintics)]
+    assert len(base) >= 2
+    seen = _ranked_matrices(monkeypatch, rank=2)
+    assert residual_degree(model, coords) == 9 * 5 - sum(m for _pt, m in base)
+    assert [m.tolist() for m in seen] == [[gradient(q, 5, pt) for q in quintics] for pt, _m in base]
+
+    # gamma_singular_point: a random map, a random cubic and a cubic
+    # singular at the map's centre
+    seen = _ranked_matrices(monkeypatch)
+    for _ in range(20):
+        gmap = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(3)])
+        try:
+            point = gamma_singular_point(GammaCurve(p, gmap, np.ones(10, dtype=np.int64)))["point"]
+            break
+        except GammaError:
+            continue
+    else:
+        pytest.fail("no random map has a centre")
+    singular_there = kernel_mod(condition_matrix(3, [(point, 2)], p), p)
+    cubics = [np.array([rng.randrange(p) for _ in range(10)]), combination(singular_there)]
+    for cubic in cubics:
+        seen.clear()
+        sing = gamma_singular_point(GammaCurve(p, gmap, cubic))
+        first = gradient(cubic, 3, point)
+        hessian = [gradient(partial_derivative(cubic, 3, 3, v, p), 2, point) for v in range(3)]
+        assert sing["singular_count"] == int(not at(cubic, 3, point) and not any(first))
+        assert [m.tolist() for m in seen] == [hessian]
+    assert sing["singular_count"] == 1
+
+    # macaulay_resultant_smooth: the partials times every sextic monomial
+    seen.clear()
+    quartic = np.array([rng.randrange(p) for _ in range(35)])
+    macaulay_resultant_smooth(quartic, p)
+    sextics = np.eye(len(monomials(6, 4)), dtype=np.int64)
+    expected = [multiply_forms(partial_derivative(quartic, 4, 4, v, p), 3, sextic, 6, p, nvars=4)
+                for v in range(4) for sextic in sextics]
+    assert len(seen) == 1 and np.array_equal(seen[0], np.array(expected))
+

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrollres import resolution
+from scrollres import resolution, scroll
+from scrollres.chain import build_chain
 from scrollres.ffield import is_prime
 from scrollres.k3_syzygy import (
     K3Surface,
@@ -15,7 +16,6 @@ from scrollres.k3_syzygy import (
     pencil_member,
     surface_pencil,
 )
-from scrollres.pipeline import build_chain
 from scrollres.resolution import (
     GENERIC_BETTI_TABLE,
     SLICE_ENLARGEMENT,
@@ -325,6 +325,21 @@ def test_new_representatives_match_row_by_row_reference(monkeypatch):
         expected = reference_new_representatives(kernel, multiples, p)
         assert out.dtype == expected.dtype and out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
+
+
+def test_adjoint_dims_runs_once_per_chain(monkeypatch):
+    # SliceContext reads the h^1 values and the scroll type off one d-vector
+    models = []
+    original = scroll.adjoint_dims
+
+    def counted(model):
+        models.append(model)
+        return original(model)
+
+    for module in (scroll, resolution):
+        monkeypatch.setattr(module, "adjoint_dims", counted)
+    chain = build_chain(10007, 1)
+    assert len(models) == 1 and models[0] is chain.model and chain.ctx.e == GENERIC_E
 
 
 @st.composite

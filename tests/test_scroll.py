@@ -19,6 +19,7 @@ from scrollres.scroll import (
     ScrollError,
     ScrollType,
     _line_residual_degree_six,
+    adjoint_dims,
     canonical_coordinates,
     cox_slice,
     euler_scroll,
@@ -74,8 +75,8 @@ def test_pencil_residual_degree(model, pencil):
     assert len(residual) == 7 and any(residual)  # degree-6 binary form
 
 
-def test_scroll_type_generic(model, pencil):
-    st = scroll_type(model, pencil)
+def test_scroll_type_generic(model):
+    st = scroll_type(adjoint_dims(model))
     assert st.e == (1, 1, 1, 1, 0)
     assert sum(st.e) == 4
 
