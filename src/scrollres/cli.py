@@ -138,7 +138,7 @@ def cmd_lattice(args) -> int:
         _write_json(args, out)
         return 0
     checks: dict = {}
-    suite = lattice_suite(checks, box=args.bound)
+    suite = lattice_suite(checks)
     ok = all(bool(v) for v in checks.values())
     print(f"signature(h) = {suite['h']['signature']}, disc = {suite['h']['discriminant']}")
     print(f"signature(h') = {suite['hPrime']['signature']}, disc = {suite['hPrime']['discriminant']}")
@@ -157,9 +157,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = run_pipeline(args.prime, args.seed)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report_error(report)
     failed = [k for k, v in report["checks"].items() if not v]
     print(f"pipeline({args.prime}, {args.seed}): "
@@ -191,8 +191,6 @@ def _add_common_options(parser, suppress: bool):
 
     parser.add_argument("--prime", type=int, default=default(DEFAULT_PRIME))
     parser.add_argument("--seed", type=int, default=default(1))
-    parser.add_argument("--bound", type=int, default=default(100),
-                        help="search box for the rank-4 lattice entry derivation")
     parser.add_argument("--json", metavar="PATH", default=default(None),
                         help="write the JSON report here")
     parser.add_argument("--verbose", action="store_true", default=default(False))

@@ -40,7 +40,6 @@ from .scroll import (
     GONALITY,
     CoxPoly,
     cox_slice,
-    euler_scroll,
     module_element,
     module_keys,
     slice_index,
@@ -216,13 +215,6 @@ class SkewPresentation:
     q5: CoxPoly
     ambiguity_dim: int    # kernel dimension of the reconstruction solve
 
-    def check_identity(self):
-        pf = sub_pfaffians([list(r) for r in self.psi])
-        for row in self.psi:
-            if not module_element(row).image(pf).is_zero():
-                raise K3Error("psi times its signed sub-Pfaffians is nonzero")
-        return pf
-
 
 # the pairs i < j and triples j < k < l of the four syzygy entries
 _PAIRS = list(itertools.combinations(range(4), 2))
@@ -274,17 +266,16 @@ def _presentation(a_entries, forms, ell, ambiguity_dim: int) -> SkewPresentation
     for (i, j), poly in sub.items():
         psi[i][j] = poly
         psi[j][i] = poly.scale(p - 1)
-    pres = SkewPresentation(
-        p, tuple(tuple(r) for r in psi), tuple(tuple(r) for r in a_entries),
-        q5, ambiguity_dim,
-    )
-    pf = pres.check_identity()
+    pf = sub_pfaffians(psi)
     if not pf[0].sub(q5).is_zero():
         raise K3Error("first principal Pfaffian is not Pf(A)")
     for i in range(4):
         if not pf[i + 1].sub(forms[i]).is_zero():
             raise K3Error("sub-Pfaffians do not recover the quadric generators")
-    return pres
+    return SkewPresentation(
+        p, tuple(tuple(r) for r in psi), tuple(tuple(r) for r in a_entries),
+        q5, ambiguity_dim,
+    )
 
 
 def pfaffian_reconstruct(schemes) -> list:
@@ -293,9 +284,9 @@ def pfaffian_reconstruct(schemes) -> list:
 
     One elimination of [mat^T | rhs_1 .. rhs_n] solves every scheme: its
     kernel dimension must equal the rank of the explicit Koszul map, and
-    each identity psi . (signed sub-Pfaffians) = 0 is asserted
-    coefficientwise.  The solution is the one with every free unknown zero,
-    so it is linear in the right-hand side.
+    the principal Pfaffians of each psi are compared with Pf(A) and with
+    the scheme's forms coefficientwise.  The solution is the one with every
+    free unknown zero, so it is linear in the right-hand side.
     """
     p = schemes[0].prime
     ell = schemes[0].ell
@@ -545,13 +536,8 @@ def intersection_numbers_from_resolution(table: BigradedBettiTable, e=GENERIC_E)
     """Fit chi(O_S(aH+bR)) over a grid where every twisted summand has
     nonnegative H-degree; the exact quadratic fit yields the intersection
     numbers and chi(O_S)."""
-    chi = {}
-    for a in (5, 6, 7):
-        for b in (-2, -1, 0, 1, 2):
-            value = euler_scroll(e, a, b)
-            for (i, ta, tb), mult in table.entries.items():
-                value += (-1) ** i * mult * euler_scroll(e, a - ta, b + tb)
-            chi[a, b] = value
+    chi = {(a, b): table.euler_characteristic(e, a, b)
+           for a in (5, 6, 7) for b in (-2, -1, 0, 1, 2)}
     c0, c1, c2, c3, c4, c5 = _quadratic_fit(chi)
     if c1 != 0 or c2 != 0:
         raise K3Error("linear terms present: canonical class is not trivial")

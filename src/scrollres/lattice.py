@@ -22,8 +22,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 
 class LatticeError(RuntimeError):
     pass
@@ -344,15 +342,15 @@ def _ldl_solve(d, l, u):
     return x
 
 
-def enum_classes(lat: GramLattice, norm: int, constraints, radius_factor: int = 1):
+def enum_classes(lat: GramLattice, norm: int, constraints):
     """All nonzero classes D with D.D = norm and D.v_i = m_i for each
     (v_i, m_i) in constraints.
 
     Completeness certificate: the integer solutions of the pairing
     constraints form a coset of a sublattice on which the form is negative
     definite (the constraints include a class of positive norm), so the
-    solutions of D.D = norm lie in an explicit rational ellipsoid; that
-    ellipsoid, inflated by radius_factor**2, is enumerated exactly.
+    solutions of D.D = norm lie in an explicit rational ellipsoid, which is
+    enumerated exactly.
     """
     n = lat.rank
     if not constraints:
@@ -391,7 +389,6 @@ def enum_classes(lat: GramLattice, norm: int, constraints, radius_factor: int = 
     )
     if radius2 < 0:
         return []
-    radius2 *= radius_factor * radius_factor
     found = []
     for c in _ellipsoid_points(pivots, l, center, radius2):
         d = tuple(
@@ -552,56 +549,73 @@ def _rank4_lattice(a: int, b: int) -> GramLattice:
     return GramLattice(gram, ("H1", "C", "N1", "H2"))
 
 
-def _box_solutions(box: int, conditions) -> list:
-    """All (a, b) in [-box, box]^2, a ascending and then b ascending, at which
-    op(u.v, m) holds for every condition (u, v, op, m).
+def _interval(forms):
+    """(lo, hi), the integers x with c0 + c x >= 0 for every (c0, c) in
+    forms, an end possibly infinite; None when no integer passes."""
+    lo, hi = -math.inf, math.inf
+    for c0, c in forms:
+        if c > 0:
+            lo = max(lo, math.ceil(Fraction(-c0, c)))
+        elif c < 0:
+            hi = min(hi, math.floor(Fraction(-c0, c)))
+        elif c0 < 0:
+            return None
+    return (lo, hi) if lo <= hi else None
 
-    a and b enter the template linearly, so u.v is the affine form
-    c0 + (ca - c0) a + (cb - c0) b with c0, ca, cb its values at (0, 0),
-    (1, 0) and (0, 1); it is evaluated over the whole box at once.
+
+def _solve_entries(conditions) -> tuple:
+    """The one integer pair (a, b) at which op(u.v, m) holds for every
+    condition (u, v, op, m), op being operator.ge or operator.eq.
+
+    a and b enter the template linearly, so u.v - m = c0 + ca a + cb b with
+    c0, ca, cb read off at (0, 0), (1, 0) and (0, 1); an equality is two
+    inequalities.  Eliminating b (each lower bound on b against each upper
+    one) bounds a exactly, and each integer a in that range bounds b.
+    LatticeError names a coordinate left free, with its interval, or the
+    pairs found when there is not exactly one.
     """
     corners = [_rank4_lattice(a, b) for a, b in ((0, 0), (1, 0), (0, 1))]
-    side = np.arange(-box, box + 1, dtype=np.int64)
-    a, b = np.meshgrid(side, side, indexing="ij")
-    keep = np.ones(a.shape, dtype=bool)
+    forms = []
     for u, v, op, m in conditions:
         c0, ca, cb = (lat.pairing(u, v) for lat in corners)
-        keep &= op(c0 + (ca - c0) * a + (cb - c0) * b, m)
-    return [(int(x), int(y)) for x, y in zip(a[keep], b[keep])]
+        form = (c0 - m, ca - c0, cb - c0)
+        forms += [form, tuple(-c for c in form)] if op is operator.eq else [form]
+    a_forms = [(c0, ca) for c0, ca, cb in forms if cb == 0] + [
+        (lb * u0 - ub * l0, lb * ua - ub * la)
+        for l0, la, lb in forms if lb > 0 for u0, ua, ub in forms if ub < 0]
+    span = _interval(a_forms)
+    if span and math.inf in (-span[0], span[1]):
+        raise LatticeError(f"a is not pinned: [{span[0]}, {span[1]}]")
+    pairs = []
+    for a in range(span[0], span[1] + 1) if span else ():
+        b_span = _interval([(c0 + ca * a, cb) for c0, ca, cb in forms])
+        if b_span and b_span[0] != b_span[1]:
+            raise LatticeError(f"b is not pinned at a = {a}: [{b_span[0]}, {b_span[1]}]")
+        pairs += [(a, b_span[0])] if b_span else []
+    if len(pairs) != 1:
+        raise LatticeError(f"not one integer pair meets the conditions: {pairs}")
+    return pairs[0]
 
 
-def derive_hprime_entries(box: int = 100, drop_constraint: "int | None" = None):
-    """Integer pairs (a, b) = (H1.H2, N1.H2) in [-box, box]^2 passing the four
-    effectivity inequalities.
-
-    The four inequalities are (C-H1).(C-H2) >= 0, H2.(C-H1) >= 0,
-    (C-H2).(H1-N1) >= 0 and (C-H2).N1 >= 0, each an affine form in (a, b);
-    dropping one (by index) exposes the interval of solutions.  NOTE: the
-    unique solution (16, 6) of all four is inconsistent with a second
-    elliptic polarisation (see second_polarization_entries), which forces
-    b = 7; the discrepancy is reported by hprime_consistency_report.
+def derive_hprime_entries():
+    """(a, b) = (H1.H2, N1.H2) from the four effectivity inequalities
+    (C-H1).(C-H2) = a - 16 >= 0, H2.(C-H1) = 16 - a >= 0,
+    (C-H2).(H1-N1) = 10 - a + b >= 0 and (C-H2).N1 = 6 - b >= 0: the first
+    two pin a = 16, the last two b = 6.  NOTE: (16, 6) is inconsistent with
+    a second elliptic polarisation (see second_polarization_entries), which
+    forces b = 7; hprime_consistency_report reports the discrepancy.
     """
-    conditions = [c for i, c in enumerate(_EFFECTIVITY) if i != drop_constraint]
-    solutions = _box_solutions(box, conditions)
-    if drop_constraint is None:
-        if len(solutions) != 1:
-            raise LatticeError(f"non-unique: {solutions}")
-        return solutions[0]
-    return solutions
+    return _solve_entries(_EFFECTIVITY)
 
 
-def second_polarization_entries(box: int = 100):
-    """(a, b) in [-box, box]^2 for which the second polarisation closes up:
-    N2 := H2 - H1 + N1 must satisfy N2.N2 = 0, H2.N2 = 5 and C.N2 = 6,
-    together with the first two effectivity inequalities pinning a.
-
-    The unique solution is (16, 7); with it the basis change below reproduces
-    the rank-4 lattice of the singular fiber entry for entry.
+def second_polarization_entries():
+    """(a, b) for which the second polarisation closes up:
+    N2 := H2 - H1 + N1 must satisfy N2.N2 = 18 - 2a + 2b = 0, H2.N2 = 5 and
+    C.N2 = 6, with a = 16 pinned by the first two effectivity inequalities.
+    The solution (16, 7) makes the basis change below reproduce the rank-4
+    lattice of the singular fiber entry for entry.
     """
-    solutions = _box_solutions(box, _EFFECTIVITY[:2] + _SECOND_POLARIZATION)
-    if len(solutions) != 1:
-        raise LatticeError(f"non-unique: {solutions}")
-    return solutions[0]
+    return _solve_entries(_EFFECTIVITY[:2] + _SECOND_POLARIZATION)
 
 
 def basis_change_gram(lat: GramLattice, columns, labels=None) -> GramLattice:
@@ -627,7 +641,7 @@ def hprime_from_basis_change(entries: tuple) -> GramLattice:
     return basis_change_gram(_rank4_lattice(*entries), columns, labels)
 
 
-def hprime_consistency_report(corrected: tuple, box: int = 100) -> dict:
+def hprime_consistency_report(corrected: tuple) -> dict:
     """Reconciles the two derivations of the rank-4 entries.
 
     The four literal effectivity inequalities give (16, 6), but with b = 6
@@ -635,11 +649,10 @@ def hprime_consistency_report(corrected: tuple, box: int = 100) -> dict:
     elliptic polarisation exists, and the basis change does not reproduce
     the displayed matrix; requiring N2.N2 = 0 instead gives (16, 7), which
     does.  The failing inequality is (C-H2).N1 >= 0: with b = 7 that pairing
-    is -1, i.e. N1 is not nef on the boundary surface.  corrected is the
-    result of second_polarization_entries(box); the literal entries are
-    searched in the same box.
+    is -1, i.e. N1 is not nef on the boundary surface.  corrected is
+    second_polarization_entries().
     """
-    literal = derive_hprime_entries(box=box)
+    literal = derive_hprime_entries()
     lat6, lat7 = _rank4_lattice(*literal), _rank4_lattice(*corrected)
     target = lattice_h_prime().gram
     return {

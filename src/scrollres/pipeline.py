@@ -250,9 +250,8 @@ def gamma_section(chain: CurveChain, pencil, basis, net, checks: dict):
     }
 
 
-def lattice_suite(checks: "dict | None" = None, box: int = 100) -> dict:
-    """Model-independent lattice certificates for the three lattices; box
-    bounds the two rank-4 entry searches to [-box, box]^2."""
+def lattice_suite(checks: "dict | None" = None) -> dict:
+    """Model-independent lattice certificates for the three lattices."""
     if checks is None:
         checks = {}
     h_lat, hp_lat, n_lat = lattice_h(), lattice_h_prime(), lattice_n()
@@ -291,8 +290,8 @@ def lattice_suite(checks: "dict | None" = None, box: int = 100) -> dict:
     roots_hp = unique_polarization_classes(hp_lat, hp, -2, 1)
     checks["hprime_determines_q1_q2"] = roots_hp == [(0, 0, 0, 1), (0, 0, 1, 0)]
     # the second-polarisation entries serve both the report and the basis change
-    entries = second_polarization_entries(box=box)
-    consistency = hprime_consistency_report(entries, box=box)
+    entries = second_polarization_entries()
+    consistency = hprime_consistency_report(entries)
     checks["derive_entries_literal"] = consistency["literal_inequalities"] == (16, 6)
     checks["basis_change_reproduces_hprime"] = (
         hprime_from_basis_change(entries).gram == hp_lat.gram

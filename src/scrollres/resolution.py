@@ -124,6 +124,12 @@ class BigradedBettiTable:
         augmented = BigradedBettiTable(self.g, self.k, aug)
         return augmented.dual().entries == augmented.entries
 
+    def euler_characteristic(self, e, a: int, b: int) -> int:
+        """chi of the resolved sheaf twisted by O(aH + bR) on the scroll of
+        type e: the alternating sum of chi over the resolution's terms."""
+        return euler_scroll(e, a, b) + sum((-1) ** i * m * euler_scroll(e, a - ta, b + tb)
+                                           for (i, ta, tb), m in self.entries.items())
+
     def to_json_entries(self) -> list:
         return [
             {"i": i, "a": a, "b": b, "multiplicity": m}
@@ -156,7 +162,7 @@ GENERIC_BETTI_TABLE = {
 SLICE_MARGIN = 10
 #: points added to batch 0 by the one enlargement after a rank other than h^0
 SLICE_ENLARGEMENT = 10
-#: b-degrees of the H-degree-2 slices probed for ideal generators
+#: b-degrees, ascending, of the H-degree-2 slices probed for ideal generators
 GENERATOR_WINDOW = (-2, -1, 0, 1, 2)
 #: b-degrees of the H-degree-3 slices where the generated ideal is checked
 #: against the ideal slice
@@ -187,11 +193,10 @@ class SliceContext:
     curve's h^1 values and the scroll type e.
     """
 
-    def __init__(self, model, coords: CanonicalCoordinates, margin: int = SLICE_MARGIN):
+    def __init__(self, model, coords: CanonicalCoordinates):
         self.model = model
         self.coords = coords
         self.prime = self.model.prime
-        self.margin = margin
         self._points = {0: [], 1: []}
         self._values = {0: None, 1: None}
         self._slices: dict = {}
@@ -254,7 +259,7 @@ class SliceContext:
         """Canonical basis (rows) of the ideal slice in section bidegree (a, b).
 
         The slice is the kernel of the evaluation of the slice monomials at
-        h^0 + margin points of batch 0, h^0 = curve_h0(a, b).  That kernel
+        h^0 + SLICE_MARGIN points of batch 0, h^0 = curve_h0(a, b).  That kernel
         always contains the ideal slice, so it is the slice when it is zero;
         otherwise it is accepted when the evaluation rank equals h^0, which
         makes the two dimensions equal.  Every slice the resolution takes
@@ -273,7 +278,7 @@ class SliceContext:
             return out
         h0 = self.curve_h0(a, b)
         for attempt in range(2):
-            m = h0 + self.margin + SLICE_ENLARGEMENT * attempt
+            m = h0 + SLICE_MARGIN + SLICE_ENLARGEMENT * attempt
             kernel = kernel_mod(
                 monomial_value_matrix(self.values(0, m), monos, self.prime).T,
                 self.prime,
@@ -373,7 +378,7 @@ def _multiples_span(kernels: dict, twists, e, a: int, b: int, p: int) -> np.ndar
     return free_map_matrix(step, e, a, b, p)
 
 
-def ideal_generator_step(ctx: SliceContext, window=GENERATOR_WINDOW) -> ResolutionStep:
+def ideal_generator_step(ctx: SliceContext) -> ResolutionStep:
     """Minimal generators of the curve ideal; all live in H-degree 2.
 
     H-degree 1 slices are verified empty, and the windows beyond the last
@@ -386,8 +391,7 @@ def ideal_generator_step(ctx: SliceContext, window=GENERATOR_WINDOW) -> Resoluti
     twists: list = []
     gens: list = []
     kernels: dict = {}
-    boundary_new = 0
-    for b in sorted(window):
+    for b in GENERATOR_WINDOW:
         columns = slice_keys(e, 2, b)
         if not len(columns):
             continue
@@ -403,10 +407,8 @@ def ideal_generator_step(ctx: SliceContext, window=GENERATOR_WINDOW) -> Resoluti
         for row in new:
             twists.append((2, b))
             gens.append(CoxPoly(p, columns, row))
-        if b == max(window) and new.shape[0]:
-            boundary_new = new.shape[0]
-    if boundary_new:
-        raise WindowExhaustedError("window exhausted: generators at the boundary twist")
+        if b == GENERATOR_WINDOW[-1] and new.shape[0]:
+            raise WindowExhaustedError("window exhausted: generators at the boundary twist")
     return ResolutionStep(1, twists, gens, kernels)
 
 
@@ -466,11 +468,8 @@ def _verify_composition(steps: list, p: int):
 
 def _hilbert_check(ctx: SliceContext, table: BigradedBettiTable):
     """Alternating Euler-characteristic identity on five section bidegrees."""
-    e = ctx.e
     for (a, b) in ((2, 0), (2, 1), (3, -1), (3, 0), (4, -2)):
-        chi = euler_scroll(e, a, b)
-        for (i, ta, tb), mult in table.entries.items():
-            chi += (-1) ** i * mult * euler_scroll(e, a - ta, b + tb)
+        chi = table.euler_characteristic(ctx.e, a, b)
         expected = 16 * a + 6 * b - 8  # chi(omega^a L^b) on a genus-9 curve
         if chi != expected:
             raise ResolutionError(

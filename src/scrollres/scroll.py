@@ -42,6 +42,8 @@ from .plane_curve import (
 
 SCROLL_DEGREE = GENUS - GONALITY + 1  # 4
 GENERIC_E = (1, 1, 1, 1, 0)
+#: random pencil members pencil_from_node draws before it gives up
+PENCIL_TRIES = 64
 
 
 class ScrollError(RuntimeError):
@@ -245,7 +247,7 @@ def adjoint_dims(model):
     return (d0, d1, d2)
 
 
-def pencil_from_node(model, max_tries: int = 64):
+def pencil_from_node(model):
     """Two lines l1, l2 through q spanning the pencil, chosen so that neither
     passes through another singular point and each meets the curve at q with
     multiplicity exactly q_mult, leaving a residual degree-6 divisor."""
@@ -255,7 +257,7 @@ def pencil_from_node(model, max_tries: int = 64):
         raise ScrollError("line pencil through q is not 2-dimensional")
     rng = random.Random(model.seed * 31337 + 5)
     chosen = []
-    for _ in range(max_tries):
+    for _ in range(PENCIL_TRIES):
         c0, c1 = rng.randrange(p), rng.randrange(1, p)
         line = (c0 * base[0] + c1 * base[1]) % p
         if not evaluate_form(line, 1, model.nodes, p).all():

@@ -198,7 +198,7 @@ def test_criterion_6_lattice_suite(report):
              and basis_ok and embed_ok and unique_ok,
              "signatures (1,2)/(1,3), discriminants 56/-80 (cofactor-confirmed), "
              "ample certificates empty, positivity table matches, entries (16, 6) "
-             "unique in the box, basis change reproduces the rank-4 matrix, "
+             "pinned exactly, basis change reproduces the rank-4 matrix, "
              "primitive embedding verified")
 
 
@@ -298,3 +298,22 @@ def test_held_out_conjugate_seeds_certify_with_one_chain(seed, known_canonical_s
     assert run["ok"] and built == [seed]
     assert len(run["gamma"]["fiberParameters"]) == 2 and len(run["gamma"]["fiberModulus"]) == 3
     known_canonical_sha256(run, DEFAULT_PRIME, seed)
+
+
+#: the digest atlas: every recorded key with no schema-2 digest to bridge to
+#: (the smallest accepted prime, both sides of the limb split, 2^24 - 3 and
+#: both sides of sqrt(2^53)), but 2147483647/1, which test_cli's
+#: largest-prime test checks
+ATLAS = sorted((key for key in KNOWN["canonicalSha256"]
+                if key not in KNOWN["schema2Sha256"] and key != "2147483647/1"),
+               key=lambda key: tuple(map(int, key.split("/"))))
+
+
+@pytest.mark.parametrize("key", ATLAS)
+def test_digest_atlas(key, known_canonical_sha256):
+    # a guard for the arithmetic at primes far from 10007: each report is
+    # the recorded one, byte for byte
+    prime, seed = map(int, key.split("/"))
+    run = run_pipeline(prime, seed)
+    assert run["ok"], run.get("error")
+    known_canonical_sha256(run, prime, seed)

@@ -137,38 +137,21 @@ def test_lattice_command(capsys):
 
 def test_lattice_command_with_bound(tmp_path):
     path = tmp_path / "lattice.json"
-    assert main(["--bound", "20", "--json", str(path), "lattice"]) == 0
+    assert main(["--json", str(path), "lattice"]) == 0
     entries = json.loads(path.read_text())["rank4Entries"]
     assert entries["literal_inequalities"] == [16, 6]
     assert entries["second_polarization"] == [16, 7]
 
 
-def test_lattice_command_bound_reaches_every_search(tmp_path, monkeypatch):
-    default = tmp_path / "default.json"
-    assert main(["--json", str(default), "lattice"]) == 0
-    boxes = {"derive_hprime_entries": [], "second_polarization_entries": []}
-    for name, seen in boxes.items():
-        original = getattr(lattice, name)
-
-        def counted(*args, _original=original, _seen=seen, **kwargs):
-            _seen.append(kwargs.get("box", args[0] if args else None))
-            return _original(*args, **kwargs)
-
-        for module in (lattice, pipeline):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
-    path = tmp_path / "lattice.json"
-    assert main(["--bound", "20", "--json", str(path), "lattice"]) == 0
-    # each search runs once, in the requested box, and the report is unchanged
-    assert boxes == {"derive_hprime_entries": [20], "second_polarization_entries": [20]}
-    assert path.read_text() == default.read_text()
-
-
-def test_lattice_command_bound_too_small(capsys):
-    # no entry pair lies in [-10, 10]^2: a one-line error, not a traceback
-    assert main(["--bound", "10", "lattice"]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: non-unique: []\n"
+def test_bound_option_is_rejected(capsys):
+    # the rank-4 entries are solved exactly: there is no search box to set,
+    # before the command (its value is then read as the command) or after it
+    for argv, message in ((["--bound", "20", "lattice"], "invalid choice: '20'"),
+                          (["lattice", "--bound", "10"], "unrecognized arguments: --bound 10")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_survey_rejects_zero_count(capsys):

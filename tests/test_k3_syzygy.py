@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from scrollres.k3_syzygy import (
     verify_containment,
 )
 from scrollres.resolution import BigradedBettiTable
-from scrollres.scroll import GENERIC_E, CoxPoly
+from scrollres.scroll import GENERIC_E, CoxPoly, slice_keys
 
 from dict_cox import DictPoly, monomial
 from oracles import reference_koszul_matrix, reference_solve_matrix, solve_rational
@@ -163,14 +164,35 @@ def test_pfaffian_rejects_non_skew():
         pfaffian(m)
 
 
-def test_sub_pfaffian_identity_random_scalar():
+def _psi_times(m, pf, p):
+    """The five entries of m . pf, m a 5x5 matrix of CoxPoly."""
+    out = []
+    for row in m:
+        acc = CoxPoly(p)
+        for entry, v in zip(row, pf, strict=True):
+            acc = acc.add(entry.mul(v))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("p", [P, 2147483647])
+@pytest.mark.parametrize("kind", ["constant", "linear"])
+def test_sub_pfaffian_identity_random_scalar(kind, p):
+    # psi . (signed sub-Pfaffians) = 0 for every 5x5 skew matrix: random
+    # constants, and random linear forms of the slice (1, -1) that the
+    # Koszul entries of the surface's psi live in
     rng = random.Random(1)
-    m = skew_from([rng.randrange(P) for _ in range(10)], 5)
+    if kind == "constant":
+        m = skew_from([rng.randrange(p) for _ in range(10)], 5, p)
+    else:
+        keys = slice_keys(GENERIC_E, 1, -1)
+        m = [[CoxPoly(p) for _ in range(5)] for _ in range(5)]
+        for i, j in itertools.combinations(range(5), 2):
+            m[i][j] = CoxPoly(p, keys, [rng.randrange(p) for _ in keys])
+            m[j][i] = m[i][j].scale(p - 1)
     pf = sub_pfaffians(m)
-    for i in range(5):
-        acc = CoxPoly(P)
-        for j in range(5):
-            acc = acc.add(m[i][j].mul(pf[j]))
+    assert not any(v.is_zero() for v in pf)
+    for acc in _psi_times(m, pf, p):
         assert acc.is_zero()
 
 
@@ -185,7 +207,9 @@ def test_skew_presentation(surface, scheme):
         for j in range(5):
             assert skew.psi[i][j].add(skew.psi[j][i]).is_zero()
     # psi . (signed sub-Pfaffians) = 0 and the Pfaffians are (q5, f'_1..f'_4)
-    pf = skew.check_identity()
+    pf = sub_pfaffians([list(r) for r in skew.psi])
+    for acc in _psi_times(skew.psi, pf, P):
+        assert acc.is_zero()
     assert pf[0].sub(skew.q5).is_zero()
     for i in range(4):
         assert pf[i + 1].sub(scheme.forms[i]).is_zero()

@@ -1,6 +1,9 @@
+import ast
 import itertools
 import math
+import operator
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -250,12 +253,6 @@ def test_ellipsoid_centre_matches_the_reference_solver(monkeypatch):
         assert solve_rational(q, u) == (ldl_solve(d, l, u), True)
 
 
-def test_enum_completeness_radius_doubling():
-    base = enum_classes(H_LAT, -2, [(H, 2)])
-    doubled = enum_classes(H_LAT, -2, [(H, 2)], radius_factor=2)
-    assert base == doubled
-
-
 def test_enum_isotropic_orthogonal_empty():
     # only the zero class solves D.D = 0, D.H = 0; it is excluded by convention
     assert enum_classes(H_LAT, 0, [(H, 0)]) == []
@@ -370,18 +367,13 @@ def test_derive_hprime_entries_literal():
     assert derive_hprime_entries() == (16, 6)
 
 
-def test_derive_hprime_entries_dropped_constraint():
-    interval = derive_hprime_entries(drop_constraint=3)
-    assert len(interval) > 1
-    assert (16, 6) in interval
-
-
 def test_second_polarization_entries():
     assert second_polarization_entries() == (16, 7)
 
 
 def _reference_box_search(box, drop_constraint=None, second_polarization=False):
-    """Per-cell search: one GramLattice and explicit pairings per (a, b)."""
+    """Per-cell search: every (a, b) in [-box, box]^2, a ascending and then b
+    ascending, passing explicit pairings of one GramLattice per cell."""
     h1, c, n1, h2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
     n2 = (-1, 0, 1, 1)  # H2 - H1 + N1
     cm_h1, cm_h2, h1_n1 = (-1, 1, 0, 0), (0, 1, 0, -1), (1, 0, -1, 0)
@@ -408,33 +400,93 @@ def _reference_box_search(box, drop_constraint=None, second_polarization=False):
                 checks = [v for i, v in enumerate(checks) if i != drop_constraint]
             if all(checks):
                 solutions.append((a, b))
-    if drop_constraint is None:
-        if len(solutions) != 1:
-            raise LatticeError(f"non-unique: {solutions}")
-        return solutions[0]
     return solutions
 
 
-def _outcome(fn, *args):
-    try:
-        return "value", fn(*args)
-    except LatticeError as exc:
-        return "LatticeError", str(exc)
+#: the coordinate a dropped effectivity inequality leaves free, and the range
+#: the other three allow it; without H2.(C-H1) >= 0 the last two still give
+#: a <= 16, so (16, 6) stays the only pair
+DROPPED = {0: (0, -math.inf, 16, "a is not pinned: [-inf, 16]"),
+           2: (1, -math.inf, 6, "b is not pinned at a = 16: [-inf, 6]"),
+           3: (1, 6, math.inf, "b is not pinned at a = 16: [6, inf]")}
+
+
+def _in_box(pair, box) -> list:
+    return [pair] if max(map(abs, pair)) <= box else []
 
 
 @pytest.mark.parametrize("box", [3, 15, 16, 20])
 @pytest.mark.parametrize("drop", [None, 0, 1, 2, 3])
 def test_derive_hprime_entries_match_reference(box, drop):
-    # the same values in the same order, as Python ints, or the same error
-    fast = _outcome(derive_hprime_entries, box, drop)
-    assert repr(fast) == repr(_outcome(_reference_box_search, box, drop))
+    # the exact solver against the per-cell search in [-box, box]^2, with all
+    # four effectivity inequalities or with one dropped: the box holds the
+    # solved pair when it reaches a = 16 (on its edge at 16) and nothing
+    # else, or, with a coordinate left free, only pairs in its named range
+    slow = _reference_box_search(box, drop)
+    conditions = [c for i, c in enumerate(lattice._EFFECTIVITY) if i != drop]
+    if drop not in DROPPED:
+        fast = derive_hprime_entries() if drop is None else lattice._solve_entries(conditions)
+        assert fast == (16, 6) and repr(slow) == repr(_in_box(fast, box))
+        return
+    k, lo, hi, message = DROPPED[drop]
+    assert all(lo <= pair[k] <= hi for pair in slow)
+    assert len(slow) > 1 or box < 16
+    with pytest.raises(LatticeError, match=re.escape(message) + "$"):
+        lattice._solve_entries(conditions)
 
 
 @pytest.mark.parametrize("box", [3, 15, 16, 20])
 def test_second_polarization_entries_match_reference(box):
-    fast = _outcome(second_polarization_entries, box)
-    slow = _outcome(lambda bx: _reference_box_search(bx, second_polarization=True), box)
-    assert repr(fast) == repr(slow)
+    fast = second_polarization_entries()
+    slow = _reference_box_search(box, second_polarization=True)
+    assert fast == (16, 7) and repr(slow) == repr(_in_box(fast, box))
+
+
+def test_solve_entries_matches_the_box_search_on_random_conditions():
+    # conditions at a random point (a0, b0), tight, moved past it or loosened:
+    # a returned pair is the box's only one, a free coordinate holds every
+    # pair the box finds, and a listed set of pairs is the box's
+    vectors = [lattice._H1, lattice._C, lattice._N1, lattice._H2, lattice._N2,
+               lattice._C_H1, lattice._C_H2, lattice._H1_N1]
+    rng = random.Random(11)
+    box = 12
+    cells = [(a, b) for a in range(-box, box + 1) for b in range(-box, box + 1)]
+    lattices = {cell: lattice._rank4_lattice(*cell) for cell in cells}
+    outcomes = set()
+    for _ in range(60):
+        a0, b0 = rng.randint(-8, 8), rng.randint(-8, 8)
+        conditions = []
+        for _ in range(rng.randint(1, 4)):
+            u, v = rng.choice(vectors), rng.choice(vectors)
+            if rng.random() < 0.5:
+                v = tuple(-x for x in v)
+            value = lattice._rank4_lattice(a0, b0).pairing(u, v)
+            k = rng.choice([-1, 0, 0, 1, 3])
+            op = operator.eq if rng.random() < 0.3 else operator.ge
+            conditions.append((u, v, op, value if op is operator.eq else value - k))
+        slow = [cell for cell in cells
+                if all(op(lattices[cell].pairing(u, v), m) for u, v, op, m in conditions)]
+        try:
+            pair = lattice._solve_entries(conditions)
+        except LatticeError as exc:
+            found = re.fullmatch(r"([ab]) is not pinned(?: at a = (-?\d+))?: \[(\S+), (\S+)\]",
+                                 str(exc))
+            if found is None:
+                head, listed = str(exc).split(": ", 1)
+                pairs = ast.literal_eval(listed)
+                assert head == "not one integer pair meets the conditions" and len(pairs) != 1
+                assert slow == [cell for cell in pairs if cell in lattices]
+                outcomes.add("several" if pairs else "empty")
+                continue
+            k, lo, hi = "ab".index(found[1]), float(found[3]), float(found[4])
+            row = [cell for cell in slow if found[2] is None or cell[0] == int(found[2])]
+            assert lo < hi and all(lo <= cell[k] <= hi for cell in row)
+            outcomes.add(found[1])
+            continue
+        assert all(op(lattice._rank4_lattice(*pair).pairing(u, v), m) for u, v, op, m in conditions)
+        assert slow == _in_box(pair, box)
+        outcomes.add("pair")
+    assert outcomes == {"pair", "a", "b", "several", "empty"}
 
 
 def test_solve_rational_outcomes():
