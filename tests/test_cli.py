@@ -143,15 +143,46 @@ def test_lattice_command_with_bound(tmp_path):
     assert entries["second_polarization"] == [16, 7]
 
 
-def test_bound_option_is_rejected(capsys):
-    # the rank-4 entries are solved exactly: there is no search box to set,
-    # before the command (its value is then read as the command) or after it
-    for argv, message in ((["--bound", "20", "lattice"], "invalid choice: '20'"),
-                          (["lattice", "--bound", "10"], "unrecognized arguments: --bound 10")):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+def test_lattice_command_bound_reaches_every_search(tmp_path, monkeypatch, capsys):
+    # the rank-4 entries are solved exactly: there is no search box to set
+    # (before the command, its value is read as the command)
+    with pytest.raises(SystemExit) as exc:
+        main(["--bound", "20", "lattice"])
+    assert exc.value.code == 2
+    assert "invalid choice: '20'" in capsys.readouterr().err
+    default = tmp_path / "default.json"
+    assert main(["--json", str(default), "lattice"]) == 0
+    calls = {"derive_hprime_entries": [], "second_polarization_entries": []}
+    for name, seen in calls.items():
+        original = getattr(lattice, name)
+
+        def counted(*args, _original=original, _seen=seen, **kwargs):
+            _seen.append((args, kwargs))
+            return _original(*args, **kwargs)
+
+        for module in (lattice, pipeline):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "lattice.json"
+    assert main(["--json", str(path), "lattice"]) == 0
+    # each solver runs once, with nothing to pass it, and the report is unchanged
+    assert calls == {"derive_hprime_entries": [((), {})],
+                     "second_polarization_entries": [((), {})]}
+    assert path.read_text() == default.read_text()
+
+
+def test_lattice_command_bound_too_small(monkeypatch, capsys):
+    # --bound after the command is no option either
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "--bound", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 10" in capsys.readouterr().err
+    # conditions no entry pair meets: a one-line error, not a traceback
+    monkeypatch.setattr(lattice, "_EFFECTIVITY",
+                        lattice._EFFECTIVITY + lattice._SECOND_POLARIZATION)
+    assert main(["lattice"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: not one integer pair meets the conditions: []\n"
 
 
 def test_survey_rejects_zero_count(capsys):
