@@ -778,3 +778,19 @@ def weil_restriction(coeffs, modulus, p: int) -> np.ndarray:
                 if powers[r + i, s]:
                     out[r, :, s] = (out[r, :, s] + int(powers[r + i, s]) * c) % p
     return out.reshape(d * n, d * m)
+
+
+def binary_powers(lam, mu, n: int, modulus, p: int) -> np.ndarray:
+    """Row k: the coordinates of lam**(n - k) * mu**k, k = 0..n, in R as in
+    weil_restriction; lam and mu are given by their coordinates over 1,
+    theta, .. (an int is a constant).  The products run in Python ints:
+    they are too small for mul_mod to pay."""
+    by_lam, by_mu = (weil_restriction(np.reshape(x, (-1, 1, 1)), modulus, p).astype(object)
+                     for x in (lam, mu))
+    rows = []
+    for k in range(n + 1):
+        term = np.eye(len(modulus), dtype=object)[0]
+        for factor in [by_lam] * (n - k) + [by_mu] * k:
+            term = term @ factor % p
+        rows.append(term)
+    return np.array(rows, dtype=np.int64)

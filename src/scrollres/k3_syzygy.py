@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import rank_mod, rref_mod, weil_restriction
+from .ffield import binary_powers, rank_mod, rref_mod, weil_restriction
 from .resolution import (
     BigradedBettiTable,
     ResolutionStep,
@@ -72,17 +72,9 @@ def surface_chi(a: int, b: int) -> int:
     return 2 + (K3_H2 * a * a + 2 * K3_HN * a * b + K3_N2 * b * b) // 2
 
 
-@dataclass(frozen=True)
-class SyzygyVector:
-    """Linear syzygy of the six (2H-R)-generators; entries over x1..x4."""
-
-    prime: int
-    entries: np.ndarray  # 6 x 4
-    params: tuple        # (lam, mu) in the syzygy pencil
-
-
 def linear_syzygy_space(steps, p: int) -> tuple:
-    """Basis (s1, s2) of the linear syzygies, from the (3,-2) kernel block.
+    """Basis (S1, S2) of the linear syzygies, from the (3,-2) kernel block:
+    each a 6x4 array, row i holding the entries of s_i over x1..x4.
 
     The (2H)-generators admit no multiplier of the right degree, so every
     kernel vector automatically involves only the six (2H-R)-generators.
@@ -100,22 +92,11 @@ def linear_syzygy_space(steps, p: int) -> tuple:
         raise K3Error("linear syzygy touches a non-(2H-R) generator")
     xs = slice_index(GENERIC_E, 1, -1).find(monos)  # columns are g times x_i
     out = []
-    for lam, mu, vec in ((1, 0, block.kernel[0]), (0, 1, block.kernel[1])):
+    for vec in block.kernel:
         entries = np.zeros((6, 4), dtype=np.int64)
         entries[gens, xs] = vec % p
-        out.append(SyzygyVector(p, entries, (lam, mu)))
+        out.append(entries)
     return tuple(out)
-
-
-def pencil_member(basis, lam: int, mu: int) -> SyzygyVector:
-    s1, s2 = basis
-    p = s1.prime
-    return SyzygyVector(p, (lam * s1.entries + mu * s2.entries) % p, (lam, mu))
-
-
-def syzygy_rank(s: SyzygyVector) -> int:
-    """Dimension of the span of the six entries of s."""
-    return rank_mod(s.entries, s.prime)
 
 
 def koszul_basis(p: int) -> tuple:
@@ -130,32 +111,34 @@ class SyzygyScheme:
     Koszul basis l = (x1..x4), with sum_k l_k phi_k = 0."""
 
     prime: int
-    params: tuple
     forms: tuple      # phi_1..phi_4 as CoxPoly
     ell: tuple        # x_1..x_4 as CoxPoly
 
 
-def _koszul_scheme(s: SyzygyVector, gen_polys) -> SyzygyScheme:
-    """phi_k = sum_i f_i S[i, k], and the syzygy identity checked."""
-    p = s.prime
+def _koszul_scheme(entries: np.ndarray, gen_polys) -> SyzygyScheme:
+    """phi_k = sum_i f_i S[i, k] for the 6x4 entries S of a syzygy, and the
+    syzygy identity checked."""
+    p = gen_polys[0].prime
     # column k of S is the element sum_i S[i, k] e_i, sent to phi_k by e_i -> f_i
     e_keys = module_keys([(0, 0)] * 6, GENERIC_E, 0, 0)
-    forms = tuple(CoxPoly(p, e_keys, s.entries[:, k]).image(gen_polys) for k in range(4))
+    forms = tuple(CoxPoly(p, e_keys, entries[:, k]).image(gen_polys) for k in range(4))
     ell = koszul_basis(p)
     if not module_element(ell).image(forms).is_zero():
         raise K3Error("syzygy identity failed")
-    return SyzygyScheme(p, s.params, forms, ell)
+    return SyzygyScheme(p, forms, ell)
 
 
-def syzygy_scheme(s: SyzygyVector, gen_polys) -> SyzygyScheme:
-    """The syzygy scheme of a rank-4 syzygy, written in the Koszul basis.
+def syzygy_scheme(entries: np.ndarray, gen_polys) -> SyzygyScheme:
+    """The syzygy scheme of a rank-4 syzygy with 6x4 entries, written in
+    the Koszul basis.
 
     gen_polys are the six (2H-R)-generators as CoxPoly, in the order used by
     the syzygy's entries.
     """
-    if syzygy_rank(s) != 4:
-        raise K3Error(f"rank deficient: syzygy rank {syzygy_rank(s)} != 4")
-    return _koszul_scheme(s, gen_polys)
+    rank = rank_mod(entries, gen_polys[0].prime)
+    if rank != 4:
+        raise K3Error(f"rank deficient: syzygy rank {rank} != 4")
+    return _koszul_scheme(entries, gen_polys)
 
 
 # --- Pfaffians ---------------------------------------------------------------
@@ -324,15 +307,6 @@ def pfaffian_reconstruct(schemes) -> list:
     return out
 
 
-def _element(x, d: int, p: int) -> np.ndarray:
-    """The coordinates over 1, theta, .., theta^(d-1) of an element of R
-    given by its leading coordinates or, as an int, a constant."""
-    out = np.zeros(d, dtype=np.int64)
-    x = np.atleast_1d(np.asarray(x, dtype=np.int64)) % p
-    out[: len(x)] = x
-    return out
-
-
 def _combine(polys, weights, p: int) -> CoxPoly:
     """sum_k weights[k] * polys[k]."""
     return CoxPoly(p, np.concatenate([f.keys for f in polys]),
@@ -421,32 +395,36 @@ class SurfacePencil:
     q5: tuple
     ambiguity_dim: int
 
-    def member(self, lam, mu, modulus=(0,)) -> K3Surface:
-        """The member (lam : mu) over R = F_p[theta]/(h), modulus as in
-        K3Surface; lam and mu are elements of R, given by their coordinates
-        over 1, theta, .. (an int is a constant).  Raises K3Error unless the
-        member's syzygy has rank 4 over R."""
-        p, d = self.prime, len(modulus)
-        lam, mu = (_element(x, d, p) for x in (lam, mu))
+    def syzygy_rank(self, lam, mu, modulus=(0,)) -> int:
+        """Rank over R = F_p[theta]/(h) of lam*S1 + mu*S2, modulus as in
+        K3Surface and h irreducible; lam and mu are elements of R, given by
+        their coordinates over 1, theta, .. (an int is a constant).  The
+        Weil restriction has d times that rank over F_p."""
+        p = self.prime
+        lam, mu = binary_powers(lam, mu, 1, modulus, p)
         s1, s2 = self.entries
         rank = rank_mod(weil_restriction([a * s1 + b * s2 for a, b in zip(lam, mu)], modulus, p), p)
-        if rank != 4 * d:
-            raise K3Error(f"rank deficient: syzygy rank {rank // d} != 4")
-        # multiplication by lam and by mu on R; row 0 of a product is its
-        # value, in Python ints since d <= 2 is too small for mul_mod to pay
-        by_lam, by_mu = (weil_restriction(x.reshape(d, 1, 1), modulus, p).astype(object)
-                         for x in (lam, mu))
-        squares = [x[0] @ y % p for x, y in ((by_lam, by_lam), (by_lam, by_mu), (by_mu, by_mu))]
+        return rank // len(modulus)
+
+    def member(self, lam, mu, modulus=(0,)) -> K3Surface:
+        """The member (lam : mu) over R, arguments as in syzygy_rank.
+        Raises K3Error unless the member's syzygy has rank 4 over R."""
+        rank = self.syzygy_rank(lam, mu, modulus)
+        if rank != 4:
+            raise K3Error(f"rank deficient: syzygy rank {rank} != 4")
+        p = self.prime
+        linear, quadratic = (binary_powers(lam, mu, n, modulus, p) for n in (1, 2))
         parts = []
-        for s in range(d):
-            gens = [((2, -1), _combine(pair, (lam[s], mu[s]), p)) for pair in zip(*self.forms)]
-            gens.append(((2, 0), _combine(self.q5, [w[s] for w in squares], p)))
+        for s in range(len(modulus)):
+            gens = [((2, -1), _combine(pair, linear[:, s], p)) for pair in zip(*self.forms)]
+            gens.append(((2, 0), _combine(self.q5, quadratic[:, s], p)))
             parts.append(tuple(gens))
         return K3Surface(p, tuple(parts), self.ambiguity_dim, tuple(int(c) % p for c in modulus))
 
 
-def surface_pencil(s1: SyzygyVector, s2: SyzygyVector, gen_polys) -> SurfacePencil:
-    """The pencil of syzygy schemes spanned by s1 and s2.
+def surface_pencil(s1: np.ndarray, s2: np.ndarray, gen_polys) -> SurfacePencil:
+    """The pencil of syzygy schemes spanned by the syzygies of 6x4 entries
+    s1 and s2.
 
     The checks run once for all members: the syzygy identity and
     phi_i = sum_j A_ij l_j are linear in (lam : mu), so s1 and s2 cover the
@@ -454,7 +432,7 @@ def surface_pencil(s1: SyzygyVector, s2: SyzygyVector, gen_polys) -> SurfacePenc
     in (lam : mu), so holding at (1 : 0), (0 : 1) and (1 : 1) they hold for
     every member over every extension of F_p.
     """
-    p = s1.prime
+    p = gen_polys[0].prime
     schemes = [_koszul_scheme(s, gen_polys) for s in (s1, s2)]
     pres_p, pres_q = pfaffian_reconstruct(schemes)
     both = [[x.add(y) for x, y in zip(r1, r2)] for r1, r2 in zip(pres_p.askew, pres_q.askew)]
@@ -462,7 +440,7 @@ def surface_pencil(s1: SyzygyVector, s2: SyzygyVector, gen_polys) -> SurfacePenc
     pres_sum = _presentation(both, forms, schemes[0].ell, pres_p.ambiguity_dim)
     mixed = pres_sum.q5.sub(pres_p.q5).sub(pres_q.q5)
     return SurfacePencil(
-        p, (s1.entries, s2.entries), (schemes[0].forms, schemes[1].forms),
+        p, (s1, s2), (schemes[0].forms, schemes[1].forms),
         (pres_p.q5, mixed, pres_q.q5), pres_p.ambiguity_dim,
     )
 
@@ -482,35 +460,15 @@ def k3_betti_shape(ctx: SliceContext, surface: K3Surface) -> BigradedBettiTable:
 
     step1 = surface.generator_step()
     step2 = next_syzygies(ctx, step1, 3, window=(-2, -1, 0, 1))
-    counts2 = _twist_counts(step2)
-    if counts2 != {(3, 2): 1, (3, 1): 4}:
-        raise K3Error(f"shape mismatch in first syzygies: {counts2}")
     probe = next_syzygies(ctx, step2, 4, window=(-2, -1, 0))
     if probe.gens:
         raise K3Error("shape mismatch: unexpected syzygies in H-degree 4")
     step3 = next_syzygies(ctx, step2, 5, window=(-3, -2, -1, 0))
-    counts3 = _twist_counts(step3)
-    if counts3 != {(5, 2): 1}:
-        raise K3Error(f"shape mismatch in last step: {counts3}")
-
-    entries = {(1, 2, 1): 4, (1, 2, 0): 1}
-    for (a, b), c in counts2.items():
-        entries[(2, a, b)] = c
-    for (a, b), c in counts3.items():
-        entries[(3, a, b)] = c
-    table = BigradedBettiTable(K3_GENUS, K3_SECTION_GONALITY, entries)
+    table = BigradedBettiTable.from_steps(K3_GENUS, K3_SECTION_GONALITY, [step1, step2, step3])
+    # K3_SHAPE_TABLE is self-dual, so equality certifies the duality too
     if table.entries != K3_SHAPE_TABLE:
         raise K3Error(f"shape mismatch: {table.entries}")
-    if not table.is_self_dual():
-        raise K3Error("surface resolution shape is not self-dual")
     return table
-
-
-def _twist_counts(step: ResolutionStep) -> dict:
-    counts: dict = {}
-    for (a, b) in step.twists:
-        counts[(a, -b)] = counts.get((a, -b), 0) + 1
-    return counts
 
 
 # --- intersection numbers from the resolution --------------------------------

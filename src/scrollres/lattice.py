@@ -716,7 +716,7 @@ def dimension_audit() -> dict:
     dim_w = 3 * 9 - 3 + rho
     dim_f_h = moduli_dimension(3)
     dim_p_h8 = dim_f_h + 9
-    n_rank = next(r for r in range(1, 20) if (20 - r) + 9 == 27)
+    n_rank = 20 + 9 - 27  # the rank r with (20 - r) + 9 = 27
     dim_p_hprime = moduli_dimension(4) + 9
     report = {
         "rho_9_1_6": rho,

@@ -37,9 +37,7 @@ from .k3_syzygy import (
     intersection_numbers_from_resolution,
     k3_betti_shape,
     linear_syzygy_space,
-    pencil_member,
     surface_pencil,
-    syzygy_rank,
     verify_containment,
 )
 from .lattice import (
@@ -136,17 +134,15 @@ def k3_section(chain: CurveChain, checks: dict):
     p = chain.ctx.prime
     basis = linear_syzygy_space(chain.steps, p)
     checks["linear_syzygy_space_dim_2"] = len(basis) == 2
-    gens = chain.steps[0].gens[:6]
-    pencil = surface_pencil(pencil_member(basis, 1, 0), pencil_member(basis, 0, 1), gens)
+    pencil = surface_pencil(basis[0], basis[1], chain.steps[0].gens[:6])
     for lam, mu in K3_MEMBER_CHOICES:
-        member = pencil_member(basis, lam, mu)
-        rank = syzygy_rank(member)
+        rank = pencil.syzygy_rank(lam, mu)
         if rank == 4:
             break
     else:
         raise PipelineError("no rank-4 member found in the syzygy pencil")
     checks["generic_syzygy_rank_4"] = rank == 4
-    surface = pencil.member(*member.params)
+    surface = pencil.member(lam, mu)
     checks["surface_contains_curve"] = verify_containment(
         surface, chain.ctx.values(0, K3_CHECK_POINTS))
     q5v = surface.q5.vector(GENERIC_E, 2, 0)
@@ -160,7 +156,7 @@ def k3_section(chain: CurveChain, checks: dict):
         numbers["H2"], numbers["HN"], numbers["N2"], numbers["chi"]
     ) == (14, 5, 0, 2)
     section = {
-        "parametersUsed": list(member.params),
+        "parametersUsed": [lam, mu],
         "shape": shape.to_json_entries(),
         "intersectionNumbers": numbers,
         "pfaffianAmbiguityDim": surface.ambiguity_dim,
@@ -201,14 +197,14 @@ def _fiber_report(fibers, p: int) -> tuple:
     return [[list(lam), list(mu)], [conjugate(lam), conjugate(mu)]], [1, c1, c0]
 
 
-def gamma_section(chain: CurveChain, pencil, basis, net, checks: dict):
+def gamma_section(chain: CurveChain, pencil, net, checks: dict):
     p = chain.ctx.prime
     samples = []
     skipped = []
     for lam, mu in GAMMA_PARAMETERS:
         if len(samples) == GAMMA_FIT + GAMMA_HOLDOUT:
             break
-        if syzygy_rank(pencil_member(basis, lam, mu)) != 4:
+        if pencil.syzygy_rank(lam, mu) != 4:
             skipped.append((lam, mu))
             continue
         _fvec, coords3 = image_quartic(pencil.member(lam, mu), net)
@@ -336,13 +332,13 @@ def _curve_and_betti(run: dict, report: dict, checks: dict) -> None:
 
 
 def _k3(run: dict, report: dict, checks: dict) -> None:
-    report["k3"], run["pencil"], run["basis"] = k3_section(run["chain"], checks)
-    report["syzygySpaceDim"] = len(run["basis"])
+    report["k3"], run["pencil"], basis = k3_section(run["chain"], checks)
+    report["syzygySpaceDim"] = len(basis)
 
 
 def _net_and_gamma(run: dict, report: dict, checks: dict) -> None:
     report["net"], net = net_section(run["chain"], checks)
-    report["gamma"] = gamma_section(run["chain"], run["pencil"], run["basis"], net, checks)
+    report["gamma"] = gamma_section(run["chain"], run["pencil"], net, checks)
 
 
 def _lattice_and_audit(run: dict, report: dict, checks: dict) -> None:

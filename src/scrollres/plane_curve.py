@@ -37,6 +37,10 @@ GONALITY = 6
 FIRST_PARTIALS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 LOCAL_ORDERS = {2: ((2, 0, 0), (1, 1, 0), (0, 2, 0)),
                 3: ((3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0))}
+#: random singularity configurations a nodal-curve construction tries
+NODAL_ATTEMPTS = 12
+#: batches of random lines sample_smooth_points draws before it gives up
+SAMPLING_BATCHES = 40
 
 
 class DegenerateConfigurationError(RuntimeError):
@@ -237,13 +241,13 @@ class PlaneCurveModel:
         )
 
 
-def node_conditions_matrix(nodes, p: int, d: int = 8) -> np.ndarray:
-    """Three first partials of a degree-d form at each node; vanishing of the
-    form itself follows from the Euler relation."""
-    return derivative_rows(d, [(order, node) for node in nodes for order in FIRST_PARTIALS], p)
+def node_conditions_matrix(nodes, p: int) -> np.ndarray:
+    """Three first partials of an octic at each node; vanishing of the form
+    itself follows from the Euler relation."""
+    return derivative_rows(8, [(order, node) for node in nodes for order in FIRST_PARTIALS], p)
 
 
-def construct_nodal_octic(prime: int, seed: int, max_attempts: int = 12) -> PlaneCurveModel:
+def construct_nodal_octic(prime: int, seed: int) -> PlaneCurveModel:
     """Random 12-nodal octic over F_prime as a PlaneCurveModel of degree 8:
     q is the first of the 12 sorted nodes (q_mult 2) and cuts the pencil,
     nodes holds the other 11.
@@ -254,7 +258,7 @@ def construct_nodal_octic(prime: int, seed: int, max_attempts: int = 12) -> Plan
     check_prime(prime)
     rng = random.Random(seed * 1000003 + prime)
     last_error = "no attempt run"
-    for _ in range(max_attempts):
+    for _ in range(NODAL_ATTEMPTS):
         nodes = set()
         while len(nodes) < 12:
             nodes.add((rng.randrange(prime), rng.randrange(prime), 1))
@@ -274,7 +278,7 @@ def construct_nodal_octic(prime: int, seed: int, max_attempts: int = 12) -> Plan
     raise DegenerateConfigurationError(f"degenerate configuration: {last_error}")
 
 
-def construct_nodal_nonic(prime: int, seed: int, max_attempts: int = 12) -> PlaneCurveModel:
+def construct_nodal_nonic(prime: int, seed: int) -> PlaneCurveModel:
     """Plane nonic with one ordinary triple point and 16 ordinary nodes.
 
     The 6 + 48 conditions leave a unique curve; lines through the triple
@@ -284,7 +288,7 @@ def construct_nodal_nonic(prime: int, seed: int, max_attempts: int = 12) -> Plan
     check_prime(prime)
     rng = random.Random(seed * 1000003 + prime + 777)
     last_error = "no attempt run"
-    for _ in range(max_attempts):
+    for _ in range(NODAL_ATTEMPTS):
         points = set()
         while len(points) < 17:
             points.add((rng.randrange(prime), rng.randrange(prime), 1))
@@ -387,13 +391,7 @@ def linear_system(model, d: int, conditions) -> list:
     return list(kernel_mod(cond, model.prime))
 
 
-def sample_smooth_points(
-    model,
-    count: int,
-    seed: int = 0,
-    exclude=(),
-    max_batches: int = 40,
-) -> list:
+def sample_smooth_points(model, count: int, seed: int = 0, exclude=()) -> list:
     """Distinct F_p-points on the curve away from its singular points.
 
     Random affine lines y = m*x + c are intersected with the curve exactly:
@@ -420,8 +418,8 @@ def sample_smooth_points(
         by_y[j, i] = int(coef) % p
     lines_per_batch = max(8, count // 2)
     batches = 0
-    while batches < max_batches:
-        group = min(max_batches - batches, -(-(count - len(found)) // lines_per_batch))
+    while batches < SAMPLING_BATCHES:
+        group = min(SAMPLING_BATCHES - batches, -(-(count - len(found)) // lines_per_batch))
         lines = [(rng.randrange(p), rng.randrange(p)) for _ in range(group * lines_per_batch)]
         m, c = (np.array(v, dtype=np.int64)[:, None] for v in zip(*lines))
         # Horner in y = c + m*x, lowest power of x first; the partial sums

@@ -32,13 +32,13 @@ import numpy as np
 
 from .ffield import (
     FieldError,
+    binary_powers,
     gcd_mod,
     kernel_mod,
     mul_mod,
     rank_mod,
     roots_mod,
     solve_mod,
-    weil_restriction,
 )
 from .k3_syzygy import K3Surface
 from .plane_curve import (
@@ -370,21 +370,7 @@ def gamma_image(gmap: np.ndarray, fiber, p: int) -> np.ndarray:
     singular_fiber_parameters: a (d, 3) array whose row s holds the theta^s
     coordinates of (g1 : g2 : g3)(lam, mu)."""
     modulus, lam, mu = fiber
-    d = len(modulus)
-    # multiplication by lam and by mu on R, as d x d matrices over F_p, in
-    # Python ints: these products are too small for mul_mod to pay
-    by_lam, by_mu = (
-        weil_restriction(np.asarray(x, dtype=np.int64).reshape(d, 1, 1), modulus, p).astype(object)
-        for x in (lam, mu)
-    )
-    total = np.zeros((3, d), dtype=object)
-    for k in range(4):
-        # the coordinates of lam^(3-k) mu^k, starting from those of 1
-        term = np.array([1] + [0] * (d - 1), dtype=object)
-        for factor in [by_lam] * (3 - k) + [by_mu] * k:
-            term = term @ factor % p
-        total = (total + np.outer(gmap[:, k].astype(object), term)) % p
-    return total.T.astype(np.int64)
+    return mul_mod(gmap, binary_powers(lam, mu, 3, modulus, p), p).T
 
 
 def certify_fiber(gmap: np.ndarray, fiber, point, surface: K3Surface, net: QuarticNet) -> None:

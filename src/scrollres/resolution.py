@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import kernel_mod, mul_mod, rank_mod, row_space_mod, rref_mod
+from .ffield import kernel_mod, mul_mod, row_space_mod, rref_mod
 from .plane_curve import sample_smooth_points
 from .scroll import (
     GENUS,
@@ -91,6 +91,17 @@ class BigradedBettiTable:
     g: int
     k: int
     entries: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_steps(cls, g: int, k: int, steps) -> "BigradedBettiTable":
+        """One O(-aH + bR) in index i for each generator of step i in the
+        slice (a, -b)."""
+        entries: dict = {}
+        for step in steps:
+            for (a, b) in step.twists:
+                key = (step.index, a, -b)
+                entries[key] = entries.get(key, 0) + 1
+        return cls(g, k, entries)
 
     def rank(self, i: int) -> int:
         return sum(m for (j, _, _), m in self.entries.items() if j == i)
@@ -327,11 +338,6 @@ class SyzygyBlock:
     kernel: np.ndarray         # all syzygies in this slice (rows)
     new_generators: np.ndarray # representatives minimal over lower slices
 
-    @property
-    def twist(self):
-        a, b = self.slice_bidegree
-        return (a, -b)  # O(-aH + bR) convention
-
 
 @dataclass
 class ResolutionStep:
@@ -378,38 +384,50 @@ def _multiples_span(kernels: dict, twists, e, a: int, b: int, p: int) -> np.ndar
     return free_map_matrix(step, e, a, b, p)
 
 
+def _minimal_generators(ctx: SliceContext, index: int, twists, a: int, window,
+                        elements) -> ResolutionStep:
+    """Minimal generators of index `index`, in H-degree a, over the free
+    module with generators of slice twists `twists`.
+
+    The slices (a, b) are taken for b in the window, ascending.
+    elements(b, columns) gives the slice's elements, as rows over the module
+    keys columns; the rows extending the span of the lower slices'
+    multiples are the new generators.  A generator at the window's last b
+    raises WindowExhaustedError.
+    """
+    e, p = ctx.e, ctx.prime
+    kernels: dict = {}
+    new_twists: list = []
+    gens: list = []
+    window = sorted(window)
+    for b in window:
+        columns = module_keys(twists, e, a, b)
+        if not len(columns):
+            continue
+        kernel = elements(b, columns)
+        multiples = _multiples_span(kernels, twists, e, a, b, p)
+        new = _new_representatives(kernel, multiples, p)
+        kernels[(a, b)] = SyzygyBlock(index, (a, b), columns, kernel, new)
+        new_twists += [(a, b)] * len(new)
+        gens += [CoxPoly(p, columns, row) for row in new]
+        if b == window[-1] and len(new):
+            raise WindowExhaustedError(
+                f"window exhausted: new generators at boundary twist ({a},{b})"
+            )
+    return ResolutionStep(index, new_twists, gens, kernels, cod_twists=list(twists))
+
+
 def ideal_generator_step(ctx: SliceContext) -> ResolutionStep:
     """Minimal generators of the curve ideal; all live in H-degree 2.
 
     H-degree 1 slices are verified empty, and the windows beyond the last
     twist are verified to contribute no new generators.
     """
-    e, p = ctx.e, ctx.prime
     for b in (-1, 0, 1):
         if ctx.ideal_slice(1, b).shape[0] != 0:
             raise ResolutionError("canonical embedding is degenerate: linear forms vanish on C")
-    twists: list = []
-    gens: list = []
-    kernels: dict = {}
-    for b in GENERATOR_WINDOW:
-        columns = slice_keys(e, 2, b)
-        if not len(columns):
-            continue
-        slice_basis = ctx.ideal_slice(2, b)
-        multiples = _multiples_span(kernels, [(0, 0)], e, 2, b, p)
-        if multiples.size:
-            # lower-twist multiples must stay inside the slice
-            slice_rank = slice_basis.shape[0]  # an RREF without zero rows
-            if rank_mod(np.concatenate([slice_basis, multiples]), p) != slice_rank:
-                raise ResolutionError("generator multiples escape the ideal slice")
-        new = _new_representatives(slice_basis, multiples, p)
-        kernels[(2, b)] = SyzygyBlock(1, (2, b), columns, slice_basis, new)
-        for row in new:
-            twists.append((2, b))
-            gens.append(CoxPoly(p, columns, row))
-        if b == GENERATOR_WINDOW[-1] and new.shape[0]:
-            raise WindowExhaustedError("window exhausted: generators at the boundary twist")
-    return ResolutionStep(1, twists, gens, kernels)
+    return _minimal_generators(ctx, 1, [(0, 0)], 2, GENERATOR_WINDOW,
+                               lambda b, _columns: ctx.ideal_slice(2, b))
 
 
 def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
@@ -417,43 +435,21 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
     """Kernel of F_prev -> F_(prev-1) in H-degree a, minimalised over the window.
 
     verify_against_ideal lists slice b-degrees where the image of the map
-    must equal the independently computed ideal slice (certifying that no
-    generators were missed in this H-degree).
+    from the generator step must equal the independently computed ideal
+    slice (certifying that no generators were missed in this H-degree).
     """
-    e, p = ctx.e, ctx.prime
-    prev_twists = prev.twists
-    kernels: dict = {}
-    twists: list = []
-    gens: list = []
-    boundary = max(window)
-    boundary_new = 0
-    for b in sorted(window):
-        columns = module_keys(prev_twists, e, a, b)
-        if not len(columns):
-            continue
-        mat = free_map_matrix(prev, e, a, b, p)
-        kernel = kernel_mod(mat.T, p)
-        if prev.index == 1 and b in verify_against_ideal:
-            image_rank = len(columns) - len(kernel)  # rank-nullity on mat.T
+    def kernel(b: int, columns) -> np.ndarray:
+        out = kernel_mod(free_map_matrix(prev, ctx.e, a, b, ctx.prime).T, ctx.prime)
+        if b in verify_against_ideal:
+            image_rank = len(columns) - len(out)  # rank-nullity on the map's rows
             expected = ctx.ideal_slice(a, b).shape[0]
             if image_rank != expected:
                 raise ResolutionError(
                     f"generated ideal misses slice ({a},{b}): {image_rank} != {expected}"
                 )
-        multiples = _multiples_span(kernels, prev_twists, e, a, b, p)
-        new = _new_representatives(kernel, multiples, p)
-        block = SyzygyBlock(prev.index + 1, (a, b), columns, kernel, new)
-        kernels[(a, b)] = block
-        for row in new:
-            twists.append((a, b))
-            gens.append(CoxPoly(p, columns, row))
-        if b == boundary and new.shape[0]:
-            boundary_new = new.shape[0]
-    if boundary_new:
-        raise WindowExhaustedError(
-            f"window exhausted: new syzygies at boundary twist ({a},{boundary})"
-        )
-    return ResolutionStep(prev.index + 1, twists, gens, kernels, cod_twists=prev_twists)
+        return out
+
+    return _minimal_generators(ctx, prev.index + 1, prev.twists, a, window, kernel)
 
 
 def _verify_composition(steps: list, p: int):
@@ -498,12 +494,7 @@ def betti_table(ctx: SliceContext):
     steps = [step1, step2, step3, step4]
     _verify_composition(steps, ctx.prime)
 
-    entries: dict = {}
-    for step in steps:
-        for (a, b) in step.twists:
-            key = (step.index, a, -b)
-            entries[key] = entries.get(key, 0) + 1
-    table = BigradedBettiTable(GENUS, GONALITY, entries)
+    table = BigradedBettiTable.from_steps(GENUS, GONALITY, steps)
 
     for i in range(1, GONALITY - 2):
         expected = schreyer_rank(GONALITY, i)

@@ -215,11 +215,6 @@ class CanonicalCoordinates:
     q_degree: int
     phi_degree: int
 
-    @property
-    def basis_order(self):
-        labels = [f"Q{i + 1}*l{j + 1}" for i in range(4) for j in range(2)]
-        return tuple(labels + ["Phi"])
-
 
 def residual_conditions(pm):
     """Vanishing conditions of the adjoint system representing H - R."""
@@ -390,15 +385,6 @@ class CoxPoly:
 
     def sub(self, other: "CoxPoly") -> "CoxPoly":
         return self.add(other.scale(self.prime - 1))
-
-    def mul(self, other: "CoxPoly") -> "CoxPoly":
-        """Product with a ring element: every key sum through add_keys, each
-        coefficient product (below p^2 < 2^62) reduced mod p by the
-        constructor before equal keys are summed.  A one-term factor is a key
-        shift, which keeps the keys sorted."""
-        keys = add_keys(self.keys[:, None], other.keys[None, :])
-        coefs = self.coefs[:, None] * other.coefs[None, :]
-        return CoxPoly(self.prime, keys.ravel(), coefs.ravel())
 
     def image(self, gens) -> "CoxPoly":
         """Image of this free-module element under the map sending

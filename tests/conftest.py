@@ -50,11 +50,11 @@ def nonic_chain():
 
 @pytest.fixture(scope="session")
 def nonic_k3(nonic_chain):
-    from scrollres.k3_syzygy import linear_syzygy_space, pencil_member, surface_pencil
+    from scrollres.k3_syzygy import linear_syzygy_space, surface_pencil
 
     basis = linear_syzygy_space(nonic_chain.steps, DEFAULT_PRIME)
     gens = nonic_chain.steps[0].gens[:6]
-    pencil = surface_pencil(pencil_member(basis, 1, 0), pencil_member(basis, 0, 1), gens)
+    pencil = surface_pencil(*basis, gens)
     return {"basis": basis, "gens": gens, "pencil": pencil}
 
 
@@ -70,13 +70,11 @@ def nonic_net(nonic_chain):
 
 @pytest.fixture(scope="session")
 def gamma_samples(nonic_k3, nonic_net):
-    from scrollres.k3_syzygy import pencil_member, syzygy_rank
     from scrollres.quartic_net import image_quartic
 
     samples = []
     for lam, mu in [(1, m) for m in range(16)] + [(0, 1)]:
-        member = pencil_member(nonic_k3["basis"], lam, mu)
-        if syzygy_rank(member) != 4:
+        if nonic_k3["pencil"].syzygy_rank(lam, mu) != 4:
             continue
         _fvec, coords3 = image_quartic(nonic_k3["pencil"].member(lam, mu), nonic_net)
         samples.append(((lam, mu), tuple(int(v) for v in coords3)))

@@ -4,7 +4,15 @@ keyed scrollres.scroll.CoxPoly."""
 
 import numpy as np
 
-from scrollres.scroll import GENERIC_E, CoxPoly, cox_slice, key_exponents, split_keys, term_keys
+from scrollres.scroll import (
+    GENERIC_E,
+    CoxPoly,
+    add_keys,
+    cox_slice,
+    key_exponents,
+    split_keys,
+    term_keys,
+)
 
 
 class DictPoly:
@@ -85,3 +93,13 @@ def module_terms(twists, e, a: int, b: int) -> list:
 
 def monomial(p: int, alpha, beta, c: int = 1) -> CoxPoly:
     return CoxPoly(p, term_keys([(0, (tuple(alpha), tuple(beta)))]), [c])
+
+
+def cox_mul(f: CoxPoly, g: CoxPoly) -> CoxPoly:
+    """The keyed product of f with a ring element g: every key sum through
+    add_keys, so an exponent reaching KEY_RADIX raises; each coefficient
+    product (below p^2 < 2^62) is reduced mod p by the constructor before
+    equal keys are summed."""
+    keys = add_keys(f.keys[:, None], g.keys[None, :])
+    coefs = f.coefs[:, None] * g.coefs[None, :]
+    return CoxPoly(f.prime, keys.ravel(), coefs.ravel())

@@ -21,6 +21,8 @@ from scrollres.plane_curve import (
 )
 from scrollres.scroll import GENERIC_E, CanonicalCoordinates, CoxPoly, cox_slice, point_values, slice_keys
 
+from dict_cox import cox_mul
+
 # --- derivatives of forms -----------------------------------------------------
 
 
@@ -43,7 +45,8 @@ def partial_derivative(coeffs, nvars: int, d: int, var: int, p: int) -> np.ndarr
 
 
 def canonical_image(model, coords: CanonicalCoordinates, points) -> np.ndarray:
-    """(9, n): images of points under the canonical embedding, in basis_order."""
+    """(9, n): images of points under the canonical embedding, in the P^8
+    coordinate order Q1*l1, Q1*l2, .., Q4*l2, Phi."""
     p = model.prime
     vals = point_values(model, coords, points)
     rows = []
@@ -60,7 +63,7 @@ PAIR_POS = {pair: k for k, pair in enumerate(PAIR_INDEX)}
 
 def scroll_matrix(coords: CanonicalCoordinates):
     """2x4 matrix of P^8 coordinate indices: entry (i, j) is the coordinate
-    for Q_{j+1} * l_{i+1}; basis_order puts that at position 2*j + i."""
+    for Q_{j+1} * l_{i+1}; the P^8 coordinate order puts that at position 2*j + i."""
     return [[2 * j + i for j in range(4)] for i in range(2)]
 
 
@@ -222,8 +225,9 @@ def reference_solve_matrix(ell, p: int) -> np.ndarray:
     mat = np.zeros((len(pairs) * len(h_keys), 4 * nt), dtype=np.int64)
     for c_idx, ((i, j), m) in enumerate((pr, m) for pr in pairs for m in h_keys):
         mono_poly = CoxPoly(p, [m], [1])
-        mat[c_idx, i * nt: (i + 1) * nt] = mono_poly.mul(ell[j]).vector(GENERIC_E, 2, -1)
-        mat[c_idx, j * nt: (j + 1) * nt] = mono_poly.mul(ell[i]).scale(p - 1).vector(GENERIC_E, 2, -1)
+        mat[c_idx, i * nt: (i + 1) * nt] = cox_mul(mono_poly, ell[j]).vector(GENERIC_E, 2, -1)
+        minus = cox_mul(mono_poly, ell[i]).scale(p - 1)
+        mat[c_idx, j * nt: (j + 1) * nt] = minus.vector(GENERIC_E, 2, -1)
     return mat
 
 
@@ -241,7 +245,7 @@ def reference_koszul_matrix(ell, p: int) -> np.ndarray:
             vec = np.zeros(len(pairs) * nh, dtype=np.int64)
             for sign, lv, pr in ((1, j, (k, l)), (p - 1, k, (j, l)), (1, l, (j, k))):
                 base = pair_pos[pr] * nh
-                vec[base: base + nh] = ell[lv].mul(t).scale(sign).vector(GENERIC_E, 1, 0)
+                vec[base: base + nh] = cox_mul(ell[lv], t).scale(sign).vector(GENERIC_E, 1, 0)
             cols.append(vec)
     return np.stack(cols)
 

@@ -585,15 +585,13 @@ def test_net_dimension_is_computed_not_assumed(nonic_chain, monkeypatch):
 
 
 def test_syzygy_space_dimension_is_computed_not_assumed(monkeypatch):
-    space, member = pipeline.linear_syzygy_space, pipeline.pencil_member
+    space = pipeline.linear_syzygy_space
 
     def with_extra_vector(steps, p):
         basis = space(steps, p)
         return basis + basis[:1]
 
     monkeypatch.setattr(pipeline, "linear_syzygy_space", with_extra_vector)
-    monkeypatch.setattr(pipeline, "pencil_member",
-                        lambda basis, lam, mu: member(basis[:2], lam, mu))
     report = run_pipeline(10007, 1)
     assert report["syzygySpaceDim"] == 3
     assert report["checks"]["linear_syzygy_space_dim_2"] is False

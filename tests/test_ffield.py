@@ -1,3 +1,4 @@
+import random
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ import scrollres.ffield as ffield
 from oracles import reference_gcd, reference_rank_over_quadratic, reference_roots_mod
 from scrollres.ffield import (
     FieldError,
+    binary_powers,
     check_prime,
     det_mod,
     gcd_mod,
@@ -877,3 +879,29 @@ def test_weil_restriction_over_f_p_is_evaluation():
     c0, c1 = 5, 7
     block = weil_restriction([m0, m1], (c0, c1), p)
     assert np.array_equal(block, np.block([[m0, m1], [-c0 * m1 % p, (m0 - c1 * m1) % p]]))
+
+
+@pytest.mark.parametrize("p", [10007, 2147483647])
+@pytest.mark.parametrize("d", [1, 2])
+def test_binary_powers_are_products_of_weil_restrictions(p, d):
+    # lam^(n-k) mu^k is row 0 of the product of the multiplication matrices
+    rng = random.Random(p * d)
+    modulus = tuple(rng.randrange(p) for _ in range(d))
+    cases = [tuple(rng.randrange(p) for _ in range(2 * d)) for _ in range(4)]
+    cases += [(p - 1,) * 2 * d, (0,) * 2 * d]
+    for case in cases:
+        lam, mu = case[:d], case[d:]
+        by_lam, by_mu = (weil_restriction([np.array([[c]]) for c in x], modulus, p)
+                         for x in (lam, mu))
+        for n in range(4):
+            want = []
+            for k in range(n + 1):
+                product = np.eye(d, dtype=np.int64)
+                for factor in [by_lam] * (n - k) + [by_mu] * k:
+                    product = mul_mod(product, factor, p)
+                want.append(product[0])
+            got = binary_powers(lam, mu, n, modulus, p)
+            assert got.dtype == np.int64 and np.array_equal(got, np.array(want))
+    # an int is a constant of R
+    want = [[pow(3, 2 - k, p) * pow(5, k, p) % p] + [0] * (d - 1) for k in range(3)]
+    assert binary_powers(3, 5, 2, modulus, p).tolist() == want

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -13,26 +14,25 @@ from scrollres.k3_syzygy import (
     K3_SECTION_GONALITY,
     K3_SHAPE_TABLE,
     K3Error,
-    SyzygyVector,
+    SurfacePencil,
     intersection_numbers_from_resolution,
     k3_betti_shape,
     koszul_ambiguity_rank,
     linear_syzygy_space,
     koszul_basis,
-    pencil_member,
     pfaffian,
     pfaffian_reconstruct,
     sub_pfaffians,
     surface_chi,
     surface_pencil,
-    syzygy_rank,
     syzygy_scheme,
     verify_containment,
 )
+from scrollres.pipeline import GAMMA_PARAMETERS
 from scrollres.resolution import BigradedBettiTable
 from scrollres.scroll import GENERIC_E, CoxPoly, slice_keys
 
-from dict_cox import DictPoly, monomial
+from dict_cox import DictPoly, cox_mul, monomial
 from oracles import reference_koszul_matrix, reference_solve_matrix, solve_rational
 
 #: 17 pencil parameters whose members the pencil must reproduce; the gamma
@@ -63,14 +63,13 @@ def syzygy_basis(betti_data):
 
 @pytest.fixture(scope="module")
 def scheme(syzygy_basis, generator_polys):
-    member = pencil_member(syzygy_basis, 1, 7)
-    return syzygy_scheme(member, generator_polys[:6])
+    s1, s2 = syzygy_basis
+    return syzygy_scheme((s1 + 7 * s2) % P, generator_polys[:6])
 
 
 @pytest.fixture(scope="module")
 def pencil(syzygy_basis, generator_polys):
-    s1, s2 = (pencil_member(syzygy_basis, *par) for par in ((1, 0), (0, 1)))
-    return surface_pencil(s1, s2, generator_polys[:6])
+    return surface_pencil(*syzygy_basis, generator_polys[:6])
 
 
 @pytest.fixture(scope="module")
@@ -83,36 +82,52 @@ def shape(slice_ctx, surface):
     return k3_betti_shape(slice_ctx, surface)
 
 
-def test_linear_syzygy_space_dimension(syzygy_basis):
+def test_linear_syzygy_space_dimension(syzygy_basis, pencil):
     s1, s2 = syzygy_basis
-    assert s1.entries.shape == (6, 4)
-    assert syzygy_rank(s1) == 4
-    assert syzygy_rank(s2) == 4
+    assert s1.shape == s2.shape == (6, 4)
+    assert pencil.syzygy_rank(1, 0) == 4
+    assert pencil.syzygy_rank(0, 1) == 4
 
 
-def test_generic_member_rank_four(syzygy_basis):
+def test_generic_member_rank_four(pencil):
     for mu in (1, 3, 11):
-        assert syzygy_rank(pencil_member(syzygy_basis, 1, mu)) == 4
+        assert pencil.syzygy_rank(1, mu) == 4
+
+
+def test_pencil_rank_is_the_rank_of_the_member(syzygy_basis, pencil):
+    # over F_p, and over F_p[theta]/(theta^2 - c), c a non-square, where an
+    # F_p-member keeps its rank
+    s1, s2 = syzygy_basis
+    c = next(c for c in range(2, P) if pow(c, (P - 1) // 2, P) == P - 1)
+    assert len(GAMMA_PARAMETERS) == 17
+    for lam, mu in GAMMA_PARAMETERS:
+        rank = rank_mod((lam * s1 + mu * s2) % P, P)
+        assert pencil.syzygy_rank(lam, mu) == rank
+        assert pencil.syzygy_rank(lam, mu, (-c, 0)) == rank
 
 
 def test_syzygy_rank_degenerate_inputs():
-    zero = SyzygyVector(P, np.zeros((6, 4), dtype=np.int64), (0, 0))
-    assert syzygy_rank(zero) == 0
-    same = SyzygyVector(P, np.tile([1, 2, 3, 4], (6, 1)), (1, 0))
-    assert syzygy_rank(same) == 1
+    zero = np.zeros((6, 4), dtype=np.int64)
+    same = np.tile([1, 2, 3, 4], (6, 1))
+    degenerate = SurfacePencil(P, (zero, same), forms=(), q5=(), ambiguity_dim=0)
+    assert degenerate.syzygy_rank(1, 0) == 0
+    assert degenerate.syzygy_rank(0, 1) == 1
+    for lam, mu in ((1, 0), (0, 1), (1, 1)):
+        with pytest.raises(K3Error, match="rank deficient"):
+            degenerate.member(lam, mu)
 
 
 def test_syzygy_scheme_rejects_low_rank(generator_polys):
     rank3 = np.zeros((6, 4), dtype=np.int64)
     rank3[0, 0] = rank3[1, 1] = rank3[2, 2] = 1
     with pytest.raises(K3Error, match="rank deficient"):
-        syzygy_scheme(SyzygyVector(P, rank3, (1, 0)), generator_polys[:6])
+        syzygy_scheme(rank3, generator_polys[:6])
 
 
 def test_scheme_annihilates_generators(scheme):
     acc = CoxPoly(P)
     for f, l in zip(scheme.forms, scheme.ell):
-        acc = acc.add(f.mul(l))
+        acc = acc.add(cox_mul(f, l))
     assert acc.is_zero()
 
 
@@ -170,7 +185,7 @@ def _psi_times(m, pf, p):
     for row in m:
         acc = CoxPoly(p)
         for entry, v in zip(row, pf, strict=True):
-            acc = acc.add(entry.mul(v))
+            acc = acc.add(cox_mul(entry, v))
         out.append(acc)
     return out
 
@@ -248,6 +263,47 @@ def test_k3_shape_self_dual(shape):
     assert shape.rank(1) == 5 and shape.rank(2) == 5
 
 
+def test_k3_shape_table_is_self_dual():
+    # k3_betti_shape compares with this table only, so its self-duality
+    # stands in for the duality of every accepted shape
+    table = BigradedBettiTable(K3_GENUS, K3_SECTION_GONALITY, K3_SHAPE_TABLE)
+    assert table.is_self_dual()
+
+
+def test_k3_shape_is_tallied_from_the_steps(monkeypatch, slice_ctx, surface):
+    steps = []
+    real = k3_syzygy.next_syzygies
+
+    def recorded(*args, **kwargs):
+        steps.append(real(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(k3_syzygy, "next_syzygies", recorded)
+    k3_betti_shape(slice_ctx, surface)
+    step2, probe, step3 = steps
+    assert probe.gens == []
+    table = BigradedBettiTable.from_steps(K3_GENUS, K3_SECTION_GONALITY,
+                                          [surface.generator_step(), step2, step3])
+    assert table.entries == K3_SHAPE_TABLE
+
+
+def test_one_extra_twist_in_step_2_is_a_shape_mismatch(monkeypatch, slice_ctx, surface):
+    # step 2 gains one (3, -2) twist; the later steps are computed from the
+    # true step 2, so only the tally sees the extra twist
+    real = k3_syzygy.next_syzygies
+
+    def with_extra_twist(ctx, prev, a, window):
+        if a == 3:
+            step = real(ctx, prev, a, window)
+            return dataclasses.replace(step, twists=step.twists + [(3, -2)])
+        return real(ctx, dataclasses.replace(prev, twists=prev.twists[:-1]), a, window)
+
+    monkeypatch.setattr(k3_syzygy, "next_syzygies", with_extra_twist)
+    with pytest.raises(K3Error, match="shape mismatch") as raised:
+        k3_betti_shape(slice_ctx, surface)
+    assert "(2, 3, 2): 2" in str(raised.value)
+
+
 def test_intersection_numbers(shape):
     nums = intersection_numbers_from_resolution(shape)
     assert (nums["H2"], nums["HN"], nums["N2"]) == (14, 5, 0)
@@ -323,8 +379,8 @@ def test_k3_matrices_match_hand_built_reference(monkeypatch, nonic_k3):
         return out
 
     monkeypatch.setattr(k3_syzygy, "free_map_matrix", recorded)
-    basis = nonic_k3["basis"]
-    pencil = surface_pencil(pencil_member(basis, 1, 0), pencil_member(basis, 0, 1), nonic_k3["gens"])
+    s1, s2 = nonic_k3["basis"]
+    pencil = surface_pencil(s1, s2, nonic_k3["gens"])
     [(solve_slice, solve), (koszul_slice, koszul)] = calls
     assert (solve_slice, koszul_slice) == ((2, -1), (1, 0))
     ell = koszul_basis(P)
@@ -332,10 +388,9 @@ def test_k3_matrices_match_hand_built_reference(monkeypatch, nonic_k3):
     assert np.array_equal(koszul, reference_koszul_matrix(ell, P))
     surfaces = 0
     for lam, mu in PENCIL_PARAMETERS:
-        member = pencil_member(basis, lam, mu)
-        if syzygy_rank(member) != 4:
+        if pencil.syzygy_rank(lam, mu) != 4:
             continue
-        scheme = syzygy_scheme(member, nonic_k3["gens"])
+        scheme = syzygy_scheme((lam * s1 + mu * s2) % P, nonic_k3["gens"])
         calls.clear()
         skew, = pfaffian_reconstruct([scheme])
         assert [c[0] for c in calls] == [(2, -1), (1, 0)]
@@ -352,7 +407,7 @@ def test_pencil_checks_the_syzygy_identity_of_its_basis(syzygy_basis, generator_
     # the identity is linear in (lam : mu): checked on s1 and s2, it covers
     # every member, so a corrupted basis vector must be caught
     s1, s2 = syzygy_basis
-    entries = s2.entries.copy()
+    entries = s2.copy()
     entries[0, 0] = (entries[0, 0] + 1) % P
     with pytest.raises(K3Error, match="syzygy identity failed"):
-        surface_pencil(s1, SyzygyVector(P, entries, s2.params), generator_polys[:6])
+        surface_pencil(s1, entries, generator_polys[:6])

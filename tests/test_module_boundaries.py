@@ -43,6 +43,60 @@ def test_no_private_name_crosses_an_object(path):
     assert private_uses(path.read_text()) == []
 
 
+#: public names that no src module references, each with its reason
+UNREFERENCED_IN_SRC = {
+    "Echelon": "only perfbench's TARGETS use it; it goes with ROADMAP item 0",
+    "det_mod": "only perfbench's TARGETS use it; it goes with ROADMAP item 0",
+    "syzygy_scheme": "only perfbench's TARGETS use it; it goes with ROADMAP item 0",
+    "PlaneCurveModel.from_json": "it reads back the report's model record",
+}
+
+
+def public_definitions(source: str) -> list:
+    """The public functions and classes a source defines at module level,
+    and the public methods of every class defined there, as Class.method."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
+
+
+def referenced_names(source: str) -> set:
+    """Every name a source uses as a Name node or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_public_definitions_and_references_are_found():
+    source = ("def f():\n    return g(x.h)\ndef _p(): pass\n"
+              "class C:\n    def m(self): pass\n    def _q(self): pass\n"
+              "class _D:\n    def n(self): pass\n")
+    assert public_definitions(source) == ["f", "C", "C.m", "_D.n"]
+    assert referenced_names(source) == {"g", "x", "h"}
+
+
+def test_every_public_name_is_used_in_src():
+    # a name only tests or the benchmark reach is test-only API in the package
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    used = set().union(*(referenced_names(source) for source in sources))
+    unused = [name for source in sources for name in public_definitions(source)
+              if name.rpartition(".")[2] not in used and name not in UNREFERENCED_IN_SRC]
+    assert unused == []
+    # an exception that is gone, or now used, leaves the list
+    defined = {name for source in sources for name in public_definitions(source)}
+    assert set(UNREFERENCED_IN_SRC) <= defined
+    assert not {name.rpartition(".")[2] for name in UNREFERENCED_IN_SRC} & used
+
+
 def imported_modules(source: str) -> set:
     """Every module a source imports from and every name it imports, dotted;
     a relative import keeps its leading dots."""

@@ -1,5 +1,6 @@
 import functools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     reference_sample_points,
 )
 from scrollres import DEFAULT_PRIME as P
+from scrollres import plane_curve
 from scrollres.ffield import solve_mod
 from scrollres.plane_curve import (
     InsufficientRationalPointsError,
@@ -204,15 +206,14 @@ def test_plane_model_json_roundtrip():
     assert clone.nodes == nonic.nodes
 
 
-def test_exhausted_attempts_raise():
-    import pytest
-
+def test_exhausted_attempts_raise(monkeypatch):
     from scrollres.plane_curve import DegenerateConfigurationError
 
+    monkeypatch.setattr(plane_curve, "NODAL_ATTEMPTS", 0)
     with pytest.raises(DegenerateConfigurationError, match="degenerate configuration"):
-        construct_nodal_octic(P, seed=1, max_attempts=0)
+        construct_nodal_octic(P, seed=1)
     with pytest.raises(DegenerateConfigurationError):
-        construct_nodal_nonic(P, seed=1, max_attempts=0)
+        construct_nodal_nonic(P, seed=1)
 
 
 def _scan_sample_smooth_points(model, count, seed=0, exclude=(), max_batches=40):
@@ -259,15 +260,18 @@ def test_sampling_matches_full_scan(p):
     nonic = construct_nodal_nonic(p, seed=1)
     octic = construct_nodal_octic(p, seed=2)
     first = _outcome(sample_smooth_points, nonic, 40, seed=900)
+    batches = plane_curve.SAMPLING_BATCHES
     cases = [
-        (nonic, 40, {"seed": 900}),
-        (nonic, 25, {"seed": 937, "exclude": first if isinstance(first, list) else ()}),
-        (octic, 30, {"seed": 3}),
-        (nonic, 60, {"seed": 5, "max_batches": 2}),
+        (nonic, 40, {"seed": 900}, batches),
+        (nonic, 25, {"seed": 937, "exclude": first if isinstance(first, list) else ()}, batches),
+        (octic, 30, {"seed": 3}, batches),
+        (nonic, 60, {"seed": 5}, 2),
     ]
-    for model, count, kwargs in cases:
-        got = _outcome(sample_smooth_points, model, count, **kwargs)
-        assert got == _outcome(_scan_sample_smooth_points, model, count, **kwargs)
+    for model, count, kwargs, max_batches in cases:
+        with mock.patch.object(plane_curve, "SAMPLING_BATCHES", max_batches):
+            got = _outcome(sample_smooth_points, model, count, **kwargs)
+        want = _outcome(_scan_sample_smooth_points, model, count, max_batches=max_batches, **kwargs)
+        assert got == want
         if isinstance(got, list):
             assert all(type(v) is int for pt in got for v in pt)
 
@@ -292,9 +296,11 @@ def test_sampling_matches_reference_sampler(p, count, seed, max_batches, exclude
     # failure with the same count of points found
     model = _nonic(p)
     exclude = sample_smooth_points(model, excluded, seed=seed + 1)
-    kwargs = {"seed": seed, "exclude": exclude, "max_batches": max_batches}
-    got = _outcome(sample_smooth_points, model, count, **kwargs)
-    assert got == _outcome(reference_sample_points, model, count, **kwargs)
+    kwargs = {"seed": seed, "exclude": exclude}
+    # patched per example: a fixture would hold one value for all of them
+    with mock.patch.object(plane_curve, "SAMPLING_BATCHES", max_batches):
+        got = _outcome(sample_smooth_points, model, count, **kwargs)
+    assert got == _outcome(reference_sample_points, model, count, max_batches=max_batches, **kwargs)
 
 
 # --- the dense-form evaluator against pure-Python pow sums ----------------------

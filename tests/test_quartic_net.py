@@ -386,17 +386,15 @@ def conjugate_case():
     """Seed 2 at p = 10007: the node's two pencil parameters are conjugate
     over F_p.  The pencil, net, gamma map and node of its one chain."""
     from scrollres.chain import build_chain
-    from scrollres.k3_syzygy import linear_syzygy_space, pencil_member, surface_pencil, syzygy_rank
+    from scrollres.k3_syzygy import linear_syzygy_space, surface_pencil
     from scrollres.pipeline import GAMMA_PARAMETERS
 
     chain = build_chain(P, 2)
-    basis = linear_syzygy_space(chain.steps, P)
-    pencil = surface_pencil(pencil_member(basis, 1, 0), pencil_member(basis, 0, 1),
-                            chain.steps[0].gens[:6])
+    pencil = surface_pencil(*linear_syzygy_space(chain.steps, P), chain.steps[0].gens[:6])
     net = quartic_net(residual_image(chain.model, chain.coords, chain.ctx.points(0, 60)), P)
     samples = []
     for lam, mu in GAMMA_PARAMETERS:
-        if syzygy_rank(pencil_member(basis, lam, mu)) == 4:
+        if pencil.syzygy_rank(lam, mu) == 4:
             _f, coords3 = image_quartic(pencil.member(lam, mu), net)
             samples.append(((lam, mu), tuple(int(v) for v in coords3)))
     gmap = fit_gamma_map(samples, P)

@@ -13,7 +13,6 @@ from scrollres.k3_syzygy import (
     K3Surface,
     k3_betti_shape,
     linear_syzygy_space,
-    pencil_member,
     surface_pencil,
 )
 from scrollres.resolution import (
@@ -25,6 +24,7 @@ from scrollres.resolution import (
     ResolutionStep,
     SliceContext,
     SliceRankError,
+    WindowExhaustedError,
     _verify_composition,
     ideal_generator_step,
     is_balanced,
@@ -164,9 +164,44 @@ def test_window_exhaustion_detected(ctx, table_and_steps):
         next_syzygies(ctx, steps[0], 3, window=(-3, -2))
 
 
+def test_generator_window_exhaustion_detected(monkeypatch, ctx):
+    # the three generators of slice (2, 0) sit on the truncated window's boundary
+    monkeypatch.setattr(resolution, "GENERATOR_WINDOW", (-2, -1, 0))
+    with pytest.raises(WindowExhaustedError, match=r"boundary twist \(2,0\)"):
+        ideal_generator_step(ctx)
+
+
+def test_non_ideal_generator_is_caught_downstream(monkeypatch):
+    # a row outside the ideal slice (2, -1), a unit vector at a non-pivot
+    # column of its RREF, becomes a seventh generator there; the image of
+    # the first syzygy map then exceeds the ideal slice (3, -2)
+    true_slice = SliceContext.ideal_slice
+
+    def with_extra_row(self, a, b):
+        basis = true_slice(self, a, b)
+        if (a, b) != (2, -1):
+            return basis
+        pivots = {int(np.flatnonzero(row)[0]) for row in basis}
+        extra = np.zeros((1, basis.shape[1]), dtype=np.int64)
+        extra[0, min(set(range(basis.shape[1])) - pivots)] = 1
+        return np.concatenate([basis, extra])
+
+    monkeypatch.setattr(SliceContext, "ideal_slice", with_extra_row)
+    with pytest.raises(ResolutionError, match=r"generated ideal misses slice \(3,-2\): 26 != 22"):
+        build_chain(10007, 1)
+
+
 def test_betti_table_matches_expected(table_and_steps):
     table, _ = table_and_steps
     assert table.entries == GENERIC_BETTI_TABLE
+
+
+def test_betti_table_is_tallied_from_the_steps(table_and_steps):
+    table, steps = table_and_steps
+    assert [step.index for step in steps] == [1, 2, 3, 4]
+    tallied = BigradedBettiTable.from_steps(9, 6, steps)
+    assert tallied.entries == table.entries == GENERIC_BETTI_TABLE
+    assert BigradedBettiTable.from_steps(9, 6, []).entries == {}
 
 
 def test_betti_table_self_dual(table_and_steps):
@@ -372,9 +407,7 @@ def test_new_representatives_property(case):
 def test_keyed_k3_slice_spans_match_dict_reference(monkeypatch, ctx, table_and_steps,
                                                    generator_polys):
     _, steps = table_and_steps
-    basis = linear_syzygy_space(steps, ctx.prime)
-    pencil = surface_pencil(pencil_member(basis, 1, 0), pencil_member(basis, 0, 1),
-                            generator_polys[:6])
+    pencil = surface_pencil(*linear_syzygy_space(steps, ctx.prime), generator_polys[:6])
     surface = pencil.member(1, 7)
     spans = _spy(monkeypatch, K3Surface, "slice_span")
     k3_betti_shape(ctx, surface)
