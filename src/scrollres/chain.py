@@ -78,15 +78,15 @@ def guaranteed_points(prime: int) -> int:
 
 def survey_point_demand() -> int:
     """A bound on the points one survey chain requests: build_chain draws
-    only the slice kernels' points, at most slice_point_demand() from
-    batch 0.  The bound counts that twice, room for one more batch, so the
+    only the slice kernels' points, at most slice_point_demand() from the
+    chain's sample stream.  The bound is twice that, a margin of 2x, so the
     primes the survey accepts do not depend on how the slices are checked."""
     return 2 * slice_point_demand()
 
 
 def require_sampling_prime(prime: int, demand: int) -> None:
     """Reject, before any chain is built, a prime at which the Hasse-Weil
-    bound cannot guarantee the demand points the stages request."""
+    bound cannot guarantee the demand points a chain draws from its stream."""
     check_prime(prime)
     have = guaranteed_points(prime)
     if have < demand:

@@ -462,12 +462,6 @@ def det_mod(a: np.ndarray, p: int) -> int:
     return det if len(pivots) == n else 0
 
 
-def row_space_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Canonical (RREF, zero rows dropped) basis of the row space."""
-    r, pivots = rref_mod(a, p)
-    return r[: len(pivots)]
-
-
 # --- univariate roots --------------------------------------------------------
 #
 # The helpers below work on a batch of polynomials at once.  A batch is an

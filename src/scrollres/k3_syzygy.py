@@ -204,12 +204,12 @@ _PAIRS = list(itertools.combinations(range(4), 2))
 _TRIPLES = list(itertools.combinations(range(4), 3))
 
 
-def _linear_map(images) -> ResolutionStep:
-    """The map, as free_map_matrix reads it, sending generator g of twist
-    (1, -1) to sum_k images[g][k] * eps_k, the eps_k of twist (0, 0)."""
-    gens = [module_element(row) for row in images]
-    return ResolutionStep(0, [(1, -1)] * len(gens), gens, {},
-                          cod_twists=[(0, 0)] * len(images[0]))
+def _linear_map(images, a: int, b: int, p: int) -> np.ndarray:
+    """free_map_matrix on the (a, b) slices of the map sending generator g
+    of twist (1, -1) to sum_k images[g][k] * eps_k, the eps_k of twist
+    (0, 0)."""
+    return free_map_matrix([(1, -1)] * len(images), [module_element(row) for row in images],
+                           [(0, 0)] * len(images[0]), GENERIC_E, a, b, p)
 
 
 def koszul_ambiguity_rank(ell, p: int) -> int:
@@ -223,7 +223,7 @@ def koszul_ambiguity_rank(ell, p: int) -> int:
         row = [CoxPoly(p)] * len(_PAIRS)
         row[pos[(k, l)]], row[pos[(j, l)]], row[pos[(j, k)]] = ell[j], ell[k].scale(p - 1), ell[l]
         images.append(row)
-    return rank_mod(free_map_matrix(_linear_map(images), GENERIC_E, 1, 0, p), p)
+    return rank_mod(_linear_map(images, 1, 0, p), p)
 
 
 def _presentation(a_entries, forms, ell, ambiguity_dim: int) -> SkewPresentation:
@@ -282,7 +282,7 @@ def pfaffian_reconstruct(schemes) -> list:
         row = [zero] * 4
         row[i], row[j] = ell[j], ell[i].scale(p - 1)
         images.append(row)
-    mat = free_map_matrix(_linear_map(images), GENERIC_E, 2, -1, p)
+    mat = _linear_map(images, 2, -1, p)
     rhs = np.stack([np.concatenate([f.vector(GENERIC_E, 2, -1) for f in s.forms])
                     for s in schemes], axis=1)
     unknowns = mat.shape[0]
@@ -359,8 +359,7 @@ class K3Surface:
         coeffs = []
         for part in self.parts:
             twists, gens = zip(*part)
-            step = ResolutionStep(1, list(twists), list(gens), {})
-            coeffs.append(free_map_matrix(step, GENERIC_E, a, b, self.prime))
+            coeffs.append(free_map_matrix(twists, gens, [(0, 0)], GENERIC_E, a, b, self.prime))
         return weil_restriction(coeffs, self.modulus, self.prime)
 
     def saturated_dim(self, a: int, b: int) -> int:
@@ -490,11 +489,11 @@ def _quadratic_fit(chi: dict) -> tuple:
     return c0, c1, c2, c3, c4, c5
 
 
-def intersection_numbers_from_resolution(table: BigradedBettiTable, e=GENERIC_E) -> dict:
+def intersection_numbers_from_resolution(table: BigradedBettiTable) -> dict:
     """Fit chi(O_S(aH+bR)) over a grid where every twisted summand has
     nonnegative H-degree; the exact quadratic fit yields the intersection
     numbers and chi(O_S)."""
-    chi = {(a, b): table.euler_characteristic(e, a, b)
+    chi = {(a, b): table.euler_characteristic(GENERIC_E, a, b)
            for a in (5, 6, 7) for b in (-2, -1, 0, 1, 2)}
     c0, c1, c2, c3, c4, c5 = _quadratic_fit(chi)
     if c1 != 0 or c2 != 0:

@@ -618,7 +618,7 @@ def second_polarization_entries():
     return _solve_entries(_EFFECTIVITY[:2] + _SECOND_POLARIZATION)
 
 
-def basis_change_gram(lat: GramLattice, columns, labels=None) -> GramLattice:
+def basis_change_gram(lat: GramLattice, columns, labels) -> GramLattice:
     """Gram matrix M^T G M for the basis change with the given column vectors."""
     n = lat.rank
     m = [list(col) for col in columns]
@@ -630,7 +630,7 @@ def basis_change_gram(lat: GramLattice, columns, labels=None) -> GramLattice:
     gram = tuple(
         tuple(lat.pairing(m[i], m[j]) for j in range(n)) for i in range(n)
     )
-    return GramLattice(gram, labels or tuple(f"v{i}" for i in range(n)))
+    return GramLattice(gram, labels)
 
 
 def hprime_from_basis_change(entries: tuple) -> GramLattice:

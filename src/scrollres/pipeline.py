@@ -91,11 +91,11 @@ from .survey import sample_survey
 GAMMA_PARAMETERS = [(1, mu) for mu in range(16)] + [(0, 1)]
 K3_MEMBER_CHOICES = [(1, 7), (1, 3), (1, 11), (1, 13), (0, 1), (1, 0)]
 
-#: batch-0 curve samples the K3 surface must contain
+#: the first curve samples, which the K3 surface must contain
 K3_CHECK_POINTS = 100
-#: batch-0 curve samples whose residual images fit the quartic net
+#: the first curve samples, whose residual images fit the quartic net
 NET_FIT_POINTS = 60
-#: batch-1 curve samples that verify the net
+#: the curve samples after the fit's, which verify the net
 NET_CHECK_POINTS = 50
 
 
@@ -104,11 +104,11 @@ NET_CHECK_POINTS = 50
 CHAIN_ERRORS = BUILD_ERRORS + (K3Error, NetError, GammaError)
 
 
-def point_demand() -> tuple:
-    """Most points the stages of one chain request from sample batches 0 and
-    1 (SliceContext.points); the two batches are disjoint."""
-    slices = slice_point_demand()
-    return max(K3_CHECK_POINTS, NET_FIT_POINTS, slices), max(NET_CHECK_POINTS, slices)
+def point_demand() -> int:
+    """Most points the stages of one chain draw from its sample stream
+    (SliceContext.points): the K3 check's, the net's fit and check points
+    together, and the slice kernels'."""
+    return max(K3_CHECK_POINTS, NET_FIT_POINTS + NET_CHECK_POINTS, slice_point_demand())
 
 
 def _betti_section(chain: CurveChain, checks: dict) -> dict:
@@ -144,7 +144,7 @@ def k3_section(chain: CurveChain, checks: dict):
     checks["generic_syzygy_rank_4"] = rank == 4
     surface = pencil.member(lam, mu)
     checks["surface_contains_curve"] = verify_containment(
-        surface, chain.ctx.values(0, K3_CHECK_POINTS))
+        surface, chain.ctx.values(K3_CHECK_POINTS))
     q5v = surface.q5.vector(GENERIC_E, 2, 0)
     checks["q5_in_curve_ideal"] = (
         solve_mod(chain.ctx.ideal_slice(2, 0).T, q5v, p) is not None
@@ -172,10 +172,11 @@ def k3_section(chain: CurveChain, checks: dict):
 
 def net_section(chain: CurveChain, checks: dict):
     model, coords, ctx = chain.model, chain.coords, chain.ctx
-    img = residual_image(model, coords, ctx.points(0, NET_FIT_POINTS))
+    img = residual_image(model, coords, ctx.points(NET_FIT_POINTS))
     net = quartic_net(img, ctx.prime)
     checks["net_dimension_3"] = net.basis.shape[0] == 3
-    fresh = residual_image(model, coords, ctx.points(1, NET_CHECK_POINTS))
+    fresh = residual_image(model, coords,
+                           ctx.points(NET_FIT_POINTS + NET_CHECK_POINTS)[NET_FIT_POINTS:])
     checks["net_verified_on_fresh_sample"] = verify_net_on_points(net, fresh)
     degree = residual_degree(model, coords)
     checks["residual_degree_10"] = degree == 10
@@ -246,10 +247,8 @@ def gamma_section(chain: CurveChain, pencil, net, checks: dict):
     }
 
 
-def lattice_suite(checks: "dict | None" = None) -> dict:
-    """Model-independent lattice certificates for the three lattices."""
-    if checks is None:
-        checks = {}
+def lattice_suite(checks: dict) -> dict:
+    """Model-independent lattice certificates for the three lattices, verdicts in checks."""
     h_lat, hp_lat, n_lat = lattice_h(), lattice_h_prime(), lattice_n()
     h, c, n, h_minus_n = (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1)
     hp = (1, 0, 0, 0)
@@ -370,7 +369,7 @@ def run_stages(prime: int, seed: int, last: str = STAGES[-1][0]) -> dict:
     """
     names = [name for name, _stage in STAGES]
     stages = STAGES[: names.index(last) + 1]
-    require_sampling_prime(prime, sum(point_demand()))
+    require_sampling_prime(prime, point_demand())
     checks: dict = {}
     timings: dict = {}
     report: dict = {

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import kernel_mod, mul_mod, row_space_mod, rref_mod
+from .ffield import kernel_mod, mul_mod, rref_mod
 from .plane_curve import sample_smooth_points
 from .scroll import (
     GENUS,
@@ -45,9 +45,9 @@ class ResolutionError(RuntimeError):
 
 
 class SliceRankError(ResolutionError):
-    """An ideal slice's evaluation matrix at the sample points has a nonzero
-    kernel but not rank h^0, even after the one enlargement: the kernel is
-    not certified to be the ideal slice."""
+    """An ideal slice's evaluation rank is not h^0 although its kernel is
+    nonzero.  As deg - h^0 = g - 1 - h^1 <= 8 < SLICE_MARGIN, no draw causes
+    this: the restriction is not onto H^0, or h^0 was misstated."""
 
 
 class WindowExhaustedError(ResolutionError):
@@ -169,10 +169,9 @@ GENERIC_BETTI_TABLE = {
 }
 
 
-#: sample points beyond h^0 behind every ideal-slice kernel
+#: sample points beyond h^0 behind every ideal-slice kernel: more than
+#: deg - h^0 = g - 1 - h^1 <= 8, so no nonzero section vanishes at them all
 SLICE_MARGIN = 10
-#: points added to batch 0 by the one enlargement after a rank other than h^0
-SLICE_ENLARGEMENT = 10
 #: b-degrees, ascending, of the H-degree-2 slices probed for ideal generators
 GENERATOR_WINDOW = (-2, -1, 0, 1, 2)
 #: b-degrees of the H-degree-3 slices where the generated ideal is checked
@@ -181,8 +180,8 @@ IDEAL_CHECK_TWISTS = (-2, -1, 0)
 
 
 def slice_point_demand() -> int:
-    """Most points an ideal-slice kernel draws from sample batch 0,
-    enlargement included.
+    """Most points an ideal-slice kernel draws from the chain's sample
+    stream: the largest h^0 + SLICE_MARGIN.
 
     The resolution takes the ideal slices (1, b) for |b| <= 1, whose h^0 is
     at most the genus, (2, b) for b in GENERATOR_WINDOW and (3, b) for b in
@@ -191,16 +190,16 @@ def slice_point_demand() -> int:
     """
     slices = [(2, b) for b in GENERATOR_WINDOW] + [(3, b) for b in IDEAL_CHECK_TWISTS]
     h0 = max([GENUS] + [16 * a + 6 * b - 8 for a, b in slices])
-    return h0 + SLICE_MARGIN + SLICE_ENLARGEMENT
+    return h0 + SLICE_MARGIN
 
 
 class SliceContext:
     """Caches sample points, their canonical values, and ideal slices.
 
-    Every ideal-slice kernel comes from batch 0 alone and is certified by
-    the rank of its evaluation matrix (see ideal_slice); batch 1, disjoint
-    from it, holds points that other stages use to check their results.
-    The d-vector of adjoint dimensions is computed once, here: it gives the
+    The chain has one stream of sample points: points(n) and values(n) are
+    its first n points and their values.  Every ideal-slice kernel is
+    certified by the rank of its evaluation matrix (see ideal_slice).  The
+    d-vector of adjoint dimensions is computed once, here: it gives the
     curve's h^1 values and the scroll type e.
     """
 
@@ -208,8 +207,8 @@ class SliceContext:
         self.model = model
         self.coords = coords
         self.prime = self.model.prime
-        self._points = {0: [], 1: []}
-        self._values = {0: None, 1: None}
+        self._points: list = []
+        self._values = None
         self._slices: dict = {}
         dims = adjoint_dims(self.model)
         self._h1 = dict(enumerate(dims))  # h^0(omega L^-j) for j = 0, 1, 2
@@ -217,25 +216,19 @@ class SliceContext:
 
     # --- samples ---------------------------------------------------------
 
-    def points(self, batch: int, n: int) -> list:
-        have = self._points[batch]
+    def points(self, n: int) -> list:
+        have = self._points
         if len(have) < n:
-            exclude = set(self._points[0]) | set(self._points[1])
-            fresh = sample_smooth_points(
-                self.model, n - len(have), seed=900 + batch * 37 + len(have),
-                exclude=exclude,
-            )
-            have.extend(fresh)
-            self._values[batch] = None
+            have += sample_smooth_points(self.model, n - len(have), seed=900 + len(have),
+                                         exclude=set(have))
+            self._values = None
         return have[:n]
 
-    def values(self, batch: int, n: int) -> np.ndarray:
-        self.points(batch, n)
-        if self._values[batch] is None or self._values[batch].shape[1] < n:
-            self._values[batch] = point_values(
-                self.model, self.coords, np.array(self._points[batch])
-            )
-        return self._values[batch][:, :n]
+    def values(self, n: int) -> np.ndarray:
+        self.points(n)
+        if self._values is None:
+            self._values = point_values(self.model, self.coords, np.array(self._points))
+        return self._values[:, :n]
 
     # --- curve cohomology ------------------------------------------------
 
@@ -270,14 +263,15 @@ class SliceContext:
         """Canonical basis (rows) of the ideal slice in section bidegree (a, b).
 
         The slice is the kernel of the evaluation of the slice monomials at
-        h^0 + SLICE_MARGIN points of batch 0, h^0 = curve_h0(a, b).  That kernel
-        always contains the ideal slice, so it is the slice when it is zero;
-        otherwise it is accepted when the evaluation rank equals h^0, which
-        makes the two dimensions equal.  Every slice the resolution takes
-        has a zero kernel ((1, b) and (2, -2)) or degree 16a + 6b above
-        2g - 2 = 16, where h^0 = 16a + 6b - 8 exactly by Riemann-Roch.  A
-        rank other than h^0 is retried once with SLICE_ENLARGEMENT more
-        points, then raises SliceRankError.
+        the first h^0 + SLICE_MARGIN sample points, h^0 = curve_h0(a, b).  That
+        kernel contains the ideal slice, so it is the slice when it is zero or
+        when the evaluation rank is h^0.  Every slice the resolution takes has
+        a zero kernel ((1, b) and (2, -2)) or degree above 2g - 2 = 16, where
+        h^0 = 16a + 6b - 8 by Riemann-Roch.  As deg - h^0 = g - 1 - h^1 <= 8 <
+        SLICE_MARGIN, no draw of distinct points lowers the rank, so a rank
+        other than h^0 (a misstated h^0, or a restriction not onto H^0) raises
+        SliceRankError at once.  The basis is kernel_mod's, read off the RREF
+        of the evaluation matrix; consumers use only its span and row count.
         """
         key = (a, b)
         if key in self._slices:
@@ -288,18 +282,15 @@ class SliceContext:
             self._slices[key] = out
             return out
         h0 = self.curve_h0(a, b)
-        for attempt in range(2):
-            m = h0 + SLICE_MARGIN + SLICE_ENLARGEMENT * attempt
-            kernel = kernel_mod(
-                monomial_value_matrix(self.values(0, m), monos, self.prime).T,
-                self.prime,
-            )
-            rank = len(monos) - len(kernel)
-            if not len(kernel) or rank == h0:
-                basis = row_space_mod(kernel, self.prime) if kernel.size else kernel
-                self._slices[key] = basis
-                return basis
-        raise SliceRankError(f"slice ({a},{b}): evaluation rank {rank} != h^0 = {h0}")
+        kernel = kernel_mod(
+            monomial_value_matrix(self.values(h0 + SLICE_MARGIN), monos, self.prime).T,
+            self.prime,
+        )
+        rank = len(monos) - len(kernel)
+        if len(kernel) and rank != h0:
+            raise SliceRankError(f"slice ({a},{b}): evaluation rank {rank} != h^0 = {h0}")
+        self._slices[key] = kernel
+        return kernel
 
 
 # --- free-module machinery -------------------------------------------------
@@ -311,15 +302,15 @@ class SliceContext:
 # Level-0 elements (ring elements) use the single generator 0 of twist (0, 0).
 
 
-def free_map_matrix(step: "ResolutionStep", e, a: int, b: int, p: int) -> np.ndarray:
-    """Matrix of F_step -> F_(step-1) on the (a, b) slices: one row per key
-    of module_keys(step.twists, ...), generator j times monomial m holding
-    gens[j] * m over module_keys(step.cod_twists, ...)."""
-    index = KeyIndex(module_keys(step.cod_twists, e, a, b))
-    mults = [slice_keys(e, a - aj, b - bj) for aj, bj in step.twists]
+def free_map_matrix(twists, gens, cod_twists, e, a: int, b: int, p: int) -> np.ndarray:
+    """Matrix of the map sending generator j (twist twists[j]) to gens[j],
+    over generators of twists cod_twists, on the (a, b) slices: row (j, m) of
+    module_keys(twists, ...) holds gens[j] * m over module_keys(cod_twists, ...)."""
+    index = KeyIndex(module_keys(cod_twists, e, a, b))
+    mults = [slice_keys(e, a - aj, b - bj) for aj, bj in twists]
     mat = np.zeros((sum(len(m) for m in mults), index.size), dtype=np.int64)
     row = 0
-    for gen, mono_keys in zip(step.gens, mults):
+    for gen, mono_keys in zip(gens, mults):
         n = len(mono_keys)
         if n:
             cols = index.find(add_keys(gen.keys[None, :], mono_keys[:, None]))
@@ -332,11 +323,8 @@ def free_map_matrix(step: "ResolutionStep", e, a: int, b: int, p: int) -> np.nda
 class SyzygyBlock:
     """Syzygies of one homological step in one slice bidegree."""
 
-    index: int                 # homological index of the NEW generators
-    slice_bidegree: tuple      # (a, b) section bidegree of the slice
     columns: np.ndarray        # module keys of the columns over the previous step
     kernel: np.ndarray         # all syzygies in this slice (rows)
-    new_generators: np.ndarray # representatives minimal over lower slices
 
 
 @dataclass
@@ -379,9 +367,8 @@ def _multiples_span(kernels: dict, twists, e, a: int, b: int, p: int) -> np.ndar
     lower = [((a2, b2), CoxPoly(p, block.columns, vec))
              for (a2, b2), block in kernels.items() if a2 < a or (a2 == a and b2 < b)
              for vec in block.kernel]
-    step = ResolutionStep(0, [twist for twist, _ in lower], [gen for _, gen in lower], {},
-                          cod_twists=twists)
-    return free_map_matrix(step, e, a, b, p)
+    return free_map_matrix([twist for twist, _ in lower], [gen for _, gen in lower], twists,
+                           e, a, b, p)
 
 
 def _minimal_generators(ctx: SliceContext, index: int, twists, a: int, window,
@@ -407,7 +394,7 @@ def _minimal_generators(ctx: SliceContext, index: int, twists, a: int, window,
         kernel = elements(b, columns)
         multiples = _multiples_span(kernels, twists, e, a, b, p)
         new = _new_representatives(kernel, multiples, p)
-        kernels[(a, b)] = SyzygyBlock(index, (a, b), columns, kernel, new)
+        kernels[(a, b)] = SyzygyBlock(columns, kernel)
         new_twists += [(a, b)] * len(new)
         gens += [CoxPoly(p, columns, row) for row in new]
         if b == window[-1] and len(new):
@@ -439,7 +426,8 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
     slice (certifying that no generators were missed in this H-degree).
     """
     def kernel(b: int, columns) -> np.ndarray:
-        out = kernel_mod(free_map_matrix(prev, ctx.e, a, b, ctx.prime).T, ctx.prime)
+        mat = free_map_matrix(prev.twists, prev.gens, prev.cod_twists, ctx.e, a, b, ctx.prime)
+        out = kernel_mod(mat.T, ctx.prime)
         if b in verify_against_ideal:
             image_rank = len(columns) - len(out)  # rank-nullity on the map's rows
             expected = ctx.ideal_slice(a, b).shape[0]

@@ -63,7 +63,7 @@ def nonic_net(nonic_chain):
     from scrollres.quartic_net import quartic_net, residual_image
 
     img = residual_image(
-        nonic_chain.model, nonic_chain.coords, nonic_chain.ctx.points(0, 60)
+        nonic_chain.model, nonic_chain.coords, nonic_chain.ctx.points(60)
     )
     return quartic_net(img, DEFAULT_PRIME)
 

@@ -156,9 +156,9 @@ def solve_rational(rows, rhs):
 # --- the resolution -------------------------------------------------------------
 
 
-def new_count(block) -> int:
-    """Number of new minimal generators a SyzygyBlock contributes."""
-    return block.new_generators.shape[0]
+def new_count(step, a: int, b: int) -> int:
+    """Number of new minimal generators a ResolutionStep has in slice (a, b)."""
+    return step.twists.count((a, b))
 
 
 class _RowReducer:

@@ -301,9 +301,10 @@ def test_held_out_conjugate_seeds_certify_with_one_chain(seed, known_canonical_s
 
 
 #: the digest atlas: every recorded key with no schema-2 digest to bridge to
-#: (the smallest accepted prime, both sides of the limb split, 2^24 - 3 and
-#: both sides of sqrt(2^53)), but 2147483647/1, which test_cli's
-#: largest-prime test checks
+#: (593, the smallest accepted prime, and 673, the smallest before the gate
+#: fell to the points drawn; both sides of the limb split, 2^24 - 3 and both
+#: sides of sqrt(2^53)), but 2147483647/1, which test_cli's largest-prime
+#: test checks
 ATLAS = sorted((key for key in KNOWN["canonicalSha256"]
                 if key not in KNOWN["schema2Sha256"] and key != "2147483647/1"),
                key=lambda key: tuple(map(int, key.split("/"))))

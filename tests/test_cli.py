@@ -262,7 +262,7 @@ def test_small_prime_failure_mode(monkeypatch, capsys):
     # the prime is rejected with a clear error before any chain is built
     for module in (pipeline, chain):
         monkeypatch.setattr(module, "build_chain", _no_chain)
-    demand = sum(pipeline.point_demand())
+    demand = pipeline.point_demand()
     message = "prime 101 is too small .* guarantees 0 .* request {}"
     with pytest.raises(PipelineError, match=message.format(demand)):
         run_pipeline(101, 1)
@@ -334,21 +334,21 @@ def test_modulus_of_a_wrong_type_is_a_type_error(monkeypatch):
 
 
 def test_sampling_prime_boundary(monkeypatch):
-    # the pipeline rejects 661 and accepts 673; the survey, whose chains
-    # stop after the Betti table, rejects 601 and accepts 607
-    assert [n for n in range(640, 680) if is_prime(n)] == [641, 643, 647, 653, 659, 661, 673, 677]
-    demand = sum(pipeline.point_demand())
-    assert chain.guaranteed_points(661) < demand <= chain.guaranteed_points(673)
-    assert [n for n in range(590, 610) if is_prime(n)] == [593, 599, 601, 607]
+    # the pipeline rejects 587 and accepts 593; the survey, whose chains
+    # stop after the Betti table, rejects 571 and accepts 577
+    assert [n for n in range(560, 600) if is_prime(n)] == [563, 569, 571, 577, 587, 593, 599]
+    demand = pipeline.point_demand()
+    assert demand == 110
+    assert chain.guaranteed_points(587) < demand <= chain.guaranteed_points(593)
     survey_demand = chain.survey_point_demand()
-    assert survey_demand == 2 * slice_point_demand() == 120
-    assert chain.guaranteed_points(601) < survey_demand <= chain.guaranteed_points(607)
+    assert survey_demand == 2 * slice_point_demand() == 100
+    assert chain.guaranteed_points(571) < survey_demand <= chain.guaranteed_points(577)
     for module in (pipeline, chain):
         monkeypatch.setattr(module, "build_chain", _no_chain)
-    with pytest.raises(PipelineError, match="prime 661"):
-        run_pipeline(661, 1)
-    with pytest.raises(PipelineError, match="prime 601"):
-        sample_survey(601, count=1)
+    with pytest.raises(PipelineError, match="prime 587"):
+        run_pipeline(587, 1)
+    with pytest.raises(PipelineError, match="prime 571"):
+        sample_survey(571, count=1)
 
     built = []
 
@@ -358,24 +358,24 @@ def test_sampling_prime_boundary(monkeypatch):
 
     for module in (pipeline, chain):
         monkeypatch.setattr(module, "build_chain", no_points)
-    report = run_pipeline(673, 1, max_curve_attempts=1)
+    report = run_pipeline(593, 1, max_curve_attempts=1)
     assert report["error"] == {
         "stage": "curve_and_betti", "type": "InsufficientRationalPointsError",
         "message": "stub chain",
     }
-    assert not sample_survey(607, count=1)["ok"]
-    assert built == [673, 607]
+    assert not sample_survey(577, count=1)["ok"]
+    assert built == [593, 577]
 
 
 def test_survey_certifies_at_its_smallest_prime():
-    # the survey's own demand is enough: a chain at p = 607 finds its points
-    summary = sample_survey(607, count=1, base_seed=1)
+    # the survey's own demand is enough: a chain at p = 577 finds its points
+    summary = sample_survey(577, count=1, base_seed=1)
     assert summary["ok"] and summary["results"][0]["ok"]
 
 
 def test_hasse_weil_bound_is_exact():
     # ceil(18 sqrt(p)) by integer arithmetic: (h - 1)^2 < 324 p <= h^2
-    for p in (2, 101, 661, 673, 10007, 100003, 16777213, 2147483629):
+    for p in (2, 101, 571, 577, 587, 593, 661, 673, 10007, 100003, 16777213, 2147483629):
         h = p + 1 - chain.SINGULAR_BRANCHES - chain.POINTS_AT_INFINITY \
             - chain.guaranteed_points(p)
         if chain.guaranteed_points(p):
@@ -384,18 +384,23 @@ def test_hasse_weil_bound_is_exact():
 
 
 def test_point_requests_within_declared_demand(monkeypatch):
-    requests = {0: [], 1: []}
+    # every stage draws from the chain's one stream; the net check, whose
+    # points come after the fit's, makes the largest request
+    requests = []
     points = SliceContext.points
 
-    def recording(self, batch, n):
-        requests[batch].append(n)
-        return points(self, batch, n)
+    def recording(self, n):
+        requests.append((sys._getframe(1).f_code.co_name, n))
+        return points(self, n)
 
     monkeypatch.setattr(SliceContext, "points", recording)
     assert run_pipeline(10007, 1)["ok"]
-    batch0, batch1 = pipeline.point_demand()
-    assert max(requests[0]) <= batch0 and max(requests[1]) <= batch1
-    assert max(requests[0]) == pipeline.K3_CHECK_POINTS
+    demand = pipeline.point_demand()
+    assert demand == pipeline.NET_FIT_POINTS + pipeline.NET_CHECK_POINTS == 110
+    assert max(n for _caller, n in requests) == demand
+    assert [caller for caller, n in requests if n == demand] == ["net_section"]
+    # values(n), as the slices and the K3 check call it, draws the first n
+    assert max(n for caller, n in requests if caller == "values") == pipeline.K3_CHECK_POINTS
 
 
 @pytest.fixture(scope="module")
@@ -497,8 +502,8 @@ def test_survey_worker_failing_after_its_answers_is_an_error(monkeypatch, tmp_pa
 
 def test_survey_checks_come_before_any_worker(monkeypatch):
     launched = _record_launches(monkeypatch)
-    with pytest.raises(PipelineError, match="prime 601"):
-        sample_survey(601, count=4, workers=2)
+    with pytest.raises(PipelineError, match="prime 571"):
+        sample_survey(571, count=4, workers=2)
     with pytest.raises(ValueError, match="count must be at least 1"):
         sample_survey(10007, count=0, workers=2)
     assert launched == []

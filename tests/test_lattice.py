@@ -521,13 +521,13 @@ def test_basis_change_reproduces_displayed_matrix():
 
 def test_basis_change_identity_and_unimodularity():
     identity = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert basis_change_gram(H_LAT, identity).gram == H_LAT.gram
+    assert basis_change_gram(H_LAT, identity, H_LAT.labels).gram == H_LAT.gram
     with pytest.raises(LatticeError, match="not unimodular"):
-        basis_change_gram(H_LAT, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+        basis_change_gram(H_LAT, [(2, 0, 0), (0, 1, 0), (0, 0, 1)], H_LAT.labels)
 
 
 def test_basis_change_preserves_discriminant():
-    changed = basis_change_gram(H_LAT, [(1, 0, -1), (0, 1, 1), (-1, 0, 0)])
+    changed = basis_change_gram(H_LAT, [(1, 0, -1), (0, 1, 1), (-1, 0, 0)], H_LAT.labels)
     assert discriminant(changed) == discriminant(H_LAT)
 
 

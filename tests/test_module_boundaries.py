@@ -97,6 +97,55 @@ def test_every_public_name_is_used_in_src():
     assert not {name.rpartition(".")[2] for name in UNREFERENCED_IN_SRC} & used
 
 
+#: dataclass fields that no src module reads, each with its reason
+UNREAD_FIELDS = {
+    "SkewPresentation.psi": "the 5x5 Pfaffian presentation the README promises; the tests "
+                            "check its principal Pfaffians",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(dec, ast.Name) and dec.id == "dataclass"
+               or isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
+               and dec.func.id == "dataclass" for dec in node.decorator_list)
+
+
+def dataclass_fields(source: str) -> list:
+    """The fields of every dataclass a source defines at module level, as
+    Class.field."""
+    return [f"{node.name}.{item.target.id}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def attribute_reads(source: str) -> set:
+    """Every attribute a source reads (obj.name in a load context)."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_dataclass_fields_and_reads_are_found():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: list = field()\n"
+              "    z = 3\n@dataclass\nclass B:\n    w: int\nclass C:\n    v: int\n"
+              "a.x = b.y\n")
+    assert dataclass_fields(source) == ["A.x", "A.y", "B.w"]
+    assert attribute_reads(source) == {"y"}
+
+
+def test_every_dataclass_field_is_read_in_src():
+    # a field only tests read is test-only API in the package
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    read = set().union(*(attribute_reads(source) for source in sources))
+    fields = [name for source in sources for name in dataclass_fields(source)]
+    unread = [name for name in fields
+              if name.rpartition(".")[2] not in read and name not in UNREAD_FIELDS]
+    assert unread == []
+    # a field that is gone, or now read, leaves the list
+    assert set(UNREAD_FIELDS) <= set(fields)
+    assert not {name.rpartition(".")[2] for name in UNREAD_FIELDS} & read
+
+
 def imported_modules(source: str) -> set:
     """Every module a source imports from and every name it imports, dotted;
     a relative import keeps its leading dots."""

@@ -113,7 +113,7 @@ def test_binary_form_roots_match_scan(p):
 
 def test_residual_images_distinct(nonic_chain):
     img = residual_image(nonic_chain.model, nonic_chain.coords,
-                         nonic_chain.ctx.points(0, 60))
+                         nonic_chain.ctx.points(60))
     assert img.shape == (4, 60)
     normalized = {normalize_point(tuple(img[:, i]), P) for i in range(60)}
     assert len(normalized) == 60
@@ -126,14 +126,14 @@ def test_net_dimension(nonic_net):
 
 def test_net_requires_enough_points(nonic_chain):
     img = residual_image(nonic_chain.model, nonic_chain.coords,
-                         nonic_chain.ctx.points(0, 30))
+                         nonic_chain.ctx.points(30))
     with pytest.raises(NetError, match="at least 45"):
         quartic_net(img, P)
 
 
 def test_net_verified_on_fresh_sample(nonic_chain, nonic_net):
     fresh = residual_image(nonic_chain.model, nonic_chain.coords,
-                           nonic_chain.ctx.points(1, 50))
+                           nonic_chain.ctx.points(160)[110:])
     assert verify_net_on_points(nonic_net, fresh)
     corrupted = nonic_net.basis.copy()
     corrupted[0, 0] = (corrupted[0, 0] + 1) % P
@@ -391,7 +391,7 @@ def conjugate_case():
 
     chain = build_chain(P, 2)
     pencil = surface_pencil(*linear_syzygy_space(chain.steps, P), chain.steps[0].gens[:6])
-    net = quartic_net(residual_image(chain.model, chain.coords, chain.ctx.points(0, 60)), P)
+    net = quartic_net(residual_image(chain.model, chain.coords, chain.ctx.points(60)), P)
     samples = []
     for lam, mu in GAMMA_PARAMETERS:
         if pencil.syzygy_rank(lam, mu) == 4:

@@ -16,8 +16,9 @@ from scrollres.k3_syzygy import (
     surface_pencil,
 )
 from scrollres.resolution import (
+    GENERATOR_WINDOW,
     GENERIC_BETTI_TABLE,
-    SLICE_ENLARGEMENT,
+    IDEAL_CHECK_TWISTS,
     SLICE_MARGIN,
     BigradedBettiTable,
     ResolutionError,
@@ -29,6 +30,7 @@ from scrollres.resolution import (
     ideal_generator_step,
     is_balanced,
     schreyer_rank,
+    slice_point_demand,
     splitting_type,
     syzygy_slope,
 )
@@ -51,10 +53,10 @@ from oracles import new_count, reference_new_representatives
 # scrollres.resolution must reproduce them entry for entry.
 
 
-def _reference_map_matrix(step, e, a, b, p):
-    gens = [DictPoly.from_keyed(g) for g in step.gens]
-    cod_basis = module_terms(step.cod_twists, e, a, b)
-    columns = module_terms(step.twists, e, a, b)
+def _reference_map_matrix(twists, gens, cod_twists, e, a, b, p):
+    gens = [DictPoly.from_keyed(g) for g in gens]
+    cod_basis = module_terms(cod_twists, e, a, b)
+    columns = module_terms(twists, e, a, b)
     mat = np.zeros((len(columns), len(cod_basis)), dtype=np.int64)
     for ci, (j, mono) in enumerate(columns):
         mat[ci] = gens[j].mul(DictPoly(p, {(0, mono): 1})).vector(cod_basis)
@@ -142,17 +144,18 @@ def test_ideal_slices(ctx):
 
 
 def test_minimal_generators(ctx):
-    kernels = ideal_generator_step(ctx).kernels
+    step = ideal_generator_step(ctx)
     # every key is (2, b), so sorting the keys sorts by the twist b
-    gens = [((a, -b), new_count(blk)) for (a, b), blk in sorted(kernels.items()) if new_count(blk)]
+    gens = [((a, -b), new_count(step, a, b)) for (a, b) in sorted(step.kernels)
+            if new_count(step, a, b)]
     assert gens == [((2, 1), 6), ((2, 0), 3)]
 
 
 def test_generator_probe_beyond_window(ctx):
     step = ideal_generator_step(ctx)
     for b in (1, 2):
-        blk = step.kernels[(2, b)]
-        assert new_count(blk) == 0
+        assert (2, b) in step.kernels
+        assert new_count(step, 2, b) == 0
 
 
 def test_window_exhaustion_detected(ctx, table_and_steps):
@@ -270,18 +273,32 @@ def test_restriction_ranks_match_riemann_roch(ctx):
         assert restriction_rank == 16 * a + 6 * b - 8
 
 
+def _resolution_slices() -> list:
+    """Every ideal slice (a, b) the resolution takes."""
+    return ([(1, b) for b in (-1, 0, 1)] + [(2, b) for b in GENERATOR_WINDOW]
+            + [(3, b) for b in IDEAL_CHECK_TWISTS])
+
+
+def test_slice_margin_exceeds_every_degree_defect(ctx):
+    # a nonzero section of degree 16a + 6b cannot vanish at h^0 + SLICE_MARGIN
+    # distinct points, so one draw certifies every slice
+    for a, b in _resolution_slices():
+        assert 16 * a + 6 * b < ctx.curve_h0(a, b) + SLICE_MARGIN
+    assert slice_point_demand() == max(ctx.curve_h0(a, b) for a, b in _resolution_slices()) \
+        + SLICE_MARGIN == 50
+
+
 @pytest.mark.parametrize("shift", [1, -1])
 def test_slice_rank_other_than_h0_is_rejected(monkeypatch, model, coords, ctx, shift):
     # slice (2, 0) has degree 32 > 2g - 2 and a kernel of dimension 39 - 24;
-    # a wrong h^0 leaves the rank unequal to it before and after the
-    # enlargement, and only batch 0 is drawn
+    # a wrong h^0 leaves the rank unequal to it, which raises at once after
+    # one draw of h^0 + shift + SLICE_MARGIN points
     true_h0 = SliceContext.curve_h0
     monkeypatch.setattr(SliceContext, "curve_h0", lambda self, a, b: true_h0(self, a, b) + shift)
     fresh = SliceContext(model, coords)
     with pytest.raises(SliceRankError, match=r"slice \(2,0\)"):
         fresh.ideal_slice(2, 0)
-    assert len(fresh._points[0]) == 24 + shift + SLICE_MARGIN + SLICE_ENLARGEMENT
-    assert fresh._points[1] == []
+    assert len(fresh._points) == 24 + shift + SLICE_MARGIN
     monkeypatch.undo()
     assert np.array_equal(SliceContext(model, coords).ideal_slice(2, 0), ctx.ideal_slice(2, 0))
 
@@ -307,7 +324,8 @@ def test_prime_sweep_generic_unbalanced_table(p):
     chain = build_chain(p, 1)
     assert chain.table.entries == GENERIC_BETTI_TABLE
     assert not is_balanced(splitting_type(chain.table, 2))
-    assert chain.ctx._points[1] == []  # every ideal slice comes from batch 0
+    # the largest slice's points, drawn once: no slice draws more
+    assert len(chain.ctx._points) == slice_point_demand()
 
 
 # --- keyed free-module maps against the dict reference -----------------------
@@ -329,11 +347,14 @@ def _spy(monkeypatch, owner, name):
 def test_keyed_chain_matrices_match_dict_reference(monkeypatch):
     maps = _spy(monkeypatch, resolution, "free_map_matrix")
     spans = _spy(monkeypatch, resolution, "_multiples_span")
-    assert build_chain(10007, 1).table.entries == GENERIC_BETTI_TABLE
-    # every multiples span is the output of one free_map_matrix call
+    chain = build_chain(10007, 1)
+    assert chain.table.entries == GENERIC_BETTI_TABLE
+    # every multiples span is the output of one free_map_matrix call; every
+    # other call maps the generators of one step of the chain
     span_ids = {id(span) for _, span in spans}
-    called = [("span" if id(mat) in span_ids else step.index, a, b)
-              for (step, _e, a, b, _p), mat in maps]
+    index = {id(step.twists): step.index for step in chain.steps}
+    called = [("span" if id(mat) in span_ids else index[id(twists)], a, b)
+              for (twists, _gens, _cod, _e, a, b, _p), mat in maps]
     # the five generator slices, then the four next_syzygies calls, each
     # slice's map followed by its span; slice (3, -3) has no columns over F_1
     syzygy_slices = (
@@ -343,9 +364,9 @@ def test_keyed_chain_matrices_match_dict_reference(monkeypatch):
     assert called == [("span", 2, b) for b in (-2, -1, 0, 1, 2)] + [
         call for index, a, b in syzygy_slices for call in ((index, a, b), ("span", a, b))]
     assert len(spans) == 5 + len(syzygy_slices)
-    for ((step, e, a, b, p), mat), (index, _a, _b) in zip(maps, called):
-        if index != "span":
-            assert np.array_equal(mat, _reference_map_matrix(step, e, a, b, p))
+    for (args, mat), (step_index, _a, _b) in zip(maps, called):
+        if step_index != "span":
+            assert np.array_equal(mat, _reference_map_matrix(*args))
     for args, span in spans:
         assert np.array_equal(span, _reference_multiples_span(*args))
     assert sum(span.shape[0] for _, span in spans) > 0
@@ -497,6 +518,7 @@ def test_exponent_at_radix_is_rejected():
 def test_term_outside_target_slice_is_rejected(table_and_steps, ctx):
     _, steps = table_and_steps
     # the generator twists shifted by one H-degree land outside slice (3, b)
-    wrong = dataclasses.replace(steps[0], twists=[(1, b) for _, b in steps[0].twists])
+    wrong = [(1, b) for _, b in steps[0].twists]
     with pytest.raises(ValueError, match="outside the target slice"):
-        resolution.free_map_matrix(wrong, ctx.e, 3, 0, ctx.prime)
+        resolution.free_map_matrix(wrong, steps[0].gens, steps[0].cod_twists, ctx.e, 3, 0,
+                                   ctx.prime)
