@@ -38,6 +38,10 @@ down the per-pivot path.  The matrices eliminated directly are sparse
 and structured, their blocks often singular, so there failed attempts
 would cost more than block steps save.
 
+A SliceMap keeps only the nonzeros of a slice map A: C and the certificate
+are summed over codomain blocks scattered from them, so a tall A never
+exists densely, and its kernel is the dense path's, byte for byte.
+
 roots_mod_batch, the one univariate root finder, takes the F_p-roots of a
 whole array of polynomials at once (roots_mod is its one-polynomial case):
 gcd with x^p - x, then Cantor-Zassenhaus splitting read off by traces.
@@ -65,6 +69,7 @@ _PANEL = _CHUNK // 2    # columns per elimination panel (see _rref_inplace)
 _PAD = 8                # extra random combinations beyond cols
 _BLOCK_ROWS = 512       # rows of A per projection block and per certificate block
 _SEEDS = 3              # projections tried before eliminating directly
+_MAP_ROWS = 256         # rows of a SliceMap per scattered block
 
 _SHIFTS = 8             # splitting shifts whose powers _split_roots takes at once
 
@@ -186,16 +191,13 @@ def _projection_block(seed: int, start: int, rows: int, cols: int, p: int) -> np
     return np.lib.stride_tricks.sliding_window_view(v, cols).copy()
 
 
-def _project(a: np.ndarray, p: int, seed: int) -> np.ndarray:
-    """C = R @ a mod p for a seeded random (cols + _PAD) x rows matrix R.
-
-    R and the float64 image of a exist one row block at a time.
-    """
-    rows, cols = a.shape
-    acc = np.zeros((cols + _PAD, cols))
-    for lo in range(0, rows, _BLOCK_ROWS):
-        part = np.asarray(a[lo:lo + _BLOCK_ROWS], dtype=np.int64) % p
-        acc = _dot_mod(_projection_block(seed, lo, cols + _PAD, part.shape[0], p), part, p, acc)
+def _project(blocks, p: int, seed: int) -> np.ndarray:
+    """C = R @ a mod p for a seeded random (cols + _PAD) x rows matrix R; a
+    and R exist one row block (start, block) of blocks() at a time."""
+    acc = None
+    for lo, part in blocks():
+        rows, cols = part.shape
+        acc = _dot_mod(_projection_block(seed, lo, cols + _PAD, rows, p), part, p, acc)
     return acc.astype(np.int64)
 
 
@@ -233,7 +235,7 @@ def _rref_inplace(r: np.ndarray, p: int, _blocks: bool = False):
     columns K (minus 1 at the pivot rows I) then update the trailing
     columns T by T += K @ T[I].
 
-    With _blocks set (only by _rref_compressed, whose random projections
+    With _blocks set (only by _compressed, whose random projections
     make invertible blocks likely), a panel is first tried as one
     _block_step, and takes the per-pivot path only where its leading block
     is singular.  The RREF is unique, so the result is the same.
@@ -326,30 +328,24 @@ def _kernel_from_rref(r: np.ndarray, pivots: list, cols: int, p: int) -> np.ndar
     return basis
 
 
-def _annihilates(a: np.ndarray, kernel: np.ndarray, p: int) -> bool:
-    """Is a @ kernel.T zero mod p?  Exact products, one row block at a time."""
+def _annihilates(blocks, kernel: np.ndarray, p: int) -> bool:
+    """Is a @ kernel.T zero mod p?  Exact products, one row block of a (as
+    in _project) at a time."""
     kt = kernel.T
-    for lo in range(0, a.shape[0], _BLOCK_ROWS):
-        if np.any(_dot_mod(np.asarray(a[lo:lo + _BLOCK_ROWS], dtype=np.int64) % p, kt, p)):
-            return False
-    return True
+    return not any(np.any(_dot_mod(part, kt, p)) for _lo, part in blocks())
 
 
-def _rref_compressed(a: np.ndarray, p: int):
-    """RREF of a tall matrix through certified random compression, or None.
-
-    ker a lies inside ker (R a); once every kernel vector of R a is checked
-    to annihilate a the kernels agree, hence so do the row spaces and the
-    (unique) RREFs.
-    """
-    rows, cols = a.shape
+def _compressed(blocks, cols: int, p: int):
+    """(RREF of R a, pivots) for a given by its row blocks as in _project,
+    or None when _SEEDS projections fail.  ker a lies inside ker (R a); once
+    every kernel vector of R a is checked to annihilate a the kernels agree,
+    hence so do the row spaces and the (unique) RREFs."""
     for seed in range(_SEEDS):
-        small = _project(a, p, seed)
+        small = _project(blocks, p, seed)
         pivots = _rref_inplace(small, p, _blocks=True)[0]
-        if len(pivots) == cols or _annihilates(a, _kernel_from_rref(small, pivots, cols, p), p):
-            r = np.zeros((rows, cols), dtype=np.int64)
-            r[: len(pivots)] = small[: len(pivots)]
-            return r, pivots
+        kernel = _kernel_from_rref(small, pivots, cols, p)
+        if len(pivots) == cols or _annihilates(blocks, kernel, p):
+            return small, pivots
     return None
 
 
@@ -363,9 +359,11 @@ def rref_mod(a: np.ndarray, p: int):
     """
     a = np.asarray(a)
     if a.ndim == 2 and _compressible(*a.shape):
-        out = _rref_compressed(a, p)
+        out = _compressed(lambda: ((lo, np.asarray(a[lo:lo + _BLOCK_ROWS], dtype=np.int64) % p)
+                                   for lo in range(0, a.shape[0], _BLOCK_ROWS)), a.shape[1], p)
         if out is not None:
-            return out
+            small, pivots = out
+            return np.pad(small[: len(pivots)], ((0, a.shape[0] - len(pivots)), (0, 0))), pivots
     return _rref_direct(a, p)
 
 
@@ -432,6 +430,50 @@ def kernel_mod(a: np.ndarray, p: int) -> np.ndarray:
         return np.eye(cols, dtype=np.int64)
     r, pivots = rref_mod(a, p)
     return _kernel_from_rref(r, pivots, cols, p)
+
+
+class SliceMap:
+    """The matrix A (codomain x domain) of a free-module map on the slice
+    (a, b), by its nonzeros (rows, cols, values in [1, p)), each once: column
+    j is the image of domain vector j.  dense() is A, images() is A.T (one
+    row per domain vector, as CoxPoly and weil_restriction read it), and
+    kernel() and rref() are kernel_mod(A) and rref_mod(A.T), byte for byte:
+    a tall A is compressed from codomain blocks of _MAP_ROWS rows, and any
+    other A, or one whose projections all fail, is densified once."""
+
+    def __init__(self, prime: int, twist: tuple, shape: tuple, rows, cols, values):
+        self.prime, self.slice, self.shape = prime, tuple(twist), tuple(shape)
+        self.rows, self.cols, self.values = rows, cols, values
+
+    def __repr__(self) -> str:
+        return f"SliceMap(slice={self.slice}, shape={self.shape}, nonzeros={len(self.values)})"
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.rows, self.cols] = self.values
+        return out
+
+    def images(self) -> np.ndarray:
+        return np.ascontiguousarray(self.dense().T)
+
+    def kernel(self) -> np.ndarray:
+        p, (rows, cols) = self.prime, self.shape
+        if not _compressible(rows, cols):
+            return kernel_mod(self.dense(), p)
+        block = self.rows // _MAP_ROWS
+
+        def blocks():
+            for lo in range(0, rows, _MAP_ROWS):
+                nz = block == lo // _MAP_ROWS
+                part = np.zeros((min(_MAP_ROWS, rows - lo), cols))
+                part[self.rows[nz] - lo, self.cols[nz]] = self.values[nz]
+                yield lo, part
+
+        out = _compressed(blocks, cols, p) or _rref_direct(self.dense(), p)
+        return _kernel_from_rref(*out, cols, p)
+
+    def rref(self) -> tuple:
+        return rref_mod(self.images(), self.prime)
 
 
 def solve_mod(a: np.ndarray, b: np.ndarray, p: int):

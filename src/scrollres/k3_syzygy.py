@@ -21,12 +21,12 @@ spans over F_p are Weil restrictions (ffield.weil_restriction).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .ffield import binary_powers, rank_mod, rref_mod, weil_restriction
+from .ffield import SliceMap, binary_powers, rank_mod, rref_mod, weil_restriction
 from .resolution import (
     BigradedBettiTable,
     ResolutionStep,
@@ -204,7 +204,7 @@ _PAIRS = list(itertools.combinations(range(4), 2))
 _TRIPLES = list(itertools.combinations(range(4), 3))
 
 
-def _linear_map(images, a: int, b: int, p: int) -> np.ndarray:
+def _linear_map(images, a: int, b: int, p: int) -> SliceMap:
     """free_map_matrix on the (a, b) slices of the map sending generator g
     of twist (1, -1) to sum_k images[g][k] * eps_k, the eps_k of twist
     (0, 0)."""
@@ -223,7 +223,7 @@ def koszul_ambiguity_rank(ell, p: int) -> int:
         row = [CoxPoly(p)] * len(_PAIRS)
         row[pos[(k, l)]], row[pos[(j, l)]], row[pos[(j, k)]] = ell[j], ell[k].scale(p - 1), ell[l]
         images.append(row)
-    return rank_mod(_linear_map(images, 1, 0, p), p)
+    return len(_linear_map(images, 1, 0, p).rref()[1])
 
 
 def _presentation(a_entries, forms, ell, ambiguity_dim: int) -> SkewPresentation:
@@ -265,7 +265,7 @@ def pfaffian_reconstruct(schemes) -> list:
     """Skew 4x4 matrices A with phi_i = sum_j A_ij l_j, one per scheme, each
     assembled into its 5x5 psi; the schemes share the Koszul basis l.
 
-    One elimination of [mat^T | rhs_1 .. rhs_n] solves every scheme: its
+    One elimination of [mat.dense() | rhs_1 .. rhs_n] solves every scheme: its
     kernel dimension must equal the rank of the explicit Koszul map, and
     the principal Pfaffians of each psi are compared with Pf(A) and with
     the scheme's forms coefficientwise.  The solution is the one with every
@@ -285,8 +285,8 @@ def pfaffian_reconstruct(schemes) -> list:
     mat = _linear_map(images, 2, -1, p)
     rhs = np.stack([np.concatenate([f.vector(GENERIC_E, 2, -1) for f in s.forms])
                     for s in schemes], axis=1)
-    unknowns = mat.shape[0]
-    reduced, pivots = rref_mod(np.concatenate([mat.T, rhs], axis=1), p)
+    unknowns = mat.shape[1]
+    reduced, pivots = rref_mod(np.concatenate([mat.dense(), rhs], axis=1), p)
     if pivots and pivots[-1] >= unknowns:
         raise K3Error("inconsistent system: no skew presentation exists")
     kernel_dim = unknowns - len(pivots)
@@ -356,10 +356,8 @@ class K3Surface:
         """Row span of generator multiples inside the (a, b) Cox slice: for
         each generator, its multiples by cox_slice(a - ga, b - gb) in order;
         over R, the Weil restriction of that matrix."""
-        coeffs = []
-        for part in self.parts:
-            twists, gens = zip(*part)
-            coeffs.append(free_map_matrix(twists, gens, [(0, 0)], GENERIC_E, a, b, self.prime))
+        coeffs = [free_map_matrix(*zip(*part), [(0, 0)], GENERIC_E, a, b, self.prime).images()
+                  for part in self.parts]
         return weil_restriction(coeffs, self.modulus, self.prime)
 
     def saturated_dim(self, a: int, b: int) -> int:
@@ -393,17 +391,21 @@ class SurfacePencil:
     forms: tuple          # the phi_k of s1 and of s2
     q5: tuple
     ambiguity_dim: int
+    ranks: dict = field(default_factory=dict, compare=False, repr=False)
 
     def syzygy_rank(self, lam, mu, modulus=(0,)) -> int:
         """Rank over R = F_p[theta]/(h) of lam*S1 + mu*S2, modulus as in
         K3Surface and h irreducible; lam and mu are elements of R, given by
         their coordinates over 1, theta, .. (an int is a constant).  The
-        Weil restriction has d times that rank over F_p."""
-        p = self.prime
-        lam, mu = binary_powers(lam, mu, 1, modulus, p)
-        s1, s2 = self.entries
-        rank = rank_mod(weil_restriction([a * s1 + b * s2 for a, b in zip(lam, mu)], modulus, p), p)
-        return rank // len(modulus)
+        Weil restriction has d times that rank over F_p.  It is computed once
+        per member and kept in ranks."""
+        key = repr((lam, mu, tuple(modulus)))
+        if key not in self.ranks:
+            p = self.prime
+            s1, s2 = self.entries
+            coeffs = [a * s1 + b * s2 for a, b in zip(*binary_powers(lam, mu, 1, modulus, p))]
+            self.ranks[key] = rank_mod(weil_restriction(coeffs, modulus, p), p) // len(modulus)
+        return self.ranks[key]
 
     def member(self, lam, mu, modulus=(0,)) -> K3Surface:
         """The member (lam : mu) over R, arguments as in syzygy_rank.

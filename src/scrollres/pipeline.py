@@ -213,7 +213,7 @@ def gamma_section(chain: CurveChain, pencil, net, checks: dict):
     gamma = fit_gamma(samples, p)
     sample_points = np.array([c for _par, c in samples], dtype=np.int64)
     checks["gamma_is_cubic_not_conic"] = (
-        not np.any(evaluate_form(gamma.cubic, 3, sample_points, p))
+        not np.any(evaluate_form(gamma.cubic, gamma.degree, sample_points, p))
         and len(plane_forms_through(sample_points.T, 2, p)) == 0
     )
     sing = gamma_singular_point(gamma)
@@ -238,7 +238,7 @@ def gamma_section(chain: CurveChain, pencil, net, checks: dict):
         "sampleCount": len(samples),
         "skippedParameters": skipped,
         "cubic": [int(c) for c in gamma.cubic],
-        "gammaDegree": 3,
+        "gammaDegree": gamma.degree,
         "singularPoint": list(sing["point"]),
         "quadraticRank": sing["quadratic_rank"],
         "fiberParameters": parameters,

@@ -26,6 +26,7 @@ Weil-restricted matrices.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +224,10 @@ class GammaCurve:
     gmap: np.ndarray       # 3 x 4: g1, g2, g3 over monomials(3, 2)
     cubic: np.ndarray      # 10 coefficients over monomials(3, 3)
 
+    @property
+    def degree(self) -> int:  # d, from the (d + 1)(d + 2)/2 coefficients of the equation
+        return (math.isqrt(8 * len(self.cubic) + 1) - 3) // 2
+
 
 def fit_gamma(samples, p: int) -> GammaCurve:
     """gamma fitted from the first GAMMA_FIT samples, checked on the others,
@@ -291,7 +296,7 @@ def gamma_singular_point(gamma: GammaCurve) -> dict:
     # rank is the quadratic part's (2 = an ordinary node)
     hessian = [tuple(i + j for i, j in zip(a, b)) for a in FIRST_PARTIALS for b in FIRST_PARTIALS]
     orders = [(0, 0, 0), *FIRST_PARTIALS, *hessian]
-    values = mul_mod(derivative_rows(3, [(order, point) for order in orders], p), gamma.cubic, p)
+    values = mul_mod(derivative_rows(gamma.degree, [(o, point) for o in orders], p), gamma.cubic, p)
     singular = not np.any(values[:4])
     rank = rank_mod(values[4:].reshape(3, 3), p)
     return {

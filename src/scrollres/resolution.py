@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import kernel_mod, mul_mod, rref_mod
+from .ffield import SliceMap, kernel_mod, mul_mod, rref_mod
 from .plane_curve import sample_smooth_points
 from .scroll import (
     GENUS,
@@ -302,21 +302,20 @@ class SliceContext:
 # Level-0 elements (ring elements) use the single generator 0 of twist (0, 0).
 
 
-def free_map_matrix(twists, gens, cod_twists, e, a: int, b: int, p: int) -> np.ndarray:
-    """Matrix of the map sending generator j (twist twists[j]) to gens[j],
-    over generators of twists cod_twists, on the (a, b) slices: row (j, m) of
-    module_keys(twists, ...) holds gens[j] * m over module_keys(cod_twists, ...)."""
+def free_map_matrix(twists, gens, cod_twists, e, a: int, b: int, p: int) -> SliceMap:
+    """The map sending generator j (twist twists[j]) to gens[j], over
+    generators of twists cod_twists, on the (a, b) slices: domain basis
+    vector (j, m) of module_keys(twists, ...) goes to gens[j] * m over
+    module_keys(cod_twists, ...), one nonzero per term."""
     index = KeyIndex(module_keys(cod_twists, e, a, b))
     mults = [slice_keys(e, a - aj, b - bj) for aj, bj in twists]
-    mat = np.zeros((sum(len(m) for m in mults), index.size), dtype=np.int64)
-    row = 0
-    for gen, mono_keys in zip(gens, mults):
-        n = len(mono_keys)
-        if n:
-            cols = index.find(add_keys(gen.keys[None, :], mono_keys[:, None]))
-            mat[np.arange(row, row + n)[:, None], cols] = gen.coefs
-        row += n
-    return mat
+    sizes, none = [len(keys) for keys in mults], [np.zeros(0, dtype=np.int64)]
+    rows = [index.find(add_keys(g.keys[None, :], keys[:, None])).ravel()
+            for g, keys in zip(gens, mults)]
+    terms = np.repeat(np.array([len(g.keys) for g in gens], dtype=np.int64), sizes)
+    values = np.concatenate(none + [np.tile(g.coefs, n) for g, n in zip(gens, sizes)])
+    return SliceMap(p, (a, b), (index.size, sum(sizes)), np.concatenate(none + rows),
+                    np.repeat(np.arange(sum(sizes)), terms), values)
 
 
 @dataclass
@@ -338,29 +337,28 @@ class ResolutionStep:
     cod_twists: list = field(default_factory=lambda: [(0, 0)])
 
 
-def _new_representatives(kernel: np.ndarray, multiples: np.ndarray, p: int) -> np.ndarray:
-    """Rows of kernel's span extending the row space of multiples.
+def _new_representatives(kernel: np.ndarray, multiples: SliceMap, p: int) -> np.ndarray:
+    """Rows of kernel's span extending the image of multiples.
 
-    The kernel rows are reduced against base, the RREF of multiples, by one
+    The kernel rows are reduced against base, the RREF of the image, by one
     product: K - K[:, pivots] @ base is zero at every base pivot, and it
-    spans a complement of the multiples' span in the span of both.  The
-    RREF of its nonzero rows, without zero rows, is that complement's
-    canonical basis.
+    spans a complement of the image in the span of both.  The RREF of its
+    nonzero rows, without zero rows, is that complement's canonical basis.
     """
     if kernel.size == 0:
         return kernel.reshape(0, kernel.shape[1] if kernel.ndim == 2 else 0)
-    if multiples.size:
-        base, pivots = rref_mod(multiples, p)
-        kernel = kernel - mul_mod(kernel[:, pivots], base[: len(pivots)], p)
+    base, pivots = multiples.rref()
+    kernel = kernel - mul_mod(kernel[:, pivots], base[: len(pivots)], p)
     reduced, pivots = rref_mod(kernel[kernel.any(axis=1)], p)
     return reduced[: len(pivots)]
 
 
-def _multiples_span(kernels: dict, twists, e, a: int, b: int, p: int) -> np.ndarray:
-    """Span of all lower-slice syzygies times monomials, inside slice (a, b).
+def _multiples_span(kernels: dict, twists, e, a: int, b: int, p: int) -> SliceMap:
+    """All lower-slice syzygies times monomials, inside slice (a, b): the
+    map whose image they span.
 
     Each syzygy of a lower slice is one generator of free_map_matrix, a
-    vector over module_keys(twists, ...) of its own slice; the rows come
+    vector over module_keys(twists, ...) of its own slice; the domain comes
     vector by vector, and within a vector monomial by monomial in cox_slice
     order.
     """
@@ -426,8 +424,8 @@ def next_syzygies(ctx: SliceContext, prev: ResolutionStep, a: int,
     slice (certifying that no generators were missed in this H-degree).
     """
     def kernel(b: int, columns) -> np.ndarray:
-        mat = free_map_matrix(prev.twists, prev.gens, prev.cod_twists, ctx.e, a, b, ctx.prime)
-        out = kernel_mod(mat.T, ctx.prime)
+        out = free_map_matrix(prev.twists, prev.gens, prev.cod_twists, ctx.e, a, b,
+                              ctx.prime).kernel()
         if b in verify_against_ideal:
             image_rank = len(columns) - len(out)  # rank-nullity on the map's rows
             expected = ctx.ideal_slice(a, b).shape[0]

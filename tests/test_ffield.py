@@ -10,6 +10,7 @@ import scrollres.ffield as ffield
 from oracles import reference_gcd, reference_rank_over_quadratic, reference_roots_mod
 from scrollres.ffield import (
     FieldError,
+    SliceMap,
     binary_powers,
     check_prime,
     det_mod,
@@ -407,6 +408,83 @@ def test_prime_near_2_31_is_compressed(monkeypatch):
     assert kernel_mod(a, q).shape == (1, 10)
 
 
+# --- slice maps: kernels and RREFs from the nonzeros ----------------------
+
+
+def _slice_map(a, p):
+    """The SliceMap of the dense matrix a, by its nonzeros in shuffled order."""
+    rows, cols = np.nonzero(a)
+    order = np.random.default_rng(len(rows)).permutation(len(rows))
+    rows, cols = rows[order], cols[order]
+    return SliceMap(p, (1, 0), a.shape, rows, cols, a[rows, cols])
+
+
+def _slice_map_cases(p):
+    """Tall sparse maps of several kernel dimensions, one that spans several
+    codomain blocks, and maps that are empty, zero-row, all zero or not
+    tall."""
+    rng = np.random.default_rng(p % 65521)
+    tall = [_tall(rng, rows, cols, k, p, density=0.05)
+            for rows, cols, k in ((60, 10, 0), (60, 10, 3), (150, 30, 2), (300, 40, 5))]
+    wide = rng.integers(0, p, size=(20, 35)) * (rng.random((20, 35)) < 0.2)
+    return tall + [
+        np.zeros((0, 0), dtype=np.int64),
+        np.zeros((0, 7), dtype=np.int64),
+        np.zeros((7, 0), dtype=np.int64),
+        np.zeros((50, 10), dtype=np.int64),
+        tall[2][:38],  # rows = cols + 8: not tall
+        wide,
+        wide.T.copy(),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 101, 10007, 94906249, 94906297, 2147483629])
+def test_slice_map_kernel_and_rref_match_dense(p):
+    for a in _slice_map_cases(p):
+        m = _slice_map(a, p)
+        assert m.dense().tobytes() == a.tobytes() and m.dense().shape == a.shape
+        assert m.images().tobytes() == np.ascontiguousarray(a.T).tobytes()
+        kernel, expected = m.kernel(), kernel_mod(a, p)
+        assert kernel.dtype == expected.dtype and kernel.shape == expected.shape
+        assert kernel.tobytes() == expected.tobytes()
+        (r, pivots), (r0, pivots0) = m.rref(), rref_mod(a.T, p)
+        assert pivots == pivots0 and r.shape == r0.shape and r.tobytes() == r0.tobytes()
+
+
+def test_slice_map_tall_kernel_never_densifies(monkeypatch):
+    # a tall map is projected and certified from its codomain blocks; the
+    # last of the 300 rows makes a short block
+    a = _tall(np.random.default_rng(3), 300, 40, 5, P, density=0.05)
+    m = _slice_map(a, P)
+    assert 300 % ffield._MAP_ROWS and 300 > ffield._MAP_ROWS
+    monkeypatch.setattr(SliceMap, "dense", lambda _self: pytest.fail("densified"))
+    assert m.kernel().tobytes() == kernel_mod(a, P).tobytes()
+
+
+def test_slice_map_failed_projection_falls_back(monkeypatch):
+    """A degenerate projection fails the certificate for every seed; the
+    kernel then comes from the dense matrix, eliminated directly."""
+    a = _tall(np.random.default_rng(4), 300, 40, 5, P, density=0.05)
+    m = _slice_map(a, P)
+    expected = kernel_mod(a, P)
+    good, direct = ffield._projection_block, ffield._rref_direct
+    seeds, eliminated = set(), []
+
+    def one_row_repeated(seed, start, rows, cols, p):
+        seeds.add(seed)
+        return np.tile(good(seed, start, 1, cols, p), (rows, 1))
+
+    def recorded(b, p):
+        eliminated.append(b.shape)
+        return direct(b, p)
+
+    monkeypatch.setattr(ffield, "_projection_block", one_row_repeated)
+    monkeypatch.setattr(ffield, "_rref_direct", recorded)
+    kernel = m.kernel()
+    assert seeds == set(range(ffield._SEEDS)) and eliminated == [a.shape]
+    assert kernel.shape == expected.shape and kernel.tobytes() == expected.tobytes()
+
+
 SPLIT_BELOW, SPLIT_FROM = 11863279, 11863289  # right factors are split into limbs from the second on
 FLOAT_TOP, ONE_PRODUCT_PAST = 94906249, 94906297  # one product (p - 1)**2 fits below 2**53 up to the first
 # the largest prime below 2**k for k = 2 .. 31, and the primes around each switch
@@ -588,7 +666,8 @@ def _projected_cases(p):
     inside[:, W + 20] = 0
     first = full.copy()
     first[:, 0] = 0
-    return [ffield._project(a, p, seed) for a in (full, inside, first) for seed in range(3)]
+    return [ffield._project(lambda: [(0, a % p)], p, seed)
+            for a in (full, inside, first) for seed in range(3)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 10007, FLOAT_TOP, 2147483629, 2147483647])

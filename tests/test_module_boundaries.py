@@ -194,6 +194,76 @@ def test_survey_worker_loads_no_stage_it_never_runs():
     assert not unused & set(out)
 
 
+#: the eliminations of ffield that take a dense matrix
+ELIMINATIONS = {"kernel_mod", "rref_mod", "rank_mod"}
+
+
+def _callee(node) -> str:
+    """The name a call calls: f(..) and obj.f(..) both give f."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def slice_map_makers(sources) -> set:
+    """free_map_matrix and every function that returns its result."""
+    return {"free_map_matrix"} | {
+        node.name for source in sources for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(ret, ast.Return) and _callee(ret.value) == "free_map_matrix"
+                for ret in ast.walk(node))}
+
+
+def slice_maps_eliminated(source: str, makers: set) -> list:
+    """Calls of the ELIMINATIONS handed a slice map or its .T: a call of one
+    of makers, or a name a function binds to one.  A method of the map (its
+    kernel, rref or dense form) is the map's own entry and is not counted."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                 and _callee(node.value) in makers
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and _callee(call) in ELIMINATIONS):
+                continue
+            for node in (n for arg in call.args for n in ast.walk(arg)):
+                is_map = (isinstance(node, ast.Call) and _callee(node) in makers
+                          or isinstance(node, ast.Name) and node.id in bound)
+                method = isinstance(parents[node], ast.Attribute) and parents[node].attr != "T"
+                if is_map and not method:
+                    found.append(f"line {call.lineno}: {_callee(call)}")
+                    break
+    return sorted(set(found), key=lambda line: int(line.split()[1][:-1]))
+
+
+def test_slice_maps_eliminated_are_found():
+    source = ("def f(g):\n    m = free_map_matrix(g)\n    kernel_mod(m.T, p)\n"
+              "    rref_mod(np.concatenate([m.dense(), r]), p)\n    rank_mod(m.images(), p)\n"
+              "def w(x):\n    return free_map_matrix(x)\n"
+              "def h(m):\n    rref_mod(w(1), p)\n    rank_mod(m, p)\n"
+              "    kernel_mod(free_map_matrix(2).kernel(), p)\n"
+              "    rref_mod(np.concatenate([w(3).T, r]), p)\n")
+    makers = slice_map_makers([source])
+    assert makers == {"free_map_matrix", "w"}
+    assert slice_maps_eliminated(source, makers) == [
+        "line 3: kernel_mod", "line 9: rref_mod", "line 12: rref_mod"]
+
+
+def test_slice_maps_are_eliminated_only_by_their_own_entry():
+    # kernels, RREFs and dense forms of slice maps come from SliceMap, which
+    # projects tall maps from their nonzeros; handing a map, or its
+    # transpose, to a dense elimination would bypass it
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    makers = slice_map_makers(sources.values())
+    assert {"_linear_map", "_multiples_span"} <= makers
+    found = {name: slice_maps_eliminated(source, makers)
+             for name, source in sources.items() if name != "ffield.py"}
+    assert not any(found.values()), found
+
+
 @pytest.fixture
 def tracer(monkeypatch):
     """perfbench/tracer.py, loaded without writing bytecode next to it."""

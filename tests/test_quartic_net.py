@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scrollres.quartic_net as net_module
+from scrollres import k3_syzygy, pipeline
 from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import FieldError, kernel_mod, mul_mod, rank_mod
 from scrollres.plane_curve import (
@@ -310,6 +311,40 @@ def test_pipeline_gamma_stage(gamma_samples, nonic_k3, nonic_net):
     fiber_points = {normalize_point((lam[0], mu[0]), P) for _h, lam, mu in fibers}
     other = next(s for s in gamma_samples if normalize_point(s[0], P) not in fiber_points)
     assert normalize_point(other[1], P) != target
+
+
+def test_one_rank_per_pencil_member(monkeypatch):
+    # the K3 member (1 : 7), the gamma parameters (1 : 0) .. (1 : 8), among
+    # them (1 : 7) again, and the two fiber members: 11 members, one
+    # Weil restriction of lam*S1 + mu*S2 each
+    syzygies = []
+    restrict = k3_syzygy.weil_restriction
+
+    def recorded(coeffs, modulus, p):
+        if np.shape(coeffs[0]) == (6, 4):
+            syzygies.append(len(modulus))
+        return restrict(coeffs, modulus, p)
+
+    monkeypatch.setattr(k3_syzygy, "weil_restriction", recorded)
+    report = pipeline.run_pipeline(P, 1)
+    assert report["ok"] and report["gamma"]["skippedParameters"] == []
+    assert syzygies == [1] * 11
+
+
+def test_gamma_degree_is_read_off_the_fit(monkeypatch):
+    # a degenerate fit, the cubic times a line: the report's degree follows
+    # the equation it was given
+    fit = pipeline.fit_gamma
+
+    def times_line(samples, p):
+        gamma = fit(samples, p)
+        quartic = multiply_forms(gamma.cubic, 3, np.array([1, 2, 5]), 1, p)
+        return GammaCurve(p, gamma.gmap, quartic)
+
+    assert pipeline.run_pipeline(P, 1)["gamma"]["gammaDegree"] == 3
+    monkeypatch.setattr(pipeline, "fit_gamma", times_line)
+    gamma = pipeline.run_pipeline(P, 1)["gamma"]
+    assert gamma["gammaDegree"] == 4 and len(gamma["cubic"]) == 15
 
 
 def test_singular_quartic_is_smooth(gamma_samples, nonic_net):
