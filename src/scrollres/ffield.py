@@ -156,13 +156,20 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 def _dot_mod(a: np.ndarray, b: np.ndarray, p: int, c=None) -> np.ndarray:
     """(c + a @ b) mod p in float64, exactly, for entries of absolute value
     below p: [a | 2**16 a mod p] @ [b0; b1] where p is split, through BLAS
-    in chunks of _exact_terms(p) terms, reduced between chunks."""
+    in chunks of _exact_terms(p) terms, reduced between chunks.  A float64
+    c that overlaps neither factor is the result, updated in place, so an
+    accumulating caller allocates no copy per product."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if _split(p):
         a = np.concatenate((a, _reduce(a * _LIMB, p)), axis=-1)
         b = np.concatenate(_limbs(b))
-    out = np.zeros(a.shape[:-1] + b.shape[1:]) if c is None else np.array(c, dtype=np.float64)
+    if c is None:
+        out = np.zeros(a.shape[:-1] + b.shape[1:])
+    elif c.dtype == np.float64 and not (np.may_share_memory(c, a) or np.may_share_memory(c, b)):
+        out = c
+    else:
+        out = np.array(c, dtype=np.float64)
     step = _exact_terms(p)
     for lo in range(0, a.shape[-1], step):
         out += a[..., lo:lo + step] @ b[lo:lo + step]

@@ -584,6 +584,26 @@ def test_products_match_python_integers(p, n):
             assert got.dtype == np.float64 and np.array_equal(got, want.astype(np.float64))
 
 
+@pytest.mark.parametrize("p", [SPLIT_BELOW, SPLIT_FROM, ffield.MAX_PRIME - 1])
+def test_dot_mod_accumulates_in_place_only_without_overlap(p):
+    # c overlapping b, as in _rref_inplace, is copied unless b itself is
+    # (split into limbs); updated in place while still read as b, it would
+    # give a wrong sum over the several chunks of n = 129 at the split primes
+    rng = np.random.default_rng(p % 1000)
+    n = 129
+    a = rng.integers(0, p, size=(n + 3, n)).astype(np.float64)
+    m = rng.integers(0, p, size=(n + 3, 6)).astype(np.float64)
+    want = ((m.astype(np.int64).astype(object) + a.astype(np.int64).astype(object)
+             @ m[:n].astype(np.int64).astype(object)) % p).astype(np.float64)
+    c = m.copy()
+    assert ffield._dot_mod(a, m[:n], p, c) is c and np.array_equal(c, want)
+    before = m.copy()
+    got = ffield._dot_mod(a, m[:n], p, m)
+    assert np.array_equal(got, want)
+    assert (got is m) == ffield._split(p)
+    assert np.array_equal(m, want if ffield._split(p) else before)
+
+
 def _assert_core_matches_hand(a, p):
     """RREF, pivots and det of the core, and rank_mod, det_mod and rref_mod,
     against textbook Gauss-Jordan."""
