@@ -2,9 +2,12 @@
 
 build_chain carries one (prime, seed) from the nodal nonic through the
 scroll to the relative canonical resolution; survey_seed reads the
-splitting type of the second syzygy bundle off that table.  This module
-imports only ffield, plane_curve, scroll and resolution, so a survey worker
-(scrollres.survey_worker) loads nothing a Betti-only chain never runs.
+splitting type of the second syzygy bundle off that table.  Every chain
+draws the same stream of resolution.point_demand() points, so
+require_sampling_prime with that demand is the one gate of every chain.
+This module imports only ffield, plane_curve, scroll and resolution, so a
+survey worker (scrollres.survey_worker) loads nothing a Betti-only chain
+never runs.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .resolution import (
     SliceContext,
     betti_table,
     is_balanced,
-    slice_point_demand,
     splitting_type,
 )
 from .scroll import GENERIC_E, ScrollError, canonical_coordinates, pencil_from_node
@@ -76,17 +78,9 @@ def guaranteed_points(prime: int) -> int:
     return max(0, prime + 1 - hasse_weil - SINGULAR_BRANCHES - POINTS_AT_INFINITY)
 
 
-def survey_point_demand() -> int:
-    """A bound on the points one survey chain requests: build_chain draws
-    only the slice kernels' points, at most slice_point_demand() from the
-    chain's sample stream.  The bound is twice that, a margin of 2x, so the
-    primes the survey accepts do not depend on how the slices are checked."""
-    return 2 * slice_point_demand()
-
-
 def require_sampling_prime(prime: int, demand: int) -> None:
     """Reject, before any chain is built, a prime at which the Hasse-Weil
-    bound cannot guarantee the demand points a chain draws from its stream."""
+    bound cannot guarantee the demand points a chain draws for its stream."""
     check_prime(prime)
     have = guaranteed_points(prime)
     if have < demand:

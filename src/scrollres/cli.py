@@ -8,7 +8,7 @@ import sys
 import time
 
 from . import DEFAULT_PRIME
-from .chain import PipelineError, build_chain
+from .chain import PipelineError, build_chain, require_sampling_prime
 from .ffield import FieldError
 from .lattice import (
     GramLattice,
@@ -26,7 +26,7 @@ from .plane_curve import (
     construct_nodal_octic,
     verify_model_report,
 )
-from .resolution import GENERIC_BETTI_TABLE
+from .resolution import GENERIC_BETTI_TABLE, point_demand
 from .survey import sample_survey, usable_cpus
 
 
@@ -58,6 +58,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    require_sampling_prime(args.prime, point_demand())
     chain = build_chain(args.prime, args.seed)
     entries = chain.table.to_json_entries()
     for e in entries:

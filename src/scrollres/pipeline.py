@@ -79,8 +79,11 @@ from .quartic_net import (
 )
 from .resolution import (
     GENERIC_BETTI_TABLE,
+    K3_CHECK_POINTS,
+    NET_CHECK_POINTS,
+    NET_FIT_POINTS,
     is_balanced,
-    slice_point_demand,
+    point_demand,
     splitting_type,
 )
 from .scroll import GENERIC_E
@@ -91,24 +94,9 @@ from .survey import sample_survey
 GAMMA_PARAMETERS = [(1, mu) for mu in range(16)] + [(0, 1)]
 K3_MEMBER_CHOICES = [(1, 7), (1, 3), (1, 11), (1, 13), (0, 1), (1, 0)]
 
-#: the first curve samples, which the K3 surface must contain
-K3_CHECK_POINTS = 100
-#: the first curve samples, whose residual images fit the quartic net
-NET_FIT_POINTS = 60
-#: the curve samples after the fit's, which verify the net
-NET_CHECK_POINTS = 50
-
-
 # Mathematical outcomes of one curve chain: a run reports them (run_stages).
 # Anything else is a bug and propagates.
 CHAIN_ERRORS = BUILD_ERRORS + (K3Error, NetError, GammaError)
-
-
-def point_demand() -> int:
-    """Most points the stages of one chain draw from its sample stream
-    (SliceContext.points): the K3 check's, the net's fit and check points
-    together, and the slice kernels'."""
-    return max(K3_CHECK_POINTS, NET_FIT_POINTS + NET_CHECK_POINTS, slice_point_demand())
 
 
 def _betti_section(chain: CurveChain, checks: dict) -> dict:
@@ -171,14 +159,11 @@ def k3_section(chain: CurveChain, checks: dict):
 
 
 def net_section(chain: CurveChain, checks: dict):
-    model, coords, ctx = chain.model, chain.coords, chain.ctx
-    img = residual_image(model, coords, ctx.points(NET_FIT_POINTS))
-    net = quartic_net(img, ctx.prime)
+    img = residual_image(chain.ctx.values(NET_FIT_POINTS + NET_CHECK_POINTS))
+    net = quartic_net(img[:, :NET_FIT_POINTS], chain.ctx.prime)
     checks["net_dimension_3"] = net.basis.shape[0] == 3
-    fresh = residual_image(model, coords,
-                           ctx.points(NET_FIT_POINTS + NET_CHECK_POINTS)[NET_FIT_POINTS:])
-    checks["net_verified_on_fresh_sample"] = verify_net_on_points(net, fresh)
-    degree = residual_degree(model, coords)
+    checks["net_verified_on_fresh_sample"] = verify_net_on_points(net, img[:, NET_FIT_POINTS:])
+    degree = residual_degree(chain.model, chain.coords)
     checks["residual_degree_10"] = degree == 10
     return {"netDim": net.basis.shape[0], "residualModelDegree": degree}, net
 

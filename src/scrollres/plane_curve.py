@@ -247,15 +247,26 @@ def node_conditions_matrix(nodes, p: int) -> np.ndarray:
     return derivative_rows(8, [(order, node) for node in nodes for order in FIRST_PARTIALS], p)
 
 
+def _require_affine_points(prime: int, count: int) -> None:
+    """The constructions draw count distinct points of F_p^2 for the
+    singular points; F_p^2 has only p^2."""
+    if prime * prime < count:
+        raise DegenerateConfigurationError(
+            f"degenerate configuration: F_{prime}^2 has {prime * prime} points, "
+            f"fewer than the {count} singular points")
+
+
 def construct_nodal_octic(prime: int, seed: int) -> PlaneCurveModel:
     """Random 12-nodal octic over F_prime as a PlaneCurveModel of degree 8:
     q is the first of the 12 sorted nodes (q_mult 2) and cuts the pencil,
     nodes holds the other 11.
 
     Raises DegenerateConfigurationError when every attempt produced nodes
-    imposing dependent conditions or a non-ordinary singular point.
+    imposing dependent conditions or a non-ordinary singular point, or when
+    F_p^2 holds fewer than 12 points.
     """
     check_prime(prime)
+    _require_affine_points(prime, 12)
     rng = random.Random(seed * 1000003 + prime)
     last_error = "no attempt run"
     for _ in range(NODAL_ATTEMPTS):
@@ -286,6 +297,7 @@ def construct_nodal_nonic(prime: int, seed: int) -> PlaneCurveModel:
     the family dominates the moduli of (curve, pencil) pairs.
     """
     check_prime(prime)
+    _require_affine_points(prime, 17)
     rng = random.Random(seed * 1000003 + prime + 777)
     last_error = "no attempt run"
     for _ in range(NODAL_ATTEMPTS):
@@ -391,8 +403,10 @@ def linear_system(model, d: int, conditions) -> list:
     return list(kernel_mod(cond, model.prime))
 
 
-def sample_smooth_points(model, count: int, seed: int = 0, exclude=()) -> list:
+def sample_smooth_points(model, count: int, seed: int = 0) -> list:
     """Distinct F_p-points on the curve away from its singular points.
+
+    A chain draws its whole sample stream in one call (SliceContext).
 
     Random affine lines y = m*x + c are intersected with the curve exactly:
     the curve restricted to a line is a polynomial of degree at most d in x
@@ -409,7 +423,7 @@ def sample_smooth_points(model, count: int, seed: int = 0, exclude=()) -> list:
         raise ValueError("count must be nonnegative")
     p, d = model.prime, model.degree
     rng = random.Random(model.seed * 7919 + seed * 104729 + p)
-    banned = model.banned_points() | set(exclude)
+    banned = model.banned_points()
     found: list = []
     seen = set()
     # by_y[j, i] is the coefficient of x^i y^j on the affine chart z = 1

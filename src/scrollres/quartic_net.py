@@ -97,9 +97,10 @@ class QuarticNet:
     basis: np.ndarray  # 3 x 35 over monomials(4, 4)
 
 
-def residual_image(model, coords, points) -> np.ndarray:
-    """(4, n) array of images under (Q1 : Q2 : Q3 : Q4)."""
-    rows = evaluate_form(np.stack(coords.quartics), coords.q_degree, points, model.prime)
+def residual_image(values: np.ndarray) -> np.ndarray:
+    """(4, n) array of images under (Q1 : Q2 : Q3 : Q4): the first four rows
+    of the point values (the (7, n) array from scroll.point_values)."""
+    rows = values[:4]
     if np.any(~np.any(rows, axis=0)):
         raise NetError("basepoint hit: a sample maps to (0:0:0:0)")
     return rows

@@ -8,6 +8,10 @@ modulo multiples of lower slices.  The structural facts about the resolution
 (generators in H-degree i+1, self-duality, rank and slope formulas) bound the
 probe window and are re-verified on the computed table rather than assumed.
 
+Each chain has one sample stream of point_demand() points, drawn and
+evaluated once by SliceContext; the ideal slices, the K3 containment check
+and the quartic net read prefixes of it, and its demand is the chain's gate.
+
 Betti tables store twists in the resolution convention: entry (i, a, b)
 counts summands O(-aH + bR) in homological index i, which live in the
 section-bidegree slice (a, -b) of the Cox ring.
@@ -180,7 +184,7 @@ IDEAL_CHECK_TWISTS = (-2, -1, 0)
 
 
 def slice_point_demand() -> int:
-    """Most points an ideal-slice kernel draws from the chain's sample
+    """Most points an ideal-slice kernel reads from the chain's sample
     stream: the largest h^0 + SLICE_MARGIN.
 
     The resolution takes the ideal slices (1, b) for |b| <= 1, whose h^0 is
@@ -193,41 +197,52 @@ def slice_point_demand() -> int:
     return h0 + SLICE_MARGIN
 
 
-class SliceContext:
-    """Caches sample points, their canonical values, and ideal slices.
+#: the first curve samples, which the K3 surface must contain
+K3_CHECK_POINTS = 100
+#: the first curve samples, whose residual images fit the quartic net
+NET_FIT_POINTS = 60
+#: the curve samples after the fit's, which verify the net
+NET_CHECK_POINTS = 50
 
-    The chain has one stream of sample points: points(n) and values(n) are
-    its first n points and their values.  Every ideal-slice kernel is
-    certified by the rank of its evaluation matrix (see ideal_slice).  The
-    d-vector of adjoint dimensions is computed once, here: it gives the
-    curve's h^1 values and the scroll type e.
+
+def point_demand() -> int:
+    """The length of a chain's sample stream: the most points any stage
+    reads from it (the K3 check's, the net's fit and check points together,
+    and the slice kernels')."""
+    return max(K3_CHECK_POINTS, NET_FIT_POINTS + NET_CHECK_POINTS, slice_point_demand())
+
+
+class SliceContext:
+    """Caches the chain's sample stream, its canonical values, and ideal slices.
+
+    The stream, point_demand() points, is drawn and evaluated once, here:
+    points(n) and values(n) are its first n points and their values.  Every
+    ideal-slice kernel is certified by the rank of its evaluation matrix
+    (see ideal_slice).  The d-vector of adjoint dimensions is computed once,
+    here: it gives the curve's h^1 values and the scroll type e.
     """
 
     def __init__(self, model, coords: CanonicalCoordinates):
         self.model = model
         self.coords = coords
         self.prime = self.model.prime
-        self._points: list = []
-        self._values = None
         self._slices: dict = {}
         dims = adjoint_dims(self.model)
         self._h1 = dict(enumerate(dims))  # h^0(omega L^-j) for j = 0, 1, 2
         self.e = scroll_type(dims).e
+        self._points = sample_smooth_points(self.model, point_demand(), seed=900)
+        self._values = point_values(self.model, self.coords, self._points)
+        self._values.setflags(write=False)  # every stage reads views of it
 
     # --- samples ---------------------------------------------------------
 
     def points(self, n: int) -> list:
-        have = self._points
-        if len(have) < n:
-            have += sample_smooth_points(self.model, n - len(have), seed=900 + len(have),
-                                         exclude=set(have))
-            self._values = None
-        return have[:n]
+        if n > len(self._points):
+            raise ValueError(f"{n} points requested from a stream of {len(self._points)}")
+        return self._points[:n]
 
     def values(self, n: int) -> np.ndarray:
         self.points(n)
-        if self._values is None:
-            self._values = point_values(self.model, self.coords, np.array(self._points))
         return self._values[:, :n]
 
     # --- curve cohomology ------------------------------------------------

@@ -2,7 +2,8 @@
 
 sample_survey runs chain.survey_seed for each seed, in this process or in
 worker processes (python -m scrollres.survey_worker), and tabulates how
-many second syzygy bundles are unbalanced.
+many second syzygy bundles are unbalanced.  A survey chain draws the
+stream of a pipeline chain, so the survey passes the pipeline's one gate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import sys
 from pathlib import Path
 
 from . import DEFAULT_PRIME, SCHEMA_VERSION
-from .chain import require_sampling_prime, survey_point_demand, survey_seed
+from .chain import require_sampling_prime, survey_seed
+from .resolution import point_demand
 
 #: the survey worker module, run as `python -m SURVEY_WORKER prime`
 SURVEY_WORKER = "scrollres.survey_worker"
@@ -122,8 +124,8 @@ def sample_survey(prime: int = DEFAULT_PRIME, count: int = 20, base_seed: int = 
     Tabulates the fraction of unbalanced second syzygy bundles (expected
     100 percent) and the fraction matching the generic splitting exactly.
     A prime too small for point sampling raises PipelineError before any
-    chain is built; the bound is survey_point_demand(), since a survey chain
-    stops after the Betti table.
+    chain is built; the bound is point_demand(), the stream every chain
+    draws, so the survey accepts exactly the primes the pipeline accepts.
 
     The seeds run in min(workers, count, usable_cpus()) processes.  For one,
     they run here in order; for more, in that many fresh interpreters with
@@ -131,7 +133,7 @@ def sample_survey(prime: int = DEFAULT_PRIME, count: int = 20, base_seed: int = 
     come back in seed order, equal to the serial ones.  A worker that fails
     raises SurveyWorkerError.
     """
-    require_sampling_prime(prime, survey_point_demand())
+    require_sampling_prime(prime, point_demand())
     if count < 1:
         raise ValueError("count must be at least 1")
     if workers < 1:

@@ -62,9 +62,7 @@ def nonic_k3(nonic_chain):
 def nonic_net(nonic_chain):
     from scrollres.quartic_net import quartic_net, residual_image
 
-    img = residual_image(
-        nonic_chain.model, nonic_chain.coords, nonic_chain.ctx.points(60)
-    )
+    img = residual_image(nonic_chain.ctx.values(60))
     return quartic_net(img, DEFAULT_PRIME)
 
 

@@ -397,7 +397,7 @@ def reference_roots_mod(coeffs, p: int) -> list:
     return sorted(roots)
 
 
-def reference_sample_points(model, count: int, seed: int = 0, exclude=(), max_batches: int = 40):
+def reference_sample_points(model, count: int, seed: int = 0, max_batches: int = 40):
     """sample_smooth_points one line at a time: the same draws, each line's
     restriction by a Python-list Horner scheme and its roots by
     reference_roots_mod."""
@@ -405,7 +405,7 @@ def reference_sample_points(model, count: int, seed: int = 0, exclude=(), max_ba
         return []
     p, d = model.prime, model.degree
     rng = random.Random(model.seed * 7919 + seed * 104729 + p)
-    banned = model.banned_points() | set(exclude)
+    banned = model.banned_points()
     found, seen = [], set()
     by_y = [[0] * (d + 1) for _ in range(d + 1)]
     for coef, (i, j, _k) in zip(model.coeffs, monomials(d)):

@@ -24,7 +24,14 @@ from scrollres.plane_curve import (
     verify_node_report,
 )
 from scrollres.quartic_net import GammaError, binary_form_roots
-from scrollres.resolution import SliceContext, slice_point_demand
+from scrollres.resolution import (
+    K3_CHECK_POINTS,
+    NET_CHECK_POINTS,
+    NET_FIT_POINTS,
+    SliceContext,
+    point_demand,
+    slice_point_demand,
+)
 from scrollres.survey import sample_survey
 
 
@@ -262,11 +269,11 @@ def test_small_prime_failure_mode(monkeypatch, capsys):
     # the prime is rejected with a clear error before any chain is built
     for module in (pipeline, chain):
         monkeypatch.setattr(module, "build_chain", _no_chain)
-    demand = pipeline.point_demand()
+    demand = point_demand()
     message = "prime 101 is too small .* guarantees 0 .* request {}"
     with pytest.raises(PipelineError, match=message.format(demand)):
         run_pipeline(101, 1)
-    with pytest.raises(PipelineError, match=message.format(chain.survey_point_demand())):
+    with pytest.raises(PipelineError, match=message.format(demand)):
         sample_survey(101, count=2, base_seed=1)
     assert main(["--prime", "101", "pipeline"]) == 1
     err = capsys.readouterr().err
@@ -313,6 +320,15 @@ def test_k3_command_rejects_a_small_prime_before_any_chain(monkeypatch, capsys):
         assert "error: prime 101 is too small for point sampling" in capsys.readouterr().err
 
 
+def test_betti_command_rejects_a_small_prime_before_any_chain(monkeypatch, capsys):
+    # the Betti-only command passes the one gate that every chain passes
+    monkeypatch.setattr(cli, "build_chain", _no_chain)
+    assert main(["betti", "--prime", "101"]) == 1
+    err = capsys.readouterr().err
+    assert "error: prime 101 is too small for point sampling" in err
+    assert f"the stages request {point_demand()}" in err
+
+
 def test_cli_lets_programming_errors_propagate(monkeypatch):
     def broken(prime, seed):
         raise TypeError("unsupported operand")
@@ -334,21 +350,18 @@ def test_modulus_of_a_wrong_type_is_a_type_error(monkeypatch):
 
 
 def test_sampling_prime_boundary(monkeypatch):
-    # the pipeline rejects 587 and accepts 593; the survey, whose chains
-    # stop after the Betti table, rejects 571 and accepts 577
+    # every chain draws the same stream, so the pipeline and the survey
+    # both reject 587 and accept 593
     assert [n for n in range(560, 600) if is_prime(n)] == [563, 569, 571, 577, 587, 593, 599]
-    demand = pipeline.point_demand()
+    demand = point_demand()
     assert demand == 110
     assert chain.guaranteed_points(587) < demand <= chain.guaranteed_points(593)
-    survey_demand = chain.survey_point_demand()
-    assert survey_demand == 2 * slice_point_demand() == 100
-    assert chain.guaranteed_points(571) < survey_demand <= chain.guaranteed_points(577)
     for module in (pipeline, chain):
         monkeypatch.setattr(module, "build_chain", _no_chain)
     with pytest.raises(PipelineError, match="prime 587"):
         run_pipeline(587, 1)
-    with pytest.raises(PipelineError, match="prime 571"):
-        sample_survey(571, count=1)
+    with pytest.raises(PipelineError, match="prime 587"):
+        sample_survey(587, count=1)
 
     built = []
 
@@ -363,13 +376,13 @@ def test_sampling_prime_boundary(monkeypatch):
         "stage": "curve_and_betti", "type": "InsufficientRationalPointsError",
         "message": "stub chain",
     }
-    assert not sample_survey(577, count=1)["ok"]
-    assert built == [593, 577]
+    assert not sample_survey(593, count=1)["ok"]
+    assert built == [593, 593]
 
 
 def test_survey_certifies_at_its_smallest_prime():
-    # the survey's own demand is enough: a chain at p = 577 finds its points
-    summary = sample_survey(577, count=1, base_seed=1)
+    # the stream's demand is enough: a chain at p = 593 finds its points
+    summary = sample_survey(593, count=1, base_seed=1)
     assert summary["ok"] and summary["results"][0]["ok"]
 
 
@@ -384,23 +397,23 @@ def test_hasse_weil_bound_is_exact():
 
 
 def test_point_requests_within_declared_demand(monkeypatch):
-    # every stage draws from the chain's one stream; the net check, whose
-    # points come after the fit's, makes the largest request
+    # every stage reads a prefix of the chain's one stream; the net, whose
+    # check points come after the fit's, reads all of it
     requests = []
-    points = SliceContext.points
+    values = SliceContext.values
 
     def recording(self, n):
         requests.append((sys._getframe(1).f_code.co_name, n))
-        return points(self, n)
+        return values(self, n)
 
-    monkeypatch.setattr(SliceContext, "points", recording)
+    monkeypatch.setattr(SliceContext, "values", recording)
     assert run_pipeline(10007, 1)["ok"]
-    demand = pipeline.point_demand()
-    assert demand == pipeline.NET_FIT_POINTS + pipeline.NET_CHECK_POINTS == 110
+    demand = point_demand()
+    assert demand == NET_FIT_POINTS + NET_CHECK_POINTS == 110
     assert max(n for _caller, n in requests) == demand
     assert [caller for caller, n in requests if n == demand] == ["net_section"]
-    # values(n), as the slices and the K3 check call it, draws the first n
-    assert max(n for caller, n in requests if caller == "values") == pipeline.K3_CHECK_POINTS
+    assert [n for caller, n in requests if caller == "k3_section"] == [K3_CHECK_POINTS]
+    assert max(n for caller, n in requests if caller == "ideal_slice") == slice_point_demand()
 
 
 @pytest.fixture(scope="module")

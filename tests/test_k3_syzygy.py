@@ -29,8 +29,9 @@ from scrollres.k3_syzygy import (
     verify_containment,
 )
 from scrollres.pipeline import GAMMA_PARAMETERS
-from scrollres.resolution import BigradedBettiTable
-from scrollres.scroll import GENERIC_E, CoxPoly, slice_keys
+from scrollres.plane_curve import sample_smooth_points
+from scrollres.resolution import BigradedBettiTable, point_demand
+from scrollres.scroll import GENERIC_E, CoxPoly, point_values, slice_keys
 
 from dict_cox import DictPoly, cox_mul, monomial
 from oracles import reference_koszul_matrix, reference_solve_matrix, solve_rational
@@ -243,8 +244,13 @@ def test_q5_in_curve_ideal(surface, slice_ctx):
     assert solve_mod(slice_ctx.ideal_slice(2, 0).T, q5v, P) is not None
 
 
-def test_containment(surface, slice_ctx):
-    verify_containment(surface, slice_ctx.values(230)[:, 110:])  # past the chain's 110
+def test_containment(surface, model, coords, slice_ctx):
+    # 120 points outside the chain's stream: drawn at another seed, the
+    # stream's points filtered out
+    stream = set(slice_ctx.points(point_demand()))
+    fresh = [pt for pt in sample_smooth_points(model, 150, seed=901) if pt not in stream][:120]
+    assert len(fresh) == 120
+    verify_containment(surface, point_values(model, coords, fresh))
 
 
 def test_surface_slices_saturated(surface):

@@ -15,8 +15,10 @@ from scrollres.plane_curve import (
     linear_system,
     monomials,
     multiply_forms,
+    sample_smooth_points,
 )
-from scrollres.scroll import CanonicalCoordinates
+from scrollres.resolution import point_demand
+from scrollres.scroll import CanonicalCoordinates, point_values
 from scrollres.quartic_net import (
     GammaCurve,
     GammaError,
@@ -113,8 +115,7 @@ def test_binary_form_roots_match_scan(p):
 
 
 def test_residual_images_distinct(nonic_chain):
-    img = residual_image(nonic_chain.model, nonic_chain.coords,
-                         nonic_chain.ctx.points(60))
+    img = residual_image(nonic_chain.ctx.values(60))
     assert img.shape == (4, 60)
     normalized = {normalize_point(tuple(img[:, i]), P) for i in range(60)}
     assert len(normalized) == 60
@@ -126,15 +127,31 @@ def test_net_dimension(nonic_net):
 
 
 def test_net_requires_enough_points(nonic_chain):
-    img = residual_image(nonic_chain.model, nonic_chain.coords,
-                         nonic_chain.ctx.points(30))
+    img = residual_image(nonic_chain.ctx.values(30))
     with pytest.raises(NetError, match="at least 45"):
         quartic_net(img, P)
 
 
+def test_residual_image_reads_the_stream_values(monkeypatch, nonic_chain):
+    # the images are rows Q1..Q4 of the stream's values: nothing is evaluated
+    # again; a sample where all four quartics vanish has no image
+    monkeypatch.setattr(net_module, "evaluate_form", lambda *args: pytest.fail("evaluated"))
+    values = nonic_chain.ctx.values(3)
+    assert np.array_equal(residual_image(values), values[:4])
+    values = values.copy()
+    values[:4, 1] = 0
+    with pytest.raises(NetError, match="basepoint hit"):
+        residual_image(values)
+
+
 def test_net_verified_on_fresh_sample(nonic_chain, nonic_net):
-    fresh = residual_image(nonic_chain.model, nonic_chain.coords,
-                           nonic_chain.ctx.points(160)[110:])
+    # 50 points outside the chain's stream: drawn at another seed, the
+    # stream's points filtered out
+    model, coords = nonic_chain.model, nonic_chain.coords
+    stream = set(nonic_chain.ctx.points(point_demand()))
+    points = [pt for pt in sample_smooth_points(model, 80, seed=901) if pt not in stream][:50]
+    assert len(points) == 50
+    fresh = residual_image(point_values(model, coords, points))
     assert verify_net_on_points(nonic_net, fresh)
     corrupted = nonic_net.basis.copy()
     corrupted[0, 0] = (corrupted[0, 0] + 1) % P
@@ -426,7 +443,7 @@ def conjugate_case():
 
     chain = build_chain(P, 2)
     pencil = surface_pencil(*linear_syzygy_space(chain.steps, P), chain.steps[0].gens[:6])
-    net = quartic_net(residual_image(chain.model, chain.coords, chain.ctx.points(60)), P)
+    net = quartic_net(residual_image(chain.ctx.values(60)), P)
     samples = []
     for lam, mu in GAMMA_PARAMETERS:
         if pencil.syzygy_rank(lam, mu) == 4:

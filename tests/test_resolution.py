@@ -30,6 +30,7 @@ from scrollres.resolution import (
     _verify_composition,
     ideal_generator_step,
     is_balanced,
+    point_demand,
     schreyer_rank,
     slice_point_demand,
     splitting_type,
@@ -280,6 +281,15 @@ def _resolution_slices() -> list:
             + [(3, b) for b in IDEAL_CHECK_TWISTS])
 
 
+def test_stream_is_read_only_within_its_demand(ctx):
+    # a request beyond the stream is a programming error, not a chain outcome
+    assert ctx.points(point_demand()) == ctx._points
+    with pytest.raises(ValueError, match="111 points requested from a stream of 110"):
+        ctx.points(point_demand() + 1)
+    with pytest.raises(ValueError, match="111 points requested"):
+        ctx.values(point_demand() + 1)
+
+
 def test_slice_margin_exceeds_every_degree_defect(ctx):
     # a nonzero section of degree 16a + 6b cannot vanish at h^0 + SLICE_MARGIN
     # distinct points, so one draw certifies every slice
@@ -293,13 +303,16 @@ def test_slice_margin_exceeds_every_degree_defect(ctx):
 def test_slice_rank_other_than_h0_is_rejected(monkeypatch, model, coords, ctx, shift):
     # slice (2, 0) has degree 32 > 2g - 2 and a kernel of dimension 39 - 24;
     # a wrong h^0 leaves the rank unequal to it, which raises at once after
-    # one draw of h^0 + shift + SLICE_MARGIN points
+    # one evaluation at the stream's first h^0 + shift + SLICE_MARGIN points
     true_h0 = SliceContext.curve_h0
     monkeypatch.setattr(SliceContext, "curve_h0", lambda self, a, b: true_h0(self, a, b) + shift)
     fresh = SliceContext(model, coords)
+    read = []
+    true_values = SliceContext.values
+    monkeypatch.setattr(SliceContext, "values", lambda self, n: read.append(n) or true_values(self, n))
     with pytest.raises(SliceRankError, match=r"slice \(2,0\)"):
         fresh.ideal_slice(2, 0)
-    assert len(fresh._points) == 24 + shift + SLICE_MARGIN
+    assert read == [24 + shift + SLICE_MARGIN]
     monkeypatch.undo()
     assert np.array_equal(SliceContext(model, coords).ideal_slice(2, 0), ctx.ideal_slice(2, 0))
 
@@ -325,8 +338,8 @@ def test_prime_sweep_generic_unbalanced_table(p):
     chain = build_chain(p, 1)
     assert chain.table.entries == GENERIC_BETTI_TABLE
     assert not is_balanced(splitting_type(chain.table, 2))
-    # the largest slice's points, drawn once: no slice draws more
-    assert len(chain.ctx._points) == slice_point_demand()
+    # the chain's one stream, drawn once, whatever the prime
+    assert len(chain.ctx._points) == point_demand() == 110
 
 
 # --- keyed free-module maps against the dict reference -----------------------
