@@ -9,6 +9,6 @@ arithmetic: float64 holds only integers below 2**53, where it is exact.
 __version__ = "0.1.0"
 
 #: version of the report layout; canonical_json output changes only with it
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 DEFAULT_PRIME = 10007

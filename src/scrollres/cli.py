@@ -105,6 +105,9 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    if args.ample_class and not args.gram_file:
+        print("--ample-class needs --gram-file", file=sys.stderr)
+        return 2
     if args.gram_file:
         try:
             with open(args.gram_file) as fh:

@@ -173,21 +173,6 @@ def _pf(m) -> CoxPoly:
     return module_element(m[0][1:]).image(minors)
 
 
-def sub_pfaffians(psi) -> list:
-    """v_j = (-1)^j Pf(psi with row and column j removed); psi . v = 0."""
-    n = len(psi)
-    p = psi[0][0].prime
-    out = []
-    for j in range(n):
-        keep = [i for i in range(n) if i != j]
-        sub = [[psi[a][b] for b in keep] for a in keep]
-        v = _pf(sub)
-        if j % 2:
-            v = v.scale(p - 1)
-        out.append(v)
-    return out
-
-
 @dataclass(frozen=True)
 class SkewPresentation:
     """5x5 skew matrix psi whose principal Pfaffians cut the surface."""
@@ -227,9 +212,12 @@ def koszul_ambiguity_rank(ell, p: int) -> int:
 
 
 def _presentation(a_entries, forms, ell, ambiguity_dim: int) -> SkewPresentation:
-    """The skew presentation of the forms by the skew 4x4 matrix a_entries:
-    phi_i = sum_j A_ij l_j exactly, and the five principal Pfaffians of the
-    5x5 psi are (Pf(A), phi_1, .., phi_4)."""
+    """The skew presentation of the forms by the skew 4x4 matrix a_entries,
+    certified by phi_i = sum_j A_ij l_j exactly.
+
+    The five principal Pfaffians of the 5x5 psi are then (Pf(A), phi_1, ..,
+    phi_4): for every skew A they are Pf(A) and sum_j A_ij l_j, identities
+    of the sign pattern below, so they need no second check."""
     p = ell[0].prime
     zero = CoxPoly(p)
     for row, form in zip(a_entries, forms):
@@ -242,19 +230,13 @@ def _presentation(a_entries, forms, ell, ambiguity_dim: int) -> SkewPresentation
         psi[i + 1][0] = ell[i]
     # block entries carry the complementary entry of A; the sign pattern is
     # the one for which the five principal Pfaffians come out as
-    # (Pf(A), phi_1, phi_2, phi_3, phi_4) exactly
+    # (Pf(A), sum_j A_1j l_j, .., sum_j A_4j l_j) for every skew A
     sub = {(1, 2): a_entries[2][3], (1, 3): a_entries[1][3].scale(p - 1),
            (1, 4): a_entries[1][2], (2, 3): a_entries[0][3],
            (2, 4): a_entries[0][2].scale(p - 1), (3, 4): a_entries[0][1]}
     for (i, j), poly in sub.items():
         psi[i][j] = poly
         psi[j][i] = poly.scale(p - 1)
-    pf = sub_pfaffians(psi)
-    if not pf[0].sub(q5).is_zero():
-        raise K3Error("first principal Pfaffian is not Pf(A)")
-    for i in range(4):
-        if not pf[i + 1].sub(forms[i]).is_zero():
-            raise K3Error("sub-Pfaffians do not recover the quadric generators")
     return SkewPresentation(
         p, tuple(tuple(r) for r in psi), tuple(tuple(r) for r in a_entries),
         q5, ambiguity_dim,
@@ -267,9 +249,10 @@ def pfaffian_reconstruct(schemes) -> list:
 
     One elimination of [mat.dense() | rhs_1 .. rhs_n] solves every scheme: its
     kernel dimension must equal the rank of the explicit Koszul map, and
-    the principal Pfaffians of each psi are compared with Pf(A) and with
-    the scheme's forms coefficientwise.  The solution is the one with every
-    free unknown zero, so it is linear in the right-hand side.
+    each solution must reproduce its scheme's forms as sum_j A_ij l_j
+    coefficientwise (_presentation), which makes the principal Pfaffians
+    of each psi (Pf(A), phi_1, .., phi_4).  The solution is the one with
+    every free unknown zero, so it is linear in the right-hand side.
     """
     p = schemes[0].prime
     ell = schemes[0].ell
@@ -429,17 +412,15 @@ def surface_pencil(s1: np.ndarray, s2: np.ndarray, gen_polys) -> SurfacePencil:
 
     The checks run once for all members: the syzygy identity and
     phi_i = sum_j A_ij l_j are linear in (lam : mu), so s1 and s2 cover the
-    pencil; the Pfaffian identities are binary forms of degree at most 2
-    in (lam : mu), so holding at (1 : 0), (0 : 1) and (1 : 1) they hold for
-    every member over every extension of F_p.
+    pencil, and for A = lam P + mu Q the Pfaffian identities of psi hold
+    for every skew A.  q5 = Pf(A) is a binary quadratic in (lam : mu): its
+    lam*mu coefficient is Pf(P + Q) - Pf(P) - Pf(Q).
     """
     p = gen_polys[0].prime
     schemes = [_koszul_scheme(s, gen_polys) for s in (s1, s2)]
     pres_p, pres_q = pfaffian_reconstruct(schemes)
     both = [[x.add(y) for x, y in zip(r1, r2)] for r1, r2 in zip(pres_p.askew, pres_q.askew)]
-    forms = [f.add(g) for f, g in zip(schemes[0].forms, schemes[1].forms)]
-    pres_sum = _presentation(both, forms, schemes[0].ell, pres_p.ambiguity_dim)
-    mixed = pres_sum.q5.sub(pres_p.q5).sub(pres_q.q5)
+    mixed = pfaffian(both).sub(pres_p.q5).sub(pres_q.q5)
     return SurfacePencil(
         p, (s1, s2), (schemes[0].forms, schemes[1].forms),
         (pres_p.q5, mixed, pres_q.q5), pres_p.ambiguity_dim,
@@ -516,10 +497,9 @@ def intersection_numbers_from_resolution(table: BigradedBettiTable) -> dict:
     return out
 
 
-def verify_containment(surface: K3Surface, values: np.ndarray) -> bool:
-    """True when every surface generator vanishes at every curve sample
-    point; K3Error otherwise."""
+def verify_containment(surface: K3Surface, values: np.ndarray) -> None:
+    """K3Error unless every surface generator vanishes at every curve
+    sample point."""
     for (_twist, poly) in surface.generators:
         if np.any(poly.evaluate(values)):
             raise K3Error("surface generator does not vanish on the curve")
-    return True

@@ -4,7 +4,11 @@ run_stages executes the stages of one curve chain in a straight line,
 records one report section per stage, and tracks the assertions whose
 failure makes the run unacceptable; run_pipeline runs all of them.  A chain
 that fails mathematically is reported once, with its stage and exception
-type, and never re-seeded.  Reports are reproducible bit for bit for a fixed
+type, and never re-seeded.  Every key of report["checks"] is a verdict that
+can read false; a certificate that either holds or raises (the Betti
+table's rank, degree and duality sums, the syzygy space, the K3 shape and
+intersection numbers, the net's dimension) writes no key, and its failure
+is the report's error.  Reports are reproducible bit for bit for a fixed
 (prime, seed, version) once the timing section is stripped; canonical_json
 does that stripping.  The chain itself (build_chain) is built in
 scrollres.chain, and the Betti-only survey runs in scrollres.survey.
@@ -32,7 +36,6 @@ from .chain import (
 )
 from .ffield import mul_mod, solve_mod
 from .k3_syzygy import (
-    K3_SHAPE_TABLE,
     K3Error,
     intersection_numbers_from_resolution,
     k3_betti_shape,
@@ -102,11 +105,6 @@ CHAIN_ERRORS = BUILD_ERRORS + (K3Error, NetError, GammaError)
 def _betti_section(chain: CurveChain, checks: dict) -> dict:
     table = chain.table
     checks["betti_table_matches_generic"] = table.entries == GENERIC_BETTI_TABLE
-    checks["betti_self_dual"] = table.is_self_dual()
-    checks["rank_sums"] = (table.rank(1), table.rank(2), table.rank(3)) == (9, 16, 9)
-    checks["degree_sums"] = (
-        table.degree(1), table.degree(2), table.degree(3)
-    ) == (6, 16, 12)
     n2 = splitting_type(table, 2)
     checks["second_syzygy_unbalanced"] = not is_balanced(n2)
     return {
@@ -121,28 +119,20 @@ def k3_section(chain: CurveChain, checks: dict):
     member among K3_MEMBER_CHOICES; returns (section, pencil, basis)."""
     p = chain.ctx.prime
     basis = linear_syzygy_space(chain.steps, p)
-    checks["linear_syzygy_space_dim_2"] = len(basis) == 2
     pencil = surface_pencil(basis[0], basis[1], chain.steps[0].gens[:6])
     for lam, mu in K3_MEMBER_CHOICES:
-        rank = pencil.syzygy_rank(lam, mu)
-        if rank == 4:
+        if pencil.syzygy_rank(lam, mu) == 4:
             break
     else:
         raise PipelineError("no rank-4 member found in the syzygy pencil")
-    checks["generic_syzygy_rank_4"] = rank == 4
     surface = pencil.member(lam, mu)
-    checks["surface_contains_curve"] = verify_containment(
-        surface, chain.ctx.values(K3_CHECK_POINTS))
+    verify_containment(surface, chain.ctx.values(K3_CHECK_POINTS))
     q5v = surface.q5.vector(GENERIC_E, 2, 0)
     checks["q5_in_curve_ideal"] = (
         solve_mod(chain.ctx.ideal_slice(2, 0).T, q5v, p) is not None
     )
     shape = k3_betti_shape(chain.ctx, surface)
-    checks["k3_shape_matches"] = shape.entries == K3_SHAPE_TABLE
     numbers = intersection_numbers_from_resolution(shape)
-    checks["intersection_numbers"] = (
-        numbers["H2"], numbers["HN"], numbers["N2"], numbers["chi"]
-    ) == (14, 5, 0, 2)
     section = {
         "parametersUsed": [lam, mu],
         "shape": shape.to_json_entries(),
@@ -161,7 +151,6 @@ def k3_section(chain: CurveChain, checks: dict):
 def net_section(chain: CurveChain, checks: dict):
     img = residual_image(chain.ctx.values(NET_FIT_POINTS + NET_CHECK_POINTS))
     net = quartic_net(img[:, :NET_FIT_POINTS], chain.ctx.prime)
-    checks["net_dimension_3"] = net.basis.shape[0] == 3
     checks["net_verified_on_fresh_sample"] = verify_net_on_points(net, img[:, NET_FIT_POINTS:])
     degree = residual_degree(chain.model, chain.coords)
     checks["residual_degree_10"] = degree == 10
@@ -205,7 +194,6 @@ def gamma_section(chain: CurveChain, pencil, net, checks: dict):
     checks["unique_singular_point"] = sing["singular_count"] == 1
     checks["singular_point_is_node"] = sing["is_node"]
     fibers = singular_fiber_parameters(gamma.gmap, sing["point"], p)
-    checks["two_singular_fiber_parameters"] = sum(len(h) for h, _lam, _mu in fibers) == 2
     # both parameters map to the singular quartic (a conjugate pair at once,
     # over F_p[t]/(h)); a third one does not
     target = normalize_point(sing["point"], p)

@@ -183,6 +183,12 @@ GENERATOR_WINDOW = (-2, -1, 0, 1, 2)
 IDEAL_CHECK_TWISTS = (-2, -1, 0)
 
 
+def curve_chi(a: int, b: int) -> int:
+    """chi(omega^a L^b) on the curve: deg - g + 1 = 16a + 6b - 8 by
+    Riemann-Roch, omega of degree 2g - 2 and L of degree GONALITY."""
+    return (2 * GENUS - 2) * a + GONALITY * b + 1 - GENUS
+
+
 def slice_point_demand() -> int:
     """Most points an ideal-slice kernel reads from the chain's sample
     stream: the largest h^0 + SLICE_MARGIN.
@@ -190,10 +196,10 @@ def slice_point_demand() -> int:
     The resolution takes the ideal slices (1, b) for |b| <= 1, whose h^0 is
     at most the genus, (2, b) for b in GENERATOR_WINDOW and (3, b) for b in
     IDEAL_CHECK_TWISTS; the last two kinds are non-special, with
-    h^0 = 16a + 6b - 8 (SliceContext.curve_h0).
+    h^0 = curve_chi(a, b) (SliceContext.curve_h0).
     """
     slices = [(2, b) for b in GENERATOR_WINDOW] + [(3, b) for b in IDEAL_CHECK_TWISTS]
-    h0 = max([GENUS] + [16 * a + 6 * b - 8 for a, b in slices])
+    h0 = max([GENUS] + [curve_chi(a, b) for a, b in slices])
     return h0 + SLICE_MARGIN
 
 
@@ -248,29 +254,15 @@ class SliceContext:
     # --- curve cohomology ------------------------------------------------
 
     def curve_h0(self, a: int, b: int) -> int:
-        """h^0 of omega^a L^b for the bidegrees this pipeline touches."""
-        deg = 16 * a + 6 * b
-        if a == 0:
-            if b < 0:
-                return 0
-            if b == 0:
-                return 1
-            if b == 1:
-                return 2
-            return deg - 8  # needs h^1(L^b) = 0, certified by the d-vector
-        if a == 1:
-            if b <= -3:
-                return 0
-            if b in (-2, -1, 0):
-                return self._h1[-b]
-            return deg - 8
-        if a >= 2:
-            if deg < 0:
-                return 0
-            if deg <= 2 * GENUS - 2:
-                raise ResolutionError(f"special bidegree ({a},{b}) not supported")
-            return deg - 8
-        raise ResolutionError("negative H-degree has no sections")
+        """h^0 of omega^a L^b for the bidegrees of the nonempty slices this
+        pipeline evaluates: from the d-vector for a = 1 and -2 <= b <= 0,
+        and curve_chi(a, b) above degree 2g - 2 (chi above g - 1), where
+        h^1 = 0.  Any other bidegree raises ResolutionError."""
+        if a == 1 and b in (-2, -1, 0):
+            return self._h1[-b]
+        if a >= 1 and curve_chi(a, b) > GENUS - 1:
+            return curve_chi(a, b)
+        raise ResolutionError(f"special bidegree ({a},{b}) not supported")
 
     # --- ideal slices ------------------------------------------------------
 
@@ -282,7 +274,7 @@ class SliceContext:
         kernel contains the ideal slice, so it is the slice when it is zero or
         when the evaluation rank is h^0.  Every slice the resolution takes has
         a zero kernel ((1, b) and (2, -2)) or degree above 2g - 2 = 16, where
-        h^0 = 16a + 6b - 8 by Riemann-Roch.  As deg - h^0 = g - 1 - h^1 <= 8 <
+        h^0 = curve_chi(a, b) by Riemann-Roch.  As deg - h^0 = g - 1 - h^1 <= 8 <
         SLICE_MARGIN, no draw of distinct points lowers the rank, so a rank
         other than h^0 (a misstated h^0, or a restriction not onto H^0) raises
         SliceRankError at once.  The basis is kernel_mod's, read off the RREF
@@ -467,7 +459,7 @@ def _hilbert_check(ctx: SliceContext, table: BigradedBettiTable):
     """Alternating Euler-characteristic identity on five section bidegrees."""
     for (a, b) in ((2, 0), (2, 1), (3, -1), (3, 0), (4, -2)):
         chi = table.euler_characteristic(ctx.e, a, b)
-        expected = 16 * a + 6 * b - 8  # chi(omega^a L^b) on a genus-9 curve
+        expected = curve_chi(a, b)
         if chi != expected:
             raise ResolutionError(
                 f"Hilbert check failed at ({a},{b}): {chi} != {expected}"

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from scrollres.ffield import det_mod
+from scrollres.k3_syzygy import pfaffian
 from scrollres.lattice import GramLattice, LatticeError
 from scrollres.plane_curve import (
     GENUS,
@@ -248,6 +249,17 @@ def reference_koszul_matrix(ell, p: int) -> np.ndarray:
                 vec[base: base + nh] = cox_mul(ell[lv], t).scale(sign).vector(GENERIC_E, 1, 0)
             cols.append(vec)
     return np.stack(cols)
+
+
+def sub_pfaffians(psi) -> list:
+    """v_j = (-1)^j Pf(psi with row and column j removed); psi . v = 0."""
+    p = psi[0][0].prime
+    out = []
+    for j in range(len(psi)):
+        keep = [i for i in range(len(psi)) if i != j]
+        v = pfaffian([[psi[a][b] for b in keep] for a in keep])
+        out.append(v.scale(p - 1) if j % 2 else v)
+    return out
 
 
 # --- one polynomial at a time: the list-based root finder and sampler --------

@@ -136,17 +136,9 @@ def test_criterion_4_k3_syzygy_scheme(report):
         numbers["H2"], numbers["HN"], numbers["N2"], numbers["chi"],
         numbers["C_H"], numbers["C_N"],
     ) == (14, 5, 0, 2, 16, 6)
-    stage_ok = all(
-        checks[k]
-        for k in (
-            "linear_syzygy_space_dim_2",
-            "generic_syzygy_rank_4",
-            "surface_contains_curve",
-            "q5_in_curve_ideal",
-            "k3_shape_matches",
-            "intersection_numbers",
-        )
-    )
+    # the syzygy space, the member's rank, containment, the shape and the
+    # numbers raise K3Error or PipelineError when they fail (no check key)
+    stage_ok = checks["q5_in_curve_ideal"] and "error" not in report
     # chern balance of the 5x5 shape: 2*1 + 4 - 4 = 2
     chern_ok = 2 * 1 + 4 - 4 == 2
     _verdict(4, shape_ok and numbers_ok and stage_ok and chern_ok,
@@ -232,20 +224,43 @@ def test_canonical_report_is_the_recorded_one(report, known_canonical_sha256):
 #: what schema 2 added to a report: keys of the gamma section (no check names)
 SCHEMA_2_GAMMA_KEYS = ("fiberModulus",)
 
-#: the recorded digests: schema 3 under canonicalSha256, schema 2 below
+#: the check keys schema 4 dropped: each could only read true, because the
+#: certificate behind it raises a chain error before the key is written
+SCHEMA_4_DROPPED_CHECKS = (
+    "betti_self_dual", "rank_sums", "degree_sums", "linear_syzygy_space_dim_2",
+    "generic_syzygy_rank_4", "surface_contains_curve", "k3_shape_matches",
+    "intersection_numbers", "net_dimension_3", "two_singular_fiber_parameters",
+)
+
+#: the recorded digests: schema 4 under canonicalSha256, schemas 3 and 2 below
 KNOWN = json.loads((Path(__file__).with_name("known_sha256.json")).read_text())
+
+
+def _dumps(data: dict) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _as_schema_3(report: dict) -> str:
+    """The canonical JSON a schema-3 run of the same (prime, seed) wrote:
+    schemaVersion 3, and the ten check keys schema 4 dropped, each true.  A
+    schema-3 run that wrote them wrote them true, and no other key changed."""
+    data = json.loads(canonical_json(report))
+    data["schemaVersion"] = 3
+    data["checks"].update(dict.fromkeys(SCHEMA_4_DROPPED_CHECKS, True))
+    return _dumps(data)
 
 
 def _as_schema_2(report: dict) -> str:
     """The canonical JSON a schema-2 run of the same (prime, seed) wrote:
-    schemaVersion 2, and the gamma loop's 17 members with none skipped.
-    Schema 3 stops at the 9th rank-4 member; every recorded seed had 17
-    rank-4 members under schema 2, and no other key changed."""
-    data = json.loads(canonical_json(report))
+    the schema-3 report with schemaVersion 2, and the gamma loop's 17
+    members with none skipped.  Schema 3 stops at the 9th rank-4 member;
+    every recorded seed had 17 rank-4 members under schema 2, and no other
+    key changed."""
+    data = json.loads(_as_schema_3(report))
     data["schemaVersion"] = 2
     data["gamma"]["sampleCount"] = 17
     data["gamma"]["skippedParameters"] = []
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return _dumps(data)
 
 
 def _as_schema_1(report: dict) -> str:
@@ -257,14 +272,34 @@ def _as_schema_1(report: dict) -> str:
         del data["gamma"][key]
     data["schemaVersion"] = 1
     data["curveAttempts"] = [{"seed": report["seed"], "outcome": "ok"}]
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return _dumps(data)
+
+
+@pytest.mark.parametrize("key", list(KNOWN["schema3Sha256"]))
+def test_schema_4_reports_bridge_to_the_schema_3_digests(key, known_canonical_sha256):
+    # every recorded schema-3 digest is reproduced byte for byte from the
+    # schema-4 report with the dropped keys put back, none of which it has
+    prime, seed = map(int, key.split("/"))
+    run = _counted_run(prime, seed)[0]
+    assert run["ok"], run.get("error")
+    assert not set(SCHEMA_4_DROPPED_CHECKS) & set(run["checks"])
+    digest = hashlib.sha256(_as_schema_3(run).encode()).hexdigest()
+    assert digest == KNOWN["schema3Sha256"][key]
+    known_canonical_sha256(run, prime, seed)
+
+
+def test_every_recorded_case_has_a_digest_in_each_schema_since_3():
+    assert list(KNOWN["canonicalSha256"]) == list(KNOWN["schema3Sha256"])
+    assert len(KNOWN["canonicalSha256"]) == 18
+    assert set(KNOWN["schema2Sha256"]) <= set(KNOWN["schema3Sha256"])
 
 
 @pytest.mark.parametrize("key", sorted(KNOWN["schema2Sha256"]))
 def test_schema_3_reports_bridge_to_the_schema_2_digests(key, known_canonical_sha256):
-    # every schema-2 digest is reproduced byte for byte from the schema-3
-    # report, with one chain, 9 gamma members and one image_quartic call
-    # per certified fiber (two rational ones, or a conjugate pair at once)
+    # every schema-2 digest is reproduced byte for byte from the schema-4
+    # report through schema 3, with one chain, 9 gamma members and one
+    # image_quartic call per certified fiber (two rational ones, or a
+    # conjugate pair at once)
     prime, seed = map(int, key.split("/"))
     run, built, members = _counted_run(prime, seed)
     assert run["ok"] and built == [seed]
@@ -315,6 +350,6 @@ def test_digest_atlas(key, known_canonical_sha256):
     # a guard for the arithmetic at primes far from 10007: each report is
     # the recorded one, byte for byte
     prime, seed = map(int, key.split("/"))
-    run = run_pipeline(prime, seed)
+    run = _counted_run(prime, seed)[0]
     assert run["ok"], run.get("error")
     known_canonical_sha256(run, prime, seed)

@@ -12,6 +12,7 @@ import scrollres.chain as chain
 import scrollres.cli as cli
 import scrollres.lattice as lattice
 import scrollres.pipeline as pipeline
+import scrollres.quartic_net as quartic_net_module
 import scrollres.survey as survey
 from scrollres.chain import PipelineError, survey_seed
 from scrollres.cli import main
@@ -142,6 +143,15 @@ def test_lattice_command(capsys):
     assert "all lattice checks passed: True" in capsys.readouterr().out
 
 
+def test_lattice_command_rejects_a_class_without_a_gram_file(capsys):
+    # the class is tested only against a gram file: without one it would be
+    # ignored, so the command refuses it as a usage error before any work
+    assert main(["lattice", "--ample-class", "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--ample-class needs --gram-file\n"
+
+
 def test_lattice_command_with_bound(tmp_path):
     path = tmp_path / "lattice.json"
     assert main(["--json", str(path), "lattice"]) == 0
@@ -242,7 +252,6 @@ def test_pipeline_report_determinism_with_retry(monkeypatch, known_canonical_sha
     assert one == 1 and binary_form_roots([1, c1, c0], 10007) == []
     assert a["gamma"]["fiberParameters"] == [
         [[0, 1], [1, 0]], [[-c1 % 10007, 10006], [1, 0]]]
-    assert a["checks"]["two_singular_fiber_parameters"]
     assert a["checks"]["third_parameter_maps_elsewhere"]
 
 
@@ -585,32 +594,40 @@ def test_a_later_stage_error_names_its_stage(monkeypatch):
                                "message": "preimage count != 2: the cross forms share the form [1]"}
     # the stages before it ran and kept their checks; the lattice stage did not run
     assert list(report["timings"]) == ["curve_and_betti", "k3"]
-    assert report["checks"]["k3_shape_matches"] and "latticeCertificates" not in report
+    assert report["checks"]["q5_in_curve_ideal"] and "latticeCertificates" not in report
 
 
-def test_net_dimension_is_computed_not_assumed(nonic_chain, monkeypatch):
-    quartic_net = pipeline.quartic_net
+def test_net_dimension_is_computed_not_assumed(monkeypatch):
+    # the net is the kernel of the 35 quartic monomials at the image points;
+    # one more kernel row is a 4-dimensional net, which the real quartic_net
+    # rejects, and the report names the stage
+    kernel_mod = quartic_net_module.kernel_mod
 
-    def with_extra_row(image_points, p):
-        net = quartic_net(image_points, p)
-        return dataclasses.replace(net, basis=np.vstack([net.basis, net.basis[:1]]))
+    def with_extra_row(matrix, p):
+        kernel = kernel_mod(matrix, p)
+        return np.vstack([kernel, kernel[:1]]) if matrix.shape[1] == 35 else kernel
 
-    monkeypatch.setattr(pipeline, "quartic_net", with_extra_row)
-    checks: dict = {}
-    section, _net = pipeline.net_section(nonic_chain, checks)
-    assert section["netDim"] == 4
-    assert checks["net_dimension_3"] is False
+    monkeypatch.setattr(quartic_net_module, "kernel_mod", with_extra_row)
+    report = run_pipeline(10007, 1)
+    assert not report["ok"] and "net" not in report
+    assert report["error"] == {"stage": "net_and_gamma", "type": "NetError",
+                               "message": "unexpected net dimension 4"}
 
 
 def test_syzygy_space_dimension_is_computed_not_assumed(monkeypatch):
+    # a third vector in the (3, -2) kernel block is a 3-dimensional linear
+    # syzygy space, which the real linear_syzygy_space rejects
     space = pipeline.linear_syzygy_space
 
     def with_extra_vector(steps, p):
-        basis = space(steps, p)
-        return basis + basis[:1]
+        block = steps[1].kernels[(3, -2)]
+        grown = dataclasses.replace(block, kernel=np.vstack([block.kernel, block.kernel[:1]]))
+        kernels = dict(steps[1].kernels)
+        kernels[(3, -2)] = grown
+        return space([steps[0], dataclasses.replace(steps[1], kernels=kernels)] + steps[2:], p)
 
     monkeypatch.setattr(pipeline, "linear_syzygy_space", with_extra_vector)
     report = run_pipeline(10007, 1)
-    assert report["syzygySpaceDim"] == 3
-    assert report["checks"]["linear_syzygy_space_dim_2"] is False
-    assert not report["ok"]
+    assert not report["ok"] and "syzygySpaceDim" not in report
+    assert report["error"] == {"stage": "k3", "type": "K3Error",
+                               "message": "wrong dimension: linear syzygy space is 3-dimensional"}

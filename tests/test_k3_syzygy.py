@@ -22,7 +22,6 @@ from scrollres.k3_syzygy import (
     koszul_basis,
     pfaffian,
     pfaffian_reconstruct,
-    sub_pfaffians,
     surface_chi,
     surface_pencil,
     syzygy_scheme,
@@ -34,7 +33,7 @@ from scrollres.resolution import BigradedBettiTable, point_demand
 from scrollres.scroll import GENERIC_E, CoxPoly, point_values, slice_keys
 
 from dict_cox import DictPoly, cox_mul, monomial
-from oracles import reference_koszul_matrix, reference_solve_matrix, solve_rational
+from oracles import reference_koszul_matrix, reference_solve_matrix, solve_rational, sub_pfaffians
 
 #: 17 pencil parameters whose members the pencil must reproduce; the gamma
 #: loop of the pipeline uses only the first rank-4 members of its own list
@@ -229,6 +228,17 @@ def test_skew_presentation(surface, scheme):
     assert pf[0].sub(skew.q5).is_zero()
     for i in range(4):
         assert pf[i + 1].sub(scheme.forms[i]).is_zero()
+
+
+def test_skew_presentation_rejects_a_changed_entry(scheme):
+    # phi_i = sum_j A_ij l_j is the one certificate of the presentation: a
+    # solved entry of A changed (skewness kept) no longer reproduces phi_0
+    skew, = pfaffian_reconstruct([scheme])
+    a = [list(row) for row in skew.askew]
+    bump = CoxPoly(P, slice_keys(GENERIC_E, 1, 0)[:1], [1])
+    a[0][1], a[1][0] = a[0][1].add(bump), a[1][0].sub(bump)
+    with pytest.raises(K3Error, match="skew presentation does not reproduce the generators"):
+        k3_syzygy._presentation(a, scheme.forms, scheme.ell, skew.ambiguity_dim)
 
 
 def test_ambiguity_matches_koszul_rank(surface, scheme):

@@ -28,6 +28,7 @@ from scrollres.resolution import (
     SliceRankError,
     WindowExhaustedError,
     _verify_composition,
+    curve_chi,
     ideal_generator_step,
     is_balanced,
     point_demand,
@@ -297,6 +298,20 @@ def test_slice_margin_exceeds_every_degree_defect(ctx):
         assert 16 * a + 6 * b < ctx.curve_h0(a, b) + SLICE_MARGIN
     assert slice_point_demand() == max(ctx.curve_h0(a, b) for a, b in _resolution_slices()) \
         + SLICE_MARGIN == 50
+
+
+def test_curve_h0_is_the_d_vector_or_riemann_roch(ctx):
+    # one chi formula, 16a + 6b - 8, for every non-special slice; the
+    # bidegrees no nonempty slice of the pipeline has raise
+    assert [curve_chi(a, b) for a, b in ((2, 0), (3, -1), (4, -2))] == [24, 34, 44]
+    for a, b in _resolution_slices():
+        if a >= 2:
+            assert ctx.curve_h0(a, b) == curve_chi(a, b)
+    # h^0(omega L^-1) = h^1(L) and h^0(omega) = g from the d-vector
+    assert [ctx.curve_h0(1, b) for b in (-1, 0, 1)] == [4, 9, curve_chi(1, 1)]
+    for a, b in ((0, 0), (1, -3), (2, -3), (-1, 5)):
+        with pytest.raises(ResolutionError, match=rf"bidegree \({a},{b}\) not supported"):
+            ctx.curve_h0(a, b)
 
 
 @pytest.mark.parametrize("shift", [1, -1])
