@@ -31,10 +31,7 @@ from .survey import sample_survey, usable_cpus
 
 
 def _write_json(args, payload: dict):
-    if isinstance(payload, dict) and "timings" in payload:
-        text = canonical_json(payload)
-    else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = canonical_json(payload)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")

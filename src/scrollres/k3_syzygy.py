@@ -173,17 +173,6 @@ def _pf(m) -> CoxPoly:
     return module_element(m[0][1:]).image(minors)
 
 
-@dataclass(frozen=True)
-class SkewPresentation:
-    """5x5 skew matrix psi whose principal Pfaffians cut the surface."""
-
-    prime: int
-    psi: tuple            # 5x5 of CoxPoly
-    askew: tuple          # the 4x4 block A
-    q5: CoxPoly
-    ambiguity_dim: int    # kernel dimension of the reconstruction solve
-
-
 # the pairs i < j and triples j < k < l of the four syzygy entries
 _PAIRS = list(itertools.combinations(range(4), 2))
 _TRIPLES = list(itertools.combinations(range(4), 3))
@@ -211,47 +200,23 @@ def koszul_ambiguity_rank(ell, p: int) -> int:
     return len(_linear_map(images, 1, 0, p).rref()[1])
 
 
-def _presentation(a_entries, forms, ell, ambiguity_dim: int) -> SkewPresentation:
-    """The skew presentation of the forms by the skew 4x4 matrix a_entries,
-    certified by phi_i = sum_j A_ij l_j exactly.
-
-    The five principal Pfaffians of the 5x5 psi are then (Pf(A), phi_1, ..,
-    phi_4): for every skew A they are Pf(A) and sum_j A_ij l_j, identities
-    of the sign pattern below, so they need no second check."""
-    p = ell[0].prime
-    zero = CoxPoly(p)
+def _check_presentation(a_entries, forms, ell) -> None:
+    """Certify the skew 4x4 matrix a_entries as a presentation of the forms:
+    phi_i = sum_j A_ij l_j exactly."""
     for row, form in zip(a_entries, forms):
         if not module_element(row).image(ell).sub(form).is_zero():
             raise K3Error("skew presentation does not reproduce the generators")
-    q5 = pfaffian(a_entries)
-    psi = [[zero for _ in range(5)] for _ in range(5)]
-    for i in range(4):
-        psi[0][i + 1] = ell[i].scale(p - 1)
-        psi[i + 1][0] = ell[i]
-    # block entries carry the complementary entry of A; the sign pattern is
-    # the one for which the five principal Pfaffians come out as
-    # (Pf(A), sum_j A_1j l_j, .., sum_j A_4j l_j) for every skew A
-    sub = {(1, 2): a_entries[2][3], (1, 3): a_entries[1][3].scale(p - 1),
-           (1, 4): a_entries[1][2], (2, 3): a_entries[0][3],
-           (2, 4): a_entries[0][2].scale(p - 1), (3, 4): a_entries[0][1]}
-    for (i, j), poly in sub.items():
-        psi[i][j] = poly
-        psi[j][i] = poly.scale(p - 1)
-    return SkewPresentation(
-        p, tuple(tuple(r) for r in psi), tuple(tuple(r) for r in a_entries),
-        q5, ambiguity_dim,
-    )
 
 
-def pfaffian_reconstruct(schemes) -> list:
-    """Skew 4x4 matrices A with phi_i = sum_j A_ij l_j, one per scheme, each
-    assembled into its 5x5 psi; the schemes share the Koszul basis l.
+def pfaffian_reconstruct(schemes) -> tuple:
+    """(matrices, ambiguity_dim): the skew 4x4 matrices A with
+    phi_i = sum_j A_ij l_j, one per scheme (the schemes share the Koszul
+    basis l), and the kernel dimension of their solve.
 
     One elimination of [mat.dense() | rhs_1 .. rhs_n] solves every scheme: its
     kernel dimension must equal the rank of the explicit Koszul map, and
     each solution must reproduce its scheme's forms as sum_j A_ij l_j
-    coefficientwise (_presentation), which makes the principal Pfaffians
-    of each psi (Pf(A), phi_1, .., phi_4).  The solution is the one with
+    coefficientwise (_check_presentation).  The solution is the one with
     every free unknown zero, so it is linear in the right-hand side.
     """
     p = schemes[0].prime
@@ -286,8 +251,9 @@ def pfaffian_reconstruct(schemes) -> list:
         for (i, j), row in zip(_PAIRS, solution.reshape(len(_PAIRS), len(h_keys))):
             a_entries[i][j] = CoxPoly(p, h_keys, row)
             a_entries[j][i] = a_entries[i][j].scale(p - 1)
-        out.append(_presentation(a_entries, scheme.forms, ell, kernel_dim))
-    return out
+        _check_presentation(a_entries, scheme.forms, ell)
+        out.append(a_entries)
+    return out, kernel_dim
 
 
 def _combine(polys, weights, p: int) -> CoxPoly:
@@ -412,18 +378,18 @@ def surface_pencil(s1: np.ndarray, s2: np.ndarray, gen_polys) -> SurfacePencil:
 
     The checks run once for all members: the syzygy identity and
     phi_i = sum_j A_ij l_j are linear in (lam : mu), so s1 and s2 cover the
-    pencil, and for A = lam P + mu Q the Pfaffian identities of psi hold
-    for every skew A.  q5 = Pf(A) is a binary quadratic in (lam : mu): its
-    lam*mu coefficient is Pf(P + Q) - Pf(P) - Pf(Q).
+    pencil with A = lam P + mu Q.  q5 = Pf(A) is a binary quadratic in
+    (lam : mu): its lam*mu coefficient is Pf(P + Q) - Pf(P) - Pf(Q).
     """
     p = gen_polys[0].prime
     schemes = [_koszul_scheme(s, gen_polys) for s in (s1, s2)]
-    pres_p, pres_q = pfaffian_reconstruct(schemes)
-    both = [[x.add(y) for x, y in zip(r1, r2)] for r1, r2 in zip(pres_p.askew, pres_q.askew)]
-    mixed = pfaffian(both).sub(pres_p.q5).sub(pres_q.q5)
+    (a_p, a_q), ambiguity_dim = pfaffian_reconstruct(schemes)
+    pf_p, pf_q = pfaffian(a_p), pfaffian(a_q)
+    both = [[x.add(y) for x, y in zip(r1, r2)] for r1, r2 in zip(a_p, a_q)]
+    mixed = pfaffian(both).sub(pf_p).sub(pf_q)
     return SurfacePencil(
         p, (s1, s2), (schemes[0].forms, schemes[1].forms),
-        (pres_p.q5, mixed, pres_q.q5), pres_p.ambiguity_dim,
+        (pf_p, mixed, pf_q), ambiguity_dim,
     )
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import check_prime, kernel_mod, mul_mod, rank_mod, roots_mod_batch, solve_mod
+from .ffield import check_prime, kernel_mod, mul_mod, rank_mod, roots_mod_batch
 
 GENUS = 9
 #: the degree of the pencil, cut by the lines through q: the curve's gonality
@@ -98,20 +98,6 @@ def multiply_forms(f, df: int, g, dg: int, p: int, nvars: int = 3) -> np.ndarray
     out = np.zeros(len(monomials(df + dg, nvars)), dtype=np.int64)
     np.add.at(out, positions, np.outer(f, g) % p)
     return out % p
-
-
-def restrict_to_line(coeffs, d: int, a_pt, b_pt, p: int) -> list:
-    """Binary form F(s*A + t*B) as coefficients [s^d, s^(d-1)t, ..., t^d].
-
-    At (s, t) = (1, tau) it takes the value F(A + tau*B), so its values at
-    tau = 0..d, one evaluate_form call, determine it through a Vandermonde
-    system; the nodes tau are distinct mod p exactly when p > d."""
-    if p <= d:
-        raise ValueError(f"restricting a degree-{d} form to a line needs p > {d}, got p = {p}")
-    taus = np.arange(d + 1, dtype=np.int64)
-    a_pt, b_pt = (np.asarray(v, dtype=np.int64) % p for v in (a_pt, b_pt))
-    values = evaluate_form(coeffs, d, a_pt + taus[:, None] * b_pt, p)
-    return [int(v) for v in solve_mod(power_table(taus, d, p).T, values, p)]
 
 
 def power_table(values: np.ndarray, max_exp: int, p: int) -> np.ndarray:

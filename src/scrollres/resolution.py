@@ -34,7 +34,6 @@ from .scroll import (
     CoxPoly,
     KeyIndex,
     add_keys,
-    adjoint_dims,
     euler_scroll,
     module_keys,
     monomial_value_matrix,
@@ -224,8 +223,9 @@ class SliceContext:
     The stream, point_demand() points, is drawn and evaluated once, here:
     points(n) and values(n) are its first n points and their values.  Every
     ideal-slice kernel is certified by the rank of its evaluation matrix
-    (see ideal_slice).  The d-vector of adjoint dimensions is computed once,
-    here: it gives the curve's h^1 values and the scroll type e.
+    (see ideal_slice).  The d-vector of adjoint dimensions is the one
+    canonical_coordinates certified (coords.dims): it gives the curve's h^1
+    values and the scroll type e.
     """
 
     def __init__(self, model, coords: CanonicalCoordinates):
@@ -233,9 +233,8 @@ class SliceContext:
         self.coords = coords
         self.prime = self.model.prime
         self._slices: dict = {}
-        dims = adjoint_dims(self.model)
-        self._h1 = dict(enumerate(dims))  # h^0(omega L^-j) for j = 0, 1, 2
-        self.e = scroll_type(dims).e
+        self._h1 = dict(enumerate(coords.dims))  # h^0(omega L^-j) for j = 0, 1, 2
+        self.e = scroll_type(coords.dims).e
         self._points = sample_smooth_points(self.model, point_demand(), seed=900)
         self._values = point_values(self.model, self.coords, self._points)
         self._values.setflags(write=False)  # every stage reads views of it

@@ -17,6 +17,9 @@ restrictions are evaluated through these plane representatives at smooth
 sample points; every monomial of a fixed slice has plane degree 5a + b, so
 the projective scaling of a sample point rescales a whole column uniformly
 and kernels of evaluation matrices are well defined.
+
+canonical_coordinates solves each adjoint system once; their dimensions,
+the d-vector h^0(omega L^-j) for j = 0, 1, 2, give the scroll type.
 """
 
 from __future__ import annotations
@@ -28,16 +31,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import rank_mod
+from .ffield import mul_mod, rank_mod, rref_mod
 from .plane_curve import (
     GENUS,
     GONALITY,
+    LOCAL_ORDERS,
+    derivative_rows,
     evaluate_form,
+    exponents,
     linear_system,
     monomial_values,
     monomials,
     multiply_forms,
-    restrict_to_line,
 )
 
 SCROLL_DEGREE = GENUS - GONALITY + 1  # 4
@@ -205,7 +210,8 @@ class CanonicalCoordinates:
     of degree plane_degree - 4 representing sections of H - R (literal plane
     quartics only for the octic model); phi: the adjoint of degree
     plane_degree - 3 completing the canonical system.  The P^8 coordinate
-    order is Q1*l1, Q1*l2, ..., Q4*l2, Phi.
+    order is Q1*l1, Q1*l2, ..., Q4*l2, Phi.  dims: the d-vector
+    d_j = h^0(omega L^-j), j = 0, 1, 2, of the adjoint systems solved here.
     """
 
     prime: int
@@ -214,51 +220,24 @@ class CanonicalCoordinates:
     phi: np.ndarray
     q_degree: int
     phi_degree: int
-
-
-def residual_conditions(pm):
-    """Vanishing conditions of the adjoint system representing H - R."""
-    out = [(n, 1) for n in pm.nodes]
-    if pm.q_mult > 2:
-        out.append((pm.q, pm.q_mult - 2))
-    return out
-
-
-def canonical_conditions(pm):
-    """Vanishing conditions of the adjoint system representing H (omega)."""
-    return [(n, 1) for n in pm.nodes] + [(pm.q, pm.q_mult - 1)]
-
-
-def adjoint_dims(model):
-    """(d0, d1, d2) = h^0(omega L^-j) for j = 0, 1, 2 via adjoint systems.
-
-    A section of omega L^-2 is a section of omega L^-1 vanishing on a full
-    pencil divisor, hence divisible by the corresponding line; the cofactor
-    is an adjoint of one degree lower with no condition at q."""
-    d = model.degree
-    d0 = len(linear_system(model, d - 3, canonical_conditions(model)))
-    d1 = len(linear_system(model, d - 4, residual_conditions(model)))
-    d2 = len(linear_system(model, d - 5, [(n, 1) for n in model.nodes]))
-    return (d0, d1, d2)
+    dims: tuple
 
 
 def pencil_from_node(model):
     """Two lines l1, l2 through q spanning the pencil, chosen so that neither
     passes through another singular point and each meets the curve at q with
-    multiplicity exactly q_mult, leaving a residual degree-6 divisor."""
+    multiplicity exactly q_mult, leaving a residual degree-6 divisor.  The
+    PENCIL_TRIES candidate lines are drawn and checked as one array."""
     p = model.prime
     base = linear_system(model, 1, [(model.q, 1)])
     if len(base) != 2:
         raise ScrollError("line pencil through q is not 2-dimensional")
     rng = random.Random(model.seed * 31337 + 5)
+    weights = [(rng.randrange(p), rng.randrange(1, p)) for _ in range(PENCIL_TRIES)]
+    lines = mul_mod(weights, np.stack(base), p)
+    passing = evaluate_form(lines, 1, model.nodes, p).all(axis=1)
     chosen = []
-    for _ in range(PENCIL_TRIES):
-        c0, c1 = rng.randrange(p), rng.randrange(1, p)
-        line = (c0 * base[0] + c1 * base[1]) % p
-        if not evaluate_form(line, 1, model.nodes, p).all():
-            continue
-        if not _line_residual_degree_six(model, line):
-            continue
+    for line in lines[passing & _line_residual_degree_six(model, lines)]:
         chosen.append(line)
         if len(chosen) == 2:
             if rank_mod(np.stack(chosen), p) == 2:
@@ -267,67 +246,65 @@ def pencil_from_node(model):
     raise ScrollError("could not find a generic basis of the pencil")
 
 
-def _line_residual_degree_six(pm, line) -> bool:
-    p = pm.prime
-    q = pm.q
-    # second point on the line: solve line(x, y, 1) = 0 at the free
-    # coordinate t = 0, or t = 1 when that point is q
-    a, b, c = (int(v) for v in line)
+def _line_residual_degree_six(pm, lines):
+    """Whether each line a x + b y + c z through q (one line, or a stack)
+    meets the curve at q with multiplicity exactly q_mult.
 
-    def on_line(t: int) -> tuple:
-        if b:
-            return (t, (-(a * t + c)) * pow(b, -1, p) % p, 1)
-        return ((-c) * pow(a, -1, p) % p, t, 1)
-
-    other = on_line(0)
-    if other == q:
-        other = on_line(1)
-    restricted = restrict_to_line(pm.coeffs, pm.degree, q, other, p)
-    # coefficients are indexed by t-degree and (s:t) = (1:0) is q, so q must
-    # be a root of multiplicity exactly q_mult
-    return (
-        all(restricted[k] == 0 for k in range(pm.q_mult))
-        and restricted[pm.q_mult] != 0
-    )
+    q = (x, y, 1) is affine and every partial of order below m = q_mult
+    vanishes there (verify_model_report), so along the direction (b, -a, 0)
+    of the line F(q + t (b, -a, 0)) starts with t^m times the tangent cone
+    sum_j (d^(m-j, j, 0) F)(q) b^(m-j) (-a)^j / ((m-j)! j!), exact for p > m."""
+    p, m = pm.prime, pm.q_mult
+    orders = LOCAL_ORDERS[m]
+    partials = mul_mod(derivative_rows(pm.degree, [(order, pm.q) for order in orders], p),
+                       pm.coeffs, p)
+    cone = [int(v) * pow(math.factorial(i) * math.factorial(j), -1, p) % p
+            for v, (i, j, _k) in zip(partials, orders)]
+    lines = np.asarray(lines, dtype=np.int64)
+    direction = np.stack([lines[..., 1], -lines[..., 0]]).reshape(2, -1)
+    values = mul_mod(cone, monomial_values(exponents(m, 2), direction, p), p)
+    return (values != 0).reshape(lines.shape[:-1])
 
 
 def canonical_coordinates(model, pencil) -> CanonicalCoordinates:
     """Assemble Q1..Q4, Phi and verify the 8 products plus Phi span the
-    canonical system."""
+    canonical system; Phi is the first adjoint outside the product span,
+    read off the pivots of one elimination of [products; adjoints]^T."""
     p = model.prime
     q_degree = model.degree - 4
     phi_degree = model.degree - 3
-    quartics = linear_system(model, q_degree, residual_conditions(model))
+    # every adjoint passes through the nodes; at q, those of H - R vanish to
+    # order q_mult - 2 (no condition at a node) and those of H = omega to
+    # order q_mult - 1
+    nodes = [(n, 1) for n in model.nodes]
+    quartics = linear_system(model, q_degree, nodes + [(model.q, model.q_mult - 2)])
     if len(quartics) != 4:
         raise ScrollError("the adjoint system for H - R is not 4-dimensional")
-    adjoints = linear_system(model, phi_degree, canonical_conditions(model))
+    adjoints = linear_system(model, phi_degree, nodes + [(model.q, model.q_mult - 1)])
     if len(adjoints) != 9:
         raise ScrollError("canonical system is not 9-dimensional")
-    products = []
-    for quartic in quartics:
-        for line in pencil:
-            products.append(multiply_forms(quartic, q_degree, line, 1, p))
-    prod = np.stack(products)
-    if rank_mod(prod, p) != 8:
+    # a section of omega L^-2 is a section of omega L^-1 vanishing on a full
+    # pencil divisor, hence divisible by its line; the cofactor is an
+    # adjoint of one degree lower with no condition at q
+    d2 = len(linear_system(model, model.degree - 5, nodes))
+    products = [multiply_forms(quartic, q_degree, line, 1, p)
+                for quartic in quartics for line in pencil]
+    pivots = rref_mod(np.stack(products + adjoints).T, p)[1]
+    if pivots[:8] != list(range(8)):
         raise ScrollError("multiplication map degenerate: product span below 8")
-    # deterministic Phi: first adjoint basis vector outside the product span
-    for candidate in adjoints:
-        stacked = np.concatenate([prod, candidate.reshape(1, -1)])
-        if rank_mod(stacked, p) == 9:
-            phi = candidate
-            break
-    else:
+    if len(pivots) < 9:
         raise ScrollError("no adjoint completes the product span")
+    phi = adjoints[pivots[8] - 8]
     sing = [pt for pt, _m in model.singular_points()]
     if np.any(evaluate_form(np.stack(products + [phi]), phi_degree, sing, p)):
         raise ScrollError("canonical representative misses a singular point")
     return CanonicalCoordinates(p, tuple(pencil), tuple(quartics), phi,
-                                q_degree, phi_degree)
+                                q_degree, phi_degree, (len(adjoints), len(quartics), d2))
 
 
 def scroll_type(dims) -> ScrollType:
     """Scroll type as the dual partition of dims, the d-vector
-    d_j = h^0(omega L^-j) of adjoint_dims."""
+    d_j = h^0(omega L^-j) that canonical_coordinates records."""
     e = tuple(
         sum(1 for d in dims if d >= i) - 1 for i in range(1, GONALITY)
     )

@@ -251,6 +251,25 @@ def reference_koszul_matrix(ell, p: int) -> np.ndarray:
     return np.stack(cols)
 
 
+def skew_presentation_psi(a_entries, ell) -> list:
+    """The 5x5 skew psi of the 4x4 skew A and the Koszul basis l: first row
+    -l, block entries the complementary entries of A, with the sign pattern
+    for which the five principal Pfaffians are (Pf(A), sum_j A_1j l_j, ..,
+    sum_j A_4j l_j) for every skew A."""
+    p = ell[0].prime
+    psi = [[CoxPoly(p) for _ in range(5)] for _ in range(5)]
+    for i in range(4):
+        psi[0][i + 1] = ell[i].scale(p - 1)
+        psi[i + 1][0] = ell[i]
+    block = {(1, 2): a_entries[2][3], (1, 3): a_entries[1][3].scale(p - 1),
+             (1, 4): a_entries[1][2], (2, 3): a_entries[0][3],
+             (2, 4): a_entries[0][2].scale(p - 1), (3, 4): a_entries[0][1]}
+    for (i, j), poly in block.items():
+        psi[i][j] = poly
+        psi[j][i] = poly.scale(p - 1)
+    return psi
+
+
 def sub_pfaffians(psi) -> list:
     """v_j = (-1)^j Pf(psi with row and column j removed); psi . v = 0."""
     p = psi[0][0].prime

@@ -33,7 +33,13 @@ from scrollres.resolution import BigradedBettiTable, point_demand
 from scrollres.scroll import GENERIC_E, CoxPoly, point_values, slice_keys
 
 from dict_cox import DictPoly, cox_mul, monomial
-from oracles import reference_koszul_matrix, reference_solve_matrix, solve_rational, sub_pfaffians
+from oracles import (
+    reference_koszul_matrix,
+    reference_solve_matrix,
+    skew_presentation_psi,
+    solve_rational,
+    sub_pfaffians,
+)
 
 #: 17 pencil parameters whose members the pencil must reproduce; the gamma
 #: loop of the pipeline uses only the first rank-4 members of its own list
@@ -213,19 +219,21 @@ def test_sub_pfaffian_identity_random_scalar(kind, p):
 
 def test_skew_presentation(surface, scheme):
     # the member's own solve and the pencil's evaluation give one surface
-    skew, = pfaffian_reconstruct([scheme])
-    for (_twist, poly), want in zip(surface.generators, list(scheme.forms) + [skew.q5], strict=True):
+    (a,), _ambiguity_dim = pfaffian_reconstruct([scheme])
+    q5 = pfaffian(a)
+    for (_twist, poly), want in zip(surface.generators, list(scheme.forms) + [q5], strict=True):
         assert poly.sub(want).is_zero()
     # skew symmetry of psi, zero diagonal
+    psi = skew_presentation_psi(a, scheme.ell)
     for i in range(5):
-        assert skew.psi[i][i].is_zero()
+        assert psi[i][i].is_zero()
         for j in range(5):
-            assert skew.psi[i][j].add(skew.psi[j][i]).is_zero()
+            assert psi[i][j].add(psi[j][i]).is_zero()
     # psi . (signed sub-Pfaffians) = 0 and the Pfaffians are (q5, f'_1..f'_4)
-    pf = sub_pfaffians([list(r) for r in skew.psi])
-    for acc in _psi_times(skew.psi, pf, P):
+    pf = sub_pfaffians(psi)
+    for acc in _psi_times(psi, pf, P):
         assert acc.is_zero()
-    assert pf[0].sub(skew.q5).is_zero()
+    assert pf[0].sub(q5).is_zero()
     for i in range(4):
         assert pf[i + 1].sub(scheme.forms[i]).is_zero()
 
@@ -233,12 +241,12 @@ def test_skew_presentation(surface, scheme):
 def test_skew_presentation_rejects_a_changed_entry(scheme):
     # phi_i = sum_j A_ij l_j is the one certificate of the presentation: a
     # solved entry of A changed (skewness kept) no longer reproduces phi_0
-    skew, = pfaffian_reconstruct([scheme])
-    a = [list(row) for row in skew.askew]
+    (a,), _ambiguity_dim = pfaffian_reconstruct([scheme])
+    a = [list(row) for row in a]
     bump = CoxPoly(P, slice_keys(GENERIC_E, 1, 0)[:1], [1])
     a[0][1], a[1][0] = a[0][1].add(bump), a[1][0].sub(bump)
     with pytest.raises(K3Error, match="skew presentation does not reproduce the generators"):
-        k3_syzygy._presentation(a, scheme.forms, scheme.ell, skew.ambiguity_dim)
+        k3_syzygy._check_presentation(a, scheme.forms, scheme.ell)
 
 
 def test_ambiguity_matches_koszul_rank(surface, scheme):
@@ -408,14 +416,14 @@ def test_k3_matrices_match_hand_built_reference(monkeypatch, nonic_k3):
             continue
         scheme = syzygy_scheme((lam * s1 + mu * s2) % P, nonic_k3["gens"])
         calls.clear()
-        skew, = pfaffian_reconstruct([scheme])
+        (a,), ambiguity_dim = pfaffian_reconstruct([scheme])
         assert [c[0] for c in calls] == [(2, -1), (1, 0)]
         assert np.array_equal(calls[0][1].dense(), solve.dense())
         assert np.array_equal(calls[1][1].dense(), koszul.dense())
-        want = list(scheme.forms) + [skew.q5]
+        want = list(scheme.forms) + [pfaffian(a)]
         for (_twist, poly), ref in zip(pencil.member(lam, mu).generators, want, strict=True):
             assert np.array_equal(poly.keys, ref.keys) and np.array_equal(poly.coefs, ref.coefs)
-        assert skew.ambiguity_dim == pencil.ambiguity_dim
+        assert ambiguity_dim == pencil.ambiguity_dim
         surfaces += 1
     assert surfaces == 17
 

@@ -98,10 +98,7 @@ def test_every_public_name_is_used_in_src():
 
 
 #: dataclass fields that no src module reads, each with its reason
-UNREAD_FIELDS = {
-    "SkewPresentation.psi": "the 5x5 Pfaffian presentation the README promises; the tests "
-                            "check its principal Pfaffians",
-}
+UNREAD_FIELDS: dict = {}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

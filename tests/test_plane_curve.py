@@ -15,7 +15,6 @@ from oracles import (
     derivative_row,
     hessian_nondegenerate,
     reference_model_failures,
-    reference_restrict_to_line,
     reference_sample_points,
 )
 from scrollres import DEFAULT_PRIME as P
@@ -34,7 +33,6 @@ from scrollres.plane_curve import (
     monomials,
     multiply_forms,
     power_table,
-    restrict_to_line,
     sample_smooth_points,
     verify_model_report,
     verify_node_report,
@@ -439,22 +437,6 @@ def test_derivative_rows_match_the_per_row_reference(p):
         expected = np.stack([derivative_row(d, order, pt, p) for order, pt in pairs])
         assert np.array_equal(derivative_rows(d, pairs, p), expected)
     assert derivative_rows(4, [], p).shape == (0, monomial_count(4))
-
-
-@pytest.mark.parametrize("p", LAYER_PRIMES)
-def test_restrict_to_line_matches_the_substitution(p):
-    rng = random.Random(p + 1)
-    for d in range(1, 10):
-        for a_pt, b_pt in zip(_points_with_zeros(rng, p, 3), _points_with_zeros(rng, p, 3)[::-1]):
-            coeffs = [rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(monomial_count(d))]
-            assert restrict_to_line(coeffs, d, a_pt, b_pt, p) == \
-                reference_restrict_to_line(coeffs, d, a_pt, b_pt, p)
-
-
-@pytest.mark.parametrize("p, d", [(2, 9), (7, 9), (11, 11), (3, 3)])
-def test_restrict_to_line_rejects_a_prime_not_above_the_degree(p, d):
-    with pytest.raises(ValueError, match=f"needs p > {d}"):
-        restrict_to_line([1] * monomial_count(d), d, (1, 0, 0), (0, 1, 0), p)
 
 
 def _off_point_form(model, node) -> np.ndarray:

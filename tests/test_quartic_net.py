@@ -580,7 +580,7 @@ def test_derivatives_match_the_partial_derivative_reference(p, monkeypatch):
     model = PlaneCurveModel(p, 9, np.zeros(55, dtype=np.int64), points[0], 3, tuple(points[1:]), 0)
     through = kernel_mod(condition_matrix(5, [(pt, 1) for pt in points[:2]], p), p)
     quintics = tuple(combination(through) for _ in range(4))
-    coords = CanonicalCoordinates(p, (), quintics, np.zeros(28, dtype=np.int64), 5, 6)
+    coords = CanonicalCoordinates(p, (), quintics, np.zeros(28, dtype=np.int64), 5, 6, (9, 4, 0))
     base = [(pt, m) for pt, m in model.singular_points()
             if not any(at(q, 5, pt) for q in quintics)]
     assert len(base) >= 2

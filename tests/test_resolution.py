@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrollres import resolution, scroll
+from scrollres import plane_curve, resolution, scroll
 from scrollres.chain import build_chain
 from scrollres.ffield import SliceMap, is_prime
 from scrollres.k3_syzygy import (
@@ -427,19 +428,23 @@ def test_build_chain_memory_peak():
     assert peak <= 9 * 2**20
 
 
-def test_adjoint_dims_runs_once_per_chain(monkeypatch):
-    # SliceContext reads the h^1 values and the scroll type off one d-vector
-    models = []
-    original = scroll.adjoint_dims
+def test_every_adjoint_system_is_solved_once_per_chain(monkeypatch):
+    # canonical_coordinates records the d-vector of the systems it solves,
+    # and SliceContext reads the h^1 values and the scroll type off it
+    solved = Counter()
+    original = plane_curve.linear_system
 
-    def counted(model):
-        models.append(model)
-        return original(model)
+    def counted(model, d, conditions):
+        solved[d, tuple(conditions)] += 1
+        return original(model, d, conditions)
 
-    for module in (scroll, resolution):
-        monkeypatch.setattr(module, "adjoint_dims", counted)
+    for module in (plane_curve, scroll):
+        monkeypatch.setattr(module, "linear_system", counted)
     chain = build_chain(10007, 1)
-    assert len(models) == 1 and models[0] is chain.model and chain.ctx.e == GENERIC_E
+    assert sorted((d, len(conditions)) for d, conditions in solved) == \
+        [(1, 1), (4, 16), (5, 17), (6, 17)]
+    assert set(solved.values()) == {1}
+    assert chain.coords.dims == (9, 4, 0) and chain.ctx.e == GENERIC_E
 
 
 @st.composite

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,10 @@ from scrollres import DEFAULT_PRIME as P
 from scrollres.ffield import kernel_mod, rank_mod
 from scrollres.plane_curve import (
     PlaneCurveModel,
+    construct_nodal_nonic,
+    construct_nodal_octic,
     evaluate_form,
     monomials,
-    restrict_to_line,
     sample_smooth_points,
 )
 from scrollres.scroll import (
@@ -19,7 +23,6 @@ from scrollres.scroll import (
     ScrollError,
     ScrollType,
     _line_residual_degree_six,
-    adjoint_dims,
     canonical_coordinates,
     cox_slice,
     euler_scroll,
@@ -31,7 +34,15 @@ from scrollres.scroll import (
 )
 
 from dict_cox import DictPoly, cox_mul, module_terms, monomial
-from oracles import canonical_image, euler_scroll_sum, eval_quadrics, scroll_minor_quadrics
+from oracles import (
+    canonical_image,
+    euler_scroll_sum,
+    eval_quadrics,
+    partial_at,
+    reference_restrict_to_line,
+    reference_roots_mod,
+    scroll_minor_quadrics,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,14 +80,14 @@ def test_pencil_residual_degree(model, pencil):
     x = 1
     y = (-(a * x + c)) * pow(b, -1, P) % P if b else 0
     other = (x, y, 1) if b else ((-c) * pow(a, -1, P) % P, 1, 1)
-    coeffs = restrict_to_line(model.coeffs, 8, model.q, other, P)
+    coeffs = reference_restrict_to_line(model.coeffs, 8, model.q, other, P)
     assert coeffs[0] == 0 and coeffs[1] == 0
     residual = coeffs[2:]
     assert len(residual) == 7 and any(residual)  # degree-6 binary form
 
 
-def test_scroll_type_generic(model):
-    st = scroll_type(adjoint_dims(model))
+def test_scroll_type_generic(coords):
+    st = scroll_type(coords.dims)
     assert st.e == (1, 1, 1, 1, 0)
     assert sum(st.e) == 4
 
@@ -296,3 +307,45 @@ def test_line_residual_second_point_avoids_q():
     assert _line_residual_degree_six(cubic, np.array([1, P - 1, 0]))   # x = y meets it only at q
     assert not _line_residual_degree_six(cubic, np.array([1, 1, 0]))   # x = -y is a component
     assert _line_residual_degree_six(cubic, np.array([1, 0, 0]))       # x = 0: second point (0, 1)
+
+
+def _multiplicity_at_q(model, line) -> int:
+    """Order at q of the curve on the line a x + b y + c z through q, from
+    the substitution x -> s*q + t*(b, -a, 0)."""
+    a, b, _c = (int(v) for v in line)
+    restricted = reference_restrict_to_line(model.coeffs, model.degree, model.q,
+                                            (b, -a % model.prime, 0), model.prime)
+    return next(k for k, v in enumerate(restricted) if v)
+
+
+def _rational_tangent_lines(model) -> list:
+    """The F_p-rational lines through q in the tangent cone, found from the
+    order-q_mult partials of the oracle and the reference root finder."""
+    p, m, (x, y, _z) = model.prime, model.q_mult, model.q
+    cone = [partial_at(model.coeffs, model.degree, (m - j, j, 0), model.q, p)
+            * pow(math.factorial(m - j) * math.factorial(j), -1, p) % p for j in range(m + 1)]
+    # the direction (u, 1) and, when the cone has no u^m term, (1, 0)
+    directions = [(u, 1) for u in reference_roots_mod(cone, p)] + [(1, 0)] * (cone[0] == 0)
+    # the line through q with direction (b, -a, 0)
+    return [(-v % p, u, (v * x - u * y) % p) for u, v in directions]
+
+
+@pytest.mark.parametrize("construct", [construct_nodal_nonic, construct_nodal_octic],
+                         ids=["nonic", "octic"])
+@pytest.mark.parametrize("p", [593, 10007, 2147483647])
+def test_tangent_cone_check_matches_the_restricted_multiplicity(construct, p):
+    # the check reads the tangent cone at q; the reference restricts the
+    # whole curve to the line and reads the order of its root at q
+    rng = random.Random(p)
+    tangent = 0
+    for seed in range(1, 5):
+        model = construct(p, seed)
+        x, y, _z = model.q
+        lines = [(a, b, -(a * x + b * y) % p) for a, b in
+                 ((rng.randrange(p), rng.randrange(1, p)) for _ in range(6))]
+        lines += _rational_tangent_lines(model)
+        tangent += len(lines) - 6
+        got = _line_residual_degree_six(model, np.array(lines, dtype=np.int64))
+        want = [_multiplicity_at_q(model, line) == model.q_mult for line in lines]
+        assert got.tolist() == want and want[6:] == [False] * (len(lines) - 6)
+    assert tangent
