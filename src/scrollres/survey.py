@@ -1,17 +1,16 @@
 """Splitting-type survey: Betti-only chains over many seeds.
 
 sample_survey runs chain.survey_seed for each seed, in this process or in
-worker processes (python -m scrollres.survey_worker), and tabulates how
-many second syzygy bundles are unbalanced.  A survey chain draws the
-stream of a pipeline chain, so the survey passes the pipeline's one gate.
+worker processes (python -m scrollres.survey_worker) that each take a range
+of seeds on their command line, and tabulates how many second syzygy
+bundles are unbalanced.  A survey chain draws the stream of a pipeline
+chain, so the survey passes the pipeline's one gate.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import selectors
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from . import DEFAULT_PRIME, SCHEMA_VERSION
 from .chain import require_sampling_prime, survey_seed
 from .resolution import point_demand
 
-#: the survey worker module, run as `python -m SURVEY_WORKER prime`
+#: the survey worker module, run as `python -m SURVEY_WORKER prime start stop step`
 SURVEY_WORKER = "scrollres.survey_worker"
 #: set in each survey worker's environment: one BLAS thread per process
 ONE_BLAS_THREAD = {name: "1" for name in
@@ -28,8 +27,9 @@ ONE_BLAS_THREAD = {name: "1" for name in
 
 
 class SurveyWorkerError(RuntimeError):
-    """A survey worker exited non-zero or sent a malformed line.  This is a
-    bug, not a chain outcome, so it is never tallied as a failed seed."""
+    """A survey worker exited non-zero, or sent a line that is not the result
+    for its seed, or the wrong number of lines.  This is a bug, not a chain
+    outcome, so it is never tallied as a failed seed."""
 
 
 def usable_cpus() -> int:
@@ -50,71 +50,56 @@ def _worker_env() -> dict:
     return env
 
 
-def _worker_result(proc, line: bytes, seed) -> dict:
-    """The survey_seed result for seed in one line from proc."""
-    if not line:
-        raise SurveyWorkerError(f"survey worker exited with status {proc.wait()} "
-                                f"before answering seed {seed}")
-    try:
-        result = json.loads(line)
-    except ValueError:
-        result = None
-    if seed is None or not isinstance(result, dict) or result.get("seed") != seed:
-        raise SurveyWorkerError(f"survey worker sent a malformed line for seed {seed}: "
-                                f"{line[:200]!r}")
-    return result
+def _share_results(proc, share: range) -> list:
+    """The survey_seed results for the seeds of share, read to EOF from the
+    worker proc that computed them, which is then reaped."""
+    lines = proc.stdout.read().splitlines()
+    if proc.wait():
+        raise SurveyWorkerError(f"survey worker for seeds {share} exited with status "
+                                f"{proc.returncode}")
+    results = []
+    for seed, line in zip(share, lines):
+        try:
+            result = json.loads(line)
+        except ValueError:
+            result = None
+        if not isinstance(result, dict) or result.get("seed") != seed:
+            raise SurveyWorkerError(f"survey worker sent a malformed line for seed {seed}: "
+                                    f"{line[:200]!r}")
+        results.append(result)
+    if len(lines) != len(share):
+        raise SurveyWorkerError(f"survey worker sent {len(lines)} lines for the "
+                                f"{len(share)} seeds of {share}")
+    return results
 
 
-def _survey_in_workers(prime: int, seeds, processes: int) -> list:
+def _survey_in_workers(prime: int, seeds: range, processes: int) -> list:
     """survey_seed(prime, seed) for every seed, in seed order, computed by
-    `processes` fresh interpreters that each hold one seed at a time: a seed
-    goes in as a line on stdin, its result comes back as one JSON line.  A
-    failed worker kills the others and raises SurveyWorkerError; every
-    worker is reaped and every pipe closed before this returns or raises."""
-    command = [sys.executable, "-m", SURVEY_WORKER, str(prime)]
-    todo, owed, results, procs = iter(seeds), {}, {}, []
-
-    def send_next(proc):
-        seed = next(todo, None)
-        with contextlib.suppress(BrokenPipeError):  # its stdout tells how it ended
-            if seed is None:
-                proc.stdin.close()  # the worker ends
-            else:
-                owed[proc] = seed
-                proc.stdin.write(b"%d\n" % seed)
-                proc.stdin.flush()
-
+    `processes` fresh interpreters.  Worker w takes the share
+    seeds[w::processes], a range, as START STOP STEP on its command line,
+    and writes one JSON line per seed once its share is done; the workers
+    are read to EOF in launch order.  A failed worker kills the others and
+    raises SurveyWorkerError; every worker is reaped and every pipe closed
+    before this returns or raises."""
+    shares = [seeds[w::processes] for w in range(processes)]
+    results, procs = [None] * len(seeds), []
     try:
-        with selectors.DefaultSelector() as selector:
-            for _ in range(processes):
-                proc = subprocess.Popen(command, stdin=subprocess.PIPE,
-                                        stdout=subprocess.PIPE, env=_worker_env())
-                procs.append(proc)
-                selector.register(proc.stdout, selectors.EVENT_READ, proc)
-                send_next(proc)
-            while selector.get_map():
-                for key, _events in selector.select():
-                    proc, line = key.data, key.fileobj.readline()
-                    seed = owed.pop(proc, None)
-                    if not line and seed is None:  # it ended after its last seed
-                        selector.unregister(key.fileobj)
-                        continue
-                    results[seed] = _worker_result(proc, line, seed)
-                    send_next(proc)
+        for share in shares:
+            command = [sys.executable, "-m", SURVEY_WORKER,
+                       *map(str, (prime, share.start, share.stop, share.step))]
+            procs.append(subprocess.Popen(command, stdin=subprocess.DEVNULL,
+                                          stdout=subprocess.PIPE, env=_worker_env()))
+        for w, (proc, share) in enumerate(zip(procs, shares)):
+            results[w::processes] = _share_results(proc, share)
     except BaseException:
         for proc in procs:
             proc.kill()
         raise
     finally:
         for proc in procs:
-            with contextlib.suppress(BrokenPipeError):
-                proc.stdin.close()
             proc.stdout.close()
             proc.wait()
-    for proc in procs:
-        if proc.returncode:
-            raise SurveyWorkerError(f"survey worker exited with status {proc.returncode}")
-    return [results[seed] for seed in seeds]
+    return results
 
 
 def sample_survey(prime: int = DEFAULT_PRIME, count: int = 20, base_seed: int = 1,
@@ -128,10 +113,10 @@ def sample_survey(prime: int = DEFAULT_PRIME, count: int = 20, base_seed: int = 
     draws, so the survey accepts exactly the primes the pipeline accepts.
 
     The seeds run in min(workers, count, usable_cpus()) processes.  For one,
-    they run here in order; for more, in that many fresh interpreters with
-    one BLAS thread each (python -m scrollres.survey_worker), whose results
-    come back in seed order, equal to the serial ones.  A worker that fails
-    raises SurveyWorkerError.
+    they run here in order; for k > 1, in k fresh interpreters with one BLAS
+    thread each (python -m scrollres.survey_worker), worker w taking every
+    k-th seed from the w-th on.  Their results come back in seed order,
+    equal to the serial ones.  A worker that fails raises SurveyWorkerError.
     """
     require_sampling_prime(prime, point_demand())
     if count < 1:

@@ -1,11 +1,11 @@
-"""One survey worker: python -m scrollres.survey_worker PRIME
+"""One survey worker: python -m scrollres.survey_worker PRIME START STOP STEP
 
-Reads one seed per line on stdin and answers each with one JSON line on
-stdout, chain.survey_seed(PRIME, seed); it ends when stdin closes.
-survey.sample_survey starts these processes and reads their answers.  A
-chain error is tallied inside survey_seed; any other exception ends the
-worker with a traceback on stderr and a non-zero exit status.  It imports
-only scrollres.chain, so it loads only the modules a Betti table needs.
+Computes chain.survey_seed(PRIME, seed) for each seed in range(START, STOP,
+STEP) and, once the last is done (so a full pipe blocks only finished work),
+writes one JSON line per seed in that order; it reads no stdin.  A chain
+error is tallied inside survey_seed; any other exception ends the worker
+with a traceback on stderr and a non-zero exit status.  It imports only
+scrollres.chain, so it loads only the modules a Betti table needs.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from .chain import survey_seed
 
 
 def main() -> int:
-    prime = int(sys.argv[1])
-    for line in sys.stdin:
-        result = survey_seed(prime, int(line))
-        sys.stdout.write(json.dumps(result, separators=(",", ":")) + "\n")
-        sys.stdout.flush()
+    prime, start, stop, step = map(int, sys.argv[1:])
+    lines = [json.dumps(survey_seed(prime, seed), separators=(",", ":")) + "\n"
+             for seed in range(start, stop, step)]
+    sys.stdout.write("".join(lines))
     return 0
 
 

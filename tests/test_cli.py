@@ -447,8 +447,25 @@ def _record_launches(monkeypatch, cpus: int = 8) -> list:
 
 
 def _all_reaped(launched) -> bool:
-    return all(proc.returncode is not None and proc.stdin.closed and proc.stdout.closed
+    return all(proc.returncode is not None and proc.stdin is None and proc.stdout.closed
                for _args, _kwargs, proc in launched)
+
+
+def _shares(launched) -> list:
+    """The (start, stop, step) seed range on each launched worker's command line."""
+    return [tuple(int(a) for a in args[-3:]) for args, _kwargs, _proc in launched]
+
+
+def _fake_worker(tmp_path, script: str) -> str:
+    """A shell-script worker; it finds START STOP STEP in $4 $5 $6."""
+    worker = tmp_path / "worker.sh"
+    worker.write_text("#!/bin/sh\n" + script)
+    worker.chmod(0o755)
+    return str(worker)
+
+
+#: the fake worker's answers, one line per seed of its range
+ANSWER_EACH_SEED = 'for s in $(seq $4 $6 $(($5 - 1))); do echo "{\\"seed\\": $s, \\"ok\\": false}"; done'
 
 
 def test_survey_function_small(monkeypatch, small_survey):
@@ -466,8 +483,11 @@ def test_survey_function_small(monkeypatch, small_survey):
     assert sample_survey(10007, count=2, base_seed=5, workers=2) == summary
     assert len(launched) == 2 and _all_reaped(launched)
     src = str(Path(survey.__file__).resolve().parents[1])
-    for args, kwargs, _proc in launched:
-        assert args == [sys.executable, "-m", "scrollres.survey_worker", "10007"]
+    assert [args[:-3] for args, _kwargs, _proc in launched] == [
+        [sys.executable, "-m", "scrollres.survey_worker", "10007"]] * 2
+    assert _shares(launched) == [(5, 7, 2), (6, 7, 2)]
+    for _args, kwargs, _proc in launched:
+        assert kwargs["stdin"] == subprocess.DEVNULL
         env = kwargs["env"]
         assert env["PYTHONPATH"].split(os.pathsep)[0] == src
         assert all(env[name] == "1" for name in
@@ -512,14 +532,47 @@ def test_survey_worker_malformed_line_is_an_error(monkeypatch):
 
 def test_survey_worker_failing_after_its_answers_is_an_error(monkeypatch, tmp_path):
     # every seed answered, then a non-zero exit: still a failed survey
-    worker = tmp_path / "worker.sh"
-    worker.write_text('#!/bin/sh\nwhile read s; do echo "{\\"seed\\": $s, \\"ok\\": false}"; done\nexit 3\n')
-    worker.chmod(0o755)
     launched = _record_launches(monkeypatch)
-    monkeypatch.setattr(sys, "executable", str(worker))
+    monkeypatch.setattr(sys, "executable", _fake_worker(tmp_path, ANSWER_EACH_SEED + "\nexit 3\n"))
     with pytest.raises(survey.SurveyWorkerError, match="exited with status 3"):
         sample_survey(10007, count=4, base_seed=1, workers=2)
     assert len(launched) == 2 and _all_reaped(launched)
+
+
+def test_survey_worker_answering_too_few_seeds_is_an_error(monkeypatch, tmp_path):
+    # each worker answers all but the last seed of its range, and exits 0
+    launched = _record_launches(monkeypatch)
+    monkeypatch.setattr(sys, "executable",
+                        _fake_worker(tmp_path, ANSWER_EACH_SEED + " | sed '$d'\n"))
+    with pytest.raises(survey.SurveyWorkerError, match="sent 1 lines for the 2 seeds"):
+        sample_survey(10007, count=4, base_seed=1, workers=2)
+    assert len(launched) == 2 and _all_reaped(launched)
+
+
+@pytest.fixture(scope="module")
+def serial_survey():
+    return sample_survey(10007, count=5, base_seed=5)
+
+
+def test_survey_workers_take_interleaved_seed_ranges(monkeypatch, serial_survey):
+    launched = _record_launches(monkeypatch)
+    assert sample_survey(10007, count=5, base_seed=5, workers=2) == serial_survey
+    assert _shares(launched) == [(5, 10, 2), (6, 10, 2)] and _all_reaped(launched)
+
+
+def test_survey_launches_one_worker_per_seed_on_enough_cpus(monkeypatch, serial_survey):
+    launched = _record_launches(monkeypatch, cpus=8)
+    summary = sample_survey(10007, count=3, base_seed=5, workers=8)
+    assert summary["results"] == serial_survey["results"][:3] and summary["ok"]
+    assert _shares(launched) == [(5, 8, 3), (6, 8, 3), (7, 8, 3)] and _all_reaped(launched)
+
+
+def test_survey_worker_answers_its_seed_range_without_stdin(serial_survey):
+    # run directly, with stdin at end of file: exactly the results of seeds 5 and 6
+    out = subprocess.run([sys.executable, "-m", "scrollres.survey_worker", "10007", "5", "7", "1"],
+                         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                         env=survey._worker_env(), check=True).stdout
+    assert [json.loads(line) for line in out.splitlines()] == serial_survey["results"][:2]
 
 
 def test_survey_checks_come_before_any_worker(monkeypatch):

@@ -14,6 +14,10 @@ says cannot change its answer, by monkeypatching, with no option in src/.
    F only through its zeros, its vanishing partials or the nonvanishing
    of its tangent cone, so the report of c*F differs from that of F only
    in model.coeffs.
+5. The order of GAMMA_PARAMETERS: gamma is the image curve, and its cubic
+   is a canonical kernel vector of the samples, which lie on it, so the
+   cubic, its node and the fiber parameters do not depend on which members
+   are sampled first.
 
 The sample stream of a chain is also drawn once and evaluated once; the
 spy tests below pin that.
@@ -24,7 +28,7 @@ import sys
 
 import pytest
 
-from scrollres import chain, ffield, plane_curve, resolution, scroll
+from scrollres import chain, ffield, pipeline, plane_curve, resolution, scroll
 from scrollres.pipeline import run_pipeline
 from scrollres.resolution import point_demand
 
@@ -113,6 +117,29 @@ def test_report_does_not_depend_on_the_scale_of_the_nonic(monkeypatch, prime,
     third = pow(3, -1, prime)
     report["model"]["coeffs"] = [c * third % prime for c in report["model"]["coeffs"]]
     known_canonical_sha256(report, prime, 1)
+
+
+@pytest.mark.parametrize("turn", [lambda ps: ps[::-1], lambda ps: ps[5:] + ps[:5]],
+                         ids=["reversed", "rotated_by_5"])
+@pytest.mark.parametrize("prime, seed", [(10007, 1), (10007, 2), (11863289, 1)])
+def test_report_does_not_depend_on_the_order_of_the_gamma_members(
+        monkeypatch, prime, seed, turn, known_canonical_sha256):
+    # gamma is fitted to the first members of the turned order, none skipped,
+    # and the report, checks and gamma section included, is the recorded one
+    order = turn(pipeline.GAMMA_PARAMETERS)
+    fit = pipeline.fit_gamma
+    fitted = []
+
+    def recording(samples, p):
+        fitted.append([par for par, _coords in samples])
+        return fit(samples, p)
+
+    monkeypatch.setattr(pipeline, "GAMMA_PARAMETERS", order)
+    monkeypatch.setattr(pipeline, "fit_gamma", recording)
+    report = run_pipeline(prime, seed)
+    assert fitted == [order[:report["gamma"]["sampleCount"]]]
+    assert report["gamma"]["skippedParameters"] == []
+    known_canonical_sha256(report, prime, seed)
 
 
 def _spy_everywhere(monkeypatch, func) -> list:
